@@ -10,12 +10,13 @@ duality is what the catalogue exists to demonstrate.
 Stagings only use the public machinery: adversary hooks on the NFC hop (A1),
 direct submissions to the payment rails (A5), looking at the card (A8), plus
 the clone/replay/translator devices defined here and in ``card``/``channel``.
+A staging that is a single purchase is a ``Tap`` record rather than code.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .card import (
@@ -26,6 +27,7 @@ from .card import (
 )
 from .channel import (
     Adversary,
+    Hook,
     Message,
     NfcChannel,
     Recorder,
@@ -50,24 +52,30 @@ from .elements import (
     DataElementMap,
     DOL,
     Tag,
+    TagInfo,
     TTQ,
     build_dol_data,
 )
-from .issuer import PERMISSIVE_2019
+from .issuer import ISSUER_CHECKS, PERMISSIVE_2019
 from .properties import PropertyReport, compare_expected, evaluate
 from .runner import AMOUNT_HIGH, AMOUNT_LOW, Env, build_env, run_genuine
 
 # --- flaw wiring -----------------------------------------------------------------
 
-ISSUER_FLAWS = frozenset({
-    "check_atc_order", "check_un_reuse", "check_aid_pan_match",
-    "check_plastic_cdcvm", "check_mcc_for_wallet_no_cdcvm",
-    "check_ttq_in_ac", "foreign_cvm_limit_enforced",
-})
-CARD_FLAWS = frozenset({"offline_pin_enabled", "foreign_no_cvm",
-                        "wallet_cdcvm_always"})
-TERMINAL_FLAWS = frozenset({"tac_denial_cda_failed", "lenient_cashier"})
-KNOWN_FLAWS = ISSUER_FLAWS | CARD_FLAWS | TERMINAL_FLAWS | {"fdda", "cda"}
+# Every flaw that is not an issuer check, with the card and the terminal
+# fixture keys it sets to its own value.
+FIXTURE_FLAWS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "offline_pin_enabled": (("offline_pin_enabled",), ()),
+    "foreign_no_cvm": (("foreign_no_cvm",), ()),
+    "wallet_cdcvm_always": (("wallet_cdcvm_always",), ()),
+    "tac_denial_cda_failed": ((), ("tac_denial_cda_failed",)),
+    "lenient_cashier": ((), ("lenient_cashier",)),
+    # fixing the fDDA gap takes both sides: the card gets signing material
+    # and the terminal starts demanding the signature
+    "fdda": (("fdda",), ("require_oda_kernel3",)),
+    "cda": (("cda",), ("request_cda",)),
+}
+KNOWN_FLAWS = frozenset(ISSUER_CHECKS).union(FIXTURE_FLAWS)
 
 
 def _as_bool(value: Any) -> bool:
@@ -85,29 +93,16 @@ def _world_for(spec: "AttackSpec", flaws: dict[str, bool]):
     card_over: dict[str, Any] = {}
     term_over: dict[str, Any] = {}
     for name, value in flaws.items():
-        if name in ISSUER_FLAWS:
+        if name in ISSUER_CHECKS:
             policy_changes[name] = value
-        elif name in CARD_FLAWS:
-            card_over[name] = value
-        elif name in TERMINAL_FLAWS:
-            term_over[name] = value
-        elif name == "fdda":
-            # fixing the fDDA gap takes both sides: the card gets signing
-            # material and the terminal starts demanding the signature
-            card_over["fdda"] = value
-            if value:
-                card_over["oda"] = True
-            term_over["require_oda_kernel3"] = value
-        elif name == "cda":
-            card_over["cda"] = value
-            term_over["request_cda"] = value
-        else:
-            raise ValueError(f"unknown flaw {name!r}")
-    policy = PERMISSIVE_2019.with_fixes(**policy_changes) if policy_changes \
-        else PERMISSIVE_2019
-    cards = {spec.card: card_over} if card_over else {}
-    terminals = {spec.terminal: term_over} if term_over and spec.terminal else {}
-    return policy, cards, terminals
+            continue
+        card_keys, terminal_keys = FIXTURE_FLAWS[name]
+        card_over.update(dict.fromkeys(card_keys, value))
+        term_over.update(dict.fromkeys(terminal_keys, value))
+        if name == "fdda" and value:
+            card_over["oda"] = True  # signing material to go with fDDA
+    return (PERMISSIVE_2019.with_fixes(**policy_changes),
+            {spec.card: card_over}, {spec.terminal: term_over})
 
 
 # --- catalogue types ----------------------------------------------------------------
@@ -183,23 +178,44 @@ def _genuine_probe(env: Env, card_name: str, terminal_name: str,
     return ok
 
 
-def _rewrite_ttq(**changes: bool):
-    """Hook: adjust the terminal's TTQ on its way to the card."""
+def _flags(tag: TagInfo, message: str | None = None, **bits: bool) -> Hook:
+    """Hook: set flag bits of ``tag`` wherever it travels, or only in
+    ``message``. A CTQ edit thus covers both the processing options and
+    record 2, so the terminal's consistency check passes."""
     def hook(msg: Message, adv: Adversary) -> Message:
-        if msg.name == "GET_PROCESSING_OPTIONS" and Tag.TTQ in msg.payload:
-            return msg.with_payload(TTQ=msg.payload[Tag.TTQ].replace(**changes))
+        if message in (None, msg.name) and tag in msg.payload:
+            return msg.with_payload(**{tag.name: msg.payload[tag].replace(**bits)})
         return msg
     return hook
 
 
-def _rewrite_ctq(**changes: bool):
-    """Hook: adjust the card's CTQ on its way back — both in the processing
-    options and in record 2, so the terminal's consistency check passes."""
+def _swap(message: str, tag: TagInfo, old: Any, new: Any) -> Hook:
+    """Hook: replace ``old`` with ``new`` as the value of ``tag`` in ``message``."""
     def hook(msg: Message, adv: Adversary) -> Message:
-        if Tag.CTQ in msg.payload:
-            return msg.with_payload(CTQ=msg.payload[Tag.CTQ].replace(**changes))
+        if msg.name == message and msg.payload.get(tag) == old:
+            return msg.with_payload(**{tag.name: new})
         return msg
     return hook
+
+
+def _gut_record2(msg: Message, adv: Adversary) -> Message:
+    """Hook: break offline authentication and leave a signature as the only CVM."""
+    if msg.name == "READ_RECORD" and msg.payload.get(Tag.RECORD_NUMBER) == 2:
+        return msg.with_payload(
+            CVM_LIST=CVMList((CVMEntry(CVMMethod.PaperSignature,
+                                       CVMCondition.Always),)),
+            IAC=ActionCodes(),      # the card's denials, silenced
+            CA_PK_INDEX=9,          # nobody can check any of this now
+        )
+    return msg
+
+
+def _corrupt_ac(msg: Message, adv: Adversary) -> Message:
+    """Hook: flip the first byte of the card's cryptogram."""
+    if msg.name == "GENERATE_AC" and Tag.AC in msg.payload:
+        ac = msg.payload[Tag.AC]
+        return msg.with_payload(AC=bytes([ac[0] ^ 0xFF]) + ac[1:])
+    return msg
 
 
 # --- PIN-probing machinery ------------------------------------------------------------
@@ -208,24 +224,24 @@ def simulate_pin_search(true_pin: str, *, try_limit: int = 3,
                         stop_at_remaining: int = 1) -> tuple[int, int, bool]:
     """Counter-aware exhaustive sweep as a pure function.
 
-    Models a criminal guessing in numeric order with brief repeated access:
-    whenever the try counter is about to run out they stop and wait for the
-    owner to use the card (which resets it). Returns (guesses, owner_resets,
-    blocked).
+    Models a criminal guessing 0000..9999 in order with brief repeated
+    access: whenever the try counter is down to ``stop_at_remaining`` they
+    stop and wait for the owner to use the card (which resets it). Returns
+    (guesses, owner_resets, blocked), in closed form.
     """
-    remaining = try_limit
-    guesses = resets = 0
-    for i in range(10000):
-        if remaining <= stop_at_remaining:
-            remaining = try_limit
-            resets += 1
-        guesses += 1
-        if f"{i:04d}" == true_pin:
-            return guesses, resets, False
-        remaining -= 1
-        if remaining <= 0:
-            return guesses, resets, True
-    return guesses, resets, False
+    found = len(true_pin) == 4 and true_pin.isascii() and true_pin.isdigit()
+    index = int(true_pin) if found else 10000   # wrong guesses before the PIN
+    guesses = min(index + 1, 10000)
+    # a counter already at the stop mark is reset before the first guess
+    resets = 1 if stop_at_remaining >= try_limit else 0
+    stop = min(stop_at_remaining, try_limit - 1)
+    if stop <= 0:
+        # nothing left to pause for: the wrong guesses run the counter out
+        if index >= try_limit:
+            return try_limit, resets, True
+        return guesses, resets, False
+    # one owner reset after every try_limit - stop guesses
+    return guesses, resets + (guesses - 1) // (try_limit - stop), False
 
 
 def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
@@ -465,28 +481,6 @@ def _stage_pin_guess_dos(env: Env, adv: Adversary) -> tuple[bool, str]:
         f"{burned} wrong guesses, card usable afterwards: {usable}")
 
 
-def _stage_ttq_ctq_bypass(env: Env, adv: Adversary) -> tuple[bool, str]:
-    adv.on_to_card(_rewrite_ttq(cvm_required=False))
-    adv.on_from_card(_rewrite_ctq(cdcvm_performed=True))
-    channel = NfcChannel(env.trace, env.cards["visa_plastic_no_fdda"],
-                         adversary=adv)
-    result = env.terminals["standard_pos"].run_purchase(
-        channel, _eur(AMOUNT_HIGH), performed_by="criminal")
-    env.terminals["standard_pos"].submit_clearing()
-    return _approved(result), _said(result)
-
-
-def _stage_ctq_bypass(env: Env, adv: Adversary) -> tuple[bool, str]:
-    adv.on_from_card(_rewrite_ctq(cdcvm_performed=True,
-                                  online_pin_required=False,
-                                  signature_required=False))
-    channel = NfcChannel(env.trace, env.cards["visa_plastic_no_fdda"],
-                         adversary=adv)
-    result = env.terminals["standard_pos"].run_purchase(
-        channel, _eur(AMOUNT_HIGH), performed_by="criminal")
-    return _approved(result), _said(result)
-
-
 def _stage_card_brand_mixup(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["mastercard_cda"]
     session = env.trace.new_session()
@@ -499,86 +493,16 @@ def _stage_card_brand_mixup(env: Env, adv: Adversary) -> tuple[bool, str]:
     return _approved(result), f"kernel-2 card spent as kernel 3; {_said(result)}"
 
 
-def _stage_inducing_auth_failure(env: Env, adv: Adversary) -> tuple[bool, str]:
-    def gut_record2(msg: Message, a: Adversary) -> Message:
-        if msg.name == "READ_RECORD" \
-                and msg.payload.get(Tag.RECORD_NUMBER) == 2:
-            return msg.with_payload(
-                CVM_LIST=CVMList((CVMEntry(CVMMethod.PaperSignature,
-                                           CVMCondition.Always),)),
-                IAC=ActionCodes(),      # the card's denials, silenced
-                CA_PK_INDEX=9,          # nobody can check any of this now
-            )
-        return msg
-
-    adv.on_from_card(gut_record2)
-    channel = NfcChannel(env.trace, env.cards["mastercard_cda"], adversary=adv)
-    result = env.terminals["standard_pos"].run_purchase(
-        channel, _eur(AMOUNT_HIGH), performed_by="criminal")
-    return _approved(result), f"criminal scribbled a signature; {_said(result)}"
-
-
-def _stage_googlepay_ttq(env: Env, adv: Adversary) -> tuple[bool, str]:
-    card = env.cards["google_like_phone"]
-    card.profile.wallet.unlocked = False
-    adv.on_to_card(_rewrite_ttq(cvm_required=False))
-    channel = NfcChannel(env.trace, card, adversary=adv)
-    result = env.terminals["standard_pos"].run_purchase(
-        channel, _eur(AMOUNT_HIGH), performed_by="criminal")
-    return _approved(result), f"locked phone paid high value; {_said(result)}"
-
-
 def _stage_magic_byte(env: Env, adv: Adversary) -> tuple[bool, str]:
-    card = env.cards["apple_like_phone"]
-    card.profile.wallet.unlocked = False
-    bridge, _session = make_relay(env.trace, card, adv)
+    bridge, _session = make_relay(env.trace, env.cards["apple_like_phone"], adv)
     # whisper the gate's greeting so the phone opens its express path
     bridge.far.exchange(Message("MAGIC_BYTES",
                                 DataElementMap({Tag.MAGIC: TRANSIT_MAGIC})))
-    adv.on_to_card(_rewrite_ttq(oda_for_online_supported=True))
-    adv.on_from_card(_rewrite_ctq(cdcvm_performed=True))
+    adv.on_to_card(_flags(Tag.TTQ, oda_for_online_supported=True))
+    adv.on_from_card(_flags(Tag.CTQ, cdcvm_performed=True))
     result = env.terminals["standard_pos"].run_purchase(
         bridge, _eur(AMOUNT_HIGH), performed_by="criminal")
     return _approved(result), f"locked phone paid at a shop; {_said(result)}"
-
-
-def _stage_merchant_bag(env: Env, adv: Adversary) -> tuple[bool, str]:
-    def corrupt_ac(msg: Message, a: Adversary) -> Message:
-        if msg.name == "GENERATE_AC" and Tag.AC in msg.payload:
-            ac = msg.payload[Tag.AC]
-            return msg.with_payload(AC=bytes([ac[0] ^ 0xFF]) + ac[1:])
-        return msg
-
-    adv.on_from_card(corrupt_ac)
-    terminal = env.terminals["offline_capable_pos"]
-    channel = NfcChannel(env.trace, env.cards["mastercard_cda"], adversary=adv)
-    result = terminal.run_purchase(channel, _eur(AMOUNT_LOW),
-                                   pin=env.cards["mastercard_cda"].profile.pin,
-                                   performed_by="cardholder")
-    cleared = terminal.submit_clearing()
-    ok = result["outcome"] == "approve_offline" and "decline" in cleared
-    return ok, (f"{_said(result)}; clearing said {cleared or ['nothing']}")
-
-
-def _stage_maestro_downgrade(env: Env, adv: Adversary) -> tuple[bool, str]:
-    def request_maestro(msg: Message, a: Adversary) -> Message:
-        if msg.name == "SELECT" and msg.payload.get(Tag.AID) == AID_MASTERCARD:
-            return msg.with_payload(AID=AID_MAESTRO)
-        return msg
-
-    def answer_mastercard(msg: Message, a: Adversary) -> Message:
-        if msg.name == "SELECT" and msg.payload.get(Tag.AID) == AID_MAESTRO:
-            return msg.with_payload(AID=AID_MASTERCARD)
-        return msg
-
-    adv.on_to_card(request_maestro)
-    adv.on_from_card(answer_mastercard)
-    channel = NfcChannel(env.trace, env.cards["maestro_debit"], adversary=adv)
-    result = env.terminals["standard_pos"].run_purchase(
-        channel, _eur(AMOUNT_LOW), pin=env.cards["maestro_debit"].profile.pin,
-        performed_by="cardholder")
-    ok = _approved(result) and result["view"].get("aid") == AID_MASTERCARD
-    return ok, f"debit card spent under the credit brand; {_said(result)}"
 
 
 def _stage_eavesdrop_card_data(env: Env, adv: Adversary) -> tuple[bool, str]:
@@ -624,21 +548,43 @@ def _stage_magstripe_mode_clone(env: Env, adv: Adversary) -> tuple[bool, str]:
     return _approved(result), (f"{len(table)}-entry table; {_said(result)}")
 
 
-def _stage_emv_to_magstripe(env: Env, adv: Adversary) -> tuple[bool, str]:
-    def strip_emv(msg: Message, a: Adversary) -> Message:
-        if msg.name == "GET_PROCESSING_OPTIONS" and Tag.AIP in msg.payload:
-            aip = msg.payload[Tag.AIP]
-            return msg.with_payload(AIP=aip.replace(emv_mode_supported=False))
-        return msg
+@dataclass(frozen=True)
+class Tap:
+    """A staging that is one purchase over an adversary-owned NFC hop, as
+    data: which card meets which terminal for how much, who taps (only the
+    cardholder knows the PIN), how the adversary edits each direction, and
+    what the attack landing looks like."""
 
-    adv.on_from_card(strip_emv)
-    card = env.cards["mastercard_cda"]
-    channel = NfcChannel(env.trace, card, adversary=adv)
-    result = env.terminals["standard_pos"].run_purchase(
-        channel, _eur(AMOUNT_LOW), pin=card.profile.pin,
-        performed_by="cardholder")
-    ok = _approved(result) and result["view"].get("mode") == "ms"
-    return ok, f"chip card pushed into mag-stripe mode; {_said(result)}"
+    card: str
+    terminal: str
+    amount: int
+    performed_by: str
+    to_card: tuple[Hook, ...] = ()
+    from_card: tuple[Hook, ...] = ()
+    outcome: str = "approve"                      # required outcome prefix
+    view: dict[str, Any] = field(default_factory=dict)  # required view fields
+    clearing: str | None = None                   # required clearing decision
+    note: str = ""                                # leads the result's detail
+
+    def __call__(self, env: Env, adv: Adversary) -> tuple[bool, str]:
+        for hook in self.to_card:
+            adv.on_to_card(hook)
+        for hook in self.from_card:
+            adv.on_from_card(hook)
+        card = env.cards[self.card]
+        terminal = env.terminals[self.terminal]
+        result = terminal.run_purchase(
+            NfcChannel(env.trace, card, adversary=adv), _eur(self.amount),
+            pin=card.profile.pin if self.performed_by == "cardholder" else None,
+            performed_by=self.performed_by)
+        ok = (result["outcome"].startswith(self.outcome)
+              and all(result["view"].get(k) == v for k, v in self.view.items()))
+        said = [self.note, _said(result)]
+        if self.clearing is not None:
+            cleared = terminal.submit_clearing()
+            ok = ok and self.clearing in cleared
+            said.append(f"clearing said {cleared or ['nothing']}")
+        return ok, "; ".join(filter(None, said))
 
 
 # --- the catalogue ----------------------------------------------------------------------
@@ -653,6 +599,12 @@ def _spec(attack_id: str, title: str, capabilities: tuple[str, ...],
                       intent_defeated=intent, secret_scope=frozenset(scope),
                       stage=stage)
 
+
+def _tap_spec(attack_id: str, title: str, flaws: dict[str, bool],
+              expected: dict[str, tuple[str, ...]], intent: bool,
+              tap: Tap) -> AttackSpec:
+    return _spec(attack_id, title, ("A1",), tap.card, tap.terminal, flaws,
+                 expected, intent, (), tap)
 
 CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
     _spec("magstripe_cloning",
@@ -690,21 +642,24 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
           {"P6": ()},
           False, (),
           _stage_pin_guess_dos),
-    _spec("ttq_ctq_bypass",
-          "tell the card no CVM is needed, tell the terminal the phone did it",
-          ("A1",), "visa_plastic_no_fdda", "standard_pos",
-          {"fdda": False, "check_ttq_in_ac": False,
-           "check_plastic_cdcvm": False},
-          {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
-          True, (),
-          _stage_ttq_ctq_bypass),
-    _spec("ctq_bypass",
-          "rewrite only the card's CVM answer on its way to the terminal",
-          ("A1",), "visa_plastic_no_fdda", "standard_pos",
-          {"fdda": False, "check_plastic_cdcvm": False},
-          {"P1": ("CTQ",), "P3.1": (), "P3.2": ()},
-          True, (),
-          _stage_ctq_bypass),
+    _tap_spec("ttq_ctq_bypass",
+              "tell the card no CVM is needed, tell the terminal the phone did it",
+              {"fdda": False, "check_ttq_in_ac": False,
+               "check_plastic_cdcvm": False},
+              {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
+              True,
+              Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
+                  to_card=(_flags(Tag.TTQ, cvm_required=False),),
+                  from_card=(_flags(Tag.CTQ, cdcvm_performed=True),))),
+    _tap_spec("ctq_bypass",
+              "rewrite only the card's CVM answer on its way to the terminal",
+              {"fdda": False, "check_plastic_cdcvm": False},
+              {"P1": ("CTQ",), "P3.1": (), "P3.2": ()},
+              True,
+              Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
+                  from_card=(_flags(Tag.CTQ, cdcvm_performed=True,
+                                    online_pin_required=False,
+                                    signature_required=False),))),
     _spec("card_brand_mixup",
           "spend a kernel-2 card through a fabricated kernel-3 application",
           ("A1",), "mastercard_cda", "standard_pos",
@@ -713,21 +668,23 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
           {"P1": ("AID", "CTQ"), "P3.1": (), "P3.2": ()},
           True, (),
           _stage_card_brand_mixup),
-    _spec("inducing_auth_failure",
-          "break offline authentication on purpose, then sign for the goods",
-          ("A1",), "mastercard_cda", "standard_pos",
-          {"tac_denial_cda_failed": False, "lenient_cashier": True},
-          {"P1": ("CA_PK_INDEX", "CVM_LIST", "IAC_DENIAL"),
-           "P3.1": (), "P3.2": ()},
-          True, (),
-          _stage_inducing_auth_failure),
-    _spec("googlepay_ttq",
-          "high-value purchase on a locked phone that trusts the reader's TTQ",
-          ("A1",), "google_like_phone", "standard_pos",
-          {"check_ttq_in_ac": False, "wallet_cdcvm_always": True},
-          {"P1": ("TTQ",), "P3.1": (), "P3.2": ()},
-          True, (),
-          _stage_googlepay_ttq),
+    _tap_spec("inducing_auth_failure",
+              "break offline authentication on purpose, then sign for the goods",
+              {"tac_denial_cda_failed": False, "lenient_cashier": True},
+              {"P1": ("CA_PK_INDEX", "CVM_LIST", "IAC_DENIAL"),
+               "P3.1": (), "P3.2": ()},
+              True,
+              Tap("mastercard_cda", "standard_pos", AMOUNT_HIGH, "criminal",
+                  from_card=(_gut_record2,),
+                  note="criminal scribbled a signature")),
+    _tap_spec("googlepay_ttq",
+              "high-value purchase on a locked phone that trusts the reader's TTQ",
+              {"check_ttq_in_ac": False, "wallet_cdcvm_always": True},
+              {"P1": ("TTQ",), "P3.1": (), "P3.2": ()},
+              True,
+              Tap("google_like_phone", "standard_pos", AMOUNT_HIGH, "criminal",
+                  to_card=(_flags(Tag.TTQ, cvm_required=False),),
+                  note="locked phone paid high value")),
     _spec("magic_byte",
           "gate greeting plus TTQ/CTQ rewrites turn express transit into a shop spree",
           ("A1",), "apple_like_phone", "standard_pos",
@@ -735,20 +692,24 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
           {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
           True, (),
           _stage_magic_byte),
-    _spec("merchant_bag",
-          "corrupt the cryptogram so the offline-approved sale never clears",
-          ("A1",), "mastercard_cda", "offline_capable_pos",
-          {"cda": False},
-          {"P1": ("AC",), "P2": (), "P3.2": ()},
-          False, (),
-          _stage_merchant_bag),
-    _spec("maestro_downgrade",
-          "answer a credit-brand selection with a debit card",
-          ("A1",), "maestro_debit", "standard_pos",
-          {},
-          {"P1": ("AID",), "P3.2": ()},
-          False, (),
-          _stage_maestro_downgrade),
+    _tap_spec("merchant_bag",
+              "corrupt the cryptogram so the offline-approved sale never clears",
+              {"cda": False},
+              {"P1": ("AC",), "P2": (), "P3.2": ()},
+              False,
+              Tap("mastercard_cda", "offline_capable_pos", AMOUNT_LOW, "cardholder",
+                  from_card=(_corrupt_ac,), outcome="approve_offline",
+                  clearing="decline")),
+    _tap_spec("maestro_downgrade",
+              "answer a credit-brand selection with a debit card",
+              {},
+              {"P1": ("AID",), "P3.2": ()},
+              False,
+              Tap("maestro_debit", "standard_pos", AMOUNT_LOW, "cardholder",
+                  to_card=(_swap("SELECT", Tag.AID, AID_MASTERCARD, AID_MAESTRO),),
+                  from_card=(_swap("SELECT", Tag.AID, AID_MAESTRO, AID_MASTERCARD),),
+                  view={"aid": AID_MASTERCARD},
+                  note="debit card spent under the credit brand")),
     _spec("eavesdrop_card_data",
           "skim account data off a genuine purchase, read the CSC off the card",
           ("A1", "A8"), "visa_plastic_no_fdda", "standard_pos",
@@ -763,13 +724,16 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
           {"P5": ("TRACK2", "CVC3_TABLE"), "P3.2": ()},
           True, ("TRACK2", "CVC3_TABLE"),
           _stage_magstripe_mode_clone),
-    _spec("emv_to_magstripe",
-          "hide the chip: force a capable card down the mag-stripe path",
-          ("A1",), "mastercard_cda", "standard_pos",
-          {},
-          {"P1": ("AIP",), "P3.2": ()},
-          False, (),
-          _stage_emv_to_magstripe),
+    _tap_spec("emv_to_magstripe",
+              "hide the chip: force a capable card down the mag-stripe path",
+              {},
+              {"P1": ("AIP",), "P3.2": ()},
+              False,
+              Tap("mastercard_cda", "standard_pos", AMOUNT_LOW, "cardholder",
+                  from_card=(_flags(Tag.AIP, "GET_PROCESSING_OPTIONS",
+                                    emv_mode_supported=False),),
+                  view={"mode": "ms"},
+                  note="chip card pushed into mag-stripe mode")),
 ]}
 
 

@@ -30,6 +30,7 @@ from .crypto import (
 from .elements import (
     AFL,
     AIP,
+    CVM_LIMIT,
     ActionCodes,
     Amount,
     CID,
@@ -163,7 +164,6 @@ class CardProfile:
     magstripe_capable: bool = False  # answers dynamic-code queries
 
     cvm_list: CVMList = field(default_factory=CVMList)
-    cvm_limit: int = 5000
     foreign_no_cvm: bool = False
 
     offline_pin_enabled: bool = False
@@ -324,8 +324,8 @@ class Card:
             waived = p.foreign_no_cvm and amount.currency != p.home_currency
             need_cvm = ttq.cvm_required and not waived
             ctq = CTQ(
-                online_pin_required=need_cvm and amount.value > p.cvm_limit,
-                signature_required=need_cvm and amount.value <= p.cvm_limit,
+                online_pin_required=need_cvm and amount.value > CVM_LIMIT,
+                signature_required=need_cvm and amount.value <= CVM_LIMIT,
             )
             iad_cdcvm = False
 

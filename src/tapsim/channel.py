@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Protocol
 
-from .elements import CodecError, DataElementMap, Tag, TagInfo, render_value
+from .elements import DataElementMap, Tag, TagInfo, render_value
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
@@ -96,34 +96,6 @@ class Message:
             p.put(Tag.by_name(name), value)
         return Message(self.name, p)
 
-    def without(self, *names: str) -> "Message":
-        keep = DataElementMap()
-        drop = {Tag.by_name(n) for n in names}
-        for tag in self.payload:
-            if tag not in drop:
-                keep.put(tag, self.payload.get(tag))
-        return Message(self.name, keep)
-
-
-def _render_any(value: Any) -> Any:
-    if isinstance(value, Message):
-        return value.render()
-    if isinstance(value, DataElementMap):
-        return value.render()
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value).hex()
-    if isinstance(value, dict):
-        return {k: _render_any(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [_render_any(v) for v in value]
-        if isinstance(value, (set, frozenset)):
-            items.sort(key=repr)
-        return items
-    try:
-        return render_value(None, value)  # type: ignore[arg-type]
-    except Exception:
-        return repr(value)
-
 
 @dataclass
 class TraceEvent:
@@ -157,7 +129,7 @@ class TraceEvent:
                 "received": self.received.render() if self.received else None,
             })
         if self.data:
-            out["data"] = _render_any(self.data)
+            out["data"] = render_value(self.data)
         return out
 
 
@@ -212,7 +184,7 @@ class TransactionTrace:
         return any(ev.relay_active for ev in self.msgs(session=session))
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"kind": "meta", **_render_any(self.meta)}, sort_keys=True)]
+        lines = [json.dumps({"kind": "meta", **render_value(self.meta)}, sort_keys=True)]
         lines.extend(json.dumps(ev.render(), sort_keys=True) for ev in self.events)
         return "\n".join(lines) + "\n"
 
@@ -242,7 +214,6 @@ class Adversary:
         self.from_card_hooks: list[Hook] = []
         self.observers: list[Observer] = []
         self.knowledge: set[tuple[str, str]] = set()
-        self.notes: dict[str, Any] = {}
 
     def can(self, cap: str) -> bool:
         return cap in self.capabilities
@@ -262,7 +233,7 @@ class Adversary:
 
     def learn(self, category: str, value: Any, session: int | None = None) -> None:
         if not isinstance(value, str):
-            rendered = _render_any(value)
+            rendered = render_value(value)
             value = rendered if isinstance(rendered, str) \
                 else json.dumps(rendered, sort_keys=True)
         item = (category, value)
@@ -341,10 +312,8 @@ class RelayBridge:
         self.session = session
         self.far = NfcChannel(trace, real_card, session=session,
                               adversary=adversary, relay_active=True)
-        self.hops = 0
 
     def exchange(self, msg: Message) -> Message:
-        self.hops += 1
         return self.far.exchange(msg)
 
 

@@ -78,12 +78,6 @@ class _TagNamespace:
         except KeyError:
             raise CodecError(f"unknown tag name {name!r}") from None
 
-    def by_code(self, code: int) -> TagInfo:
-        try:
-            return TAGS_BY_CODE[code]
-        except KeyError:
-            raise CodecError(f"unknown tag code {code}") from None
-
 
 Tag = _TagNamespace()
 
@@ -366,6 +360,10 @@ def is_transit_mcc(mcc: str) -> bool:
     return mcc in TRANSIT_MCCS
 
 
+# Above this amount (minor units) a transaction needs cardholder verification.
+CVM_LIMIT = 5000
+
+
 # Application identifiers (public protocol constants).
 AID_VISA = bytes.fromhex("A0000000031010")
 AID_MASTERCARD = bytes.fromhex("A0000000041010")
@@ -375,12 +373,6 @@ AID_BRANDS = {
     AID_VISA: "visa",
     AID_MASTERCARD: "mastercard",
     AID_MAESTRO: "maestro",
-}
-
-AID_KERNELS = {
-    AID_VISA: 3,
-    AID_MASTERCARD: 2,
-    AID_MAESTRO: 2,
 }
 
 
@@ -410,16 +402,6 @@ def _enc_lp(raw: bytes) -> bytes:
     if len(raw) > 0xFFFF:
         raise CodecError("chunk too long")
     return len(raw).to_bytes(2, "big") + raw
-
-
-def _read_lp(buf: bytes, off: int) -> tuple[bytes, int]:
-    if off + 2 > len(buf):
-        raise CodecError("truncated length prefix")
-    n = int.from_bytes(buf[off:off + 2], "big")
-    off += 2
-    if off + n > len(buf):
-        raise CodecError("truncated chunk")
-    return buf[off:off + n], off + n
 
 
 def encode_value(tag: TagInfo, value: Any) -> bytes:
@@ -491,83 +473,10 @@ def encode_value(tag: TagInfo, value: Any) -> bytes:
     raise CodecError(f"no encoder for kind {kind!r}")
 
 
-def decode_value(tag: TagInfo, raw: bytes) -> Any:
-    """Inverse of encode_value; rejects trailing bytes."""
-    kind = tag.kind
-
-    def done(value, consumed):
-        if consumed != len(raw):
-            raise CodecError(f"{tag.name}: trailing bytes")
-        return value
-
-    if kind.startswith("uint"):
-        width = int(kind[4:])
-        if len(raw) != width:
-            raise CodecError(f"{tag.name}: expected {width} bytes")
-        return int.from_bytes(raw, "big")
-    if kind == "text":
-        return raw.decode("utf-8")
-    if kind == "bytes":
-        return raw
-    if kind == "bytes_list":
-        if not raw:
-            raise CodecError(f"{tag.name}: empty bytes_list encoding")
-        count, off, items = raw[0], 1, []
-        for _ in range(count):
-            item, off = _read_lp(raw, off)
-            items.append(item)
-        return done(tuple(items), off)
-    if kind == "amount":
-        if len(raw) != 11:
-            raise CodecError(f"{tag.name}: expected 11 bytes")
-        return Amount(int.from_bytes(raw[:8], "big"), raw[8:].decode("ascii"))
-    if kind.startswith("flags:"):
-        cls = {"ttq": TTQ, "ctq": CTQ, "aip": AIP, "tvr": TVR}[kind[6:]]
-        if len(raw) != 1:
-            raise CodecError(f"{tag.name}: expected 1 byte")
-        return cls.from_int(raw[0])
-    if kind == "iad":
-        if len(raw) < 2:
-            raise CodecError(f"{tag.name}: truncated IAD")
-        filler, off = _read_lp(raw, 2)
-        return done(IAD(bool(raw[0]), DeviceType(raw[1]).name, filler), off)
-    if kind == "cid":
-        if len(raw) != 1:
-            raise CodecError(f"{tag.name}: expected 1 byte")
-        return CID(raw[0])
-    if kind == "afl":
-        if not raw or len(raw) != 1 + raw[0]:
-            raise CodecError(f"{tag.name}: bad AFL encoding")
-        return AFL(tuple(raw[1:]))
-    if kind == "dol":
-        if not raw or len(raw) != 1 + 2 * raw[0]:
-            raise CodecError(f"{tag.name}: bad DOL encoding")
-        return DOL(tuple(Tag.by_code(int.from_bytes(raw[i:i + 2], "big"))
-                         for i in range(1, len(raw), 2)))
-    if kind == "cvm_list":
-        if not raw or len(raw) != 1 + 2 * raw[0]:
-            raise CodecError(f"{tag.name}: bad CVM list encoding")
-        return CVMList(tuple(CVMEntry(CVMMethod(raw[i]), CVMCondition(raw[i + 1]))
-                             for i in range(1, len(raw), 2)))
-    if kind == "cvm_results":
-        if len(raw) != 3:
-            raise CodecError(f"{tag.name}: expected 3 bytes")
-        return CVMResults(CVMMethod(raw[0]), CVMCondition(raw[1]), CVMResult(raw[2]))
-    if kind == "action_codes":
-        if len(raw) != 3:
-            raise CodecError(f"{tag.name}: expected 3 bytes")
-        return ActionCodes(TVR.from_int(raw[0]), TVR.from_int(raw[1]), TVR.from_int(raw[2]))
-    if kind == "track2":
-        parts, off = [], 0
-        for _ in range(4):
-            part, off = _read_lp(raw, off)
-            parts.append(part.decode("utf-8"))
-        return done(Track2EquivalentData(*parts), off)
-    raise CodecError(f"no decoder for kind {kind!r}")
-
-
-def render_value(tag: TagInfo, value: Any) -> Any:
-    """JSON-friendly rendering for traces/reports (bytes as hex)."""
+def render_value(value: Any) -> Any:
+    """JSON-friendly rendering for traces and reports (bytes as hex).
+    Objects with a ``render()`` method render themselves; dicts and
+    sequences recurse, and sets come out sorted."""
     if isinstance(value, (bytes, bytearray)):
         return bytes(value).hex()
     if isinstance(value, Amount):
@@ -593,9 +502,14 @@ def render_value(tag: TagInfo, value: Any) -> Any:
     if isinstance(value, Track2EquivalentData):
         return {"pan": value.pan, "expiry": value.expiry,
                 "service_code": value.service_code, "discretionary": value.discretionary}
-    if isinstance(value, tuple):
-        return [render_value(tag, v) for v in value]
-    return value
+    if isinstance(value, (list, tuple)):
+        return [render_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: render_value(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted((render_value(v) for v in value), key=repr)
+    render = getattr(value, "render", None)
+    return render() if callable(render) else value
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +556,7 @@ class DataElementMap:
         return isinstance(other, DataElementMap) and self.encode() == other.encode()
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{t.name}={render_value(t, v)!r}" for t, v in self._items.items())
+        inner = ", ".join(f"{t.name}={render_value(v)!r}" for t, v in self._items.items())
         return f"DataElementMap({inner})"
 
     def tags(self) -> frozenset[TagInfo]:
@@ -651,12 +565,6 @@ class DataElementMap:
     def copy(self) -> "DataElementMap":
         clone = DataElementMap()
         clone._items = dict(self._items)
-        return clone
-
-    def merged(self, other: "DataElementMap") -> "DataElementMap":
-        clone = self.copy()
-        for tag in other:
-            clone.put(tag, other.get(tag))
         return clone
 
     def encode(self) -> bytes:
@@ -671,35 +579,9 @@ class DataElementMap:
             out.append(raw)
         return b"".join(out)
 
-    @classmethod
-    def decode(cls, buf: bytes) -> "DataElementMap":
-        if len(buf) < 2:
-            raise CodecError("truncated map header")
-        count = int.from_bytes(buf[:2], "big")
-        off = 2
-        out = cls()
-        prev_code = -1
-        for _ in range(count):
-            if off + 6 > len(buf):
-                raise CodecError("truncated map entry")
-            code = int.from_bytes(buf[off:off + 2], "big")
-            if code <= prev_code:
-                raise CodecError("map entries not in canonical order")
-            prev_code = code
-            length = int.from_bytes(buf[off + 2:off + 6], "big")
-            off += 6
-            if off + length > len(buf):
-                raise CodecError("truncated map value")
-            tag = Tag.by_code(code)
-            out._items[tag] = decode_value(tag, buf[off:off + length])
-            off += length
-        if off != len(buf):
-            raise CodecError("trailing bytes after map")
-        return out
-
     def render(self) -> dict[str, Any]:
         """Name-keyed JSON-friendly view (insertion order preserved)."""
-        return {tag.name: render_value(tag, value) for tag, value in self._items.items()}
+        return {tag.name: render_value(value) for tag, value in self._items.items()}
 
 
 def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:

@@ -11,7 +11,7 @@ reasons deterministic for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .channel import Message
@@ -26,6 +26,7 @@ from .crypto import (
 from .elements import (
     AID_BRANDS,
     BRAND_FAMILIES,
+    CVM_LIMIT,
     Amount,
     CVMMethod,
     CVMResult,
@@ -46,23 +47,16 @@ class IssuerPolicy:
     check_mcc_for_wallet_no_cdcvm: bool = False
     check_ttq_in_ac: bool = False
     foreign_cvm_limit_enforced: bool = False
-    cvm_limit: int = 5000
 
     def with_fixes(self, **changes) -> "IssuerPolicy":
         return replace(self, **changes)
 
 
+# Every back-end check a policy can switch on, in field order.
+ISSUER_CHECKS = tuple(f.name for f in fields(IssuerPolicy) if isinstance(f.default, bool))
+
 PERMISSIVE_2019 = IssuerPolicy(name="permissive_2019")
-HARDENED = IssuerPolicy(
-    name="hardened",
-    check_atc_order=True,
-    check_un_reuse=True,
-    check_aid_pan_match=True,
-    check_plastic_cdcvm=True,
-    check_mcc_for_wallet_no_cdcvm=True,
-    check_ttq_in_ac=True,
-    foreign_cvm_limit_enforced=True,
-)
+HARDENED = IssuerPolicy(name="hardened", **dict.fromkeys(ISSUER_CHECKS, True))
 
 
 @dataclass
@@ -150,7 +144,7 @@ class Issuer:
         if pol.check_un_reuse and (terminal_id, un) in self.seen_uns:
             return "decline", "un_reuse"
         amount: Amount = p[Tag.AMOUNT]
-        if amount.value > pol.cvm_limit:
+        if amount.value > CVM_LIMIT:
             cvm = p.get(Tag.CVM_RESULTS)
             if cvm is None or cvm.result != CVMResult.Performed \
                     or cvm.method == CVMMethod.NoCVM:
@@ -208,7 +202,7 @@ class Issuer:
         if pol.check_mcc_for_wallet_no_cdcvm and record.device_type == "phone" \
                 and iad is not None and not iad.cdcvm_performed \
                 and not is_transit_mcc(p.get(Tag.MCC, "")) \
-                and amount.value > pol.cvm_limit:
+                and amount.value > CVM_LIMIT:
             return "decline", "wallet_no_cdcvm"
 
         # 7. an enclosed online PIN must be the right one
@@ -221,7 +215,7 @@ class Issuer:
             pin_verified = True
 
         # 8. high value requires some accepted verification story
-        if amount.value > pol.cvm_limit:
+        if amount.value > CVM_LIMIT:
             waived = (amount.currency != record.home_currency
                       and record.foreign_no_cvm
                       and not pol.foreign_cvm_limit_enforced)

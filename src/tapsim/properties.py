@@ -12,8 +12,8 @@ one against the card's own ``card_tx`` markers:
   card view to disagree with, so other checks must catch it.
 * **P2 — no delayed decline.** Nothing accepted offline at the terminal may
   bounce at clearing.
-* **P3.1 — high-value transactions require CVM.** Above the limit, some
-  genuinely performed cardholder verification must exist in the session.
+* **P3.1 — high-value transactions require CVM.** Above ``CVM_LIMIT``,
+  some genuinely performed cardholder verification must exist in the session.
 * **P3.2 — card close to terminal.** The acceptance must trace back to a
   real card in the same session that fully agrees with the accepted view,
   with no relay legs and no adversary-submitted authorization in between.
@@ -34,13 +34,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .channel import Tag, TransactionTrace
+from .elements import CVM_LIMIT
 
 BASE_PROPERTIES = ("P1", "P2", "P3.1", "P3.2", "P5", "P6")
 
 # Secrets whose leak always counts, regardless of scenario scope.
 CORE_SECRETS = frozenset({"PIN", "MASTER_KEY", "CVC3_KEY", "SIGNING_KEY"})
-
-HIGH_VALUE_LIMIT = 5000
 
 # Fields card and terminal can both hold an opinion about. A mismatch on any
 # of them is a P1 violation and disqualifies the card_tx for P3.2 agreement.
@@ -148,8 +147,7 @@ def _nfc_sessions(trace: TransactionTrace) -> set[int]:
 
 
 def evaluate(trace: TransactionTrace,
-             secret_scope: Iterable[str] = (),
-             high_value_limit: int = HIGH_VALUE_LIMIT) -> PropertyReport:
+             secret_scope: Iterable[str] = ()) -> PropertyReport:
     acceptances = _acceptances(trace)
     card_txs = trace.markers("card_tx")
     by_pan_atc: dict[tuple[Any, Any], list[Any]] = {}
@@ -179,7 +177,7 @@ def evaluate(trace: TransactionTrace,
                 p1.add("replay")
 
         # P3.1 — high value needs a genuinely performed CVM in-session
-        if amount is not None and amount.value > high_value_limit:
+        if amount is not None and amount.value > CVM_LIMIT:
             genuine = any(ev.data.get("genuine")
                           for ev in trace.markers("cvm", session=acc.session))
             if not genuine:

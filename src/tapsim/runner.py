@@ -16,7 +16,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .card import Card, CardProfile, WALLET_KINDS
@@ -42,14 +42,11 @@ from .elements import (
     Tag,
     TVR,
 )
-from .issuer import HARDENED, PERMISSIVE_2019, CardRecord, Issuer, IssuerPolicy
+from .issuer import PERMISSIVE_2019, CardRecord, Issuer, IssuerPolicy
 from .terminal import Terminal, TerminalConfig
 
-AMOUNT_HIGH = 12000   # well above every CVM limit
-AMOUNT_LOW = 1500     # below CVM and floor limits
-CVM_LIMIT = 5000
-FLOOR_LIMIT = 2500
-CEILING = 100000
+AMOUNT_HIGH = 12000   # well above the CVM limit
+AMOUNT_LOW = 1500     # below the CVM and floor limits
 
 CA_INDEX = 1
 
@@ -120,27 +117,6 @@ TERMINAL_FIXTURES: dict[str, dict[str, Any]] = {
                       interface="swipe"),
 }
 
-ISSUER_POLICIES = {
-    "permissive_2019": PERMISSIVE_2019,
-    "hardened": HARDENED,
-    # single-repair variants of the permissive baseline, one per issuer check
-    "fix_atc_order": PERMISSIVE_2019.with_fixes(
-        name="fix_atc_order", check_atc_order=True),
-    "fix_un_reuse": PERMISSIVE_2019.with_fixes(
-        name="fix_un_reuse", check_un_reuse=True),
-    "fix_aid_pan": PERMISSIVE_2019.with_fixes(
-        name="fix_aid_pan", check_aid_pan_match=True),
-    "fix_plastic_cdcvm": PERMISSIVE_2019.with_fixes(
-        name="fix_plastic_cdcvm", check_plastic_cdcvm=True),
-    "fix_ttq_in_ac": PERMISSIVE_2019.with_fixes(
-        name="fix_ttq_in_ac", check_ttq_in_ac=True),
-    "fix_mcc": PERMISSIVE_2019.with_fixes(
-        name="fix_mcc", check_mcc_for_wallet_no_cdcvm=True),
-    "fix_foreign_limit": PERMISSIVE_2019.with_fixes(
-        name="fix_foreign_limit", foreign_cvm_limit_enforced=True),
-}
-
-
 @dataclass
 class Env:
     seed: int
@@ -185,7 +161,6 @@ def _build_profile(name: str, fx: dict[str, Any], rng: random.Random,
         emv_mode=fx.get("emv_mode", True),
         magstripe_capable=fx.get("magstripe_capable", False),
         cvm_list=_cvm_list(fx.get("cvm_list", [])),
-        cvm_limit=fx.get("cvm_limit", CVM_LIMIT),
         foreign_no_cvm=fx.get("foreign_no_cvm", False),
         offline_pin_enabled=fx.get("offline_pin_enabled", False),
         pin=fx.get("pin", "1234"),
@@ -251,13 +226,7 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
         fx.update((terminal_overrides or {}).get(name, {}))
         pin_key = rng.randbytes(32)
         tac = ActionCodes(denial=TVR(cda_failed=fx.pop("tac_denial_cda_failed", False)))
-        config = TerminalConfig(
-            name=name, tac=tac,
-            cvm_limit=fx.pop("cvm_limit", CVM_LIMIT),
-            floor_limit=fx.pop("floor_limit", FLOOR_LIMIT),
-            ceiling=fx.pop("ceiling", CEILING),
-            **fx,
-        )
+        config = TerminalConfig(name=name, tac=tac, **fx)
         terminals[name] = Terminal(config, rng, rails, ca_store, pin_key)
         issuer.register_terminal(config.terminal_id, pin_key)
 

@@ -31,6 +31,7 @@ from .elements import (
     AID_MASTERCARD,
     AID_VISA,
     AIP,
+    CVM_LIMIT,
     ActionCodes,
     Amount,
     CID,
@@ -61,7 +62,6 @@ class TerminalConfig:
     currency: str = "EUR"
     aid_list: tuple[bytes, ...] = (AID_VISA, AID_MASTERCARD, AID_MAESTRO)
 
-    cvm_limit: int = 5000        # above this a CVM is required
     floor_limit: int = 2500      # at or below this an offline approval is allowed
     ceiling: int = 100000        # terminal refuses larger amounts outright
 
@@ -86,7 +86,7 @@ class TerminalConfig:
         return TTQ(
             online_pin_supported=self.online_pin_supported,
             signature_supported=self.signature_supported,
-            cvm_required=amount.value > self.cvm_limit,
+            cvm_required=amount.value > CVM_LIMIT,
             oda_for_online_supported=(self.oda_for_online or self.transit
                                       or self.require_oda_kernel3),
             emv_mode_supported=True,
@@ -192,6 +192,19 @@ class Terminal:
             records[number] = resp.payload
         return records
 
+    def _verify_chain(self, records: dict[int, DataElementMap],
+                      pan: str) -> tuple[Certificate | None, bytes | None]:
+        """Walk CA -> issuer -> card over records 2 and 3. Returns the issuer
+        certificate and the card's public key, both None when the card
+        offers no chain; raises LookupFailure or BadSignature when it breaks."""
+        index = records.get(2, DataElementMap()).get(Tag.CA_PK_INDEX)
+        if index is None or 3 not in records:
+            return None, None
+        issuer_cert = Certificate.from_bytes(records[3][Tag.ISSUER_CERT])
+        card_cert = Certificate.from_bytes(records[3][Tag.CARD_CERT])
+        return issuer_cert, self.ca_store.verify_chain(index, issuer_cert,
+                                                       card_cert, pan)
+
     def _collect_cvm(self, channel: NfcChannel, method: CVMMethod,
                      condition: CVMCondition, *, pin: str | None,
                      performed_by: str,
@@ -238,17 +251,10 @@ class Terminal:
         if Tag.CTQ in r2 and r2[Tag.CTQ] != ctq:
             return self._decide(channel, view, "decline", "ctq_mismatch")
 
-        card_public = None
-        if 3 in records and Tag.CA_PK_INDEX in r2:
-            try:
-                card_public = self.ca_store.verify_chain(
-                    r2[Tag.CA_PK_INDEX],
-                    Certificate.from_bytes(records[3][Tag.ISSUER_CERT]),
-                    Certificate.from_bytes(records[3][Tag.CARD_CERT]),
-                    r1.get(Tag.PAN, ""),
-                )
-            except (LookupFailure, BadSignature):
-                return self._decide(channel, view, "decline", "oda_chain_failed")
+        try:
+            _, card_public = self._verify_chain(records, r1.get(Tag.PAN, ""))
+        except (LookupFailure, BadSignature):
+            return self._decide(channel, view, "decline", "oda_chain_failed")
 
         sdad = p.get(Tag.SDAD)
         if sdad is not None:
@@ -314,29 +320,22 @@ class Terminal:
                     ca_pk_index=r2.get(Tag.CA_PK_INDEX))
 
         tvr = TVR()
-        card_public = None
-        if Tag.CA_PK_INDEX in r2 and 3 in records:
-            try:
-                card_public = self.ca_store.verify_chain(
-                    r2[Tag.CA_PK_INDEX],
-                    Certificate.from_bytes(records[3][Tag.ISSUER_CERT]),
-                    Certificate.from_bytes(records[3][Tag.CARD_CERT]),
-                    pan,
-                )
-                static = DataElementMap({
-                    Tag.PAN: pan, Tag.EXPIRY: r1.get(Tag.EXPIRY, ""),
-                    Tag.AIP: aip, Tag.CVM_LIST: cvm_list, Tag.IAC: iac,
-                    Tag.CA_PK_INDEX: r2[Tag.CA_PK_INDEX],
-                })
-                issuer_public = Certificate.from_bytes(records[3][Tag.ISSUER_CERT]).public_key
-                if not verify_static_records(issuer_public, static,
-                                             records[3].get(Tag.STATIC_SIGNATURE, b"")):
-                    tvr = tvr.replace(cda_failed=True)
-            except (LookupFailure, BadSignature):
-                # ODA could not be completed; record it and let the action
-                # codes decide, as fielded terminals do
+        try:
+            issuer_cert, card_public = self._verify_chain(records, pan)
+        except (LookupFailure, BadSignature):
+            # ODA could not be completed; record it and let the action
+            # codes decide, as fielded terminals do
+            issuer_cert = card_public = None
+            tvr = tvr.replace(cda_failed=True)
+        if issuer_cert is not None:
+            static = DataElementMap({
+                Tag.PAN: pan, Tag.EXPIRY: r1.get(Tag.EXPIRY, ""),
+                Tag.AIP: aip, Tag.CVM_LIST: cvm_list, Tag.IAC: iac,
+                Tag.CA_PK_INDEX: r2[Tag.CA_PK_INDEX],
+            })
+            if not verify_static_records(issuer_cert.public_key, static,
+                                         records[3].get(Tag.STATIC_SIGNATURE, b"")):
                 tvr = tvr.replace(cda_failed=True)
-                card_public = None
         view["tvr"] = tvr
 
         chosen = self._choose_cvm_kernel2(cvm_list, amount, aip)
@@ -407,7 +406,7 @@ class Terminal:
     def _choose_cvm_kernel2(self, cvm_list: CVMList, amount: Amount,
                             aip: AIP) -> tuple[CVMMethod, CVMCondition] | None:
         cfg = self.config
-        above = amount.value > cfg.cvm_limit
+        above = amount.value > CVM_LIMIT
         for entry in cvm_list.entries:
             if entry.condition == CVMCondition.IfAboveCvmLimit and not above:
                 continue
@@ -447,7 +446,7 @@ class Terminal:
         view.update(pan=r1.get(Tag.PAN, track2.pan), expiry=track2.expiry,
                     track2=track2)
 
-        if amount.value > cfg.cvm_limit:
+        if amount.value > CVM_LIMIT:
             cvm_results, why = self._collect_cvm(
                 channel, CVMMethod.PaperSignature, CVMCondition.IfAboveCvmLimit,
                 pin=pin, performed_by=performed_by, view=view)

@@ -8,14 +8,15 @@ from tapsim import attacks
 from tapsim.attacks import (
     CATALOG,
     KNOWN_FLAWS,
+    pin_guess_campaign,
     render_report_md,
     run_attack,
     simulate_partial_clone,
     simulate_pin_search,
 )
 from tapsim.card import Cvc3MagstripeClone
-from tapsim.channel import NfcChannel
-from tapsim.elements import AID_MASTERCARD, Amount, Tag
+from tapsim.channel import Adversary, Message, NfcChannel
+from tapsim.elements import AID_MASTERCARD, Amount, DataElementMap, Tag
 from tapsim.runner import AMOUNT_LOW, build_env
 
 ALL_FIXED = {name: "on" if name.startswith(("check", "fdda", "cda")) else "off"
@@ -28,6 +29,11 @@ ALL_FIXED.update(fdda="on", cda="on", tac_denial_cda_failed="on",
 
 def test_catalog_has_sixteen_entries():
     assert len(CATALOG) == 16
+
+
+def test_every_required_flaw_is_known():
+    required = {f for spec in CATALOG.values() for f in spec.required_flaws}
+    assert required <= KNOWN_FLAWS
 
 
 @pytest.mark.parametrize("attack_id", list(CATALOG))
@@ -131,6 +137,60 @@ def test_pin_search_without_the_stop_rule_blocks_fast():
     assert blocked
     assert guesses == 3
     assert resets == 0
+
+
+def _pin_search_loop(true_pin, try_limit, stop_at_remaining):
+    """Reference: the guessing loop that simulate_pin_search computes in
+    closed form."""
+    remaining = try_limit
+    guesses = resets = 0
+    for i in range(10000):
+        if remaining <= stop_at_remaining:
+            remaining = try_limit
+            resets += 1
+        guesses += 1
+        if f"{i:04d}" == true_pin:
+            return guesses, resets, False
+        remaining -= 1
+        if remaining <= 0:
+            return guesses, resets, True
+    return guesses, resets, False
+
+
+def test_pin_search_closed_form_matches_the_loop():
+    rng = random.Random(11)
+    pins = ["0000", "0001", "0002", "0003", "0004", "0005", "9999", "123", "abcd"]
+    pins += [f"{rng.randrange(10000):04d}" for _ in range(6)]
+    for try_limit in range(1, 6):
+        for stop in range(try_limit + 1):
+            for pin in pins:
+                got = simulate_pin_search(pin, try_limit=try_limit,
+                                          stop_at_remaining=stop)
+                assert got == _pin_search_loop(pin, try_limit, stop), \
+                    (pin, try_limit, stop)
+
+
+@pytest.mark.parametrize("pin,stop", [("0000", 1), ("0001", 1), ("0007", 1),
+                                      ("0042", 1), ("0001", 0), ("0042", 0)])
+def test_pin_search_agrees_with_the_campaign(pin, stop):
+    env = build_env(seed=1, card_overrides={"visa_plastic_no_fdda": {
+        "offline_pin_enabled": True, "pin": pin}})
+    card = env.cards["visa_plastic_no_fdda"]
+    owner = NfcChannel(env.trace, card)
+    resets = []
+
+    def owner_reset():
+        resets.append(owner.exchange(Message("VERIFY", DataElementMap({
+            Tag.PIN_GUESS: pin}))))
+
+    adversary = Adversary(trace=env.trace)
+    channel = NfcChannel(env.trace, card, adversary=adversary)
+    found = pin_guess_campaign(channel, adversary, owner_reset=owner_reset,
+                               stop_at_remaining=stop)
+    guesses = sum(1 for ev in env.trace.msgs(name="VERIFY", session=channel.session)
+                  if ev.direction == "to_card" and Tag.PIN_GUESS in ev.sent.payload)
+    assert (guesses, len(resets), found is None) == simulate_pin_search(
+        pin, stop_at_remaining=stop)
 
 
 def test_partial_clone_full_table_always_wins():

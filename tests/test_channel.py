@@ -52,10 +52,10 @@ def test_message_payload_allowlist():
 
 def test_with_payload_and_without():
     m = gpo()
-    m2 = m.with_payload(UN=9)
-    assert m2.payload[Tag.UN] == 9 and m.payload[Tag.UN] == 5
-    m3 = m2.without("UN")
-    assert Tag.UN not in m3.payload
+    m2 = m.with_payload(UN=9, ATC=3)
+    assert m2.payload[Tag.UN] == 9 and m2.payload[Tag.ATC] == 3
+    # the original is left without either change
+    assert m.payload[Tag.UN] == 5 and Tag.ATC not in m.payload
 
 
 # --- plain channel ----------------------------------------------------------------
@@ -125,7 +125,6 @@ def test_relay_shares_one_session():
     assert sessions == {session}
     assert trace.session_saw_relay(session)
     assert len(list(trace.msgs(channel="nfc"))) == 4  # near + far legs
-    assert bridge.hops == 1
 
 
 def test_recorder_and_replayer():

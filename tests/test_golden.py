@@ -1,0 +1,46 @@
+"""Golden digests: a refactor must leave every trace and report byte-identical.
+
+A change that moves one of these digests has to say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tapsim.attacks import CATALOG, render_report_md, run_attack
+from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.runner import run_genuine_matrix
+
+# sha256 over the concatenated JSONL traces of the catalogue at seed 42
+CATALOGUE = "ad743bb0ea69b356ecaa290cf0af0963a110ce4709db09e4bd3612d90ed762ca"
+# sha256 over the genuine-matrix traces, both policies, seed 0
+GENUINE = "bba3670be28083aee896d0f841604e32329c5fe2f4f3d7363fb643cda89da0d5"
+# sha256 over the markdown report and then the JSON report at seed 42
+REPORT = "43cc069b2c61885debf3bd38be270be7c6af98fb3d567185b0597daea3a883fd"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def catalogue_results():
+    return [run_attack(attack_id, seed=42) for attack_id in CATALOG]
+
+
+def test_catalogue_traces(catalogue_results):
+    assert _sha256("".join(r.trace.to_jsonl() for r in catalogue_results)) == CATALOGUE
+
+
+def test_genuine_matrix_traces():
+    traces = [env.trace.to_jsonl()
+              for policy in (PERMISSIVE_2019, HARDENED)
+              for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
+    assert _sha256("".join(traces)) == GENUINE
+
+
+def test_reports(catalogue_results):
+    text = (render_report_md(catalogue_results)
+            + json.dumps([r.render() for r in catalogue_results], indent=2))
+    assert _sha256(text) == REPORT

@@ -4,7 +4,7 @@ import pytest
 
 from tapsim.channel import (Adversary, DataElementMap, Message, NfcChannel,
                             PaymentRails, Tag, TransactionTrace, make_relay)
-from tapsim.elements import Amount
+from tapsim.elements import CVM_LIMIT, Amount
 from tapsim.properties import (CORE_SECRETS, PropertyReport, compare_expected,
                                evaluate)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
@@ -101,12 +101,15 @@ def test_p31_high_value_without_genuine_cvm():
     assert "P3.1" not in evaluate(trace).violations
 
 
-def test_p31_respects_limit_argument():
-    trace = TransactionTrace()
-    trace.mark("decision", session=1, outcome="approve_online", mode="emv",
-               amount=Amount(4000, "EUR"), pan="4111", atc=3)
-    assert "P3.1" not in evaluate(trace).violations
-    assert "P3.1" in evaluate(trace, high_value_limit=3000).violations
+def test_p31_boundary_at_cvm_limit():
+    def judged(amount):
+        trace = TransactionTrace()
+        trace.mark("decision", session=1, outcome="approve_online", mode="emv",
+                   amount=Amount(amount, "EUR"), pan="4111", atc=3)
+        return evaluate(trace).violations
+
+    assert "P3.1" not in judged(CVM_LIMIT)
+    assert "P3.1" in judged(CVM_LIMIT + 1)
 
 
 def test_p2_offline_approval_bounced_at_clearing():

@@ -13,13 +13,11 @@ from tapsim.elements import (
     DataElementMap,
     Tag,
 )
-from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.issuer import HARDENED, ISSUER_CHECKS, PERMISSIVE_2019
 from tapsim.runner import (
     AMOUNT_HIGH,
     AMOUNT_LOW,
-    CEILING,
     GENUINE_MATRIX,
-    ISSUER_POLICIES,
     build_env,
     run_genuine,
     run_genuine_matrix,
@@ -99,7 +97,8 @@ def test_foreign_card_waives_cvm_abroad_low_only(env):
 def test_over_ceiling_never_reaches_the_card(env):
     terminal = env.terminals["standard_pos"]
     channel = NfcChannel(env.trace, env.cards["visa_plastic_fdda"])
-    result = terminal.run_purchase(channel, Amount(CEILING + 1, "EUR"))
+    result = terminal.run_purchase(channel,
+                                   Amount(terminal.config.ceiling + 1, "EUR"))
     assert (result["outcome"], result["reason"]) == ("decline", "over_ceiling")
     assert not list(env.trace.msgs(channel="nfc", session=result["session"]))
 
@@ -371,14 +370,13 @@ def test_transit_gate_tap_is_offline_and_clears(env):
 
 def test_issuer_fix_fixtures_repair_one_check_each():
     import dataclasses
-    fixes = {k: v for k, v in ISSUER_POLICIES.items() if k.startswith("fix_")}
-    assert len(fixes) == 7
-    for name, policy in fixes.items():
-        assert policy.name == name
+    assert len(ISSUER_CHECKS) == 7
+    assert all(getattr(HARDENED, check) for check in ISSUER_CHECKS)
+    for check in ISSUER_CHECKS:
+        policy = PERMISSIVE_2019.with_fixes(**{check: True})
         flipped = [f.name for f in dataclasses.fields(policy)
-                   if f.name != "name"
-                   and getattr(policy, f.name) != getattr(PERMISSIVE_2019, f.name)]
-        assert len(flipped) == 1, (name, flipped)
+                   if getattr(policy, f.name) != getattr(PERMISSIVE_2019, f.name)]
+        assert flipped == [check]
         # an honest transaction still clears under every repaired issuer
         world = build_env(policy=policy)
         result = run_genuine(world, "mastercard_cda", "standard_pos", AMOUNT_HIGH)
