@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable
 from .card import (
     Cvc3MagstripeClone,
     KERNEL3_PDOL,
+    N_UN_DIGITS,
     StaticMagstripeClone,
     TRANSIT_MAGIC,
 )
@@ -246,8 +247,7 @@ def simulate_pin_search(true_pin: str, *, try_limit: int = 3,
 
 def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
                        owner_reset: Callable[[], None],
-                       stop_at_remaining: int = 1,
-                       pins: Iterable[str] | None = None) -> str | None:
+                       stop_at_remaining: int = 1) -> str | None:
     """The message-driven version of :func:`simulate_pin_search`: the same
     discipline, spoken over VERIFY. Returns the recovered PIN or None."""
     probe = channel.exchange(Message("VERIFY"))
@@ -255,7 +255,7 @@ def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
         return None
     try_limit = probe.payload[Tag.PIN_TRIES_REMAINING]
     remaining = try_limit
-    for guess in pins if pins is not None else (f"{i:04d}" for i in range(10000)):
+    for guess in (f"{i:04d}" for i in range(10000)):
         if remaining <= stop_at_remaining:
             owner_reset()
             remaining = try_limit
@@ -305,14 +305,14 @@ def harvest_cvc3_table(channel: NfcChannel, aid: bytes,
         if Tag.CVC3 not in resp.payload:
             raise ValueError("card does not answer dynamic-code queries")
         table[un] = (resp.payload[Tag.ATC], resp.payload[Tag.CVC3])
-    return r1, 3, table
+    return r1, N_UN_DIGITS, table
 
 
 def simulate_partial_clone(table_size: int, retries: int,
-                           rng: random.Random, space: int = 1000) -> bool:
+                           rng: random.Random) -> bool:
     """Chance model for a partial pre-play table: each presentment draws a
     fresh terminal UN; the clone wins as soon as one lands in its table."""
-    return any(rng.randrange(space) < table_size for _ in range(retries))
+    return any(rng.randrange(10 ** N_UN_DIGITS) < table_size for _ in range(retries))
 
 
 # --- the translator device ------------------------------------------------------------
@@ -482,10 +482,7 @@ def _stage_pin_guess_dos(env: Env, adv: Adversary) -> tuple[bool, str]:
 
 
 def _stage_card_brand_mixup(env: Env, adv: Adversary) -> tuple[bool, str]:
-    card = env.cards["mastercard_cda"]
-    session = env.trace.new_session()
-    far = NfcChannel(env.trace, card, session=session, adversary=adv,
-                     relay_active=True)
+    far, session = make_relay(env.trace, env.cards["mastercard_cda"], adv)
     translator = TranslatorCard(far, face_aid=AID_VISA, real_aid=AID_MASTERCARD)
     near = NfcChannel(env.trace, translator, session=session)
     result = env.terminals["standard_pos"].run_purchase(
@@ -496,8 +493,8 @@ def _stage_card_brand_mixup(env: Env, adv: Adversary) -> tuple[bool, str]:
 def _stage_magic_byte(env: Env, adv: Adversary) -> tuple[bool, str]:
     bridge, _session = make_relay(env.trace, env.cards["apple_like_phone"], adv)
     # whisper the gate's greeting so the phone opens its express path
-    bridge.far.exchange(Message("MAGIC_BYTES",
-                                DataElementMap({Tag.MAGIC: TRANSIT_MAGIC})))
+    bridge.exchange(Message("MAGIC_BYTES",
+                            DataElementMap({Tag.MAGIC: TRANSIT_MAGIC})))
     adv.on_to_card(_flags(Tag.TTQ, oda_for_online_supported=True))
     adv.on_from_card(_flags(Tag.CTQ, cdcvm_performed=True))
     result = env.terminals["standard_pos"].run_purchase(
@@ -521,7 +518,7 @@ def _stage_eavesdrop_card_data(env: Env, adv: Adversary) -> tuple[bool, str]:
         channel, _eur(AMOUNT_LOW), pin=card.profile.pin,
         performed_by="cardholder")
     # shoulder-surf the printed face for the security code
-    visual_read(adv, card.face(), session=channel.session)
+    visual_read(adv, card.profile.face(), session=channel.session)
     got = {c for c in ("PAN", "EXPIRY", "CSC") if adv.knows(c)}
     return (_approved(result) and got == {"PAN", "EXPIRY", "CSC"},
             f"skimmed {sorted(got)} during a genuine purchase")
@@ -531,7 +528,7 @@ def _stage_magstripe_mode_clone(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["mastercard_cda"]
     harvest_channel = NfcChannel(env.trace, card, adversary=adv)
     r1, n_digits, table = harvest_cvc3_table(harvest_channel, AID_MASTERCARD,
-                                             range(10 ** 3))
+                                             range(10 ** N_UN_DIGITS))
     adv.learn("TRACK2", r1[Tag.TRACK2], session=harvest_channel.session)
     adv.learn("CVC3_TABLE", f"{len(table)} codes", session=harvest_channel.session)
 

@@ -50,6 +50,10 @@ from .elements import (
 # seen these bytes may open its express-transit path for the following tap.
 TRANSIT_MAGIC = bytes.fromhex("47415445")
 
+PIN_TRY_LIMIT = 3       # wrong offline PINs before the card blocks
+N_UN_DIGITS = 3         # digits of the terminal nonce in mag-stripe mode
+WALLET_TX_LIMIT = 3000  # a locked Google-like phone pays up to this
+
 KERNEL3_PDOL = DOL((Tag.TTQ, Tag.AMOUNT, Tag.UN))
 KERNEL2_CDOL1 = DOL((Tag.AMOUNT, Tag.UN, Tag.CVM_RESULTS))
 
@@ -68,8 +72,7 @@ class Wallet:
 
     kind = "wallet"
 
-    def __init__(self, tx_limit: int = 3000, cdcvm_always: bool = False):
-        self.tx_limit = tx_limit
+    def __init__(self, cdcvm_always: bool = False):
         self.cdcvm_always = cdcvm_always
         self.unlocked = False
         self.magic_seen = False
@@ -91,7 +94,7 @@ class GoogleLikeWallet(Wallet):
     def decide(self, amount: Amount, ttq: TTQ) -> WalletDecision:
         if self.unlocked:
             return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=True, genuine_cvm=True)
-        if amount.value <= self.tx_limit or not ttq.cvm_required:
+        if amount.value <= WALLET_TX_LIMIT or not ttq.cvm_required:
             claim = self.cdcvm_always
             return WalletDecision(True, ctq_cdcvm=claim, iad_cdcvm=claim)
         return WalletDecision(False)
@@ -156,8 +159,6 @@ class CardProfile:
     cvc3_key: bytes = b""
     signing_key: Any = None  # Ed25519PrivateKey when ODA is personalized
 
-    sda: bool = False
-    dda: bool = False
     cda: bool = False
     fdda: bool = False
     emv_mode: bool = True
@@ -168,7 +169,6 @@ class CardProfile:
 
     offline_pin_enabled: bool = False
     pin: str = "1234"
-    pin_try_limit: int = 3
 
     iac: ActionCodes = field(default_factory=ActionCodes)
     ca_pk_index: int | None = None
@@ -177,7 +177,6 @@ class CardProfile:
     static_signature: bytes | None = None
 
     service_code: str = "201"
-    n_un_digits: int = 3
     include_ttq_in_ac: bool = False  # mirrors the issuer's TTQ-binding policy
     wallet: Wallet | None = None
 
@@ -188,8 +187,7 @@ class CardProfile:
     @property
     def aip(self) -> AIP:
         return AIP(
-            sda_supported=self.sda,
-            dda_supported=self.dda or self.fdda,
+            dda_supported=self.fdda,
             cda_supported=self.cda,
             cardholder_verification_supported=bool(self.cvm_list.entries)
             or self.offline_pin_enabled or self.wallet is not None,
@@ -221,7 +219,7 @@ class Card:
         self.profile = profile
         self.rng = rng
         self.atc = 0
-        self.pin_tries_remaining = profile.pin_try_limit
+        self.pin_tries_remaining = PIN_TRY_LIMIT
         self._trace: TransactionTrace | None = None
         self._session: int | None = None
         self._current_ctq = CTQ()
@@ -230,9 +228,6 @@ class Card:
     def bind(self, trace: TransactionTrace, session: int) -> None:
         self._trace = trace
         self._session = session
-
-    def face(self) -> dict[str, str]:
-        return self.profile.face()
 
     @property
     def blocked(self) -> bool:
@@ -283,7 +278,7 @@ class Card:
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
                 Tag.AIP: p.aip,
                 Tag.AFL: self._afl(),
-                Tag.N_UN_DIGITS: p.n_un_digits,
+                Tag.N_UN_DIGITS: N_UN_DIGITS,
             }))
         if p.kernel == 2:
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
@@ -299,8 +294,12 @@ class Card:
         amount: Amount = msg.payload[Tag.AMOUNT]
         un: int = msg.payload[Tag.UN]
 
-        if p.offline_pin_enabled and self.blocked:
-            # exhausted PIN counter takes the whole card out of service
+        # an exhausted PIN counter takes the whole card out of service; a
+        # wallet may refuse the tap
+        blocked = p.offline_pin_enabled and self.blocked
+        decision = (p.wallet.decide(amount, ttq)
+                    if p.wallet is not None and not blocked else None)
+        if blocked or (decision is not None and not decision.accept):
             self.atc += 1
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
                 Tag.AIP: p.aip, Tag.AFL: self._afl(),
@@ -308,15 +307,7 @@ class Card:
             }))
 
         genuine_cvm = False
-        if p.wallet is not None:
-            decision = p.wallet.decide(amount, ttq)
-            if not decision.accept:
-                self.atc += 1
-                return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                    Tag.AIP: p.aip, Tag.AFL: self._afl(),
-                    Tag.ATC: self.atc, Tag.CID: CID.AAC,
-                    Tag.CTQ: CTQ(),
-                }))
+        if decision is not None:
             ctq = CTQ(cdcvm_performed=decision.ctq_cdcvm)
             iad_cdcvm = decision.iad_cdcvm
             genuine_cvm = decision.genuine_cvm
@@ -331,7 +322,7 @@ class Card:
 
         self.atc += 1
         self._current_ctq = ctq
-        iad = type(self)._make_iad(iad_cdcvm, p.device_type)
+        iad = IAD(cdcvm_performed=iad_cdcvm, device_type=p.device_type)
         un_card = self.rng.randrange(1 << 32)
 
         elements = DataElementMap({
@@ -360,10 +351,6 @@ class Card:
                       ctq=ctq, iad=iad, ac=ac, un_card=un_card,
                       cid=payload[Tag.CID])
         return Message("GET_PROCESSING_OPTIONS", payload)
-
-    @staticmethod
-    def _make_iad(cdcvm: bool, device_type: str) -> IAD:
-        return IAD(cdcvm_performed=cdcvm, device_type=device_type)
 
     def _records(self) -> dict[int, DataElementMap]:
         p = self.profile
@@ -420,7 +407,7 @@ class Card:
             }))
 
         self.atc += 1
-        iad = self._make_iad(False, p.device_type)
+        iad = IAD(cdcvm_performed=False, device_type=p.device_type)
         elements = DataElementMap({
             Tag.AMOUNT: amount, Tag.UN: un, Tag.CVM_RESULTS: cvm_results,
             Tag.AIP: p.aip, Tag.ATC: self.atc, Tag.IAD: iad,
@@ -471,7 +458,7 @@ class Card:
                 Tag.DECISION: "blocked", Tag.PIN_TRIES_REMAINING: 0,
             }))
         if guess == p.pin:
-            self.pin_tries_remaining = p.pin_try_limit
+            self.pin_tries_remaining = PIN_TRY_LIMIT
             decision = "ok"
         else:
             self.pin_tries_remaining -= 1

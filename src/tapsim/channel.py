@@ -301,28 +301,13 @@ class NfcChannel:
         return returned
 
 
-class RelayBridge:
-    """Far leg of a relay: looks like a card, forwards to the real card over
-    a second NFC hop that shares the near leg's session id."""
-
-    def __init__(self, trace: TransactionTrace, real_card: CardFace,
-                 adversary: Adversary, session: int):
-        adversary.require("A1")
-        self.trace = trace
-        self.session = session
-        self.far = NfcChannel(trace, real_card, session=session,
-                              adversary=adversary, relay_active=True)
-
-    def exchange(self, msg: Message) -> Message:
-        return self.far.exchange(msg)
-
-
 def make_relay(trace: TransactionTrace, real_card: CardFace,
-               adversary: Adversary) -> tuple[RelayBridge, int]:
-    """Build the far leg; run the near leg with the same session id and
-    relay_active=True so the trace shows one logical session across both."""
-    session = trace.new_session()
-    return RelayBridge(trace, real_card, adversary, session), session
+               adversary: Adversary) -> tuple[NfcChannel, int]:
+    """Build the far leg of a relay: an A1-owned hop to the real card that
+    answers like a card itself. Run the near leg with the same session id
+    and relay_active=True so the trace shows one logical session across both."""
+    far = NfcChannel(trace, real_card, adversary=adversary, relay_active=True)
+    return far, far.session
 
 
 class Recorder:
@@ -370,37 +355,32 @@ class PaymentRails:
     def authorize(self, request: Message, session: int,
                   submitted_by: str = "terminal",
                   adversary: Adversary | None = None) -> Message:
-        if submitted_by != "terminal":
-            if adversary is None:
-                raise ChannelError("non-terminal submission needs an adversary")
-            adversary.require("A5")
-        response = self.issuer.handle_auth(request)
-        self.trace.log_msg("acquirer", session, "to_issuer", sent=request,
-                           received=request)
-        self.trace.log_msg("acquirer", session, "from_issuer", sent=response,
-                           received=response)
-        self.trace.mark("auth", session=session, submitted_by=submitted_by,
-                        decision=response.payload[Tag.DECISION],
-                        reason=response.payload.get(Tag.REASON),
-                        request=request)
-        return response
+        return self._submit("acquirer", "auth", self.issuer.handle_auth,
+                            request, session, submitted_by, adversary)
 
     def clear(self, submit: Message, session: int,
               submitted_by: str = "terminal",
               adversary: Adversary | None = None) -> Message:
+        return self._submit("payment", "clearing", self.issuer.handle_clearing,
+                            submit, session, submitted_by, adversary)
+
+    def _submit(self, channel: str, marker: str,
+                handle: Callable[[Message], Message], request: Message,
+                session: int, submitted_by: str,
+                adversary: Adversary | None) -> Message:
         if submitted_by != "terminal":
             if adversary is None:
                 raise ChannelError("non-terminal submission needs an adversary")
             adversary.require("A5")
-        response = self.issuer.handle_clearing(submit)
-        self.trace.log_msg("payment", session, "to_issuer", sent=submit,
-                           received=submit)
-        self.trace.log_msg("payment", session, "from_issuer", sent=response,
+        response = handle(request)
+        self.trace.log_msg(channel, session, "to_issuer", sent=request,
+                           received=request)
+        self.trace.log_msg(channel, session, "from_issuer", sent=response,
                            received=response)
-        self.trace.mark("clearing", session=session, submitted_by=submitted_by,
+        self.trace.mark(marker, session=session, submitted_by=submitted_by,
                         decision=response.payload[Tag.DECISION],
                         reason=response.payload.get(Tag.REASON),
-                        request=submit)
+                        request=request)
         return response
 
 

@@ -119,29 +119,38 @@ def _public_key(raw: bytes) -> Ed25519PublicKey:
     return Ed25519PublicKey.from_public_bytes(raw)
 
 
+def _sign(private_key: Ed25519PrivateKey, method: str,
+          elements: DataElementMap, coverage: frozenset[TagInfo]) -> bytes:
+    """Method header byte + signature over the header and the covered elements."""
+    header = METHOD_HEADERS[method]
+    msg = bytes([header]) + _project(elements, coverage).encode()
+    return bytes([header]) + private_key.sign(msg)
+
+
+def _verify(public: bytes, method: str, elements: DataElementMap,
+            coverage: frozenset[TagInfo], signature: bytes) -> bool:
+    """True iff the signature names ``method`` and holds over the coverage."""
+    header = METHOD_HEADERS[method]
+    if len(signature) != 65 or signature[0] != header:
+        return False
+    try:
+        msg = bytes([header]) + _project(elements, coverage).encode()
+        _public_key(public).verify(signature[1:], msg)
+    except (CryptoError, InvalidSignature):
+        return False
+    return True
+
+
 def sign_sdad(private_key: Ed25519PrivateKey, method: str,
               elements: DataElementMap) -> bytes:
     """Signed Dynamic Application Data: method header byte + signature."""
-    header = METHOD_HEADERS[method]
-    msg = bytes([header]) + _project(elements, SDAD_COVERAGE[method]).encode()
-    return bytes([header]) + private_key.sign(msg)
+    return _sign(private_key, method, elements, SDAD_COVERAGE[method])
 
 
 def verify_sdad(card_public: bytes, method: str, elements: DataElementMap,
                 sdad: bytes) -> bool:
     """True iff the SDAD names the expected method and the signature holds."""
-    header = METHOD_HEADERS[method]
-    if len(sdad) != 65 or sdad[0] != header:
-        return False
-    try:
-        msg = bytes([header]) + _project(elements, SDAD_COVERAGE[method]).encode()
-    except CryptoError:
-        return False
-    try:
-        _public_key(card_public).verify(sdad[1:], msg)
-        return True
-    except InvalidSignature:
-        return False
+    return _verify(card_public, method, elements, SDAD_COVERAGE[method], sdad)
 
 
 # --- static signature and the certificate chain -------------------------------
@@ -149,25 +158,12 @@ def verify_sdad(card_public: bytes, method: str, elements: DataElementMap,
 def sign_static_records(issuer_private: Ed25519PrivateKey,
                         records: DataElementMap) -> bytes:
     """Issuer signature over the card's static records (SDA-style)."""
-    header = METHOD_HEADERS["sda"]
-    msg = bytes([header]) + _project(records, STATIC_SIGNED_TAGS).encode()
-    return bytes([header]) + issuer_private.sign(msg)
+    return _sign(issuer_private, "sda", records, STATIC_SIGNED_TAGS)
 
 
 def verify_static_records(issuer_public: bytes, records: DataElementMap,
                           signature: bytes) -> bool:
-    header = METHOD_HEADERS["sda"]
-    if len(signature) != 65 or signature[0] != header:
-        return False
-    try:
-        msg = bytes([header]) + _project(records, STATIC_SIGNED_TAGS).encode()
-    except CryptoError:
-        return False
-    try:
-        _public_key(issuer_public).verify(signature[1:], msg)
-        return True
-    except InvalidSignature:
-        return False
+    return _verify(issuer_public, "sda", records, STATIC_SIGNED_TAGS, signature)
 
 
 @dataclass(frozen=True)

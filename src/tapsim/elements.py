@@ -140,17 +140,6 @@ class _Flags:
                 value |= 1 << pos
         return value
 
-    @classmethod
-    def from_int(cls, value: int):
-        if value < 0 or value >= (1 << 8):
-            raise CodecError(f"{cls.__name__} bitmap out of range: {value}")
-        known = 0
-        for pos in cls._positions.values():
-            known |= 1 << pos
-        if value & ~known:
-            raise CodecError(f"{cls.__name__} has unknown bits set: {value:#x}")
-        return cls(**{name: bool(value & (1 << pos)) for name, pos in cls._positions.items()})
-
     def replace(self, **changes):
         current = {f.name: getattr(self, f.name) for f in fields(self)}
         current.update(changes)

@@ -32,6 +32,7 @@ from .elements import (
     CVMResult,
     DataElementMap,
     Tag,
+    TagInfo,
     brand_of,
     is_transit_mcc,
 )
@@ -57,6 +58,15 @@ ISSUER_CHECKS = tuple(f.name for f in fields(IssuerPolicy) if isinstance(f.defau
 
 PERMISSIVE_2019 = IssuerPolicy(name="permissive_2019")
 HARDENED = IssuerPolicy(name="hardened", **dict.fromkeys(ISSUER_CHECKS, True))
+
+
+def _malformed(p: DataElementMap, *tags: TagInfo) -> tuple[str, str] | None:
+    """A decline naming the first of ``tags`` the request leaves out: A5
+    submissions need not come from a terminal that fills them in."""
+    for tag in tags:
+        if tag not in p:
+            return "decline", f"malformed_{tag.name.lower()}"
+    return None
 
 
 @dataclass
@@ -134,6 +144,8 @@ class Issuer:
         return "approve", "swipe_ok"
 
     def _evaluate_magstripe(self, p: DataElementMap, record: CardRecord) -> tuple[str, str]:
+        if malformed := _malformed(p, Tag.ATC, Tag.UN, Tag.AMOUNT):
+            return malformed
         pol = self.policy
         atc, un, code = p[Tag.ATC], p[Tag.UN], p[Tag.CVC3]
         if compute_cvc3(record.cvc3_key, atc, un) != code:
@@ -154,6 +166,8 @@ class Issuer:
 
     def _evaluate_emv(self, p: DataElementMap, record: CardRecord,
                       clearing: bool) -> tuple[str, str]:
+        if malformed := _malformed(p, Tag.ATC, Tag.AMOUNT):
+            return malformed
         pol = self.policy
         atc = p[Tag.ATC]
         amount: Amount = p[Tag.AMOUNT]

@@ -136,41 +136,29 @@ def _cvm_list(entries: list[tuple[str, str]]) -> CVMList:
 
 def _build_profile(name: str, fx: dict[str, Any], rng: random.Random,
                    policy: IssuerPolicy, ca_key, issuer_key) -> CardProfile:
+    """Personalize one card; every key not translated here is a CardProfile field."""
     # key material is drawn unconditionally so profile toggles never shift
     # the rng stream of later cards
     master_key = rng.randbytes(32)
     cvc3_key = rng.randbytes(32)
     signing_seed = rng.randbytes(32)
 
-    wallet = None
-    if fx.get("wallet"):
-        wallet = WALLET_KINDS[fx["wallet"]](
-            cdcvm_always=fx.get("wallet_cdcvm_always", False))
-
-    kernel = fx["kernel"]
+    aid = _AIDS[fx.pop("brand")]
+    cvm_list = _cvm_list(fx.pop("cvm_list", []))
+    iac = ActionCodes(denial=TVR(cda_failed=fx.pop("iac_denial_cda_failed", False)))
+    wallet_kind = fx.pop("wallet", None)
+    cdcvm_always = fx.pop("wallet_cdcvm_always", False)
+    oda = fx.pop("oda", False)
     profile = CardProfile(
-        name=name,
-        pan=fx["pan"], expiry=fx["expiry"],
-        cardholder_name=fx["cardholder_name"], csc=fx["csc"],
-        aid=_AIDS[fx["brand"]], kernel=kernel,
-        home_currency=fx.get("home_currency", "EUR"),
-        device_type=fx.get("device_type", "plastic"),
-        master_key=master_key, cvc3_key=cvc3_key,
-        sda=fx.get("sda", False), dda=fx.get("dda", False),
-        cda=fx.get("cda", False), fdda=fx.get("fdda", False),
-        emv_mode=fx.get("emv_mode", True),
-        magstripe_capable=fx.get("magstripe_capable", False),
-        cvm_list=_cvm_list(fx.get("cvm_list", [])),
-        foreign_no_cvm=fx.get("foreign_no_cvm", False),
-        offline_pin_enabled=fx.get("offline_pin_enabled", False),
-        pin=fx.get("pin", "1234"),
-        iac=ActionCodes(denial=TVR(cda_failed=fx.get("iac_denial_cda_failed", False))),
-        service_code=fx.get("service_code", "201"),
-        wallet=wallet,
-        include_ttq_in_ac=(kernel == 3 and policy.check_ttq_in_ac),
+        name=name, aid=aid, master_key=master_key, cvc3_key=cvc3_key,
+        cvm_list=cvm_list, iac=iac,
+        wallet=(WALLET_KINDS[wallet_kind](cdcvm_always=cdcvm_always)
+                if wallet_kind else None),
+        include_ttq_in_ac=(fx["kernel"] == 3 and policy.check_ttq_in_ac),
+        **fx,
     )
 
-    if fx.get("oda"):
+    if oda:
         signing_key = generate_signing_key(signing_seed)
         profile.signing_key = signing_key
         profile.ca_pk_index = CA_INDEX
@@ -237,15 +225,14 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
 # --- genuine runs ---------------------------------------------------------------
 
 def run_genuine(env: Env, card_name: str, terminal_name: str,
-                amount_minor: int, *, unlocked: bool = True,
-                currency: str | None = None) -> dict[str, Any]:
+                amount_minor: int, *, unlocked: bool = True) -> dict[str, Any]:
     """One honest purchase: cardholder present, no adversary anywhere."""
     card = env.cards[card_name]
     terminal = env.terminals[terminal_name]
     if card.profile.wallet is not None:
         card.profile.wallet.unlocked = unlocked
         card.profile.wallet.magic_seen = False
-    amount = Amount(amount_minor, currency or terminal.config.currency)
+    amount = Amount(amount_minor, "EUR")
 
     if terminal.config.interface == "swipe":
         session = env.trace.new_session()

@@ -1,7 +1,7 @@
 """Point-of-sale behavior: kernel selection, ODA, CVM and the accept path.
 
 One ``Terminal`` instance drives complete purchases against whatever sits on
-the other side of an ``NfcChannel`` (card, phone, clone, relay bridge or
+the other side of an ``NfcChannel`` (card, phone, clone, relay leg or
 replayer). Every final outcome is logged as a ``decision`` marker carrying
 the *terminal's view* of the transaction, which the property checker later
 holds against the card's own ``card_tx`` marker.
@@ -27,9 +27,7 @@ from typing import Any
 from .channel import MESSAGES, Message, NfcChannel, PaymentRails
 from .crypto import BadSignature, CAStore, Certificate, LookupFailure, encrypt_pin, verify_sdad, verify_static_records
 from .elements import (
-    AID_MAESTRO,
-    AID_MASTERCARD,
-    AID_VISA,
+    AID_BRANDS,
     AIP,
     CVM_LIMIT,
     ActionCodes,
@@ -50,7 +48,10 @@ from .elements import (
     build_dol_data,
 )
 
-from .card import TRANSIT_MAGIC
+from .card import N_UN_DIGITS, TRANSIT_MAGIC
+
+FLOOR_LIMIT = 2500   # at or below this an offline approval is allowed
+CEILING = 100000     # terminals refuse larger amounts outright
 
 
 @dataclass
@@ -59,20 +60,7 @@ class TerminalConfig:
     terminal_id: str
     merchant_id: str
     mcc: str = "5999"
-    currency: str = "EUR"
-    aid_list: tuple[bytes, ...] = (AID_VISA, AID_MASTERCARD, AID_MAESTRO)
-
-    floor_limit: int = 2500      # at or below this an offline approval is allowed
-    ceiling: int = 100000        # terminal refuses larger amounts outright
-
-    online_capable: bool = True
     offline_capable: bool = False
-    online_pin_supported: bool = True
-    signature_supported: bool = True
-    # plain shops authorize online and skip offline data authentication;
-    # transit readers (and hardened terminals) ask for it in their TTQ
-    oda_for_online: bool = False
-    allow_magstripe: bool = True
 
     tac: ActionCodes = field(default_factory=ActionCodes)
     request_cda: bool = True
@@ -83,12 +71,13 @@ class TerminalConfig:
     interface: str = "nfc"       # or "swipe"
 
     def ttq(self, amount: Amount) -> TTQ:
+        # plain shops authorize online and skip offline data authentication;
+        # transit readers (and hardened terminals) ask for it
         return TTQ(
-            online_pin_supported=self.online_pin_supported,
-            signature_supported=self.signature_supported,
+            online_pin_supported=True,
+            signature_supported=True,
             cvm_required=amount.value > CVM_LIMIT,
-            oda_for_online_supported=(self.oda_for_online or self.transit
-                                      or self.require_oda_kernel3),
+            oda_for_online_supported=self.transit or self.require_oda_kernel3,
             emv_mode_supported=True,
         )
 
@@ -112,7 +101,7 @@ class Terminal:
                      performed_by: str = "cardholder") -> dict[str, Any]:
         cfg = self.config
         view: dict[str, Any] = {"amount": amount, "mode": "emv"}
-        if amount.value > cfg.ceiling:
+        if amount.value > CEILING:
             return self._decide(channel, view, "decline", "over_ceiling")
 
         if cfg.transit:
@@ -142,8 +131,6 @@ class Terminal:
         view["aip"] = aip
 
         if not aip.emv_mode_supported:
-            if not cfg.allow_magstripe:
-                return self._decide(channel, view, "decline", "magstripe_refused")
             return self._magstripe_flow(channel, amount, gpo, view,
                                         pin=pin, performed_by=performed_by)
         if kernel == 3:
@@ -153,7 +140,7 @@ class Terminal:
                                   pin=pin, performed_by=performed_by)
 
     def run_transit_tap(self, channel: NfcChannel) -> dict[str, Any]:
-        return self.run_purchase(channel, Amount(0, self.config.currency))
+        return self.run_purchase(channel, Amount(0, "EUR"))
 
     def run_swipe(self, stripe: Track2EquivalentData, amount: Amount,
                   trace_session: int) -> dict[str, Any]:
@@ -175,7 +162,7 @@ class Terminal:
     # --- shared pieces ------------------------------------------------------
 
     def _select(self, channel: NfcChannel) -> tuple[bytes, int, DOL] | None:
-        for aid in self.config.aid_list:
+        for aid in AID_BRANDS:
             resp = channel.exchange(Message("SELECT",
                                             DataElementMap({Tag.AID: aid})))
             got = resp.payload.get(Tag.AID)
@@ -273,16 +260,12 @@ class Terminal:
         if ctq.cdcvm_performed:
             cvm_results = CVMResults(CVMMethod.CDCVM, CVMCondition.Always,
                                      CVMResult.Performed)
-        elif ctq.online_pin_required and self.config.online_pin_supported:
-            cvm_results, why = self._collect_cvm(channel, CVMMethod.OnlinePIN,
-                                                 CVMCondition.IfAboveCvmLimit,
-                                                 pin=pin, performed_by=performed_by,
-                                                 view=view)
-            if why:
-                return self._decide(channel, view, "decline", why)
-        elif ctq.signature_required and self.config.signature_supported:
-            cvm_results, why = self._collect_cvm(channel, CVMMethod.PaperSignature,
-                                                 CVMCondition.IfBelowCvmLimit,
+        elif ctq.online_pin_required or ctq.signature_required:
+            if ctq.online_pin_required:
+                method, condition = CVMMethod.OnlinePIN, CVMCondition.IfAboveCvmLimit
+            else:
+                method, condition = CVMMethod.PaperSignature, CVMCondition.IfBelowCvmLimit
+            cvm_results, why = self._collect_cvm(channel, method, condition,
                                                  pin=pin, performed_by=performed_by,
                                                  view=view)
             if why:
@@ -293,13 +276,11 @@ class Terminal:
             return self._decide(channel, view, "decline", "no_cvm_agreed")
         view["cvm_results"] = cvm_results
 
-        if cid == CID.TC and amount.value <= self.config.floor_limit \
+        if cid == CID.TC and amount.value <= FLOOR_LIMIT \
                 and (self.config.offline_capable or self.config.transit):
             submit = self._clearing_payload(view, kernel=3)
             self.offline_batch.append((submit, channel.session))
             return self._decide(channel, view, "approve_offline", "offline_floor")
-        if not self.config.online_capable:
-            return self._decide(channel, view, "decline", "offline_only_terminal")
         return self._go_online(channel, view, kernel=3)
 
     # --- kernel 2 -------------------------------------------------------------
@@ -349,11 +330,9 @@ class Terminal:
                                                  view=view)
             if why:
                 return self._decide(channel, view, "decline", why)
-        elif method == CVMMethod.NoCVM:
-            cvm_results = CVMResults(CVMMethod.NoCVM, condition, CVMResult.Performed)
         view["cvm_results"] = cvm_results
 
-        want_offline = cfg.offline_capable and amount.value <= cfg.floor_limit
+        want_offline = cfg.offline_capable and amount.value <= FLOOR_LIMIT
         requested_cid = CID.TC if want_offline else CID.ARQC
         want_cda = cfg.request_cda and aip.cda_supported
 
@@ -399,13 +378,10 @@ class Terminal:
             submit = self._clearing_payload(view, kernel=2)
             self.offline_batch.append((submit, channel.session))
             return self._decide(channel, view, "approve_offline", "offline_floor")
-        if not cfg.online_capable:
-            return self._decide(channel, view, "decline", "offline_only_terminal")
         return self._go_online(channel, view, kernel=2)
 
     def _choose_cvm_kernel2(self, cvm_list: CVMList, amount: Amount,
                             aip: AIP) -> tuple[CVMMethod, CVMCondition] | None:
-        cfg = self.config
         above = amount.value > CVM_LIMIT
         for entry in cvm_list.entries:
             if entry.condition == CVMCondition.IfAboveCvmLimit and not above:
@@ -413,8 +389,8 @@ class Terminal:
             if entry.condition == CVMCondition.IfBelowCvmLimit and above:
                 continue
             feasible = {
-                CVMMethod.OnlinePIN: cfg.online_pin_supported,
-                CVMMethod.PaperSignature: cfg.signature_supported,
+                CVMMethod.OnlinePIN: True,
+                CVMMethod.PaperSignature: True,
                 CVMMethod.NoCVM: not above,
                 CVMMethod.CDCVM: aip.on_device_cvm_supported,
                 CVMMethod.EncryptedOfflinePIN: False,  # not on this interface
@@ -432,7 +408,7 @@ class Terminal:
                         performed_by: str) -> dict[str, Any]:
         cfg = self.config
         view["mode"] = "ms"
-        n_digits = gpo.payload.get(Tag.N_UN_DIGITS, 3)
+        n_digits = gpo.payload.get(Tag.N_UN_DIGITS, N_UN_DIGITS)
         space = 10 ** n_digits
         un = (cfg.fixed_un % space if cfg.fixed_un is not None
               else self.rng.randrange(space))
@@ -462,9 +438,6 @@ class Terminal:
             return self._decide(channel, view, "decline", "no_dynamic_code")
         view.update(cvc3=resp.payload[Tag.CVC3], atc=resp.payload[Tag.ATC],
                     n_un_digits=n_digits)
-
-        if not cfg.online_capable:
-            return self._decide(channel, view, "decline", "offline_only_terminal")
         return self._go_online(channel, view, kernel=2)
 
     # --- authorization / clearing ---------------------------------------------------

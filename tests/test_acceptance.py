@@ -17,6 +17,7 @@ from tapsim.attacks import (
     simulate_partial_clone,
     simulate_pin_search,
 )
+from tapsim.card import PIN_TRY_LIMIT
 from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.crypto import (
     AC_COVERAGE_KERNEL2,
@@ -164,7 +165,7 @@ def test_criterion_5_pin_search():
     card = env.cards["visa_plastic_no_fdda"]
     burned = pin_exhaust(NfcChannel(env.trace, card),
                          wrong_pins=("0000", "0001", "0002", "0003"))
-    exhaust_ok = burned == card.profile.pin_try_limit == 3 and card.blocked
+    exhaust_ok = burned == PIN_TRY_LIMIT == 3 and card.blocked
 
     dos = run_attack("pin_guess_dos", seed=0)
     dos_ok = dos.success and dos.report.violated("P6")

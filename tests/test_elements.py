@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import copy
+import itertools
+import json
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -103,21 +106,15 @@ def test_transit_mccs():
 # --- flags ------------------------------------------------------------------
 
 def test_flag_roundtrip_all_values():
-    for cls in (AIP, TTQ, CTQ, TVR):
-        n = len(cls._positions)
-        seen = set()
-        for v in range(1 << n):
-            obj = cls.from_int(v)
-            assert obj.to_int() == v
-            seen.add(obj)
-        assert len(seen) == 1 << n
-
-
-def test_flag_unknown_bits_rejected():
-    with pytest.raises(CodecError):
-        TVR.from_int(0x02)
-    with pytest.raises(CodecError):
-        CTQ.from_int(0x08)
+    with resources.files("tapsim.fixtures").joinpath("codec.json").open("rb") as fh:
+        pinned = json.load(fh)["flag_fields"]
+    for cls, flag_set in ((AIP, "aip"), (TTQ, "ttq"), (CTQ, "ctq"), (TVR, "tvr")):
+        names = pinned[flag_set]
+        for n in range(len(names) + 1):
+            for subset in itertools.combinations(names, n):
+                obj = cls(**{name: name in subset for name in names})
+                assert obj.to_int() == sum(1 << names.index(name)
+                                           for name in subset)
 
 
 def test_flag_replace():

@@ -22,6 +22,7 @@ from tapsim.runner import (
     run_genuine,
     run_genuine_matrix,
 )
+from tapsim.terminal import CEILING
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ def test_over_ceiling_never_reaches_the_card(env):
     terminal = env.terminals["standard_pos"]
     channel = NfcChannel(env.trace, env.cards["visa_plastic_fdda"])
     result = terminal.run_purchase(channel,
-                                   Amount(terminal.config.ceiling + 1, "EUR"))
+                                   Amount(CEILING + 1, "EUR"))
     assert (result["outcome"], result["reason"]) == ("decline", "over_ceiling")
     assert not list(env.trace.msgs(channel="nfc", session=result["session"]))
 
@@ -335,6 +336,28 @@ def test_hardened_issuer_catches_resubmitted_authorization():
     again = env.issuer.handle_auth(captured[0])
     assert again.payload[Tag.DECISION] == "decline"
     assert again.payload[Tag.REASON] == "atc_replay"
+
+
+@pytest.mark.parametrize("card, missing", [
+    ("visa_plastic_no_fdda", "ATC"), ("visa_plastic_no_fdda", "AMOUNT"),
+    ("magstripe_only", "UN"), ("magstripe_only", "ATC"),
+    ("magstripe_only", "AMOUNT"),
+])
+def test_issuer_declines_a_submission_missing_an_element(card, missing):
+    tag = Tag.by_name(missing)
+    env = build_env(seed=11)
+    run_genuine(env, card, "standard_pos", AMOUNT_LOW)
+    genuine = env.trace.markers("auth")[0].data["request"].payload
+    request = Message("AUTH_REQUEST", DataElementMap(
+        {t: genuine[t] for t in genuine if t != tag}))
+    response = env.rails.authorize(request, session=env.trace.new_session(),
+                                   submitted_by="adversary",
+                                   adversary=Adversary(("A5",), trace=env.trace))
+    reason = f"malformed_{missing.lower()}"
+    assert response.payload[Tag.REASON] == reason
+    auth = env.trace.markers("auth")[-1]
+    assert (auth.data["submitted_by"], auth.data["decision"],
+            auth.data["reason"]) == ("adversary", "decline", reason)
 
 
 def test_issuer_rejects_unknown_account(env):
