@@ -235,18 +235,20 @@ class Card:
 
     # --- dispatch -------------------------------------------------------
 
+    _HANDLERS = {
+        "SELECT": "_on_select",
+        "GET_PROCESSING_OPTIONS": "_on_gpo",
+        "READ_RECORD": "_on_read_record",
+        "GENERATE_AC": "_on_generate_ac",
+        "VERIFY": "_on_verify",
+        "MAGIC_BYTES": "_on_magic",
+    }
+
     def exchange(self, msg: Message) -> Message:
-        handler = {
-            "SELECT": self._on_select,
-            "GET_PROCESSING_OPTIONS": self._on_gpo,
-            "READ_RECORD": self._on_read_record,
-            "GENERATE_AC": self._on_generate_ac,
-            "VERIFY": self._on_verify,
-            "MAGIC_BYTES": self._on_magic,
-        }.get(msg.name)
+        handler = self._HANDLERS.get(msg.name)
         if handler is None:
             return Message(msg.name)
-        return handler(msg)
+        return getattr(self, handler)(msg)
 
     # --- handlers -------------------------------------------------------
 

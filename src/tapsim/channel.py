@@ -24,6 +24,9 @@ from .elements import DataElementMap, Tag, TagInfo, render_value
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
+# json.dumps(value, sort_keys=True) without building an encoder per call
+_dumps = json.JSONEncoder(sort_keys=True).encode
+
 # Fixed message vocabulary and the tags each message may legally carry
 # (union over both directions; construction-time typo guard).
 _T = Tag
@@ -81,9 +84,8 @@ class Message:
         allowed = MESSAGES.get(self.name)
         if allowed is None:
             raise ChannelError(f"unknown message name {self.name!r}")
-        extra = self.payload.tags() - allowed
-        if extra:
-            names = ", ".join(sorted(t.name for t in extra))
+        if not allowed.issuperset(self.payload):
+            names = ", ".join(sorted(t.name for t in self.payload.tags() - allowed))
             raise ChannelError(f"{self.name} payload may not carry: {names}")
 
     def render(self) -> dict[str, Any]:
@@ -112,25 +114,10 @@ class TraceEvent:
 
     @property
     def tampered(self) -> bool:
-        return (self.sent is not None and self.received is not None
-                and self.sent.render() != self.received.render())
-
-    def render(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"idx": self.idx, "kind": self.kind}
-        if self.session is not None:
-            out["session"] = self.session
-        if self.kind == "msg":
-            out.update({
-                "channel": self.channel,
-                "direction": self.direction,
-                "relay": self.relay_active,
-                "status": self.status,
-                "sent": self.sent.render() if self.sent else None,
-                "received": self.received.render() if self.received else None,
-            })
-        if self.data:
-            out["data"] = render_value(self.data)
-        return out
+        sent, received = self.sent, self.received
+        if sent is None or received is None or received is sent:
+            return False
+        return sent.name != received.name or sent.payload != received.payload
 
 
 class TransactionTrace:
@@ -184,8 +171,26 @@ class TransactionTrace:
         return any(ev.relay_active for ev in self.msgs(session=session))
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"kind": "meta", **render_value(self.meta)}, sort_keys=True)]
-        lines.extend(json.dumps(ev.render(), sort_keys=True) for ev in self.events)
+        """One JSON object per line, keys sorted. A ``msg`` line splices its
+        fields around its messages' JSON, rendered once when received is sent."""
+        lines = [_dumps({"kind": "meta", **render_value(self.meta)})]
+        for ev in self.events:
+            if ev.kind == "msg":
+                sent = _dumps(ev.sent.render())
+                received = sent if ev.received is ev.sent else _dumps(ev.received.render())
+                session = "" if ev.session is None else f'"session": {ev.session}, '
+                lines.append(
+                    f'{{"channel": {_dumps(ev.channel)}, "direction": {_dumps(ev.direction)}, '
+                    f'"idx": {ev.idx}, "kind": "msg", "received": {received}, '
+                    f'"relay": {"true" if ev.relay_active else "false"}, "sent": {sent}, '
+                    f'{session}"status": {_dumps(ev.status)}}}')
+                continue
+            marker: dict[str, Any] = {"idx": ev.idx, "kind": ev.kind}
+            if ev.session is not None:
+                marker["session"] = ev.session
+            if ev.data:
+                marker["data"] = render_value(ev.data)
+            lines.append(_dumps(marker))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -251,12 +256,12 @@ class Adversary:
             msg = hook(msg, self)
         return msg
 
-    def pass_to_card(self, msg: Message, session: int | None = None) -> Message:
+    def pass_to_card(self, msg: Message) -> Message:
         for obs in self.observers:
             obs("to_card", msg, self)
         return self._apply(self.to_card_hooks, msg)
 
-    def pass_from_card(self, msg: Message, session: int | None = None) -> Message:
+    def pass_from_card(self, msg: Message) -> Message:
         for obs in self.observers:
             obs("from_card", msg, self)
         return self._apply(self.from_card_hooks, msg)
@@ -289,13 +294,13 @@ class NfcChannel:
     def exchange(self, msg: Message) -> Message:
         delivered = msg
         if self.adversary is not None:
-            delivered = self.adversary.pass_to_card(msg, self.session)
+            delivered = self.adversary.pass_to_card(msg)
         self.trace.log_msg("nfc", self.session, "to_card", sent=msg,
                            received=delivered, relay_active=self.relay_active)
         reply = self.card.exchange(delivered)
         returned = reply
         if self.adversary is not None:
-            returned = self.adversary.pass_from_card(reply, self.session)
+            returned = self.adversary.pass_from_card(reply)
         self.trace.log_msg("nfc", self.session, "from_card", sent=reply,
                            received=returned, relay_active=self.relay_active)
         return returned

@@ -42,14 +42,20 @@ TRANSIT_MCCS = frozenset(_CODEC["transit_mccs"])
 # tag registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TagInfo:
+    """A registered tag. The registry rejects duplicates, so each tag is a
+    singleton and compares and hashes by identity."""
+
     name: str
     code: int
     kind: str
 
     def __repr__(self) -> str:  # keep traces and asserts readable
         return f"Tag.{self.name}"
+
+    def __reduce__(self) -> tuple:
+        return Tag.by_name, (self.name,)  # copies and unpickles are the singleton
 
 
 TAGS_BY_NAME: dict[str, TagInfo] = {}
@@ -462,10 +468,17 @@ def encode_value(tag: TagInfo, value: Any) -> bytes:
     raise CodecError(f"no encoder for kind {kind!r}")
 
 
+_PLAIN = frozenset({str, int, bool, float, type(None)})
+
+
 def render_value(value: Any) -> Any:
     """JSON-friendly rendering for traces and reports (bytes as hex).
     Objects with a ``render()`` method render themselves; dicts and
     sequences recurse, and sets come out sorted."""
+    if type(value) in _PLAIN:
+        return value
+    if type(value) is dict:
+        return {k: render_value(v) for k, v in value.items()}
     if isinstance(value, (bytes, bytearray)):
         return bytes(value).hex()
     if isinstance(value, Amount):

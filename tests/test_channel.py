@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_golden import CATALOGUE
 
+from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import (
     Adversary,
     ChannelError,
@@ -16,7 +22,9 @@ from tapsim.channel import (
     make_relay,
     visual_read,
 )
-from tapsim.elements import Amount, DataElementMap, Tag
+from tapsim.elements import TTQ, Amount, DataElementMap, Tag, render_value
+from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.runner import run_genuine_matrix
 
 
 class EchoCard:
@@ -227,3 +235,75 @@ def test_jsonl_deterministic():
         return t.to_jsonl()
 
     assert build() == build()
+
+
+def _reference_lines(trace):
+    """Every JSONL line as json.dumps of a dict of the event's fields."""
+    yield json.dumps({"kind": "meta", **render_value(trace.meta)}, sort_keys=True)
+    for ev in trace.events:
+        out = {"idx": ev.idx, "kind": ev.kind}
+        if ev.session is not None:
+            out["session"] = ev.session
+        if ev.kind == "msg":
+            out.update(channel=ev.channel, direction=ev.direction,
+                       relay=ev.relay_active, status=ev.status,
+                       sent=ev.sent.render() if ev.sent else None,
+                       received=ev.received.render() if ev.received else None)
+        if ev.data:
+            out["data"] = render_value(ev.data)
+        yield json.dumps(out, sort_keys=True)
+
+
+def _hand_built_trace():
+    trace = TransactionTrace(meta={"scenario": "edge", "seed": 7})
+    sent = gpo()
+    trace.log_msg("nfc", 1, "to_card", sent=sent, received=sent.with_payload(UN=0))
+    record = Message("READ_RECORD", DataElementMap({Tag.CARDHOLDER_NAME: "Zoë Ørsted"}))
+    trace.log_msg("nfc", None, "from_card", sent=record, received=record,
+                  relay_active=True, status="lost")
+    trace.mark("auth", session=1, submitted_by="adversary", decision="decline",
+               reason=None, request=Message("AUTH_REQUEST", DataElementMap({Tag.UN: 3})))
+    return trace
+
+
+def _seed_traces():
+    yield from (run_attack(a, seed=42).trace for a in CATALOG)
+    for policy in (PERMISSIVE_2019, HARDENED):
+        yield from (env.trace for _p, env, _r in run_genuine_matrix(policy, seed=0))
+
+
+def test_jsonl_lines_match_reference_dumps():
+    hand = _hand_built_trace()
+    lines = hand.to_jsonl().splitlines()
+    assert '"received": {"name": "GET_PROCESSING_OPTIONS", "payload": {"AMOUNT"' in lines[1]
+    assert "\\u00eb" in lines[2] and '"relay": true' in lines[2] and '"session"' not in lines[2]
+    assert '"request": {"name": "AUTH_REQUEST", "payload": {"UN": 3}}' in lines[3]
+    for trace in (hand, *_seed_traces()):
+        assert trace.to_jsonl().splitlines() == list(_reference_lines(trace))
+
+
+@pytest.mark.parametrize("hook, tampered", [
+    (lambda m, a: Message(m.name, m.payload.copy()), False),
+    (lambda m, a: m.with_payload(TTQ=m.payload[Tag.TTQ].replace(cvm_required=True)), True),
+])
+def test_tampered_compares_encodings(hook, tampered):
+    trace = TransactionTrace()
+    adv = Adversary(("A1",), trace=trace)
+    adv.on_to_card(hook)
+    NfcChannel(trace, EchoCard(), adversary=adv).exchange(
+        gpo().with_payload(TTQ=TTQ(cvm_required=False)))
+    ev = trace.events[0]
+    assert ev.received is not ev.sent
+    assert ev.tampered is tampered
+
+
+def test_catalogue_digest_ignores_the_hash_seed():
+    code = ("import hashlib; from tapsim.attacks import CATALOG, run_attack; "
+            "print(hashlib.sha256(''.join(run_attack(a, seed=42).trace.to_jsonl() "
+            "for a in CATALOG).encode('utf-8')).hexdigest())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+             for seed in ("0", "1")]
+    digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+    assert digests == [CATALOGUE, CATALOGUE]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import pickle
 import random
 from importlib import resources
 
@@ -61,6 +62,15 @@ def test_unknown_tags_rejected():
         Tag.NOT_A_TAG
     with pytest.raises(CodecError):
         Tag.by_name("nope")
+
+
+def test_copied_and_unpickled_tags_are_the_registered_ones():
+    # tags hash by identity, so a copy that made a new tag would be a new key
+    dol = DOL((Tag.UN, Tag.AMOUNT))
+    env = DataElementMap({Tag.UN: 7, Tag.AMOUNT: Amount(1, "EUR")})
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert clone(Tag.UN) is Tag.UN
+        assert build_dol_data(clone(dol), clone(env)) == env
 
 
 # --- luhn / pan / brand -----------------------------------------------------
