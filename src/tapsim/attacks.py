@@ -503,15 +503,14 @@ def _stage_magic_byte(env: Env, adv: Adversary) -> tuple[bool, str]:
 
 
 def _stage_eavesdrop_card_data(env: Env, adv: Adversary) -> tuple[bool, str]:
-    def skim(direction: str, msg: Message, a: Adversary) -> None:
-        if direction != "from_card" or msg.name != "READ_RECORD":
-            return
-        for tag, category in ((Tag.PAN, "PAN"), (Tag.EXPIRY, "EXPIRY"),
-                              (Tag.CARDHOLDER_NAME, "CARDHOLDER_NAME")):
-            if tag in msg.payload:
-                a.learn(category, msg.payload[tag])
+    def skim(msg: Message, a: Adversary) -> Message:
+        if msg.name == "READ_RECORD":
+            for tag in (Tag.PAN, Tag.EXPIRY, Tag.CARDHOLDER_NAME):
+                if tag in msg.payload:
+                    a.learn(tag.name, msg.payload[tag])
+        return msg
 
-    adv.observe_with(skim)
+    adv.on_from_card(skim)
     card = env.cards["visa_plastic_no_fdda"]
     channel = NfcChannel(env.trace, card, adversary=adv)
     result = env.terminals["standard_pos"].run_purchase(

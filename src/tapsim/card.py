@@ -70,8 +70,6 @@ class Wallet:
     """Base behavior for phone wallets. ``unlocked`` means the cardholder
     authenticated to the device for this tap."""
 
-    kind = "wallet"
-
     def __init__(self, cdcvm_always: bool = False):
         self.cdcvm_always = cdcvm_always
         self.unlocked = False
@@ -81,6 +79,12 @@ class Wallet:
         pass
 
     def decide(self, amount: Amount, ttq: TTQ) -> WalletDecision:
+        if self.unlocked:
+            return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=True, genuine_cvm=True)
+        return self._locked(amount, ttq)
+
+    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
+        """What a locked device does with this tap."""
         raise NotImplementedError
 
 
@@ -89,11 +93,7 @@ class GoogleLikeWallet(Wallet):
     TTQ says no CVM is required. With ``cdcvm_always`` it claims on-device
     verification even for those locked taps."""
 
-    kind = "google_like"
-
-    def decide(self, amount: Amount, ttq: TTQ) -> WalletDecision:
-        if self.unlocked:
-            return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=True, genuine_cvm=True)
+    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
         if amount.value <= WALLET_TX_LIMIT or not ttq.cvm_required:
             claim = self.cdcvm_always
             return WalletDecision(True, ctq_cdcvm=claim, iad_cdcvm=claim)
@@ -106,15 +106,11 @@ class AppleLikeWallet(Wallet):
     online authorizations). Express taps honestly state that no cardholder
     verification took place. The magic priming is consumed per decision."""
 
-    kind = "apple_like"
-
     def on_magic(self, magic: bytes) -> None:
         if magic == TRANSIT_MAGIC:
             self.magic_seen = True
 
-    def decide(self, amount: Amount, ttq: TTQ) -> WalletDecision:
-        if self.unlocked:
-            return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=True, genuine_cvm=True)
+    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
         primed, self.magic_seen = self.magic_seen, False
         if primed and ttq.oda_for_online_supported and ttq.emv_mode_supported:
             return WalletDecision(True, ctq_cdcvm=False, iad_cdcvm=False)
@@ -124,11 +120,7 @@ class AppleLikeWallet(Wallet):
 class SamsungLikeWallet(Wallet):
     """Locked device only ever answers zero-amount taps (gate entry)."""
 
-    kind = "samsung_like"
-
-    def decide(self, amount: Amount, ttq: TTQ) -> WalletDecision:
-        if self.unlocked:
-            return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=True, genuine_cvm=True)
+    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
         if amount.value == 0:
             return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=False)
         return WalletDecision(False)

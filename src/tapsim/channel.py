@@ -107,7 +107,6 @@ class TraceEvent:
     channel: str | None = None
     direction: str | None = None
     relay_active: bool = False
-    status: str = "ok"
     sent: Message | None = None    # what the sender put on the wire
     received: Message | None = None  # what the receiver actually got
     data: dict[str, Any] = field(default_factory=dict)
@@ -134,12 +133,10 @@ class TransactionTrace:
         return sid
 
     def log_msg(self, channel: str, session: int, direction: str, sent: Message,
-                received: Message, relay_active: bool = False,
-                status: str = "ok") -> TraceEvent:
+                received: Message, relay_active: bool = False) -> TraceEvent:
         ev = TraceEvent(idx=len(self.events), kind="msg", session=session,
                         channel=channel, direction=direction,
-                        relay_active=relay_active, status=status,
-                        sent=sent, received=received)
+                        relay_active=relay_active, sent=sent, received=received)
         self.events.append(ev)
         return ev
 
@@ -172,7 +169,8 @@ class TransactionTrace:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted. A ``msg`` line splices its
-        fields around its messages' JSON, rendered once when received is sent."""
+        fields around its messages' JSON, rendered once when received is sent.
+        Every hop delivers, so each ``msg`` line's status is ``"ok"``."""
         lines = [_dumps({"kind": "meta", **render_value(self.meta)})]
         for ev in self.events:
             if ev.kind == "msg":
@@ -183,7 +181,7 @@ class TransactionTrace:
                     f'{{"channel": {_dumps(ev.channel)}, "direction": {_dumps(ev.direction)}, '
                     f'"idx": {ev.idx}, "kind": "msg", "received": {received}, '
                     f'"relay": {"true" if ev.relay_active else "false"}, "sent": {sent}, '
-                    f'{session}"status": {_dumps(ev.status)}}}')
+                    f'{session}"status": "ok"}}')
                 continue
             marker: dict[str, Any] = {"idx": ev.idx, "kind": ev.kind}
             if ev.session is not None:
@@ -200,8 +198,8 @@ class TransactionTrace:
 
 # --- adversary ------------------------------------------------------------------
 
+# A hook that returns the message it was given only observes the hop.
 Hook = Callable[[Message, "Adversary"], Message]
-Observer = Callable[[str, Message, "Adversary"], None]
 
 
 class Adversary:
@@ -217,7 +215,6 @@ class Adversary:
         self.trace = trace
         self.to_card_hooks: list[Hook] = []
         self.from_card_hooks: list[Hook] = []
-        self.observers: list[Observer] = []
         self.knowledge: set[tuple[str, str]] = set()
 
     def can(self, cap: str) -> bool:
@@ -232,9 +229,6 @@ class Adversary:
 
     def on_from_card(self, hook: Hook) -> None:
         self.from_card_hooks.append(hook)
-
-    def observe_with(self, observer: Observer) -> None:
-        self.observers.append(observer)
 
     def learn(self, category: str, value: Any, session: int | None = None) -> None:
         if not isinstance(value, str):
@@ -257,13 +251,9 @@ class Adversary:
         return msg
 
     def pass_to_card(self, msg: Message) -> Message:
-        for obs in self.observers:
-            obs("to_card", msg, self)
         return self._apply(self.to_card_hooks, msg)
 
     def pass_from_card(self, msg: Message) -> Message:
-        for obs in self.observers:
-            obs("from_card", msg, self)
         return self._apply(self.from_card_hooks, msg)
 
 

@@ -53,10 +53,9 @@ def ac_coverage_kernel3(include_ttq: bool) -> frozenset[TagInfo]:
 
 # Dynamic signature method headers; the first SDAD byte names the method,
 # so a signature made for one method cannot pass as another.
-METHOD_HEADERS = {"sda": 0x05, "dda": 0x06, "cda": 0x07, "fdda": 0x15}
+METHOD_HEADERS = {"sda": 0x05, "cda": 0x07, "fdda": 0x15}
 
 SDAD_COVERAGE = {
-    "dda": frozenset({Tag.UN_CARD, Tag.UN}),
     "cda": frozenset({Tag.UN_CARD, Tag.UN, Tag.AC, Tag.ATC, Tag.IAD}),
     "fdda": frozenset({Tag.UN_CARD, Tag.UN, Tag.ATC, Tag.CTQ, Tag.AIP}),
 }

@@ -13,11 +13,12 @@ fixed two-byte zero header. MAC and signature inputs are always built from
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 
 class CodecError(ValueError):
@@ -146,10 +147,7 @@ class _Flags:
                 value |= 1 << pos
         return value
 
-    def replace(self, **changes):
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        return type(self)(**current)
+    replace = dataclasses.replace
 
 
 @dataclass(frozen=True)
@@ -375,23 +373,6 @@ AID_BRANDS = {
 # wire codec per kind
 # ---------------------------------------------------------------------------
 
-def _enc_uint(value: Any, width: int) -> bytes:
-    if not isinstance(value, int) or isinstance(value, bool):
-        if isinstance(value, (enum.IntEnum,)):
-            value = int(value)
-        else:
-            raise CodecError(f"expected int, got {type(value).__name__}")
-    if value < 0 or value >= (1 << (8 * width)):
-        raise CodecError(f"uint{width} out of range: {value}")
-    return value.to_bytes(width, "big")
-
-
-def _enc_text(value: Any) -> bytes:
-    if not isinstance(value, str):
-        raise CodecError(f"expected str, got {type(value).__name__}")
-    return value.encode("utf-8")
-
-
 def _enc_lp(raw: bytes) -> bytes:
     """Length-prefix a chunk (2-byte length)."""
     if len(raw) > 0xFFFF:
@@ -399,73 +380,64 @@ def _enc_lp(raw: bytes) -> bytes:
     return len(raw).to_bytes(2, "big") + raw
 
 
+def _uint(width: int) -> Callable[[int], bytes]:
+    def encode(value: int) -> bytes:
+        if value < 0 or value >= (1 << (8 * width)):
+            raise CodecError(f"uint{width} out of range: {value}")
+        return value.to_bytes(width, "big")
+    return encode
+
+
+def _enc_bytes_list(value: tuple) -> bytes:
+    if not all(isinstance(b, bytes) for b in value):
+        raise CodecError("expected tuple of bytes")
+    return bytes([len(value)]) + b"".join(_enc_lp(item) for item in value)
+
+
+def _enc_flags(value: _Flags) -> bytes:
+    return bytes([value.to_int()])
+
+
+# codec.json kind -> (accepted value type, encoder of a value of that type)
+KINDS: dict[str, tuple[type | tuple[type, ...], Callable[[Any], bytes]]] = {
+    "uint1": (int, _uint(1)),
+    "uint2": (int, _uint(2)),
+    "uint4": (int, _uint(4)),
+    "text": (str, lambda v: v.encode("utf-8")),
+    "bytes": ((bytes, bytearray), bytes),
+    "bytes_list": (tuple, _enc_bytes_list),
+    "amount": (Amount, lambda v: v.value.to_bytes(8, "big") + v.currency.encode("ascii")),
+    "flags:aip": (AIP, _enc_flags),
+    "flags:ctq": (CTQ, _enc_flags),
+    "flags:ttq": (TTQ, _enc_flags),
+    "flags:tvr": (TVR, _enc_flags),
+    "iad": (IAD, lambda v: bytes([int(v.cdcvm_performed), DeviceType[v.device_type]])
+            + _enc_lp(v.filler)),
+    "cid": (CID, lambda v: bytes([v])),
+    "afl": (AFL, lambda v: bytes([len(v.records)]) + bytes(v.records)),
+    "dol": (DOL, lambda v: bytes([len(v.tags)])
+            + b"".join(t.code.to_bytes(2, "big") for t in v.tags)),
+    "cvm_list": (CVMList, lambda v: bytes([len(v.entries)])
+                 + b"".join(bytes([e.method, e.condition]) for e in v.entries)),
+    "cvm_results": (CVMResults, lambda v: bytes([v.method, v.condition, v.result])),
+    "action_codes": (ActionCodes, lambda v: bytes([v.denial.to_int(), v.online.to_int(),
+                                                   v.default.to_int()])),
+    "track2": (Track2EquivalentData, lambda v: b"".join(
+        _enc_lp(part.encode("utf-8"))
+        for part in (v.pan, v.expiry, v.service_code, v.discretionary))),
+}
+
+_unknown_kinds = sorted({tag.kind for tag in TAGS_BY_NAME.values()} - KINDS.keys())
+if _unknown_kinds:
+    raise CodecError(f"codec table uses kinds with no encoder: {_unknown_kinds}")
+
+
 def encode_value(tag: TagInfo, value: Any) -> bytes:
     """Canonical byte encoding for a single element value."""
-    kind = tag.kind
-    if kind.startswith("uint"):
-        return _enc_uint(value, int(kind[4:]))
-    if kind == "text":
-        return _enc_text(value)
-    if kind == "bytes":
-        if not isinstance(value, (bytes, bytearray)):
-            raise CodecError(f"{tag.name}: expected bytes")
-        return bytes(value)
-    if kind == "bytes_list":
-        if not isinstance(value, tuple) or not all(isinstance(b, bytes) for b in value):
-            raise CodecError(f"{tag.name}: expected tuple of bytes")
-        out = bytes([len(value)])
-        for item in value:
-            out += _enc_lp(item)
-        return out
-    if kind == "amount":
-        if not isinstance(value, Amount):
-            raise CodecError(f"{tag.name}: expected Amount")
-        return value.value.to_bytes(8, "big") + value.currency.encode("ascii")
-    if kind.startswith("flags:"):
-        expected = {"ttq": TTQ, "ctq": CTQ, "aip": AIP, "tvr": TVR}[kind[6:]]
-        if not isinstance(value, expected):
-            raise CodecError(f"{tag.name}: expected {expected.__name__}")
-        return bytes([value.to_int()])
-    if kind == "iad":
-        if not isinstance(value, IAD):
-            raise CodecError(f"{tag.name}: expected IAD")
-        return bytes([int(value.cdcvm_performed), DeviceType[value.device_type]]) + _enc_lp(value.filler)
-    if kind == "cid":
-        if not isinstance(value, CID):
-            raise CodecError(f"{tag.name}: expected CID")
-        return bytes([value])
-    if kind == "afl":
-        if not isinstance(value, AFL):
-            raise CodecError(f"{tag.name}: expected AFL")
-        return bytes([len(value.records)]) + bytes(value.records)
-    if kind == "dol":
-        if not isinstance(value, DOL):
-            raise CodecError(f"{tag.name}: expected DOL")
-        out = bytes([len(value.tags)])
-        for t in value.tags:
-            out += t.code.to_bytes(2, "big")
-        return out
-    if kind == "cvm_list":
-        if not isinstance(value, CVMList):
-            raise CodecError(f"{tag.name}: expected CVMList")
-        out = bytes([len(value.entries)])
-        for e in value.entries:
-            out += bytes([e.method, e.condition])
-        return out
-    if kind == "cvm_results":
-        if not isinstance(value, CVMResults):
-            raise CodecError(f"{tag.name}: expected CVMResults")
-        return bytes([value.method, value.condition, value.result])
-    if kind == "action_codes":
-        if not isinstance(value, ActionCodes):
-            raise CodecError(f"{tag.name}: expected ActionCodes")
-        return bytes([value.denial.to_int(), value.online.to_int(), value.default.to_int()])
-    if kind == "track2":
-        if not isinstance(value, Track2EquivalentData):
-            raise CodecError(f"{tag.name}: expected Track2EquivalentData")
-        return b"".join(_enc_lp(part.encode("utf-8"))
-                        for part in (value.pan, value.expiry, value.service_code, value.discretionary))
-    raise CodecError(f"no encoder for kind {kind!r}")
+    expected, encode = KINDS[tag.kind]
+    if not isinstance(value, expected) or type(value) is bool:
+        raise CodecError(f"{tag.name} ({tag.kind}) does not take {type(value).__name__}")
+    return encode(value)
 
 
 _PLAIN = frozenset({str, int, bool, float, type(None)})
@@ -484,7 +456,7 @@ def render_value(value: Any) -> Any:
     if isinstance(value, Amount):
         return {"value": value.value, "currency": value.currency}
     if isinstance(value, _Flags):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
+        return {name: getattr(value, name) for name in value._positions}
     if isinstance(value, IAD):
         return {"cdcvm_performed": value.cdcvm_performed, "device_type": value.device_type,
                 "filler": value.filler.hex()}
@@ -506,8 +478,6 @@ def render_value(value: Any) -> Any:
                 "service_code": value.service_code, "discretionary": value.discretionary}
     if isinstance(value, (list, tuple)):
         return [render_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: render_value(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted((render_value(v) for v in value), key=repr)
     render = getattr(value, "render", None)

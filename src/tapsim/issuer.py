@@ -11,9 +11,10 @@ reasons deterministic for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
+from .card import CardProfile
 from .channel import Message
 from .crypto import (
     AC_COVERAGE_KERNEL2,
@@ -69,38 +70,19 @@ def _malformed(p: DataElementMap, *tags: TagInfo) -> tuple[str, str] | None:
     return None
 
 
-@dataclass
-class CardRecord:
-    """What the issuer knows about one issued card."""
-
-    pan: str
-    expiry: str
-    master_key: bytes
-    cvc3_key: bytes
-    pin: str
-    home_currency: str
-    device_type: str
-    kernel: int
-    foreign_no_cvm: bool = False
-    track2_discretionary: str = ""
-    service_code: str = "201"
-
-    # per-card running state
-    last_atc: int = 0
-    seen_atcs: set[int] = field(default_factory=set)
-
-
 class Issuer:
-    """Authorizes and clears transactions against issued-card records."""
+    """Authorizes and clears transactions against the profiles it personalized."""
 
     def __init__(self, policy: IssuerPolicy):
         self.policy = policy
-        self.cards: dict[str, CardRecord] = {}
+        self.cards: dict[str, CardProfile] = {}
+        self.last_atcs: dict[str, int] = {}
         self.pin_keys: dict[str, bytes] = {}
         self.seen_uns: set[tuple[str, int]] = set()
 
-    def register_card(self, record: CardRecord) -> None:
-        self.cards[record.pan] = record
+    def register_card(self, profile: CardProfile) -> None:
+        self.cards[profile.pan] = profile
+        self.last_atcs[profile.pan] = 0
 
     def register_terminal(self, terminal_id: str, pin_key: bytes) -> None:
         self.pin_keys[terminal_id] = pin_key
@@ -134,23 +116,20 @@ class Issuer:
             return self._evaluate_emv(p, record, clearing=clearing)
         return "decline", "malformed_request"
 
-    def _evaluate_swipe(self, p: DataElementMap, record: CardRecord) -> tuple[str, str]:
+    def _evaluate_swipe(self, p: DataElementMap, record: CardProfile) -> tuple[str, str]:
         # legacy static stripe: whoever holds the track data *is* the card
-        t2 = p[Tag.TRACK2]
-        if (t2.pan, t2.expiry, t2.service_code, t2.discretionary) != (
-                record.pan, record.expiry, record.service_code,
-                record.track2_discretionary):
+        if p[Tag.TRACK2] != record.track2:
             return "decline", "bad_track_data"
         return "approve", "swipe_ok"
 
-    def _evaluate_magstripe(self, p: DataElementMap, record: CardRecord) -> tuple[str, str]:
+    def _evaluate_magstripe(self, p: DataElementMap, record: CardProfile) -> tuple[str, str]:
         if malformed := _malformed(p, Tag.ATC, Tag.UN, Tag.AMOUNT):
             return malformed
         pol = self.policy
         atc, un, code = p[Tag.ATC], p[Tag.UN], p[Tag.CVC3]
         if compute_cvc3(record.cvc3_key, atc, un) != code:
             return "decline", "bad_dynamic_code"
-        if pol.check_atc_order and (atc <= record.last_atc or atc in record.seen_atcs):
+        if pol.check_atc_order and atc <= self.last_atcs[record.pan]:
             return "decline", "atc_replay"
         terminal_id = p.get(Tag.TERMINAL_ID, "")
         if pol.check_un_reuse and (terminal_id, un) in self.seen_uns:
@@ -164,7 +143,7 @@ class Issuer:
         self._consume(record, atc, terminal_id, un)
         return "approve", "magstripe_ok"
 
-    def _evaluate_emv(self, p: DataElementMap, record: CardRecord,
+    def _evaluate_emv(self, p: DataElementMap, record: CardProfile,
                       clearing: bool) -> tuple[str, str]:
         if malformed := _malformed(p, Tag.ATC, Tag.AMOUNT):
             return malformed
@@ -186,7 +165,7 @@ class Issuer:
             return "decline", "bad_ac"
 
         # 2. counters move strictly forward
-        if pol.check_atc_order and (atc <= record.last_atc or atc in record.seen_atcs):
+        if pol.check_atc_order and atc <= self.last_atcs[record.pan]:
             return "decline", "atc_replay"
 
         # 3. a terminal never reuses its nonce
@@ -241,9 +220,8 @@ class Issuer:
         self._consume(record, atc, terminal_id, p.get(Tag.UN))
         return "approve", "cleared" if clearing else "authorized"
 
-    def _consume(self, record: CardRecord, atc: int, terminal_id: str,
+    def _consume(self, record: CardProfile, atc: int, terminal_id: str,
                  un: Any) -> None:
-        record.last_atc = max(record.last_atc, atc)
-        record.seen_atcs.add(atc)
+        self.last_atcs[record.pan] = max(self.last_atcs[record.pan], atc)
         if un is not None:
             self.seen_uns.add((terminal_id, un))

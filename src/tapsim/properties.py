@@ -165,6 +165,7 @@ def evaluate(trace: TransactionTrace,
         amount = view.get("amount")
 
         # P1 — only terminal-submitted acceptances claim card agreement
+        same: list[Any] = []   # card_tx markers of this (pan, atc) in-session
         if acc.submitted_by == "terminal":
             key = (view.get("pan"), view.get("atc"))
             matches = by_pan_atc.get(key, []) if None not in key else []
@@ -184,14 +185,10 @@ def evaluate(trace: TransactionTrace,
                 p31 = True
 
         # P3.2 — only meaningful where a contactless session exists
+        # (``same`` is empty for an adversary's submission)
         if acc.session in nfc_sessions:
             ok = (not trace.session_saw_relay(acc.session)
-                  and acc.submitted_by == "terminal"
-                  and any(m.session == acc.session
-                          and m.data.get("pan") == view.get("pan")
-                          and m.data.get("atc") == view.get("atc")
-                          and not _mismatches(view, m.data)
-                          for m in card_txs))
+                  and any(not _mismatches(view, m.data) for m in same))
             if not ok:
                 p32 = True
 

@@ -42,7 +42,7 @@ from .elements import (
     Tag,
     TVR,
 )
-from .issuer import PERMISSIVE_2019, CardRecord, Issuer, IssuerPolicy
+from .issuer import PERMISSIVE_2019, Issuer, IssuerPolicy
 from .terminal import Terminal, TerminalConfig
 
 AMOUNT_HIGH = 12000   # well above the CVM limit
@@ -135,7 +135,7 @@ def _cvm_list(entries: list[tuple[str, str]]) -> CVMList:
 
 
 def _build_profile(name: str, fx: dict[str, Any], rng: random.Random,
-                   policy: IssuerPolicy, ca_key, issuer_key) -> CardProfile:
+                   policy: IssuerPolicy, issuer_key, issuer_cert) -> CardProfile:
     """Personalize one card; every key not translated here is a CardProfile field."""
     # key material is drawn unconditionally so profile toggles never shift
     # the rng stream of later cards
@@ -162,8 +162,7 @@ def _build_profile(name: str, fx: dict[str, Any], rng: random.Random,
         signing_key = generate_signing_key(signing_seed)
         profile.signing_key = signing_key
         profile.ca_pk_index = CA_INDEX
-        profile.issuer_cert = issue_certificate(ca_key, "issuer-1",
-                                                public_bytes(issuer_key))
+        profile.issuer_cert = issuer_cert
         profile.card_cert = issue_certificate(issuer_key, profile.pan,
                                               public_bytes(signing_key))
         static = DataElementMap({
@@ -188,6 +187,7 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
     issuer_key = generate_signing_key(rng.randbytes(32))
     ca_store = CAStore()
     ca_store.add(CA_INDEX, public_bytes(ca_key))
+    issuer_cert = issue_certificate(ca_key, "issuer-1", public_bytes(issuer_key))
 
     issuer = Issuer(policy)
     rails = PaymentRails(trace, issuer)
@@ -196,17 +196,9 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
     for name, base in CARD_FIXTURES.items():
         fx = dict(base)
         fx.update((card_overrides or {}).get(name, {}))
-        profile = _build_profile(name, fx, rng, policy, ca_key, issuer_key)
+        profile = _build_profile(name, fx, rng, policy, issuer_key, issuer_cert)
         cards[name] = Card(profile, rng)
-        issuer.register_card(CardRecord(
-            pan=profile.pan, expiry=profile.expiry,
-            master_key=profile.master_key, cvc3_key=profile.cvc3_key,
-            pin=profile.pin, home_currency=profile.home_currency,
-            device_type=profile.device_type, kernel=profile.kernel,
-            foreign_no_cvm=profile.foreign_no_cvm,
-            track2_discretionary=profile.track2.discretionary,
-            service_code=profile.service_code,
-        ))
+        issuer.register_card(profile)
 
     terminals: dict[str, Terminal] = {}
     for name, base in TERMINAL_FIXTURES.items():

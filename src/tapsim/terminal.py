@@ -53,6 +53,9 @@ from .card import N_UN_DIGITS, TRANSIT_MAGIC
 FLOOR_LIMIT = 2500   # at or below this an offline approval is allowed
 CEILING = 100000     # terminals refuse larger amounts outright
 
+# tags hash by identity, so a fixed order keeps requests alike across processes
+_AUTH_TAGS = sorted(MESSAGES["AUTH_REQUEST"], key=lambda tag: tag.code)
+
 
 @dataclass
 class TerminalConfig:
@@ -443,26 +446,16 @@ class Terminal:
     # --- authorization / clearing ---------------------------------------------------
 
     def _auth_payload(self, view: dict[str, Any], kernel: int) -> DataElementMap:
+        """Every request element the view or the configuration holds, each
+        under its tag's lower-case name (the rule the property checker reads
+        requests back by)."""
         cfg = self.config
-        payload = DataElementMap({
-            Tag.AMOUNT: view["amount"],
-            Tag.MCC: cfg.mcc, Tag.MERCHANT_ID: cfg.merchant_id,
-            Tag.TERMINAL_ID: cfg.terminal_id, Tag.KERNEL_ID: kernel,
-            Tag.TX_TYPE: "purchase",
-        })
-        optional = {
-            Tag.PAN: view.get("pan"), Tag.EXPIRY: view.get("expiry"),
-            Tag.UN: view.get("un"), Tag.ATC: view.get("atc"),
-            Tag.AC: view.get("ac"), Tag.CID: view.get("cid"),
-            Tag.IAD: view.get("iad"), Tag.CVM_RESULTS: view.get("cvm_results"),
-            Tag.CTQ: view.get("ctq"), Tag.TTQ: view.get("ttq"),
-            Tag.AIP: view.get("aip"), Tag.AID: view.get("aid"),
-            Tag.ENC_PIN: view.get("enc_pin"), Tag.CVC3: view.get("cvc3"),
-            Tag.TRACK2: view.get("track2"),
-            Tag.N_UN_DIGITS: view.get("n_un_digits"),
-            Tag.UN_CARD: view.get("un_card"),
-        }
-        for tag, value in optional.items():
+        fields = {**view, "mcc": cfg.mcc, "merchant_id": cfg.merchant_id,
+                  "terminal_id": cfg.terminal_id, "kernel_id": kernel,
+                  "tx_type": "purchase"}
+        payload = DataElementMap()
+        for tag in _AUTH_TAGS:
+            value = fields.get(tag.name.lower())
             if value is not None:
                 payload.put(tag, value)
         return payload

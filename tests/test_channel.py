@@ -104,17 +104,22 @@ def test_capability_gate_on_nfc():
 
 
 def test_observer_sees_wire_and_learns():
+    # a hook that returns the message it was given only observes the hop
     trace = TransactionTrace()
     adv = Adversary(("A1",), trace=trace)
 
-    def spy(direction, msg, a):
-        if msg.name == "GET_PROCESSING_OPTIONS" and direction == "to_card":
+    def spy(msg, a):
+        if msg.name == "GET_PROCESSING_OPTIONS":
             a.learn("UN", str(msg.payload[Tag.UN]))
+        return msg
 
-    adv.observe_with(spy)
+    adv.on_to_card(spy)
     chan = NfcChannel(trace, EchoCard(), adversary=adv)
     chan.exchange(gpo(un=42))
     assert adv.knows("UN") == {"42"}
+    hop = next(trace.msgs(name="GET_PROCESSING_OPTIONS"))
+    assert hop.direction == "to_card"
+    assert hop.received is hop.sent and not hop.tampered
     assert len(trace.markers("knowledge")) == 1
     # learning the same fact twice does not duplicate the marker
     chan.exchange(gpo(un=42))
@@ -246,7 +251,7 @@ def _reference_lines(trace):
             out["session"] = ev.session
         if ev.kind == "msg":
             out.update(channel=ev.channel, direction=ev.direction,
-                       relay=ev.relay_active, status=ev.status,
+                       relay=ev.relay_active, status="ok",
                        sent=ev.sent.render() if ev.sent else None,
                        received=ev.received.render() if ev.received else None)
         if ev.data:
@@ -260,7 +265,7 @@ def _hand_built_trace():
     trace.log_msg("nfc", 1, "to_card", sent=sent, received=sent.with_payload(UN=0))
     record = Message("READ_RECORD", DataElementMap({Tag.CARDHOLDER_NAME: "Zoë Ørsted"}))
     trace.log_msg("nfc", None, "from_card", sent=record, received=record,
-                  relay_active=True, status="lost")
+                  relay_active=True)
     trace.mark("auth", session=1, submitted_by="adversary", decision="decline",
                reason=None, request=Message("AUTH_REQUEST", DataElementMap({Tag.UN: 3})))
     return trace

@@ -158,7 +158,7 @@ def sdad_elements(method: str) -> DataElementMap:
     return el
 
 
-@pytest.mark.parametrize("method", ["dda", "cda", "fdda"])
+@pytest.mark.parametrize("method", ["cda", "fdda"])
 def test_sdad_roundtrip(method):
     priv = generate_signing_key(RNG.randbytes(32))
     el = sdad_elements(method)
@@ -167,7 +167,7 @@ def test_sdad_roundtrip(method):
     assert verify_sdad(public_bytes(priv), method, el, sdad)
 
 
-@pytest.mark.parametrize("method", ["dda", "cda", "fdda"])
+@pytest.mark.parametrize("method", ["cda", "fdda"])
 def test_sdad_mutation_of_every_covered_field_detected(method):
     priv = generate_signing_key(b"s" * 32)
     el = sdad_elements(method)
@@ -194,17 +194,16 @@ def test_sdad_method_header_mismatch():
     el = sdad_elements("cda")
     sdad_cda = sign_sdad(priv, "cda", el)
     assert not verify_sdad(public_bytes(priv), "fdda", el, sdad_cda)
-    assert not verify_sdad(public_bytes(priv), "dda", el, sdad_cda)
 
 
 def test_sdad_wrong_key_and_truncation():
     priv = generate_signing_key(b"a" * 32)
     other = generate_signing_key(b"b" * 32)
-    el = sdad_elements("dda")
-    sdad = sign_sdad(priv, "dda", el)
-    assert not verify_sdad(public_bytes(other), "dda", el, sdad)
-    assert not verify_sdad(public_bytes(priv), "dda", el, sdad[:-1])
-    assert not verify_sdad(public_bytes(priv), "dda", el, b"")
+    el = sdad_elements("cda")
+    sdad = sign_sdad(priv, "cda", el)
+    assert not verify_sdad(public_bytes(other), "cda", el, sdad)
+    assert not verify_sdad(public_bytes(priv), "cda", el, sdad[:-1])
+    assert not verify_sdad(public_bytes(priv), "cda", el, b"")
 
 
 # --- static records / chain --------------------------------------------------------

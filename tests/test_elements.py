@@ -274,6 +274,23 @@ def test_type_confusion_rejected():
         encode_value(Tag.ATC, 1 << 16)
 
 
+@pytest.mark.parametrize("name", sorted(SAMPLE_VALUES))
+def test_every_tag_refuses_the_values_of_other_kinds(name):
+    tag = Tag.by_name(name)
+    integer = tag.kind.startswith("uint")
+    samples: dict[str, object] = {}   # one value per kind
+    for other in sorted(SAMPLE_VALUES):
+        samples.setdefault(Tag.by_name(other).kind, SAMPLE_VALUES[other])
+    # every uint kind takes an int, and a CID is one
+    foreign = [value for kind, value in samples.items() if kind != tag.kind
+               and not (integer and (kind.startswith("uint") or kind == "cid"))]
+    if integer:
+        foreign.append(True)
+    for value in foreign:
+        with pytest.raises(CodecError):
+            encode_value(tag, value)
+
+
 # --- map canonical encoding -------------------------------------------------
 
 def test_empty_map_encoding():

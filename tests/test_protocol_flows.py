@@ -4,6 +4,7 @@ import pytest
 
 from tapsim.card import TRANSIT_MAGIC
 from tapsim.channel import Adversary, Message, NfcChannel
+from tapsim.crypto import compute_cvc3
 from tapsim.elements import (
     AID_MASTERCARD,
     AID_VISA,
@@ -336,6 +337,23 @@ def test_hardened_issuer_catches_resubmitted_authorization():
     again = env.issuer.handle_auth(captured[0])
     assert again.payload[Tag.DECISION] == "decline"
     assert again.payload[Tag.REASON] == "atc_replay"
+
+
+def test_issuer_atc_order_admits_only_higher_counters():
+    env = build_env(policy=PERMISSIVE_2019.with_fixes(check_atc_order=True))
+    profile = env.cards["magstripe_only"].profile
+
+    def submit(atc, un):
+        return env.issuer.handle_auth(Message("AUTH_REQUEST", DataElementMap({
+            Tag.PAN: profile.pan, Tag.AMOUNT: Amount(AMOUNT_LOW, "EUR"),
+            Tag.ATC: atc, Tag.UN: un, Tag.CVC3: compute_cvc3(profile.cvc3_key, atc, un),
+        }))).payload[Tag.REASON]
+
+    assert submit(5, 1) == "magstripe_ok"
+    assert submit(5, 2) == "atc_replay"
+    assert submit(4, 3) == "atc_replay"
+    assert submit(6, 4) == "magstripe_ok"
+    assert submit(6, 5) == "atc_replay"
 
 
 @pytest.mark.parametrize("card, missing", [
