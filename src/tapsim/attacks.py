@@ -15,7 +15,6 @@ A staging that is a single purchase is a ``Tap`` record rather than code.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -71,7 +70,7 @@ FIXTURE_FLAWS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "wallet_cdcvm_always": (("wallet_cdcvm_always",), ()),
     "tac_denial_cda_failed": ((), ("tac_denial_cda_failed",)),
     "lenient_cashier": ((), ("lenient_cashier",)),
-    # fixing the fDDA gap takes both sides: the card gets signing material
+    # fixing an ODA gap takes both sides: the card gets signing material
     # and the terminal starts demanding the signature
     "fdda": (("fdda",), ("require_oda_kernel3",)),
     "cda": (("cda",), ("request_cda",)),
@@ -100,8 +99,8 @@ def _world_for(spec: "AttackSpec", flaws: dict[str, bool]):
         card_keys, terminal_keys = FIXTURE_FLAWS[name]
         card_over.update(dict.fromkeys(card_keys, value))
         term_over.update(dict.fromkeys(terminal_keys, value))
-        if name == "fdda" and value:
-            card_over["oda"] = True  # signing material to go with fDDA
+        if name in ("fdda", "cda") and value:
+            card_over["oda"] = True  # signing material to go with fDDA/CDA
     return (PERMISSIVE_2019.with_fixes(**policy_changes),
             {spec.card: card_over}, {spec.terminal: term_over})
 
@@ -306,13 +305,6 @@ def harvest_cvc3_table(channel: NfcChannel, aid: bytes,
             raise ValueError("card does not answer dynamic-code queries")
         table[un] = (resp.payload[Tag.ATC], resp.payload[Tag.CVC3])
     return r1, N_UN_DIGITS, table
-
-
-def simulate_partial_clone(table_size: int, retries: int,
-                           rng: random.Random) -> bool:
-    """Chance model for a partial pre-play table: each presentment draws a
-    fresh terminal UN; the clone wins as soon as one lands in its table."""
-    return any(rng.randrange(10 ** N_UN_DIGITS) < table_size for _ in range(retries))
 
 
 # --- the translator device ------------------------------------------------------------

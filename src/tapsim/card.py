@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .channel import Message, TransactionTrace
@@ -24,8 +25,12 @@ from .crypto import (
     ac_coverage_kernel3,
     compute_ac,
     compute_cvc3,
+    generate_signing_key,
+    issue_certificate,
     kdf,
+    public_bytes,
     sign_sdad,
+    sign_static_records,
 )
 from .elements import (
     AFL,
@@ -134,6 +139,31 @@ WALLET_KINDS = {
 
 
 @dataclass
+class OdaMaterial:
+    """One card's ODA personalization: seed and signed records are fixed at
+    build time, the (deterministic) Ed25519 work waits for the card's first
+    READ RECORD of record 3 or SDAD."""
+
+    signing_seed: bytes
+    issuer_key: Any  # the personalizing issuer's Ed25519PrivateKey
+    issuer_cert: Certificate
+    pan: str
+    static_records: DataElementMap
+
+    @cached_property
+    def signing_key(self) -> Any:
+        return generate_signing_key(self.signing_seed)
+
+    @cached_property
+    def card_cert(self) -> Certificate:
+        return issue_certificate(self.issuer_key, self.pan, public_bytes(self.signing_key))
+
+    @cached_property
+    def static_signature(self) -> bytes:
+        return sign_static_records(self.issuer_key, self.static_records)
+
+
+@dataclass
 class CardProfile:
     """Personalization data plus the configuration toggles under study."""
 
@@ -149,7 +179,6 @@ class CardProfile:
 
     master_key: bytes = b""
     cvc3_key: bytes = b""
-    signing_key: Any = None  # Ed25519PrivateKey when ODA is personalized
 
     cda: bool = False
     fdda: bool = False
@@ -164,9 +193,7 @@ class CardProfile:
 
     iac: ActionCodes = field(default_factory=ActionCodes)
     ca_pk_index: int | None = None
-    issuer_cert: Certificate | None = None
-    card_cert: Certificate | None = None
-    static_signature: bytes | None = None
+    oda: OdaMaterial | None = None
 
     service_code: str = "201"
     include_ttq_in_ac: bool = False  # mirrors the issuer's TTQ-binding policy
@@ -331,8 +358,8 @@ class Card:
             Tag.CID: CID.TC if amount.value == 0 else CID.ARQC,
             Tag.AC: ac, Tag.IAD: iad, Tag.CTQ: ctq, Tag.UN_CARD: un_card,
         })
-        if p.fdda and p.signing_key is not None and ttq.oda_for_online_supported:
-            sdad = sign_sdad(p.signing_key, "fdda", DataElementMap({
+        if p.fdda and p.oda is not None and ttq.oda_for_online_supported:
+            sdad = sign_sdad(p.oda.signing_key, "fdda", DataElementMap({
                 Tag.UN_CARD: un_card, Tag.UN: un, Tag.ATC: self.atc,
                 Tag.CTQ: ctq, Tag.AIP: p.aip,
             }))
@@ -346,40 +373,39 @@ class Card:
                       cid=payload[Tag.CID])
         return Message("GET_PROCESSING_OPTIONS", payload)
 
-    def _records(self) -> dict[int, DataElementMap]:
+    def _record(self, number: int) -> DataElementMap | None:
+        """A fresh map of record ``number``; None when the card has no such record."""
         p = self.profile
-        r1 = DataElementMap({
-            Tag.PAN: p.pan, Tag.EXPIRY: p.expiry,
-            Tag.CARDHOLDER_NAME: p.cardholder_name,
-            Tag.TRACK2: p.track2, Tag.SERVICE_CODE: p.service_code,
-        })
-        if not p.emv_mode:
-            r1.put(Tag.TRACK1, p.track1)
-            return {1: r1}
-        r2 = DataElementMap({
-            Tag.CVM_LIST: p.cvm_list,
-            Tag.IAC: p.iac,
-        })
-        if p.kernel == 2:
-            r2.put(Tag.CDOL1, KERNEL2_CDOL1)
-        else:
-            r2.put(Tag.CTQ, self._current_ctq)
-        out = {1: r1, 2: r2}
-        if p.ca_pk_index is not None:
-            r2.put(Tag.CA_PK_INDEX, p.ca_pk_index)
-            out[3] = DataElementMap({
-                Tag.ISSUER_CERT: p.issuer_cert.to_bytes(),
-                Tag.CARD_CERT: p.card_cert.to_bytes(),
-                Tag.STATIC_SIGNATURE: p.static_signature,
+        if number == 1:
+            r1 = DataElementMap({
+                Tag.PAN: p.pan, Tag.EXPIRY: p.expiry,
+                Tag.CARDHOLDER_NAME: p.cardholder_name,
+                Tag.TRACK2: p.track2, Tag.SERVICE_CODE: p.service_code,
             })
-        return out
+            return r1 if p.emv_mode else r1.put(Tag.TRACK1, p.track1)
+        if number == 2 and p.emv_mode:
+            r2 = DataElementMap({Tag.CVM_LIST: p.cvm_list, Tag.IAC: p.iac})
+            if p.kernel == 2:
+                r2.put(Tag.CDOL1, KERNEL2_CDOL1)
+            else:
+                r2.put(Tag.CTQ, self._current_ctq)
+            if p.ca_pk_index is not None:
+                r2.put(Tag.CA_PK_INDEX, p.ca_pk_index)
+            return r2
+        if number == 3 and p.emv_mode and p.ca_pk_index is not None:
+            return DataElementMap({
+                Tag.ISSUER_CERT: p.oda.issuer_cert.to_bytes(),
+                Tag.CARD_CERT: p.oda.card_cert.to_bytes(),
+                Tag.STATIC_SIGNATURE: p.oda.static_signature,
+            })
+        return None
 
     def _on_read_record(self, msg: Message) -> Message:
         number = msg.payload.get(Tag.RECORD_NUMBER, 0)
-        record = self._records().get(number)
+        record = self._record(number)
         if record is None:
             return Message("READ_RECORD")
-        return Message("READ_RECORD", record.copy().put(Tag.RECORD_NUMBER, number))
+        return Message("READ_RECORD", record.put(Tag.RECORD_NUMBER, number))
 
     def _on_generate_ac(self, msg: Message) -> Message:
         p = self.profile
@@ -412,9 +438,9 @@ class Card:
             Tag.ATC: self.atc, Tag.CID: requested, Tag.AC: ac, Tag.IAD: iad,
         })
         un_card = None
-        if want_cda and p.cda and p.signing_key is not None:
+        if want_cda and p.cda and p.oda is not None:
             un_card = self.rng.randrange(1 << 32)
-            sdad = sign_sdad(p.signing_key, "cda", DataElementMap({
+            sdad = sign_sdad(p.oda.signing_key, "cda", DataElementMap({
                 Tag.UN_CARD: un_card, Tag.UN: un, Tag.AC: ac,
                 Tag.ATC: self.atc, Tag.IAD: iad,
             }))

@@ -2,8 +2,9 @@
 
 ``build_env`` turns the fixture roster plus a seed into a fully keyed world:
 one CA, one issuer, nine cards/phones and six terminals, all sharing a trace.
-Key material is drawn from a single seeded RNG in a fixed order, so the same
-(seed, configuration) always produces byte-identical traces and reports.
+Every key seed is drawn from a single seeded RNG in a fixed order, so the same
+(seed, configuration) always produces byte-identical traces and reports; a
+card's ODA keying waits for the card's first use (``card.OdaMaterial``).
 
 The genuine matrix at the bottom pairs every card with the terminals it
 would plausibly meet, under both the permissive and hardened issuer
@@ -19,15 +20,9 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from .card import Card, CardProfile, WALLET_KINDS
+from .card import Card, CardProfile, OdaMaterial, WALLET_KINDS
 from .channel import NfcChannel, PaymentRails, TransactionTrace
-from .crypto import (
-    CAStore,
-    generate_signing_key,
-    issue_certificate,
-    public_bytes,
-    sign_static_records,
-)
+from .crypto import CAStore, generate_signing_key, issue_certificate, public_bytes
 from .elements import (
     AID_MAESTRO,
     AID_MASTERCARD,
@@ -159,18 +154,15 @@ def _build_profile(name: str, fx: dict[str, Any], rng: random.Random,
     )
 
     if oda:
-        signing_key = generate_signing_key(signing_seed)
-        profile.signing_key = signing_key
         profile.ca_pk_index = CA_INDEX
-        profile.issuer_cert = issuer_cert
-        profile.card_cert = issue_certificate(issuer_key, profile.pan,
-                                              public_bytes(signing_key))
+        # fixed now: a later profile edit meets a signature over these values
         static = DataElementMap({
             Tag.PAN: profile.pan, Tag.EXPIRY: profile.expiry,
             Tag.AIP: profile.aip, Tag.CVM_LIST: profile.cvm_list,
             Tag.IAC: profile.iac, Tag.CA_PK_INDEX: CA_INDEX,
         })
-        profile.static_signature = sign_static_records(issuer_key, static)
+        profile.oda = OdaMaterial(signing_seed, issuer_key, issuer_cert,
+                                  profile.pan, static)
     return profile
 
 

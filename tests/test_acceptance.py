@@ -14,10 +14,9 @@ from tapsim.attacks import (
     harvest_cvc3_table,
     pin_exhaust,
     run_attack,
-    simulate_partial_clone,
     simulate_pin_search,
 )
-from tapsim.card import PIN_TRY_LIMIT
+from tapsim.card import N_UN_DIGITS, PIN_TRY_LIMIT
 from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.crypto import (
     AC_COVERAGE_KERNEL2,
@@ -49,6 +48,13 @@ from tapsim.runner import (
 def _line(number: int, ok: bool, text: str) -> bool:
     print(f"\n[criterion {number}] {'PASS' if ok else 'FAIL'}: {text}")
     return ok
+
+
+def simulate_partial_clone(table_size: int, retries: int,
+                           rng: random.Random) -> bool:
+    """Chance model for a partial pre-play table: each presentment draws a
+    fresh terminal UN; the clone wins as soon as one lands in its table."""
+    return any(rng.randrange(10 ** N_UN_DIGITS) < table_size for _ in range(retries))
 
 
 # --- 1: honest world is quiet -----------------------------------------------------------

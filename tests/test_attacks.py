@@ -11,13 +11,13 @@ from tapsim.attacks import (
     pin_guess_campaign,
     render_report_md,
     run_attack,
-    simulate_partial_clone,
     simulate_pin_search,
 )
 from tapsim.card import Cvc3MagstripeClone
 from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.elements import AID_MASTERCARD, Amount, DataElementMap, Tag
 from tapsim.runner import AMOUNT_LOW, build_env
+from test_acceptance import simulate_partial_clone
 
 ALL_FIXED = {name: "on" if name.startswith(("check", "fdda", "cda")) else "off"
              for name in KNOWN_FLAWS}
@@ -54,15 +54,21 @@ def test_single_fix_kills_the_attack(attack_id, flaw):
         f"{attack_id} still works with {flaw} fixed: {result.detail}")
 
 
-@pytest.mark.parametrize("attack_id", [
-    "magstripe_cloning", "maestro_downgrade", "eavesdrop_card_data",
-    "emv_to_magstripe",
+INHERENT = ("magstripe_cloning", "maestro_downgrade", "eavesdrop_card_data",
+            "emv_to_magstripe")
+
+
+@pytest.mark.parametrize("attack_id,fixes", [
+    pytest.param(a, ALL_FIXED, id=a) for a in INHERENT
+] + [
+    pytest.param(a, {flaw: value}, id=f"{a}-{flaw}")
+    for a in INHERENT for flaw, value in sorted(ALL_FIXED.items())
 ])
-def test_inherent_attacks_survive_every_fix(attack_id):
+def test_inherent_attacks_survive_every_fix(attack_id, fixes):
     # these four need no flaw at all: they work against the fully
-    # hardened configuration
+    # hardened configuration and against each single fix of it
     assert CATALOG[attack_id].required_flaws == {}
-    result = run_attack(attack_id, seed=0, flaw_overrides=ALL_FIXED)
+    result = run_attack(attack_id, seed=0, flaw_overrides=fixes)
     assert result.success, result.detail
 
 
