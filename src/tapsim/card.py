@@ -200,10 +200,6 @@ class CardProfile:
     wallet: Wallet | None = None
 
     @property
-    def brand(self) -> str:
-        return brand_of(self.pan)
-
-    @property
     def aip(self) -> AIP:
         return AIP(
             dda_supported=self.fdda,
@@ -311,6 +307,7 @@ class Card:
     def _kernel3_transact(self, msg: Message) -> Message:
         """Kernel-3 cards do the whole cryptographic transaction at GPO."""
         p = self.profile
+        aip = p.aip
         ttq: TTQ = msg.payload[Tag.TTQ]
         amount: Amount = msg.payload[Tag.AMOUNT]
         un: int = msg.payload[Tag.UN]
@@ -323,7 +320,7 @@ class Card:
         if blocked or (decision is not None and not decision.accept):
             self.atc += 1
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                Tag.AIP: p.aip, Tag.AFL: self._afl(),
+                Tag.AIP: aip, Tag.AFL: self._afl(),
                 Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: CTQ(),
             }))
 
@@ -347,28 +344,28 @@ class Card:
         un_card = self.rng.randrange(1 << 32)
 
         elements = DataElementMap({
-            Tag.AMOUNT: amount, Tag.UN: un, Tag.AIP: p.aip,
+            Tag.AMOUNT: amount, Tag.UN: un, Tag.AIP: aip,
             Tag.ATC: self.atc, Tag.IAD: iad, Tag.TTQ: ttq,
         })
         ac = compute_ac(kdf(p.master_key, self.atc), elements,
                         ac_coverage_kernel3(p.include_ttq_in_ac))
 
         payload = DataElementMap({
-            Tag.AIP: p.aip, Tag.AFL: self._afl(), Tag.ATC: self.atc,
+            Tag.AIP: aip, Tag.AFL: self._afl(), Tag.ATC: self.atc,
             Tag.CID: CID.TC if amount.value == 0 else CID.ARQC,
             Tag.AC: ac, Tag.IAD: iad, Tag.CTQ: ctq, Tag.UN_CARD: un_card,
         })
         if p.fdda and p.oda is not None and ttq.oda_for_online_supported:
             sdad = sign_sdad(p.oda.signing_key, "fdda", DataElementMap({
                 Tag.UN_CARD: un_card, Tag.UN: un, Tag.ATC: self.atc,
-                Tag.CTQ: ctq, Tag.AIP: p.aip,
+                Tag.CTQ: ctq, Tag.AIP: aip,
             }))
             payload.put(Tag.SDAD, sdad)
 
         if genuine_cvm and self._trace is not None:
             self._trace.mark("cvm", session=self._session, genuine=True,
                              method="CDCVM", by="cardholder")
-        self._mark_tx(mode="emv", kernel=3, amount=amount, un=un, ttq=ttq,
+        self._mark_tx(aip, mode="emv", kernel=3, amount=amount, un=un, ttq=ttq,
                       ctq=ctq, iad=iad, ac=ac, un_card=un_card,
                       cid=payload[Tag.CID])
         return Message("GET_PROCESSING_OPTIONS", payload)
@@ -427,10 +424,11 @@ class Card:
             }))
 
         self.atc += 1
+        aip = p.aip
         iad = IAD(cdcvm_performed=False, device_type=p.device_type)
         elements = DataElementMap({
             Tag.AMOUNT: amount, Tag.UN: un, Tag.CVM_RESULTS: cvm_results,
-            Tag.AIP: p.aip, Tag.ATC: self.atc, Tag.IAD: iad,
+            Tag.AIP: aip, Tag.ATC: self.atc, Tag.IAD: iad,
         })
         ac = compute_ac(kdf(p.master_key, self.atc), elements, AC_COVERAGE_KERNEL2)
 
@@ -446,7 +444,7 @@ class Card:
             }))
             payload.put(Tag.UN_CARD, un_card).put(Tag.SDAD, sdad)
 
-        self._mark_tx(mode="emv", kernel=2, amount=amount, un=un,
+        self._mark_tx(aip, mode="emv", kernel=2, amount=amount, un=un,
                       cvm_results=cvm_results, iad=iad, ac=ac,
                       un_card=un_card, cid=requested)
         return Message("GENERATE_AC", payload)
@@ -458,7 +456,7 @@ class Card:
         un: int = msg.payload[Tag.UN]
         self.atc += 1
         code = compute_cvc3(p.cvc3_key, self.atc, un)
-        self._mark_tx(mode="ms", kernel=p.kernel, un=un, cvc3=code)
+        self._mark_tx(p.aip, mode="ms", kernel=p.kernel, un=un, cvc3=code)
         return Message("GENERATE_AC", DataElementMap({
             Tag.ATC: self.atc, Tag.CVC3: code,
         }))
@@ -490,18 +488,14 @@ class Card:
 
     # --- bookkeeping -------------------------------------------------------
 
-    def _mark_tx(self, **data: Any) -> None:
+    def _mark_tx(self, aip: AIP, **data: Any) -> None:
         if self._trace is None:
             return
         p = self.profile
-        base: dict[str, Any] = {
-            "pan": p.pan, "aid": p.aid, "atc": self.atc, "aip": p.aip,
-            "cvm_list": p.cvm_list, "iac_denial": p.iac.denial,
-            "ca_pk_index": p.ca_pk_index, "brand": p.brand,
-            "device_type": p.device_type,
-        }
-        base.update(data)
-        self._trace.mark("card_tx", session=self._session, **base)
+        self._trace.mark("card_tx", self._session, pan=p.pan, aid=p.aid, atc=self.atc,
+                         aip=aip, cvm_list=p.cvm_list, iac_denial=p.iac.denial,
+                         ca_pk_index=p.ca_pk_index, brand=brand_of(p.pan),
+                         device_type=p.device_type, **data)
 
 
 # ---------------------------------------------------------------------------

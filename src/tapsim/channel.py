@@ -99,7 +99,7 @@ class Message:
         return Message(self.name, p)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     idx: int
     kind: str                      # "msg" or a marker kind
@@ -134,16 +134,15 @@ class TransactionTrace:
 
     def log_msg(self, channel: str, session: int, direction: str, sent: Message,
                 received: Message, relay_active: bool = False) -> TraceEvent:
-        ev = TraceEvent(idx=len(self.events), kind="msg", session=session,
-                        channel=channel, direction=direction,
-                        relay_active=relay_active, sent=sent, received=received)
+        ev = TraceEvent(len(self.events), "msg", session, channel, direction,
+                        relay_active, sent, received)
         self.events.append(ev)
         return ev
 
     def mark(self, kind: str, session: int | None = None, **data: Any) -> TraceEvent:
         if kind not in MARKER_KINDS:
             raise ChannelError(f"unknown marker kind {kind!r}")
-        ev = TraceEvent(idx=len(self.events), kind=kind, session=session, data=data)
+        ev = TraceEvent(len(self.events), kind, session, data=data)
         self.events.append(ev)
         return ev
 
@@ -163,9 +162,6 @@ class TransactionTrace:
     def markers(self, kind: str, session: int | None = None) -> list[TraceEvent]:
         return [ev for ev in self.events
                 if ev.kind == kind and (session is None or ev.session == session)]
-
-    def session_saw_relay(self, session: int) -> bool:
-        return any(ev.relay_active for ev in self.msgs(session=session))
 
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted. A ``msg`` line splices its

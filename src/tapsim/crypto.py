@@ -12,7 +12,6 @@ or MAC does and does not cover is exactly what the attack catalogue probes.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 
@@ -69,9 +68,10 @@ STATIC_SIGNED_TAGS = frozenset(
 def _project(elements: DataElementMap, coverage: frozenset[TagInfo]) -> DataElementMap:
     out = DataElementMap()
     for tag in coverage:
-        if tag not in elements:
+        value = elements.get(tag)
+        if value is None:  # a map never holds None: put refuses it
             raise CryptoError(f"coverage element {tag.name} missing")
-        out.put(tag, elements.get(tag))
+        out.put(tag, value)
     return out
 
 
@@ -79,14 +79,14 @@ def _project(elements: DataElementMap, coverage: frozenset[TagInfo]) -> DataElem
 
 def kdf(master_key: bytes, atc: int) -> bytes:
     """Per-transaction session key from the card master key and the ATC."""
-    return hmac.new(master_key, b"sess" + atc.to_bytes(2, "big"), hashlib.sha256).digest()
+    return hmac.digest(master_key, b"sess" + atc.to_bytes(2, "big"), "sha256")
 
 
 def compute_ac(session_key: bytes, elements: DataElementMap,
                coverage: frozenset[TagInfo]) -> bytes:
     """MAC over the canonical encoding of exactly the covered elements."""
     msg = _project(elements, coverage).encode()
-    return hmac.new(session_key, b"ac" + msg, hashlib.sha256).digest()
+    return hmac.digest(session_key, b"ac" + msg, "sha256")
 
 
 def verify_ac(session_key: bytes, elements: DataElementMap,
@@ -263,4 +263,4 @@ def decrypt_pin(shared_key: bytes, blob: bytes) -> str | None:
 def compute_cvc3(cvc3_key: bytes, atc: int, un: int) -> bytes:
     """Dynamic card verification code: 3-byte truncated MAC over (ATC, UN)."""
     msg = b"cvc3" + atc.to_bytes(2, "big") + un.to_bytes(4, "big")
-    return hmac.new(cvc3_key, msg, hashlib.sha256).digest()[:3]
+    return hmac.digest(cvc3_key, msg, "sha256")[:3]

@@ -18,6 +18,7 @@ import enum
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from operator import attrgetter
 from typing import Any, Callable, Iterator
 
 
@@ -71,13 +72,13 @@ for _entry in _CODEC["tags"]:
 
 
 class _TagNamespace:
-    """Attribute access to the registry: ``Tag.AMOUNT`` etc."""
+    """Attribute access to the registry: ``Tag.AMOUNT`` is a plain attribute."""
 
-    def __getattr__(self, name: str) -> TagInfo:
-        try:
-            return TAGS_BY_NAME[name]
-        except KeyError:
-            raise AttributeError(f"unknown tag name {name!r}") from None
+    def __init__(self) -> None:
+        vars(self).update(TAGS_BY_NAME)
+
+    def __getattr__(self, name: str) -> TagInfo:  # reached only for unknown names
+        raise AttributeError(f"unknown tag name {name!r}")
 
     def by_name(self, name: str) -> TagInfo:
         try:
@@ -542,10 +543,10 @@ class DataElementMap:
     def encode(self) -> bytes:
         """Canonical encoding: u16 count, entries ascending by tag code,
         each as (u16 code, u32 length, value bytes)."""
-        entries = sorted(self._items.items(), key=lambda kv: kv[0].code)
-        out = [len(entries).to_bytes(2, "big")]
-        for tag, value in entries:
-            raw = encode_value(tag, value)
+        items = self._items
+        out = [len(items).to_bytes(2, "big")]
+        for tag in sorted(items, key=attrgetter("code")):
+            raw = encode_value(tag, items[tag])
             out.append(tag.code.to_bytes(2, "big"))
             out.append(len(raw).to_bytes(4, "big"))
             out.append(raw)

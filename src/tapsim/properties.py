@@ -30,10 +30,11 @@ expectations directly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .channel import Tag, TransactionTrace
+from .channel import Tag, TraceEvent, TransactionTrace
 from .elements import CVM_LIMIT
 
 BASE_PROPERTIES = ("P1", "P2", "P3.1", "P3.2", "P5", "P6")
@@ -98,16 +99,16 @@ def _view_from_payload(payload) -> dict[str, Any]:
     return {tag.name.lower(): payload.get(tag) for tag in payload}
 
 
-def _acceptances(trace: TransactionTrace) -> list[_Acceptance]:
+def _acceptances(markers: Mapping[str, list[TraceEvent]]) -> list[_Acceptance]:
     out = []
-    for ev in trace.markers("decision"):
+    for ev in markers["decision"]:
         if str(ev.data.get("outcome", "")).startswith("approve"):
             out.append(_Acceptance(kind="decision", session=ev.session,
                                    mode=ev.data.get("mode", "emv"),
                                    submitted_by="terminal",
                                    view=dict(ev.data)))
     for kind in ("auth", "clearing"):
-        for ev in trace.markers(kind):
+        for ev in markers[kind]:
             if ev.data.get("decision") != "approve":
                 continue
             view = _view_from_payload(ev.data["request"].payload)
@@ -141,19 +142,30 @@ def _mismatches(view: dict[str, Any], card_view: dict[str, Any]) -> list[str]:
     return labels
 
 
-def _nfc_sessions(trace: TransactionTrace) -> set[int]:
-    return {ev.session for ev in trace.msgs(channel="nfc")
-            if ev.session is not None}
+def _scan(trace: TransactionTrace) -> tuple[dict[str, list[TraceEvent]], set[int], set[Any]]:
+    """One pass over the trace: markers by kind, the sessions that carried
+    an NFC message, and the sessions that carried a relayed message."""
+    markers: dict[str, list[TraceEvent]] = defaultdict(list)
+    nfc_sessions, relayed = set(), set()
+    for ev in trace.events:
+        if ev.kind != "msg":
+            markers[ev.kind].append(ev)
+            continue
+        if ev.relay_active:
+            relayed.add(ev.session)
+        if ev.channel == "nfc" and ev.session is not None:
+            nfc_sessions.add(ev.session)
+    return markers, nfc_sessions, relayed
 
 
 def evaluate(trace: TransactionTrace,
              secret_scope: Iterable[str] = ()) -> PropertyReport:
-    acceptances = _acceptances(trace)
-    card_txs = trace.markers("card_tx")
+    markers, nfc_sessions, relayed = _scan(trace)
+    acceptances = _acceptances(markers)
     by_pan_atc: dict[tuple[Any, Any], list[Any]] = {}
-    for m in card_txs:
+    for m in markers["card_tx"]:
         by_pan_atc.setdefault((m.data.get("pan"), m.data.get("atc")), []).append(m)
-    nfc_sessions = _nfc_sessions(trace)
+    genuine_cvm = {ev.session for ev in markers["cvm"] if ev.data.get("genuine")}
 
     p1: set[str] = set()
     p2 = False
@@ -178,16 +190,14 @@ def evaluate(trace: TransactionTrace,
                 p1.add("replay")
 
         # P3.1 — high value needs a genuinely performed CVM in-session
-        if amount is not None and amount.value > CVM_LIMIT:
-            genuine = any(ev.data.get("genuine")
-                          for ev in trace.markers("cvm", session=acc.session))
-            if not genuine:
-                p31 = True
+        if amount is not None and amount.value > CVM_LIMIT \
+                and acc.session not in genuine_cvm:
+            p31 = True
 
         # P3.2 — only meaningful where a contactless session exists
         # (``same`` is empty for an adversary's submission)
         if acc.session in nfc_sessions:
-            ok = (not trace.session_saw_relay(acc.session)
+            ok = (acc.session not in relayed
                   and any(not _mismatches(view, m.data) for m in same))
             if not ok:
                 p32 = True
@@ -196,7 +206,7 @@ def evaluate(trace: TransactionTrace,
     offline = {(a.view.get("pan"), a.view.get("atc"))
                for a in acceptances
                if a.kind == "decision" and a.view.get("outcome") == "approve_offline"}
-    for ev in trace.markers("clearing"):
+    for ev in markers["clearing"]:
         if ev.data.get("decision") != "decline":
             continue
         payload = ev.data["request"].payload
@@ -205,12 +215,11 @@ def evaluate(trace: TransactionTrace,
 
     # P5 — learned categories against the secrets in scope
     scope = CORE_SECRETS | set(secret_scope)
-    learned = {ev.data.get("category") for ev in trace.markers("knowledge")}
+    learned = {ev.data.get("category") for ev in markers["knowledge"]}
     leaked = sorted(learned & scope)
 
     # P6 — genuine probes that no longer work
-    probes = trace.markers("genuine_probe")
-    p6 = any(not ev.data.get("ok") for ev in probes)
+    p6 = any(not ev.data.get("ok") for ev in markers["genuine_probe"])
 
     violations: dict[str, tuple[str, ...]] = {}
     if p1:

@@ -136,7 +136,7 @@ def test_relay_shares_one_session():
     near.exchange(gpo())
     sessions = {ev.session for ev in trace.msgs(channel="nfc")}
     assert sessions == {session}
-    assert trace.session_saw_relay(session)
+    assert any(ev.relay_active for ev in trace.msgs(session=session))
     assert len(list(trace.msgs(channel="nfc"))) == 4  # near + far legs
 
 
@@ -155,7 +155,7 @@ def test_recorder_and_replayer():
     chan2.exchange(Message("READ_RECORD", DataElementMap({Tag.RECORD_NUMBER: 1})))
     with pytest.raises(ChannelError):
         chan2.exchange(gpo())  # transcript exhausted
-    assert not trace2.session_saw_relay(chan2.session)
+    assert not any(ev.relay_active for ev in trace2.msgs(session=chan2.session))
 
 
 # --- rails ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -78,6 +80,31 @@ def test_kdf_varies_with_atc_and_key():
     assert kdf(mk, 1) != kdf(mk, 2)
     assert kdf(mk, 1) != kdf(b"n" * 32, 1)
     assert len(kdf(mk, 1)) == 32
+
+
+def _reference_mac(key: bytes, msg: bytes) -> bytes:
+    """The HMAC-object construction the one-shot calls must match."""
+    return hmac.new(key, msg, hashlib.sha256).digest()
+
+
+# sampled keys, with the ATC and UN range ends
+_MAC_KEYS = [bytes(32), b"\xff" * 32, RNG.randbytes(32), RNG.randbytes(32)]
+_ATCS = [0, 1, 0x1234, 0xFFFF]
+_UNS = [0, 1, 0x89ABCDEF, 2**32 - 1]
+
+
+def test_mac_functions_match_the_hmac_object_reference():
+    for key in _MAC_KEYS:
+        for atc in _ATCS:
+            assert kdf(key, atc) == _reference_mac(key, b"sess" + atc.to_bytes(2, "big"))
+            for un in _UNS:
+                msg = b"cvc3" + atc.to_bytes(2, "big") + un.to_bytes(4, "big")
+                assert compute_cvc3(key, atc, un) == _reference_mac(key, msg)[:3]
+        for elements, coverage in ((k2_elements(), AC_COVERAGE_KERNEL2),
+                                   (k3_elements(), ac_coverage_kernel3(True))):
+            covered = DataElementMap({tag: elements[tag] for tag in coverage})
+            assert compute_ac(key, elements, coverage) == \
+                _reference_mac(key, b"ac" + covered.encode())
 
 
 def test_ac_roundtrip_and_tamper():

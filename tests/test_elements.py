@@ -60,8 +60,19 @@ def test_registry_is_a_bijection():
 def test_unknown_tags_rejected():
     with pytest.raises(AttributeError):
         Tag.NOT_A_TAG
+    with pytest.raises(AttributeError, match="unknown tag name 'NOPE'"):
+        Tag.NOPE
     with pytest.raises(CodecError):
         Tag.by_name("nope")
+    with pytest.raises(CodecError):
+        Tag.by_name("NOPE")
+
+
+def test_every_registered_tag_is_an_attribute_of_the_namespace():
+    for name, info in TAGS_BY_NAME.items():
+        assert getattr(Tag, name) is info
+        assert vars(Tag)[name] is info  # a plain attribute, not a __getattr__ hit
+        assert Tag.by_name(name) is info
 
 
 def test_copied_and_unpickled_tags_are_the_registered_ones():

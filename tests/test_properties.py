@@ -222,3 +222,23 @@ def test_genuine_single_run_report_is_clean():
     report = evaluate(env.trace)
     assert report.violations == {}
     assert report.summary() == "none"
+
+
+@pytest.mark.parametrize("relay_in, cvm_in, broken", [(1, 2, True), (2, 1, False)],
+                         ids=["relay-here-cvm-elsewhere", "cvm-here-relay-elsewhere"])
+def test_p31_p32_judge_an_acceptance_by_its_own_session(relay_in, cvm_in, broken):
+    # the acceptance is in session 1; session 2 holds the other half of the story
+    high = Amount(CVM_LIMIT + 1, "EUR")
+    ping = Message("SELECT", DataElementMap({Tag.AID: b"\xa0\x00"}))
+    trace = TransactionTrace()
+    for session in (1, 2):
+        trace.log_msg("nfc", session, "to_card", ping, ping,
+                      relay_active=session == relay_in)
+        trace.mark("card_tx", session=session, pan="4111", atc=session, amount=high)
+    trace.mark("cvm", session=cvm_in, method="OnlinePIN", genuine=True,
+               by="cardholder")
+    trace.mark("decision", session=1, outcome="approve_online", mode="emv",
+               amount=high, pan="4111", atc=1)
+    violations = evaluate(trace).violations
+    assert ("P3.1" in violations, "P3.2" in violations) == (broken, broken)
+    assert "P1" not in violations
