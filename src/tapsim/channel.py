@@ -18,14 +18,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Protocol
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Iterable, Protocol
 
-from .elements import DataElementMap, Tag, TagInfo, render_value
+from .elements import TAGS_BY_NAME, DataElementMap, Tag, TagInfo, render_value
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
 # json.dumps(value, sort_keys=True) without building an encoder per call
 _dumps = json.JSONEncoder(sort_keys=True).encode
+# each tag's '"NAME": ' prefix; '"' sorts before any name character, so these sort as names do
+_KEY = {tag: f"{_quote(name)}: " for name, tag in TAGS_BY_NAME.items()}
+# json's spelling of each plain type, by exact type: bool and IntEnum are not int
+_WRITE = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+          type(None): {None: "null"}.__getitem__}
 
 # Fixed message vocabulary and the tags each message may legally carry
 # (union over both directions; construction-time typo guard).
@@ -146,45 +152,40 @@ class TransactionTrace:
         self.events.append(ev)
         return ev
 
-    def msgs(self, channel: str | None = None, name: str | None = None,
-             session: int | None = None) -> Iterator[TraceEvent]:
-        for ev in self.events:
-            if ev.kind != "msg":
-                continue
-            if channel is not None and ev.channel != channel:
-                continue
-            if name is not None and (ev.sent is None or ev.sent.name != name):
-                continue
-            if session is not None and ev.session != session:
-                continue
-            yield ev
-
-    def markers(self, kind: str, session: int | None = None) -> list[TraceEvent]:
-        return [ev for ev in self.events
-                if ev.kind == kind and (session is None or ev.session == session)]
-
     def to_jsonl(self) -> str:
-        """One JSON object per line, keys sorted. A ``msg`` line splices its
-        fields around its messages' JSON, rendered once when received is sent.
-        Every hop delivers, so each ``msg`` line's status is ``"ok"``."""
+        """One JSON object per line, keys sorted, spliced from fragments: a plain value is
+        written directly, any other rendered once per call. Every hop delivers: status "ok"."""
+        memo: dict[int, str] = {}  # id of a value the trace holds -> its JSON
+
+        def members(pairs: Iterable[tuple[str, Any]]) -> str:  # pairs in key order
+            parts = []
+            for key, value in pairs:
+                write = _WRITE.get(type(value))
+                text = write(value) if write else memo.get(id(value))
+                if text is None:  # not plain, and not yet seen in this call
+                    text = memo[id(value)] = _dumps(render_value(value))
+                parts.append(key + text)
+            return "{" + ", ".join(parts) + "}"
+
+        def message(msg: Message) -> str:
+            items = msg.payload._items  # read in place: no copy, no call per entry
+            payload = members(sorted(zip(map(_KEY.__getitem__, items), items.values())))
+            return f'{{"name": {_quote(msg.name)}, "payload": {payload}}}'
+
         lines = [_dumps({"kind": "meta", **render_value(self.meta)})]
         for ev in self.events:
+            session = "" if ev.session is None else f', "session": {ev.session}'
             if ev.kind == "msg":
-                sent = _dumps(ev.sent.render())
-                received = sent if ev.received is ev.sent else _dumps(ev.received.render())
-                session = "" if ev.session is None else f'"session": {ev.session}, '
-                lines.append(
-                    f'{{"channel": {_dumps(ev.channel)}, "direction": {_dumps(ev.direction)}, '
-                    f'"idx": {ev.idx}, "kind": "msg", "received": {received}, '
-                    f'"relay": {"true" if ev.relay_active else "false"}, "sent": {sent}, '
-                    f'{session}"status": "ok"}}')
+                sent = message(ev.sent)
+                received = sent if ev.received is ev.sent else message(ev.received)
+                lines.append(f'{{"channel": {_quote(ev.channel)}, "direction": '
+                             f'{_quote(ev.direction)}, "idx": {ev.idx}, "kind": "msg", '
+                             f'"received": {received}, "relay": {_WRITE[bool](ev.relay_active)}, '
+                             f'"sent": {sent}{session}, "status": "ok"}}')
                 continue
-            marker: dict[str, Any] = {"idx": ev.idx, "kind": ev.kind}
-            if ev.session is not None:
-                marker["session"] = ev.session
-            if ev.data:
-                marker["data"] = render_value(ev.data)
-            lines.append(_dumps(marker))
+            pairs = [(_quote(k) + ": ", v) for k, v in sorted(ev.data.items())]
+            head = f'{{"data": {members(pairs)}, ' if pairs else "{"
+            lines.append(f'{head}"idx": {ev.idx}, "kind": {_quote(ev.kind)}{session}}}')
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -229,8 +230,7 @@ class Adversary:
     def learn(self, category: str, value: Any, session: int | None = None) -> None:
         if not isinstance(value, str):
             rendered = render_value(value)
-            value = rendered if isinstance(rendered, str) \
-                else json.dumps(rendered, sort_keys=True)
+            value = rendered if isinstance(rendered, str) else _dumps(rendered)
         item = (category, value)
         if item in self.knowledge:
             return

@@ -18,6 +18,7 @@ from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.elements import AID_MASTERCARD, Amount, DataElementMap, Tag
 from tapsim.runner import AMOUNT_LOW, build_env
 from test_acceptance import simulate_partial_clone
+from test_channel import msgs
 
 ALL_FIXED = {name: "on" if name.startswith(("check", "fdda", "cda")) else "off"
              for name in KNOWN_FLAWS}
@@ -193,7 +194,7 @@ def test_pin_search_agrees_with_the_campaign(pin, stop):
     channel = NfcChannel(env.trace, card, adversary=adversary)
     found = pin_guess_campaign(channel, adversary, owner_reset=owner_reset,
                                stop_at_remaining=stop)
-    guesses = sum(1 for ev in env.trace.msgs(name="VERIFY", session=channel.session)
+    guesses = sum(1 for ev in msgs(env.trace, name="VERIFY", session=channel.session)
                   if ev.direction == "to_card" and Tag.PIN_GUESS in ev.sent.payload)
     assert (guesses, len(resets), found is None) == simulate_pin_search(
         pin, stop_at_remaining=stop)

@@ -7,10 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_elements import SAMPLE_VALUES
 from test_golden import CATALOGUE
 
 from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import (
+    MARKER_KINDS,
+    MESSAGES,
     Adversary,
     ChannelError,
     Message,
@@ -22,7 +27,7 @@ from tapsim.channel import (
     make_relay,
     visual_read,
 )
-from tapsim.elements import TTQ, Amount, DataElementMap, Tag, render_value
+from tapsim.elements import AIP, CID, TTQ, Amount, CVMMethod, DataElementMap, Tag, render_value
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import run_genuine_matrix
 
@@ -38,6 +43,21 @@ class EchoCard:
         if msg.name == "GET_PROCESSING_OPTIONS":
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({Tag.ATC: 7}))
         return Message(msg.name)
+
+
+def msgs(trace, channel=None, name=None, session=None):
+    """The trace's ``msg`` events on the given channel, with the given sent
+    message name, in the given session; ``None`` matches any."""
+    return [ev for ev in trace.events if ev.kind == "msg"
+            and (channel is None or ev.channel == channel)
+            and (name is None or (ev.sent is not None and ev.sent.name == name))
+            and (session is None or ev.session == session)]
+
+
+def markers(trace, kind, session=None):
+    """The trace's ``kind`` markers, in the given session if one is given."""
+    return [ev for ev in trace.events
+            if ev.kind == kind and (session is None or ev.session == session)]
 
 
 def gpo(amount=12000, un=5):
@@ -73,10 +93,10 @@ def test_channel_logs_both_views():
     chan = NfcChannel(trace, EchoCard())
     reply = chan.exchange(gpo())
     assert reply.payload[Tag.ATC] == 7
-    msgs = list(trace.msgs(channel="nfc"))
-    assert len(msgs) == 2
-    assert msgs[0].direction == "to_card" and not msgs[0].tampered
-    assert msgs[1].direction == "from_card" and not msgs[1].tampered
+    hops = msgs(trace, channel="nfc")
+    assert len(hops) == 2
+    assert hops[0].direction == "to_card" and not hops[0].tampered
+    assert hops[1].direction == "from_card" and not hops[1].tampered
 
 
 def test_adversary_modification_shows_as_tamper():
@@ -88,7 +108,7 @@ def test_adversary_modification_shows_as_tamper():
     chan = NfcChannel(trace, card, adversary=adv)
     chan.exchange(gpo(amount=12000))
     assert card.seen[0].payload[Tag.AMOUNT] == Amount(100, "EUR")
-    ev = next(trace.msgs(name="GET_PROCESSING_OPTIONS"))
+    ev = msgs(trace, name="GET_PROCESSING_OPTIONS")[0]
     assert ev.tampered
     assert ev.sent.payload[Tag.AMOUNT] == Amount(12000, "EUR")
     assert ev.received.payload[Tag.AMOUNT] == Amount(100, "EUR")
@@ -117,13 +137,13 @@ def test_observer_sees_wire_and_learns():
     chan = NfcChannel(trace, EchoCard(), adversary=adv)
     chan.exchange(gpo(un=42))
     assert adv.knows("UN") == {"42"}
-    hop = next(trace.msgs(name="GET_PROCESSING_OPTIONS"))
+    hop = msgs(trace, name="GET_PROCESSING_OPTIONS")[0]
     assert hop.direction == "to_card"
     assert hop.received is hop.sent and not hop.tampered
-    assert len(trace.markers("knowledge")) == 1
+    assert len(markers(trace, "knowledge")) == 1
     # learning the same fact twice does not duplicate the marker
     chan.exchange(gpo(un=42))
-    assert len(trace.markers("knowledge")) == 1
+    assert len(markers(trace, "knowledge")) == 1
 
 
 # --- relay / record / replay ----------------------------------------------------
@@ -134,10 +154,10 @@ def test_relay_shares_one_session():
     bridge, session = make_relay(trace, EchoCard(), adv)
     near = NfcChannel(trace, bridge, session=session, relay_active=True)
     near.exchange(gpo())
-    sessions = {ev.session for ev in trace.msgs(channel="nfc")}
+    sessions = {ev.session for ev in msgs(trace, channel="nfc")}
     assert sessions == {session}
-    assert any(ev.relay_active for ev in trace.msgs(session=session))
-    assert len(list(trace.msgs(channel="nfc"))) == 4  # near + far legs
+    assert any(ev.relay_active for ev in msgs(trace, session=session))
+    assert len(msgs(trace, channel="nfc")) == 4  # near + far legs
 
 
 def test_recorder_and_replayer():
@@ -155,7 +175,7 @@ def test_recorder_and_replayer():
     chan2.exchange(Message("READ_RECORD", DataElementMap({Tag.RECORD_NUMBER: 1})))
     with pytest.raises(ChannelError):
         chan2.exchange(gpo())  # transcript exhausted
-    assert not any(ev.relay_active for ev in trace2.msgs(session=chan2.session))
+    assert not any(ev.relay_active for ev in msgs(trace2, session=chan2.session))
 
 
 # --- rails ----------------------------------------------------------------------
@@ -176,13 +196,13 @@ def test_rails_log_and_mark():
     s = trace.new_session()
     resp = rails.authorize(Message("AUTH_REQUEST"), session=s)
     assert resp.payload[Tag.DECISION] == "approve"
-    auth = trace.markers("auth")[0]
+    auth = markers(trace, "auth")[0]
     assert auth.data["decision"] == "approve"
     assert auth.data["submitted_by"] == "terminal"
     rails.clear(Message("CLEARING_SUBMIT"), session=s)
-    assert trace.markers("clearing")[0].data["decision"] == "decline"
-    assert len(list(trace.msgs(channel="acquirer"))) == 2
-    assert len(list(trace.msgs(channel="payment"))) == 2
+    assert markers(trace, "clearing")[0].data["decision"] == "decline"
+    assert len(msgs(trace, channel="acquirer")) == 2
+    assert len(msgs(trace, channel="payment")) == 2
 
 
 def test_rails_adversary_submission_needs_a5():
@@ -196,7 +216,7 @@ def test_rails_adversary_submission_needs_a5():
     a5 = Adversary(("A1", "A5"), trace=trace)
     rails.authorize(Message("AUTH_REQUEST"), session=s,
                     submitted_by="adversary", adversary=a5)
-    assert trace.markers("auth")[0].data["submitted_by"] == "adversary"
+    assert markers(trace, "auth")[0].data["submitted_by"] == "adversary"
 
 
 def test_visual_read_requires_a8():
@@ -285,6 +305,68 @@ def test_jsonl_lines_match_reference_dumps():
     assert '"request": {"name": "AUTH_REQUEST", "payload": {"UN": 3}}' in lines[3]
     for trace in (hand, *_seed_traces()):
         assert trace.to_jsonl().splitlines() == list(_reference_lines(trace))
+
+
+# 1, True, 1.0 and CID.ARQC compare and hash alike, as do 0, False, 0.0 and
+# CVMMethod.NoCVM, and the two AIPs; each renders differently
+_ALIKE = [True, 1, 1.0, CID.ARQC, False, 0, 0.0, CVMMethod.NoCVM, None,
+          AIP(sda_supported=1), AIP(sda_supported=True)]
+_LEAVES = st.one_of(
+    st.sampled_from(_ALIKE),
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "\x00\x07\x1f\x7f", "Zoë Ørsted", "\u2028", "🂡"]),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.floats(),  # nan and both infinities included
+    st.binary(max_size=6),
+    st.binary(max_size=6).map(bytearray),
+)
+_VALUES = _LEAVES | st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    st.lists(inner, max_size=3),
+    st.lists(inner, max_size=3).map(tuple),
+    st.sets(st.one_of(st.integers(), st.text(max_size=3)), max_size=4),
+), max_leaves=8)
+_DATA = st.dictionaries(st.text(max_size=6).filter(lambda k: k not in ("kind", "session")),
+                        _VALUES, max_size=5)
+_SENT = st.one_of(
+    st.builds(gpo, st.integers(0, 10**12), st.integers(0, 2**32 - 1)),
+    st.builds(lambda name: Message("READ_RECORD", DataElementMap(
+        {Tag.RECORD_NUMBER: 1, Tag.CARDHOLDER_NAME: name})), st.text()),
+    # each message carrying every tag it may carry
+    st.sampled_from([Message(name, DataElementMap({t: SAMPLE_VALUES[t.name] for t in tags}))
+                     for name, tags in MESSAGES.items()]),
+)
+
+
+@st.composite
+def _traces(draw):
+    trace = TransactionTrace(meta=draw(_DATA))
+    shared = draw(st.lists(_LEAVES, max_size=3))  # one mutable list in many markers
+    aid = bytearray(draw(st.binary(min_size=1, max_size=7)))  # one bytearray in many payloads
+    for _ in range(draw(st.integers(0, 8))):
+        session = draw(st.none() | st.integers(0, 9))
+        if draw(st.booleans()):
+            sent = draw(_SENT | st.just(Message("SELECT", DataElementMap({Tag.AID: aid}))))
+            received = draw(st.sampled_from(
+                [sent, Message(sent.name, sent.payload.copy()), Message(sent.name)]))
+            trace.log_msg(draw(st.sampled_from(["nfc", "acquirer", "payment"])), session,
+                          draw(st.sampled_from(["to_card", "from_card", "to_issuer"])),
+                          sent, received, relay_active=draw(st.booleans()))
+        else:
+            data = draw(_DATA)
+            if draw(st.booleans()):
+                data.update(zip("abcdefghijk", draw(st.permutations(_ALIKE))))
+            if draw(st.booleans()):
+                data["shared"] = shared
+            trace.mark(draw(st.sampled_from(sorted(MARKER_KINDS))), session, **data)
+    return trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(_traces())
+def test_jsonl_lines_match_reference_dumps_on_generated_traces(trace):
+    assert trace.to_jsonl().splitlines() == list(_reference_lines(trace))
 
 
 @pytest.mark.parametrize("hook, tampered", [

@@ -24,6 +24,7 @@ from tapsim.runner import (
     run_genuine_matrix,
 )
 from tapsim.terminal import CEILING
+from test_channel import markers, msgs
 
 
 @pytest.fixture
@@ -52,14 +53,14 @@ def test_low_value_needs_no_cvm(env):
     result = run_genuine(env, "visa_plastic_no_fdda", "standard_pos", AMOUNT_LOW)
     assert result["outcome"] == "approve_online"
     assert result["view"]["cvm_results"].method == CVMMethod.NoCVM
-    assert not env.trace.markers("cvm")
+    assert not markers(env.trace, "cvm")
 
 
 def test_high_value_collects_online_pin(env):
     result = run_genuine(env, "visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH)
     assert result["outcome"] == "approve_online"
     assert result["view"]["cvm_results"].method == CVMMethod.OnlinePIN
-    marks = env.trace.markers("cvm", session=result["session"])
+    marks = markers(env.trace, "cvm", session=result["session"])
     assert len(marks) == 1 and marks[0].data["genuine"] is True
 
 
@@ -102,7 +103,7 @@ def test_over_ceiling_never_reaches_the_card(env):
     result = terminal.run_purchase(channel,
                                    Amount(CEILING + 1, "EUR"))
     assert (result["outcome"], result["reason"]) == ("decline", "over_ceiling")
-    assert not list(env.trace.msgs(channel="nfc", session=result["session"]))
+    assert not msgs(env.trace, channel="nfc", session=result["session"])
 
 
 def test_gpo_ctq_must_match_record_ctq(env):
@@ -365,7 +366,7 @@ def test_issuer_declines_a_submission_missing_an_element(card, missing):
     tag = Tag.by_name(missing)
     env = build_env(seed=11)
     run_genuine(env, card, "standard_pos", AMOUNT_LOW)
-    genuine = env.trace.markers("auth")[0].data["request"].payload
+    genuine = markers(env.trace, "auth")[0].data["request"].payload
     request = Message("AUTH_REQUEST", DataElementMap(
         {t: genuine[t] for t in genuine if t != tag}))
     response = env.rails.authorize(request, session=env.trace.new_session(),
@@ -373,7 +374,7 @@ def test_issuer_declines_a_submission_missing_an_element(card, missing):
                                    adversary=Adversary(("A5",), trace=env.trace))
     reason = f"malformed_{missing.lower()}"
     assert response.payload[Tag.REASON] == reason
-    auth = env.trace.markers("auth")[-1]
+    auth = markers(env.trace, "auth")[-1]
     assert (auth.data["submitted_by"], auth.data["decision"],
             auth.data["reason"]) == ("adversary", "decline", reason)
 
