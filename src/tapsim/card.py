@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_
 from typing import Any
 
 from .channel import Message, TransactionTrace
@@ -145,8 +146,7 @@ class OdaMaterial:
     READ RECORD of record 3 or SDAD."""
 
     signing_seed: bytes
-    issuer_key: Any  # the personalizing issuer's Ed25519PrivateKey
-    issuer_cert: Certificate
+    pki: Any  # the world's runner.Pki: the personalizing issuer's key and certificate
     pan: str
     static_records: DataElementMap
 
@@ -156,11 +156,12 @@ class OdaMaterial:
 
     @cached_property
     def card_cert(self) -> Certificate:
-        return issue_certificate(self.issuer_key, self.pan, public_bytes(self.signing_key))
+        return issue_certificate(self.pki.issuer_key, self.pan,
+                                 public_bytes(self.signing_key))
 
     @cached_property
     def static_signature(self) -> bytes:
-        return sign_static_records(self.issuer_key, self.static_records)
+        return sign_static_records(self.pki.issuer_key, self.static_records)
 
 
 @dataclass
@@ -199,16 +200,28 @@ class CardProfile:
     include_ttq_in_ac: bool = False  # mirrors the issuer's TTQ-binding policy
     wallet: Wallet | None = None
 
+    # unannotated, so not a field: (the fields aip last read, the AIP built
+    # from them); an instance's first build shadows this class default
+    _aip_memo = ((), None)
+
     @property
     def aip(self) -> AIP:
-        return AIP(
-            dda_supported=self.fdda,
-            cda_supported=self.cda,
-            cardholder_verification_supported=bool(self.cvm_list.entries)
-            or self.offline_pin_enabled or self.wallet is not None,
-            on_device_cvm_supported=self.device_type == "phone",
-            emv_mode_supported=self.emv_mode,
-        )
+        """One object for as long as the fields it reads stay the same
+        objects, so a trace renders it once; reassigning one rebuilds it."""
+        read = (self.fdda, self.cda, self.cvm_list, self.offline_pin_enabled,
+                self.wallet, self.device_type, self.emv_mode)
+        seen, aip = self._aip_memo
+        if aip is None or not all(map(is_, read, seen)):
+            aip = AIP(
+                dda_supported=self.fdda,
+                cda_supported=self.cda,
+                cardholder_verification_supported=bool(self.cvm_list.entries)
+                or self.offline_pin_enabled or self.wallet is not None,
+                on_device_cvm_supported=self.device_type == "phone",
+                emv_mode_supported=self.emv_mode,
+            )
+            self._aip_memo = (read, aip)
+        return aip
 
     @property
     def track2(self) -> Track2EquivalentData:
@@ -391,7 +404,7 @@ class Card:
             return r2
         if number == 3 and p.emv_mode and p.ca_pk_index is not None:
             return DataElementMap({
-                Tag.ISSUER_CERT: p.oda.issuer_cert.to_bytes(),
+                Tag.ISSUER_CERT: p.oda.pki.issuer_cert.to_bytes(),
                 Tag.CARD_CERT: p.oda.card_cert.to_bytes(),
                 Tag.STATIC_SIGNATURE: p.oda.static_signature,
             })

@@ -13,6 +13,7 @@ or MAC does and does not cover is exactly what the attack catalogue probes.
 from __future__ import annotations
 
 import hmac
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -210,13 +211,8 @@ def _check_certificate(parent_public: bytes, cert: Certificate) -> None:
 class CAStore:
     """Terminal-side root keys, looked up by the card's one-byte CA index."""
 
-    def __init__(self) -> None:
-        self._roots: dict[int, bytes] = {}
-
-    def add(self, index: int, ca_public: bytes) -> None:
-        if not (0 <= index <= 0xFF):
-            raise CryptoError(f"CA index out of range: {index}")
-        self._roots[index] = ca_public
+    def __init__(self, roots: Mapping[int, bytes]) -> None:
+        self._roots = roots
 
     def lookup(self, index: int) -> bytes:
         try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import types
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from operator import attrgetter
@@ -57,7 +58,7 @@ class TagInfo:
         return f"Tag.{self.name}"
 
     def __reduce__(self) -> tuple:
-        return Tag.by_name, (self.name,)  # copies and unpickles are the singleton
+        return _tag_by_name, (self.name,)  # copies and unpickles are the singleton
 
 
 TAGS_BY_NAME: dict[str, TagInfo] = {}
@@ -71,23 +72,23 @@ for _entry in _CODEC["tags"]:
     TAGS_BY_CODE[_info.code] = _info
 
 
-class _TagNamespace:
-    """Attribute access to the registry: ``Tag.AMOUNT`` is a plain attribute."""
-
-    def __init__(self) -> None:
-        vars(self).update(TAGS_BY_NAME)
-
-    def __getattr__(self, name: str) -> TagInfo:  # reached only for unknown names
-        raise AttributeError(f"unknown tag name {name!r}")
-
-    def by_name(self, name: str) -> TagInfo:
-        try:
-            return TAGS_BY_NAME[name]
-        except KeyError:
-            raise CodecError(f"unknown tag name {name!r}") from None
+def _tag_by_name(name: str) -> TagInfo:
+    try:
+        return TAGS_BY_NAME[name]
+    except KeyError:
+        raise CodecError(f"unknown tag name {name!r}") from None
 
 
-Tag = _TagNamespace()
+def _unknown_tag(name: str) -> TagInfo:
+    raise AttributeError(f"unknown tag name {name!r}")
+
+
+# Attribute access to the registry: ``Tag.AMOUNT`` is a plain attribute and
+# ``Tag.by_name`` looks a name up. A module object, not a class instance: its
+# ``__getattr__`` (PEP 562) runs only for names it lacks, where one defined
+# on a class would slow every ``Tag.X`` read.
+Tag = types.ModuleType("Tag")
+vars(Tag).update(TAGS_BY_NAME, by_name=_tag_by_name, __getattr__=_unknown_tag)
 
 
 # ---------------------------------------------------------------------------

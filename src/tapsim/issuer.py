@@ -11,6 +11,8 @@ reasons deterministic for the tests.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
@@ -73,19 +75,13 @@ def _malformed(p: DataElementMap, *tags: TagInfo) -> tuple[str, str] | None:
 class Issuer:
     """Authorizes and clears transactions against the profiles it personalized."""
 
-    def __init__(self, policy: IssuerPolicy):
+    def __init__(self, policy: IssuerPolicy, cards: Mapping[str, CardProfile],
+                 pin_keys: dict[str, bytes]):
         self.policy = policy
-        self.cards: dict[str, CardProfile] = {}
-        self.last_atcs: dict[str, int] = {}
-        self.pin_keys: dict[str, bytes] = {}
+        self.cards = cards  # PAN -> the profile personalized under it
+        self.last_atcs: defaultdict[str, int] = defaultdict(int)
+        self.pin_keys = pin_keys  # terminal id -> online-PIN key
         self.seen_uns: set[tuple[str, int]] = set()
-
-    def register_card(self, profile: CardProfile) -> None:
-        self.cards[profile.pan] = profile
-        self.last_atcs[profile.pan] = 0
-
-    def register_terminal(self, terminal_id: str, pin_key: bytes) -> None:
-        self.pin_keys[terminal_id] = pin_key
 
     # --- message entry points ------------------------------------------------
 

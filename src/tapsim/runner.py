@@ -1,10 +1,13 @@
 """Scenario wiring and the command-line front end.
 
-``build_env`` turns the fixture roster plus a seed into a fully keyed world:
-one CA, one issuer, nine cards/phones and six terminals, all sharing a trace.
-Every key seed is drawn from a single seeded RNG in a fixed order, so the same
-(seed, configuration) always produces byte-identical traces and reports; a
-card's ODA keying waits for the card's first use (``card.OdaMaterial``).
+``build_env`` turns the fixture roster plus a seed into a world: one CA, one
+issuer, nine cards/phones and six terminals, all sharing a trace. Every key
+seed is drawn from a single seeded RNG in a fixed order, so the same (seed,
+configuration) always produces byte-identical traces and reports. What the
+seeds are for is built on first lookup: each card and terminal (``_OnDemand``),
+the CA and issuer keys and the issuer certificate (``Pki``), and a card's
+ODA key, certificate and static signature (``card.OdaMaterial``). A run pays
+only for the parts of the world it reaches.
 
 The genuine matrix at the bottom pairs every card with the terminals it
 would plausibly meet, under both the permissive and hardened issuer
@@ -17,12 +20,14 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
-from typing import Any
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
+from typing import Any, Callable, Iterator
 
 from .card import Card, CardProfile, OdaMaterial, WALLET_KINDS
 from .channel import NfcChannel, PaymentRails, TransactionTrace
-from .crypto import CAStore, generate_signing_key, issue_certificate, public_bytes
+from .crypto import CAStore, Certificate, generate_signing_key, issue_certificate, public_bytes
 from .elements import (
     AID_MAESTRO,
     AID_MASTERCARD,
@@ -121,23 +126,70 @@ class Env:
     issuer: Issuer
     rails: PaymentRails
     ca_store: CAStore
-    cards: dict[str, Card]
-    terminals: dict[str, Terminal]
+    cards: Mapping[str, Card]
+    terminals: Mapping[str, Terminal]
+
+
+class _OnDemand(Mapping):
+    """A read-only mapping whose names are fixed when it is made and whose
+    values are each built by their own thunk on first lookup, then kept.
+    Thunks are partials of module functions, never closures over the world,
+    so a world holds no reference cycle and reference counting frees it."""
+
+    def __init__(self, thunks: dict[Any, Callable[[], Any]]):
+        self._thunks = thunks
+        self._built: dict[Any, Any] = {}
+
+    def __getitem__(self, key: Any) -> Any:
+        built = self._built
+        if key not in built:
+            built[key] = self._thunks[key]()
+        return built[key]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._thunks
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._thunks)
+
+    def __len__(self) -> int:
+        return len(self._thunks)
+
+
+@dataclass
+class Pki:
+    """A world's CA -> issuer chain. The seeds are drawn in ``build_env``; the
+    (deterministic) Ed25519 keys and the issuer certificate wait for the
+    first ODA card or chain walk that needs them."""
+
+    ca_seed: bytes
+    issuer_seed: bytes
+
+    @cached_property
+    def ca_key(self) -> Any:
+        return generate_signing_key(self.ca_seed)
+
+    @cached_property
+    def issuer_key(self) -> Any:
+        return generate_signing_key(self.issuer_seed)
+
+    @cached_property
+    def issuer_cert(self) -> Certificate:
+        return issue_certificate(self.ca_key, "issuer-1", public_bytes(self.issuer_key))
+
+    def ca_root(self) -> bytes:
+        return public_bytes(self.ca_key)
 
 
 def _cvm_list(entries: list[tuple[str, str]]) -> CVMList:
     return CVMList(tuple(CVMEntry(CVMMethod[m], CVMCondition[c]) for m, c in entries))
 
 
-def _build_profile(name: str, fx: dict[str, Any], rng: random.Random,
-                   policy: IssuerPolicy, issuer_key, issuer_cert) -> CardProfile:
+def _build_card(name: str, fx: dict[str, Any], seeds: tuple[bytes, bytes, bytes],
+                policy: IssuerPolicy, pki: Pki, rng: random.Random) -> Card:
     """Personalize one card; every key not translated here is a CardProfile field."""
-    # key material is drawn unconditionally so profile toggles never shift
-    # the rng stream of later cards
-    master_key = rng.randbytes(32)
-    cvc3_key = rng.randbytes(32)
-    signing_seed = rng.randbytes(32)
-
+    fx = dict(fx)
+    master_key, cvc3_key, signing_seed = seeds
     aid = _AIDS[fx.pop("brand")]
     cvm_list = _cvm_list(fx.pop("cvm_list", []))
     iac = ActionCodes(denial=TVR(cda_failed=fx.pop("iac_denial_cda_failed", False)))
@@ -161,46 +213,89 @@ def _build_profile(name: str, fx: dict[str, Any], rng: random.Random,
             Tag.AIP: profile.aip, Tag.CVM_LIST: profile.cvm_list,
             Tag.IAC: profile.iac, Tag.CA_PK_INDEX: CA_INDEX,
         })
-        profile.oda = OdaMaterial(signing_seed, issuer_key, issuer_cert,
-                                  profile.pan, static)
-    return profile
+        profile.oda = OdaMaterial(signing_seed, pki, profile.pan, static)
+    return Card(profile, rng)
+
+
+def _build_terminal(name: str, fx: dict[str, Any], pin_key: bytes,
+                    rng: random.Random, rails: PaymentRails,
+                    ca_store: CAStore) -> Terminal:
+    fx = dict(fx)
+    tac = ActionCodes(denial=TVR(cda_failed=fx.pop("tac_denial_cda_failed", False)))
+    return Terminal(TerminalConfig(name=name, tac=tac, **fx), rng, rails,
+                    ca_store, pin_key)
+
+
+def _profile_of(cards: Mapping[str, Card], name: str) -> CardProfile:
+    return cards[name].profile
+
+
+def _known_keys(fixtures: dict[str, dict[str, Any]], cls: type,
+                owned: set[str]) -> frozenset[str]:
+    """The keys an override may set: each key some fixture uses (which covers
+    every key the builder translates) and each field of ``cls`` the builder
+    does not set itself."""
+    return frozenset(k for fx in fixtures.values() for k in fx).union(
+        f.name for f in fields(cls) if f.name not in owned)
+
+
+_CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile, {
+    "name", "aid", "master_key", "cvc3_key", "iac", "include_ttq_in_ac"})
+_TERMINAL_KEYS = _known_keys(TERMINAL_FIXTURES, TerminalConfig, {"name", "tac"})
+
+
+def _patched(fixtures: dict[str, dict[str, Any]],
+             overrides: dict[str, dict[str, Any]] | None,
+             known: frozenset[str]) -> list[tuple[str, dict[str, Any]]]:
+    """Each fixture with its overrides applied. An unknown key is rejected
+    here, not when the card or terminal is first built."""
+    overrides = overrides or {}
+    out = []
+    for name, fx in fixtures.items():
+        over = overrides.get(name)
+        if over:
+            unknown = over.keys() - known
+            if unknown:
+                raise TypeError(f"{name}: unknown fixture keys {sorted(unknown)}")
+            fx = {**fx, **over}
+        out.append((name, fx))
+    return out
 
 
 def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
               card_overrides: dict[str, dict[str, Any]] | None = None,
               terminal_overrides: dict[str, dict[str, Any]] | None = None,
               meta: dict[str, Any] | None = None) -> Env:
-    """Assemble a fully keyed world. Overrides patch fixture dicts by name."""
+    """Assemble a world. Every key seed is drawn here; each card, terminal
+    and the PKI is built on first lookup. Overrides patch fixture dicts by
+    name."""
     rng = random.Random(seed)
     trace = TransactionTrace(meta={"seed": seed, "policy": policy.name,
                                    **(meta or {})})
+    pki = Pki(rng.randbytes(32), rng.randbytes(32))
 
-    ca_key = generate_signing_key(rng.randbytes(32))
-    issuer_key = generate_signing_key(rng.randbytes(32))
-    ca_store = CAStore()
-    ca_store.add(CA_INDEX, public_bytes(ca_key))
-    issuer_cert = issue_certificate(ca_key, "issuer-1", public_bytes(issuer_key))
+    card_thunks: dict[str, Callable[[], Card]] = {}
+    pan_names: dict[str, str] = {}
+    for name, fx in _patched(CARD_FIXTURES, card_overrides, _CARD_KEYS):
+        # master, CVC3 and signing seeds are drawn whatever the profile uses,
+        # so profile toggles never shift the rng stream of later cards
+        seeds = (rng.randbytes(32), rng.randbytes(32), rng.randbytes(32))
+        card_thunks[name] = partial(_build_card, name, fx, seeds, policy, pki, rng)
+        pan_names[fx["pan"]] = name
+    cards = _OnDemand(card_thunks)
 
-    issuer = Issuer(policy)
+    terminal_fxs = [(name, fx, rng.randbytes(32)) for name, fx in
+                    _patched(TERMINAL_FIXTURES, terminal_overrides, _TERMINAL_KEYS)]
+    issuer = Issuer(policy,
+                    cards=_OnDemand({pan: partial(_profile_of, cards, name)
+                                     for pan, name in pan_names.items()}),
+                    pin_keys={fx["terminal_id"]: pin_key
+                              for _name, fx, pin_key in terminal_fxs})
     rails = PaymentRails(trace, issuer)
-
-    cards: dict[str, Card] = {}
-    for name, base in CARD_FIXTURES.items():
-        fx = dict(base)
-        fx.update((card_overrides or {}).get(name, {}))
-        profile = _build_profile(name, fx, rng, policy, issuer_key, issuer_cert)
-        cards[name] = Card(profile, rng)
-        issuer.register_card(profile)
-
-    terminals: dict[str, Terminal] = {}
-    for name, base in TERMINAL_FIXTURES.items():
-        fx = dict(base)
-        fx.update((terminal_overrides or {}).get(name, {}))
-        pin_key = rng.randbytes(32)
-        tac = ActionCodes(denial=TVR(cda_failed=fx.pop("tac_denial_cda_failed", False)))
-        config = TerminalConfig(name=name, tac=tac, **fx)
-        terminals[name] = Terminal(config, rng, rails, ca_store, pin_key)
-        issuer.register_terminal(config.terminal_id, pin_key)
+    ca_store = CAStore(_OnDemand({CA_INDEX: pki.ca_root}))
+    terminals = _OnDemand({
+        name: partial(_build_terminal, name, fx, pin_key, rng, rails, ca_store)
+        for name, fx, pin_key in terminal_fxs})
 
     return Env(seed=seed, policy=policy, trace=trace, rng=rng, issuer=issuer,
                rails=rails, ca_store=ca_store, cards=cards, terminals=terminals)
@@ -334,11 +429,14 @@ def main(argv: list[str] | None = None) -> int:
                   f"{spec.title}")
         return 0
 
+    def render(results: list[Any]) -> str:
+        if args.format == "md":
+            return attacks.render_report_md(results)
+        return json.dumps([r.render() for r in results], indent=2)
+
     if args.command == "report":
         results = [attacks.run_attack(a, seed=args.seed) for a in attacks.CATALOG]
-        text = (attacks.render_report_md(results) if args.format == "md"
-                else json.dumps([r.render() for r in results], indent=2))
-        print(text)
+        print(render(results))
         return 0 if all(r.success and not r.diffs for r in results) else 1
 
     ids = list(attacks.CATALOG) if args.all else args.ids
@@ -366,10 +464,8 @@ def main(argv: list[str] | None = None) -> int:
             result.trace.save(os.path.join(args.trace, f"{attack_id}.jsonl"))
 
     if args.report:
-        text = (attacks.render_report_md(results) if args.format == "md"
-                else json.dumps([r.render() for r in results], indent=2))
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(render(results))
 
     return 0 if all(r.success and not r.diffs for r in results) else 1
 

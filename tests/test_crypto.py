@@ -280,8 +280,7 @@ def test_chain_verifies_and_rejects():
     ca = generate_signing_key(b"c" * 32)
     issuer = generate_signing_key(b"i" * 32)
     card = generate_signing_key(b"d" * 32)
-    store = CAStore()
-    store.add(1, public_bytes(ca))
+    store = CAStore({1: public_bytes(ca)})
     issuer_cert = issue_certificate(ca, "bank-a", public_bytes(issuer))
     card_cert = issue_certificate(issuer, "4111111111111111", public_bytes(card))
 

@@ -1,13 +1,16 @@
-"""Lazy ODA keying: a card derives its Ed25519 key, certificate and static
-signature the first time it needs them, and the bytes are those an eager
-personalization would have produced."""
+"""Worlds built on demand: a card, a terminal and the world's CA -> issuer
+keys are made on first lookup, and a card derives its Ed25519 key,
+certificate and static signature the first time it needs them. The bytes
+are those an eager personalization would have produced."""
 
+import gc
 import random
 
 import pytest
 
 from tapsim import card as card_module
 from tapsim import runner
+from tapsim.attacks import CATALOG, render_report_md, run_attack
 from tapsim.channel import Message
 from tapsim.crypto import (
     generate_signing_key,
@@ -16,13 +19,16 @@ from tapsim.crypto import (
     sign_static_records,
 )
 from tapsim.elements import CTQ, CVMList, DataElementMap, Tag
+from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import (
     AMOUNT_HIGH,
     AMOUNT_LOW,
     CA_INDEX,
     CARD_FIXTURES,
+    TERMINAL_FIXTURES,
     build_env,
     run_genuine,
+    run_genuine_matrix,
 )
 
 ODA_CARDS = [name for name, fx in CARD_FIXTURES.items() if fx.get("oda")]
@@ -102,8 +108,8 @@ def test_unread_oda_cards_cost_no_signature(crypto_counts):
     env = build_env(0)
     result = run_genuine(env, "visa_plastic_no_fdda", "standard_pos", AMOUNT_LOW)
     assert result["outcome"] == "approve_online"
-    # the CA and issuer keys, and the issuer certificate
-    assert crypto_counts == {"keys": 2, "certs": 1, "static": 0, "sdad": 0}
+    # a kernel-3 card without ODA never reaches the CA or issuer keys
+    assert crypto_counts == {"keys": 0, "certs": 0, "static": 0, "sdad": 0}
 
 
 def test_oda_material_is_derived_once_per_card(crypto_counts):
@@ -116,6 +122,16 @@ def test_oda_material_is_derived_once_per_card(crypto_counts):
     result = run_genuine(env, "mastercard_cda", "standard_pos", AMOUNT_HIGH)
     assert result["outcome"] == "approve_online"
     assert crypto_counts == {"keys": 3, "certs": 2, "static": 1, "sdad": 1}
+
+
+def test_the_pki_is_derived_once_per_world(crypto_counts):
+    env = build_env(0)
+    env.ca_store.lookup(CA_INDEX)
+    assert crypto_counts == {"keys": 1, "certs": 0, "static": 0, "sdad": 0}
+    # the card brings its own key and the issuer's; the CA key is reused
+    _read_record(env.cards["mastercard_cda"], 3)
+    _read_record(env.cards["visa_plastic_fdda"], 3)
+    assert crypto_counts == {"keys": 4, "certs": 3, "static": 2, "sdad": 0}
 
 
 def test_profile_edit_after_build_meets_the_personalized_signature():
@@ -145,3 +161,79 @@ def test_records_follow_the_afl():
             assert (len(reply.tags()) > 0) == (number in afl), (name, number)
             if number in afl:
                 assert reply[Tag.RECORD_NUMBER] == number
+
+
+# --- the world's on-demand mappings ---------------------------------------------
+
+def test_cards_iterate_in_fixture_order():
+    env = build_env(0)
+    env.cards["magstripe_only"]  # touched first, still iterated in its place
+    assert list(env.cards) == list(CARD_FIXTURES)
+    assert len(env.cards) == len(CARD_FIXTURES)
+    assert [c.profile.name for c in env.cards.values()] == list(CARD_FIXTURES)
+
+
+def test_terminals_iterate_in_fixture_order():
+    env = build_env(0)
+    env.terminals["swipe_pos"]
+    assert list(env.terminals) == list(TERMINAL_FIXTURES)
+    assert len(env.terminals) == len(TERMINAL_FIXTURES)
+    assert [t.config.name for t in env.terminals.values()] == list(TERMINAL_FIXTURES)
+
+
+@pytest.mark.parametrize("name", CARD_FIXTURES)
+def test_a_card_and_the_issuer_share_one_profile(name):
+    pan = CARD_FIXTURES[name]["pan"]
+    card_first = build_env(0)
+    assert card_first.cards[name].profile is card_first.issuer.cards[pan]
+    issuer_first = build_env(0)
+    profile = issuer_first.issuer.cards[pan]
+    assert issuer_first.cards[name].profile is profile
+
+
+@pytest.mark.parametrize("overrides", [
+    {"card_overrides": {"visa_plastic_no_fdda": {"aid": b"\xa0"}}},
+    {"card_overrides": {"mastercard_cda": {"master_key": bytes(32)}}},
+    {"terminal_overrides": {"standard_pos": {"tac": None}}},
+])
+def test_override_of_a_field_the_runner_sets_is_rejected_at_build(overrides):
+    with pytest.raises(TypeError):
+        build_env(**overrides)
+
+
+def test_auth_for_an_untouched_card_reaches_its_profile():
+    # the stripe comes from a twin world; in env nothing has touched the card
+    stripe = build_env(0).cards["magstripe_only"].profile.track2
+    env = build_env(0)
+    reply = env.issuer.handle_auth(Message("AUTH_REQUEST", DataElementMap({
+        Tag.PAN: stripe.pan, Tag.TRACK2: stripe})))
+    assert (reply.payload[Tag.DECISION], reply.payload[Tag.REASON]) == \
+        ("approve", "swipe_ok")
+    unknown = env.issuer.handle_auth(Message("AUTH_REQUEST", DataElementMap({
+        Tag.PAN: "4000000000000002", Tag.TRACK2: stripe})))
+    assert unknown.payload[Tag.REASON] == "unknown_card"
+
+
+def test_worlds_are_freed_by_reference_counting():
+    # a reference cycle through a world would keep every world alive until
+    # the cyclic collector ran, and a long search would grow its memory
+    gc.collect()
+    gc.disable()
+    try:
+        env = build_env(0)
+        for name in env.cards:
+            _read_record(env.cards[name], 3)
+        env.ca_store.lookup(CA_INDEX)
+        list(env.terminals.values())
+        del env
+        for policy in (PERMISSIVE_2019, HARDENED):
+            for _pairing, env, _result in run_genuine_matrix(policy):
+                env.trace.to_jsonl()
+        results = [run_attack(attack_id) for attack_id in CATALOG]
+        for result in results:
+            result.trace.to_jsonl()
+        render_report_md(results)
+        del results, result, env
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
