@@ -59,6 +59,7 @@ TRANSIT_MAGIC = bytes.fromhex("47415445")
 PIN_TRY_LIMIT = 3       # wrong offline PINs before the card blocks
 N_UN_DIGITS = 3         # digits of the terminal nonce in mag-stripe mode
 WALLET_TX_LIMIT = 3000  # a locked Google-like phone pays up to this
+ATC_MAX = 0xFFFF        # the ATC is two bytes: a card that reaches this refuses to transact
 
 KERNEL3_PDOL = DOL((Tag.TTQ, Tag.AMOUNT, Tag.UN))
 KERNEL2_CDOL1 = DOL((Tag.AMOUNT, Tag.UN, Tag.CVM_RESULTS))
@@ -261,22 +262,9 @@ class Card:
     def blocked(self) -> bool:
         return self.pin_tries_remaining <= 0
 
-    # --- dispatch -------------------------------------------------------
-
-    _HANDLERS = {
-        "SELECT": "_on_select",
-        "GET_PROCESSING_OPTIONS": "_on_gpo",
-        "READ_RECORD": "_on_read_record",
-        "GENERATE_AC": "_on_generate_ac",
-        "VERIFY": "_on_verify",
-        "MAGIC_BYTES": "_on_magic",
-    }
-
     def exchange(self, msg: Message) -> Message:
-        handler = self._HANDLERS.get(msg.name)
-        if handler is None:
-            return Message(msg.name)
-        return getattr(self, handler)(msg)
+        handler = self._HANDLERS.get(msg.name)  # the table follows the handlers
+        return Message(msg.name) if handler is None else handler(self, msg)
 
     # --- handlers -------------------------------------------------------
 
@@ -325,13 +313,13 @@ class Card:
         amount: Amount = msg.payload[Tag.AMOUNT]
         un: int = msg.payload[Tag.UN]
 
-        # an exhausted PIN counter takes the whole card out of service; a
-        # wallet may refuse the tap
-        blocked = p.offline_pin_enabled and self.blocked
+        # an exhausted PIN counter or ATC takes the whole card out of service;
+        # a wallet may refuse the tap
+        blocked = p.offline_pin_enabled and self.blocked or self.atc >= ATC_MAX
         decision = (p.wallet.decide(amount, ttq)
                     if p.wallet is not None and not blocked else None)
         if blocked or (decision is not None and not decision.accept):
-            self.atc += 1
+            self.atc = min(self.atc + 1, ATC_MAX)
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
                 Tag.AIP: aip, Tag.AFL: self._afl(),
                 Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: CTQ(),
@@ -430,8 +418,8 @@ class Card:
         requested: CID = msg.payload.get(Tag.CID, CID.ARQC)
         want_cda = bool(msg.payload.get(Tag.CDA_REQUESTED, 0))
 
-        if p.offline_pin_enabled and self.blocked:
-            self.atc += 1
+        if p.offline_pin_enabled and self.blocked or self.atc >= ATC_MAX:
+            self.atc = min(self.atc + 1, ATC_MAX)
             return Message("GENERATE_AC", DataElementMap({
                 Tag.ATC: self.atc, Tag.CID: CID.AAC,
             }))
@@ -464,7 +452,7 @@ class Card:
 
     def _dynamic_code(self, msg: Message) -> Message:
         p = self.profile
-        if not p.cvc3_key or not (p.magstripe_capable or not p.emv_mode):
+        if not p.cvc3_key or not (p.magstripe_capable or not p.emv_mode) or self.atc >= ATC_MAX:
             return Message("GENERATE_AC")
         un: int = msg.payload[Tag.UN]
         self.atc += 1
@@ -498,6 +486,10 @@ class Card:
             Tag.DECISION: decision,
             Tag.PIN_TRIES_REMAINING: self.pin_tries_remaining,
         }))
+
+    _HANDLERS = {"SELECT": _on_select, "GET_PROCESSING_OPTIONS": _on_gpo,
+                 "READ_RECORD": _on_read_record, "GENERATE_AC": _on_generate_ac,
+                 "VERIFY": _on_verify, "MAGIC_BYTES": _on_magic}
 
     # --- bookkeeping -------------------------------------------------------
 

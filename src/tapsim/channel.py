@@ -21,17 +21,12 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Protocol
 
-from .elements import TAGS_BY_NAME, DataElementMap, Tag, TagInfo, render_value
+from .elements import PLAIN_JSON, TAGS_BY_NAME, DataElementMap, Tag, TagInfo, to_json
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
-# json.dumps(value, sort_keys=True) without building an encoder per call
-_dumps = json.JSONEncoder(sort_keys=True).encode
 # each tag's '"NAME": ' prefix; '"' sorts before any name character, so these sort as names do
 _KEY = {tag: f"{_quote(name)}: " for name, tag in TAGS_BY_NAME.items()}
-# json's spelling of each plain type, by exact type: bool and IntEnum are not int
-_WRITE = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
-          type(None): {None: "null"}.__getitem__}
 
 # Fixed message vocabulary and the tags each message may legally carry
 # (union over both directions; construction-time typo guard).
@@ -79,7 +74,7 @@ class ChannelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A named protocol message with a typed payload."""
 
@@ -90,7 +85,7 @@ class Message:
         allowed = MESSAGES.get(self.name)
         if allowed is None:
             raise ChannelError(f"unknown message name {self.name!r}")
-        if not allowed.issuperset(self.payload):
+        if not allowed.issuperset(self.payload._items):
             names = ", ".join(sorted(t.name for t in self.payload.tags() - allowed))
             raise ChannelError(f"{self.name} payload may not carry: {names}")
 
@@ -153,17 +148,17 @@ class TransactionTrace:
         return ev
 
     def to_jsonl(self) -> str:
-        """One JSON object per line, keys sorted, spliced from fragments: a plain value is
-        written directly, any other rendered once per call. Every hop delivers: status "ok"."""
-        memo: dict[int, str] = {}  # id of a value the trace holds -> its JSON
+        """One JSON object per line, keys sorted, spliced from fragments: each value is written
+        by its type's writer, a non-plain one once per call. Every hop delivers: status "ok"."""
+        memo: dict[int, str] = {}  # id of a message or value the trace holds -> its JSON
 
         def members(pairs: Iterable[tuple[str, Any]]) -> str:  # pairs in key order
             parts = []
             for key, value in pairs:
-                write = _WRITE.get(type(value))
+                write = PLAIN_JSON.get(type(value))
                 text = write(value) if write else memo.get(id(value))
                 if text is None:  # not plain, and not yet seen in this call
-                    text = memo[id(value)] = _dumps(render_value(value))
+                    text = memo[id(value)] = to_json(value)
                 parts.append(key + text)
             return "{" + ", ".join(parts) + "}"
 
@@ -172,15 +167,19 @@ class TransactionTrace:
             payload = members(sorted(zip(map(_KEY.__getitem__, items), items.values())))
             return f'{{"name": {_quote(msg.name)}, "payload": {payload}}}'
 
-        lines = [_dumps({"kind": "meta", **render_value(self.meta)})]
+        meta = {"kind": "meta", **self.meta}
+        lines = [members([(_quote(k) + ": ", v) for k, v in sorted(meta.items())])]
         for ev in self.events:
             session = "" if ev.session is None else f', "session": {ev.session}'
             if ev.kind == "msg":
                 sent = message(ev.sent)
+                if ev.direction == "to_issuer":  # its auth or clearing marker splices it
+                    memo[id(ev.sent)] = sent     # (keeping every message would cost more)
                 received = sent if ev.received is ev.sent else message(ev.received)
                 lines.append(f'{{"channel": {_quote(ev.channel)}, "direction": '
                              f'{_quote(ev.direction)}, "idx": {ev.idx}, "kind": "msg", '
-                             f'"received": {received}, "relay": {_WRITE[bool](ev.relay_active)}, '
+                             f'"received": {received}, '
+                             f'"relay": {PLAIN_JSON[bool](ev.relay_active)}, '
                              f'"sent": {sent}{session}, "status": "ok"}}')
                 continue
             pairs = [(_quote(k) + ": ", v) for k, v in sorted(ev.data.items())]
@@ -229,8 +228,9 @@ class Adversary:
 
     def learn(self, category: str, value: Any, session: int | None = None) -> None:
         if not isinstance(value, str):
-            rendered = render_value(value)
-            value = rendered if isinstance(rendered, str) else _dumps(rendered)
+            value = to_json(value)
+            if value[0] == '"':  # a value rendered as a string is known as that string
+                value = json.loads(value)
         item = (category, value)
         if item in self.knowledge:
             return

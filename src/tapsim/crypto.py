@@ -184,15 +184,15 @@ class Certificate:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Certificate":
-        if len(raw) < 8 or raw[:4] != b"cert":
-            raise CryptoError("malformed certificate")
-        ns = int.from_bytes(raw[4:6], "big")
-        subject = raw[6:6 + ns].decode("utf-8")
-        off = 6 + ns
-        nk = int.from_bytes(raw[off:off + 2], "big")
-        off += 2
-        public_key = raw[off:off + nk]
-        return cls(subject, public_key, raw[off + nk:])
+        """Parse ``to_bytes()``; malformed input is a certificate that does not verify."""
+        off = 6 + int.from_bytes(raw[4:6], "big")
+        end = off + 2 + int.from_bytes(raw[off:off + 2], "big")  # end of the public key
+        if raw[:4] != b"cert" or len(raw) < end:
+            raise BadSignature("malformed certificate")
+        try:
+            return cls(raw[6:off].decode("utf-8"), raw[off + 2:end], raw[end:])
+        except UnicodeDecodeError:
+            raise BadSignature("certificate subject is not UTF-8") from None
 
 
 def issue_certificate(parent_private: Ed25519PrivateKey, subject: str,

@@ -19,8 +19,9 @@ import json
 import types
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 class CodecError(ValueError):
@@ -434,22 +435,72 @@ if _unknown_kinds:
     raise CodecError(f"codec table uses kinds with no encoder: {_unknown_kinds}")
 
 
+_CODEC_OF = {tag: KINDS[tag.kind] for tag in TAGS_BY_NAME.values()}  # registered tags only
+
+
 def encode_value(tag: TagInfo, value: Any) -> bytes:
     """Canonical byte encoding for a single element value."""
-    expected, encode = KINDS[tag.kind]
+    try:
+        expected, encode = _CODEC_OF[tag]
+    except (KeyError, TypeError):  # TypeError: unhashable
+        raise CodecError(f"keys must be registered tags, got {tag!r}") from None
     if not isinstance(value, expected) or type(value) is bool:
         raise CodecError(f"{tag.name} ({tag.kind}) does not take {type(value).__name__}")
     return encode(value)
 
 
-_PLAIN = frozenset({str, int, bool, float, type(None)})
+# json.dumps(value, sort_keys=True) without building an encoder per call
+_dumps = json.JSONEncoder(sort_keys=True).encode
+# json's spelling of each plain type, by exact type: bool and IntEnum are not int
+PLAIN_JSON = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+              type(None): {None: "null"}.__getitem__}
+
+
+def _raw(value: Any) -> str:  # a field that render_value passes on as it is
+    return PLAIN_JSON.get(type(value), _dumps)(value)
+
+
+def _fields_json(names: Iterable[str]) -> Callable[[Any], str]:
+    """Writer of a value rendered as ``{name: getattr(value, name)}``; it inlines
+    ``_raw``, as the flag maps are the most frequent values."""
+    names = sorted(names)
+    template = "{" + ", ".join(f'"{name}": %s' for name in names) + "}"
+    return lambda v: template % tuple([PLAIN_JSON.get(type(x), _dumps)(x)
+                                       for x in map(v.__getattribute__, names)])
+
+
+# exact type -> what json.dumps(render_value(value), sort_keys=True) writes for it
+JSON: dict[type, Callable[[Any], str]] = {
+    **PLAIN_JSON, **dict.fromkeys((bytes, bytearray), lambda v: f'"{v.hex()}"'),
+    **{cls: {m: _quote(m.name) for m in cls}.__getitem__
+       for cls in (CID, CVMMethod, CVMCondition, CVMResult, DeviceType)},
+    **{cls: _fields_json(cls._positions) for cls in (AIP, TTQ, CTQ, TVR)},
+    Amount: _fields_json(("value", "currency")),
+    Track2EquivalentData: _fields_json(("pan", "expiry", "service_code", "discretionary")),
+    IAD: lambda v: (f'{{"cdcvm_performed": {_raw(v.cdcvm_performed)}, '
+                    f'"device_type": {_raw(v.device_type)}, "filler": "{v.filler.hex()}"}}'),
+    AFL: lambda v: "[" + ", ".join(map(_raw, v.records)) + "]",
+    DOL: lambda v: "[" + ", ".join([_quote(t.name) for t in v.tags]) + "]",
+    CVMList: lambda v: "[" + ", ".join([f"[{_quote(e.method._name_)}, {_quote(e.condition._name_)}]"
+                                        for e in v.entries]) + "]",
+    CVMResults: lambda v: (f"[{_quote(v.method._name_)}, {_quote(v.condition._name_)}, "
+                           f"{_quote(v.result._name_)}]"),
+    ActionCodes: lambda v: (f'{{"default": {v.default.to_int()}, "denial": {v.denial.to_int()}, '
+                            f'"online": {v.online.to_int()}}}'),
+}
+
+
+def to_json(value: Any) -> str:
+    """``json.dumps(render_value(value), sort_keys=True)``; direct for element values."""
+    write = JSON.get(type(value))
+    return write(value) if write else _dumps(render_value(value))
 
 
 def render_value(value: Any) -> Any:
     """JSON-friendly rendering for traces and reports (bytes as hex).
     Objects with a ``render()`` method render themselves; dicts and
     sequences recurse, and sets come out sorted."""
-    if type(value) in _PLAIN:
+    if type(value) in PLAIN_JSON or type(value) is float:
         return value
     if type(value) is dict:
         return {k: render_value(v) for k, v in value.items()}
@@ -496,15 +547,12 @@ class DataElementMap:
     __slots__ = ("_items",)
 
     def __init__(self, items: dict[TagInfo, Any] | None = None):
-        self._items: dict[TagInfo, Any] = {}
-        if items:
-            for tag, value in items.items():
-                self.put(tag, value)
+        self._items: dict[TagInfo, Any] = dict(items or ())
+        for tag, value in self._items.items():
+            encode_value(tag, value)  # put's validation, with no call to put per item
 
     def put(self, tag: TagInfo, value: Any) -> "DataElementMap":
-        if not isinstance(tag, TagInfo):
-            raise CodecError(f"keys must be registered tags, got {tag!r}")
-        encode_value(tag, value)  # type/range validation up front
+        encode_value(tag, value)  # type/range validation up front; refuses unknown tags
         self._items[tag] = value
         return self
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_elements import SAMPLE_VALUES
+from test_elements import ELEMENT_VALUES, SAMPLE_VALUES
 from test_golden import CATALOGUE
 
 from tapsim.attacks import CATALOG, run_attack
@@ -320,6 +320,7 @@ _LEAVES = st.one_of(
     st.floats(),  # nan and both infinities included
     st.binary(max_size=6),
     st.binary(max_size=6).map(bytearray),
+    ELEMENT_VALUES,
 )
 _VALUES = _LEAVES | st.recursive(_LEAVES, lambda inner: st.one_of(
     st.dictionaries(st.text(max_size=3), inner, max_size=4),
@@ -333,6 +334,9 @@ _SENT = st.one_of(
     st.builds(gpo, st.integers(0, 10**12), st.integers(0, 2**32 - 1)),
     st.builds(lambda name: Message("READ_RECORD", DataElementMap(
         {Tag.RECORD_NUMBER: 1, Tag.CARDHOLDER_NAME: name})), st.text()),
+    # an IntEnum under an int tag renders as its name
+    st.builds(lambda cid: Message("GENERATE_AC", DataElementMap({Tag.ATC: cid, Tag.CID: cid})),
+              st.sampled_from(CID)),
     # each message carrying every tag it may carry
     st.sampled_from([Message(name, DataElementMap({t: SAMPLE_VALUES[t.name] for t in tags}))
                      for name, tags in MESSAGES.items()]),
@@ -344,6 +348,7 @@ def _traces(draw):
     trace = TransactionTrace(meta=draw(_DATA))
     shared = draw(st.lists(_LEAVES, max_size=3))  # one mutable list in many markers
     aid = bytearray(draw(st.binary(min_size=1, max_size=7)))  # one bytearray in many payloads
+    logged = [draw(_SENT)]  # messages marker data may hold: logged ones and one that is not
     for _ in range(draw(st.integers(0, 8))):
         session = draw(st.none() | st.integers(0, 9))
         if draw(st.booleans()):
@@ -353,12 +358,16 @@ def _traces(draw):
             trace.log_msg(draw(st.sampled_from(["nfc", "acquirer", "payment"])), session,
                           draw(st.sampled_from(["to_card", "from_card", "to_issuer"])),
                           sent, received, relay_active=draw(st.booleans()))
+            logged += [sent, received]
         else:
             data = draw(_DATA)
             if draw(st.booleans()):
                 data.update(zip("abcdefghijk", draw(st.permutations(_ALIKE))))
             if draw(st.booleans()):
                 data["shared"] = shared
+            if draw(st.booleans()):
+                request = draw(st.sampled_from(logged))
+                data.update(request=request, nested={"in": [request, {"deeper": request}]})
             trace.mark(draw(st.sampled_from(sorted(MARKER_KINDS))), session, **data)
     return trace
 

@@ -276,6 +276,16 @@ def test_certificate_roundtrip_bytes():
     assert back == cert
 
 
+@pytest.mark.parametrize("raw", [
+    b"", b"junk", b"cert", b"cert\x00\x05ab",                  # short, foreign, truncated
+    b"cert\x00\x02\xff\xfe\x00\x00",                         # subject is not UTF-8
+    b"cert\x00\x01a\x00\x20" + bytes(31),                    # public key cut short
+])
+def test_malformed_certificate_does_not_verify(raw):
+    with pytest.raises(BadSignature):
+        Certificate.from_bytes(raw)
+
+
 def test_chain_verifies_and_rejects():
     ca = generate_signing_key(b"c" * 32)
     issuer = generate_signing_key(b"i" * 32)

@@ -8,7 +8,7 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapsim.elements import (
@@ -30,8 +30,10 @@ from tapsim.elements import (
     Amount,
     CodecError,
     DataElementMap,
+    DeviceType,
     DOL,
     IAD,
+    JSON,
     MissingDolEntry,
     TAGS_BY_CODE,
     TAGS_BY_NAME,
@@ -44,6 +46,8 @@ from tapsim.elements import (
     encode_value,
     is_transit_mcc,
     luhn_valid,
+    render_value,
+    to_json,
     validate_pan,
 )
 
@@ -443,3 +447,50 @@ def test_render_is_json_friendly():
     import json
     m = DataElementMap({Tag.by_name(n): v for n, v in SAMPLE_VALUES.items()})
     json.dumps(m.render())  # must not raise
+
+
+# --- JSON writers ------------------------------------------------------------
+
+# what a flag map's field may hold: a bool, or an int of another kind, which
+# render_value passes on and json writes as a number
+_FLAG_FIELD = st.booleans() | st.integers(0, 2) | st.sampled_from(CID)
+_TVRS = st.builds(TVR, _FLAG_FIELD)
+# every type with a writer -> values of it, edge cases included
+WRITER_VALUES = {
+    str: st.text(), int: st.integers(), bool: st.booleans(), type(None): st.none(),
+    bytes: st.binary(max_size=8), bytearray: st.binary(max_size=8).map(bytearray),
+    **{cls: st.sampled_from(cls) for cls in (CID, CVMMethod, CVMCondition, CVMResult, DeviceType)},
+    **{cls: st.builds(cls, **{name: _FLAG_FIELD for name in cls._positions})
+       for cls in (AIP, TTQ, CTQ, TVR)},
+    Amount: st.builds(Amount, st.integers(0, 10**12) | st.booleans(),
+                      st.sampled_from(["EUR", "USD", "ÄÖÜ"])),
+    IAD: st.builds(IAD, _FLAG_FIELD, st.sampled_from(sorted(DeviceType.__members__)),
+                   st.binary(max_size=4) | st.binary(max_size=4).map(bytearray)),
+    AFL: st.builds(AFL, st.lists(st.integers(0, 255) | st.booleans(), max_size=4).map(tuple)),
+    DOL: st.builds(DOL, st.lists(st.sampled_from(sorted(TAGS_BY_CODE.values(), key=repr)),
+                                 max_size=4).map(tuple)),
+    CVMList: st.builds(CVMList, st.lists(st.builds(CVMEntry, st.sampled_from(CVMMethod),
+                                                   st.sampled_from(CVMCondition)),
+                                         max_size=3).map(tuple)),
+    CVMResults: st.builds(CVMResults, st.sampled_from(CVMMethod), st.sampled_from(CVMCondition),
+                          st.sampled_from(CVMResult)),
+    ActionCodes: st.builds(ActionCodes, _TVRS, _TVRS, _TVRS),
+    Track2EquivalentData: st.builds(
+        Track2EquivalentData, st.sampled_from(["4111111111111111", "5555555555554444"]),
+        st.from_regex(r"\A[0-9]{4}\Z"), st.text(max_size=4), st.text(max_size=8)),
+}
+ELEMENT_VALUES = st.one_of(*WRITER_VALUES.values())
+
+
+def test_every_writer_has_values():
+    assert set(WRITER_VALUES) == set(JSON)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ELEMENT_VALUES)
+@example(AIP(sda_supported=1, dda_supported=CID.TC))  # both stay numbers
+@example(IAD(cdcvm_performed=0, filler=bytearray(b"\x01\xab")))
+@example(AFL((True, 7)))
+@example(CID.ARQC)
+def test_writers_agree_with_json_dumps_of_render_value(value):
+    assert to_json(value) == json.dumps(render_value(value), sort_keys=True)

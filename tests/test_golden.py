@@ -3,8 +3,10 @@
 A change that moves one of these digests has to say why in CHANGES.md.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +46,12 @@ def test_reports(catalogue_results):
     text = (render_report_md(catalogue_results)
             + json.dumps([r.render() for r in catalogue_results], indent=2))
     assert _sha256(text) == REPORT
+
+
+def test_benchmark_pins_the_same_digests():
+    # perfbench/run.py checks its own copy of two digests; read it without
+    # importing the benchmark, so a digest move cannot update one copy only
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
+    golden = next(node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "GOLDEN" for t in node.targets))
+    assert ast.literal_eval(golden) == {"catalogue": (42, CATALOGUE), "genuine": (0, GENUINE)}

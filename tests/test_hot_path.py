@@ -20,14 +20,16 @@ import tapsim
 from tapsim.attacks import harvest_cvc3_table, run_attack
 from tapsim.channel import Message, NfcChannel
 from tapsim.elements import AID_MASTERCARD, DataElementMap, Tag
-from tapsim.runner import build_env
+from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.runner import build_env, run_genuine_matrix
 
 PACKAGE = os.path.dirname(tapsim.__file__)
 
 HARVEST_CEILING = 31.1  # per GENERATE AC, SELECT and READ RECORD amortized
 VERIFY_CEILING = 23
-HARVEST_EMIT_CEILING = 4.01  # per event of the harvest trace
+HARVEST_EMIT_CEILING = 2.68  # per event of the harvest trace
 VERIFY_EMIT_CEILING = 2.03  # per event of the PIN-guessing trace
+GENUINE_EMIT_CEILING = 5.31  # per event of the genuine matrix's traces, both policies
 
 
 def python_calls(fn, under: str = PACKAGE) -> int:
@@ -57,12 +59,13 @@ def harvest(env):
     return calls, tables[0]
 
 
-def emission_calls_per_event(trace) -> float:
-    """Python-level calls, into any code, per event of ``trace.to_jsonl()``."""
+def emission_calls_per_event(*traces) -> float:
+    """Python-level calls, into any code, per event of ``to_jsonl()`` of ``traces``."""
     out = []
-    calls = python_calls(lambda: out.append(trace.to_jsonl()), under="")
-    assert out[0].count("\n") == len(trace.events) + 1  # the meta line and one per event
-    return calls / len(trace.events)
+    calls = python_calls(lambda: out.extend([trace.to_jsonl() for trace in traces]), under="")
+    events = sum(len(trace.events) for trace in traces)
+    assert "".join(out).count("\n") == events + len(traces)  # a meta line, one per event
+    return calls / events
 
 
 def test_harvest_generate_ac_exchange_budget():
@@ -93,3 +96,11 @@ def test_verify_heavy_trace_emission_budget():
     verifies = sum(1 for ev in trace.events if ev.kind == "msg" and ev.sent.name == "VERIFY")
     assert verifies > 3000
     assert emission_calls_per_event(trace) <= VERIFY_EMIT_CEILING
+
+
+def test_genuine_matrix_emission_budget():
+    # short worlds: element values, card_tx and decision markers and the
+    # auth markers' requests make up most of each trace
+    traces = [env.trace for policy in (PERMISSIVE_2019, HARDENED)
+              for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
+    assert emission_calls_per_event(*traces) <= GENUINE_EMIT_CEILING

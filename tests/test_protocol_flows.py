@@ -2,7 +2,8 @@
 
 import pytest
 
-from tapsim.card import TRANSIT_MAGIC
+from tapsim.attacks import harvest_cvc3_table
+from tapsim.card import ATC_MAX, TRANSIT_MAGIC
 from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.crypto import compute_cvc3
 from tapsim.elements import (
@@ -198,6 +199,23 @@ def test_strict_tac_denies_broken_oda_even_for_a_silent_card():
                                                      "action_code_denial")
 
 
+@pytest.mark.parametrize("tag", [Tag.ISSUER_CERT, Tag.CARD_CERT])
+@pytest.mark.parametrize("junk", [b"junk", b"cert\x00\x02\xff\xfe\x00\x00"])
+@pytest.mark.parametrize("card, reason", [
+    ("visa_plastic_fdda", "oda_chain_failed"),   # kernel 3
+    ("mastercard_cda", "action_code_denial"),    # kernel 2: its action codes deny
+])
+def test_malformed_certificate_declines_once(env, tag, junk, card, reason):
+    adv = Adversary(trace=env.trace)
+    adv.on_from_card(lambda msg, a: msg.with_payload(**{tag.name: junk})
+                     if tag in msg.payload else msg)
+    channel = NfcChannel(env.trace, env.cards[card], adversary=adv)
+    result = env.terminals["standard_pos"].run_purchase(
+        channel, Amount(AMOUNT_LOW, "EUR"), pin=env.cards[card].profile.pin)
+    assert (result["outcome"], result["reason"]) == ("decline", reason)
+    assert len(markers(env.trace, "decision")) == 1
+
+
 # --- mag-stripe mode and swipe ----------------------------------------------------------
 
 def test_magstripe_mode_purchase(env):
@@ -317,6 +335,35 @@ def test_blocked_card_refuses_transactions():
     result = run_genuine(env, "visa_plastic_no_fdda", "standard_pos",
                          AMOUNT_LOW)
     assert (result["outcome"], result["reason"]) == ("decline", "card_declined")
+
+
+@pytest.mark.parametrize("card, reason", [
+    ("visa_plastic_fdda", "card_declined"),      # kernel 3: AAC at GPO
+    ("google_like_phone", "card_declined"),
+    ("mastercard_cda", "card_declined"),         # kernel 2: AAC at GENERATE AC
+    ("magstripe_only", "no_dynamic_code"),       # mag-stripe mode: no code
+])
+def test_exhausted_atc_declines_once(env, card, reason):
+    env.cards[card].atc = ATC_MAX
+    result = run_genuine(env, card, "standard_pos", AMOUNT_LOW)
+    assert (result["outcome"], result["reason"]) == ("decline", reason)
+    assert len(markers(env.trace, "decision")) == 1
+    assert env.cards[card].atc == ATC_MAX
+    assert not markers(env.trace, "card_tx")
+
+
+def test_exhausted_atc_refuses_dynamic_codes(env):
+    # a harvest that runs the counter out gets refusals, not a crash
+    card = env.cards["mastercard_cda"]
+    card.atc = ATC_MAX - 2
+    channel = NfcChannel(env.trace, card)
+    query = Message("GENERATE_AC", DataElementMap({Tag.UN: 7}))
+    replies = [channel.exchange(query) for _ in range(4)]
+    assert [Tag.CVC3 in r.payload for r in replies] == [True, True, False, False]
+    assert replies[-1].payload == DataElementMap()
+    assert card.atc == ATC_MAX
+    with pytest.raises(ValueError, match="dynamic-code"):
+        harvest_cvc3_table(channel, AID_MASTERCARD, range(3))
 
 
 # --- issuer ordering ---------------------------------------------------------------------
