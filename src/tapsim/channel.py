@@ -19,14 +19,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Protocol
 
-from .elements import PLAIN_JSON, TAGS_BY_NAME, DataElementMap, Tag, TagInfo, to_json
+from .elements import JSON, PLAIN_JSON, DataElementMap, Tag, TagInfo, to_json
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
-# each tag's '"NAME": ' prefix; '"' sorts before any name character, so these sort as names do
-_KEY = {tag: f"{_quote(name)}: " for name, tag in TAGS_BY_NAME.items()}
+# Line shapes, kept for the process once met (code paths make them, not data): a message's
+# (name, *payload tags) or a marker's data keys -> (keys in output order, %-template)
+_MESSAGE_SHAPES: dict[tuple, tuple[tuple, str]] = {}
+_MARKER_SHAPES: dict[tuple, tuple[tuple, str]] = {}
+
+
+def _shape(cache: dict, key: tuple, names: dict[Any, str], head: str, tail: str) -> tuple:
+    """Keep a new shape: members sorted on their names as json.dumps sorts, '%' escaped."""
+    order = sorted(names, key=names.__getitem__)
+    members = ", ".join([_quote(names[k]).replace("%", "%%") + ": %s" for k in order])
+    return cache.setdefault(key, (tuple(order), head.replace("%", "%%") + members + tail))
+
 
 # Fixed message vocabulary and the tags each message may legally carry
 # (union over both directions; construction-time typo guard).
@@ -112,13 +122,6 @@ class TraceEvent:
     received: Message | None = None  # what the receiver actually got
     data: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def tampered(self) -> bool:
-        sent, received = self.sent, self.received
-        if sent is None or received is None or received is sent:
-            return False
-        return sent.name != received.name or sent.payload != received.payload
-
 
 class TransactionTrace:
     """Ordered log of everything that happened in one scenario run."""
@@ -148,27 +151,26 @@ class TransactionTrace:
         return ev
 
     def to_jsonl(self) -> str:
-        """One JSON object per line, keys sorted, spliced from fragments: each value is written
-        by its type's writer, a non-plain one once per call. Every hop delivers: status "ok"."""
+        """One JSON object per line, keys sorted: an event's line is its shape's template filled
+        with its values, each by its type's writer, a non-plain one once per call; status "ok"."""
         memo: dict[int, str] = {}  # id of a message or value the trace holds -> its JSON
-
-        def members(pairs: Iterable[tuple[str, Any]]) -> str:  # pairs in key order
-            parts = []
-            for key, value in pairs:
-                write = PLAIN_JSON.get(type(value))
-                text = write(value) if write else memo.get(id(value))
-                if text is None:  # not plain, and not yet seen in this call
-                    text = memo[id(value)] = to_json(value)
-                parts.append(key + text)
-            return "{" + ", ".join(parts) + "}"
 
         def message(msg: Message) -> str:
             items = msg.payload._items  # read in place: no copy, no call per entry
-            payload = members(sorted(zip(map(_KEY.__getitem__, items), items.values())))
-            return f'{{"name": {_quote(msg.name)}, "payload": {payload}}}'
+            order, template = _MESSAGE_SHAPES.get(key := (msg.name, *items)) or _shape(
+                _MESSAGE_SHAPES, key, {tag: tag.name for tag in items},
+                f'{{"name": {_quote(msg.name)}, "payload": {{', "}}")
+            texts = []
+            for value in map(items.__getitem__, order):
+                write = PLAIN_JSON.get(type(value))
+                text = write(value) if write else memo.get(id(value))
+                if text is None:  # not plain, and not yet seen in this call
+                    text = memo[id(value)] = JSON.get(type(value), to_json)(value)
+                texts.append(text)
+            return template % tuple(texts)
 
-        meta = {"kind": "meta", **self.meta}
-        lines = [members([(_quote(k) + ": ", v) for k, v in sorted(meta.items())])]
+        lines = ["{" + ", ".join([f"{_quote(k)}: {JSON.get(type(v), to_json)(v)}" for k, v in
+                                  sorted({"kind": "meta", **self.meta}.items())]) + "}"]
         for ev in self.events:
             session = "" if ev.session is None else f', "session": {ev.session}'
             if ev.kind == "msg":
@@ -182,9 +184,17 @@ class TransactionTrace:
                              f'"relay": {PLAIN_JSON[bool](ev.relay_active)}, '
                              f'"sent": {sent}{session}, "status": "ok"}}')
                 continue
-            pairs = [(_quote(k) + ": ", v) for k, v in sorted(ev.data.items())]
-            head = f'{{"data": {members(pairs)}, ' if pairs else "{"
-            lines.append(f'{head}"idx": {ev.idx}, "kind": {_quote(ev.kind)}{session}}}')
+            order, template = _MARKER_SHAPES.get(key := tuple(ev.data)) or _shape(
+                _MARKER_SHAPES, key, dict(zip(key, key)), '{"data": {' if key else "{",
+                ('}, ' if key else "") + '"idx": %s, "kind": %s%s}')
+            texts = []
+            for value in map(ev.data.__getitem__, order):
+                write = PLAIN_JSON.get(type(value))
+                text = write(value) if write else memo.get(id(value))
+                if text is None:
+                    text = memo[id(value)] = JSON.get(type(value), to_json)(value)
+                texts.append(text)
+            lines.append(template % (*texts, ev.idx, _quote(ev.kind), session))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -241,17 +251,6 @@ class Adversary:
     def knows(self, category: str) -> set[str]:
         return {v for c, v in self.knowledge if c == category}
 
-    def _apply(self, hooks: list[Hook], msg: Message) -> Message:
-        for hook in hooks:
-            msg = hook(msg, self)
-        return msg
-
-    def pass_to_card(self, msg: Message) -> Message:
-        return self._apply(self.to_card_hooks, msg)
-
-    def pass_from_card(self, msg: Message) -> Message:
-        return self._apply(self.from_card_hooks, msg)
-
 
 class CardFace(Protocol):
     def exchange(self, msg: Message) -> Message: ...
@@ -278,15 +277,16 @@ class NfcChannel:
             bind(trace, self.session)
 
     def exchange(self, msg: Message) -> Message:
+        adversary = self.adversary
         delivered = msg
-        if self.adversary is not None:
-            delivered = self.adversary.pass_to_card(msg)
+        for hook in () if adversary is None else adversary.to_card_hooks:
+            delivered = hook(delivered, adversary)
         self.trace.log_msg("nfc", self.session, "to_card", sent=msg,
                            received=delivered, relay_active=self.relay_active)
         reply = self.card.exchange(delivered)
         returned = reply
-        if self.adversary is not None:
-            returned = self.adversary.pass_from_card(reply)
+        for hook in () if adversary is None else adversary.from_card_hooks:
+            returned = hook(returned, adversary)
         self.trace.log_msg("nfc", self.session, "from_card", sent=reply,
                            received=returned, relay_active=self.relay_active)
         return returned

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_elements import ELEMENT_VALUES, SAMPLE_VALUES
-from test_golden import CATALOGUE
+from test_golden import CATALOGUE, GENUINE
 
+from tapsim import channel
 from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import (
     MARKER_KINDS,
@@ -60,6 +61,15 @@ def markers(trace, kind, session=None):
             if ev.kind == kind and (session is None or ev.session == session)]
 
 
+def tampered(ev):
+    """Whether a ``msg`` hop delivered something other than what was sent: a
+    different name or payload encoding; never when either view is missing."""
+    sent, received = ev.sent, ev.received
+    if sent is None or received is None or received is sent:
+        return False
+    return sent.name != received.name or sent.payload != received.payload
+
+
 def gpo(amount=12000, un=5):
     return Message("GET_PROCESSING_OPTIONS",
                    DataElementMap({Tag.AMOUNT: Amount(amount, "EUR"), Tag.UN: un}))
@@ -95,8 +105,8 @@ def test_channel_logs_both_views():
     assert reply.payload[Tag.ATC] == 7
     hops = msgs(trace, channel="nfc")
     assert len(hops) == 2
-    assert hops[0].direction == "to_card" and not hops[0].tampered
-    assert hops[1].direction == "from_card" and not hops[1].tampered
+    assert hops[0].direction == "to_card" and not tampered(hops[0])
+    assert hops[1].direction == "from_card" and not tampered(hops[1])
 
 
 def test_adversary_modification_shows_as_tamper():
@@ -109,7 +119,7 @@ def test_adversary_modification_shows_as_tamper():
     chan.exchange(gpo(amount=12000))
     assert card.seen[0].payload[Tag.AMOUNT] == Amount(100, "EUR")
     ev = msgs(trace, name="GET_PROCESSING_OPTIONS")[0]
-    assert ev.tampered
+    assert tampered(ev)
     assert ev.sent.payload[Tag.AMOUNT] == Amount(12000, "EUR")
     assert ev.received.payload[Tag.AMOUNT] == Amount(100, "EUR")
 
@@ -139,7 +149,7 @@ def test_observer_sees_wire_and_learns():
     assert adv.knows("UN") == {"42"}
     hop = msgs(trace, name="GET_PROCESSING_OPTIONS")[0]
     assert hop.direction == "to_card"
-    assert hop.received is hop.sent and not hop.tampered
+    assert hop.received is hop.sent and not tampered(hop)
     assert len(markers(trace, "knowledge")) == 1
     # learning the same fact twice does not duplicate the marker
     chan.exchange(gpo(un=42))
@@ -378,11 +388,83 @@ def test_jsonl_lines_match_reference_dumps_on_generated_traces(trace):
     assert trace.to_jsonl().splitlines() == list(_reference_lines(trace))
 
 
-@pytest.mark.parametrize("hook, tampered", [
+# --- line shapes: compiled once per process, so one shape must never serve another -------
+
+def _matches_reference(trace):
+    lines = trace.to_jsonl().splitlines()
+    assert lines == list(_reference_lines(trace))
+    return lines
+
+
+def test_marker_shape_is_not_a_message_shape():
+    # an empty GENERATE_AC and a marker whose only data key is "GENERATE_AC" have equal keys
+    trace = TransactionTrace()
+    empty = Message("GENERATE_AC")
+    for _ in range(2):
+        trace.log_msg("nfc", 1, "to_card", empty, empty)
+        trace.mark("note", 1, GENERATE_AC=1)
+    lines = _matches_reference(trace)
+    assert '"sent": {"name": "GENERATE_AC", "payload": {}}' in lines[3]
+    assert '"data": {"GENERATE_AC": 1}' in lines[4]
+
+
+def test_insertion_order_of_keys_does_not_reach_the_line():
+    trace = TransactionTrace()
+    forward = Message("GET_PROCESSING_OPTIONS", DataElementMap({Tag.UN: 1, Tag.ATC: 2}))
+    backward = Message("GET_PROCESSING_OPTIONS", DataElementMap({Tag.ATC: 2, Tag.UN: 1}))
+    for _ in range(2):
+        trace.log_msg("nfc", 1, "to_card", forward, backward)
+        trace.log_msg("nfc", 1, "to_card", backward, forward)
+        trace.mark("note", b=1, a=2)
+        trace.mark("note", a=2, b=1)
+    lines = _matches_reference(trace)
+    # with the idx taken out, every msg line is one text and every marker line another
+    assert len({line.replace(f'"idx": {i}, ', "") for i, line in enumerate(lines[1:])}) == 2
+
+
+def test_percent_signs_in_keys_are_literal():
+    trace = TransactionTrace()
+    for value in (1, "%s", "%"):
+        trace.mark("note", **{"%": value, "%s": value, "a%%b": value})
+    lines = _matches_reference(trace)
+    assert lines[3].startswith('{"data": {"%": "%", "%s": "%", "a%%b": "%"}')
+
+
+def test_one_shape_writes_each_value_by_its_type():
+    # 1, True, CID.ARQC and 1.0 compare and hash alike; the shape keeps no writer per key
+    trace = TransactionTrace()
+    for value in (1, True, CID.ARQC, 1.0, 1, CID.ARQC):
+        trace.mark("note", value=value)
+    lines = _matches_reference(trace)
+    assert [line.split(", ")[0] for line in lines[1:]] == [
+        '{"data": {"value": 1}', '{"data": {"value": true}', '{"data": {"value": "ARQC"}',
+        '{"data": {"value": 1.0}', '{"data": {"value": 1}', '{"data": {"value": "ARQC"}']
+
+
+def _shape_count():
+    return len(channel._MESSAGE_SHAPES) + len(channel._MARKER_SHAPES)
+
+
+def test_shapes_come_from_code_paths_not_data():
+    def emit(catalogue_seed, genuine_seed):
+        for attack_id in CATALOG:
+            run_attack(attack_id, seed=catalogue_seed).trace.to_jsonl()
+        for policy in (PERMISSIVE_2019, HARDENED):
+            for _p, env, _r in run_genuine_matrix(policy, seed=genuine_seed):
+                env.trace.to_jsonl()
+
+    emit(42, 0)
+    count = _shape_count()
+    emit(1, 1)
+    emit(7, 7)
+    assert _shape_count() == count
+
+
+@pytest.mark.parametrize("hook, expected", [
     (lambda m, a: Message(m.name, m.payload.copy()), False),
     (lambda m, a: m.with_payload(TTQ=m.payload[Tag.TTQ].replace(cvm_required=True)), True),
 ])
-def test_tampered_compares_encodings(hook, tampered):
+def test_tampered_compares_encodings(hook, expected):
     trace = TransactionTrace()
     adv = Adversary(("A1",), trace=trace)
     adv.on_to_card(hook)
@@ -390,16 +472,23 @@ def test_tampered_compares_encodings(hook, tampered):
         gpo().with_payload(TTQ=TTQ(cvm_required=False)))
     ev = trace.events[0]
     assert ev.received is not ev.sent
-    assert ev.tampered is tampered
+    assert tampered(ev) is expected
 
 
 def test_catalogue_digest_ignores_the_hash_seed():
+    # each child emits the catalogue with its shape cache cold, then warm, then the genuine matrix
     code = ("import hashlib; from tapsim.attacks import CATALOG, run_attack; "
-            "print(hashlib.sha256(''.join(run_attack(a, seed=42).trace.to_jsonl() "
-            "for a in CATALOG).encode('utf-8')).hexdigest())")
+            "from tapsim.issuer import HARDENED, PERMISSIVE_2019; "
+            "from tapsim.runner import run_genuine_matrix; "
+            "digest = lambda texts: hashlib.sha256(''.join(texts).encode('utf-8')).hexdigest(); "
+            "catalogue = [run_attack(a, seed=42).trace for a in CATALOG]; "
+            "print(digest(t.to_jsonl() for t in catalogue)); "
+            "print(digest(t.to_jsonl() for t in catalogue)); "
+            "print(digest(env.trace.to_jsonl() for p in (PERMISSIVE_2019, HARDENED) "
+            "for _p, env, _r in run_genuine_matrix(p, seed=0)))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
                               env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
              for seed in ("0", "1")]
-    digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
-    assert digests == [CATALOGUE, CATALOGUE]
+    digests = [proc.communicate(timeout=120)[0].split() for proc in procs]
+    assert digests == [[CATALOGUE, CATALOGUE, GENUINE]] * 2
