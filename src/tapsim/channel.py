@@ -16,12 +16,12 @@ The adversary is a hook container. Capabilities gate what the hooks may do:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Protocol
 
-from .elements import JSON, PLAIN_JSON, DataElementMap, Tag, TagInfo, to_json
+from .elements import (PLAIN_JSON, RENDER, DataElementMap, Tag, TagInfo, json_chunks,
+                       render_value, to_json)
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
@@ -152,7 +152,7 @@ class TransactionTrace:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
-        with its values, each by its type's writer, a non-plain one once per call; status "ok"."""
+        with its values, a non-plain one rendered and encoded once per call; status "ok"."""
         memo: dict[int, str] = {}  # id of a message or value the trace holds -> its JSON
 
         def message(msg: Message) -> str:
@@ -165,12 +165,12 @@ class TransactionTrace:
                 write = PLAIN_JSON.get(type(value))
                 text = write(value) if write else memo.get(id(value))
                 if text is None:  # not plain, and not yet seen in this call
-                    text = memo[id(value)] = JSON.get(type(value), to_json)(value)
+                    text = memo[id(value)] = "".join(json_chunks(
+                        RENDER.get(type(value), render_value)(value), 0))
                 texts.append(text)
             return template % tuple(texts)
 
-        lines = ["{" + ", ".join([f"{_quote(k)}: {JSON.get(type(v), to_json)(v)}" for k, v in
-                                  sorted({"kind": "meta", **self.meta}.items())]) + "}"]
+        lines = [to_json({"kind": "meta", **self.meta})]
         for ev in self.events:
             session = "" if ev.session is None else f', "session": {ev.session}'
             if ev.kind == "msg":
@@ -192,7 +192,8 @@ class TransactionTrace:
                 write = PLAIN_JSON.get(type(value))
                 text = write(value) if write else memo.get(id(value))
                 if text is None:
-                    text = memo[id(value)] = JSON.get(type(value), to_json)(value)
+                    text = memo[id(value)] = "".join(json_chunks(
+                        RENDER.get(type(value), render_value)(value), 0))
                 texts.append(text)
             lines.append(template % (*texts, ev.idx, _quote(ev.kind), session))
         return "\n".join(lines) + "\n"
@@ -237,10 +238,9 @@ class Adversary:
         self.from_card_hooks.append(hook)
 
     def learn(self, category: str, value: Any, session: int | None = None) -> None:
+        value = render_value(value)  # a value rendered as a string is known as that string
         if not isinstance(value, str):
             value = to_json(value)
-            if value[0] == '"':  # a value rendered as a string is known as that string
-                value = json.loads(value)
         item = (category, value)
         if item in self.knowledge:
             return

@@ -19,7 +19,7 @@ import json
 import types
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from json.encoder import encode_basestring_ascii as _quote
+from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -413,7 +413,6 @@ KINDS: dict[str, tuple[type | tuple[type, ...], Callable[[Any], bytes]]] = {
     "flags:aip": (AIP, _enc_flags),
     "flags:ctq": (CTQ, _enc_flags),
     "flags:ttq": (TTQ, _enc_flags),
-    "flags:tvr": (TVR, _enc_flags),
     "iad": (IAD, lambda v: bytes([int(v.cdcvm_performed), DeviceType[v.device_type]])
             + _enc_lp(v.filler)),
     "cid": (CID, lambda v: bytes([v])),
@@ -449,92 +448,63 @@ def encode_value(tag: TagInfo, value: Any) -> bytes:
     return encode(value)
 
 
-# json.dumps(value, sort_keys=True) without building an encoder per call
-_dumps = json.JSONEncoder(sort_keys=True).encode
 # json's spelling of each plain type, by exact type: bool and IntEnum are not int
 PLAIN_JSON = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
               type(None): {None: "null"}.__getitem__}
+# json.dumps(value, sort_keys=True)'s C encoder, built once; "".join(json_chunks(v, 0)) is its
+# text. It keeps no markers for json's circular check: a shared dict keeps stale ids after an error.
+json_chunks = c_make_encoder(None, json.JSONEncoder().default, _quote, None, ": ", ", ",
+                             True, False, True)
 
 
-def _raw(value: Any) -> str:  # a field that render_value passes on as it is
-    return PLAIN_JSON.get(type(value), _dumps)(value)
+def _fields(names: Iterable[str]) -> Callable[[Any], dict[str, Any]]:
+    """Renderer of a value as ``{name: getattr(value, name)}``, in the order of ``names``."""
+    names = tuple(names)
+    return lambda v: dict(zip(names, map(v.__getattribute__, names)))
 
 
-def _fields_json(names: Iterable[str]) -> Callable[[Any], str]:
-    """Writer of a value rendered as ``{name: getattr(value, name)}``; it inlines
-    ``_raw``, as the flag maps are the most frequent values."""
-    names = sorted(names)
-    template = "{" + ", ".join(f'"{name}": %s' for name in names) + "}"
-    return lambda v: template % tuple([PLAIN_JSON.get(type(x), _dumps)(x)
-                                       for x in map(v.__getattribute__, names)])
-
-
-# exact type -> what json.dumps(render_value(value), sort_keys=True) writes for it
-JSON: dict[type, Callable[[Any], str]] = {
-    **PLAIN_JSON, **dict.fromkeys((bytes, bytearray), lambda v: f'"{v.hex()}"'),
-    **{cls: {m: _quote(m.name) for m in cls}.__getitem__
+# exact type -> the JSON-friendly rendering of an element value of it (bytes as hex, an enum
+# member as its name). An enum's ``.name`` is a Python-level property; ``_name_`` is not.
+RENDER: dict[type, Callable[[Any], Any]] = {
+    bytes: bytes.hex, bytearray: bytearray.hex,
+    **{cls: {m: m._name_ for m in cls}.__getitem__
        for cls in (CID, CVMMethod, CVMCondition, CVMResult, DeviceType)},
-    **{cls: _fields_json(cls._positions) for cls in (AIP, TTQ, CTQ, TVR)},
-    Amount: _fields_json(("value", "currency")),
-    Track2EquivalentData: _fields_json(("pan", "expiry", "service_code", "discretionary")),
-    IAD: lambda v: (f'{{"cdcvm_performed": {_raw(v.cdcvm_performed)}, '
-                    f'"device_type": {_raw(v.device_type)}, "filler": "{v.filler.hex()}"}}'),
-    AFL: lambda v: "[" + ", ".join(map(_raw, v.records)) + "]",
-    DOL: lambda v: "[" + ", ".join([_quote(t.name) for t in v.tags]) + "]",
-    CVMList: lambda v: "[" + ", ".join([f"[{_quote(e.method._name_)}, {_quote(e.condition._name_)}]"
-                                        for e in v.entries]) + "]",
-    CVMResults: lambda v: (f"[{_quote(v.method._name_)}, {_quote(v.condition._name_)}, "
-                           f"{_quote(v.result._name_)}]"),
-    ActionCodes: lambda v: (f'{{"default": {v.default.to_int()}, "denial": {v.denial.to_int()}, '
-                            f'"online": {v.online.to_int()}}}'),
+    **{cls: _fields(cls._positions) for cls in (AIP, TTQ, CTQ, TVR)},
+    Amount: _fields(("value", "currency")),
+    Track2EquivalentData: _fields(("pan", "expiry", "service_code", "discretionary")),
+    IAD: lambda v: {"cdcvm_performed": v.cdcvm_performed, "device_type": v.device_type,
+                    "filler": v.filler.hex()},
+    AFL: lambda v: list(v.records),
+    DOL: lambda v: [t.name for t in v.tags],
+    CVMList: lambda v: [[e.method._name_, e.condition._name_] for e in v.entries],
+    CVMResults: lambda v: [v.method._name_, v.condition._name_, v.result._name_],
+    ActionCodes: lambda v: {"denial": v.denial.to_int(), "online": v.online.to_int(),
+                            "default": v.default.to_int()},
 }
 
 
-def to_json(value: Any) -> str:
-    """``json.dumps(render_value(value), sort_keys=True)``; direct for element values."""
-    write = JSON.get(type(value))
-    return write(value) if write else _dumps(render_value(value))
-
-
 def render_value(value: Any) -> Any:
-    """JSON-friendly rendering for traces and reports (bytes as hex).
-    Objects with a ``render()`` method render themselves; dicts and
-    sequences recurse, and sets come out sorted."""
+    """JSON-friendly rendering for traces and reports: an element value by its
+    type's ``RENDER`` entry. Dicts and sequences recurse, sets come out sorted,
+    and objects with a ``render()`` method render themselves."""
     if type(value) in PLAIN_JSON or type(value) is float:
         return value
+    render = RENDER.get(type(value))
+    if render is not None:
+        return render(value)
     if type(value) is dict:
         return {k: render_value(v) for k, v in value.items()}
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value).hex()
-    if isinstance(value, Amount):
-        return {"value": value.value, "currency": value.currency}
-    if isinstance(value, _Flags):
-        return {name: getattr(value, name) for name in value._positions}
-    if isinstance(value, IAD):
-        return {"cdcvm_performed": value.cdcvm_performed, "device_type": value.device_type,
-                "filler": value.filler.hex()}
-    if isinstance(value, enum.IntEnum):
-        return value.name
-    if isinstance(value, AFL):
-        return list(value.records)
-    if isinstance(value, DOL):
-        return [t.name for t in value.tags]
-    if isinstance(value, CVMList):
-        return [[e.method.name, e.condition.name] for e in value.entries]
-    if isinstance(value, CVMResults):
-        return [value.method.name, value.condition.name, value.result.name]
-    if isinstance(value, ActionCodes):
-        return {"denial": value.denial.to_int(), "online": value.online.to_int(),
-                "default": value.default.to_int()}
-    if isinstance(value, Track2EquivalentData):
-        return {"pan": value.pan, "expiry": value.expiry,
-                "service_code": value.service_code, "discretionary": value.discretionary}
     if isinstance(value, (list, tuple)):
         return [render_value(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted((render_value(v) for v in value), key=repr)
     render = getattr(value, "render", None)
     return render() if callable(render) else value
+
+
+def to_json(value: Any) -> str:
+    """``json.dumps(render_value(value), sort_keys=True)``."""
+    return "".join(json_chunks(render_value(value), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,7 @@ from .card import Card, CardProfile, OdaMaterial, WALLET_KINDS
 from .channel import NfcChannel, PaymentRails, TransactionTrace
 from .crypto import CAStore, Certificate, generate_signing_key, issue_certificate, public_bytes
 from .elements import (
-    AID_MAESTRO,
-    AID_MASTERCARD,
-    AID_VISA,
+    AID_BRANDS,
     ActionCodes,
     Amount,
     CVMCondition,
@@ -41,6 +39,7 @@ from .elements import (
     DataElementMap,
     Tag,
     TVR,
+    brand_of,
 )
 from .issuer import PERMISSIVE_2019, Issuer, IssuerPolicy
 from .terminal import Terminal, TerminalConfig
@@ -50,55 +49,55 @@ AMOUNT_LOW = 1500     # below the CVM and floor limits
 
 CA_INDEX = 1
 
-_AIDS = {"visa": AID_VISA, "mastercard": AID_MASTERCARD, "maestro": AID_MAESTRO}
+_AIDS = {brand: aid for aid, brand in AID_BRANDS.items()}
 
 # One entry per personalized card/phone. Dicts, not classes: scenario code
 # copies and patches these freely.
 CARD_FIXTURES: dict[str, dict[str, Any]] = {
     "visa_plastic_no_fdda": dict(
         pan="4111111111111111", expiry="2812", cardholder_name="ALICE HOLDER",
-        csc="123", brand="visa", kernel=3, fdda=False, oda=False,
+        csc="123", kernel=3, fdda=False, oda=False,
     ),
     "visa_plastic_fdda": dict(
         pan="4012888888881881", expiry="2901", cardholder_name="BEA HOLDER",
-        csc="456", brand="visa", kernel=3, fdda=True, oda=True,
+        csc="456", kernel=3, fdda=True, oda=True,
     ),
     "visa_credit_foreign_nocvm": dict(
         pan="4556000000001008", expiry="2711", cardholder_name="CHUCK ABROAD",
-        csc="789", brand="visa", kernel=3, fdda=False, oda=False,
+        csc="789", kernel=3, fdda=False, oda=False,
         home_currency="USD", foreign_no_cvm=True,
     ),
     "mastercard_cda": dict(
         pan="5555555555554444", expiry="2806", cardholder_name="DANA HOLDER",
-        csc="321", brand="mastercard", kernel=2, cda=True, oda=True,
+        csc="321", kernel=2, cda=True, oda=True,
         magstripe_capable=True, iac_denial_cda_failed=True,
         cvm_list=[("OnlinePIN", "IfAboveCvmLimit"), ("NoCVM", "IfBelowCvmLimit")],
         pin="4315",
     ),
     "maestro_debit": dict(
         pan="6761000000000006", expiry="2710", cardholder_name="EDDY HOLDER",
-        csc="654", brand="maestro", kernel=2, oda=False,
+        csc="654", kernel=2, oda=False,
         cvm_list=[("OnlinePIN", "IfAboveCvmLimit"), ("NoCVM", "IfBelowCvmLimit")],
         pin="8022",
     ),
     "google_like_phone": dict(
         pan="4938000000003003", expiry="3005", cardholder_name="FAY PHONE",
-        csc="987", brand="visa", kernel=3, fdda=True, oda=True,
+        csc="987", kernel=3, fdda=True, oda=True,
         device_type="phone", wallet="google_like", wallet_cdcvm_always=True,
     ),
     "apple_like_phone": dict(
         pan="4321000000004006", expiry="3007", cardholder_name="GIL PHONE",
-        csc="135", brand="visa", kernel=3, fdda=False, oda=False,
+        csc="135", kernel=3, fdda=False, oda=False,
         device_type="phone", wallet="apple_like",
     ),
     "samsung_like_phone": dict(
         pan="4100000000005000", expiry="3009", cardholder_name="HUE PHONE",
-        csc="246", brand="visa", kernel=3, fdda=True, oda=True,
+        csc="246", kernel=3, fdda=True, oda=True,
         device_type="phone", wallet="samsung_like",
     ),
     "magstripe_only": dict(
         pan="5200000000000114", expiry="2512", cardholder_name="IVY LEGACY",
-        csc="111", brand="mastercard", kernel=2, emv_mode=False, oda=False,
+        csc="111", kernel=2, emv_mode=False, oda=False,
         magstripe_capable=True, service_code="101",
     ),
 }
@@ -190,7 +189,7 @@ def _build_card(name: str, fx: dict[str, Any], seeds: tuple[bytes, bytes, bytes]
     """Personalize one card; every key not translated here is a CardProfile field."""
     fx = dict(fx)
     master_key, cvc3_key, signing_seed = seeds
-    aid = _AIDS[fx.pop("brand")]
+    aid = _AIDS[brand_of(fx["pan"])]
     cvm_list = _cvm_list(fx.pop("cvm_list", []))
     iac = ActionCodes(denial=TVR(cda_failed=fx.pop("iac_denial_cda_failed", False)))
     wallet_kind = fx.pop("wallet", None)

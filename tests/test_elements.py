@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import enum
 import itertools
 import json
 import pickle
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tapsim import elements
 from tapsim.elements import (
     AFL,
     AID_BRANDS,
@@ -33,8 +35,10 @@ from tapsim.elements import (
     DeviceType,
     DOL,
     IAD,
-    JSON,
+    KINDS,
     MissingDolEntry,
+    PLAIN_JSON,
+    RENDER,
     TAGS_BY_CODE,
     TAGS_BY_NAME,
     Tag,
@@ -53,6 +57,10 @@ from tapsim.elements import (
 
 
 # --- registry ---------------------------------------------------------------
+
+def test_every_kind_is_used_by_a_registered_tag():
+    assert set(KINDS) == {info.kind for info in TAGS_BY_NAME.values()}
+
 
 def test_registry_is_a_bijection():
     assert len(TAGS_BY_NAME) == len(TAGS_BY_CODE)
@@ -483,7 +491,17 @@ ELEMENT_VALUES = st.one_of(*WRITER_VALUES.values())
 
 
 def test_every_writer_has_values():
-    assert set(WRITER_VALUES) == set(JSON)
+    assert set(WRITER_VALUES) == set(RENDER) | set(PLAIN_JSON)
+
+
+def test_every_enum_and_flag_map_has_a_render_entry():
+    # an IntEnum missing from RENDER would be written as a bare int, and a flag map
+    # would reach the encoder unrendered
+    defined = {cls for cls in vars(elements).values() if isinstance(cls, type)
+               and cls.__module__ == elements.__name__
+               and issubclass(cls, (enum.IntEnum, elements._Flags)) and cls is not elements._Flags}
+    assert {CID, DeviceType, AIP, TVR} <= defined
+    assert not [cls.__name__ for cls in defined if cls not in RENDER]
 
 
 @settings(max_examples=500, deadline=None)

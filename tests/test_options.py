@@ -47,6 +47,7 @@ def test_no_option_holds_only_one_value():
 @pytest.mark.parametrize("overrides", [
     {"card_overrides": {"visa_plastic_no_fdda": {"offline_pin_enabeld": True}}},
     {"terminal_overrides": {"standard_pos": {"lenient_cashire": True}}},
+    {"card_overrides": {"visa_plastic_no_fdda": {"brand": "visa"}}},  # the PAN names the brand
 ])
 def test_mistyped_override_is_rejected(overrides):
     with pytest.raises(TypeError):
