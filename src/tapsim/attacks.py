@@ -220,35 +220,13 @@ def _corrupt_ac(msg: Message, adv: Adversary) -> Message:
 
 # --- PIN-probing machinery ------------------------------------------------------------
 
-def simulate_pin_search(true_pin: str, *, try_limit: int = 3,
-                        stop_at_remaining: int = 1) -> tuple[int, int, bool]:
-    """Counter-aware exhaustive sweep as a pure function.
-
-    Models a criminal guessing 0000..9999 in order with brief repeated
-    access: whenever the try counter is down to ``stop_at_remaining`` they
-    stop and wait for the owner to use the card (which resets it). Returns
-    (guesses, owner_resets, blocked), in closed form.
-    """
-    found = len(true_pin) == 4 and true_pin.isascii() and true_pin.isdigit()
-    index = int(true_pin) if found else 10000   # wrong guesses before the PIN
-    guesses = min(index + 1, 10000)
-    # a counter already at the stop mark is reset before the first guess
-    resets = 1 if stop_at_remaining >= try_limit else 0
-    stop = min(stop_at_remaining, try_limit - 1)
-    if stop <= 0:
-        # nothing left to pause for: the wrong guesses run the counter out
-        if index >= try_limit:
-            return try_limit, resets, True
-        return guesses, resets, False
-    # one owner reset after every try_limit - stop guesses
-    return guesses, resets + (guesses - 1) // (try_limit - stop), False
-
-
 def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
                        owner_reset: Callable[[], None],
                        stop_at_remaining: int = 1) -> str | None:
-    """The message-driven version of :func:`simulate_pin_search`: the same
-    discipline, spoken over VERIFY. Returns the recovered PIN or None."""
+    """Counter-aware exhaustive sweep over VERIFY: guess 0000..9999 in order,
+    and whenever the try counter is down to ``stop_at_remaining`` let the
+    owner use the card (``owner_reset``), which refills it. Returns the
+    recovered PIN or None."""
     probe = channel.exchange(Message("VERIFY"))
     if probe.payload.get(Tag.DECISION) != "query":
         return None
@@ -503,13 +481,11 @@ def _stage_eavesdrop_card_data(env: Env, adv: Adversary) -> tuple[bool, str]:
         return msg
 
     adv.on_from_card(skim)
-    card = env.cards["visa_plastic_no_fdda"]
-    channel = NfcChannel(env.trace, card, adversary=adv)
-    result = env.terminals["standard_pos"].run_purchase(
-        channel, _eur(AMOUNT_LOW), pin=card.profile.pin,
-        performed_by="cardholder")
+    result = run_genuine(env, "visa_plastic_no_fdda", "standard_pos", AMOUNT_LOW,
+                         adversary=adv)
     # shoulder-surf the printed face for the security code
-    visual_read(adv, card.profile.face(), session=channel.session)
+    visual_read(adv, env.cards["visa_plastic_no_fdda"].profile.face(),
+                session=result["session"])
     got = {c for c in ("PAN", "EXPIRY", "CSC") if adv.knows(c)}
     return (_approved(result) and got == {"PAN", "EXPIRY", "CSC"},
             f"skimmed {sorted(got)} during a genuine purchase")
@@ -559,77 +535,62 @@ class Tap:
             adv.on_to_card(hook)
         for hook in self.from_card:
             adv.on_from_card(hook)
-        card = env.cards[self.card]
-        terminal = env.terminals[self.terminal]
-        result = terminal.run_purchase(
-            NfcChannel(env.trace, card, adversary=adv), _eur(self.amount),
-            pin=card.profile.pin if self.performed_by == "cardholder" else None,
-            performed_by=self.performed_by)
+        result = run_genuine(env, self.card, self.terminal, self.amount,
+                             unlocked=False, adversary=adv,
+                             performed_by=self.performed_by)
         ok = (result["outcome"].startswith(self.outcome)
               and all(result["view"].get(k) == v for k, v in self.view.items()))
         said = [self.note, _said(result)]
         if self.clearing is not None:
-            cleared = terminal.submit_clearing()
-            ok = ok and self.clearing in cleared
-            said.append(f"clearing said {cleared or ['nothing']}")
+            ok = ok and self.clearing in result["cleared"]
+            said.append(f"clearing said {result['cleared'] or ['nothing']}")
         return ok, "; ".join(filter(None, said))
 
 
 # --- the catalogue ----------------------------------------------------------------------
 
-def _spec(attack_id: str, title: str, capabilities: tuple[str, ...],
-          card: str, terminal: str | None, flaws: dict[str, bool],
-          expected: dict[str, tuple[str, ...]], intent: bool,
-          scope: Iterable[str], stage: Staging) -> AttackSpec:
-    return AttackSpec(attack_id=attack_id, title=title,
-                      capabilities=capabilities, card=card, terminal=terminal,
-                      required_flaws=flaws, expected=expected,
-                      intent_defeated=intent, secret_scope=frozenset(scope),
-                      stage=stage)
-
-
 def _tap_spec(attack_id: str, title: str, flaws: dict[str, bool],
               expected: dict[str, tuple[str, ...]], intent: bool,
               tap: Tap) -> AttackSpec:
-    return _spec(attack_id, title, ("A1",), tap.card, tap.terminal, flaws,
-                 expected, intent, (), tap)
+    return AttackSpec(attack_id, title, ("A1",), tap.card, tap.terminal, flaws,
+                      expected, intent, frozenset(), tap)
 
 CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
-    _spec("magstripe_cloning",
-          "skim a static-stripe card over NFC, spend it as a swipe",
-          ("A1",), "magstripe_only", "swipe_pos",
-          {},
-          {"P5": ("TRACK1", "TRACK2")},
-          False, ("TRACK1", "TRACK2"),
-          _stage_magstripe_cloning),
-    _spec("foreign_currency_replay",
-          "harvest a no-CVM-abroad cryptogram, submit it as a rogue merchant",
-          ("A1", "A5"), "visa_credit_foreign_nocvm", None,
-          {"foreign_no_cvm": True, "foreign_cvm_limit_enforced": False},
-          {"P3.1": (), "P3.2": ()},
-          True, (),
-          _stage_foreign_currency_replay),
-    _spec("replay_nonce_reuse",
-          "replay a transcript at a terminal that never varies its nonce",
-          ("A1", "A5"), "visa_plastic_no_fdda", "rogue_fixed_un_pos",
-          {"check_atc_order": False, "check_un_reuse": False},
-          {"P1": ("replay",), "P3.2": ()},
-          True, (),
-          _stage_replay_nonce_reuse),
-    _spec("pin_guessing",
-          "sweep the offline PIN space, pausing so the owner resets the counter",
-          ("A1",), "visa_plastic_no_fdda", "standard_pos",
-          {"offline_pin_enabled": True},
-          {"P5": ("PIN",)},
-          True, (),
-          _stage_pin_guessing),
-    _spec("pin_guess_dos",
-          "burn the offline PIN counter to brick the victim's card",
-          ("A1",), "visa_plastic_no_fdda", "standard_pos",
-          {"offline_pin_enabled": True},
-          {"P6": ()},
-          False, (),
-          _stage_pin_guess_dos),
+    AttackSpec("magstripe_cloning",
+               "skim a static-stripe card over NFC, spend it as a swipe",
+               ("A1",), "magstripe_only", "swipe_pos",
+               {},
+               {"P5": ("TRACK1", "TRACK2")},
+               False, frozenset(("TRACK1", "TRACK2")),
+               _stage_magstripe_cloning),
+    AttackSpec("foreign_currency_replay",
+               "harvest a no-CVM-abroad cryptogram, submit it as a rogue merchant",
+               ("A1", "A5"), "visa_credit_foreign_nocvm", None,
+               {"foreign_no_cvm": True, "foreign_cvm_limit_enforced": False},
+               {"P3.1": (), "P3.2": ()},
+               True, frozenset(),
+               _stage_foreign_currency_replay),
+    AttackSpec("replay_nonce_reuse",
+               "replay a transcript at a terminal that never varies its nonce",
+               ("A1", "A5"), "visa_plastic_no_fdda", "rogue_fixed_un_pos",
+               {"check_atc_order": False, "check_un_reuse": False},
+               {"P1": ("replay",), "P3.2": ()},
+               True, frozenset(),
+               _stage_replay_nonce_reuse),
+    AttackSpec("pin_guessing",
+               "sweep the offline PIN space, pausing so the owner resets the counter",
+               ("A1",), "visa_plastic_no_fdda", "standard_pos",
+               {"offline_pin_enabled": True},
+               {"P5": ("PIN",)},
+               True, frozenset(),
+               _stage_pin_guessing),
+    AttackSpec("pin_guess_dos",
+               "burn the offline PIN counter to brick the victim's card",
+               ("A1",), "visa_plastic_no_fdda", "standard_pos",
+               {"offline_pin_enabled": True},
+               {"P6": ()},
+               False, frozenset(),
+               _stage_pin_guess_dos),
     _tap_spec("ttq_ctq_bypass",
               "tell the card no CVM is needed, tell the terminal the phone did it",
               {"fdda": False, "check_ttq_in_ac": False,
@@ -648,14 +609,14 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                   from_card=(_flags(Tag.CTQ, cdcvm_performed=True,
                                     online_pin_required=False,
                                     signature_required=False),))),
-    _spec("card_brand_mixup",
-          "spend a kernel-2 card through a fabricated kernel-3 application",
-          ("A1",), "mastercard_cda", "standard_pos",
-          {"fdda": False, "check_aid_pan_match": False,
-           "check_plastic_cdcvm": False},
-          {"P1": ("AID", "CTQ"), "P3.1": (), "P3.2": ()},
-          True, (),
-          _stage_card_brand_mixup),
+    AttackSpec("card_brand_mixup",
+               "spend a kernel-2 card through a fabricated kernel-3 application",
+               ("A1",), "mastercard_cda", "standard_pos",
+               {"fdda": False, "check_aid_pan_match": False,
+                "check_plastic_cdcvm": False},
+               {"P1": ("AID", "CTQ"), "P3.1": (), "P3.2": ()},
+               True, frozenset(),
+               _stage_card_brand_mixup),
     _tap_spec("inducing_auth_failure",
               "break offline authentication on purpose, then sign for the goods",
               {"tac_denial_cda_failed": False, "lenient_cashier": True},
@@ -673,13 +634,13 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
               Tap("google_like_phone", "standard_pos", AMOUNT_HIGH, "criminal",
                   to_card=(_flags(Tag.TTQ, cvm_required=False),),
                   note="locked phone paid high value")),
-    _spec("magic_byte",
-          "gate greeting plus TTQ/CTQ rewrites turn express transit into a shop spree",
-          ("A1",), "apple_like_phone", "standard_pos",
-          {"check_ttq_in_ac": False, "check_mcc_for_wallet_no_cdcvm": False},
-          {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
-          True, (),
-          _stage_magic_byte),
+    AttackSpec("magic_byte",
+               "gate greeting plus TTQ/CTQ rewrites turn express transit into a shop spree",
+               ("A1",), "apple_like_phone", "standard_pos",
+               {"check_ttq_in_ac": False, "check_mcc_for_wallet_no_cdcvm": False},
+               {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
+               True, frozenset(),
+               _stage_magic_byte),
     _tap_spec("merchant_bag",
               "corrupt the cryptogram so the offline-approved sale never clears",
               {"cda": False},
@@ -698,20 +659,20 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                   from_card=(_swap("SELECT", Tag.AID, AID_MAESTRO, AID_MASTERCARD),),
                   view={"aid": AID_MASTERCARD},
                   note="debit card spent under the credit brand")),
-    _spec("eavesdrop_card_data",
-          "skim account data off a genuine purchase, read the CSC off the card",
-          ("A1", "A8"), "visa_plastic_no_fdda", "standard_pos",
-          {},
-          {"P5": ("PAN", "EXPIRY", "CSC")},
-          False, ("PAN", "EXPIRY", "CSC"),
-          _stage_eavesdrop_card_data),
-    _spec("magstripe_mode_clone",
-          "pre-play the whole 3-digit nonce space into a dynamic-code clone",
-          ("A1",), "mastercard_cda", "standard_pos",
-          {"check_atc_order": False},
-          {"P5": ("TRACK2", "CVC3_TABLE"), "P3.2": ()},
-          True, ("TRACK2", "CVC3_TABLE"),
-          _stage_magstripe_mode_clone),
+    AttackSpec("eavesdrop_card_data",
+               "skim account data off a genuine purchase, read the CSC off the card",
+               ("A1", "A8"), "visa_plastic_no_fdda", "standard_pos",
+               {},
+               {"P5": ("PAN", "EXPIRY", "CSC")},
+               False, frozenset(("PAN", "EXPIRY", "CSC")),
+               _stage_eavesdrop_card_data),
+    AttackSpec("magstripe_mode_clone",
+               "pre-play the whole 3-digit nonce space into a dynamic-code clone",
+               ("A1",), "mastercard_cda", "standard_pos",
+               {"check_atc_order": False},
+               {"P5": ("TRACK2", "CVC3_TABLE"), "P3.2": ()},
+               True, frozenset(("TRACK2", "CVC3_TABLE")),
+               _stage_magstripe_mode_clone),
     _tap_spec("emv_to_magstripe",
               "hide the chip: force a capable card down the mag-stripe path",
               {},

@@ -71,6 +71,7 @@ for _entry in _CODEC["tags"]:
         raise CodecError(f"codec table duplicates tag {_info.name}/{_info.code}")
     TAGS_BY_NAME[_info.name] = _info
     TAGS_BY_CODE[_info.code] = _info
+del _entry, _info
 
 
 def _tag_by_name(name: str) -> TagInfo:
@@ -202,9 +203,9 @@ class TVR(_Flags):
 
 
 for _cls in (AIP, TTQ, CTQ, TVR):
-    _declared = {f.name for f in fields(_cls)}
-    if _declared != set(_cls._positions):
+    if {f.name for f in fields(_cls)} != set(_cls._positions):
         raise CodecError(f"{_cls.__name__} fields disagree with codec.json")
+del _cls
 
 
 # ---------------------------------------------------------------------------

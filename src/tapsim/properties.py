@@ -66,9 +66,6 @@ class PropertyReport:
             return self.p3
         return prop in self.violations
 
-    def labels(self, prop: str) -> tuple[str, ...]:
-        return self.violations.get(prop, ())
-
     def summary(self) -> str:
         if not self.violations:
             return "none"

@@ -26,7 +26,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, Iterator
 
 from .card import Card, CardProfile, OdaMaterial, WALLET_KINDS
-from .channel import NfcChannel, PaymentRails, TransactionTrace
+from .channel import Adversary, NfcChannel, PaymentRails, TransactionTrace
 from .crypto import CAStore, Certificate, generate_signing_key, issue_certificate, public_bytes
 from .elements import (
     AID_BRANDS,
@@ -118,10 +118,7 @@ TERMINAL_FIXTURES: dict[str, dict[str, Any]] = {
 
 @dataclass
 class Env:
-    seed: int
-    policy: IssuerPolicy
     trace: TransactionTrace
-    rng: random.Random
     issuer: Issuer
     rails: PaymentRails
     ca_store: CAStore
@@ -296,15 +293,19 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
         name: partial(_build_terminal, name, fx, pin_key, rng, rails, ca_store)
         for name, fx, pin_key in terminal_fxs})
 
-    return Env(seed=seed, policy=policy, trace=trace, rng=rng, issuer=issuer,
-               rails=rails, ca_store=ca_store, cards=cards, terminals=terminals)
+    return Env(trace=trace, issuer=issuer, rails=rails, ca_store=ca_store,
+               cards=cards, terminals=terminals)
 
 
 # --- genuine runs ---------------------------------------------------------------
 
 def run_genuine(env: Env, card_name: str, terminal_name: str,
-                amount_minor: int, *, unlocked: bool = True) -> dict[str, Any]:
-    """One honest purchase: cardholder present, no adversary anywhere."""
+                amount_minor: int, *, unlocked: bool = True,
+                adversary: Adversary | None = None,
+                performed_by: str = "cardholder") -> dict[str, Any]:
+    """One purchase over a fresh hop, then end-of-day clearing, whose
+    decisions come back as ``cleared``. By default the cardholder taps with
+    no adversary anywhere; a staging passes its own adversary and tapper."""
     card = env.cards[card_name]
     terminal = env.terminals[terminal_name]
     if card.profile.wallet is not None:
@@ -316,14 +317,14 @@ def run_genuine(env: Env, card_name: str, terminal_name: str,
         session = env.trace.new_session()
         result = terminal.run_swipe(card.profile.track2, amount, session)
     else:
-        channel = NfcChannel(env.trace, card)
+        channel = NfcChannel(env.trace, card, adversary=adversary)
         if terminal.config.transit:
             result = terminal.run_transit_tap(channel)
         else:
-            result = terminal.run_purchase(channel, amount,
-                                           pin=card.profile.pin,
-                                           performed_by="cardholder")
-    terminal.submit_clearing()
+            result = terminal.run_purchase(
+                channel, amount, performed_by=performed_by,
+                pin=card.profile.pin if performed_by == "cardholder" else None)
+    result["cleared"] = terminal.submit_clearing()
     return result
 
 

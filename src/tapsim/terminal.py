@@ -2,9 +2,10 @@
 
 One ``Terminal`` instance drives complete purchases against whatever sits on
 the other side of an ``NfcChannel`` (card, phone, clone, relay leg or
-replayer). Every final outcome is logged as a ``decision`` marker carrying
+replayer). Every purchase ends in exactly one ``decision`` marker carrying
 the *terminal's view* of the transaction, which the property checker later
-holds against the card's own ``card_tx`` marker.
+holds against the card's own ``card_tx`` marker. It is logged in one place: a
+step that refuses raises ``_Declined``, and ``run_purchase`` logs the decline.
 
 Two details deliberately mirror 2019-era deployments and are central to the
 attack catalogue:
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .channel import MESSAGES, Message, NfcChannel, PaymentRails
+from .channel import MESSAGES, Message, NfcChannel, PaymentRails, TransactionTrace
 from .crypto import BadSignature, CAStore, Certificate, LookupFailure, encrypt_pin, verify_sdad, verify_static_records
 from .elements import (
     AID_BRANDS,
@@ -55,6 +56,10 @@ CEILING = 100000     # terminals refuse larger amounts outright
 
 # tags hash by identity, so a fixed order keeps requests alike across processes
 _AUTH_TAGS = sorted(MESSAGES["AUTH_REQUEST"], key=lambda tag: tag.code)
+
+
+class _Declined(Exception):
+    """A purchase step refused; ``args[0]`` is the decline reason."""
 
 
 @dataclass
@@ -102,19 +107,28 @@ class Terminal:
     def run_purchase(self, channel: NfcChannel, amount: Amount, *,
                      pin: str | None = None,
                      performed_by: str = "cardholder") -> dict[str, Any]:
-        cfg = self.config
+        """One purchase, ending in exactly one logged decision: every step
+        that refuses raises ``_Declined``, and only this handler logs it."""
         view: dict[str, Any] = {"amount": amount, "mode": "emv"}
+        try:
+            outcome, reason = self._purchase(channel, amount, view, pin=pin,
+                                             performed_by=performed_by)
+        except _Declined as declined:
+            outcome, reason = "decline", declined.args[0]
+        return self._decide(channel.trace, channel.session, view, outcome, reason)
+
+    def _purchase(self, channel: NfcChannel, amount: Amount,
+                  view: dict[str, Any], *, pin: str | None,
+                  performed_by: str) -> tuple[str, str]:
+        cfg = self.config
         if amount.value > CEILING:
-            return self._decide(channel, view, "decline", "over_ceiling")
+            raise _Declined("over_ceiling")
 
         if cfg.transit:
             channel.exchange(Message("MAGIC_BYTES",
                                      DataElementMap({Tag.MAGIC: TRANSIT_MAGIC})))
 
-        selected = self._select(channel)
-        if selected is None:
-            return self._decide(channel, view, "decline", "no_application")
-        aid, kernel, pdol = selected
+        aid, kernel, pdol = self._select(channel)
         view.update(aid=aid, kernel=kernel)
 
         ttq = cfg.ttq(amount)
@@ -130,17 +144,12 @@ class Terminal:
                                        build_dol_data(pdol, env)))
         aip: AIP | None = gpo.payload.get(Tag.AIP)
         if aip is None:
-            return self._decide(channel, view, "decline", "gpo_failed")
+            raise _Declined("gpo_failed")
         view["aip"] = aip
 
-        if not aip.emv_mode_supported:
-            return self._magstripe_flow(channel, amount, gpo, view,
-                                        pin=pin, performed_by=performed_by)
-        if kernel == 3:
-            return self._kernel3_flow(channel, amount, ttq, un, gpo, view,
-                                      pin=pin, performed_by=performed_by)
-        return self._kernel2_flow(channel, amount, un, gpo, view,
-                                  pin=pin, performed_by=performed_by)
+        flow = (self._magstripe_flow if not aip.emv_mode_supported
+                else self._kernel3_flow if kernel == 3 else self._kernel2_flow)
+        return flow(channel, amount, gpo, view, pin=pin, performed_by=performed_by)
 
     def run_transit_tap(self, channel: NfcChannel) -> dict[str, Any]:
         return self.run_purchase(channel, Amount(0, "EUR"))
@@ -149,22 +158,19 @@ class Terminal:
                   trace_session: int) -> dict[str, Any]:
         """Legacy swipe: no chip dialogue, the track data is all there is."""
         view = {"amount": amount, "mode": "swipe", "pan": stripe.pan,
-                "track2": stripe, "session": trace_session}
+                "track2": stripe}
         request = Message("AUTH_REQUEST", DataElementMap({
             Tag.PAN: stripe.pan, Tag.EXPIRY: stripe.expiry,
             Tag.TRACK2: stripe, Tag.AMOUNT: amount,
             Tag.MCC: self.config.mcc, Tag.MERCHANT_ID: self.config.merchant_id,
             Tag.TERMINAL_ID: self.config.terminal_id, Tag.TX_TYPE: "swipe",
         }))
-        response = self.rails.authorize(request, session=trace_session)
-        if response.payload[Tag.DECISION] == "approve":
-            return self._decide(None, view, "approve_online", "issuer_approved")
-        return self._decide(None, view, "decline",
-                            "issuer_declined:" + response.payload.get(Tag.REASON, ""))
+        return self._decide(self.rails.trace, trace_session, view,
+                            *self._authorize(request, trace_session))
 
     # --- shared pieces ------------------------------------------------------
 
-    def _select(self, channel: NfcChannel) -> tuple[bytes, int, DOL] | None:
+    def _select(self, channel: NfcChannel) -> tuple[bytes, int, DOL]:
         for aid in AID_BRANDS:
             resp = channel.exchange(Message("SELECT",
                                             DataElementMap({Tag.AID: aid})))
@@ -172,7 +178,7 @@ class Terminal:
             if got is not None:
                 return got, resp.payload.get(Tag.KERNEL_ID, 2), \
                     resp.payload.get(Tag.PDOL, DOL(()))
-        return None
+        raise _Declined("no_application")
 
     def _read_records(self, channel: NfcChannel, afl) -> dict[int, DataElementMap]:
         records = {}
@@ -195,35 +201,37 @@ class Terminal:
         return issuer_cert, self.ca_store.verify_chain(index, issuer_cert,
                                                        card_cert, pan)
 
-    def _collect_cvm(self, channel: NfcChannel, method: CVMMethod,
-                     condition: CVMCondition, *, pin: str | None,
-                     performed_by: str,
-                     view: dict[str, Any]) -> tuple[CVMResults | None, str | None]:
-        """Carry out the chosen CVM at the terminal. Returns (results, decline_reason)."""
-        trace = channel.trace
+    def _collect_cvm(self, channel: NfcChannel,
+                     cvm: tuple[CVMMethod, CVMCondition] | None, *,
+                     pin: str | None, performed_by: str,
+                     view: dict[str, Any]) -> CVMResults:
+        """Carry out the chosen CVM at the terminal; ``None`` is no CVM at all."""
+        if cvm is None:
+            return CVMResults()
+        method, condition = cvm
         if method == CVMMethod.OnlinePIN:
             if pin is None:
-                return None, "pin_unavailable"
+                raise _Declined("pin_unavailable")
             view["enc_pin"] = encrypt_pin(self.pin_key, pin,
                                           self.rng.randbytes(12))
-            trace.mark("cvm", session=channel.session, method="OnlinePIN",
-                       genuine=performed_by == "cardholder", by=performed_by)
         elif method == CVMMethod.PaperSignature:
             if performed_by != "cardholder" and not self.config.lenient_cashier:
-                return None, "signature_rejected"
-            trace.mark("cvm", session=channel.session, method="PaperSignature",
-                       genuine=performed_by == "cardholder", by=performed_by)
-        return CVMResults(method, condition, CVMResult.Performed), None
+                raise _Declined("signature_rejected")
+        if method in (CVMMethod.OnlinePIN, CVMMethod.PaperSignature):
+            channel.trace.mark("cvm", session=channel.session, method=method.name,
+                               genuine=performed_by == "cardholder", by=performed_by)
+        return CVMResults(method, condition, CVMResult.Performed)
 
     # --- kernel 3 ------------------------------------------------------------
 
-    def _kernel3_flow(self, channel: NfcChannel, amount: Amount, ttq: TTQ,
-                      un: int, gpo: Message, view: dict[str, Any], *,
-                      pin: str | None, performed_by: str) -> dict[str, Any]:
+    def _kernel3_flow(self, channel: NfcChannel, amount: Amount, gpo: Message,
+                      view: dict[str, Any], *, pin: str | None,
+                      performed_by: str) -> tuple[str, str]:
+        ttq: TTQ = view["ttq"]
         p = gpo.payload
         cid = p.get(Tag.CID)
         if cid == CID.AAC or cid is None or Tag.AC not in p:
-            return self._decide(channel, view, "decline", "card_declined")
+            raise _Declined("card_declined")
         ctq: CTQ = p[Tag.CTQ]
         view.update(ctq=ctq, atc=p[Tag.ATC], ac=p[Tag.AC], iad=p[Tag.IAD],
                     cid=cid, un_card=p.get(Tag.UN_CARD))
@@ -239,59 +247,51 @@ class Terminal:
 
         # the card's CVM statement must be consistent between GPO and records
         if Tag.CTQ in r2 and r2[Tag.CTQ] != ctq:
-            return self._decide(channel, view, "decline", "ctq_mismatch")
+            raise _Declined("ctq_mismatch")
 
         try:
             _, card_public = self._verify_chain(records, r1.get(Tag.PAN, ""))
         except (LookupFailure, BadSignature):
-            return self._decide(channel, view, "decline", "oda_chain_failed")
+            raise _Declined("oda_chain_failed")
 
         sdad = p.get(Tag.SDAD)
         if sdad is not None:
             if card_public is None:
-                return self._decide(channel, view, "decline", "oda_chain_failed")
+                raise _Declined("oda_chain_failed")
             signed_view = DataElementMap({
-                Tag.UN_CARD: p.get(Tag.UN_CARD, 0), Tag.UN: un,
+                Tag.UN_CARD: p.get(Tag.UN_CARD, 0), Tag.UN: view["un"],
                 Tag.ATC: p[Tag.ATC], Tag.CTQ: ctq, Tag.AIP: p[Tag.AIP],
             })
             if not verify_sdad(card_public, "fdda", signed_view, sdad):
-                return self._decide(channel, view, "decline", "fdda_failed")
+                raise _Declined("fdda_failed")
         elif self.config.require_oda_kernel3:
-            return self._decide(channel, view, "decline", "fdda_missing")
+            raise _Declined("fdda_missing")
 
         # CVM cascade
         if ctq.cdcvm_performed:
-            cvm_results = CVMResults(CVMMethod.CDCVM, CVMCondition.Always,
-                                     CVMResult.Performed)
-        elif ctq.online_pin_required or ctq.signature_required:
-            if ctq.online_pin_required:
-                method, condition = CVMMethod.OnlinePIN, CVMCondition.IfAboveCvmLimit
-            else:
-                method, condition = CVMMethod.PaperSignature, CVMCondition.IfBelowCvmLimit
-            cvm_results, why = self._collect_cvm(channel, method, condition,
-                                                 pin=pin, performed_by=performed_by,
-                                                 view=view)
-            if why:
-                return self._decide(channel, view, "decline", why)
-        elif not ttq.cvm_required:
-            cvm_results = CVMResults()
+            cvm = CVMMethod.CDCVM, CVMCondition.Always
+        elif ctq.online_pin_required:
+            cvm = CVMMethod.OnlinePIN, CVMCondition.IfAboveCvmLimit
+        elif ctq.signature_required:
+            cvm = CVMMethod.PaperSignature, CVMCondition.IfBelowCvmLimit
+        elif ttq.cvm_required:
+            raise _Declined("no_cvm_agreed")
         else:
-            return self._decide(channel, view, "decline", "no_cvm_agreed")
-        view["cvm_results"] = cvm_results
+            cvm = None
+        view["cvm_results"] = self._collect_cvm(channel, cvm, pin=pin,
+                                                performed_by=performed_by, view=view)
 
-        if cid == CID.TC and amount.value <= FLOOR_LIMIT \
-                and (self.config.offline_capable or self.config.transit):
-            submit = self._clearing_payload(view, kernel=3)
-            self.offline_batch.append((submit, channel.session))
-            return self._decide(channel, view, "approve_offline", "offline_floor")
-        return self._go_online(channel, view, kernel=3)
+        return self._settle(channel, view, 3, offline=(
+            cid == CID.TC and amount.value <= FLOOR_LIMIT
+            and (self.config.offline_capable or self.config.transit)))
 
     # --- kernel 2 -------------------------------------------------------------
 
-    def _kernel2_flow(self, channel: NfcChannel, amount: Amount, un: int,
-                      gpo: Message, view: dict[str, Any], *,
-                      pin: str | None, performed_by: str) -> dict[str, Any]:
+    def _kernel2_flow(self, channel: NfcChannel, amount: Amount, gpo: Message,
+                      view: dict[str, Any], *, pin: str | None,
+                      performed_by: str) -> tuple[str, str]:
         cfg = self.config
+        un: int = view["un"]
         aip: AIP = gpo.payload[Tag.AIP]
         records = self._read_records(channel, gpo.payload[Tag.AFL])
         r1 = records.get(1, DataElementMap())
@@ -322,17 +322,9 @@ class Terminal:
                 tvr = tvr.replace(cda_failed=True)
         view["tvr"] = tvr
 
-        chosen = self._choose_cvm_kernel2(cvm_list, amount, aip)
-        if chosen is None:
-            return self._decide(channel, view, "decline", "no_cvm_agreed")
-        method, condition = chosen
-        cvm_results = CVMResults(method, condition, CVMResult.Performed)
-        if method in (CVMMethod.OnlinePIN, CVMMethod.PaperSignature):
-            cvm_results, why = self._collect_cvm(channel, method, condition,
-                                                 pin=pin, performed_by=performed_by,
-                                                 view=view)
-            if why:
-                return self._decide(channel, view, "decline", why)
+        cvm_results = self._collect_cvm(channel,
+                                        self._choose_cvm_kernel2(cvm_list, amount, aip),
+                                        pin=pin, performed_by=performed_by, view=view)
         view["cvm_results"] = cvm_results
 
         want_offline = cfg.offline_capable and amount.value <= FLOOR_LIMIT
@@ -348,9 +340,9 @@ class Terminal:
         resp = channel.exchange(Message("GENERATE_AC", payload))
         rp = resp.payload
         if rp.get(Tag.CID) == CID.AAC:
-            return self._decide(channel, view, "decline", "card_declined")
+            raise _Declined("card_declined")
         if Tag.AC not in rp:
-            return self._decide(channel, view, "decline", "no_cryptogram")
+            raise _Declined("no_cryptogram")
         cid: CID = rp[Tag.CID]
         view.update(atc=rp[Tag.ATC], ac=rp[Tag.AC], iad=rp[Tag.IAD], cid=cid,
                     un_card=rp.get(Tag.UN_CARD))
@@ -358,7 +350,7 @@ class Terminal:
         if want_cda:
             sdad = rp.get(Tag.SDAD)
             if sdad is None:
-                return self._decide(channel, view, "decline", "cda_missing")
+                raise _Declined("cda_missing")
             if card_public is None:
                 # asked for CDA but cannot check it: same bucket as broken ODA
                 tvr = tvr.replace(cda_failed=True)
@@ -370,21 +362,17 @@ class Terminal:
                 })
                 if not verify_sdad(card_public, "cda", signed_view, sdad):
                     # a checkable-but-wrong dynamic signature is never survivable
-                    return self._decide(channel, view, "decline", "cda_invalid")
+                    raise _Declined("cda_invalid")
 
         # action analysis: card (IAC) and terminal (TAC) both get a say
         denial_mask = iac.denial.to_int() | cfg.tac.denial.to_int()
         if tvr.to_int() & denial_mask:
-            return self._decide(channel, view, "decline", "action_code_denial")
+            raise _Declined("action_code_denial")
 
-        if cid == CID.TC and want_offline:
-            submit = self._clearing_payload(view, kernel=2)
-            self.offline_batch.append((submit, channel.session))
-            return self._decide(channel, view, "approve_offline", "offline_floor")
-        return self._go_online(channel, view, kernel=2)
+        return self._settle(channel, view, 2, offline=cid == CID.TC and want_offline)
 
     def _choose_cvm_kernel2(self, cvm_list: CVMList, amount: Amount,
-                            aip: AIP) -> tuple[CVMMethod, CVMCondition] | None:
+                            aip: AIP) -> tuple[CVMMethod, CVMCondition]:
         above = amount.value > CVM_LIMIT
         for entry in cvm_list.entries:
             if entry.condition == CVMCondition.IfAboveCvmLimit and not above:
@@ -402,13 +390,13 @@ class Terminal:
                 return entry.method, entry.condition
         if not above:
             return CVMMethod.NoCVM, CVMCondition.IfBelowCvmLimit
-        return None
+        raise _Declined("no_cvm_agreed")
 
     # --- mag-stripe mode ----------------------------------------------------------
 
     def _magstripe_flow(self, channel: NfcChannel, amount: Amount, gpo: Message,
                         view: dict[str, Any], *, pin: str | None,
-                        performed_by: str) -> dict[str, Any]:
+                        performed_by: str) -> tuple[str, str]:
         cfg = self.config
         view["mode"] = "ms"
         n_digits = gpo.payload.get(Tag.N_UN_DIGITS, N_UN_DIGITS)
@@ -421,27 +409,22 @@ class Terminal:
         r1 = records.get(1, DataElementMap())
         track2: Track2EquivalentData | None = r1.get(Tag.TRACK2)
         if track2 is None:
-            return self._decide(channel, view, "decline", "no_track_data")
+            raise _Declined("no_track_data")
         view.update(pan=r1.get(Tag.PAN, track2.pan), expiry=track2.expiry,
                     track2=track2)
 
-        if amount.value > CVM_LIMIT:
-            cvm_results, why = self._collect_cvm(
-                channel, CVMMethod.PaperSignature, CVMCondition.IfAboveCvmLimit,
-                pin=pin, performed_by=performed_by, view=view)
-            if why:
-                return self._decide(channel, view, "decline", why)
-        else:
-            cvm_results = CVMResults()
-        view["cvm_results"] = cvm_results
+        cvm = ((CVMMethod.PaperSignature, CVMCondition.IfAboveCvmLimit)
+               if amount.value > CVM_LIMIT else None)
+        view["cvm_results"] = self._collect_cvm(channel, cvm, pin=pin,
+                                                performed_by=performed_by, view=view)
 
         resp = channel.exchange(Message("GENERATE_AC",
                                         DataElementMap({Tag.UN: un})))
         if Tag.CVC3 not in resp.payload:
-            return self._decide(channel, view, "decline", "no_dynamic_code")
+            raise _Declined("no_dynamic_code")
         view.update(cvc3=resp.payload[Tag.CVC3], atc=resp.payload[Tag.ATC],
                     n_un_digits=n_digits)
-        return self._go_online(channel, view, kernel=2)
+        return self._settle(channel, view, 2, offline=False)
 
     # --- authorization / clearing ---------------------------------------------------
 
@@ -470,14 +453,21 @@ class Terminal:
         payload.put(Tag.DECISION, "offline_approved")
         return Message("CLEARING_SUBMIT", payload)
 
-    def _go_online(self, channel: NfcChannel, view: dict[str, Any],
-                   kernel: int) -> dict[str, Any]:
+    def _settle(self, channel: NfcChannel, view: dict[str, Any], kernel: int, *,
+                offline: bool) -> tuple[str, str]:
+        """Keep an offline approval for end-of-day clearing, or authorize online."""
+        if offline:
+            self.offline_batch.append((self._clearing_payload(view, kernel),
+                                       channel.session))
+            return "approve_offline", "offline_floor"
         request = Message("AUTH_REQUEST", self._auth_payload(view, kernel))
-        response = self.rails.authorize(request, session=channel.session)
+        return self._authorize(request, channel.session)
+
+    def _authorize(self, request: Message, session: int) -> tuple[str, str]:
+        response = self.rails.authorize(request, session=session)
         if response.payload[Tag.DECISION] == "approve":
-            return self._decide(channel, view, "approve_online", "issuer_approved")
-        return self._decide(channel, view, "decline",
-                            "issuer_declined:" + response.payload.get(Tag.REASON, ""))
+            return "approve_online", "issuer_approved"
+        return "decline", "issuer_declined:" + response.payload.get(Tag.REASON, "")
 
     def submit_clearing(self) -> list[str]:
         """End-of-day: push every offline approval to the payment rails."""
@@ -490,15 +480,10 @@ class Terminal:
 
     # --- decisions ---------------------------------------------------------------
 
-    def _decide(self, channel: NfcChannel | None, view: dict[str, Any],
+    def _decide(self, trace: TransactionTrace, session: int, view: dict[str, Any],
                 outcome: str, reason: str) -> dict[str, Any]:
-        session = view.get("session")
-        if channel is not None:
-            session = channel.session
-        trace = channel.trace if channel is not None else self.rails.trace
         data = dict(view)
         data.pop("enc_pin", None)
-        data.pop("session", None)
         data.update(outcome=outcome, reason=reason,
                     terminal=self.config.name, mcc=self.config.mcc)
         trace.mark("decision", session=session, **data)

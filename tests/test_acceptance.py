@@ -14,7 +14,6 @@ from tapsim.attacks import (
     harvest_cvc3_table,
     pin_exhaust,
     run_attack,
-    simulate_pin_search,
 )
 from tapsim.card import N_UN_DIGITS, PIN_TRY_LIMIT
 from tapsim.channel import Adversary, Message, NfcChannel
@@ -55,6 +54,30 @@ def simulate_partial_clone(table_size: int, retries: int,
     """Chance model for a partial pre-play table: each presentment draws a
     fresh terminal UN; the clone wins as soon as one lands in its table."""
     return any(rng.randrange(10 ** N_UN_DIGITS) < table_size for _ in range(retries))
+
+
+def simulate_pin_search(true_pin: str, *, try_limit: int = 3,
+                        stop_at_remaining: int = 1) -> tuple[int, int, bool]:
+    """Closed form of ``attacks.pin_guess_campaign``'s guessing discipline.
+
+    Models a criminal guessing 0000..9999 in order with brief repeated
+    access: whenever the try counter is down to ``stop_at_remaining`` they
+    stop and wait for the owner to use the card (which resets it). Returns
+    (guesses, owner_resets, blocked), in closed form.
+    """
+    found = len(true_pin) == 4 and true_pin.isascii() and true_pin.isdigit()
+    index = int(true_pin) if found else 10000   # wrong guesses before the PIN
+    guesses = min(index + 1, 10000)
+    # a counter already at the stop mark is reset before the first guess
+    resets = 1 if stop_at_remaining >= try_limit else 0
+    stop = min(stop_at_remaining, try_limit - 1)
+    if stop <= 0:
+        # nothing left to pause for: the wrong guesses run the counter out
+        if index >= try_limit:
+            return try_limit, resets, True
+        return guesses, resets, False
+    # one owner reset after every try_limit - stop guesses
+    return guesses, resets + (guesses - 1) // (try_limit - stop), False
 
 
 # --- 1: honest world is quiet -----------------------------------------------------------

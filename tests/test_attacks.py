@@ -11,13 +11,12 @@ from tapsim.attacks import (
     pin_guess_campaign,
     render_report_md,
     run_attack,
-    simulate_pin_search,
 )
 from tapsim.card import Cvc3MagstripeClone
 from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.elements import AID_MASTERCARD, Amount, DataElementMap, Tag
 from tapsim.runner import AMOUNT_LOW, build_env
-from test_acceptance import simulate_partial_clone
+from test_acceptance import simulate_partial_clone, simulate_pin_search
 from test_channel import msgs
 
 ALL_FIXED = {name: "on" if name.startswith(("check", "fdda", "cda")) else "off"

@@ -96,6 +96,13 @@ def test_copied_and_unpickled_tags_are_the_registered_ones():
         assert build_dol_data(clone(dol), clone(env)) == env
 
 
+def test_every_class_is_bound_only_under_its_own_name():
+    # an import-time loop variable left bound would name its last class twice
+    own = [(name, value) for name, value in vars(elements).items()
+           if isinstance(value, type) and value.__module__ == elements.__name__]
+    assert own and all(name == value.__name__ for name, value in own)
+
+
 # --- luhn / pan / brand -----------------------------------------------------
 
 def test_luhn_frozen_vectors():

@@ -1,7 +1,11 @@
 """End-to-end flows through card, terminal, rails and issuer — no adversary."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import tapsim.terminal
 from tapsim.attacks import harvest_cvc3_table
 from tapsim.card import ATC_MAX, TRANSIT_MAGIC
 from tapsim.channel import Adversary, Message, NfcChannel
@@ -470,3 +474,98 @@ def test_issuer_fix_fixtures_repair_one_check_each():
         world = build_env(policy=policy)
         result = run_genuine(world, "mastercard_cda", "standard_pos", AMOUNT_HIGH)
         assert result["outcome"] == "approve_online"
+
+
+# --- every decline reason logs one decision ----------------------------------------------
+
+def _blank(message):
+    """Hook: the card answers ``message`` with an empty reply."""
+    return lambda msg, a: Message(message) if msg.name == message else msg
+
+
+def _drop(message, tag):
+    """Hook: remove ``tag`` from the card's ``message`` reply."""
+    def hook(msg, a):
+        if msg.name == message and tag in msg.payload:
+            return Message(message, DataElementMap(
+                {t: msg.payload[t] for t in msg.payload if t != tag}))
+        return msg
+    return hook
+
+
+def _edit(message, tag, change):
+    """Hook: replace ``tag``'s value in the card's ``message`` reply."""
+    def hook(msg, a):
+        if msg.name == message and tag in msg.payload:
+            return msg.with_payload(**{tag.name: change(msg.payload[tag])})
+        return msg
+    return hook
+
+
+_K3_REQUIRES_ODA = {"standard_pos": {"require_oda_kernel3": True}}
+
+# reason -> (card, amount, who taps, card-side hooks, terminal overrides,
+# PIN entered; None: the card's own when the cardholder taps)
+DECLINES = {
+    "over_ceiling": ("visa_plastic_fdda", CEILING + 1, "cardholder", (), {}, None),
+    "no_application": ("visa_plastic_no_fdda", AMOUNT_LOW, "cardholder",
+                       (_blank("SELECT"),), {}, None),
+    "gpo_failed": ("visa_plastic_no_fdda", AMOUNT_LOW, "cardholder",
+                   (_blank("GET_PROCESSING_OPTIONS"),), {}, None),
+    "card_declined": ("google_like_phone", AMOUNT_HIGH, "criminal", (), {}, None),
+    "ctq_mismatch": ("visa_plastic_no_fdda", AMOUNT_HIGH, "criminal",
+                     (_edit("GET_PROCESSING_OPTIONS", Tag.CTQ,
+                            lambda ctq: ctq.replace(cdcvm_performed=True)),), {}, None),
+    "oda_chain_failed": ("visa_plastic_fdda", AMOUNT_LOW, "cardholder",
+                         (_edit("READ_RECORD", Tag.CA_PK_INDEX, lambda _: 9),), {}, None),
+    "fdda_failed": ("visa_plastic_fdda", AMOUNT_LOW, "cardholder",
+                    (_edit("GET_PROCESSING_OPTIONS", Tag.UN_CARD, lambda un: un + 1),),
+                    _K3_REQUIRES_ODA, None),
+    "fdda_missing": ("visa_plastic_no_fdda", AMOUNT_LOW, "cardholder", (),
+                     _K3_REQUIRES_ODA, None),
+    "pin_unavailable": ("visa_plastic_no_fdda", AMOUNT_HIGH, "criminal", (), {}, None),
+    "signature_rejected": ("magstripe_only", AMOUNT_HIGH, "criminal", (), {}, None),
+    "no_cvm_agreed": ("visa_credit_foreign_nocvm", AMOUNT_HIGH, "cardholder", (), {},
+                      None),
+    "no_cryptogram": ("mastercard_cda", AMOUNT_LOW, "cardholder",
+                      (_drop("GENERATE_AC", Tag.AC),), {}, None),
+    "cda_missing": ("mastercard_cda", AMOUNT_LOW, "cardholder",
+                    (_drop("GENERATE_AC", Tag.SDAD),), {}, None),
+    "cda_invalid": ("mastercard_cda", AMOUNT_LOW, "cardholder",
+                    (_edit("GENERATE_AC", Tag.ATC, lambda atc: atc + 1),), {}, None),
+    "action_code_denial": ("mastercard_cda", AMOUNT_LOW, "cardholder",
+                           (_edit("READ_RECORD", Tag.CA_PK_INDEX, lambda _: 9),), {}, None),
+    "no_track_data": ("magstripe_only", AMOUNT_LOW, "cardholder",
+                      (_drop("READ_RECORD", Tag.TRACK2),), {}, None),
+    "no_dynamic_code": ("magstripe_only", AMOUNT_LOW, "cardholder",
+                        (_drop("GENERATE_AC", Tag.CVC3),), {}, None),
+    "issuer_declined:bad_pin": ("visa_plastic_no_fdda", AMOUNT_HIGH, "cardholder", (),
+                                {}, "0000"),
+}
+
+
+def test_every_decline_the_terminal_raises_has_a_case():
+    tree = ast.parse(Path(tapsim.terminal.__file__).read_text(encoding="utf-8"))
+    raised = {node.args[0].value for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Declined"}
+    assert raised == {reason for reason in DECLINES if ":" not in reason}
+
+
+@pytest.mark.parametrize("reason", DECLINES)
+def test_each_decline_reason_logs_one_decision(reason):
+    card_name, amount, who, hooks, terminal_overrides, pin = DECLINES[reason]
+    env = build_env(seed=7, terminal_overrides=terminal_overrides)
+    adv = Adversary(trace=env.trace)
+    for hook in hooks:
+        adv.on_from_card(hook)
+    card = env.cards[card_name]
+    if pin is None and who == "cardholder":
+        pin = card.profile.pin
+    result = env.terminals["standard_pos"].run_purchase(
+        NfcChannel(env.trace, card, adversary=adv), Amount(amount, "EUR"),
+        pin=pin, performed_by=who)
+    assert (result["outcome"], result["reason"]) == ("decline", reason)
+    decisions = markers(env.trace, "decision")
+    assert len(decisions) == 1
+    assert decisions[0].data["reason"] == reason
+    assert decisions[0].session == result["session"]
