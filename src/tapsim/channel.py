@@ -165,12 +165,17 @@ class TransactionTrace:
                 write = PLAIN_JSON.get(type(value))
                 text = write(value) if write else memo.get(id(value))
                 if text is None:  # not plain, and not yet seen in this call
-                    text = memo[id(value)] = "".join(json_chunks(
-                        RENDER.get(type(value), render_value)(value), 0))
+                    text = RENDER.get(type(value), render_value)(value)
+                    text = memo[id(value)] = (_quote(text) if type(text) is str
+                                              else "".join(json_chunks(text, 0)))
                 texts.append(text)
             return template % tuple(texts)
 
-        lines = [to_json({"kind": "meta", **self.meta})]
+        meta = {"kind": "meta", **self.meta}
+        for key, value in meta.items():  # to_json(meta), with no call for a plain value
+            if type(value) not in PLAIN_JSON:
+                meta[key] = render_value(value)
+        lines = ["".join(json_chunks(meta, 0))]
         for ev in self.events:
             session = "" if ev.session is None else f', "session": {ev.session}'
             if ev.kind == "msg":
@@ -192,8 +197,9 @@ class TransactionTrace:
                 write = PLAIN_JSON.get(type(value))
                 text = write(value) if write else memo.get(id(value))
                 if text is None:
-                    text = memo[id(value)] = "".join(json_chunks(
-                        RENDER.get(type(value), render_value)(value), 0))
+                    text = RENDER.get(type(value), render_value)(value)
+                    text = memo[id(value)] = (_quote(text) if type(text) is str
+                                              else "".join(json_chunks(text, 0)))
                 texts.append(text)
             lines.append(template % (*texts, ev.idx, _quote(ev.kind), session))
         return "\n".join(lines) + "\n"

@@ -8,6 +8,10 @@ Online PIN travels under AES-GCM between terminal and issuer.
 
 The point is not cryptographic strength but *binding*: what each signature
 or MAC does and does not cover is exactly what the attack catalogue probes.
+
+Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
+key, signature and message bytes), the last 256 of each. Ed25519 is deterministic,
+so a hit returns what a fresh call would; a failed check is kept, an error never.
 """
 
 from __future__ import annotations
@@ -15,12 +19,10 @@ from __future__ import annotations
 import hmac
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .elements import DataElementMap, Tag, TagInfo
@@ -101,22 +103,33 @@ def verify_ac(session_key: bytes, elements: DataElementMap,
 
 # --- dynamic signatures ---------------------------------------------------------
 
+_MEMO = lru_cache(maxsize=256)  # per operation; a sweep pass has at most 21 distinct inputs
+
+
+@_MEMO
+def _signature(private_key: Ed25519PrivateKey, msg: bytes) -> bytes:
+    return private_key.sign(msg)
+
+
+@_MEMO
+def _holds(public: bytes, signature: bytes, msg: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, msg)
+    except InvalidSignature:
+        return False
+    return True
+
+
+@_MEMO
 def generate_signing_key(seed32: bytes) -> Ed25519PrivateKey:
     if len(seed32) != 32:
         raise CryptoError("signing key seed must be 32 bytes")
     return Ed25519PrivateKey.from_private_bytes(seed32)
 
 
+@_MEMO
 def public_bytes(private_key: Ed25519PrivateKey) -> bytes:
-    from cryptography.hazmat.primitives.serialization import (
-        Encoding,
-        PublicFormat,
-    )
-    return private_key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-
-
-def _public_key(raw: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(raw)
+    return private_key.public_key().public_bytes_raw()
 
 
 def _sign(private_key: Ed25519PrivateKey, method: str,
@@ -124,7 +137,7 @@ def _sign(private_key: Ed25519PrivateKey, method: str,
     """Method header byte + signature over the header and the covered elements."""
     header = METHOD_HEADERS[method]
     msg = bytes([header]) + _project(elements, coverage).encode()
-    return bytes([header]) + private_key.sign(msg)
+    return bytes([header]) + _signature(private_key, msg)
 
 
 def _verify(public: bytes, method: str, elements: DataElementMap,
@@ -135,10 +148,9 @@ def _verify(public: bytes, method: str, elements: DataElementMap,
         return False
     try:
         msg = bytes([header]) + _project(elements, coverage).encode()
-        _public_key(public).verify(signature[1:], msg)
-    except (CryptoError, InvalidSignature):
+    except CryptoError:
         return False
-    return True
+    return _holds(bytes(public), bytes(signature[1:]), msg)
 
 
 def sign_sdad(private_key: Ed25519PrivateKey, method: str,
@@ -198,14 +210,7 @@ class Certificate:
 def issue_certificate(parent_private: Ed25519PrivateKey, subject: str,
                       subject_public: bytes) -> Certificate:
     cert = Certificate(subject, subject_public, b"")
-    return Certificate(subject, subject_public, parent_private.sign(cert.payload()))
-
-
-def _check_certificate(parent_public: bytes, cert: Certificate) -> None:
-    try:
-        _public_key(parent_public).verify(cert.signature, cert.payload())
-    except InvalidSignature:
-        raise BadSignature(f"certificate for {cert.subject!r} does not verify") from None
+    return Certificate(subject, subject_public, _signature(parent_private, cert.payload()))
 
 
 class CAStore:
@@ -227,9 +232,11 @@ class CAStore:
         Raises LookupFailure for an unknown index and BadSignature for any
         broken link, including a card certificate naming a different PAN.
         """
-        ca_public = self.lookup(index)
-        _check_certificate(ca_public, issuer_cert)
-        _check_certificate(issuer_cert.public_key, card_cert)
+        parent_public = self.lookup(index)
+        for cert in (issuer_cert, card_cert):
+            if not _holds(bytes(parent_public), bytes(cert.signature), cert.payload()):
+                raise BadSignature(f"certificate for {cert.subject!r} does not verify")
+            parent_public = cert.public_key
         if card_cert.subject != pan:
             raise BadSignature("card certificate bound to a different PAN")
         return card_cert.public_key

@@ -5,7 +5,10 @@ import hmac
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
+from tapsim import crypto
 from tapsim.crypto import (
     AC_COVERAGE_KERNEL2,
     BadSignature,
@@ -47,6 +50,7 @@ from tapsim.elements import (
     TTQ,
     Tag,
 )
+from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine
 
 RNG = random.Random(7)
 
@@ -309,6 +313,104 @@ def test_chain_verifies_and_rejects():
     forged_issuer = issue_certificate(rogue, "bank-a", public_bytes(issuer))
     with pytest.raises(BadSignature):
         store.verify_chain(1, forged_issuer, card_cert, "4111111111111111")
+
+
+# --- the Ed25519 memo -----------------------------------------------------------------
+
+MEMOS = (generate_signing_key, public_bytes, crypto._signature, crypto._holds)
+
+
+def _hits() -> int:
+    return sum(memo.cache_info().hits for memo in MEMOS)
+
+
+def _misses() -> int:
+    return sum(memo.cache_info().misses for memo in MEMOS)
+
+
+def test_memo_hits_return_what_cryptography_returns():
+    seed, el = b"m" * 32, sdad_elements("cda")
+    msg = bytes([METHOD_HEADERS["cda"]]) + DataElementMap(
+        {tag: el[tag] for tag in SDAD_COVERAGE["cda"]}).encode()
+
+    def outputs(key):
+        return (public_bytes(key), sign_sdad(key, "cda", el),
+                issue_certificate(key, "bank-a", bytes(32)).signature)
+
+    first = outputs(generate_signing_key(seed))
+    hits = _hits()
+    again = outputs(generate_signing_key(seed))
+    assert _hits() == hits + 4  # the key, its public bytes and both signatures
+    fresh = Ed25519PrivateKey.from_private_bytes(seed)
+    assert first == again == (
+        fresh.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
+        bytes([METHOD_HEADERS["cda"]]) + fresh.sign(msg),
+        fresh.sign(Certificate("bank-a", bytes(32), b"").payload()))
+    for _ in range(2):  # a miss or a hit, then a hit
+        assert verify_sdad(first[0], "cda", el, again[1])
+    Ed25519PublicKey.from_public_bytes(first[0]).verify(again[1][1:], msg)
+
+
+def test_tampering_fails_after_the_genuine_triple_is_cached():
+    priv = generate_signing_key(b"t" * 32)
+    el = sdad_elements("cda")
+    sdad = sign_sdad(priv, "cda", el)
+    assert verify_sdad(public_bytes(priv), "cda", el, sdad)
+    assert verify_sdad(bytearray(public_bytes(priv)), "cda", el, bytearray(sdad))  # unhashable
+    flipped = sdad[:-1] + bytes([sdad[-1] ^ 1])
+    assert not verify_sdad(public_bytes(priv), "cda", el, flipped)
+    tampered = el.copy()
+    tampered.put(Tag.UN, 223)
+    assert not verify_sdad(public_bytes(priv), "cda", tampered, sdad)
+
+    ca = generate_signing_key(b"c" * 32)
+    store = CAStore({1: public_bytes(ca)})
+    issuer_cert = issue_certificate(ca, "bank-a", public_bytes(priv))
+    card_cert = issue_certificate(priv, "4111111111111111", public_bytes(ca))
+    store.verify_chain(1, issuer_cert, card_cert, "4111111111111111")
+    forged = Certificate(issuer_cert.subject, issuer_cert.public_key,
+                         issuer_cert.signature[:-1] + bytes([issuer_cert.signature[-1] ^ 1]))
+    with pytest.raises(BadSignature):
+        store.verify_chain(1, forged, card_cert, "4111111111111111")
+
+
+def test_a_cached_failure_is_never_reported_as_success():
+    priv = generate_signing_key(b"f" * 32)
+    el = sdad_elements("fdda")
+    forged = bytes([METHOD_HEADERS["fdda"]]) + bytes(64)
+    assert not verify_sdad(public_bytes(priv), "fdda", el, forged)
+    hits = crypto._holds.cache_info().hits
+    assert not verify_sdad(public_bytes(priv), "fdda", el, forged)
+    assert crypto._holds.cache_info().hits == hits + 1
+    assert verify_sdad(public_bytes(priv), "fdda", el, sign_sdad(priv, "fdda", el))
+
+
+def test_errors_are_never_cached():
+    hits = _hits()
+    for _ in range(2):
+        with pytest.raises(CryptoError):
+            generate_signing_key(b"short")
+        with pytest.raises(ValueError):  # a public key of the wrong length
+            crypto._holds(bytes(31), bytes(64), b"msg")
+    assert _hits() == hits
+
+
+def test_each_memo_stays_within_its_bound():
+    el = sdad_elements("cda")
+    for i in range(300):
+        key = generate_signing_key(i.to_bytes(32, "big"))
+        verify_sdad(public_bytes(key), "cda", el, sign_sdad(key, "cda", el))
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize == 256
+
+
+def test_a_world_rebuilt_at_one_seed_pays_no_ed25519_again():
+    first = run_genuine(build_env(3), "mastercard_cda", "standard_pos", AMOUNT_HIGH)
+    misses = _misses()
+    again = run_genuine(build_env(3), "mastercard_cda", "standard_pos", AMOUNT_HIGH)
+    assert _misses() == misses
+    assert again == first and again["outcome"] == "approve_online"
 
 
 # --- PIN ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ HARVEST_CEILING = 31.1  # per GENERATE AC, SELECT and READ RECORD amortized
 VERIFY_CEILING = 23
 HARVEST_EMIT_CEILING = 0.68  # per event of the harvest trace
 VERIFY_EMIT_CEILING = 1.03  # per event of the PIN-guessing trace
-GENUINE_EMIT_CEILING = 2.53  # per event of the genuine matrix's traces, both policies
+GENUINE_EMIT_CEILING = 2.08  # per event of the genuine matrix's traces, both policies
 
 
 def python_calls(fn, under: str = PACKAGE) -> int:
