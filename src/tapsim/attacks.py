@@ -173,8 +173,8 @@ def _genuine_probe(env: Env, card_name: str, terminal_name: str,
     """Post-attack check that the genuine cardholder can still pay."""
     result = run_genuine(env, card_name, terminal_name, amount)
     ok = _approved(result)
-    env.trace.mark("genuine_probe", session=result["session"], ok=ok,
-                   what=f"{card_name}@{terminal_name}", reason=result["reason"])
+    env.trace.mark("genuine_probe", result["session"], {
+        "ok": ok, "what": f"{card_name}@{terminal_name}", "reason": result["reason"]})
     return ok
 
 

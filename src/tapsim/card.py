@@ -364,8 +364,8 @@ class Card:
             payload.put(Tag.SDAD, sdad)
 
         if genuine_cvm and self._trace is not None:
-            self._trace.mark("cvm", session=self._session, genuine=True,
-                             method="CDCVM", by="cardholder")
+            self._trace.mark("cvm", self._session, {
+                "genuine": True, "method": "CDCVM", "by": "cardholder"})
         self._mark_tx(aip, mode="emv", kernel=3, amount=amount, un=un, ttq=ttq,
                       ctq=ctq, iad=iad, ac=ac, un_card=un_card,
                       cid=payload[Tag.CID])
@@ -497,10 +497,10 @@ class Card:
         if self._trace is None:
             return
         p = self.profile
-        self._trace.mark("card_tx", self._session, pan=p.pan, aid=p.aid, atc=self.atc,
-                         aip=aip, cvm_list=p.cvm_list, iac_denial=p.iac.denial,
-                         ca_pk_index=p.ca_pk_index, brand=brand_of(p.pan),
-                         device_type=p.device_type, **data)
+        self._trace.mark("card_tx", self._session, {
+            "pan": p.pan, "aid": p.aid, "atc": self.atc, "aip": aip, "cvm_list": p.cvm_list,
+            "iac_denial": p.iac.denial, "ca_pk_index": p.ca_pk_index, "brand": brand_of(p.pan),
+            "device_type": p.device_type, **data})
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class Message:
         allowed = MESSAGES.get(self.name)
         if allowed is None:
             raise ChannelError(f"unknown message name {self.name!r}")
-        if not allowed.issuperset(self.payload._items):
+        if not allowed.issuperset(self.payload):
             names = ", ".join(sorted(t.name for t in self.payload.tags() - allowed))
             raise ChannelError(f"{self.name} payload may not carry: {names}")
 
@@ -143,7 +143,8 @@ class TransactionTrace:
         self.events.append(ev)
         return ev
 
-    def mark(self, kind: str, session: int | None = None, **data: Any) -> TraceEvent:
+    def mark(self, kind: str, session: int | None, data: dict[str, Any]) -> TraceEvent:
+        """Log a marker. The event keeps ``data`` itself: the caller hands it over."""
         if kind not in MARKER_KINDS:
             raise ChannelError(f"unknown marker kind {kind!r}")
         ev = TraceEvent(len(self.events), kind, session, data=data)
@@ -156,7 +157,7 @@ class TransactionTrace:
         memo: dict[int, str] = {}  # id of a message or value the trace holds -> its JSON
 
         def message(msg: Message) -> str:
-            items = msg.payload._items  # read in place: no copy, no call per entry
+            items = msg.payload  # a dict: read in place, no copy, no call per entry
             order, template = _MESSAGE_SHAPES.get(key := (msg.name, *items)) or _shape(
                 _MESSAGE_SHAPES, key, {tag: tag.name for tag in items},
                 f'{{"name": {_quote(msg.name)}, "payload": {{', "}}")
@@ -252,7 +253,7 @@ class Adversary:
             return
         self.knowledge.add(item)
         if self.trace is not None:
-            self.trace.mark("knowledge", session=session, category=item[0], value=item[1])
+            self.trace.mark("knowledge", session, {"category": item[0], "value": item[1]})
 
     def knows(self, category: str) -> set[str]:
         return {v for c, v in self.knowledge if c == category}
@@ -374,10 +375,10 @@ class PaymentRails:
                            received=request)
         self.trace.log_msg(channel, session, "from_issuer", sent=response,
                            received=response)
-        self.trace.mark(marker, session=session, submitted_by=submitted_by,
-                        decision=response.payload[Tag.DECISION],
-                        reason=response.payload.get(Tag.REASON),
-                        request=request)
+        self.trace.mark(marker, session, {"submitted_by": submitted_by,
+                                          "decision": response.payload[Tag.DECISION],
+                                          "reason": response.payload.get(Tag.REASON),
+                                          "request": request})
         return response
 
 

@@ -12,10 +12,13 @@ or MAC does and does not cover is exactly what the attack catalogue probes.
 Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
 key, signature and message bytes), the last 256 of each. Ed25519 is deterministic,
 so a hit returns what a fresh call would; a failed check is kept, an error never.
+The session-key and CVC3 MACs start from SHA-256 states memoized the same way on
+their exact key bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .elements import DataElementMap, Tag, TagInfo
+from .elements import CodecError, DataElementMap, Tag, TagInfo
 
 
 class CryptoError(Exception):
@@ -69,20 +72,44 @@ STATIC_SIGNED_TAGS = frozenset(
 
 
 def _project(elements: DataElementMap, coverage: frozenset[TagInfo]) -> DataElementMap:
-    out = DataElementMap()
-    for tag in coverage:
-        value = elements.get(tag)
-        if value is None:  # a map never holds None: put refuses it
-            raise CryptoError(f"coverage element {tag.name} missing")
-        out.put(tag, value)
+    """The covered entries of ``elements`` in a new map; ``elements`` validated them."""
+    out = dict.__new__(DataElementMap)
+    try:
+        dict.update(out, zip(coverage, map(elements.__getitem__, coverage)))
+    except CodecError:
+        missing = next(tag for tag in coverage if tag not in elements)
+        raise CryptoError(f"coverage element {missing.name} missing") from None
     return out
 
 
 # --- session keys and cryptograms ---------------------------------------------
 
+# per operation; a sweep pass has at most 21 distinct Ed25519 inputs and 7 distinct MAC keys
+_MEMO = lru_cache(maxsize=256)
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@_MEMO
+def _hmac_states(key: bytes) -> tuple:
+    """SHA-256 after absorbing the HMAC inner and outer key blocks (RFC 2104)."""
+    block = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\0")
+    return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
+
+
+def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    """``hmac.digest(key, msg, "sha256")``, with the key's pads hashed once per key."""
+    inner, outer = _hmac_states(key)
+    inner = inner.copy()
+    inner.update(msg)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 def kdf(master_key: bytes, atc: int) -> bytes:
     """Per-transaction session key from the card master key and the ATC."""
-    return hmac.digest(master_key, b"sess" + atc.to_bytes(2, "big"), "sha256")
+    return _hmac_sha256(master_key, b"sess" + atc.to_bytes(2, "big"))
 
 
 def compute_ac(session_key: bytes, elements: DataElementMap,
@@ -103,8 +130,6 @@ def verify_ac(session_key: bytes, elements: DataElementMap,
 
 # --- dynamic signatures ---------------------------------------------------------
 
-_MEMO = lru_cache(maxsize=256)  # per operation; a sweep pass has at most 21 distinct inputs
-
 
 @_MEMO
 def _signature(private_key: Ed25519PrivateKey, msg: bytes) -> bytes:
@@ -115,7 +140,7 @@ def _signature(private_key: Ed25519PrivateKey, msg: bytes) -> bytes:
 def _holds(public: bytes, signature: bytes, msg: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(public).verify(signature, msg)
-    except InvalidSignature:
+    except (InvalidSignature, ValueError):  # ValueError: a public key that is not 32 bytes
         return False
     return True
 
@@ -266,4 +291,4 @@ def decrypt_pin(shared_key: bytes, blob: bytes) -> str | None:
 def compute_cvc3(cvc3_key: bytes, atc: int, un: int) -> bytes:
     """Dynamic card verification code: 3-byte truncated MAC over (ATC, UN)."""
     msg = b"cvc3" + atc.to_bytes(2, "big") + un.to_bytes(4, "big")
-    return hmac.digest(cvc3_key, msg, "sha256")[:3]
+    return _hmac_sha256(cvc3_key, msg)[:3]

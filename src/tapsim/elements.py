@@ -18,10 +18,11 @@ import enum
 import json
 import types
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from importlib import resources
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
-from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Iterable
 
 
 class CodecError(ValueError):
@@ -144,12 +145,11 @@ class _Flags:
 
     _positions: dict[str, int] = {}
 
-    def to_int(self) -> int:
-        value = 0
-        for name, pos in self._positions.items():
-            if getattr(self, name):
-                value |= 1 << pos
-        return value
+    @cached_property  # kept in the instance's __dict__, so a frozen map computes it once
+    def wire(self) -> bytes:
+        """The flag byte: bit ``_positions[name]`` set for each true field."""
+        return bytes([sum([1 << pos for name, pos in self._positions.items()
+                           if getattr(self, name)])])
 
     replace = dataclasses.replace
 
@@ -384,30 +384,21 @@ def _enc_lp(raw: bytes) -> bytes:
     return len(raw).to_bytes(2, "big") + raw
 
 
-def _uint(width: int) -> Callable[[int], bytes]:
-    def encode(value: int) -> bytes:
-        if value < 0 or value >= (1 << (8 * width)):
-            raise CodecError(f"uint{width} out of range: {value}")
-        return value.to_bytes(width, "big")
-    return encode
-
-
 def _enc_bytes_list(value: tuple) -> bytes:
     if not all(isinstance(b, bytes) for b in value):
         raise CodecError("expected tuple of bytes")
     return bytes([len(value)]) + b"".join(_enc_lp(item) for item in value)
 
 
-def _enc_flags(value: _Flags) -> bytes:
-    return bytes([value.to_int()])
+_enc_flags = attrgetter("wire")
 
-
-# codec.json kind -> (accepted value type, encoder of a value of that type)
+# codec.json kind -> (accepted value type, encoder of a value of that type). The uint, text,
+# cid and flag encoders are C callables; a uint out of range raises OverflowError.
 KINDS: dict[str, tuple[type | tuple[type, ...], Callable[[Any], bytes]]] = {
-    "uint1": (int, _uint(1)),
-    "uint2": (int, _uint(2)),
-    "uint4": (int, _uint(4)),
-    "text": (str, lambda v: v.encode("utf-8")),
+    "uint1": (int, methodcaller("to_bytes", 1, "big")),
+    "uint2": (int, methodcaller("to_bytes", 2, "big")),
+    "uint4": (int, methodcaller("to_bytes", 4, "big")),
+    "text": (str, str.encode),
     "bytes": ((bytes, bytearray), bytes),
     "bytes_list": (tuple, _enc_bytes_list),
     "amount": (Amount, lambda v: v.value.to_bytes(8, "big") + v.currency.encode("ascii")),
@@ -416,15 +407,14 @@ KINDS: dict[str, tuple[type | tuple[type, ...], Callable[[Any], bytes]]] = {
     "flags:ttq": (TTQ, _enc_flags),
     "iad": (IAD, lambda v: bytes([int(v.cdcvm_performed), DeviceType[v.device_type]])
             + _enc_lp(v.filler)),
-    "cid": (CID, lambda v: bytes([v])),
+    "cid": (CID, methodcaller("to_bytes", 1, "big")),
     "afl": (AFL, lambda v: bytes([len(v.records)]) + bytes(v.records)),
     "dol": (DOL, lambda v: bytes([len(v.tags)])
             + b"".join(t.code.to_bytes(2, "big") for t in v.tags)),
     "cvm_list": (CVMList, lambda v: bytes([len(v.entries)])
                  + b"".join(bytes([e.method, e.condition]) for e in v.entries)),
     "cvm_results": (CVMResults, lambda v: bytes([v.method, v.condition, v.result])),
-    "action_codes": (ActionCodes, lambda v: bytes([v.denial.to_int(), v.online.to_int(),
-                                                   v.default.to_int()])),
+    "action_codes": (ActionCodes, lambda v: v.denial.wire + v.online.wire + v.default.wire),
     "track2": (Track2EquivalentData, lambda v: b"".join(
         _enc_lp(part.encode("utf-8"))
         for part in (v.pan, v.expiry, v.service_code, v.discretionary))),
@@ -446,7 +436,10 @@ def encode_value(tag: TagInfo, value: Any) -> bytes:
         raise CodecError(f"keys must be registered tags, got {tag!r}") from None
     if not isinstance(value, expected) or type(value) is bool:
         raise CodecError(f"{tag.name} ({tag.kind}) does not take {type(value).__name__}")
-    return encode(value)
+    try:
+        return encode(value)
+    except OverflowError:  # only the uint kinds raise it
+        raise CodecError(f"{tag.kind} out of range: {value}") from None
 
 
 # json's spelling of each plain type, by exact type: bool and IntEnum are not int
@@ -479,8 +472,8 @@ RENDER: dict[type, Callable[[Any], Any]] = {
     DOL: lambda v: [t.name for t in v.tags],
     CVMList: lambda v: [[e.method._name_, e.condition._name_] for e in v.entries],
     CVMResults: lambda v: [v.method._name_, v.condition._name_, v.result._name_],
-    ActionCodes: lambda v: {"denial": v.denial.to_int(), "online": v.online.to_int(),
-                            "default": v.default.to_int()},
+    ActionCodes: lambda v: {"denial": v.denial.wire[0], "online": v.online.wire[0],
+                            "default": v.default.wire[0]},
 }
 
 
@@ -512,61 +505,57 @@ def to_json(value: Any) -> str:
 # the element map
 # ---------------------------------------------------------------------------
 
-class DataElementMap:
-    """Tag -> typed value map with a canonical, injective byte encoding."""
+def _read_only(self: "DataElementMap", *args: Any, **kwargs: Any) -> None:
+    raise TypeError("a DataElementMap is written only through its constructor and put()")
 
-    __slots__ = ("_items",)
+
+class DataElementMap(dict):
+    """Tag -> typed value map with a canonical, injective byte encoding.
+
+    A ``dict``, so reads (``[]``, ``get``, ``in``, iteration) run in C; a missing tag raises
+    ``CodecError``. The validating constructor and ``put`` are its only writers: every other
+    dict mutator raises. ``copy`` and crypto's coverage projections copy entries a map has
+    validated already; copies by the ``copy`` module and unpickling validate again."""
+
+    __slots__ = ()
 
     def __init__(self, items: dict[TagInfo, Any] | None = None):
-        self._items: dict[TagInfo, Any] = dict(items or ())
-        for tag, value in self._items.items():
-            encode_value(tag, value)  # put's validation, with no call to put per item
+        if items:
+            dict.__init__(self, items)
+            for tag, value in self.items():
+                encode_value(tag, value)  # put's validation, with no call to put per item
 
     def put(self, tag: TagInfo, value: Any) -> "DataElementMap":
         encode_value(tag, value)  # type/range validation up front; refuses unknown tags
-        self._items[tag] = value
+        dict.__setitem__(self, tag, value)
         return self
 
-    def get(self, tag: TagInfo, default: Any = None) -> Any:
-        return self._items.get(tag, default)
+    def __missing__(self, tag: TagInfo) -> Any:
+        raise CodecError(f"missing element {tag.name}")
 
-    def __getitem__(self, tag: TagInfo) -> Any:
-        try:
-            return self._items[tag]
-        except KeyError:
-            raise CodecError(f"missing element {tag.name}") from None
-
-    def __contains__(self, tag: TagInfo) -> bool:
-        return tag in self._items
-
-    def __iter__(self) -> Iterator[TagInfo]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DataElementMap) and self.encode() == other.encode()
+    __setitem__ = __delitem__ = __ior__ = update = setdefault = pop = popitem = clear = _read_only
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{t.name}={render_value(v)!r}" for t, v in self._items.items())
+        inner = ", ".join(f"{t.name}={render_value(v)!r}" for t, v in self.items())
         return f"DataElementMap({inner})"
 
+    def __reduce__(self) -> tuple:
+        return DataElementMap, (dict(self),)  # copies and unpickles validate again
+
     def tags(self) -> frozenset[TagInfo]:
-        return frozenset(self._items)
+        return frozenset(self)
 
     def copy(self) -> "DataElementMap":
-        clone = DataElementMap()
-        clone._items = dict(self._items)
+        clone = dict.__new__(DataElementMap)
+        dict.update(clone, self)  # entries validated here already
         return clone
 
     def encode(self) -> bytes:
         """Canonical encoding: u16 count, entries ascending by tag code,
         each as (u16 code, u32 length, value bytes)."""
-        items = self._items
-        out = [len(items).to_bytes(2, "big")]
-        for tag in sorted(items, key=attrgetter("code")):
-            raw = encode_value(tag, items[tag])
+        out = [len(self).to_bytes(2, "big")]
+        for tag in sorted(self, key=attrgetter("code")):
+            raw = encode_value(tag, self[tag])
             out.append(tag.code.to_bytes(2, "big"))
             out.append(len(raw).to_bytes(4, "big"))
             out.append(raw)
@@ -574,7 +563,7 @@ class DataElementMap:
 
     def render(self) -> dict[str, Any]:
         """Name-keyed JSON-friendly view (insertion order preserved)."""
-        return {tag.name: render_value(value) for tag, value in self._items.items()}
+        return {tag.name: render_value(value) for tag, value in self.items()}
 
 
 def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:
@@ -583,5 +572,5 @@ def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:
     for tag in dol.tags:
         if tag not in env:
             raise MissingDolEntry(f"environment lacks {tag.name} requested by DOL")
-        out.put(tag, env.get(tag))
+        out.put(tag, env[tag])
     return out

@@ -218,8 +218,9 @@ class Terminal:
             if performed_by != "cardholder" and not self.config.lenient_cashier:
                 raise _Declined("signature_rejected")
         if method in (CVMMethod.OnlinePIN, CVMMethod.PaperSignature):
-            channel.trace.mark("cvm", session=channel.session, method=method.name,
-                               genuine=performed_by == "cardholder", by=performed_by)
+            channel.trace.mark("cvm", channel.session, {
+                "method": method.name, "genuine": performed_by == "cardholder",
+                "by": performed_by})
         return CVMResults(method, condition, CVMResult.Performed)
 
     # --- kernel 3 ------------------------------------------------------------
@@ -365,8 +366,8 @@ class Terminal:
                     raise _Declined("cda_invalid")
 
         # action analysis: card (IAC) and terminal (TAC) both get a say
-        denial_mask = iac.denial.to_int() | cfg.tac.denial.to_int()
-        if tvr.to_int() & denial_mask:
+        denial_mask = iac.denial.wire[0] | cfg.tac.denial.wire[0]
+        if tvr.wire[0] & denial_mask:
             raise _Declined("action_code_denial")
 
         return self._settle(channel, view, 2, offline=cid == CID.TC and want_offline)
@@ -486,6 +487,6 @@ class Terminal:
         data.pop("enc_pin", None)
         data.update(outcome=outcome, reason=reason,
                     terminal=self.config.name, mcc=self.config.mcc)
-        trace.mark("decision", session=session, **data)
+        trace.mark("decision", session, data)
         return {"outcome": outcome, "reason": reason, "session": session,
                 "view": view}

@@ -249,8 +249,8 @@ def test_jsonl_roundtrips_through_json():
     adv.on_to_card(lambda m, a: m.with_payload(UN=0) if Tag.UN in m.payload else m)
     chan = NfcChannel(trace, EchoCard(), adversary=adv)
     chan.exchange(gpo())
-    trace.mark("decision", session=chan.session, outcome="approve_online",
-               amount=Amount(12000, "EUR"))
+    trace.mark("decision", chan.session, dict(outcome="approve_online",
+                                              amount=Amount(12000, "EUR")))
     lines = trace.to_jsonl().strip().split("\n")
     parsed = [json.loads(line) for line in lines]
     assert parsed[0]["kind"] == "meta" and parsed[0]["scenario"] == "demo"
@@ -266,7 +266,7 @@ def test_jsonl_deterministic():
         t = TransactionTrace(meta={"seed": 3})
         c = NfcChannel(t, EchoCard())
         c.exchange(gpo())
-        t.mark("note", text="x", stuff={"b": 2, "a": 1})
+        t.mark("note", None, dict(text="x", stuff={"b": 2, "a": 1}))
         return t.to_jsonl()
 
     assert build() == build()
@@ -296,8 +296,8 @@ def _hand_built_trace():
     record = Message("READ_RECORD", DataElementMap({Tag.CARDHOLDER_NAME: "Zoë Ørsted"}))
     trace.log_msg("nfc", None, "from_card", sent=record, received=record,
                   relay_active=True)
-    trace.mark("auth", session=1, submitted_by="adversary", decision="decline",
-               reason=None, request=Message("AUTH_REQUEST", DataElementMap({Tag.UN: 3})))
+    trace.mark("auth", 1, dict(submitted_by="adversary", decision="decline", reason=None,
+                               request=Message("AUTH_REQUEST", DataElementMap({Tag.UN: 3}))))
     return trace
 
 
@@ -378,7 +378,7 @@ def _traces(draw):
             if draw(st.booleans()):
                 request = draw(st.sampled_from(logged))
                 data.update(request=request, nested={"in": [request, {"deeper": request}]})
-            trace.mark(draw(st.sampled_from(sorted(MARKER_KINDS))), session, **data)
+            trace.mark(draw(st.sampled_from(sorted(MARKER_KINDS))), session, data)
     return trace
 
 
@@ -402,7 +402,7 @@ def test_marker_shape_is_not_a_message_shape():
     empty = Message("GENERATE_AC")
     for _ in range(2):
         trace.log_msg("nfc", 1, "to_card", empty, empty)
-        trace.mark("note", 1, GENERATE_AC=1)
+        trace.mark("note", 1, dict(GENERATE_AC=1))
     lines = _matches_reference(trace)
     assert '"sent": {"name": "GENERATE_AC", "payload": {}}' in lines[3]
     assert '"data": {"GENERATE_AC": 1}' in lines[4]
@@ -415,8 +415,8 @@ def test_insertion_order_of_keys_does_not_reach_the_line():
     for _ in range(2):
         trace.log_msg("nfc", 1, "to_card", forward, backward)
         trace.log_msg("nfc", 1, "to_card", backward, forward)
-        trace.mark("note", b=1, a=2)
-        trace.mark("note", a=2, b=1)
+        trace.mark("note", None, dict(b=1, a=2))
+        trace.mark("note", None, dict(a=2, b=1))
     lines = _matches_reference(trace)
     # with the idx taken out, every msg line is one text and every marker line another
     assert len({line.replace(f'"idx": {i}, ', "") for i, line in enumerate(lines[1:])}) == 2
@@ -425,7 +425,7 @@ def test_insertion_order_of_keys_does_not_reach_the_line():
 def test_percent_signs_in_keys_are_literal():
     trace = TransactionTrace()
     for value in (1, "%s", "%"):
-        trace.mark("note", **{"%": value, "%s": value, "a%%b": value})
+        trace.mark("note", None, {"%": value, "%s": value, "a%%b": value})
     lines = _matches_reference(trace)
     assert lines[3].startswith('{"data": {"%": "%", "%s": "%", "a%%b": "%"}')
 
@@ -434,7 +434,7 @@ def test_one_shape_writes_each_value_by_its_type():
     # 1, True, CID.ARQC and 1.0 compare and hash alike; the shape keeps no writer per key
     trace = TransactionTrace()
     for value in (1, True, CID.ARQC, 1.0, 1, CID.ARQC):
-        trace.mark("note", value=value)
+        trace.mark("note", None, dict(value=value))
     lines = _matches_reference(trace)
     assert [line.split(", ")[0] for line in lines[1:]] == [
         '{"data": {"value": 1}', '{"data": {"value": true}', '{"data": {"value": "ARQC"}',

@@ -7,6 +7,8 @@ import random
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapsim import crypto
 from tapsim.crypto import (
@@ -111,6 +113,15 @@ def test_mac_functions_match_the_hmac_object_reference():
                 _reference_mac(key, b"ac" + covered.encode())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=200).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+       st.binary(max_size=300))
+def test_precomputed_state_mac_equals_hmac_digest(key, msg):
+    # keys on both sides of the 64-byte block, where a long key is hashed first
+    assert crypto._hmac_sha256(key, msg) == hmac.digest(key, msg, "sha256")
+    assert crypto._hmac_sha256(key, msg) == hmac.digest(key, msg, "sha256")  # from the memo
+
+
 def test_ac_roundtrip_and_tamper():
     key = kdf(b"m" * 32, 9)
     el = k2_elements()
@@ -162,6 +173,22 @@ def test_kernel3_coverage_toggle():
     tampered.put(Tag.TTQ, TTQ())
     assert verify_ac(key, tampered, ac_coverage_kernel3(False), ac_no)
     assert not verify_ac(key, tampered, ac_coverage_kernel3(True), ac_yes)
+
+
+def test_projection_equals_a_put_built_map():
+    checked = 0
+    for elements in (k2_elements(), k3_elements(), sdad_elements("cda"), sdad_elements("fdda")):
+        for coverage in (AC_COVERAGE_KERNEL2, ac_coverage_kernel3(True), *SDAD_COVERAGE.values()):
+            if not coverage <= elements.tags():
+                continue
+            built = DataElementMap()
+            for tag in coverage:
+                built.put(tag, elements[tag])
+            projected = crypto._project(elements, coverage)
+            assert type(projected) is DataElementMap and projected == built
+            assert projected.encode() == built.encode()
+            checked += 1
+    assert checked >= 4
 
 
 def test_ac_missing_coverage_element():
@@ -290,6 +317,19 @@ def test_malformed_certificate_does_not_verify(raw):
         Certificate.from_bytes(raw)
 
 
+def test_a_malformed_public_key_fails_closed():
+    ca, card = generate_signing_key(b"c" * 32), generate_signing_key(b"d" * 32)
+    el, rec = sdad_elements("cda"), static_records()
+    short = public_bytes(card)[:31]
+    assert not verify_sdad(short, "cda", el, sign_sdad(card, "cda", el))
+    assert not verify_static_records(short, rec, sign_static_records(card, rec))
+    issuer_cert = issue_certificate(ca, "bank-a", short)  # a signed link to a 31-byte key
+    card_cert = issue_certificate(card, "4111111111111111", public_bytes(card))
+    for store in (CAStore({1: short}), CAStore({1: public_bytes(ca)})):
+        with pytest.raises(BadSignature):
+            store.verify_chain(1, issuer_cert, card_cert, "4111111111111111")
+
+
 def test_chain_verifies_and_rejects():
     ca = generate_signing_key(b"c" * 32)
     issuer = generate_signing_key(b"i" * 32)
@@ -390,8 +430,8 @@ def test_errors_are_never_cached():
     for _ in range(2):
         with pytest.raises(CryptoError):
             generate_signing_key(b"short")
-        with pytest.raises(ValueError):  # a public key of the wrong length
-            crypto._holds(bytes(31), bytes(64), b"msg")
+        with pytest.raises(TypeError):  # a public key that is not bytes
+            crypto._holds("x" * 32, bytes(64), b"msg")
     assert _hits() == hits
 
 
@@ -400,7 +440,9 @@ def test_each_memo_stays_within_its_bound():
     for i in range(300):
         key = generate_signing_key(i.to_bytes(32, "big"))
         verify_sdad(public_bytes(key), "cda", el, sign_sdad(key, "cda", el))
-    for memo in MEMOS:
+    for i in range(300):
+        kdf(i.to_bytes(32, "big"), 1)
+    for memo in MEMOS + (crypto._hmac_states,):
         info = memo.cache_info()
         assert info.currsize <= info.maxsize == 256
 

@@ -145,7 +145,18 @@ def test_transit_mccs():
 
 # --- flags ------------------------------------------------------------------
 
+def _bit_loop(flags) -> int:
+    """A flag map's byte, bit by bit from its ``_positions``."""
+    value = 0
+    for name, pos in flags._positions.items():
+        if getattr(flags, name):
+            value |= 1 << pos
+    return value
+
+
 def test_flag_roundtrip_all_values():
+    # every assignment of every flag map: its cached byte is the bit loop's, at the
+    # positions codec.json pins
     with resources.files("tapsim.fixtures").joinpath("codec.json").open("rb") as fh:
         pinned = json.load(fh)["flag_fields"]
     for cls, flag_set in ((AIP, "aip"), (TTQ, "ttq"), (CTQ, "ctq"), (TVR, "tvr")):
@@ -153,15 +164,19 @@ def test_flag_roundtrip_all_values():
         for n in range(len(names) + 1):
             for subset in itertools.combinations(names, n):
                 obj = cls(**{name: name in subset for name in names})
-                assert obj.to_int() == sum(1 << names.index(name)
-                                           for name in subset)
+                assert obj.wire == bytes([_bit_loop(obj)])
+                assert obj.wire[0] == sum(1 << names.index(name)
+                                          for name in subset)
+                assert obj.wire is obj.wire  # computed once per instance
 
 
 def test_flag_replace():
     t = TTQ(cvm_required=True)
+    t.wire  # a cached byte does not follow a replace
     t2 = t.replace(cvm_required=False, online_pin_supported=True)
     assert not t2.cvm_required and t2.online_pin_supported
     assert t.cvm_required  # original untouched
+    assert t2.wire == bytes([_bit_loop(t2)]) != t.wire
 
 
 # --- value validation -------------------------------------------------------
@@ -364,10 +379,71 @@ def test_map_frame_is_canonical():
 
 
 def test_map_missing_key_raises():
-    m = DataElementMap()
+    for m in (DataElementMap(), DataElementMap({Tag.UN: 5})):
+        with pytest.raises(CodecError, match="missing element AMOUNT"):
+            m[Tag.AMOUNT]
+        assert m.get(Tag.AMOUNT) is None and Tag.AMOUNT not in m
+
+
+_MUTATORS = {
+    "update": lambda m: m.update({Tag.ATC: 1}),
+    "update_kwargs": lambda m: m.update(x=1),
+    "setdefault": lambda m: m.setdefault(Tag.ATC, 1),
+    "pop": lambda m: m.pop(Tag.UN),
+    "popitem": lambda m: m.popitem(),
+    "clear": lambda m: m.clear(),
+    "fromkeys": lambda m: type(m).fromkeys([Tag.UN], 1),
+}
+
+
+def _ior(m):
+    m |= {Tag.ATC: 1}
+
+
+def _del(m):
+    del m[Tag.UN]
+
+
+def _store(m):
+    m[Tag.UN] = "not an int"
+
+
+@pytest.mark.parametrize("mutate", [*_MUTATORS.values(), _ior, _del, _store],
+                         ids=[*_MUTATORS, "__ior__", "__delitem__", "__setitem__"])
+def test_every_inherited_mutator_raises(mutate):
+    m = DataElementMap({Tag.UN: 5})
+    with pytest.raises(TypeError):
+        mutate(m)
+    assert m == DataElementMap({Tag.UN: 5}) and m.encode() == DataElementMap({Tag.UN: 5}).encode()
+
+
+def test_map_copies_and_pickles_round_trip():
+    m = DataElementMap({Tag.by_name(n): v for n, v in SAMPLE_VALUES.items()})
+    for clone in (m.copy(), copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(clone) is DataElementMap and clone is not m
+        assert clone == m and clone.encode() == m.encode() and list(clone) == list(m)
+        clone.put(Tag.UN, 1)
+        assert m[Tag.UN] == SAMPLE_VALUES["UN"]  # the original does not follow
+
+
+class _Smuggled:
+    """Pickles as a DataElementMap holding a value no map accepts."""
+
+    def __reduce__(self):
+        return DataElementMap, ({Tag.UN: "not an int"},)
+
+
+def test_unpickling_validates():
     with pytest.raises(CodecError):
-        m[Tag.AMOUNT]
-    assert m.get(Tag.AMOUNT) is None
+        pickle.loads(pickle.dumps(_Smuggled()))
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2**32 - 1))
+def test_map_equality_agrees_with_its_encoding(seed_a, seed_b):
+    a, b = _random_map(random.Random(seed_a)), _random_map(random.Random(seed_b))
+    for x, y in ((a, b), (a, a.copy()), (b, a)):
+        assert (x == y) == (x.encode() == y.encode()) != (x != y)
 
 
 def test_map_merge_and_copy_isolate():

@@ -84,28 +84,27 @@ def test_p5_scope_limits_what_counts():
 
 def test_p6_failed_probe():
     trace = TransactionTrace()
-    trace.mark("genuine_probe", session=1, ok=False, what="purchase")
+    trace.mark("genuine_probe", 1, dict(ok=False, what="purchase"))
     assert "P6" in evaluate(trace).violations
     trace2 = TransactionTrace()
-    trace2.mark("genuine_probe", session=1, ok=True, what="purchase")
+    trace2.mark("genuine_probe", 1, dict(ok=True, what="purchase"))
     assert "P6" not in evaluate(trace2).violations
 
 
 def test_p31_high_value_without_genuine_cvm():
     trace = TransactionTrace()
-    trace.mark("decision", session=1, outcome="approve_online", mode="emv",
-               amount=Amount(12000, "EUR"), pan="4111", atc=3)
+    trace.mark("decision", 1, dict(outcome="approve_online", mode="emv",
+                                   amount=Amount(12000, "EUR"), pan="4111", atc=3))
     assert "P3.1" in evaluate(trace).violations
-    trace.mark("cvm", session=1, method="OnlinePIN", genuine=True,
-               by="cardholder")
+    trace.mark("cvm", 1, dict(method="OnlinePIN", genuine=True, by="cardholder"))
     assert "P3.1" not in evaluate(trace).violations
 
 
 def test_p31_boundary_at_cvm_limit():
     def judged(amount):
         trace = TransactionTrace()
-        trace.mark("decision", session=1, outcome="approve_online", mode="emv",
-                   amount=Amount(amount, "EUR"), pan="4111", atc=3)
+        trace.mark("decision", 1, dict(outcome="approve_online", mode="emv",
+                                       amount=Amount(amount, "EUR"), pan="4111", atc=3))
         return evaluate(trace).violations
 
     assert "P3.1" not in judged(CVM_LIMIT)
@@ -114,41 +113,39 @@ def test_p31_boundary_at_cvm_limit():
 
 def test_p2_offline_approval_bounced_at_clearing():
     trace = TransactionTrace()
-    trace.mark("decision", session=1, outcome="approve_offline", mode="emv",
-               amount=Amount(1500, "EUR"), pan="5555", atc=7)
+    trace.mark("decision", 1, dict(outcome="approve_offline", mode="emv",
+                                   amount=Amount(1500, "EUR"), pan="5555", atc=7))
     submit = Message("CLEARING_SUBMIT", DataElementMap({
         Tag.PAN: "5555", Tag.ATC: 7, Tag.AMOUNT: Amount(1500, "EUR"),
         Tag.DECISION: "offline_approved",
     }))
     trace.log_msg("payment", 1, "out", submit, submit)
-    trace.mark("clearing", session=1, decision="decline", reason="bad_ac",
-               submitted_by="terminal", request=submit)
+    trace.mark("clearing", 1, dict(decision="decline", reason="bad_ac", submitted_by="terminal",
+                                   request=submit))
     assert "P2" in evaluate(trace).violations
 
 
 def test_p1_field_disagreement_and_replay_label():
     # same session, terminal saw a different amount than the card committed to
     trace = TransactionTrace()
-    trace.mark("card_tx", session=1, pan="4111", atc=5, amount=Amount(100, "EUR"),
-               un=42)
-    trace.mark("decision", session=1, outcome="approve_online", mode="emv",
-               amount=Amount(9, "EUR"), pan="4111", atc=5, un=42)
+    trace.mark("card_tx", 1, dict(pan="4111", atc=5, amount=Amount(100, "EUR"), un=42))
+    trace.mark("decision", 1, dict(outcome="approve_online", mode="emv", amount=Amount(9, "EUR"),
+                                   pan="4111", atc=5, un=42))
     assert evaluate(trace).violations["P1"] == ("AMOUNT",)
 
     # commitment exists only in another session: replayed transcript
     trace2 = TransactionTrace()
-    trace2.mark("card_tx", session=1, pan="4111", atc=5, amount=Amount(9, "EUR"),
-                un=42)
-    trace2.mark("decision", session=2, outcome="approve_online", mode="emv",
-                amount=Amount(9, "EUR"), pan="4111", atc=5, un=42)
+    trace2.mark("card_tx", 1, dict(pan="4111", atc=5, amount=Amount(9, "EUR"), un=42))
+    trace2.mark("decision", 2, dict(outcome="approve_online", mode="emv", amount=Amount(9, "EUR"),
+                                    pan="4111", atc=5, un=42))
     assert evaluate(trace2).violations["P1"] == ("replay",)
 
 
 def test_p1_no_card_commitment_no_p1():
     # pure clone: nothing the card ever said, so no disagreement to report
     trace = TransactionTrace()
-    trace.mark("decision", session=1, outcome="approve_online", mode="ms",
-               amount=Amount(9, "EUR"), pan="5200", atc=33)
+    trace.mark("decision", 1, dict(outcome="approve_online", mode="ms", amount=Amount(9, "EUR"),
+                                   pan="5200", atc=33))
     assert "P1" not in evaluate(trace).violations
 
 
@@ -156,18 +153,18 @@ def test_p1_ms_mode_cross_session_is_not_replay():
     # harvested dynamic codes get spent in a later session; the card never
     # re-committed, so mag-stripe acceptances must not count as replays
     trace = TransactionTrace()
-    trace.mark("card_tx", session=1, pan="5200", atc=33, mode="ms", un=7)
-    trace.mark("decision", session=2, outcome="approve_online", mode="ms",
-               amount=Amount(9, "EUR"), pan="5200", atc=33, un=7)
+    trace.mark("card_tx", 1, dict(pan="5200", atc=33, mode="ms", un=7))
+    trace.mark("decision", 2, dict(outcome="approve_online", mode="ms", amount=Amount(9, "EUR"),
+                                   pan="5200", atc=33, un=7))
     assert "P1" not in evaluate(trace).violations
 
 
 def test_p1_ctq_presence_asymmetry():
     # terminal accepted a kernel-3 CVM claim from a card that never made one
     trace = TransactionTrace()
-    trace.mark("card_tx", session=1, pan="5555", atc=5, amount=Amount(9, "EUR"))
-    trace.mark("decision", session=1, outcome="approve_online", mode="emv",
-               amount=Amount(9, "EUR"), pan="5555", atc=5, ctq=object())
+    trace.mark("card_tx", 1, dict(pan="5555", atc=5, amount=Amount(9, "EUR")))
+    trace.mark("decision", 1, dict(outcome="approve_online", mode="emv", amount=Amount(9, "EUR"),
+                                   pan="5555", atc=5, ctq=object()))
     assert evaluate(trace).violations["P1"] == ("CTQ",)
 
 
@@ -234,11 +231,10 @@ def test_p31_p32_judge_an_acceptance_by_its_own_session(relay_in, cvm_in, broken
     for session in (1, 2):
         trace.log_msg("nfc", session, "to_card", ping, ping,
                       relay_active=session == relay_in)
-        trace.mark("card_tx", session=session, pan="4111", atc=session, amount=high)
-    trace.mark("cvm", session=cvm_in, method="OnlinePIN", genuine=True,
-               by="cardholder")
-    trace.mark("decision", session=1, outcome="approve_online", mode="emv",
-               amount=high, pan="4111", atc=1)
+        trace.mark("card_tx", session, dict(pan="4111", atc=session, amount=high))
+    trace.mark("cvm", cvm_in, dict(method="OnlinePIN", genuine=True, by="cardholder"))
+    trace.mark("decision", 1, dict(outcome="approve_online", mode="emv", amount=high, pan="4111",
+                                   atc=1))
     violations = evaluate(trace).violations
     assert ("P3.1" in violations, "P3.2" in violations) == (broken, broken)
     assert "P1" not in violations
