@@ -16,14 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import is_
 from typing import Any
 
 from .channel import Message, TransactionTrace
 from .crypto import (
-    AC_COVERAGE_KERNEL2,
     Certificate,
-    ac_coverage_kernel3,
     compute_ac,
     compute_cvc3,
     generate_signing_key,
@@ -35,6 +32,7 @@ from .crypto import (
 )
 from .elements import (
     AFL,
+    AID_BRANDS,
     AIP,
     CVM_LIMIT,
     ActionCodes,
@@ -47,9 +45,9 @@ from .elements import (
     DOL,
     IAD,
     Tag,
+    TagInfo,
     TTQ,
     Track2EquivalentData,
-    brand_of,
 )
 
 # What a transit gate blurts out before the protocol starts. A phone that has
@@ -176,6 +174,7 @@ class CardProfile:
     csc: str
     aid: bytes
     kernel: int
+    ac_coverage: frozenset[TagInfo]  # what the AC binds; the issuer verifies against it
     home_currency: str = "EUR"
     device_type: str = "plastic"
 
@@ -198,31 +197,20 @@ class CardProfile:
     oda: OdaMaterial | None = None
 
     service_code: str = "201"
-    include_ttq_in_ac: bool = False  # mirrors the issuer's TTQ-binding policy
     wallet: Wallet | None = None
 
-    # unannotated, so not a field: (the fields aip last read, the AIP built
-    # from them); an instance's first build shadows this class default
-    _aip_memo = ((), None)
+    # personalized once from the fields above, so a trace renders one object
+    aip: AIP = field(init=False)
 
-    @property
-    def aip(self) -> AIP:
-        """One object for as long as the fields it reads stay the same
-        objects, so a trace renders it once; reassigning one rebuilds it."""
-        read = (self.fdda, self.cda, self.cvm_list, self.offline_pin_enabled,
-                self.wallet, self.device_type, self.emv_mode)
-        seen, aip = self._aip_memo
-        if aip is None or not all(map(is_, read, seen)):
-            aip = AIP(
-                dda_supported=self.fdda,
-                cda_supported=self.cda,
-                cardholder_verification_supported=bool(self.cvm_list.entries)
-                or self.offline_pin_enabled or self.wallet is not None,
-                on_device_cvm_supported=self.device_type == "phone",
-                emv_mode_supported=self.emv_mode,
-            )
-            self._aip_memo = (read, aip)
-        return aip
+    def __post_init__(self) -> None:
+        self.aip = AIP(
+            dda_supported=self.fdda,
+            cda_supported=self.cda,
+            cardholder_verification_supported=bool(self.cvm_list.entries)
+            or self.offline_pin_enabled or self.wallet is not None,
+            on_device_cvm_supported=self.device_type == "phone",
+            emv_mode_supported=self.emv_mode,
+        )
 
     @property
     def track2(self) -> Track2EquivalentData:
@@ -308,7 +296,6 @@ class Card:
     def _kernel3_transact(self, msg: Message) -> Message:
         """Kernel-3 cards do the whole cryptographic transaction at GPO."""
         p = self.profile
-        aip = p.aip
         ttq: TTQ = msg.payload[Tag.TTQ]
         amount: Amount = msg.payload[Tag.AMOUNT]
         un: int = msg.payload[Tag.UN]
@@ -321,7 +308,7 @@ class Card:
         if blocked or (decision is not None and not decision.accept):
             self.atc = min(self.atc + 1, ATC_MAX)
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                Tag.AIP: aip, Tag.AFL: self._afl(),
+                Tag.AIP: p.aip, Tag.AFL: self._afl(),
                 Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: CTQ(),
             }))
 
@@ -344,29 +331,23 @@ class Card:
         iad = IAD(cdcvm_performed=iad_cdcvm, device_type=p.device_type)
         un_card = self.rng.randrange(1 << 32)
 
-        elements = DataElementMap({
-            Tag.AMOUNT: amount, Tag.UN: un, Tag.AIP: aip,
-            Tag.ATC: self.atc, Tag.IAD: iad, Tag.TTQ: ttq,
-        })
-        ac = compute_ac(kdf(p.master_key, self.atc), elements,
-                        ac_coverage_kernel3(p.include_ttq_in_ac))
+        # the card's own values go last, over anything added to the command
+        ac = compute_ac(kdf(p.master_key, self.atc), msg.payload.copy().put(Tag.AIP, p.aip)
+                        .put(Tag.ATC, self.atc).put(Tag.IAD, iad), p.ac_coverage)
 
         payload = DataElementMap({
-            Tag.AIP: aip, Tag.AFL: self._afl(), Tag.ATC: self.atc,
+            Tag.AIP: p.aip, Tag.AFL: self._afl(), Tag.ATC: self.atc,
             Tag.CID: CID.TC if amount.value == 0 else CID.ARQC,
             Tag.AC: ac, Tag.IAD: iad, Tag.CTQ: ctq, Tag.UN_CARD: un_card,
         })
         if p.fdda and p.oda is not None and ttq.oda_for_online_supported:
-            sdad = sign_sdad(p.oda.signing_key, "fdda", DataElementMap({
-                Tag.UN_CARD: un_card, Tag.UN: un, Tag.ATC: self.atc,
-                Tag.CTQ: ctq, Tag.AIP: aip,
-            }))
-            payload.put(Tag.SDAD, sdad)
+            payload.put(Tag.SDAD, sign_sdad(p.oda.signing_key, "fdda",
+                                            payload.copy().put(Tag.UN, un)))
 
         if genuine_cvm and self._trace is not None:
             self._trace.mark("cvm", self._session, {
                 "genuine": True, "method": "CDCVM", "by": "cardholder"})
-        self._mark_tx(aip, mode="emv", kernel=3, amount=amount, un=un, ttq=ttq,
+        self._mark_tx(mode="emv", kernel=3, amount=amount, un=un, ttq=ttq,
                       ctq=ctq, iad=iad, ac=ac, un_card=un_card,
                       cid=payload[Tag.CID])
         return Message("GET_PROCESSING_OPTIONS", payload)
@@ -425,13 +406,9 @@ class Card:
             }))
 
         self.atc += 1
-        aip = p.aip
         iad = IAD(cdcvm_performed=False, device_type=p.device_type)
-        elements = DataElementMap({
-            Tag.AMOUNT: amount, Tag.UN: un, Tag.CVM_RESULTS: cvm_results,
-            Tag.AIP: aip, Tag.ATC: self.atc, Tag.IAD: iad,
-        })
-        ac = compute_ac(kdf(p.master_key, self.atc), elements, AC_COVERAGE_KERNEL2)
+        ac = compute_ac(kdf(p.master_key, self.atc), msg.payload.copy().put(Tag.AIP, p.aip)
+                        .put(Tag.ATC, self.atc).put(Tag.IAD, iad), p.ac_coverage)
 
         payload = DataElementMap({
             Tag.ATC: self.atc, Tag.CID: requested, Tag.AC: ac, Tag.IAD: iad,
@@ -439,13 +416,11 @@ class Card:
         un_card = None
         if want_cda and p.cda and p.oda is not None:
             un_card = self.rng.randrange(1 << 32)
-            sdad = sign_sdad(p.oda.signing_key, "cda", DataElementMap({
-                Tag.UN_CARD: un_card, Tag.UN: un, Tag.AC: ac,
-                Tag.ATC: self.atc, Tag.IAD: iad,
-            }))
-            payload.put(Tag.UN_CARD, un_card).put(Tag.SDAD, sdad)
+            payload.put(Tag.UN_CARD, un_card)
+            payload.put(Tag.SDAD, sign_sdad(p.oda.signing_key, "cda",
+                                            payload.copy().put(Tag.UN, un)))
 
-        self._mark_tx(aip, mode="emv", kernel=2, amount=amount, un=un,
+        self._mark_tx(mode="emv", kernel=2, amount=amount, un=un,
                       cvm_results=cvm_results, iad=iad, ac=ac,
                       un_card=un_card, cid=requested)
         return Message("GENERATE_AC", payload)
@@ -457,7 +432,7 @@ class Card:
         un: int = msg.payload[Tag.UN]
         self.atc += 1
         code = compute_cvc3(p.cvc3_key, self.atc, un)
-        self._mark_tx(p.aip, mode="ms", kernel=p.kernel, un=un, cvc3=code)
+        self._mark_tx(mode="ms", kernel=p.kernel, un=un, cvc3=code)
         return Message("GENERATE_AC", DataElementMap({
             Tag.ATC: self.atc, Tag.CVC3: code,
         }))
@@ -493,13 +468,13 @@ class Card:
 
     # --- bookkeeping -------------------------------------------------------
 
-    def _mark_tx(self, aip: AIP, **data: Any) -> None:
+    def _mark_tx(self, **data: Any) -> None:
         if self._trace is None:
             return
         p = self.profile
         self._trace.mark("card_tx", self._session, {
-            "pan": p.pan, "aid": p.aid, "atc": self.atc, "aip": aip, "cvm_list": p.cvm_list,
-            "iac_denial": p.iac.denial, "ca_pk_index": p.ca_pk_index, "brand": brand_of(p.pan),
+            "pan": p.pan, "aid": p.aid, "atc": self.atc, "aip": p.aip, "cvm_list": p.cvm_list,
+            "iac_denial": p.iac.denial, "ca_pk_index": p.ca_pk_index, "brand": AID_BRANDS[p.aid],
             "device_type": p.device_type, **data})
 
 

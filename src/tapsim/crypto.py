@@ -8,6 +8,10 @@ Online PIN travels under AES-GCM between terminal and issuer.
 
 The point is not cryptographic strength but *binding*: what each signature
 or MAC does and does not cover is exactly what the attack catalogue probes.
+The coverage sets below are the only list of it: callers pass what they hold
+(the card what it signs, the terminal what it received, the issuer the whole
+request) and each operation projects its coverage, so widening a set is an
+edit here alone. The issuer checks an AC against the card's personalized set.
 
 Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
 key, signature and message bytes), the last 256 of each. Ed25519 is deterministic,

@@ -18,14 +18,7 @@ from typing import Any
 
 from .card import CardProfile
 from .channel import Message
-from .crypto import (
-    AC_COVERAGE_KERNEL2,
-    ac_coverage_kernel3,
-    compute_cvc3,
-    decrypt_pin,
-    kdf,
-    verify_ac,
-)
+from .crypto import compute_cvc3, decrypt_pin, kdf, verify_ac
 from .elements import (
     AID_BRANDS,
     BRAND_FAMILIES,
@@ -147,17 +140,10 @@ class Issuer:
         atc = p[Tag.ATC]
         amount: Amount = p[Tag.AMOUNT]
         terminal_id = p.get(Tag.TERMINAL_ID, "")
-        # the issuer validates against what it issued, not against whatever
-        # kernel the terminal claims to have spoken
-        kernel = record.kernel
 
-        # 1. the cryptogram must verify over the covered elements
-        session_key = kdf(record.master_key, atc)
-        if kernel == 3:
-            coverage = ac_coverage_kernel3(pol.check_ttq_in_ac)
-        else:
-            coverage = AC_COVERAGE_KERNEL2
-        if not verify_ac(session_key, p, coverage, p[Tag.AC]):
+        # 1. the cryptogram must verify over the coverage the card was
+        # personalized with, not whatever kernel the terminal claims to have spoken
+        if not verify_ac(kdf(record.master_key, atc), p, record.ac_coverage, p[Tag.AC]):
             return "decline", "bad_ac"
 
         # 2. counters move strictly forward

@@ -61,11 +61,6 @@ class PropertyReport:
     def p3(self) -> bool:
         return "P3.1" in self.violations or "P3.2" in self.violations
 
-    def violated(self, prop: str) -> bool:
-        if prop == "P3":
-            return self.p3
-        return prop in self.violations
-
     def summary(self) -> str:
         if not self.violations:
             return "none"

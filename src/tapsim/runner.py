@@ -27,7 +27,16 @@ from typing import Any, Callable, Iterator
 
 from .card import Card, CardProfile, OdaMaterial, WALLET_KINDS
 from .channel import Adversary, NfcChannel, PaymentRails, TransactionTrace
-from .crypto import CAStore, Certificate, generate_signing_key, issue_certificate, public_bytes
+from .crypto import (
+    AC_COVERAGE_KERNEL2,
+    STATIC_SIGNED_TAGS,
+    CAStore,
+    Certificate,
+    ac_coverage_kernel3,
+    generate_signing_key,
+    issue_certificate,
+    public_bytes,
+)
 from .elements import (
     AID_BRANDS,
     ActionCodes,
@@ -37,7 +46,6 @@ from .elements import (
     CVMList,
     CVMMethod,
     DataElementMap,
-    Tag,
     TVR,
     brand_of,
 )
@@ -197,18 +205,16 @@ def _build_card(name: str, fx: dict[str, Any], seeds: tuple[bytes, bytes, bytes]
         cvm_list=cvm_list, iac=iac,
         wallet=(WALLET_KINDS[wallet_kind](cdcvm_always=cdcvm_always)
                 if wallet_kind else None),
-        include_ttq_in_ac=(fx["kernel"] == 3 and policy.check_ttq_in_ac),
+        ac_coverage=(ac_coverage_kernel3(policy.check_ttq_in_ac) if fx["kernel"] == 3
+                     else AC_COVERAGE_KERNEL2),
         **fx,
     )
 
     if oda:
         profile.ca_pk_index = CA_INDEX
         # fixed now: a later profile edit meets a signature over these values
-        static = DataElementMap({
-            Tag.PAN: profile.pan, Tag.EXPIRY: profile.expiry,
-            Tag.AIP: profile.aip, Tag.CVM_LIST: profile.cvm_list,
-            Tag.IAC: profile.iac, Tag.CA_PK_INDEX: CA_INDEX,
-        })
+        static = DataElementMap({tag: getattr(profile, tag.name.lower())
+                                 for tag in STATIC_SIGNED_TAGS})
         profile.oda = OdaMaterial(signing_seed, pki, profile.pan, static)
     return Card(profile, rng)
 
@@ -236,7 +242,7 @@ def _known_keys(fixtures: dict[str, dict[str, Any]], cls: type,
 
 
 _CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile, {
-    "name", "aid", "master_key", "cvc3_key", "iac", "include_ttq_in_ac"})
+    "name", "aid", "master_key", "cvc3_key", "iac", "aip", "ac_coverage"})
 _TERMINAL_KEYS = _known_keys(TERMINAL_FIXTURES, TerminalConfig, {"name", "tac"})
 
 

@@ -259,11 +259,7 @@ class Terminal:
         if sdad is not None:
             if card_public is None:
                 raise _Declined("oda_chain_failed")
-            signed_view = DataElementMap({
-                Tag.UN_CARD: p.get(Tag.UN_CARD, 0), Tag.UN: view["un"],
-                Tag.ATC: p[Tag.ATC], Tag.CTQ: ctq, Tag.AIP: p[Tag.AIP],
-            })
-            if not verify_sdad(card_public, "fdda", signed_view, sdad):
+            if not verify_sdad(card_public, "fdda", p.copy().put(Tag.UN, view["un"]), sdad):
                 raise _Declined("fdda_failed")
         elif self.config.require_oda_kernel3:
             raise _Declined("fdda_missing")
@@ -313,6 +309,8 @@ class Terminal:
             issuer_cert = card_public = None
             tvr = tvr.replace(cda_failed=True)
         if issuer_cert is not None:
+            # exactly the values acted on: over both records merged, an edited
+            # record-1 EXPIRY would pass beside a genuine copy in record 2
             static = DataElementMap({
                 Tag.PAN: pan, Tag.EXPIRY: r1.get(Tag.EXPIRY, ""),
                 Tag.AIP: aip, Tag.CVM_LIST: cvm_list, Tag.IAC: iac,
@@ -357,11 +355,7 @@ class Terminal:
                 tvr = tvr.replace(cda_failed=True)
                 view["tvr"] = tvr
             else:
-                signed_view = DataElementMap({
-                    Tag.UN_CARD: rp.get(Tag.UN_CARD, 0), Tag.UN: un,
-                    Tag.AC: rp[Tag.AC], Tag.ATC: rp[Tag.ATC], Tag.IAD: rp[Tag.IAD],
-                })
-                if not verify_sdad(card_public, "cda", signed_view, sdad):
+                if not verify_sdad(card_public, "cda", rp.copy().put(Tag.UN, un), sdad):
                     # a checkable-but-wrong dynamic signature is never survivable
                     raise _Declined("cda_invalid")
 

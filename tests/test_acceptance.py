@@ -197,7 +197,7 @@ def test_criterion_5_pin_search():
     exhaust_ok = burned == PIN_TRY_LIMIT == 3 and card.blocked
 
     dos = run_attack("pin_guess_dos", seed=0)
-    dos_ok = dos.success and dos.report.violated("P6")
+    dos_ok = dos.success and "P6" in dos.report.violations
 
     ok = mean_ok and never_blocked and exhaust_ok and dos_ok
     assert _line(5, ok,

@@ -29,7 +29,7 @@ from tapsim.runner import build_env, run_genuine_matrix
 
 PACKAGE = os.path.dirname(tapsim.__file__)
 
-HARVEST_CEILING = 24.07  # per GENERATE AC, SELECT and READ RECORD amortized
+HARVEST_CEILING = 22.06  # per GENERATE AC, SELECT and READ RECORD amortized
 VERIFY_CEILING = 19
 HARVEST_EMIT_CEILING = 0.68  # per event of the harvest trace
 VERIFY_EMIT_CEILING = 1.03  # per event of the PIN-guessing trace

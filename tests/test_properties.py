@@ -24,8 +24,8 @@ def test_empty_report_summary():
 def test_summary_orders_and_labels():
     r = PropertyReport(violations={"P3.2": (), "P1": ("TTQ", "CTQ")})
     assert r.summary() == "P1(TTQ,CTQ), P3.2"
-    assert r.violated("P3")
-    assert not r.violated("P3.1")
+    assert r.p3
+    assert "P3.1" not in r.violations
 
 
 def test_compare_expected_flags_both_directions():
