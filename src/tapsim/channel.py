@@ -16,9 +16,9 @@ The adversary is a hook container. Capabilities gate what the hooks may do:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from .elements import (PLAIN_JSON, RENDER, DataElementMap, Tag, TagInfo, json_chunks,
                        render_value, to_json)
@@ -84,20 +84,23 @@ class ChannelError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Message:
     """A named protocol message with a typed payload."""
 
     name: str
-    payload: DataElementMap = field(default_factory=DataElementMap)
+    payload: DataElementMap
 
-    def __post_init__(self) -> None:
-        allowed = MESSAGES.get(self.name)
+    def __init__(self, name: str, payload: DataElementMap | None = None) -> None:
+        allowed = MESSAGES.get(name)
         if allowed is None:
-            raise ChannelError(f"unknown message name {self.name!r}")
-        if not allowed.issuperset(self.payload):
-            names = ", ".join(sorted(t.name for t in self.payload.tags() - allowed))
-            raise ChannelError(f"{self.name} payload may not carry: {names}")
+            raise ChannelError(f"unknown message name {name!r}")
+        payload = DataElementMap() if payload is None else payload
+        if not allowed.issuperset(payload):
+            names = ", ".join(sorted(t.name for t in payload.tags() - allowed))
+            raise ChannelError(f"{name} payload may not carry: {names}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "payload", payload)
 
     def render(self) -> dict[str, Any]:
         return {"name": self.name, "payload": self.payload.render()}
@@ -110,17 +113,19 @@ class Message:
         return Message(self.name, p)
 
 
-@dataclass(slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One logged event; the trace builds it with ``tuple.__new__``, so no Python frame."""
+
     idx: int
     kind: str                      # "msg" or a marker kind
-    session: int | None = None
-    channel: str | None = None
-    direction: str | None = None
-    relay_active: bool = False
-    sent: Message | None = None    # what the sender put on the wire
-    received: Message | None = None  # what the receiver actually got
-    data: dict[str, Any] = field(default_factory=dict)
+    session: int | None
+    channel: str | None            # a message's; None for a marker
+    direction: str | None
+    relay_active: bool
+    sent: Message | None           # what the sender put on the wire
+    received: Message | None       # what the receiver actually got
+    data: dict[str, Any]           # a marker's; empty for a message
+
 
 
 class TransactionTrace:
@@ -138,8 +143,8 @@ class TransactionTrace:
 
     def log_msg(self, channel: str, session: int, direction: str, sent: Message,
                 received: Message, relay_active: bool = False) -> TraceEvent:
-        ev = TraceEvent(len(self.events), "msg", session, channel, direction,
-                        relay_active, sent, received)
+        ev = tuple.__new__(TraceEvent, (len(self.events), "msg", session, channel, direction,
+                                        relay_active, sent, received, {}))
         self.events.append(ev)
         return ev
 
@@ -147,7 +152,8 @@ class TransactionTrace:
         """Log a marker. The event keeps ``data`` itself: the caller hands it over."""
         if kind not in MARKER_KINDS:
             raise ChannelError(f"unknown marker kind {kind!r}")
-        ev = TraceEvent(len(self.events), kind, session, data=data)
+        ev = tuple.__new__(TraceEvent, (len(self.events), kind, session, None, None, False,
+                                        None, None, data))
         self.events.append(ev)
         return ev
 

@@ -16,6 +16,7 @@ edit here alone. The issuer checks an AC against the card's personalized set.
 Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
 key, signature and message bytes), the last 256 of each. Ed25519 is deterministic,
 so a hit returns what a fresh call would; a failed check is kept, an error never.
+A signing records its verdict, so checking one of the last 256 made needs no verify.
 The session-key and CVC3 MACs start from SHA-256 states memoized the same way on
 their exact key bytes.
 """
@@ -89,7 +90,10 @@ def _project(elements: DataElementMap, coverage: frozenset[TagInfo]) -> DataElem
 # --- session keys and cryptograms ---------------------------------------------
 
 # per operation; a sweep pass has at most 21 distinct Ed25519 inputs and 7 distinct MAC keys
-_MEMO = lru_cache(maxsize=256)
+_MEMO_SIZE = 256
+_MEMO = lru_cache(maxsize=_MEMO_SIZE)
+# (signer's public key, signature, message) of the last _MEMO_SIZE signatures made: each holds
+_SIGNED: dict[tuple[bytes, bytes, bytes], bool] = {}
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
@@ -137,11 +141,17 @@ def verify_ac(session_key: bytes, elements: DataElementMap,
 
 @_MEMO
 def _signature(private_key: Ed25519PrivateKey, msg: bytes) -> bytes:
-    return private_key.sign(msg)
+    signature = private_key.sign(msg)
+    _SIGNED[public_bytes(private_key), signature, msg] = True
+    if len(_SIGNED) > _MEMO_SIZE:
+        del _SIGNED[next(iter(_SIGNED))]
+    return signature
 
 
 @_MEMO
 def _holds(public: bytes, signature: bytes, msg: bytes) -> bool:
+    if (public, signature, msg) in _SIGNED:  # Ed25519 is correct: what was signed verifies
+        return True
     try:
         Ed25519PublicKey.from_public_bytes(public).verify(signature, msg)
     except (InvalidSignature, ValueError):  # ValueError: a public key that is not 32 bytes

@@ -16,10 +16,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import re
 import types
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from importlib import resources
+from itertools import compress
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Iterable
@@ -144,12 +145,12 @@ class _Flags:
     """Base for one-byte flag maps; subclasses declare boolean fields only."""
 
     _positions: dict[str, int] = {}
+    wire: bytes  # the flag byte: bit ``_positions[name]`` set for each true field
 
-    @cached_property  # kept in the instance's __dict__, so a frozen map computes it once
-    def wire(self) -> bytes:
-        """The flag byte: bit ``_positions[name]`` set for each true field."""
-        return bytes([sum([1 << pos for name, pos in self._positions.items()
-                           if getattr(self, name)])])
+    def __post_init__(self) -> None:
+        positions = self._positions
+        object.__setattr__(self, "wire", bytes([sum(compress(
+            map((1).__lshift__, positions.values()), map(self.__getattribute__, positions)))]))
 
     replace = dataclasses.replace
 
@@ -212,6 +213,11 @@ del _cls
 # structured values
 # ---------------------------------------------------------------------------
 
+# matches exactly the strings that encode to UTF-8: those with no lone surrogate
+_UTF8 = re.compile("[^\ud800-\udfff]*").fullmatch
+_CURRENCY = re.compile("[A-Z]{3}").fullmatch
+
+
 @dataclass(frozen=True, order=False)
 class Amount:
     """Transaction amount in minor units plus ISO-ish currency code."""
@@ -222,7 +228,7 @@ class Amount:
     def __post_init__(self) -> None:
         if not (0 <= self.value <= 10**12):
             raise CodecError(f"amount out of range: {self.value}")
-        if len(self.currency) != 3 or not self.currency.isalpha() or not self.currency.isupper():
+        if not _CURRENCY(self.currency):
             raise CodecError(f"bad currency code: {self.currency!r}")
 
     def __str__(self) -> str:
@@ -241,6 +247,8 @@ class IAD:
     def __post_init__(self) -> None:
         if self.device_type not in DeviceType.__members__:
             raise CodecError(f"bad device type {self.device_type!r}")
+        if not isinstance(self.filler, (bytes, bytearray)) or len(self.filler) > 0xFFFF:
+            raise CodecError("IAD filler must be at most 65535 bytes")
 
 
 @dataclass(frozen=True)
@@ -249,10 +257,9 @@ class AFL:
 
     records: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        for nr in self.records:
-            if not (0 <= nr <= 0xFF):
-                raise CodecError(f"record number out of range: {nr}")
+    def __post_init__(self) -> None:  # the count and each record number are one byte
+        if len(self.records) > 0xFF or not all(map(range(0x100).__contains__, self.records)):
+            raise CodecError(f"bad record numbers: {self.records}")
 
 
 @dataclass(frozen=True)
@@ -260,6 +267,10 @@ class DOL:
     """Data Object List: an ordered tag wish-list (PDOL / CDOL)."""
 
     tags: tuple[TagInfo, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.tags) > 0xFF:  # the count is one byte
+            raise CodecError(f"a DOL lists at most 255 tags, not {len(self.tags)}")
 
 
 @dataclass(frozen=True)
@@ -274,6 +285,10 @@ class CVMList:
     (no method available) and encodes distinctly from an absent one."""
 
     entries: tuple[CVMEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.entries) > 0xFF:  # the count is one byte
+            raise CodecError(f"a CVM list holds at most 255 entries, not {len(self.entries)}")
 
 
 @dataclass(frozen=True)
@@ -305,6 +320,9 @@ class Track2EquivalentData:
         validate_pan(self.pan)
         if len(self.expiry) != 4 or not self.expiry.isdigit():
             raise CodecError(f"expiry must be YYMM digits: {self.expiry!r}")
+        if not all(_UTF8(part) and len(part.encode()) <= 0xFFFF
+                   for part in (self.service_code, self.discretionary)):
+            raise CodecError("track 2 parts must be UTF-8 text of at most 65535 bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -378,45 +396,41 @@ AID_BRANDS = {
 # ---------------------------------------------------------------------------
 
 def _enc_lp(raw: bytes) -> bytes:
-    """Length-prefix a chunk (2-byte length)."""
-    if len(raw) > 0xFFFF:
-        raise CodecError("chunk too long")
+    """Length-prefix a chunk (2-byte length); the value types keep chunks within it."""
     return len(raw).to_bytes(2, "big") + raw
-
-
-def _enc_bytes_list(value: tuple) -> bytes:
-    if not all(isinstance(b, bytes) for b in value):
-        raise CodecError("expected tuple of bytes")
-    return bytes([len(value)]) + b"".join(_enc_lp(item) for item in value)
 
 
 _enc_flags = attrgetter("wire")
 
-# codec.json kind -> (accepted value type, encoder of a value of that type). The uint, text,
-# cid and flag encoders are C callables; a uint out of range raises OverflowError.
-KINDS: dict[str, tuple[type | tuple[type, ...], Callable[[Any], bytes]]] = {
-    "uint1": (int, methodcaller("to_bytes", 1, "big")),
-    "uint2": (int, methodcaller("to_bytes", 2, "big")),
-    "uint4": (int, methodcaller("to_bytes", 4, "big")),
-    "text": (str, str.encode),
-    "bytes": ((bytes, bytearray), bytes),
-    "bytes_list": (tuple, _enc_bytes_list),
-    "amount": (Amount, lambda v: v.value.to_bytes(8, "big") + v.currency.encode("ascii")),
-    "flags:aip": (AIP, _enc_flags),
-    "flags:ctq": (CTQ, _enc_flags),
-    "flags:ttq": (TTQ, _enc_flags),
-    "iad": (IAD, lambda v: bytes([int(v.cdcvm_performed), DeviceType[v.device_type]])
+# codec.json kind -> (the exact types of its values, the check a value of them must pass or
+# None, the encoder of an admitted value). A composite type's constructor enforces what its
+# encoder relies on. The uint and text checks and encoders are C callables, as are cid's and flags'.
+KINDS: dict[str, tuple[tuple[type, ...], Callable[[Any], Any] | None, Callable[[Any], bytes]]] = {
+    "uint1": ((int,), range(1 << 8).__contains__, methodcaller("to_bytes", 1, "big")),
+    "uint2": ((int,), range(1 << 16).__contains__, methodcaller("to_bytes", 2, "big")),
+    "uint4": ((int,), range(1 << 32).__contains__, methodcaller("to_bytes", 4, "big")),
+    "text": ((str,), _UTF8, str.encode),
+    "bytes": ((bytes, bytearray), None, bytes),
+    "bytes_list": ((tuple,), lambda v: len(v) <= 0xFF and all(
+        type(b) is bytes and len(b) <= 0xFFFF for b in v),
+        lambda v: bytes([len(v)]) + b"".join(map(_enc_lp, v))),
+    "amount": ((Amount,), None, lambda v: v.value.to_bytes(8, "big") + v.currency.encode()),
+    "flags:aip": ((AIP,), None, _enc_flags),
+    "flags:ctq": ((CTQ,), None, _enc_flags),
+    "flags:ttq": ((TTQ,), None, _enc_flags),
+    "iad": ((IAD,), None, lambda v: bytes([int(v.cdcvm_performed), DeviceType[v.device_type]])
             + _enc_lp(v.filler)),
-    "cid": (CID, methodcaller("to_bytes", 1, "big")),
-    "afl": (AFL, lambda v: bytes([len(v.records)]) + bytes(v.records)),
-    "dol": (DOL, lambda v: bytes([len(v.tags)])
+    "cid": ((CID,), None, methodcaller("to_bytes", 1, "big")),
+    "afl": ((AFL,), None, lambda v: bytes([len(v.records)]) + bytes(v.records)),
+    "dol": ((DOL,), None, lambda v: bytes([len(v.tags)])
             + b"".join(t.code.to_bytes(2, "big") for t in v.tags)),
-    "cvm_list": (CVMList, lambda v: bytes([len(v.entries)])
+    "cvm_list": ((CVMList,), None, lambda v: bytes([len(v.entries)])
                  + b"".join(bytes([e.method, e.condition]) for e in v.entries)),
-    "cvm_results": (CVMResults, lambda v: bytes([v.method, v.condition, v.result])),
-    "action_codes": (ActionCodes, lambda v: v.denial.wire + v.online.wire + v.default.wire),
-    "track2": (Track2EquivalentData, lambda v: b"".join(
-        _enc_lp(part.encode("utf-8"))
+    "cvm_results": ((CVMResults,), None, lambda v: bytes([v.method, v.condition, v.result])),
+    "action_codes": ((ActionCodes,), None,
+                     lambda v: v.denial.wire + v.online.wire + v.default.wire),
+    "track2": ((Track2EquivalentData,), None, lambda v: b"".join(
+        _enc_lp(part.encode())
         for part in (v.pan, v.expiry, v.service_code, v.discretionary))),
 }
 
@@ -426,20 +440,15 @@ if _unknown_kinds:
 
 
 _CODEC_OF = {tag: KINDS[tag.kind] for tag in TAGS_BY_NAME.values()}  # registered tags only
+_UNREGISTERED = ((), None, None)  # admits no value
 
 
 def encode_value(tag: TagInfo, value: Any) -> bytes:
-    """Canonical byte encoding for a single element value."""
-    try:
-        expected, encode = _CODEC_OF[tag]
-    except (KeyError, TypeError):  # TypeError: unhashable
-        raise CodecError(f"keys must be registered tags, got {tag!r}") from None
-    if not isinstance(value, expected) or type(value) is bool:
-        raise CodecError(f"{tag.name} ({tag.kind}) does not take {type(value).__name__}")
-    try:
-        return encode(value)
-    except OverflowError:  # only the uint kinds raise it
-        raise CodecError(f"{tag.kind} out of range: {value}") from None
+    """Canonical byte encoding for a single element value; refuses what a map refuses."""
+    types, admits, encode = _CODEC_OF.get(tag, _UNREGISTERED)
+    if type(value) not in types or admits is not None and not admits(value):
+        raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}")
+    return encode(value)
 
 
 # json's spelling of each plain type, by exact type: bool and IntEnum are not int
@@ -522,11 +531,16 @@ class DataElementMap(dict):
     def __init__(self, items: dict[TagInfo, Any] | None = None):
         if items:
             dict.__init__(self, items)
-            for tag, value in self.items():
-                encode_value(tag, value)  # put's validation, with no call to put per item
+            for tag, value in self.items():  # put's admission, with no call to put per item
+                types, admits, _encode = _CODEC_OF.get(tag, _UNREGISTERED)
+                if type(value) not in types or admits is not None and not admits(value):
+                    raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}")
 
     def put(self, tag: TagInfo, value: Any) -> "DataElementMap":
-        encode_value(tag, value)  # type/range validation up front; refuses unknown tags
+        # by exact type, a uint's range and a text's UTF-8: a composite value checked itself
+        types, admits, _encode = _CODEC_OF.get(tag, _UNREGISTERED)
+        if type(value) not in types or admits is not None and not admits(value):
+            raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}")
         dict.__setitem__(self, tag, value)
         return self
 

@@ -344,8 +344,8 @@ _SENT = st.one_of(
     st.builds(gpo, st.integers(0, 10**12), st.integers(0, 2**32 - 1)),
     st.builds(lambda name: Message("READ_RECORD", DataElementMap(
         {Tag.RECORD_NUMBER: 1, Tag.CARDHOLDER_NAME: name})), st.text()),
-    # an IntEnum under an int tag renders as its name
-    st.builds(lambda cid: Message("GENERATE_AC", DataElementMap({Tag.ATC: cid, Tag.CID: cid})),
+    # a CID renders as its name, the int it equals as a number
+    st.builds(lambda cid: Message("GENERATE_AC", DataElementMap({Tag.ATC: int(cid), Tag.CID: cid})),
               st.sampled_from(CID)),
     # each message carrying every tag it may carry
     st.sampled_from([Message(name, DataElementMap({t: SAMPLE_VALUES[t.name] for t in tags}))

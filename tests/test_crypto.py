@@ -5,6 +5,7 @@ import hmac
 import random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
@@ -426,13 +427,15 @@ def test_a_cached_failure_is_never_reported_as_success():
 
 
 def test_errors_are_never_cached():
-    hits = _hits()
+    hits, record = _hits(), dict(crypto._SIGNED)
     for _ in range(2):
         with pytest.raises(CryptoError):
             generate_signing_key(b"short")
         with pytest.raises(TypeError):  # a public key that is not bytes
             crypto._holds("x" * 32, bytes(64), b"msg")
-    assert _hits() == hits
+        with pytest.raises(AttributeError):  # a signing key that is no key
+            crypto._signature(None, b"msg")
+    assert _hits() == hits and crypto._SIGNED == record
 
 
 def test_each_memo_stays_within_its_bound():
@@ -445,6 +448,45 @@ def test_each_memo_stays_within_its_bound():
     for memo in MEMOS + (crypto._hmac_states,):
         info = memo.cache_info()
         assert info.currsize <= info.maxsize == 256
+    # the verdict record keeps the latest 256 signatures made, the last one included
+    newest = (public_bytes(key), sign_sdad(key, "cda", el)[1:])
+    assert len(crypto._SIGNED) == 256 and newest in {t[:2] for t in crypto._SIGNED}
+
+
+def _cryptography_verifies(public: bytes, signature: bytes, msg: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, msg)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+def test_a_signature_made_here_holds_by_its_record(monkeypatch):
+    key = generate_signing_key(b"r" * 32)
+    msg = b"a message signed once in this process"
+    triple = (public_bytes(key), crypto._signature(key, msg), msg)
+    assert crypto._SIGNED[triple] is True
+    with monkeypatch.context() as patched:
+        patched.setattr(crypto, "Ed25519PublicKey", None)  # any real verify would raise
+        assert crypto._holds(*triple) is True
+    assert _cryptography_verifies(*triple)
+    forged = (triple[0], triple[1], msg + b"!")
+    assert forged not in crypto._SIGNED and crypto._holds(*forged) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=32, max_size=32), st.binary(min_size=1, max_size=40),
+       st.sampled_from([None, 0, 1, 2]), st.integers(min_value=0))
+def test_holds_agrees_with_cryptography_on_signed_and_flipped_triples(seed, msg, part, bit):
+    # a triple signed here, or one bit of its key, signature or message flipped
+    key = generate_signing_key(seed)
+    triple = [public_bytes(key), crypto._signature(key, msg), msg]
+    if part is not None:
+        raw = bytearray(triple[part])
+        bit %= 8 * len(raw)
+        raw[bit // 8] ^= 1 << bit % 8
+        triple[part] = bytes(raw)
+    assert crypto._holds(*triple) is _cryptography_verifies(*triple) is (part is None)
 
 
 def test_a_world_rebuilt_at_one_seed_pays_no_ed25519_again():

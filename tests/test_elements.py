@@ -206,6 +206,31 @@ def test_track2_validation():
         Track2EquivalentData("4111111111111111", "12/28", "201", "x")
 
 
+# Values the wire cannot carry: each is refused with a CodecError where it is built (a
+# composite value's constructor, a map's admission of a plain one), not later by an encoder
+# with a UnicodeEncodeError, ValueError or TypeError.
+MALFORMED = {
+    "lone_surrogate_text": lambda: DataElementMap({Tag.CARDHOLDER_NAME: "\ud800"}),
+    "lone_surrogate_text_put": lambda: DataElementMap().put(Tag.CARDHOLDER_NAME, "J \udfff"),
+    "non_ascii_currency": lambda: Amount(5, "ÉUR"),
+    "afl_300_records": lambda: AFL((1,) * 300),
+    "dol_300_tags": lambda: DOL((Tag.UN,) * 300),
+    "cvm_list_300_entries": lambda: CVMList(
+        (CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),) * 300),
+    "bytes_list_300_items": lambda: DataElementMap({Tag.AID_LIST: (AID_VISA,) * 300}),
+    "iad_str_filler": lambda: IAD(False, "plastic", "filler"),
+    "iad_filler_too_long": lambda: IAD(False, "plastic", bytes(0x10000)),
+    "track2_lone_surrogate": lambda: Track2EquivalentData(
+        "4111111111111111", "2812", "201", "\ud800"),
+}
+
+
+@pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_values_are_refused_where_built(build):
+    with pytest.raises(CodecError):
+        build()
+
+
 # --- per-kind encoding ------------------------------------------------------
 
 SAMPLE_VALUES = {
@@ -326,9 +351,9 @@ def test_every_tag_refuses_the_values_of_other_kinds(name):
     samples: dict[str, object] = {}   # one value per kind
     for other in sorted(SAMPLE_VALUES):
         samples.setdefault(Tag.by_name(other).kind, SAMPLE_VALUES[other])
-    # every uint kind takes an int, and a CID is one
+    # every uint kind takes an int; an IntEnum such as a CID is not one
     foreign = [value for kind, value in samples.items() if kind != tag.kind
-               and not (integer and (kind.startswith("uint") or kind == "cid"))]
+               and not (integer and kind.startswith("uint"))]
     if integer:
         foreign.append(True)
     for value in foreign:
@@ -554,7 +579,7 @@ WRITER_VALUES = {
     **{cls: st.builds(cls, **{name: _FLAG_FIELD for name in cls._positions})
        for cls in (AIP, TTQ, CTQ, TVR)},
     Amount: st.builds(Amount, st.integers(0, 10**12) | st.booleans(),
-                      st.sampled_from(["EUR", "USD", "ÄÖÜ"])),
+                      st.sampled_from(["EUR", "USD"])),
     IAD: st.builds(IAD, _FLAG_FIELD, st.sampled_from(sorted(DeviceType.__members__)),
                    st.binary(max_size=4) | st.binary(max_size=4).map(bytearray)),
     AFL: st.builds(AFL, st.lists(st.integers(0, 255) | st.booleans(), max_size=4).map(tuple)),

@@ -3,9 +3,9 @@ counted instead of timed.
 
 The unit is one Python-level call, as ``sys.setprofile`` reports it: for an
 exchange, into code that lives in the tapsim package or that ``dataclasses``
-generated (the ``__init__`` of ``Message``, ``TraceEvent`` and the flag maps,
-whose file is ``<string>``); for emission, into any Python code (``json``'s
-encoder frames count there). The count does not
+generated (the ``__init__`` of the flag maps and other value types, whose file
+is ``<string>``); for emission, into any Python code (``json``'s encoder frames
+count there). The count does not
 depend on the machine's speed or load, so work put back on the per-exchange
 path (building the message, both log lines, the card's answer and reading
 the reply) or on the per-event path of ``TransactionTrace.to_jsonl`` fails
@@ -21,16 +21,20 @@ import os
 import sys
 
 import tapsim
+from tapsim import crypto
 from tapsim.attacks import harvest_cvc3_table, run_attack
-from tapsim.channel import Message, NfcChannel
-from tapsim.elements import AID_MASTERCARD, DataElementMap, Tag
+from tapsim.channel import Adversary, Message, NfcChannel
+from tapsim.elements import AID_MASTERCARD, Amount, DataElementMap, Tag
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
-from tapsim.runner import build_env, run_genuine_matrix
+from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine_matrix
+
+# seeds no other test builds a world at, so no memo holds their keys or signatures
+FRESH_SEED = 7_000_000
 
 PACKAGE = os.path.dirname(tapsim.__file__)
 
-HARVEST_CEILING = 22.06  # per GENERATE AC, SELECT and READ RECORD amortized
-VERIFY_CEILING = 19
+HARVEST_CEILING = 14.04  # per GENERATE AC, SELECT and READ RECORD amortized
+VERIFY_CEILING = 11
 HARVEST_EMIT_CEILING = 0.68  # per event of the harvest trace
 VERIFY_EMIT_CEILING = 1.03  # per event of the PIN-guessing trace
 GENUINE_EMIT_CEILING = 1.90  # per event of the genuine matrix's traces, both policies
@@ -108,3 +112,44 @@ def test_genuine_matrix_emission_budget():
     traces = [env.trace for policy in (PERMISSIVE_2019, HARDENED)
               for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
     assert emission_calls_per_event(*traces) <= GENUINE_EMIT_CEILING
+
+
+def test_signatures_made_in_process_verify_without_ed25519(monkeypatch):
+    # every signature a genuine world checks (certificates, static records, SDADs)
+    # was made in this process, so its verdict is on record: a fresh matrix pays no
+    # Ed25519 verify; a tampered SDAD has no record and meets the real verifier
+    verifies = []
+    real = crypto.Ed25519PublicKey
+
+    class CountingKey:
+        @staticmethod
+        def from_public_bytes(raw):
+            key = real.from_public_bytes(raw)
+
+            class Counted:
+                @staticmethod
+                def verify(signature, msg):
+                    verifies.append(msg)
+                    key.verify(signature, msg)
+            return Counted
+
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", CountingKey)
+    results = [result for policy in (PERMISSIVE_2019, HARDENED)
+               for _pairing, _env, result in run_genuine_matrix(policy, seed=FRESH_SEED)]
+    assert len(results) == 58 and verifies == []
+
+    def flip_sdad(msg, _adversary):
+        if msg.name == "GENERATE_AC" and Tag.SDAD in msg.payload:
+            sdad = msg.payload[Tag.SDAD]
+            return msg.with_payload(SDAD=sdad[:-1] + bytes([sdad[-1] ^ 1]))
+        return msg
+
+    env = build_env(seed=FRESH_SEED + 100)
+    adversary = Adversary(trace=env.trace)
+    adversary.on_from_card(flip_sdad)
+    card = env.cards["mastercard_cda"]
+    result = env.terminals["standard_pos"].run_purchase(
+        NfcChannel(env.trace, card, adversary=adversary), Amount(AMOUNT_HIGH, "EUR"),
+        pin=card.profile.pin)
+    assert (result["outcome"], result["reason"]) == ("decline", "cda_invalid")
+    assert len(verifies) == 1
