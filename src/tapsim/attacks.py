@@ -22,10 +22,12 @@ from .card import (
     Cvc3MagstripeClone,
     KERNEL3_PDOL,
     N_UN_DIGITS,
+    NO_DOL,
     StaticMagstripeClone,
     TRANSIT_MAGIC,
 )
 from .channel import (
+    EMPTY,
     Adversary,
     Hook,
     Message,
@@ -33,6 +35,7 @@ from .channel import (
     Recorder,
     Replayer,
     make_relay,
+    shared,
     visual_read,
 )
 from .elements import (
@@ -227,7 +230,7 @@ def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
     and whenever the try counter is down to ``stop_at_remaining`` let the
     owner use the card (``owner_reset``), which refills it. Returns the
     recovered PIN or None."""
-    probe = channel.exchange(Message("VERIFY"))
+    probe = channel.exchange(EMPTY["VERIFY"])
     if probe.payload.get(Tag.DECISION) != "query":
         return None
     try_limit = probe.payload[Tag.PIN_TRIES_REMAINING]
@@ -251,7 +254,7 @@ def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
 def pin_exhaust(channel: NfcChannel, *, wrong_pins: Iterable[str]) -> int:
     """Burn the try counter with deliberately wrong guesses. Returns how many
     guesses it took to block the card (0 if VERIFY is not supported)."""
-    probe = channel.exchange(Message("VERIFY"))
+    probe = channel.exchange(EMPTY["VERIFY"])
     if probe.payload.get(Tag.DECISION) != "query":
         return 0
     count = 0
@@ -302,11 +305,11 @@ class TranslatorCard:
     def exchange(self, msg: Message) -> Message:
         if msg.name == "SELECT":
             if msg.payload.get(Tag.AID) != self.face_aid:
-                return Message("SELECT")
+                return EMPTY["SELECT"]
             real = self.far.exchange(Message("SELECT", DataElementMap({
                 Tag.AID: self.real_aid})))
             if real.payload.get(Tag.AID) is None:
-                return Message("SELECT")
+                return EMPTY["SELECT"]
             return Message("SELECT", DataElementMap({
                 Tag.AID: self.face_aid, Tag.KERNEL_ID: 3,
                 Tag.PDOL: KERNEL3_PDOL,
@@ -319,17 +322,17 @@ class TranslatorCard:
                 return Message("READ_RECORD",
                                resp.payload.copy().put(Tag.CTQ, self.claimed_ctq))
             return resp
-        return Message(msg.name)
+        return EMPTY[msg.name]
 
     def _transact(self, msg: Message) -> Message:
         amount: Amount = msg.payload[Tag.AMOUNT]
         un: int = msg.payload[Tag.UN]
 
-        gpo = self.far.exchange(Message("GET_PROCESSING_OPTIONS"))
+        gpo = self.far.exchange(EMPTY["GET_PROCESSING_OPTIONS"])
         aip, afl = gpo.payload[Tag.AIP], gpo.payload[Tag.AFL]
         r2 = self.far.exchange(Message("READ_RECORD", DataElementMap({
             Tag.RECORD_NUMBER: 2}))).payload
-        cdol: DOL = r2.get(Tag.CDOL1, DOL(()))
+        cdol: DOL = r2.get(Tag.CDOL1, NO_DOL)
 
         # feed the real card a CVM result matching the claim it never made
         cvm_results = CVMResults(CVMMethod.CDCVM, CVMCondition.Always,
@@ -356,7 +359,7 @@ def _stage_magstripe_cloning(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["magstripe_only"]
     channel = NfcChannel(env.trace, card, adversary=adv)
     channel.exchange(Message("SELECT", DataElementMap({Tag.AID: AID_MASTERCARD})))
-    channel.exchange(Message("GET_PROCESSING_OPTIONS"))
+    channel.exchange(EMPTY["GET_PROCESSING_OPTIONS"])
     r1 = channel.exchange(Message("READ_RECORD", DataElementMap({
         Tag.RECORD_NUMBER: 1}))).payload
     adv.learn("TRACK1", r1[Tag.TRACK1], session=channel.session)
@@ -426,11 +429,11 @@ def _stage_pin_guessing(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["visa_plastic_no_fdda"]
     guess_channel = NfcChannel(env.trace, card, adversary=adv)
     owner_channel = NfcChannel(env.trace, card)
+    refill = shared("VERIFY", {Tag.PIN_GUESS: card.profile.pin})
 
     def owner_reset() -> None:
         # the owner uses the card normally; a correct PIN refills the counter
-        owner_channel.exchange(Message("VERIFY", DataElementMap({
-            Tag.PIN_GUESS: card.profile.pin})))
+        owner_channel.exchange(refill)
 
     found = pin_guess_campaign(guess_channel, adv, owner_reset=owner_reset,
                                stop_at_remaining=1)

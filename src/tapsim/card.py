@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .channel import Message, TransactionTrace
+from .channel import EMPTY, Message, TransactionTrace, shared
 from .crypto import (
     Certificate,
     compute_ac,
@@ -61,6 +61,13 @@ ATC_MAX = 0xFFFF        # the ATC is two bytes: a card that reaches this refuses
 
 KERNEL3_PDOL = DOL((Tag.TTQ, Tag.AMOUNT, Tag.UN))
 KERNEL2_CDOL1 = DOL((Tag.AMOUNT, Tag.UN, Tag.CVM_RESULTS))
+NO_DOL = DOL(())
+
+# Every VERIFY reply, by (decision, tries left): the counter stays within 0..PIN_TRY_LIMIT
+_VERIFY_REPLIES = {(decision, tries): shared("VERIFY", {
+    Tag.DECISION: decision, Tag.PIN_TRIES_REMAINING: tries})
+    for decision in ("query", "ok", "fail", "blocked") for tries in range(PIN_TRY_LIMIT + 1)}
+_VERIFY_NOT_SUPPORTED = shared("VERIFY", {Tag.DECISION: "not_supported"})
 
 
 @dataclass
@@ -252,15 +259,15 @@ class Card:
 
     def exchange(self, msg: Message) -> Message:
         handler = self._HANDLERS.get(msg.name)  # the table follows the handlers
-        return Message(msg.name) if handler is None else handler(self, msg)
+        return EMPTY[msg.name] if handler is None else handler(self, msg)
 
     # --- handlers -------------------------------------------------------
 
     def _on_select(self, msg: Message) -> Message:
         aid = msg.payload.get(Tag.AID)
         if aid != self.profile.aid:
-            return Message("SELECT")  # empty: not on this card
-        pdol = KERNEL3_PDOL if self.profile.kernel == 3 else DOL(())
+            return EMPTY["SELECT"]  # not on this card
+        pdol = KERNEL3_PDOL if self.profile.kernel == 3 else NO_DOL
         return Message("SELECT", DataElementMap({
             Tag.AID: aid,
             Tag.KERNEL_ID: self.profile.kernel,
@@ -270,7 +277,7 @@ class Card:
     def _on_magic(self, msg: Message) -> Message:
         if self.profile.wallet is not None:
             self.profile.wallet.on_magic(msg.payload.get(Tag.MAGIC, b""))
-        return Message("MAGIC_BYTES")
+        return EMPTY["MAGIC_BYTES"]
 
     def _afl(self) -> AFL:
         if not self.profile.emv_mode:
@@ -383,7 +390,7 @@ class Card:
         number = msg.payload.get(Tag.RECORD_NUMBER, 0)
         record = self._record(number)
         if record is None:
-            return Message("READ_RECORD")
+            return EMPTY["READ_RECORD"]
         return Message("READ_RECORD", record.put(Tag.RECORD_NUMBER, number))
 
     def _on_generate_ac(self, msg: Message) -> Message:
@@ -391,7 +398,7 @@ class Card:
         if Tag.AMOUNT not in msg.payload and Tag.UN in msg.payload:
             return self._dynamic_code(msg)
         if p.kernel != 2 or not p.emv_mode:
-            return Message("GENERATE_AC")
+            return EMPTY["GENERATE_AC"]
 
         amount: Amount = msg.payload[Tag.AMOUNT]
         un: int = msg.payload[Tag.UN]
@@ -428,7 +435,7 @@ class Card:
     def _dynamic_code(self, msg: Message) -> Message:
         p = self.profile
         if not p.cvc3_key or not (p.magstripe_capable or not p.emv_mode) or self.atc >= ATC_MAX:
-            return Message("GENERATE_AC")
+            return EMPTY["GENERATE_AC"]
         un: int = msg.payload[Tag.UN]
         self.atc += 1
         code = compute_cvc3(p.cvc3_key, self.atc, un)
@@ -440,27 +447,19 @@ class Card:
     def _on_verify(self, msg: Message) -> Message:
         p = self.profile
         if not p.offline_pin_enabled:
-            return Message("VERIFY", DataElementMap({Tag.DECISION: "not_supported"}))
+            return _VERIFY_NOT_SUPPORTED
         guess = msg.payload.get(Tag.PIN_GUESS)
         if guess is None:
-            return Message("VERIFY", DataElementMap({
-                Tag.DECISION: "query",
-                Tag.PIN_TRIES_REMAINING: self.pin_tries_remaining,
-            }))
-        if self.blocked:
-            return Message("VERIFY", DataElementMap({
-                Tag.DECISION: "blocked", Tag.PIN_TRIES_REMAINING: 0,
-            }))
-        if guess == p.pin:
+            decision = "query"
+        elif self.blocked:
+            decision = "blocked"  # with no tries left
+        elif guess == p.pin:
             self.pin_tries_remaining = PIN_TRY_LIMIT
             decision = "ok"
         else:
             self.pin_tries_remaining -= 1
             decision = "blocked" if self.blocked else "fail"
-        return Message("VERIFY", DataElementMap({
-            Tag.DECISION: decision,
-            Tag.PIN_TRIES_REMAINING: self.pin_tries_remaining,
-        }))
+        return _VERIFY_REPLIES[decision, self.pin_tries_remaining]
 
     _HANDLERS = {"SELECT": _on_select, "GET_PROCESSING_OPTIONS": _on_gpo,
                  "READ_RECORD": _on_read_record, "GENERATE_AC": _on_generate_ac,
@@ -506,9 +505,9 @@ class Cvc3MagstripeClone:
     def exchange(self, msg: Message) -> Message:
         if msg.name == "SELECT":
             if msg.payload.get(Tag.AID) != self.aid:
-                return Message("SELECT")
+                return EMPTY["SELECT"]
             return Message("SELECT", DataElementMap({
-                Tag.AID: self.aid, Tag.KERNEL_ID: 2, Tag.PDOL: DOL(()),
+                Tag.AID: self.aid, Tag.KERNEL_ID: 2, Tag.PDOL: NO_DOL,
             }))
         if msg.name == "GET_PROCESSING_OPTIONS":
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
@@ -519,7 +518,7 @@ class Cvc3MagstripeClone:
         if msg.name == "READ_RECORD":
             if msg.payload.get(Tag.RECORD_NUMBER) == 1:
                 return Message("READ_RECORD", self.record1.copy())
-            return Message("READ_RECORD")
+            return EMPTY["READ_RECORD"]
         if msg.name == "GENERATE_AC" and Tag.UN in msg.payload:
             un = msg.payload[Tag.UN]
             hit = self.table.get(un)
@@ -533,4 +532,4 @@ class Cvc3MagstripeClone:
             return Message("GENERATE_AC", DataElementMap({
                 Tag.ATC: atc, Tag.CVC3: code,
             }))
-        return Message(msg.name)
+        return EMPTY[msg.name]

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Protocol
 
-from .elements import (PLAIN_JSON, RENDER, DataElementMap, Tag, TagInfo, json_chunks,
-                       render_value, to_json)
+from .elements import (PLAIN_JSON, RENDER, DataElementMap, SharedElementMap, Tag, TagInfo,
+                       json_chunks, render_value, to_json)
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
@@ -113,6 +113,17 @@ class Message:
         return Message(self.name, p)
 
 
+def shared(name: str, items: dict[TagInfo, Any] | None = None) -> Message:
+    """A message that carries no per-transaction data, built once and sent in many runs:
+    its payload refuses every write."""
+    return Message(name, SharedElementMap(items))
+
+
+# Each message with an empty payload: the reply to a command the card cannot answer, and
+# the commands that ask without data.
+EMPTY: dict[str, Message] = {name: shared(name) for name in MESSAGES}
+
+
 class TraceEvent(NamedTuple):
     """One logged event; the trace builds it with ``tuple.__new__``, so no Python frame."""
 
@@ -159,7 +170,8 @@ class TransactionTrace:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
-        with its values, a non-plain one rendered and encoded once per call; status "ok"."""
+        with its values; a message or non-plain value is rendered and encoded once per call,
+        however often the trace holds it; status "ok"."""
         memo: dict[int, str] = {}  # id of a message or value the trace holds -> its JSON
 
         def message(msg: Message) -> str:
@@ -176,7 +188,8 @@ class TransactionTrace:
                     text = memo[id(value)] = (_quote(text) if type(text) is str
                                               else "".join(json_chunks(text, 0)))
                 texts.append(text)
-            return template % tuple(texts)
+            text = memo[id(msg)] = template % tuple(texts)
+            return text
 
         meta = {"kind": "meta", **self.meta}
         for key, value in meta.items():  # to_json(meta), with no call for a plain value
@@ -186,10 +199,8 @@ class TransactionTrace:
         for ev in self.events:
             session = "" if ev.session is None else f', "session": {ev.session}'
             if ev.kind == "msg":
-                sent = message(ev.sent)
-                if ev.direction == "to_issuer":  # its auth or clearing marker splices it
-                    memo[id(ev.sent)] = sent     # (keeping every message would cost more)
-                received = sent if ev.received is ev.sent else message(ev.received)
+                sent = memo.get(id(ev.sent)) or message(ev.sent)
+                received = memo.get(id(ev.received)) or message(ev.received)
                 lines.append(f'{{"channel": {_quote(ev.channel)}, "direction": '
                              f'{_quote(ev.direction)}, "idx": {ev.idx}, "kind": "msg", '
                              f'"received": {received}, '
@@ -209,7 +220,8 @@ class TransactionTrace:
                                               else "".join(json_chunks(text, 0)))
                 texts.append(text)
             lines.append(template % (*texts, ev.idx, _quote(ev.kind), session))
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the text ends in a newline, joined in one copy
+        return "\n".join(lines)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -74,6 +74,9 @@ for _entry in _CODEC["tags"]:
     TAGS_BY_NAME[_info.name] = _info
     TAGS_BY_CODE[_info.code] = _info
 del _entry, _info
+# tags are singletons that live as long as the process, so their ids are stable; an id
+# can be looked up for any object, hashable or not
+_REGISTERED_IDS = frozenset(map(id, TAGS_BY_NAME.values()))
 
 
 def _tag_by_name(name: str) -> TagInfo:
@@ -268,15 +271,19 @@ class DOL:
 
     tags: tuple[TagInfo, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.tags) > 0xFF:  # the count is one byte
-            raise CodecError(f"a DOL lists at most 255 tags, not {len(self.tags)}")
+    def __post_init__(self) -> None:  # the count is one byte, and each tag its registered code
+        if len(self.tags) > 0xFF or not all(map(_REGISTERED_IDS.__contains__, map(id, self.tags))):
+            raise CodecError(f"a DOL lists at most 255 registered tags, not {self.tags!r}")
 
 
 @dataclass(frozen=True)
 class CVMEntry:
     method: CVMMethod
     condition: CVMCondition
+
+    def __post_init__(self) -> None:  # each member is written as its enum's byte
+        if type(self.method) is not CVMMethod or type(self.condition) is not CVMCondition:
+            raise CodecError(f"bad CVM entry: {self.method!r}, {self.condition!r}")
 
 
 @dataclass(frozen=True)
@@ -296,6 +303,12 @@ class CVMResults:
     method: CVMMethod = CVMMethod.NoCVM
     condition: CVMCondition = CVMCondition.Always
     result: CVMResult = CVMResult.NotPerformed
+
+    def __post_init__(self) -> None:  # each member is written as its enum's byte
+        if (type(self.method) is not CVMMethod or type(self.condition) is not CVMCondition
+                or type(self.result) is not CVMResult):
+            raise CodecError(f"bad CVM results: {self.method!r}, {self.condition!r}, "
+                             f"{self.result!r}")
 
 
 @dataclass(frozen=True)
@@ -518,6 +531,10 @@ def _read_only(self: "DataElementMap", *args: Any, **kwargs: Any) -> None:
     raise TypeError("a DataElementMap is written only through its constructor and put()")
 
 
+def _shared(self: "DataElementMap", *args: Any, **kwargs: Any) -> None:
+    raise TypeError("a shared DataElementMap is never written; put() to its copy()")
+
+
 class DataElementMap(dict):
     """Tag -> typed value map with a canonical, injective byte encoding.
 
@@ -578,6 +595,16 @@ class DataElementMap(dict):
     def render(self) -> dict[str, Any]:
         """Name-keyed JSON-friendly view (insertion order preserved)."""
         return {tag.name: render_value(value) for tag, value in self.items()}
+
+
+class SharedElementMap(DataElementMap):
+    """The payload of a message built once per process and sent in many runs: ``put``
+    raises like every other mutator, so a stray write fails instead of leaking into the
+    next run. ``copy()`` is a writable ``DataElementMap``."""
+
+    __slots__ = ()
+
+    put = _shared
 
 
 def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:

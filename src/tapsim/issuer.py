@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .card import CardProfile
-from .channel import Message
+from .channel import Message, shared
 from .crypto import compute_cvc3, decrypt_pin, kdf, verify_ac
 from .elements import (
     AID_BRANDS,
@@ -56,6 +56,17 @@ PERMISSIVE_2019 = IssuerPolicy(name="permissive_2019")
 HARDENED = IssuerPolicy(name="hardened", **dict.fromkeys(ISSUER_CHECKS, True))
 
 
+# (message name, decision, reason) -> the response, built on first use: the keys are
+# bounded by the decision and reason literals below and the tags ``_malformed`` is given
+_RESPONSES: dict[tuple[str, str, str], Message] = {}
+
+
+def _respond(key: tuple[str, str, str]) -> Message:
+    name, decision, reason = key
+    response = _RESPONSES[key] = shared(name, {Tag.DECISION: decision, Tag.REASON: reason})
+    return response
+
+
 def _malformed(p: DataElementMap, *tags: TagInfo) -> tuple[str, str] | None:
     """A decline naming the first of ``tags`` the request leaves out: A5
     submissions need not come from a terminal that fills them in."""
@@ -79,16 +90,12 @@ class Issuer:
     # --- message entry points ------------------------------------------------
 
     def handle_auth(self, request: Message) -> Message:
-        decision, reason = self._evaluate(request.payload, clearing=False)
-        return Message("AUTH_RESPONSE", DataElementMap({
-            Tag.DECISION: decision, Tag.REASON: reason,
-        }))
+        key = ("AUTH_RESPONSE", *self._evaluate(request.payload, clearing=False))
+        return _RESPONSES.get(key) or _respond(key)
 
     def handle_clearing(self, request: Message) -> Message:
-        decision, reason = self._evaluate(request.payload, clearing=True)
-        return Message("CLEARING_RESPONSE", DataElementMap({
-            Tag.DECISION: decision, Tag.REASON: reason,
-        }))
+        key = ("CLEARING_RESPONSE", *self._evaluate(request.payload, clearing=True))
+        return _RESPONSES.get(key) or _respond(key)
 
     # --- evaluation pipeline ----------------------------------------------------
 

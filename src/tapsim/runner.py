@@ -16,7 +16,6 @@ policies; it is the no-attack baseline that must come up clean.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -401,6 +400,7 @@ def _parse_flaws(pairs: list[str]) -> dict[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line needs it: an import of tapsim does not pay for it
     parser = argparse.ArgumentParser(
         prog="tapsim",
         description="Contactless payment sandbox: run attack scenarios and "

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .channel import MESSAGES, Message, NfcChannel, PaymentRails, TransactionTrace
+from .channel import MESSAGES, Message, NfcChannel, PaymentRails, TransactionTrace, shared
 from .crypto import BadSignature, CAStore, Certificate, LookupFailure, encrypt_pin, verify_sdad, verify_static_records
 from .elements import (
     AID_BRANDS,
@@ -49,13 +49,19 @@ from .elements import (
     build_dol_data,
 )
 
-from .card import N_UN_DIGITS, TRANSIT_MAGIC
+from .card import N_UN_DIGITS, NO_DOL, TRANSIT_MAGIC
 
 FLOOR_LIMIT = 2500   # at or below this an offline approval is allowed
 CEILING = 100000     # terminals refuse larger amounts outright
 
 # tags hash by identity, so a fixed order keeps requests alike across processes
 _AUTH_TAGS = sorted(MESSAGES["AUTH_REQUEST"], key=lambda tag: tag.code)
+
+# The commands that carry no per-transaction data, built once: a SELECT per known AID, a
+# READ RECORD per record number an AFL can hold, and the transit gate's greeting
+_SELECT = {aid: shared("SELECT", {Tag.AID: aid}) for aid in AID_BRANDS}
+_READ_RECORD = tuple(shared("READ_RECORD", {Tag.RECORD_NUMBER: n}) for n in range(0x100))
+_GREETING = shared("MAGIC_BYTES", {Tag.MAGIC: TRANSIT_MAGIC})
 
 
 class _Declined(Exception):
@@ -125,8 +131,7 @@ class Terminal:
             raise _Declined("over_ceiling")
 
         if cfg.transit:
-            channel.exchange(Message("MAGIC_BYTES",
-                                     DataElementMap({Tag.MAGIC: TRANSIT_MAGIC})))
+            channel.exchange(_GREETING)
 
         aid, kernel, pdol = self._select(channel)
         view.update(aid=aid, kernel=kernel)
@@ -171,21 +176,17 @@ class Terminal:
     # --- shared pieces ------------------------------------------------------
 
     def _select(self, channel: NfcChannel) -> tuple[bytes, int, DOL]:
-        for aid in AID_BRANDS:
-            resp = channel.exchange(Message("SELECT",
-                                            DataElementMap({Tag.AID: aid})))
+        for command in _SELECT.values():
+            resp = channel.exchange(command)
             got = resp.payload.get(Tag.AID)
             if got is not None:
-                return got, resp.payload.get(Tag.KERNEL_ID, 2), \
-                    resp.payload.get(Tag.PDOL, DOL(()))
+                return got, resp.payload.get(Tag.KERNEL_ID, 2), resp.payload.get(Tag.PDOL, NO_DOL)
         raise _Declined("no_application")
 
     def _read_records(self, channel: NfcChannel, afl) -> dict[int, DataElementMap]:
         records = {}
         for number in afl.records:
-            resp = channel.exchange(Message("READ_RECORD",
-                                            DataElementMap({Tag.RECORD_NUMBER: number})))
-            records[number] = resp.payload
+            records[number] = channel.exchange(_READ_RECORD[number]).payload
         return records
 
     def _verify_chain(self, records: dict[int, DataElementMap],
@@ -333,7 +334,7 @@ class Terminal:
         cdol_env = DataElementMap({
             Tag.AMOUNT: amount, Tag.UN: un, Tag.CVM_RESULTS: cvm_results,
         })
-        payload = build_dol_data(r2.get(Tag.CDOL1, DOL(())), cdol_env)
+        payload = build_dol_data(r2.get(Tag.CDOL1, NO_DOL), cdol_env)
         payload.put(Tag.CID, requested_cid)
         payload.put(Tag.CDA_REQUESTED, 1 if want_cda else 0)
         resp = channel.exchange(Message("GENERATE_AC", payload))

@@ -42,6 +42,7 @@ from tapsim.elements import (
     TAGS_BY_CODE,
     TAGS_BY_NAME,
     Tag,
+    TagInfo,
     TTQ,
     TVR,
     Track2EquivalentData,
@@ -222,6 +223,14 @@ MALFORMED = {
     "iad_filler_too_long": lambda: IAD(False, "plastic", bytes(0x10000)),
     "track2_lone_surrogate": lambda: Track2EquivalentData(
         "4111111111111111", "2812", "201", "\ud800"),
+    "cvm_results_out_of_range": lambda: DataElementMap(
+        {Tag.CVM_RESULTS: CVMResults(300)}).encode(),
+    "cvm_results_plain_ints": lambda: CVMResults(1, 0, 1),
+    "cvm_entry_negative": lambda: CVMList((CVMEntry(-1, 0),)),
+    "cvm_entry_plain_ints": lambda: CVMEntry(0, 0),
+    "dol_unregistered_name": lambda: DOL(("x",)),
+    "dol_unhashable_item": lambda: DOL(([],)),
+    "dol_lookalike_tag": lambda: DOL((TagInfo("UN", Tag.UN.code, Tag.UN.kind),)),
 }
 
 

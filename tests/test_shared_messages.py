@@ -1,0 +1,131 @@
+"""Messages built once per process and sent in many runs.
+
+A message that carries no per-transaction data (an empty reply, a VERIFY
+reply, a SELECT by AID, a READ RECORD, an issuer response) is one shared
+object. Its payload refuses every write, so no run can change what the next
+one sends, and a trace renders each message object once per ``to_jsonl``
+call, however often it holds it. Neither may show in the output: a trace
+whose every message is a fresh, unshared object emits the same text.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from tapsim import attacks, card, channel, elements, issuer, runner, terminal
+from tapsim.attacks import CATALOG, run_attack
+from tapsim.channel import EMPTY, MESSAGES, Message, TransactionTrace
+from tapsim.elements import DataElementMap, SharedElementMap, Tag
+from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.runner import run_genuine_matrix
+
+MODULES = (attacks, card, channel, elements, issuer, runner, terminal)
+
+
+def shared_messages() -> list[Message]:
+    """Every shared message the package's modules hold, in their globals or in a dict,
+    tuple or list there."""
+    found: dict[int, Message] = {}
+
+    def visit(value, depth: int) -> None:
+        if type(value) is Message and type(value.payload) is SharedElementMap:
+            found[id(value)] = value
+        elif depth and isinstance(value, (dict, tuple, list)):
+            for item in value.values() if isinstance(value, dict) else value:
+                visit(item, depth - 1)
+
+    for module in MODULES:
+        for value in vars(module).values():
+            visit(value, 2)
+    return list(found.values())
+
+
+# taken when the tests are collected, before any test has run a world
+AT_IMPORT = {id(msg): (msg, msg.payload.encode()) for msg in shared_messages()}
+
+
+@pytest.fixture(scope="module")
+def catalogue():
+    return [run_attack(attack_id, seed=42) for attack_id in CATALOG]
+
+
+def test_the_tables_are_found():
+    assert {id(EMPTY[name]) for name in MESSAGES} <= AT_IMPORT.keys()
+    assert len(AT_IMPORT) >= len(MESSAGES) + 256  # the empty messages and every READ RECORD
+
+
+MUTATORS = {
+    "put": lambda m: m.put(Tag.ATC, 1),
+    "setitem": lambda m: m.__setitem__(Tag.ATC, 1),
+    "delitem": lambda m: m.__delitem__(next(iter(m), Tag.ATC)),
+    "ior": lambda m: m.__ior__({Tag.ATC: 1}),
+    "update": lambda m: m.update({Tag.ATC: 1}),
+    "setdefault": lambda m: m.setdefault(Tag.ATC, 1),
+    "pop": lambda m: m.pop(next(iter(m), Tag.ATC)),
+    "popitem": lambda m: m.popitem(),
+    "clear": lambda m: m.clear(),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS)
+def test_every_shared_payload_refuses_every_write(mutate):
+    for msg, wire in AT_IMPORT.values():
+        with pytest.raises(TypeError):
+            mutate(msg.payload)
+        assert msg.payload.encode() == wire
+
+
+def test_a_copy_of_a_shared_payload_is_writable():
+    for msg, wire in AT_IMPORT.values():
+        clone = msg.payload.copy()
+        assert type(clone) is DataElementMap and clone == msg.payload
+        clone.put(Tag.ATC, 1)
+        assert Tag.ATC in clone and msg.payload.encode() == wire
+
+
+def test_shared_messages_are_unchanged_by_the_catalogue(catalogue):
+    assert all(result.success and not result.diffs for result in catalogue)
+    for msg, wire in AT_IMPORT.values():
+        assert msg.payload.encode() == wire
+    # the issuer builds each response on first use, from its (name, decision, reason)
+    assert issuer._RESPONSES
+    for (name, decision, reason), response in issuer._RESPONSES.items():
+        assert type(response.payload) is SharedElementMap and response.name == name
+        assert response.payload.encode() == DataElementMap(
+            {Tag.DECISION: decision, Tag.REASON: reason}).encode()
+
+
+def _fresh(msg: Message) -> Message:
+    return Message(msg.name, msg.payload.copy())
+
+
+def unshared(trace: TransactionTrace) -> TransactionTrace:
+    """A copy of ``trace`` in which every logged message, and every message in
+    marker data, is a fresh object held nowhere else."""
+    copy = TransactionTrace(trace.meta)
+    for ev in trace.events:
+        if ev.kind == "msg":
+            ev = ev._replace(sent=_fresh(ev.sent), received=_fresh(ev.received))
+        else:
+            ev = ev._replace(data={key: _fresh(value) if type(value) is Message else value
+                                   for key, value in ev.data.items()})
+        copy.events.append(ev)
+    return copy
+
+
+def test_emission_does_not_depend_on_sharing(catalogue):
+    traces = [result.trace for result in catalogue] + [
+        env.trace for policy in (PERMISSIVE_2019, HARDENED)
+        for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
+    # the replayer logs the card's recorded replies a second time, in its own session
+    replayed = next(r.trace for r in catalogue if r.attack_id == "replay_nonce_reuse")
+    sessions: dict[int, set] = {}
+    for ev in replayed.events:
+        if ev.kind == "msg" and type(ev.sent.payload) is DataElementMap:
+            sessions.setdefault(id(ev.sent), set()).add(ev.session)
+    assert any(len(logged_in) > 1 for logged_in in sessions.values())
+    for trace in traces:
+        copy = unshared(trace)
+        assert all(ev.sent is not ev.received for ev in copy.events if ev.kind == "msg")
+        assert copy.to_jsonl() == trace.to_jsonl()
+
