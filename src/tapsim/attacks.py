@@ -16,6 +16,7 @@ A staging that is a single purchase is a ``Tap`` record rather than code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterable
 
 from .card import (
@@ -28,6 +29,8 @@ from .card import (
 )
 from .channel import (
     EMPTY,
+    READ_RECORD,
+    SELECT,
     Adversary,
     Hook,
     Message,
@@ -221,6 +224,14 @@ def _corrupt_ac(msg: Message, adv: Adversary) -> Message:
     return msg
 
 
+# The commands an enumeration sends carry no per-transaction data: each is built by the
+# first run that sends it and kept for the process, keyed by its payload's (tag, value)
+# pairs. A hit runs no Python code. The code's own ranges bound the tables: a VERIFY per
+# four-digit guess, a GENERATE AC per mag-stripe UN.
+_GUESS = lru_cache(maxsize=10_000)(partial(shared, "VERIFY"))
+_UN_QUERY = lru_cache(maxsize=10 ** N_UN_DIGITS)(partial(shared, "GENERATE_AC"))
+
+
 # --- PIN-probing machinery ------------------------------------------------------------
 
 def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
@@ -239,8 +250,7 @@ def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
         if remaining <= stop_at_remaining:
             owner_reset()
             remaining = try_limit
-        resp = channel.exchange(Message("VERIFY", DataElementMap({
-            Tag.PIN_GUESS: guess})))
+        resp = channel.exchange(_GUESS(((Tag.PIN_GUESS, guess),)))
         remaining = resp.payload[Tag.PIN_TRIES_REMAINING]
         decision = resp.payload[Tag.DECISION]
         if decision == "ok":
@@ -259,8 +269,7 @@ def pin_exhaust(channel: NfcChannel, *, wrong_pins: Iterable[str]) -> int:
         return 0
     count = 0
     for guess in wrong_pins:
-        resp = channel.exchange(Message("VERIFY", DataElementMap({
-            Tag.PIN_GUESS: guess})))
+        resp = channel.exchange(_GUESS(((Tag.PIN_GUESS, guess),)))
         count += 1
         if resp.payload[Tag.DECISION] == "blocked":
             return count
@@ -273,15 +282,13 @@ def harvest_cvc3_table(channel: NfcChannel, aid: bytes,
                        uns: Iterable[int]) -> tuple[DataElementMap, int, dict]:
     """Pre-play harvest: query the card's dynamic code for every UN given.
     Returns (record 1, UN digit count, {un: (atc, code)})."""
-    sel = channel.exchange(Message("SELECT", DataElementMap({Tag.AID: aid})))
+    sel = channel.exchange(SELECT[aid])
     if sel.payload.get(Tag.AID) is None:
         raise ValueError("card does not carry that application")
-    r1 = channel.exchange(Message("READ_RECORD", DataElementMap({
-        Tag.RECORD_NUMBER: 1}))).payload.copy()
+    r1 = channel.exchange(READ_RECORD[1]).payload.copy()
     table: dict[int, tuple[int, bytes]] = {}
     for un in uns:
-        resp = channel.exchange(Message("GENERATE_AC",
-                                        DataElementMap({Tag.UN: un})))
+        resp = channel.exchange(_UN_QUERY(((Tag.UN, un),)))
         if Tag.CVC3 not in resp.payload:
             raise ValueError("card does not answer dynamic-code queries")
         table[un] = (resp.payload[Tag.ATC], resp.payload[Tag.CVC3])
@@ -306,8 +313,7 @@ class TranslatorCard:
         if msg.name == "SELECT":
             if msg.payload.get(Tag.AID) != self.face_aid:
                 return EMPTY["SELECT"]
-            real = self.far.exchange(Message("SELECT", DataElementMap({
-                Tag.AID: self.real_aid})))
+            real = self.far.exchange(SELECT[self.real_aid])
             if real.payload.get(Tag.AID) is None:
                 return EMPTY["SELECT"]
             return Message("SELECT", DataElementMap({
@@ -330,8 +336,7 @@ class TranslatorCard:
 
         gpo = self.far.exchange(EMPTY["GET_PROCESSING_OPTIONS"])
         aip, afl = gpo.payload[Tag.AIP], gpo.payload[Tag.AFL]
-        r2 = self.far.exchange(Message("READ_RECORD", DataElementMap({
-            Tag.RECORD_NUMBER: 2}))).payload
+        r2 = self.far.exchange(READ_RECORD[2]).payload
         cdol: DOL = r2.get(Tag.CDOL1, NO_DOL)
 
         # feed the real card a CVM result matching the claim it never made
@@ -358,10 +363,9 @@ class TranslatorCard:
 def _stage_magstripe_cloning(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["magstripe_only"]
     channel = NfcChannel(env.trace, card, adversary=adv)
-    channel.exchange(Message("SELECT", DataElementMap({Tag.AID: AID_MASTERCARD})))
+    channel.exchange(SELECT[AID_MASTERCARD])
     channel.exchange(EMPTY["GET_PROCESSING_OPTIONS"])
-    r1 = channel.exchange(Message("READ_RECORD", DataElementMap({
-        Tag.RECORD_NUMBER: 1}))).payload
+    r1 = channel.exchange(READ_RECORD[1]).payload
     adv.learn("TRACK1", r1[Tag.TRACK1], session=channel.session)
     adv.learn("TRACK2", r1[Tag.TRACK2], session=channel.session)
 
@@ -379,7 +383,7 @@ def _stage_foreign_currency_replay(env: Env, adv: Adversary) -> tuple[bool, str]
     # drive the card exactly like a shop terminal would
     ttq = TTQ(online_pin_supported=True, signature_supported=True,
               cvm_required=True, emv_mode_supported=True)
-    sel = channel.exchange(Message("SELECT", DataElementMap({Tag.AID: AID_VISA})))
+    sel = channel.exchange(SELECT[AID_VISA])
     gpo = channel.exchange(Message("GET_PROCESSING_OPTIONS",
                                    build_dol_data(sel.payload[Tag.PDOL],
                                                   DataElementMap({
@@ -387,8 +391,7 @@ def _stage_foreign_currency_replay(env: Env, adv: Adversary) -> tuple[bool, str]
                                                       Tag.AMOUNT: amount,
                                                       Tag.UN: un,
                                                   }))))
-    r1 = channel.exchange(Message("READ_RECORD", DataElementMap({
-        Tag.RECORD_NUMBER: 1}))).payload
+    r1 = channel.exchange(READ_RECORD[1]).payload
     p = gpo.payload
     request = Message("AUTH_REQUEST", DataElementMap({
         Tag.AMOUNT: amount, Tag.MCC: "5999", Tag.MERCHANT_ID: "M-MULE-1",
@@ -429,7 +432,7 @@ def _stage_pin_guessing(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["visa_plastic_no_fdda"]
     guess_channel = NfcChannel(env.trace, card, adversary=adv)
     owner_channel = NfcChannel(env.trace, card)
-    refill = shared("VERIFY", {Tag.PIN_GUESS: card.profile.pin})
+    refill = _GUESS(((Tag.PIN_GUESS, card.profile.pin),))
 
     def owner_reset() -> None:
         # the owner uses the card normally; a correct PIN refills the counter

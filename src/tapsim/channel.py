@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
-from .elements import (PLAIN_JSON, RENDER, DataElementMap, SharedElementMap, Tag, TagInfo,
-                       json_chunks, render_value, to_json)
+from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, DataElementMap, SharedElementMap, Tag,
+                       TagInfo, json_chunks, render_value, to_json)
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
@@ -113,15 +113,30 @@ class Message:
         return Message(self.name, p)
 
 
-def shared(name: str, items: dict[TagInfo, Any] | None = None) -> Message:
+def shared(name: str,
+           items: dict[TagInfo, Any] | Iterable[tuple[TagInfo, Any]] | None = None) -> Message:
     """A message that carries no per-transaction data, built once and sent in many runs:
-    its payload refuses every write."""
-    return Message(name, SharedElementMap(items))
+    its payload refuses every write and admits no value that can change, and it keeps its
+    JSON text for the process once emitted. It costs two Python frames, its own and the
+    payload's: it makes ``Message``'s check itself instead of calling ``Message``."""
+    payload = SharedElementMap(items)
+    allowed = MESSAGES.get(name)
+    if allowed is None or not allowed.issuperset(payload):
+        return Message(name, payload)  # raises the ChannelError that names the fault
+    msg = object.__new__(Message)
+    object.__setattr__(msg, "name", name)
+    object.__setattr__(msg, "payload", payload)
+    return msg
 
 
 # Each message with an empty payload: the reply to a command the card cannot answer, and
 # the commands that ask without data.
 EMPTY: dict[str, Message] = {name: shared(name) for name in MESSAGES}
+# The commands that name no per-transaction data: a SELECT per known AID and a READ RECORD
+# per record number an AFL can hold
+SELECT: dict[bytes, Message] = {aid: shared("SELECT", {Tag.AID: aid}) for aid in AID_BRANDS}
+READ_RECORD: tuple[Message, ...] = tuple(
+    shared("READ_RECORD", {Tag.RECORD_NUMBER: n}) for n in range(0x100))
 
 
 class TraceEvent(NamedTuple):
@@ -171,7 +186,8 @@ class TransactionTrace:
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
         with its values; a message or non-plain value is rendered and encoded once per call,
-        however often the trace holds it; status "ok"."""
+        however often the trace holds it, and a shared message once per process; status
+        "ok"."""
         memo: dict[int, str] = {}  # id of a message or value the trace holds -> its JSON
 
         def message(msg: Message) -> str:
@@ -189,6 +205,8 @@ class TransactionTrace:
                                               else "".join(json_chunks(text, 0)))
                 texts.append(text)
             text = memo[id(msg)] = template % tuple(texts)
+            if type(items) is SharedElementMap:  # none of it can change: keep it
+                items.message_json = text
             return text
 
         meta = {"kind": "meta", **self.meta}
@@ -199,8 +217,10 @@ class TransactionTrace:
         for ev in self.events:
             session = "" if ev.session is None else f', "session": {ev.session}'
             if ev.kind == "msg":
-                sent = memo.get(id(ev.sent)) or message(ev.sent)
-                received = memo.get(id(ev.received)) or message(ev.received)
+                sent = (ev.sent.payload.message_json or memo.get(id(ev.sent))
+                        or message(ev.sent))
+                received = (ev.received.payload.message_json or memo.get(id(ev.received))
+                            or message(ev.received))
                 lines.append(f'{{"channel": {_quote(ev.channel)}, "direction": '
                              f'{_quote(ev.direction)}, "idx": {ev.idx}, "kind": "msg", '
                              f'"received": {received}, '

@@ -544,6 +544,7 @@ class DataElementMap(dict):
     validated already; copies by the ``copy`` module and unpickling validate again."""
 
     __slots__ = ()
+    message_json: str | None = None  # kept by a shared map only
 
     def __init__(self, items: dict[TagInfo, Any] | None = None):
         if items:
@@ -597,12 +598,37 @@ class DataElementMap(dict):
         return {tag.name: render_value(value) for tag, value in self.items()}
 
 
+# A shared map outlives the run that built it, and so does the text it keeps: of each kind
+# it admits only values that cannot change, so no bytearray, no IAD filled with one and no
+# AFL, DOL or CVM list over a list
+_SHARED_KINDS = {
+    **KINDS,
+    "bytes": ((bytes,), None, bytes),
+    "iad": ((IAD,), lambda v: type(v.filler) is bytes, KINDS["iad"][2]),
+    "afl": ((AFL,), lambda v: type(v.records) is tuple, KINDS["afl"][2]),
+    "dol": ((DOL,), lambda v: type(v.tags) is tuple, KINDS["dol"][2]),
+    "cvm_list": ((CVMList,), lambda v: type(v.entries) is tuple, KINDS["cvm_list"][2]),
+}
+_SHARED_CODEC_OF = {tag: _SHARED_KINDS[tag.kind] for tag in TAGS_BY_NAME.values()}
+
+
 class SharedElementMap(DataElementMap):
     """The payload of a message built once per process and sent in many runs: ``put``
-    raises like every other mutator, so a stray write fails instead of leaking into the
-    next run. ``copy()`` is a writable ``DataElementMap``."""
+    raises like every other mutator and the constructor admits no value that can change,
+    so nothing a run does leaks into the next. ``message_json`` is the JSON text of the
+    one message that carries the map, kept once that message is emitted (None before).
+    ``copy()`` is a writable ``DataElementMap``."""
 
-    __slots__ = ()
+    __slots__ = ("message_json",)
+
+    def __init__(self, items: dict[TagInfo, Any] | Iterable[tuple[TagInfo, Any]] | None = None):
+        dict.__init__(self, items or ())
+        self.message_json = None
+        for tag, value in self.items():
+            types, admits, _encode = _SHARED_CODEC_OF.get(tag, _UNREGISTERED)
+            if type(value) not in types or admits is not None and not admits(value):
+                raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r} "
+                                 "in a shared map, whose values never change")
 
     put = _shared
 

@@ -25,10 +25,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .channel import MESSAGES, Message, NfcChannel, PaymentRails, TransactionTrace, shared
+from .channel import (MESSAGES, READ_RECORD, SELECT, Message, NfcChannel, PaymentRails,
+                      TransactionTrace, shared)
 from .crypto import BadSignature, CAStore, Certificate, LookupFailure, encrypt_pin, verify_sdad, verify_static_records
 from .elements import (
-    AID_BRANDS,
     AIP,
     CVM_LIMIT,
     ActionCodes,
@@ -57,10 +57,7 @@ CEILING = 100000     # terminals refuse larger amounts outright
 # tags hash by identity, so a fixed order keeps requests alike across processes
 _AUTH_TAGS = sorted(MESSAGES["AUTH_REQUEST"], key=lambda tag: tag.code)
 
-# The commands that carry no per-transaction data, built once: a SELECT per known AID, a
-# READ RECORD per record number an AFL can hold, and the transit gate's greeting
-_SELECT = {aid: shared("SELECT", {Tag.AID: aid}) for aid in AID_BRANDS}
-_READ_RECORD = tuple(shared("READ_RECORD", {Tag.RECORD_NUMBER: n}) for n in range(0x100))
+# The transit gate's greeting carries no per-transaction data: built once
 _GREETING = shared("MAGIC_BYTES", {Tag.MAGIC: TRANSIT_MAGIC})
 
 
@@ -176,7 +173,7 @@ class Terminal:
     # --- shared pieces ------------------------------------------------------
 
     def _select(self, channel: NfcChannel) -> tuple[bytes, int, DOL]:
-        for command in _SELECT.values():
+        for command in SELECT.values():
             resp = channel.exchange(command)
             got = resp.payload.get(Tag.AID)
             if got is not None:
@@ -186,7 +183,7 @@ class Terminal:
     def _read_records(self, channel: NfcChannel, afl) -> dict[int, DataElementMap]:
         records = {}
         for number in afl.records:
-            records[number] = channel.exchange(_READ_RECORD[number]).payload
+            records[number] = channel.exchange(READ_RECORD[number]).payload
         return records
 
     def _verify_chain(self, records: dict[int, DataElementMap],

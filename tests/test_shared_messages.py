@@ -1,11 +1,13 @@
 """Messages built once per process and sent in many runs.
 
 A message that carries no per-transaction data (an empty reply, a VERIFY
-reply, a SELECT by AID, a READ RECORD, an issuer response) is one shared
-object. Its payload refuses every write, so no run can change what the next
-one sends, and a trace renders each message object once per ``to_jsonl``
-call, however often it holds it. Neither may show in the output: a trace
-whose every message is a fresh, unshared object emits the same text.
+reply, a SELECT by AID, a READ RECORD, an issuer response, a PIN guess, a
+mag-stripe UN query) is one shared object. Its payload refuses every write
+and admits no value that can change, so no run can change what the next one
+sends. A trace renders each message object once per ``to_jsonl`` call,
+however often it holds it, and a shared message keeps its text for the
+process. Neither may show in the output: a trace whose every message is a
+fresh, unshared object emits the same text.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import pytest
 
 from tapsim import attacks, card, channel, elements, issuer, runner, terminal
 from tapsim.attacks import CATALOG, run_attack
-from tapsim.channel import EMPTY, MESSAGES, Message, TransactionTrace
-from tapsim.elements import DataElementMap, SharedElementMap, Tag
+from tapsim.channel import EMPTY, MESSAGES, Message, TransactionTrace, shared
+from tapsim.elements import (AFL, DOL, IAD, CodecError, CVMList, DataElementMap,
+                             SharedElementMap, Tag)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import run_genuine_matrix
 
@@ -44,9 +47,26 @@ def shared_messages() -> list[Message]:
 AT_IMPORT = {id(msg): (msg, msg.payload.encode()) for msg in shared_messages()}
 
 
+# id of each shared message the seed-42 catalogue logs -> (the message, its encoding when
+# first logged); the catalogue fixture fills it
+LOGGED: dict[int, tuple[Message, bytes]] = {}
+
+
 @pytest.fixture(scope="module")
 def catalogue():
-    return [run_attack(attack_id, seed=42) for attack_id in CATALOG]
+    # the enumerations build their commands on first use, where the import-time scan
+    # cannot see them: note each shared message, and its bytes, as it is logged
+    log_msg = TransactionTrace.log_msg
+
+    def noting(self, channel, session, direction, sent, received, relay_active=False):
+        for msg in (sent, received):
+            if type(msg.payload) is SharedElementMap and id(msg) not in LOGGED:
+                LOGGED[id(msg)] = msg, msg.payload.encode()
+        return log_msg(self, channel, session, direction, sent, received, relay_active)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TransactionTrace, "log_msg", noting)
+        return [run_attack(attack_id, seed=42) for attack_id in CATALOG]
 
 
 def test_the_tables_are_found():
@@ -81,6 +101,46 @@ def test_a_copy_of_a_shared_payload_is_writable():
         assert type(clone) is DataElementMap and clone == msg.payload
         clone.put(Tag.ATC, 1)
         assert Tag.ATC in clone and msg.payload.encode() == wire
+
+
+CHANGEABLE = {
+    "bytearray": {Tag.AID: bytearray(b"\xa0\x00")},
+    "iad_filled_with_bytearray": {Tag.IAD: IAD(filler=bytearray(b"\x01"))},
+    "afl_over_a_list": {Tag.AFL: AFL([1, 2])},
+    "dol_over_a_list": {Tag.PDOL: DOL([Tag.UN])},
+    "cvm_list_over_a_list": {Tag.CVM_LIST: CVMList([])},
+}
+
+
+@pytest.mark.parametrize("items", CHANGEABLE.values(), ids=CHANGEABLE)
+def test_a_shared_message_admits_no_value_that_can_change(items):
+    # an unshared map admits each of these; a shared one would send (and emit) stale bytes
+    # once the value changed after the first run
+    name = {Tag.AID: "SELECT", Tag.PDOL: "SELECT", Tag.IAD: "GENERATE_AC",
+            Tag.AFL: "GET_PROCESSING_OPTIONS", Tag.CVM_LIST: "READ_RECORD"}[next(iter(items))]
+    assert Message(name, DataElementMap(items))
+    with pytest.raises(CodecError):
+        shared(name, items)
+
+
+def test_shared_checks_what_message_checks():
+    assert shared("SELECT", {Tag.AID: b"\xa0\x00"}) == Message(
+        "SELECT", DataElementMap({Tag.AID: b"\xa0\x00"}))
+    for name, items in (("NO_SUCH", {}), ("VERIFY", {Tag.AID: b""})):
+        with pytest.raises(channel.ChannelError):
+            shared(name, items)
+
+
+def test_every_shared_message_the_catalogue_logs_stays_read_only(catalogue):
+    # the PIN guesses and UN queries are among them, built during the run
+    names = {msg.name for msg, _wire in LOGGED.values()}
+    assert {"VERIFY", "GENERATE_AC", "SELECT", "READ_RECORD"} <= names
+    assert any(Tag.UN in msg.payload for msg, _wire in LOGGED.values())
+    for msg, wire in LOGGED.values():
+        for mutate in MUTATORS.values():
+            with pytest.raises(TypeError):
+                mutate(msg.payload)
+        assert msg.payload.encode() == wire
 
 
 def test_shared_messages_are_unchanged_by_the_catalogue(catalogue):
@@ -124,8 +184,11 @@ def test_emission_does_not_depend_on_sharing(catalogue):
         if ev.kind == "msg" and type(ev.sent.payload) is DataElementMap:
             sessions.setdefault(id(ev.sent), set()).add(ev.session)
     assert any(len(logged_in) > 1 for logged_in in sessions.values())
-    for trace in traces:
+    # a first emission keeps each shared message's text: the comparison meets them warm
+    texts = [trace.to_jsonl() for trace in traces]
+    assert EMPTY["VERIFY"].payload.message_json is not None
+    for trace, text in zip(traces, texts):
         copy = unshared(trace)
         assert all(ev.sent is not ev.received for ev in copy.events if ev.kind == "msg")
-        assert copy.to_jsonl() == trace.to_jsonl()
+        assert copy.to_jsonl() == trace.to_jsonl() == text
 
