@@ -120,6 +120,7 @@ def shared(name: str,
     JSON text for the process once emitted. It costs two Python frames, its own and the
     payload's: it makes ``Message``'s check itself instead of calling ``Message``."""
     payload = SharedElementMap(items)
+    payload.message_json = None
     allowed = MESSAGES.get(name)
     if allowed is None or not allowed.issuperset(payload):
         return Message(name, payload)  # raises the ChannelError that names the fault
@@ -140,7 +141,8 @@ READ_RECORD: tuple[Message, ...] = tuple(
 
 
 class TraceEvent(NamedTuple):
-    """One logged event; the trace builds it with ``tuple.__new__``, so no Python frame."""
+    """One logged event; the trace and the NFC hop build it with ``tuple.__new__``, so no
+    Python frame."""
 
     idx: int
     kind: str                      # "msg" or a marker kind
@@ -185,10 +187,11 @@ class TransactionTrace:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
-        with its values; a message or non-plain value is rendered and encoded once per call,
-        however often the trace holds it, and a shared message once per process; status
-        "ok"."""
-        memo: dict[int, str] = {}  # id of a message or value the trace holds -> its JSON
+        with its values; a message or value is rendered and encoded once per call, however
+        often the trace holds it, and a shared message once per process; status "ok"."""
+        # id of a message or value the trace holds -> its JSON. Ids, not values, key it: 1,
+        # True and CID.ARQC are equal and each has its own text. The trace keeps every key alive.
+        memo: dict[int, str] = {}
 
         def message(msg: Message) -> str:
             items = msg.payload  # a dict: read in place, no copy, no call per entry
@@ -197,12 +200,16 @@ class TransactionTrace:
                 f'{{"name": {_quote(msg.name)}, "payload": {{', "}}")
             texts = []
             for value in map(items.__getitem__, order):
-                write = PLAIN_JSON.get(type(value))
-                text = write(value) if write else memo.get(id(value))
-                if text is None:  # not plain, and not yet seen in this call
-                    text = RENDER.get(type(value), render_value)(value)
-                    text = memo[id(value)] = (_quote(text) if type(text) is str
-                                              else "".join(json_chunks(text, 0)))
+                text = memo.get(id(value))
+                if text is None:  # not yet seen in this call
+                    write = PLAIN_JSON.get(type(value))
+                    if write is None:
+                        text = RENDER.get(type(value), render_value)(value)
+                        text = (_quote(text) if type(text) is str
+                                else "".join(json_chunks(text, 0)))
+                    else:
+                        text = write(value)
+                    memo[id(value)] = text
                 texts.append(text)
             text = memo[id(msg)] = template % tuple(texts)
             if type(items) is SharedElementMap:  # none of it can change: keep it
@@ -214,32 +221,34 @@ class TransactionTrace:
             if type(value) not in PLAIN_JSON:
                 meta[key] = render_value(value)
         lines = ["".join(json_chunks(meta, 0))]
-        for ev in self.events:
-            session = "" if ev.session is None else f', "session": {ev.session}'
-            if ev.kind == "msg":
-                sent = (ev.sent.payload.message_json or memo.get(id(ev.sent))
-                        or message(ev.sent))
-                received = (ev.received.payload.message_json or memo.get(id(ev.received))
-                            or message(ev.received))
-                lines.append(f'{{"channel": {_quote(ev.channel)}, "direction": '
-                             f'{_quote(ev.direction)}, "idx": {ev.idx}, "kind": "msg", '
-                             f'"received": {received}, '
-                             f'"relay": {PLAIN_JSON[bool](ev.relay_active)}, '
+        for idx, kind, session, channel, direction, relay, sent, received, data in self.events:
+            session = "" if session is None else f', "session": {session}'
+            if kind == "msg":
+                sent = sent.payload.message_json or memo.get(id(sent)) or message(sent)
+                received = (received.payload.message_json or memo.get(id(received))
+                            or message(received))
+                lines.append(f'{{"channel": {_quote(channel)}, "direction": '
+                             f'{_quote(direction)}, "idx": {idx}, "kind": "msg", '
+                             f'"received": {received}, "relay": {PLAIN_JSON[bool](relay)}, '
                              f'"sent": {sent}{session}, "status": "ok"}}')
                 continue
-            order, template = _MARKER_SHAPES.get(key := tuple(ev.data)) or _shape(
+            order, template = _MARKER_SHAPES.get(key := tuple(data)) or _shape(
                 _MARKER_SHAPES, key, dict(zip(key, key)), '{"data": {' if key else "{",
                 ('}, ' if key else "") + '"idx": %s, "kind": %s%s}')
             texts = []
-            for value in map(ev.data.__getitem__, order):
-                write = PLAIN_JSON.get(type(value))
-                text = write(value) if write else memo.get(id(value))
+            for value in map(data.__getitem__, order):
+                text = memo.get(id(value))
                 if text is None:
-                    text = RENDER.get(type(value), render_value)(value)
-                    text = memo[id(value)] = (_quote(text) if type(text) is str
-                                              else "".join(json_chunks(text, 0)))
+                    write = PLAIN_JSON.get(type(value))
+                    if write is None:
+                        text = RENDER.get(type(value), render_value)(value)
+                        text = (_quote(text) if type(text) is str
+                                else "".join(json_chunks(text, 0)))
+                    else:
+                        text = write(value)
+                    memo[id(value)] = text
                 texts.append(text)
-            lines.append(template % (*texts, ev.idx, _quote(ev.kind), session))
+            lines.append(template % (*texts, idx, _quote(kind), session))
         lines.append("")  # the text ends in a newline, joined in one copy
         return "\n".join(lines)
 
@@ -322,18 +331,21 @@ class NfcChannel:
             bind(trace, self.session)
 
     def exchange(self, msg: Message) -> Message:
+        # logs both events as ``TransactionTrace.log_msg`` does, with no call per event
         adversary = self.adversary
+        events = self.trace.events
         delivered = msg
         for hook in () if adversary is None else adversary.to_card_hooks:
             delivered = hook(delivered, adversary)
-        self.trace.log_msg("nfc", self.session, "to_card", sent=msg,
-                           received=delivered, relay_active=self.relay_active)
+        events.append(tuple.__new__(TraceEvent, (len(events), "msg", self.session, "nfc",
+                                                 "to_card", self.relay_active, msg, delivered, {})))
         reply = self.card.exchange(delivered)
         returned = reply
         for hook in () if adversary is None else adversary.from_card_hooks:
             returned = hook(returned, adversary)
-        self.trace.log_msg("nfc", self.session, "from_card", sent=reply,
-                           received=returned, relay_active=self.relay_active)
+        events.append(tuple.__new__(TraceEvent, (len(events), "msg", self.session, "nfc",
+                                                 "from_card", self.relay_active, reply, returned,
+                                                 {})))
         return returned
 
 

@@ -250,8 +250,8 @@ class IAD:
     def __post_init__(self) -> None:
         if self.device_type not in DeviceType.__members__:
             raise CodecError(f"bad device type {self.device_type!r}")
-        if not isinstance(self.filler, (bytes, bytearray)) or len(self.filler) > 0xFFFF:
-            raise CodecError("IAD filler must be at most 65535 bytes")
+        if type(self.filler) is not bytes or len(self.filler) > 0xFFFF:
+            raise CodecError("IAD filler must be bytes, at most 65535 of them")
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,9 @@ class AFL:
 
     records: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:  # the count and each record number are one byte
-        if len(self.records) > 0xFF or not all(map(range(0x100).__contains__, self.records)):
+    def __post_init__(self) -> None:  # a tuple; the count and each record number are one byte
+        if (type(self.records) is not tuple or len(self.records) > 0xFF
+                or not all(map(range(0x100).__contains__, self.records))):
             raise CodecError(f"bad record numbers: {self.records}")
 
 
@@ -271,8 +272,9 @@ class DOL:
 
     tags: tuple[TagInfo, ...] = ()
 
-    def __post_init__(self) -> None:  # the count is one byte, and each tag its registered code
-        if len(self.tags) > 0xFF or not all(map(_REGISTERED_IDS.__contains__, map(id, self.tags))):
+    def __post_init__(self) -> None:  # a tuple; the count is one byte, each tag registered
+        if (type(self.tags) is not tuple or len(self.tags) > 0xFF
+                or not all(map(_REGISTERED_IDS.__contains__, map(id, self.tags)))):
             raise CodecError(f"a DOL lists at most 255 registered tags, not {self.tags!r}")
 
 
@@ -294,8 +296,8 @@ class CVMList:
     entries: tuple[CVMEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.entries) > 0xFF:  # the count is one byte
-            raise CodecError(f"a CVM list holds at most 255 entries, not {len(self.entries)}")
+        if type(self.entries) is not tuple or len(self.entries) > 0xFF:  # the count is a byte
+            raise CodecError(f"a CVM list is a tuple of at most 255 entries, not {self.entries!r}")
 
 
 @dataclass(frozen=True)
@@ -416,14 +418,16 @@ def _enc_lp(raw: bytes) -> bytes:
 _enc_flags = attrgetter("wire")
 
 # codec.json kind -> (the exact types of its values, the check a value of them must pass or
-# None, the encoder of an admitted value). A composite type's constructor enforces what its
-# encoder relies on. The uint and text checks and encoders are C callables, as are cid's and flags'.
+# None, the encoder of an admitted value). Every admitted value is one that cannot change, so
+# a map encodes what it was given: bytes, not a bytearray, and composites over tuples and
+# bytes. A composite type's constructor enforces that and what its encoder relies on. The
+# uint and text checks and encoders are C callables, as are cid's and flags'.
 KINDS: dict[str, tuple[tuple[type, ...], Callable[[Any], Any] | None, Callable[[Any], bytes]]] = {
     "uint1": ((int,), range(1 << 8).__contains__, methodcaller("to_bytes", 1, "big")),
     "uint2": ((int,), range(1 << 16).__contains__, methodcaller("to_bytes", 2, "big")),
     "uint4": ((int,), range(1 << 32).__contains__, methodcaller("to_bytes", 4, "big")),
     "text": ((str,), _UTF8, str.encode),
-    "bytes": ((bytes, bytearray), None, bytes),
+    "bytes": ((bytes,), None, bytes),
     "bytes_list": ((tuple,), lambda v: len(v) <= 0xFF and all(
         type(b) is bytes and len(b) <= 0xFFFF for b in v),
         lambda v: bytes([len(v)]) + b"".join(map(_enc_lp, v))),
@@ -464,8 +468,9 @@ def encode_value(tag: TagInfo, value: Any) -> bytes:
     return encode(value)
 
 
-# json's spelling of each plain type, by exact type: bool and IntEnum are not int
-PLAIN_JSON = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+# json's spelling of each plain type, by exact type: bool and IntEnum are not int (``repr``
+# spells an exact int as ``int.__repr__`` does, and is the cheaper call)
+PLAIN_JSON = {str: _quote, int: repr, bool: {True: "true", False: "false"}.__getitem__,
               type(None): {None: "null"}.__getitem__}
 # json.dumps(value, sort_keys=True)'s C encoder, built once; "".join(json_chunks(v, 0)) is its
 # text. It keeps no markers for json's circular check: a shared dict keeps stale ids after an error.
@@ -482,7 +487,7 @@ def _fields(names: Iterable[str]) -> Callable[[Any], dict[str, Any]]:
 # exact type -> the JSON-friendly rendering of an element value of it (bytes as hex, an enum
 # member as its name). An enum's ``.name`` is a Python-level property; ``_name_`` is not.
 RENDER: dict[type, Callable[[Any], Any]] = {
-    bytes: bytes.hex, bytearray: bytearray.hex,
+    bytes: bytes.hex,
     **{cls: {m: m._name_ for m in cls}.__getitem__
        for cls in (CID, CVMMethod, CVMCondition, CVMResult, DeviceType)},
     **{cls: _fields(cls._positions) for cls in (AIP, TTQ, CTQ, TVR)},
@@ -546,7 +551,7 @@ class DataElementMap(dict):
     __slots__ = ()
     message_json: str | None = None  # kept by a shared map only
 
-    def __init__(self, items: dict[TagInfo, Any] | None = None):
+    def __init__(self, items: dict[TagInfo, Any] | Iterable[tuple[TagInfo, Any]] | None = None):
         if items:
             dict.__init__(self, items)
             for tag, value in self.items():  # put's admission, with no call to put per item
@@ -598,38 +603,15 @@ class DataElementMap(dict):
         return {tag.name: render_value(value) for tag, value in self.items()}
 
 
-# A shared map outlives the run that built it, and so does the text it keeps: of each kind
-# it admits only values that cannot change, so no bytearray, no IAD filled with one and no
-# AFL, DOL or CVM list over a list
-_SHARED_KINDS = {
-    **KINDS,
-    "bytes": ((bytes,), None, bytes),
-    "iad": ((IAD,), lambda v: type(v.filler) is bytes, KINDS["iad"][2]),
-    "afl": ((AFL,), lambda v: type(v.records) is tuple, KINDS["afl"][2]),
-    "dol": ((DOL,), lambda v: type(v.tags) is tuple, KINDS["dol"][2]),
-    "cvm_list": ((CVMList,), lambda v: type(v.entries) is tuple, KINDS["cvm_list"][2]),
-}
-_SHARED_CODEC_OF = {tag: _SHARED_KINDS[tag.kind] for tag in TAGS_BY_NAME.values()}
-
-
 class SharedElementMap(DataElementMap):
     """The payload of a message built once per process and sent in many runs: ``put``
-    raises like every other mutator and the constructor admits no value that can change,
-    so nothing a run does leaks into the next. ``message_json`` is the JSON text of the
-    one message that carries the map, kept once that message is emitted (None before).
-    ``copy()`` is a writable ``DataElementMap``."""
+    raises like every other mutator, and like every map it admits no value that can
+    change, so nothing a run does leaks into the next. ``message_json`` is the JSON text
+    of the one message that carries the map, kept once that message is emitted; the
+    builder, ``channel.shared``, sets it to None. ``copy()`` is a writable
+    ``DataElementMap``."""
 
     __slots__ = ("message_json",)
-
-    def __init__(self, items: dict[TagInfo, Any] | Iterable[tuple[TagInfo, Any]] | None = None):
-        dict.__init__(self, items or ())
-        self.message_json = None
-        for tag, value in self.items():
-            types, admits, _encode = _SHARED_CODEC_OF.get(tag, _UNREGISTERED)
-            if type(value) not in types or admits is not None and not admits(value):
-                raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r} "
-                                 "in a shared map, whose values never change")
-
     put = _shared
 
 

@@ -140,13 +140,14 @@ def _scan(trace: TransactionTrace) -> tuple[dict[str, list[TraceEvent]], set[int
     markers: dict[str, list[TraceEvent]] = defaultdict(list)
     nfc_sessions, relayed = set(), set()
     for ev in trace.events:
-        if ev.kind != "msg":
-            markers[ev.kind].append(ev)
+        _idx, kind, session, channel, _direction, relay_active, _sent, _received, _data = ev
+        if kind != "msg":
+            markers[kind].append(ev)
             continue
-        if ev.relay_active:
-            relayed.add(ev.session)
-        if ev.channel == "nfc" and ev.session is not None:
-            nfc_sessions.add(ev.session)
+        if relay_active:
+            relayed.add(session)
+        if channel == "nfc" and session is not None:
+            nfc_sessions.add(session)
     return markers, nfc_sessions, relayed
 
 

@@ -329,7 +329,6 @@ _LEAVES = st.one_of(
     st.integers(min_value=2**64),
     st.floats(),  # nan and both infinities included
     st.binary(max_size=6),
-    st.binary(max_size=6).map(bytearray),
     ELEMENT_VALUES,
 )
 _VALUES = _LEAVES | st.recursive(_LEAVES, lambda inner: st.one_of(
@@ -357,12 +356,23 @@ _SENT = st.one_of(
 def _traces(draw):
     trace = TransactionTrace(meta=draw(_DATA))
     shared = draw(st.lists(_LEAVES, max_size=3))  # one mutable list in many markers
-    aid = bytearray(draw(st.binary(min_size=1, max_size=7)))  # one bytearray in many payloads
+    # plain objects reused in payloads and markers of many shapes: each use writes the one
+    # text its object has, whatever object it equals
+    aid = draw(st.binary(min_size=1, max_size=7))
+    number = draw(st.integers(0, 0xFFFF))
+    name = draw(st.text())
+    reused = st.sampled_from([
+        Message("SELECT", DataElementMap({Tag.AID: aid})),
+        Message("SELECT", DataElementMap({Tag.AID: aid, Tag.AID_LIST: (aid,)})),
+        Message("GENERATE_AC", DataElementMap({Tag.ATC: number, Tag.CID: CID(number % 3)})),
+        Message("GET_PROCESSING_OPTIONS", DataElementMap({Tag.UN: number, Tag.AC: aid})),
+        Message("READ_RECORD", DataElementMap({Tag.CARDHOLDER_NAME: name, Tag.PAN: name})),
+    ])
     logged = [draw(_SENT)]  # messages marker data may hold: logged ones and one that is not
     for _ in range(draw(st.integers(0, 8))):
         session = draw(st.none() | st.integers(0, 9))
         if draw(st.booleans()):
-            sent = draw(_SENT | st.just(Message("SELECT", DataElementMap({Tag.AID: aid}))))
+            sent = draw(_SENT | reused)
             received = draw(st.sampled_from(
                 [sent, Message(sent.name, sent.payload.copy()), Message(sent.name)]))
             trace.log_msg(draw(st.sampled_from(["nfc", "acquirer", "payment"])), session,
@@ -375,6 +385,8 @@ def _traces(draw):
                 data.update(zip("abcdefghijk", draw(st.permutations(_ALIKE))))
             if draw(st.booleans()):
                 data["shared"] = shared
+            if draw(st.booleans()):
+                data.update(zip(draw(st.permutations("lmn")), (aid, number, name)))
             if draw(st.booleans()):
                 request = draw(st.sampled_from(logged))
                 data.update(request=request, nested={"in": [request, {"deeper": request}]})
@@ -439,6 +451,26 @@ def test_one_shape_writes_each_value_by_its_type():
     assert [line.split(", ")[0] for line in lines[1:]] == [
         '{"data": {"value": 1}', '{"data": {"value": true}', '{"data": {"value": "ARQC"}',
         '{"data": {"value": 1.0}', '{"data": {"value": 1}', '{"data": {"value": "ARQC"}']
+
+
+def test_each_value_is_written_by_identity_not_by_equality():
+    # True, 1 and CID.ARQC are equal, as are two distinct bytes objects: a text kept per
+    # value would write the first one met for the others
+    un = 70_000  # one int object, in a payload and in a marker
+    first, second = bytes.fromhex("a0000000031010"), bytes.fromhex("a0000000031010")
+    assert first == second and first is not second and CID.ARQC == 1 == True  # noqa: E712
+    trace = TransactionTrace()
+    for aid in (first, second):
+        gac = Message("GENERATE_AC", DataElementMap({Tag.ATC: 1, Tag.CID: CID.ARQC, Tag.UN: un}))
+        trace.log_msg("nfc", 1, "to_card", gac, gac.with_payload(CID=CID.TC))
+        trace.log_msg("nfc", 1, "to_card", Message("SELECT", DataElementMap({Tag.AID: aid})),
+                      Message("SELECT", DataElementMap({Tag.AID: second})))
+        trace.mark("note", 1, {"a": 1, "b": True, "c": CID.ARQC, "d": un, "e": aid, "f": True})
+        trace.mark("note", 1, {"a": True, "b": CID.ARQC, "c": 1, "d": aid, "e": un, "f": 1})
+    lines = _matches_reference(trace)
+    assert '"payload": {"ATC": 1, "CID": "ARQC", "UN": 70000}' in lines[1]
+    assert lines[3].startswith('{"data": {"a": 1, "b": true, "c": "ARQC", "d": 70000, "e": '
+                               '"a0000000031010", "f": true}')
 
 
 def _shape_count():

@@ -39,9 +39,9 @@ FRESH_SEED = 7_000_000
 
 PACKAGE = os.path.dirname(tapsim.__file__)
 
-HARVEST_CEILING = 14.04  # per GENERATE AC, SELECT and READ RECORD amortized
-HARVEST_WARM_CEILING = 12.03  # the same, every UN query built already
-VERIFY_CEILING = 9
+HARVEST_CEILING = 12.03  # per GENERATE AC, SELECT and READ RECORD amortized
+HARVEST_WARM_CEILING = 10.03  # the same, every UN query built already
+VERIFY_CEILING = 7
 HARVEST_EMIT_CEILING = 0.68  # per event of the harvest trace
 VERIFY_EMIT_CEILING = 0.36  # per event of the PIN-guessing trace
 # per event of a second such trace, every shared message's text kept from the first
