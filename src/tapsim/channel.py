@@ -25,8 +25,9 @@ from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, DataElementMap, SharedEle
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
-# Line shapes, kept for the process once met (code paths make them, not data): a message's
-# (name, *payload tags) or a marker's data keys -> (keys in output order, %-template)
+# Line shapes, the latest _SHAPES_SIZE met (code paths make most, an adversary's edits any): a
+# message's (name, *payload tags) or a marker's data keys -> (keys in output order, %-template)
+_SHAPES_SIZE = 1024  # per cache; the catalogue and genuine matrix meet 45 + 14
 _MESSAGE_SHAPES: dict[tuple, tuple[tuple, str]] = {}
 _MARKER_SHAPES: dict[tuple, tuple[tuple, str]] = {}
 
@@ -35,6 +36,8 @@ def _shape(cache: dict, key: tuple, names: dict[Any, str], head: str, tail: str)
     """Keep a new shape: members sorted on their names as json.dumps sorts, '%' escaped."""
     order = sorted(names, key=names.__getitem__)
     members = ", ".join([_quote(names[k]).replace("%", "%%") + ": %s" for k in order])
+    if len(cache) >= _SHAPES_SIZE:
+        del cache[next(iter(cache))]
     return cache.setdefault(key, (tuple(order), head.replace("%", "%%") + members + tail))
 
 

@@ -16,7 +16,8 @@ edit here alone. The issuer checks an AC against the card's personalized set.
 Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
 key, signature and message bytes), the last 256 of each. Ed25519 is deterministic,
 so a hit returns what a fresh call would; a failed check is kept, an error never.
-A signing records its verdict, so checking one of the last 256 made needs no verify.
+A signing records its message by (key, signature), so a check under one of the last 256 made
+needs no verify: a changed message costs two SHA-512s, a changed key or signature a verify.
 The session-key and CVC3 MACs start from SHA-256 states memoized the same way on
 their exact key bytes.
 """
@@ -92,8 +93,9 @@ def _project(elements: DataElementMap, coverage: frozenset[TagInfo]) -> DataElem
 # per operation; a sweep pass has at most 21 distinct Ed25519 inputs and 7 distinct MAC keys
 _MEMO_SIZE = 256
 _MEMO = lru_cache(maxsize=_MEMO_SIZE)
-# (signer's public key, signature, message) of the last _MEMO_SIZE signatures made: each holds
-_SIGNED: dict[tuple[bytes, bytes, bytes], bool] = {}
+# (signer's public key, signature) -> message, for the last _MEMO_SIZE signatures made
+_SIGNED: dict[tuple[bytes, bytes], bytes] = {}
+_L = 2**252 + 27742317777372353535851937790883648493  # the order of the Ed25519 base point
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
@@ -142,16 +144,24 @@ def verify_ac(session_key: bytes, elements: DataElementMap,
 @_MEMO
 def _signature(private_key: Ed25519PrivateKey, msg: bytes) -> bytes:
     signature = private_key.sign(msg)
-    _SIGNED[public_bytes(private_key), signature, msg] = True
+    _SIGNED[public_bytes(private_key), signature] = msg
     if len(_SIGNED) > _MEMO_SIZE:
         del _SIGNED[next(iter(_SIGNED))]
     return signature
 
 
+def _challenge(public: bytes, signature: bytes, msg: bytes) -> int:  # RFC 8032's k, pure Ed25519
+    return int.from_bytes(hashlib.sha512(signature[:32] + public + msg).digest(), "little") % _L
+
+
 @_MEMO
 def _holds(public: bytes, signature: bytes, msg: bytes) -> bool:
-    if (public, signature, msg) in _SIGNED:  # Ed25519 is correct: what was signed verifies
-        return True
+    # Exact, not probable: a pair signed here verified its message, [S]B = R + [k0]A, and verifies
+    # M iff [k]A = [k0]A. A = [a]B has order L, as a clamped a (8 | a, 2^254 <= a < 2^255) = jL
+    # would need 4 <= j <= 7 with 8 | j; so M verifies iff k = k0 mod L, cofactored or not.
+    if (signed := _SIGNED.get((public, signature))) is not None:
+        return signed == msg or _challenge(public, signature, msg) == _challenge(
+            public, signature, signed)
     try:
         Ed25519PublicKey.from_public_bytes(public).verify(signature, msg)
     except (InvalidSignature, ValueError):  # ValueError: a public key that is not 32 bytes

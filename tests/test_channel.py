@@ -492,6 +492,22 @@ def test_shapes_come_from_code_paths_not_data():
     assert _shape_count() == count
 
 
+def test_shape_caches_stay_within_their_bound():
+    # an adversary can make any payload tag set: past the bound the oldest shape is dropped,
+    # and a shape met again after it was dropped is built again
+    tags = sorted(MESSAGES["GET_PROCESSING_OPTIONS"], key=lambda tag: tag.name)[:11]
+    trace = TransactionTrace()
+    for i in range(1, channel._SHAPES_SIZE + 100):
+        chosen = [tag for bit, tag in enumerate(tags) if i >> bit & 1]
+        gpo_msg = Message("GET_PROCESSING_OPTIONS",
+                          DataElementMap({tag: SAMPLE_VALUES[tag.name] for tag in chosen}))
+        trace.log_msg("nfc", 1, "to_card", gpo_msg, gpo_msg)
+        trace.mark("note", None, {tag.name: i for tag in chosen})
+    for _ in range(2):
+        _matches_reference(trace)
+        assert len(channel._MESSAGE_SHAPES) == len(channel._MARKER_SHAPES) == channel._SHAPES_SIZE
+
+
 @pytest.mark.parametrize("hook, expected", [
     (lambda m, a: Message(m.name, m.payload.copy()), False),
     (lambda m, a: m.with_payload(TTQ=m.payload[Tag.TTQ].replace(cvm_required=True)), True),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
+from unittest import mock
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -448,9 +449,9 @@ def test_each_memo_stays_within_its_bound():
     for memo in MEMOS + (crypto._hmac_states,):
         info = memo.cache_info()
         assert info.currsize <= info.maxsize == 256
-    # the verdict record keeps the latest 256 signatures made, the last one included
+    # the record keeps the latest 256 signatures made, the last one included
     newest = (public_bytes(key), sign_sdad(key, "cda", el)[1:])
-    assert len(crypto._SIGNED) == 256 and newest in {t[:2] for t in crypto._SIGNED}
+    assert len(crypto._SIGNED) == 256 and newest in crypto._SIGNED
 
 
 def _cryptography_verifies(public: bytes, signature: bytes, msg: bytes) -> bool:
@@ -462,31 +463,48 @@ def _cryptography_verifies(public: bytes, signature: bytes, msg: bytes) -> bool:
 
 
 def test_a_signature_made_here_holds_by_its_record(monkeypatch):
+    # the record keeps the message under (key, signature); the memo is bypassed so the
+    # verdict comes from the record, and no real verify is possible
     key = generate_signing_key(b"r" * 32)
     msg = b"a message signed once in this process"
-    triple = (public_bytes(key), crypto._signature(key, msg), msg)
-    assert crypto._SIGNED[triple] is True
+    public, signature = public_bytes(key), crypto._signature(key, msg)
+    assert crypto._SIGNED[public, signature] == msg
+    edited = msg[:-1] + b"!"
     with monkeypatch.context() as patched:
         patched.setattr(crypto, "Ed25519PublicKey", None)  # any real verify would raise
-        assert crypto._holds(*triple) is True
-    assert _cryptography_verifies(*triple)
-    forged = (triple[0], triple[1], msg + b"!")
-    assert forged not in crypto._SIGNED and crypto._holds(*forged) is False
+        assert crypto._holds.__wrapped__(public, signature, msg) is True
+        assert crypto._holds.__wrapped__(public, signature, edited) is False
+    assert _cryptography_verifies(public, signature, msg)
+    assert not _cryptography_verifies(public, signature, edited)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=1, max_size=40),
-       st.sampled_from([None, 0, 1, 2]), st.integers(min_value=0))
-def test_holds_agrees_with_cryptography_on_signed_and_flipped_triples(seed, msg, part, bit):
-    # a triple signed here, or one bit of its key, signature or message flipped
+       st.sampled_from([None, 0, 1, 2, "message", "key"]), st.integers(min_value=0),
+       st.binary(max_size=40))
+def test_holds_agrees_with_cryptography_on_signed_and_flipped_triples(seed, msg, part, bit,
+                                                                      other):
+    # a triple signed here, or one bit of its key, signature or message flipped, or an
+    # unrelated message under its (key, signature), or its signature under another key
+    # made here; a triple keeping the recorded (key, signature) needs no real verify
     key = generate_signing_key(seed)
     triple = [public_bytes(key), crypto._signature(key, msg), msg]
-    if part is not None:
+    if part == "message":
+        triple[2] = other
+    elif part == "key":
+        other_key = generate_signing_key(hashlib.sha256(seed).digest())
+        crypto._signature(other_key, msg)
+        triple[0] = public_bytes(other_key)
+    elif part is not None:
         raw = bytearray(triple[part])
         bit %= 8 * len(raw)
         raw[bit // 8] ^= 1 << bit % 8
         triple[part] = bytes(raw)
-    assert crypto._holds(*triple) is _cryptography_verifies(*triple) is (part is None)
+    expected = triple[2] == msg and part not in (0, 1, "key")
+    if part in (None, 2, "message"):
+        with mock.patch.object(crypto, "Ed25519PublicKey", None):  # any real verify would raise
+            assert crypto._holds.__wrapped__(*triple) is expected
+    assert crypto._holds(*triple) is _cryptography_verifies(*triple) is expected
 
 
 def test_a_world_rebuilt_at_one_seed_pays_no_ed25519_again():

@@ -159,7 +159,9 @@ def test_genuine_matrix_emission_budget():
 def test_signatures_made_in_process_verify_without_ed25519(monkeypatch):
     # every signature a genuine world checks (certificates, static records, SDADs)
     # was made in this process, so its verdict is on record: a fresh matrix pays no
-    # Ed25519 verify; a tampered SDAD has no record and meets the real verifier
+    # Ed25519 verify, nor does a signed element edited on the NFC hop (the SDAD is
+    # on record, and the changed message is decided by its challenge); a flipped
+    # SDAD has no record and meets the real verifier
     verifies = []
     real = crypto.Ed25519PublicKey
 
@@ -180,20 +182,35 @@ def test_signatures_made_in_process_verify_without_ed25519(monkeypatch):
                for _pairing, _env, result in run_genuine_matrix(policy, seed=FRESH_SEED)]
     assert len(results) == 58 and verifies == []
 
-    def flip_sdad(msg, _adversary):
-        if msg.name == "GENERATE_AC" and Tag.SDAD in msg.payload:
-            sdad = msg.payload[Tag.SDAD]
-            return msg.with_payload(SDAD=sdad[:-1] + bytes([sdad[-1] ^ 1]))
-        return msg
+    def purchase(seed, card, edit, overrides=None):
+        env = build_env(seed=seed, terminal_overrides=overrides or {})
+        adversary = Adversary(trace=env.trace)
+        adversary.on_from_card(edit)
+        victim = env.cards[card]
+        result = env.terminals["standard_pos"].run_purchase(
+            NfcChannel(env.trace, victim, adversary=adversary), Amount(AMOUNT_HIGH, "EUR"),
+            pin=victim.profile.pin)
+        return result["outcome"], result["reason"]
 
-    env = build_env(seed=FRESH_SEED + 100)
-    adversary = Adversary(trace=env.trace)
-    adversary.on_from_card(flip_sdad)
-    card = env.cards["mastercard_cda"]
-    result = env.terminals["standard_pos"].run_purchase(
-        NfcChannel(env.trace, card, adversary=adversary), Amount(AMOUNT_HIGH, "EUR"),
-        pin=card.profile.pin)
-    assert (result["outcome"], result["reason"]) == ("decline", "cda_invalid")
+    def edit(name, tag, change):
+        def tamper(msg, _adversary):
+            if msg.name == name and tag in msg.payload:
+                return Message(name, msg.payload.copy().put(tag, change(msg.payload[tag])))
+            return msg
+        return tamper
+
+    # the fDDA card only signs when the terminal asks for ODA online
+    fdda = {"standard_pos": {"require_oda_kernel3": True}}
+    assert purchase(FRESH_SEED + 100, "visa_plastic_fdda",
+                    edit("GET_PROCESSING_OPTIONS", Tag.UN_CARD, lambda un: un + 1),
+                    fdda) == ("decline", "fdda_failed")
+    assert purchase(FRESH_SEED + 100, "mastercard_cda",
+                    edit("GENERATE_AC", Tag.ATC, lambda atc: atc + 1)) == ("decline",
+                                                                           "cda_invalid")
+    assert verifies == []
+
+    flip_sdad = edit("GENERATE_AC", Tag.SDAD, lambda sdad: sdad[:-1] + bytes([sdad[-1] ^ 1]))
+    assert purchase(FRESH_SEED + 101, "mastercard_cda", flip_sdad) == ("decline", "cda_invalid")
     assert len(verifies) == 1
 
 
