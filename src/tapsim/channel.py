@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
-from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, DataElementMap, SharedElementMap, Tag,
-                       TagInfo, json_chunks, render_value, to_json)
+from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, TEXTS, DataElementMap, SharedElementMap,
+                       Tag, TagInfo, json_chunks, render_value, to_json)
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
@@ -190,10 +190,11 @@ class TransactionTrace:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
-        with its values; a message or value is rendered and encoded once per call, however
-        often the trace holds it, and a shared message once per process; status "ok"."""
-        # id of a message or value the trace holds -> its JSON. Ids, not values, key it: 1,
-        # True and CID.ARQC are equal and each has its own text. The trace keeps every key alive.
+        with its values; a message or value is rendered and encoded once per call, however often
+        the trace holds it, a shared message or interned value once per process; status "ok"."""
+        # id of a message or value the trace holds -> its JSON (an interned value's goes to TEXTS,
+        # for the process). Ids, not values, key it: 1, True and CID.ARQC are equal and each has
+        # its own text. The trace keeps every key alive.
         memo: dict[int, str] = {}
 
         def message(msg: Message) -> str:
@@ -203,8 +204,8 @@ class TransactionTrace:
                 f'{{"name": {_quote(msg.name)}, "payload": {{', "}}")
             texts = []
             for value in map(items.__getitem__, order):
-                text = memo.get(id(value))
-                if text is None:  # not yet seen in this call
+                text = memo.get(id(value)) or TEXTS.get(id(value))
+                if text is None:  # not yet seen in this call, nor kept for the process
                     write = PLAIN_JSON.get(type(value))
                     if write is None:
                         text = RENDER.get(type(value), render_value)(value)
@@ -212,7 +213,7 @@ class TransactionTrace:
                                 else "".join(json_chunks(text, 0)))
                     else:
                         text = write(value)
-                    memo[id(value)] = text
+                    (TEXTS if id(value) in TEXTS else memo)[id(value)] = text
                 texts.append(text)
             text = memo[id(msg)] = template % tuple(texts)
             if type(items) is SharedElementMap:  # none of it can change: keep it
@@ -240,7 +241,7 @@ class TransactionTrace:
                 ('}, ' if key else "") + '"idx": %s, "kind": %s%s}')
             texts = []
             for value in map(data.__getitem__, order):
-                text = memo.get(id(value))
+                text = memo.get(id(value)) or TEXTS.get(id(value))
                 if text is None:
                     write = PLAIN_JSON.get(type(value))
                     if write is None:
@@ -249,7 +250,7 @@ class TransactionTrace:
                                 else "".join(json_chunks(text, 0)))
                     else:
                         text = write(value)
-                    memo[id(value)] = text
+                    (TEXTS if id(value) in TEXTS else memo)[id(value)] = text
                 texts.append(text)
             lines.append(template % (*texts, idx, _quote(kind), session))
         lines.append("")  # the text ends in a newline, joined in one copy

@@ -9,6 +9,10 @@ The canonical encoding is deterministic and injective: entries are sorted by
 tag code, every value is length-prefixed, and an empty map encodes to the
 fixed two-byte zero header. MAC and signature inputs are always built from
 ``DataElementMap.encode()``.
+
+The immutable value types are interned: a construction whose exact arguments the
+process met before returns the instance built then, with no validation, and emission
+writes each interned value's JSON once per process (``TEXTS``).
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ def _unknown_tag(name: str) -> TagInfo:
 # on a class would slow every ``Tag.X`` read.
 Tag = types.ModuleType("Tag")
 vars(Tag).update(TAGS_BY_NAME, by_name=_tag_by_name, __getattr__=_unknown_tag)
+# each tag's field name, its lower-case name: a request or view field, a profile attribute
+FIELD_NAMES: dict[TagInfo, str] = {tag: tag.name.lower() for tag in TAGS_BY_NAME.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +141,33 @@ class DeviceType(enum.IntEnum):
     phone = 1
 
 
+# The intern table: (class, positional arguments, keyword items, each argument's exact type) ->
+# the instance, the latest _INTERN_SIZE built. Equal arguments may render apart (1 and True).
+_INTERN_SIZE = 1024  # the catalogue, genuine matrix and sweep at seeds 0-2 meet 61 keys
+_INTERNED: dict[tuple, Any] = {}
+# id of an interned instance -> its JSON text once emitted, None before; an id is valid only
+# while _INTERNED holds the instance, so an eviction drops its text
+TEXTS: dict[int, str | None] = {}
+
+
+class _Interned(type):
+    """Metaclass of the interned value types; copies and unpickles are equal, not interned."""
+
+    def __call__(cls, *args: Any, **kwargs: Any) -> Any:
+        key = (cls, args, *kwargs.items(), *map(type, args), *map(type, kwargs.values()))
+        try:
+            value = _INTERNED.get(key)
+        except TypeError:  # an unhashable argument, which the constructor refuses
+            return type.__call__(cls, *args, **kwargs)
+        if value is None:  # a construction that raises keeps nothing
+            value = type.__call__(cls, *args, **kwargs)
+            if len(_INTERNED) >= _INTERN_SIZE:
+                del TEXTS[id(_INTERNED.pop(next(iter(_INTERNED))))]
+            TEXTS[id(value)] = None
+            _INTERNED[key] = value
+        return value
+
+
 # ---------------------------------------------------------------------------
 # flag maps (bit positions pinned in codec.json)
 # ---------------------------------------------------------------------------
@@ -144,16 +177,18 @@ def _bit_positions(flag_set: str) -> dict[str, int]:
     return {name: i for i, name in enumerate(names)}
 
 
-class _Flags:
-    """Base for one-byte flag maps; subclasses declare boolean fields only."""
+class _Flags(metaclass=_Interned):
+    """Base for one-byte flag maps; subclasses declare bool fields, each bit exactly a bool."""
 
     _positions: dict[str, int] = {}
     wire: bytes  # the flag byte: bit ``_positions[name]`` set for each true field
 
     def __post_init__(self) -> None:
-        positions = self._positions
+        bits = tuple(map(self.__getattribute__, self._positions))
+        if set(map(type, bits)) != {bool}:
+            raise CodecError(f"{type(self).__name__} bits must be bools, not {bits!r}")
         object.__setattr__(self, "wire", bytes([sum(compress(
-            map((1).__lshift__, positions.values()), map(self.__getattribute__, positions)))]))
+            map((1).__lshift__, self._positions.values()), bits))]))
 
     replace = dataclasses.replace
 
@@ -222,14 +257,14 @@ _CURRENCY = re.compile("[A-Z]{3}").fullmatch
 
 
 @dataclass(frozen=True, order=False)
-class Amount:
+class Amount(metaclass=_Interned):
     """Transaction amount in minor units plus ISO-ish currency code."""
 
     value: int
     currency: str
 
     def __post_init__(self) -> None:
-        if not (0 <= self.value <= 10**12):
+        if not isinstance(self.value, int) or not 0 <= self.value <= 10**12:
             raise CodecError(f"amount out of range: {self.value}")
         if not _CURRENCY(self.currency):
             raise CodecError(f"bad currency code: {self.currency!r}")
@@ -239,7 +274,7 @@ class Amount:
 
 
 @dataclass(frozen=True)
-class IAD:
+class IAD(metaclass=_Interned):
     """Issuer Application Data (modeled subset): the card's own statement of
     whether on-device CVM happened and what kind of device it is."""
 
@@ -248,8 +283,9 @@ class IAD:
     filler: bytes = b""
 
     def __post_init__(self) -> None:
-        if self.device_type not in DeviceType.__members__:
-            raise CodecError(f"bad device type {self.device_type!r}")
+        if (self.device_type not in DeviceType.__members__
+                or not isinstance(self.cdcvm_performed, int)):  # the wire's byte is int(...)
+            raise CodecError(f"bad IAD {self.cdcvm_performed!r}, {self.device_type!r}")
         if type(self.filler) is not bytes or len(self.filler) > 0xFFFF:
             raise CodecError("IAD filler must be bytes, at most 65535 of them")
 
@@ -279,7 +315,7 @@ class DOL:
 
 
 @dataclass(frozen=True)
-class CVMEntry:
+class CVMEntry(metaclass=_Interned):
     method: CVMMethod
     condition: CVMCondition
 
@@ -301,7 +337,7 @@ class CVMList:
 
 
 @dataclass(frozen=True)
-class CVMResults:
+class CVMResults(metaclass=_Interned):
     method: CVMMethod = CVMMethod.NoCVM
     condition: CVMCondition = CVMCondition.Always
     result: CVMResult = CVMResult.NotPerformed
@@ -314,7 +350,7 @@ class CVMResults:
 
 
 @dataclass(frozen=True)
-class ActionCodes:
+class ActionCodes(metaclass=_Interned):
     """Denial / online / default masks matched against the TVR."""
 
     denial: TVR = field(default_factory=TVR)
@@ -323,7 +359,7 @@ class ActionCodes:
 
 
 @dataclass(frozen=True)
-class Track2EquivalentData:
+class Track2EquivalentData(metaclass=_Interned):
     """The mag-stripe image carried by EMV-mode cards (and mag-stripe mode)."""
 
     pan: str

@@ -27,6 +27,7 @@ from .elements import (
     CVMMethod,
     CVMResult,
     DataElementMap,
+    FIELD_NAMES,
     Tag,
     TagInfo,
     brand_of,
@@ -72,7 +73,7 @@ def _malformed(p: DataElementMap, *tags: TagInfo) -> tuple[str, str] | None:
     submissions need not come from a terminal that fills them in."""
     for tag in tags:
         if tag not in p:
-            return "decline", f"malformed_{tag.name.lower()}"
+            return "decline", f"malformed_{FIELD_NAMES[tag]}"
     return None
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .channel import Tag, TraceEvent, TransactionTrace
-from .elements import CVM_LIMIT
+from .elements import CVM_LIMIT, FIELD_NAMES
 
 BASE_PROPERTIES = ("P1", "P2", "P3.1", "P3.2", "P5", "P6")
 
@@ -87,10 +87,6 @@ class _Acceptance:
     view: dict[str, Any]
 
 
-def _view_from_payload(payload) -> dict[str, Any]:
-    return {tag.name.lower(): payload.get(tag) for tag in payload}
-
-
 def _acceptances(markers: Mapping[str, list[TraceEvent]]) -> list[_Acceptance]:
     out = []
     for ev in markers["decision"]:
@@ -103,7 +99,8 @@ def _acceptances(markers: Mapping[str, list[TraceEvent]]) -> list[_Acceptance]:
         for ev in markers[kind]:
             if ev.data.get("decision") != "approve":
                 continue
-            view = _view_from_payload(ev.data["request"].payload)
+            # a request's elements by field name, as the terminal wrote them
+            view = {FIELD_NAMES[tag]: v for tag, v in ev.data["request"].payload.items()}
             if view.get("cvc3") is not None:
                 mode = "ms"
             elif view.get("track2") is not None and view.get("ac") is None:

@@ -45,6 +45,7 @@ from .elements import (
     CVMList,
     CVMMethod,
     DataElementMap,
+    FIELD_NAMES,
     TVR,
     brand_of,
 )
@@ -212,7 +213,7 @@ def _build_card(name: str, fx: dict[str, Any], seeds: tuple[bytes, bytes, bytes]
     if oda:
         profile.ca_pk_index = CA_INDEX
         # fixed now: a later profile edit meets a signature over these values
-        static = DataElementMap({tag: getattr(profile, tag.name.lower())
+        static = DataElementMap({tag: getattr(profile, FIELD_NAMES[tag])
                                  for tag in STATIC_SIGNED_TAGS})
         profile.oda = OdaMaterial(signing_seed, pki, profile.pan, static)
     return Card(profile, rng)

@@ -42,6 +42,7 @@ from .elements import (
     CVMResults,
     DataElementMap,
     DOL,
+    FIELD_NAMES,
     Tag,
     TTQ,
     TVR,
@@ -429,22 +430,14 @@ class Terminal:
         fields = {**view, "mcc": cfg.mcc, "merchant_id": cfg.merchant_id,
                   "terminal_id": cfg.terminal_id, "kernel_id": kernel,
                   "tx_type": "purchase"}
-        payload = DataElementMap()
-        for tag in _AUTH_TAGS:
-            value = fields.get(tag.name.lower())
-            if value is not None:
-                payload.put(tag, value)
-        return payload
+        return DataElementMap({tag: value for tag in _AUTH_TAGS
+                               if (value := fields.get(FIELD_NAMES[tag])) is not None})
 
     def _clearing_payload(self, view: dict[str, Any], kernel: int) -> Message:
-        auth = self._auth_payload(view, kernel)
-        payload = DataElementMap()
         keep = MESSAGES["CLEARING_SUBMIT"]
-        for tag in auth:
-            if tag in keep:
-                payload.put(tag, auth.get(tag))
-        payload.put(Tag.DECISION, "offline_approved")
-        return Message("CLEARING_SUBMIT", payload)
+        return Message("CLEARING_SUBMIT", DataElementMap({
+            **{tag: value for tag, value in self._auth_payload(view, kernel).items()
+               if tag in keep}, Tag.DECISION: "offline_approved"}))
 
     def _settle(self, channel: NfcChannel, view: dict[str, Any], kernel: int, *,
                 offline: bool) -> tuple[str, str]:

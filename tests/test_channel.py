@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_elements import ELEMENT_VALUES, SAMPLE_VALUES
 from test_golden import CATALOGUE, GENUINE
 
-from tapsim import channel
+from tapsim import channel, elements
 from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import (
     MARKER_KINDS,
@@ -28,7 +28,8 @@ from tapsim.channel import (
     make_relay,
     visual_read,
 )
-from tapsim.elements import AIP, CID, TTQ, Amount, CVMMethod, DataElementMap, Tag, render_value
+from tapsim.elements import (CID, TTQ, Amount, CVMMethod, DataElementMap, Tag, render_value,
+                            to_json)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import run_genuine_matrix
 
@@ -318,9 +319,9 @@ def test_jsonl_lines_match_reference_dumps():
 
 
 # 1, True, 1.0 and CID.ARQC compare and hash alike, as do 0, False, 0.0 and
-# CVMMethod.NoCVM, and the two AIPs; each renders differently
+# CVMMethod.NoCVM, and the two Amounts; each renders differently
 _ALIKE = [True, 1, 1.0, CID.ARQC, False, 0, 0.0, CVMMethod.NoCVM, None,
-          AIP(sda_supported=1), AIP(sda_supported=True)]
+          Amount(1, "EUR"), Amount(True, "EUR")]
 _LEAVES = st.one_of(
     st.sampled_from(_ALIKE),
     st.text(),
@@ -506,6 +507,28 @@ def test_shape_caches_stay_within_their_bound():
     for _ in range(2):
         _matches_reference(trace)
         assert len(channel._MESSAGE_SHAPES) == len(channel._MARKER_SHAPES) == channel._SHAPES_SIZE
+
+
+def test_interned_values_keep_their_texts_within_the_bound():
+    # an interned value's text is kept for the process while the table holds the value: past
+    # the bound the oldest value is dropped with its text, and a trace that still holds it
+    # writes it again
+    one, true, held = Amount(1, "EUR"), Amount(True, "EUR"), Amount(0, "XTS")
+    trace = TransactionTrace()
+    trace.mark("note", None, {"one": one, "true": true, "held": held})
+    _matches_reference(trace)
+    assert elements.TEXTS[id(one)] == '{"currency": "EUR", "value": 1}'
+    assert elements.TEXTS[id(true)] == '{"currency": "EUR", "value": true}'
+    assert elements.TEXTS[id(held)] == '{"currency": "XTS", "value": 0}'
+    for value in range(1, elements._INTERN_SIZE + 100):
+        trace.mark("note", None, {"amount": Amount(value, "XTS"), "again": held})
+    assert len(elements._INTERNED) == len(elements.TEXTS) == elements._INTERN_SIZE
+    assert set(elements.TEXTS) == {id(value) for value in elements._INTERNED.values()}
+    assert id(held) not in elements.TEXTS and Amount(0, "XTS") is not held
+    for _ in range(2):
+        _matches_reference(trace)
+    for value in elements._INTERNED.values():
+        assert elements.TEXTS[id(value)] in (None, to_json(value))
 
 
 @pytest.mark.parametrize("hook, expected", [

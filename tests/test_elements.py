@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import enum
 import itertools
 import json
@@ -231,6 +232,14 @@ MALFORMED = {
     "dol_unregistered_name": lambda: DOL(("x",)),
     "dol_unhashable_item": lambda: DOL(([],)),
     "dol_lookalike_tag": lambda: DOL((TagInfo("UN", Tag.UN.code, Tag.UN.kind),)),
+    # a flag bit is one bit on the wire: 1, CID.TC and "yes" would sign as True
+    "aip_int_bit": lambda: AIP(sda_supported=1),
+    "aip_enum_bit": lambda: AIP(dda_supported=CID.TC),
+    "aip_text_bit": lambda: AIP(dda_supported="yes"),
+    "tvr_in_action_codes_int_bit": lambda: ActionCodes(denial=TVR(2)),
+    # a number the wire writes as an int: 0.5 would encode as 0, and -0.0 equals 0.0
+    "amount_float": lambda: Amount(0.5, "EUR"),
+    "iad_float_cdcvm": lambda: IAD(-0.0),
 }
 
 
@@ -576,20 +585,20 @@ def test_render_is_json_friendly():
 
 # --- JSON writers ------------------------------------------------------------
 
-# what a flag map's field may hold: a bool, or an int of another kind, which
-# render_value passes on and json writes as a number
-_FLAG_FIELD = st.booleans() | st.integers(0, 2) | st.sampled_from(CID)
-_TVRS = st.builds(TVR, _FLAG_FIELD)
+# what IAD's CDCVM field may hold: a bool, or an int of another kind, which render_value
+# passes on and json writes as a number; a flag map's bits are bools only
+_CDCVM_FIELD = st.booleans() | st.integers(0, 2) | st.sampled_from(CID)
+_TVRS = st.builds(TVR, st.booleans())
 # every type with a writer -> values of it, edge cases included
 WRITER_VALUES = {
     str: st.text(), int: st.integers(), bool: st.booleans(), type(None): st.none(),
     bytes: st.binary(max_size=8),
     **{cls: st.sampled_from(cls) for cls in (CID, CVMMethod, CVMCondition, CVMResult, DeviceType)},
-    **{cls: st.builds(cls, **{name: _FLAG_FIELD for name in cls._positions})
+    **{cls: st.builds(cls, **{name: st.booleans() for name in cls._positions})
        for cls in (AIP, TTQ, CTQ, TVR)},
     Amount: st.builds(Amount, st.integers(0, 10**12) | st.booleans(),
                       st.sampled_from(["EUR", "USD"])),
-    IAD: st.builds(IAD, _FLAG_FIELD, st.sampled_from(sorted(DeviceType.__members__)),
+    IAD: st.builds(IAD, _CDCVM_FIELD, st.sampled_from(sorted(DeviceType.__members__)),
                    st.binary(max_size=4)),
     AFL: st.builds(AFL, st.lists(st.integers(0, 255) | st.booleans(), max_size=4).map(tuple)),
     DOL: st.builds(DOL, st.lists(st.sampled_from(sorted(TAGS_BY_CODE.values(), key=repr)),
@@ -623,9 +632,89 @@ def test_every_enum_and_flag_map_has_a_render_entry():
 
 @settings(max_examples=500, deadline=None)
 @given(ELEMENT_VALUES)
-@example(AIP(sda_supported=1, dda_supported=CID.TC))  # both stay numbers
 @example(IAD(cdcvm_performed=0, filler=b"\x01\xab"))
 @example(AFL((True, 7)))
 @example(CID.ARQC)
 def test_writers_agree_with_json_dumps_of_render_value(value):
     assert to_json(value) == json.dumps(render_value(value), sort_keys=True)
+
+
+# --- interning: each distinct value is built once per process ---------------------
+
+INTERNED_TYPES = (AIP, TTQ, CTQ, TVR, Amount, IAD, CVMEntry, CVMResults, ActionCodes,
+                  Track2EquivalentData)
+# arguments of each interned type, exact types mixed: equal arguments of different types
+# (1, True and CID.ARQC; 0, False and CVMMethod.NoCVM) must not share an instance
+_NUMBERS = st.sampled_from([0, 1, 2, True, False, CID.ARQC, CVMMethod.NoCVM])
+_CONSTRUCTIONS = st.one_of(
+    st.tuples(st.just(Amount), st.tuples(_NUMBERS, st.sampled_from(["EUR", "USD"])),
+              st.just({})),
+    st.tuples(st.just(IAD), st.tuples(_NUMBERS), st.fixed_dictionaries(
+        {}, optional={"device_type": st.sampled_from(["plastic", "phone"]),
+                      "filler": st.binary(max_size=2)})),
+    st.tuples(st.just(TVR), st.just(()), st.fixed_dictionaries({"cda_failed": st.booleans()})),
+    st.tuples(st.just(CVMResults), st.tuples(st.sampled_from(CVMMethod),
+                                             st.sampled_from(CVMCondition)), st.just({})),
+    st.tuples(st.just(ActionCodes), st.tuples(*[st.builds(TVR, st.booleans())] * 2),
+              st.just({})),
+)
+
+
+def test_the_interned_types_are_the_immutable_value_types():
+    # AFL, DOL and CVMList hold tuples, whose items' types an equal key would hide
+    assert {cls for cls in vars(elements).values()
+            if isinstance(cls, elements._Interned) and cls is not elements._Flags} == set(
+        INTERNED_TYPES)
+
+
+def test_two_worlds_share_their_values():
+    from tapsim.runner import build_env
+    first, second = build_env(seed=0), build_env(seed=1)
+    assert first.cards["mastercard_cda"].profile.aip is second.cards["mastercard_cda"].profile.aip
+    assert (first.terminals["standard_pos"].config.tac
+            is second.terminals["standard_pos"].config.tac)
+
+
+@pytest.mark.parametrize("build_a, build_b", [
+    (lambda: Amount(1, "EUR"), lambda: Amount(True, "EUR")),
+    (lambda: IAD(0), lambda: IAD(False)),
+], ids=["amount_1_true", "iad_0_false"])
+def test_equal_arguments_of_other_types_are_two_values_with_two_texts(build_a, build_b):
+    a, b = build_a(), build_b()
+    assert a == b and hash(a) == hash(b)
+    assert a is build_a() and b is build_b() and a is not b
+    assert to_json(a) != to_json(b)
+
+
+def test_interning_refuses_what_the_constructor_refuses():
+    entry = CVMEntry(CVMMethod.NoCVM, CVMCondition.Always)
+    assert entry is CVMEntry(CVMMethod.NoCVM, CVMCondition.Always) == CVMEntry(
+        CVMMethod.NoCVM, condition=CVMCondition.Always)
+    kept = dict(elements._INTERNED)
+    for build in (lambda: CVMEntry(0, 0), lambda: CVMEntry(CVMMethod.NoCVM, 0),
+                  lambda: Amount([5], "EUR"), lambda: IAD(False, "plastic", bytearray(2)),
+                  lambda: TTQ(cvm_required=[True]), lambda: AIP(sda_supported=1)):
+        with pytest.raises(CodecError):
+            build()
+    assert elements._INTERNED == kept  # a construction that raises keeps nothing
+
+
+def test_copies_and_unpickles_are_equal_and_not_interned():
+    value = IAD(True, "phone", b"\x01")
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and clone is not value
+        assert id(clone) not in elements.TEXTS and to_json(clone) == to_json(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONSTRUCTIONS)
+def test_an_interned_construction_is_what_its_constructor_builds(construction):
+    cls, args, kwargs = construction
+    value = cls(*args, **kwargs)
+    built = type.__call__(cls, *args, **kwargs)  # past the table
+    assert value is cls(*args, **kwargs) and built is not value
+    assert type(value) is cls and value == built
+    assert [type(getattr(value, f.name)) for f in dataclasses.fields(cls)] == [
+        type(getattr(built, f.name)) for f in dataclasses.fields(cls)]
+    assert to_json(value) == to_json(built)
+    assert len(elements._INTERNED) <= elements._INTERN_SIZE

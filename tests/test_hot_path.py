@@ -4,8 +4,9 @@ counted instead of timed.
 The unit is one Python-level call, as ``sys.setprofile`` reports it: for an
 exchange, into code that lives in the tapsim package or that ``dataclasses``
 generated (the ``__init__`` of the flag maps and other value types, whose file
-is ``<string>``); for emission, into any Python code (``json``'s encoder frames
-count there). The count does not
+is ``<string>``, which runs only when a value is built for the first time: a
+construction met before costs the intern table's one call); for emission, into
+any Python code (``json``'s encoder frames count there). The count does not
 depend on the machine's speed or load, so work put back on the per-exchange
 path (building the message, both log lines, the card's answer and reading
 the reply) or on the per-event path of ``TransactionTrace.to_jsonl`` fails
@@ -14,9 +15,9 @@ when they were set. Emission compiles each line shape once per process, so
 its ceilings were measured with every test run alone, the shape cache cold;
 after other tests have filled it the counts are lower. The commands an
 enumeration sends (a PIN guess, a mag-stripe UN query) are built on first use
-and kept for the process, and a shared message keeps its text once emitted:
-the cold ceilings hold with those tables empty, and the warm ones pin what a
-second run costs.
+and kept for the process, and a shared message and an interned element value
+keep their text once emitted: the cold ceilings hold with those tables empty,
+and the warm ones pin what a second run costs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ VERIFY_EMIT_CEILING = 0.36  # per event of the PIN-guessing trace
 HARVEST_WARM_EMIT_CEILING = 0.34
 VERIFY_WARM_EMIT_CEILING = 0.01
 PIN_TRACE_MESSAGES = 1251  # message objects in the PIN-guessing trace, of 3,716 message events
-GENUINE_EMIT_CEILING = 1.90  # per event of the genuine matrix's traces, both policies
+GENUINE_EMIT_CEILING = 1.06  # per event of the genuine matrix's traces, both policies
 
 
 def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>")) -> int:

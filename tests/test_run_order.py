@@ -2,10 +2,11 @@
 
 A process keeps several things for its lifetime: the line shapes of
 emission, the Ed25519 and HMAC memos, the commands the enumerations build
-on first use and the text each shared message keeps once emitted. None of
-it may show in the output. A child that has filled all of them with other
-seeds emits the seed-42 catalogue, in a shuffled order, exactly as a child
-that starts cold.
+on first use, the text each shared message keeps once emitted, and the
+interned element values with their texts. None of it may show in the
+output. A child that has filled all of them with other seeds emits the
+seed-42 catalogue, in a shuffled order, and the seed-0 genuine matrices
+exactly as a child that starts cold.
 """
 
 from __future__ import annotations
@@ -18,31 +19,41 @@ import sys
 from pathlib import Path
 
 from tapsim.attacks import CATALOG
-from test_golden import CATALOGUE
+from test_golden import CATALOGUE, GENUINE
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# prints {attack id: sha256 of its seed-42 trace} and the digest of those traces
-# concatenated in catalogue order; WARM runs and emits the catalogue at seeds 3 and 9
-# first, then the seed-42 catalogue in a shuffled order
+# prints {attack id: sha256 of its seed-42 trace}, the digest of those traces
+# concatenated in catalogue order and the digest of the seed-0 genuine matrices'
+# traces; WARM runs and emits the catalogue and both genuine matrices at seeds 3 and
+# 9 first, then the seed-42 catalogue in a shuffled order
 CHILD = """\
 import hashlib, json, random, sys
-from tapsim import attacks
+from tapsim import attacks, elements
 from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import EMPTY
+from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.runner import run_genuine_matrix
+def genuine(seed):
+    return [env.trace.to_jsonl() for policy in (PERMISSIVE_2019, HARDENED)
+            for _pairing, env, _result in run_genuine_matrix(policy, seed=seed)]
 order = list(CATALOG)
 if sys.argv[1] == "warm":
     for seed in (3, 9):
         for attack_id in CATALOG:
             run_attack(attack_id, seed=seed).trace.to_jsonl()
+        genuine(seed)
     assert attacks._UN_QUERY.cache_info().currsize == 1000
     assert attacks._GUESS.cache_info().currsize > 0
     assert EMPTY["VERIFY"].payload.message_json is not None
+    kept = [v for v in elements._INTERNED.values() if elements.TEXTS[id(v)] is not None]
+    assert kept and all(elements.TEXTS[id(v)] == elements.to_json(v) for v in kept)
     random.Random(42).shuffle(order)
 texts = {attack_id: run_attack(attack_id, seed=42).trace.to_jsonl() for attack_id in order}
 digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
 print(json.dumps({"order": order, "traces": {a: digest(t) for a, t in texts.items()},
-                  "catalogue": digest("".join(texts[a] for a in CATALOG))}))
+                  "catalogue": digest("".join(texts[a] for a in CATALOG)),
+                  "genuine": digest("".join(genuine(0)))}))
 """
 
 
@@ -61,4 +72,5 @@ def test_warm_caches_and_shuffled_order_emit_what_a_cold_process_emits():
     assert sorted(warm["order"]) == sorted(CATALOG)
     assert warm["traces"] == cold["traces"]
     assert warm["catalogue"] == cold["catalogue"] == CATALOGUE
+    assert warm["genuine"] == cold["genuine"] == GENUINE
     assert hashlib.sha256(b"").hexdigest() not in cold["traces"].values()
