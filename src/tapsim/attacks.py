@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Any, Callable, Iterable
 
-from .card import (
-    Cvc3MagstripeClone,
-    KERNEL3_PDOL,
-    N_UN_DIGITS,
-    NO_DOL,
-    StaticMagstripeClone,
-    TRANSIT_MAGIC,
-)
+from .card import GREETING, N_UN_DIGITS, NO_DOL, Cvc3MagstripeClone, select_reply
 from .channel import (
     EMPTY,
     READ_RECORD,
@@ -37,7 +30,6 @@ from .channel import (
     NfcChannel,
     Recorder,
     Replayer,
-    make_relay,
     shared,
     visual_read,
 )
@@ -64,7 +56,8 @@ from .elements import (
 )
 from .issuer import ISSUER_CHECKS, PERMISSIVE_2019
 from .properties import PropertyReport, compare_expected, evaluate
-from .runner import AMOUNT_HIGH, AMOUNT_LOW, Env, build_env, run_genuine
+from .runner import (AMOUNT_HIGH, AMOUNT_LOW, CARD_FIXTURES, TERMINAL_FIXTURES, Env,
+                     build_env, run_genuine)
 
 # --- flaw wiring -----------------------------------------------------------------
 
@@ -92,9 +85,10 @@ def _as_bool(value: Any) -> bool:
     raise ValueError(f"flaw settings are on/off, got {value!r}")
 
 
-def _world_for(spec: "AttackSpec", flaws: dict[str, bool]):
-    """Translate a flaw assignment into issuer policy plus fixture overrides
-    for the scenario's card and terminal."""
+def _world_for(flaws: dict[str, bool]):
+    """Translate a flaw assignment into issuer policy plus the overrides it
+    makes to every card and every terminal fixture: a flaw is a property of
+    the world, and a staging meets it in whichever devices it touches."""
     policy_changes: dict[str, bool] = {}
     card_over: dict[str, Any] = {}
     term_over: dict[str, Any] = {}
@@ -108,7 +102,8 @@ def _world_for(spec: "AttackSpec", flaws: dict[str, bool]):
         if name in ("fdda", "cda") and value:
             card_over["oda"] = True  # signing material to go with fDDA/CDA
     return (PERMISSIVE_2019.with_fixes(**policy_changes),
-            {spec.card: card_over}, {spec.terminal: term_over})
+            dict.fromkeys(CARD_FIXTURES, card_over),
+            dict.fromkeys(TERMINAL_FIXTURES, term_over))
 
 
 # --- catalogue types ----------------------------------------------------------------
@@ -120,41 +115,37 @@ Staging = Callable[[Env, Adversary], tuple[bool, str]]
 class AttackSpec:
     attack_id: str
     title: str
-    capabilities: tuple[str, ...]
-    card: str
-    terminal: str | None
     required_flaws: dict[str, bool]
     expected: dict[str, tuple[str, ...]]
     # whether the scenario makes the victim's card pay for something they
     # never meant to authorize (vs. merely breaking agreement/proximity)
     intent_defeated: bool
-    secret_scope: frozenset[str]
     stage: Staging
+    capabilities: tuple[str, ...] = ("A1",)
+    secret_scope: frozenset[str] = frozenset()
 
 
 @dataclass
 class AttackResult:
-    attack_id: str
-    title: str
+    spec: AttackSpec
     success: bool
     detail: str
     flaws: dict[str, bool]
     report: PropertyReport
-    expected: dict[str, tuple[str, ...]]
     diffs: list[str]
     trace: Any
-    intent_defeated: bool = False
 
     def render(self) -> dict[str, Any]:
+        spec = self.spec
         return {
-            "attack": self.attack_id,
-            "title": self.title,
+            "attack": spec.attack_id,
+            "title": spec.title,
             "success": self.success,
             "detail": self.detail,
-            "victim_pays": self.intent_defeated,
+            "victim_pays": spec.intent_defeated,
             "flaws": {k: "on" if v else "off"
                       for k, v in sorted(self.flaws.items())},
-            "expected": {k: sorted(v) for k, v in sorted(self.expected.items())},
+            "expected": {k: sorted(v) for k, v in sorted(spec.expected.items())},
             "observed": self.report.render(),
             "diffs": list(self.diffs),
         }
@@ -316,10 +307,7 @@ class TranslatorCard:
             real = self.far.exchange(SELECT[self.real_aid])
             if real.payload.get(Tag.AID) is None:
                 return EMPTY["SELECT"]
-            return Message("SELECT", DataElementMap({
-                Tag.AID: self.face_aid, Tag.KERNEL_ID: 3,
-                Tag.PDOL: KERNEL3_PDOL,
-            }))
+            return select_reply(self.face_aid, 3)
         if msg.name == "GET_PROCESSING_OPTIONS":
             return self._transact(msg)
         if msg.name == "READ_RECORD":
@@ -369,10 +357,9 @@ def _stage_magstripe_cloning(env: Env, adv: Adversary) -> tuple[bool, str]:
     adv.learn("TRACK1", r1[Tag.TRACK1], session=channel.session)
     adv.learn("TRACK2", r1[Tag.TRACK2], session=channel.session)
 
-    clone = StaticMagstripeClone(track2=r1[Tag.TRACK2], track1=r1[Tag.TRACK1])
-    swipe = env.terminals["swipe_pos"]
-    result = swipe.run_swipe(clone.track2, _eur(AMOUNT_LOW),
-                             env.trace.new_session())
+    # a blank written with the skimmed track is all a swipe reads
+    result = env.terminals["swipe_pos"].run_swipe(r1[Tag.TRACK2], _eur(AMOUNT_LOW),
+                                                  env.trace.new_session())
     return _approved(result), f"cloned stripe swiped; {_said(result)}"
 
 
@@ -458,19 +445,20 @@ def _stage_pin_guess_dos(env: Env, adv: Adversary) -> tuple[bool, str]:
 
 
 def _stage_card_brand_mixup(env: Env, adv: Adversary) -> tuple[bool, str]:
-    far, session = make_relay(env.trace, env.cards["mastercard_cda"], adv)
+    far = NfcChannel(env.trace, env.cards["mastercard_cda"], adversary=adv,
+                     relay_active=True)
     translator = TranslatorCard(far, face_aid=AID_VISA, real_aid=AID_MASTERCARD)
-    near = NfcChannel(env.trace, translator, session=session)
+    near = NfcChannel(env.trace, translator, session=far.session)
     result = env.terminals["standard_pos"].run_purchase(
         near, _eur(AMOUNT_HIGH), performed_by="criminal")
     return _approved(result), f"kernel-2 card spent as kernel 3; {_said(result)}"
 
 
 def _stage_magic_byte(env: Env, adv: Adversary) -> tuple[bool, str]:
-    bridge, _session = make_relay(env.trace, env.cards["apple_like_phone"], adv)
+    bridge = NfcChannel(env.trace, env.cards["apple_like_phone"], adversary=adv,
+                        relay_active=True)
     # whisper the gate's greeting so the phone opens its express path
-    bridge.exchange(Message("MAGIC_BYTES",
-                            DataElementMap({Tag.MAGIC: TRANSIT_MAGIC})))
+    bridge.exchange(GREETING)
     adv.on_to_card(_flags(Tag.TTQ, oda_for_online_supported=True))
     adv.on_from_card(_flags(Tag.CTQ, cdcvm_performed=True))
     result = env.terminals["standard_pos"].run_purchase(
@@ -555,140 +543,122 @@ class Tap:
 
 # --- the catalogue ----------------------------------------------------------------------
 
-def _tap_spec(attack_id: str, title: str, flaws: dict[str, bool],
-              expected: dict[str, tuple[str, ...]], intent: bool,
-              tap: Tap) -> AttackSpec:
-    return AttackSpec(attack_id, title, ("A1",), tap.card, tap.terminal, flaws,
-                      expected, intent, frozenset(), tap)
-
 CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
     AttackSpec("magstripe_cloning",
                "skim a static-stripe card over NFC, spend it as a swipe",
-               ("A1",), "magstripe_only", "swipe_pos",
                {},
                {"P5": ("TRACK1", "TRACK2")},
-               False, frozenset(("TRACK1", "TRACK2")),
-               _stage_magstripe_cloning),
+               False, _stage_magstripe_cloning,
+               secret_scope=frozenset(("TRACK1", "TRACK2"))),
     AttackSpec("foreign_currency_replay",
                "harvest a no-CVM-abroad cryptogram, submit it as a rogue merchant",
-               ("A1", "A5"), "visa_credit_foreign_nocvm", None,
                {"foreign_no_cvm": True, "foreign_cvm_limit_enforced": False},
                {"P3.1": (), "P3.2": ()},
-               True, frozenset(),
-               _stage_foreign_currency_replay),
+               True, _stage_foreign_currency_replay,
+               capabilities=("A1", "A5")),
+    # the replay goes through the rogue terminal's own purchase: no rails access
     AttackSpec("replay_nonce_reuse",
                "replay a transcript at a terminal that never varies its nonce",
-               ("A1", "A5"), "visa_plastic_no_fdda", "rogue_fixed_un_pos",
                {"check_atc_order": False, "check_un_reuse": False},
                {"P1": ("replay",), "P3.2": ()},
-               True, frozenset(),
-               _stage_replay_nonce_reuse),
+               True, _stage_replay_nonce_reuse),
     AttackSpec("pin_guessing",
                "sweep the offline PIN space, pausing so the owner resets the counter",
-               ("A1",), "visa_plastic_no_fdda", "standard_pos",
                {"offline_pin_enabled": True},
                {"P5": ("PIN",)},
-               True, frozenset(),
-               _stage_pin_guessing),
+               True, _stage_pin_guessing),
     AttackSpec("pin_guess_dos",
                "burn the offline PIN counter to brick the victim's card",
-               ("A1",), "visa_plastic_no_fdda", "standard_pos",
                {"offline_pin_enabled": True},
                {"P6": ()},
-               False, frozenset(),
-               _stage_pin_guess_dos),
-    _tap_spec("ttq_ctq_bypass",
-              "tell the card no CVM is needed, tell the terminal the phone did it",
-              {"fdda": False, "check_ttq_in_ac": False,
-               "check_plastic_cdcvm": False},
-              {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
-              True,
-              Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
-                  to_card=(_flags(Tag.TTQ, cvm_required=False),),
-                  from_card=(_flags(Tag.CTQ, cdcvm_performed=True),))),
-    _tap_spec("ctq_bypass",
-              "rewrite only the card's CVM answer on its way to the terminal",
-              {"fdda": False, "check_plastic_cdcvm": False},
-              {"P1": ("CTQ",), "P3.1": (), "P3.2": ()},
-              True,
-              Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
-                  from_card=(_flags(Tag.CTQ, cdcvm_performed=True,
-                                    online_pin_required=False,
-                                    signature_required=False),))),
+               False, _stage_pin_guess_dos),
+    AttackSpec("ttq_ctq_bypass",
+               "tell the card no CVM is needed, tell the terminal the phone did it",
+               {"fdda": False, "check_ttq_in_ac": False,
+                "check_plastic_cdcvm": False},
+               {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
+               True,
+               Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
+                   to_card=(_flags(Tag.TTQ, cvm_required=False),),
+                   from_card=(_flags(Tag.CTQ, cdcvm_performed=True),))),
+    AttackSpec("ctq_bypass",
+               "rewrite only the card's CVM answer on its way to the terminal",
+               {"fdda": False, "check_plastic_cdcvm": False},
+               {"P1": ("CTQ",), "P3.1": (), "P3.2": ()},
+               True,
+               Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
+                   from_card=(_flags(Tag.CTQ, cdcvm_performed=True,
+                                     online_pin_required=False,
+                                     signature_required=False),))),
     AttackSpec("card_brand_mixup",
                "spend a kernel-2 card through a fabricated kernel-3 application",
-               ("A1",), "mastercard_cda", "standard_pos",
                {"fdda": False, "check_aid_pan_match": False,
                 "check_plastic_cdcvm": False},
                {"P1": ("AID", "CTQ"), "P3.1": (), "P3.2": ()},
-               True, frozenset(),
-               _stage_card_brand_mixup),
-    _tap_spec("inducing_auth_failure",
-              "break offline authentication on purpose, then sign for the goods",
-              {"tac_denial_cda_failed": False, "lenient_cashier": True},
-              {"P1": ("CA_PK_INDEX", "CVM_LIST", "IAC_DENIAL"),
-               "P3.1": (), "P3.2": ()},
-              True,
-              Tap("mastercard_cda", "standard_pos", AMOUNT_HIGH, "criminal",
-                  from_card=(_gut_record2,),
-                  note="criminal scribbled a signature")),
-    _tap_spec("googlepay_ttq",
-              "high-value purchase on a locked phone that trusts the reader's TTQ",
-              {"check_ttq_in_ac": False, "wallet_cdcvm_always": True},
-              {"P1": ("TTQ",), "P3.1": (), "P3.2": ()},
-              True,
-              Tap("google_like_phone", "standard_pos", AMOUNT_HIGH, "criminal",
-                  to_card=(_flags(Tag.TTQ, cvm_required=False),),
-                  note="locked phone paid high value")),
+               True, _stage_card_brand_mixup),
+    AttackSpec("inducing_auth_failure",
+               "break offline authentication on purpose, then sign for the goods",
+               {"tac_denial_cda_failed": False, "lenient_cashier": True},
+               {"P1": ("CA_PK_INDEX", "CVM_LIST", "IAC_DENIAL"),
+                "P3.1": (), "P3.2": ()},
+               True,
+               Tap("mastercard_cda", "standard_pos", AMOUNT_HIGH, "criminal",
+                   from_card=(_gut_record2,),
+                   note="criminal scribbled a signature")),
+    AttackSpec("googlepay_ttq",
+               "high-value purchase on a locked phone that trusts the reader's TTQ",
+               {"check_ttq_in_ac": False, "wallet_cdcvm_always": True},
+               {"P1": ("TTQ",), "P3.1": (), "P3.2": ()},
+               True,
+               Tap("google_like_phone", "standard_pos", AMOUNT_HIGH, "criminal",
+                   to_card=(_flags(Tag.TTQ, cvm_required=False),),
+                   note="locked phone paid high value")),
     AttackSpec("magic_byte",
                "gate greeting plus TTQ/CTQ rewrites turn express transit into a shop spree",
-               ("A1",), "apple_like_phone", "standard_pos",
                {"check_ttq_in_ac": False, "check_mcc_for_wallet_no_cdcvm": False},
                {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
-               True, frozenset(),
-               _stage_magic_byte),
-    _tap_spec("merchant_bag",
-              "corrupt the cryptogram so the offline-approved sale never clears",
-              {"cda": False},
-              {"P1": ("AC",), "P2": (), "P3.2": ()},
-              False,
-              Tap("mastercard_cda", "offline_capable_pos", AMOUNT_LOW, "cardholder",
-                  from_card=(_corrupt_ac,), outcome="approve_offline",
-                  clearing="decline")),
-    _tap_spec("maestro_downgrade",
-              "answer a credit-brand selection with a debit card",
-              {},
-              {"P1": ("AID",), "P3.2": ()},
-              False,
-              Tap("maestro_debit", "standard_pos", AMOUNT_LOW, "cardholder",
-                  to_card=(_swap("SELECT", Tag.AID, AID_MASTERCARD, AID_MAESTRO),),
-                  from_card=(_swap("SELECT", Tag.AID, AID_MAESTRO, AID_MASTERCARD),),
-                  view={"aid": AID_MASTERCARD},
-                  note="debit card spent under the credit brand")),
+               True, _stage_magic_byte),
+    AttackSpec("merchant_bag",
+               "corrupt the cryptogram so the offline-approved sale never clears",
+               {"cda": False},
+               {"P1": ("AC",), "P2": (), "P3.2": ()},
+               False,
+               Tap("mastercard_cda", "offline_capable_pos", AMOUNT_LOW, "cardholder",
+                   from_card=(_corrupt_ac,), outcome="approve_offline",
+                   clearing="decline")),
+    AttackSpec("maestro_downgrade",
+               "answer a credit-brand selection with a debit card",
+               {},
+               {"P1": ("AID",), "P3.2": ()},
+               False,
+               Tap("maestro_debit", "standard_pos", AMOUNT_LOW, "cardholder",
+                   to_card=(_swap("SELECT", Tag.AID, AID_MASTERCARD, AID_MAESTRO),),
+                   from_card=(_swap("SELECT", Tag.AID, AID_MAESTRO, AID_MASTERCARD),),
+                   view={"aid": AID_MASTERCARD},
+                   note="debit card spent under the credit brand")),
     AttackSpec("eavesdrop_card_data",
                "skim account data off a genuine purchase, read the CSC off the card",
-               ("A1", "A8"), "visa_plastic_no_fdda", "standard_pos",
                {},
                {"P5": ("PAN", "EXPIRY", "CSC")},
-               False, frozenset(("PAN", "EXPIRY", "CSC")),
-               _stage_eavesdrop_card_data),
+               False, _stage_eavesdrop_card_data,
+               capabilities=("A1", "A8"),
+               secret_scope=frozenset(("PAN", "EXPIRY", "CSC"))),
     AttackSpec("magstripe_mode_clone",
                "pre-play the whole 3-digit nonce space into a dynamic-code clone",
-               ("A1",), "mastercard_cda", "standard_pos",
                {"check_atc_order": False},
                {"P5": ("TRACK2", "CVC3_TABLE"), "P3.2": ()},
-               True, frozenset(("TRACK2", "CVC3_TABLE")),
-               _stage_magstripe_mode_clone),
-    _tap_spec("emv_to_magstripe",
-              "hide the chip: force a capable card down the mag-stripe path",
-              {},
-              {"P1": ("AIP",), "P3.2": ()},
-              False,
-              Tap("mastercard_cda", "standard_pos", AMOUNT_LOW, "cardholder",
-                  from_card=(_flags(Tag.AIP, "GET_PROCESSING_OPTIONS",
-                                    emv_mode_supported=False),),
-                  view={"mode": "ms"},
-                  note="chip card pushed into mag-stripe mode")),
+               True, _stage_magstripe_mode_clone,
+               secret_scope=frozenset(("TRACK2", "CVC3_TABLE"))),
+    AttackSpec("emv_to_magstripe",
+               "hide the chip: force a capable card down the mag-stripe path",
+               {},
+               {"P1": ("AIP",), "P3.2": ()},
+               False,
+               Tap("mastercard_cda", "standard_pos", AMOUNT_LOW, "cardholder",
+                   from_card=(_flags(Tag.AIP, "GET_PROCESSING_OPTIONS",
+                                     emv_mode_supported=False),),
+                   view={"mode": "ms"},
+                   note="chip card pushed into mag-stripe mode")),
 ]}
 
 
@@ -703,7 +673,7 @@ def run_attack(attack_id: str, seed: int = 0,
             raise ValueError(f"unknown flaw {name!r}")
         flaws[name] = _as_bool(value)
 
-    policy, card_over, term_over = _world_for(spec, flaws)
+    policy, card_over, term_over = _world_for(flaws)
     env = build_env(seed=seed, policy=policy, card_overrides=card_over,
                     terminal_overrides=term_over,
                     meta={"attack": attack_id,
@@ -713,10 +683,8 @@ def run_attack(attack_id: str, seed: int = 0,
     success, detail = spec.stage(env, adversary)
     report = evaluate(env.trace, secret_scope=spec.secret_scope)
     diffs = compare_expected(report, spec.expected)
-    return AttackResult(attack_id=attack_id, title=spec.title, success=success,
-                        detail=detail, flaws=flaws, report=report,
-                        expected=dict(spec.expected), diffs=diffs,
-                        trace=env.trace, intent_defeated=spec.intent_defeated)
+    return AttackResult(spec=spec, success=success, detail=detail, flaws=flaws,
+                        report=report, diffs=diffs, trace=env.trace)
 
 
 def render_report_md(results: list[AttackResult]) -> str:
@@ -727,10 +695,10 @@ def render_report_md(results: list[AttackResult]) -> str:
     for r in results:
         expected = ", ".join(
             f"{p}({','.join(sorted(labels))})" if labels else p
-            for p, labels in sorted(r.expected.items())) or "none"
+            for p, labels in sorted(r.spec.expected.items())) or "none"
         lines.append(
-            f"| {r.attack_id} | {'success' if r.success else 'no effect'} "
+            f"| {r.spec.attack_id} | {'success' if r.success else 'no effect'} "
             f"| {r.report.summary()} | {expected} "
-            f"| {'yes' if r.intent_defeated else 'no'} "
+            f"| {'yes' if r.spec.intent_defeated else 'no'} "
             f"| {'ok' if not r.diffs else 'DIVERGES'} |")
     return "\n".join(lines) + "\n"

@@ -53,6 +53,7 @@ from .elements import (
 # What a transit gate blurts out before the protocol starts. A phone that has
 # seen these bytes may open its express-transit path for the following tap.
 TRANSIT_MAGIC = bytes.fromhex("47415445")
+GREETING = shared("MAGIC_BYTES", {Tag.MAGIC: TRANSIT_MAGIC})  # the gate's greeting, built once
 
 PIN_TRY_LIMIT = 3       # wrong offline PINs before the card blocks
 N_UN_DIGITS = 3         # digits of the terminal nonce in mag-stripe mode
@@ -68,6 +69,14 @@ _VERIFY_REPLIES = {(decision, tries): shared("VERIFY", {
     Tag.DECISION: decision, Tag.PIN_TRIES_REMAINING: tries})
     for decision in ("query", "ok", "fail", "blocked") for tries in range(PIN_TRY_LIMIT + 1)}
 _VERIFY_NOT_SUPPORTED = shared("VERIFY", {Tag.DECISION: "not_supported"})
+
+
+def select_reply(aid: bytes, kernel: int) -> Message:
+    """An application's answer to its SELECT: the PDOL follows the kernel, since
+    kernel 3 takes the transaction data at GET PROCESSING OPTIONS."""
+    return Message("SELECT", DataElementMap({
+        Tag.AID: aid, Tag.KERNEL_ID: kernel, Tag.PDOL: KERNEL3_PDOL if kernel == 3 else NO_DOL,
+    }))
 
 
 @dataclass
@@ -267,12 +276,7 @@ class Card:
         aid = msg.payload.get(Tag.AID)
         if aid != self.profile.aid:
             return EMPTY["SELECT"]  # not on this card
-        pdol = KERNEL3_PDOL if self.profile.kernel == 3 else NO_DOL
-        return Message("SELECT", DataElementMap({
-            Tag.AID: aid,
-            Tag.KERNEL_ID: self.profile.kernel,
-            Tag.PDOL: pdol,
-        }))
+        return select_reply(aid, self.profile.kernel)
 
     def _on_magic(self, msg: Message) -> Message:
         if self.profile.wallet is not None:
@@ -481,15 +485,6 @@ class Card:
 # clones
 # ---------------------------------------------------------------------------
 
-class StaticMagstripeClone:
-    """A blank card written with skimmed track data. Enough for a swipe;
-    it cannot answer dynamic-code queries."""
-
-    def __init__(self, track2: Track2EquivalentData, track1: str = ""):
-        self.track2 = track2
-        self.track1 = track1
-
-
 class Cvc3MagstripeClone:
     """Pre-played mag-stripe-mode clone: a harvested (UN -> ATC, code) table
     plus copied static records. Answers the terminal like the real card as
@@ -506,9 +501,7 @@ class Cvc3MagstripeClone:
         if msg.name == "SELECT":
             if msg.payload.get(Tag.AID) != self.aid:
                 return EMPTY["SELECT"]
-            return Message("SELECT", DataElementMap({
-                Tag.AID: self.aid, Tag.KERNEL_ID: 2, Tag.PDOL: NO_DOL,
-            }))
+            return select_reply(self.aid, 2)
         if msg.name == "GET_PROCESSING_OPTIONS":
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
                 Tag.AIP: AIP(emv_mode_supported=False),

@@ -316,7 +316,12 @@ class CardFace(Protocol):
 
 class NfcChannel:
     """One contactless hop. With an A1 adversary attached, every message in
-    both directions flows through its hooks; the trace records both views."""
+    both directions flows through its hooks; the trace records both views.
+
+    A relay's far leg is an A1-owned hop to the real card with
+    ``relay_active``, and it answers like a card itself. Run the near leg with
+    the far leg's ``session`` (and ``relay_active``) so the trace shows one
+    logical session across both."""
 
     def __init__(self, trace: TransactionTrace, card: CardFace,
                  session: int | None = None, adversary: Adversary | None = None,
@@ -351,15 +356,6 @@ class NfcChannel:
                                                  "from_card", self.relay_active, reply, returned,
                                                  {})))
         return returned
-
-
-def make_relay(trace: TransactionTrace, real_card: CardFace,
-               adversary: Adversary) -> tuple[NfcChannel, int]:
-    """Build the far leg of a relay: an A1-owned hop to the real card that
-    answers like a card itself. Run the near leg with the same session id
-    and relay_active=True so the trace shows one logical session across both."""
-    far = NfcChannel(trace, real_card, adversary=adversary, relay_active=True)
-    return far, far.session
 
 
 class Recorder:

@@ -284,7 +284,8 @@ class IAD(metaclass=_Interned):
 
     def __post_init__(self) -> None:
         if (self.device_type not in DeviceType.__members__
-                or not isinstance(self.cdcvm_performed, int)):  # the wire's byte is int(...)
+                or not isinstance(self.cdcvm_performed, int)  # the wire's byte is int(...)
+                or not 0 <= self.cdcvm_performed <= 0xFF):
             raise CodecError(f"bad IAD {self.cdcvm_performed!r}, {self.device_type!r}")
         if type(self.filler) is not bytes or len(self.filler) > 0xFFFF:
             raise CodecError("IAD filler must be bytes, at most 65535 of them")
@@ -356,6 +357,10 @@ class ActionCodes(metaclass=_Interned):
     denial: TVR = field(default_factory=TVR)
     online: TVR = field(default_factory=TVR)
     default: TVR = field(default_factory=TVR)
+
+    def __post_init__(self) -> None:
+        if not all(type(mask) is TVR for mask in (self.denial, self.online, self.default)):
+            raise CodecError(f"action code masks must be TVRs: {self!r}")
 
 
 @dataclass(frozen=True)

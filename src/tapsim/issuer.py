@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
-from typing import Any
 
 from .card import CardProfile
 from .channel import Message, shared
@@ -29,7 +28,6 @@ from .elements import (
     DataElementMap,
     FIELD_NAMES,
     Tag,
-    TagInfo,
     brand_of,
     is_transit_mcc,
 )
@@ -68,15 +66,6 @@ def _respond(key: tuple[str, str, str]) -> Message:
     return response
 
 
-def _malformed(p: DataElementMap, *tags: TagInfo) -> tuple[str, str] | None:
-    """A decline naming the first of ``tags`` the request leaves out: A5
-    submissions need not come from a terminal that fills them in."""
-    for tag in tags:
-        if tag not in p:
-            return "decline", f"malformed_{FIELD_NAMES[tag]}"
-    return None
-
-
 class Issuer:
     """Authorizes and clears transactions against the profiles it personalized."""
 
@@ -101,57 +90,35 @@ class Issuer:
     # --- evaluation pipeline ----------------------------------------------------
 
     def _evaluate(self, p: DataElementMap, clearing: bool) -> tuple[str, str]:
-        pan = p.get(Tag.PAN)
-        record = self.cards.get(pan or "")
+        """One check sequence for every request kind: a swipe carries Track 2 and
+        no cryptogram, a mag-stripe-mode request a CVC3 and an EMV one an AC."""
+        record = self.cards.get(p.get(Tag.PAN) or "")
         if record is None:
             return "decline", "unknown_card"
-        if Tag.CVC3 in p:
-            return self._evaluate_magstripe(p, record)
-        if Tag.TRACK2 in p and Tag.AC not in p:
-            return self._evaluate_swipe(p, record)
-        if Tag.AC in p:
-            return self._evaluate_emv(p, record, clearing=clearing)
-        return "decline", "malformed_request"
-
-    def _evaluate_swipe(self, p: DataElementMap, record: CardProfile) -> tuple[str, str]:
-        # legacy static stripe: whoever holds the track data *is* the card
-        if p[Tag.TRACK2] != record.track2:
-            return "decline", "bad_track_data"
-        return "approve", "swipe_ok"
-
-    def _evaluate_magstripe(self, p: DataElementMap, record: CardProfile) -> tuple[str, str]:
-        if malformed := _malformed(p, Tag.ATC, Tag.UN, Tag.AMOUNT):
-            return malformed
+        ms = Tag.CVC3 in p
+        if not ms and Tag.AC not in p:
+            if Tag.TRACK2 not in p:
+                return "decline", "malformed_request"
+            # legacy static stripe: whoever holds the track data *is* the card
+            if p[Tag.TRACK2] != record.track2:
+                return "decline", "bad_track_data"
+            return "approve", "swipe_ok"
+        # A5 submissions need not come from a terminal that fills these in
+        for tag in (Tag.ATC, Tag.UN, Tag.AMOUNT) if ms else (Tag.ATC, Tag.AMOUNT):
+            if tag not in p:
+                return "decline", f"malformed_{FIELD_NAMES[tag]}"
         pol = self.policy
-        atc, un, code = p[Tag.ATC], p[Tag.UN], p[Tag.CVC3]
-        if compute_cvc3(record.cvc3_key, atc, un) != code:
-            return "decline", "bad_dynamic_code"
-        if pol.check_atc_order and atc <= self.last_atcs[record.pan]:
-            return "decline", "atc_replay"
-        terminal_id = p.get(Tag.TERMINAL_ID, "")
-        if pol.check_un_reuse and (terminal_id, un) in self.seen_uns:
-            return "decline", "un_reuse"
-        amount: Amount = p[Tag.AMOUNT]
-        if amount.value > CVM_LIMIT:
-            cvm = p.get(Tag.CVM_RESULTS)
-            if cvm is None or cvm.result != CVMResult.Performed \
-                    or cvm.method == CVMMethod.NoCVM:
-                return "decline", "cvm_limit"
-        self._consume(record, atc, terminal_id, un)
-        return "approve", "magstripe_ok"
-
-    def _evaluate_emv(self, p: DataElementMap, record: CardProfile,
-                      clearing: bool) -> tuple[str, str]:
-        if malformed := _malformed(p, Tag.ATC, Tag.AMOUNT):
-            return malformed
-        pol = self.policy
-        atc = p[Tag.ATC]
+        atc, un = p[Tag.ATC], p.get(Tag.UN)
         amount: Amount = p[Tag.AMOUNT]
         terminal_id = p.get(Tag.TERMINAL_ID, "")
+        cvm = p.get(Tag.CVM_RESULTS)
 
-        # 1. the cryptogram must verify over the coverage the card was
-        # personalized with, not whatever kernel the terminal claims to have spoken
-        if not verify_ac(kdf(record.master_key, atc), p, record.ac_coverage, p[Tag.AC]):
+        # 1. the card's proof: its dynamic code, or a cryptogram over the coverage the
+        # card was personalized with, not whatever kernel the terminal claims to speak
+        if ms:
+            if compute_cvc3(record.cvc3_key, atc, un) != p[Tag.CVC3]:
+                return "decline", "bad_dynamic_code"
+        elif not verify_ac(kdf(record.master_key, atc), p, record.ac_coverage, p[Tag.AC]):
             return "decline", "bad_ac"
 
         # 2. counters move strictly forward
@@ -159,59 +126,55 @@ class Issuer:
             return "decline", "atc_replay"
 
         # 3. a terminal never reuses its nonce
-        if pol.check_un_reuse and Tag.UN in p \
-                and (terminal_id, p[Tag.UN]) in self.seen_uns:
+        if pol.check_un_reuse and un is not None and (terminal_id, un) in self.seen_uns:
             return "decline", "un_reuse"
 
-        # 4. the application must belong to the card's brand family
-        if pol.check_aid_pan_match and Tag.AID in p:
-            aid_brand = AID_BRANDS.get(p[Tag.AID])
-            if aid_brand is None or (BRAND_FAMILIES[aid_brand]
-                                     != BRAND_FAMILIES[brand_of(record.pan)]):
-                return "decline", "aid_pan_mismatch"
+        if ms:  # any CVM the terminal performed will do
+            verified = (cvm is not None and cvm.result == CVMResult.Performed
+                        and cvm.method != CVMMethod.NoCVM)
+        else:
+            # 4. the application must belong to the card's brand family
+            if pol.check_aid_pan_match and Tag.AID in p:
+                aid_brand = AID_BRANDS.get(p[Tag.AID])
+                if aid_brand is None or (BRAND_FAMILIES[aid_brand]
+                                         != BRAND_FAMILIES[brand_of(record.pan)]):
+                    return "decline", "aid_pan_mismatch"
 
-        ctq = p.get(Tag.CTQ)
-        cvm = p.get(Tag.CVM_RESULTS)
-        claimed_cdcvm = bool(ctq and ctq.cdcvm_performed) or bool(
-            cvm and cvm.method == CVMMethod.CDCVM and cvm.result == CVMResult.Performed)
+            ctq = p.get(Tag.CTQ)
+            claimed_cdcvm = bool(ctq and ctq.cdcvm_performed) or bool(
+                cvm and cvm.method == CVMMethod.CDCVM and cvm.result == CVMResult.Performed)
 
-        # 5. plastic cannot perform on-device verification
-        if pol.check_plastic_cdcvm and claimed_cdcvm \
-                and record.device_type == "plastic":
-            return "decline", "plastic_cdcvm"
+            # 5. plastic cannot perform on-device verification
+            if pol.check_plastic_cdcvm and claimed_cdcvm \
+                    and record.device_type == "plastic":
+                return "decline", "plastic_cdcvm"
 
-        # 6. a phone that did not verify its holder only belongs in transit
-        iad = p.get(Tag.IAD)
-        if pol.check_mcc_for_wallet_no_cdcvm and record.device_type == "phone" \
-                and iad is not None and not iad.cdcvm_performed \
-                and not is_transit_mcc(p.get(Tag.MCC, "")) \
-                and amount.value > CVM_LIMIT:
-            return "decline", "wallet_no_cdcvm"
+            # 6. a phone that did not verify its holder only belongs in transit
+            iad = p.get(Tag.IAD)
+            if pol.check_mcc_for_wallet_no_cdcvm and record.device_type == "phone" \
+                    and iad is not None and not iad.cdcvm_performed \
+                    and not is_transit_mcc(p.get(Tag.MCC, "")) \
+                    and amount.value > CVM_LIMIT:
+                return "decline", "wallet_no_cdcvm"
 
-        # 7. an enclosed online PIN must be the right one
-        pin_verified = False
-        if Tag.ENC_PIN in p:
-            key = self.pin_keys.get(terminal_id)
-            pin = decrypt_pin(key, p[Tag.ENC_PIN]) if key else None
-            if pin is None or pin != record.pin:
-                return "decline", "bad_pin"
-            pin_verified = True
-
-        # 8. high value requires some accepted verification story
-        if amount.value > CVM_LIMIT:
-            waived = (amount.currency != record.home_currency
-                      and record.foreign_no_cvm
+            # 7. an enclosed online PIN must be the right one
+            pin_verified = Tag.ENC_PIN in p
+            if pin_verified:
+                key = self.pin_keys.get(terminal_id)
+                pin = decrypt_pin(key, p[Tag.ENC_PIN]) if key else None
+                if pin is None or pin != record.pin:
+                    return "decline", "bad_pin"
+            waived = (amount.currency != record.home_currency and record.foreign_no_cvm
                       and not pol.foreign_cvm_limit_enforced)
             claimed_signature = bool(cvm and cvm.method == CVMMethod.PaperSignature
                                      and cvm.result == CVMResult.Performed)
-            if not (pin_verified or claimed_cdcvm or claimed_signature or waived):
-                return "decline", "cvm_limit"
+            verified = pin_verified or claimed_cdcvm or claimed_signature or waived
 
-        self._consume(record, atc, terminal_id, p.get(Tag.UN))
-        return "approve", "cleared" if clearing else "authorized"
+        # 8. high value requires some accepted verification story
+        if amount.value > CVM_LIMIT and not verified:
+            return "decline", "cvm_limit"
 
-    def _consume(self, record: CardProfile, atc: int, terminal_id: str,
-                 un: Any) -> None:
         self.last_atcs[record.pan] = max(self.last_atcs[record.pan], atc)
         if un is not None:
             self.seen_uns.add((terminal_id, un))
+        return "approve", "magstripe_ok" if ms else "cleared" if clearing else "authorized"

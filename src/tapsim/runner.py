@@ -256,9 +256,8 @@ def _patched(fixtures: dict[str, dict[str, Any]],
     for name, fx in fixtures.items():
         over = overrides.get(name)
         if over:
-            unknown = over.keys() - known
-            if unknown:
-                raise TypeError(f"{name}: unknown fixture keys {sorted(unknown)}")
+            if not known.issuperset(over):
+                raise TypeError(f"{name}: unknown fixture keys {sorted(over.keys() - known)}")
             fx = {**fx, **over}
         out.append((name, fx))
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .channel import (MESSAGES, READ_RECORD, SELECT, Message, NfcChannel, PaymentRails,
-                      TransactionTrace, shared)
+                      TransactionTrace)
 from .crypto import BadSignature, CAStore, Certificate, LookupFailure, encrypt_pin, verify_sdad, verify_static_records
 from .elements import (
     AIP,
@@ -50,16 +50,13 @@ from .elements import (
     build_dol_data,
 )
 
-from .card import N_UN_DIGITS, NO_DOL, TRANSIT_MAGIC
+from .card import GREETING, N_UN_DIGITS, NO_DOL
 
 FLOOR_LIMIT = 2500   # at or below this an offline approval is allowed
 CEILING = 100000     # terminals refuse larger amounts outright
 
 # tags hash by identity, so a fixed order keeps requests alike across processes
 _AUTH_TAGS = sorted(MESSAGES["AUTH_REQUEST"], key=lambda tag: tag.code)
-
-# The transit gate's greeting carries no per-transaction data: built once
-_GREETING = shared("MAGIC_BYTES", {Tag.MAGIC: TRANSIT_MAGIC})
 
 
 class _Declined(Exception):
@@ -129,7 +126,7 @@ class Terminal:
             raise _Declined("over_ceiling")
 
         if cfg.transit:
-            channel.exchange(_GREETING)
+            channel.exchange(GREETING)
 
         aid, kernel, pdol = self._select(channel)
         view.update(aid=aid, kernel=kernel)
@@ -162,12 +159,8 @@ class Terminal:
         """Legacy swipe: no chip dialogue, the track data is all there is."""
         view = {"amount": amount, "mode": "swipe", "pan": stripe.pan,
                 "track2": stripe}
-        request = Message("AUTH_REQUEST", DataElementMap({
-            Tag.PAN: stripe.pan, Tag.EXPIRY: stripe.expiry,
-            Tag.TRACK2: stripe, Tag.AMOUNT: amount,
-            Tag.MCC: self.config.mcc, Tag.MERCHANT_ID: self.config.merchant_id,
-            Tag.TERMINAL_ID: self.config.terminal_id, Tag.TX_TYPE: "swipe",
-        }))
+        request = Message("AUTH_REQUEST", self._auth_payload(
+            {**view, "expiry": stripe.expiry, "tx_type": "swipe"}, None))
         return self._decide(self.rails.trace, trace_session, view,
                             *self._authorize(request, trace_session))
 
@@ -422,14 +415,15 @@ class Terminal:
 
     # --- authorization / clearing ---------------------------------------------------
 
-    def _auth_payload(self, view: dict[str, Any], kernel: int) -> DataElementMap:
+    def _auth_payload(self, view: dict[str, Any], kernel: int | None) -> DataElementMap:
         """Every request element the view or the configuration holds, each
         under its tag's lower-case name (the rule the property checker reads
-        requests back by)."""
+        requests back by). The view's entries win: a swipe names its own
+        ``tx_type``."""
         cfg = self.config
-        fields = {**view, "mcc": cfg.mcc, "merchant_id": cfg.merchant_id,
+        fields = {"mcc": cfg.mcc, "merchant_id": cfg.merchant_id,
                   "terminal_id": cfg.terminal_id, "kernel_id": kernel,
-                  "tx_type": "purchase"}
+                  "tx_type": "purchase", **view}
         return DataElementMap({tag: value for tag in _AUTH_TAGS
                                if (value := fields.get(FIELD_NAMES[tag])) is not None})
 

@@ -1,5 +1,6 @@
 """The attack catalogue: every scenario lands, every documented fix kills it."""
 
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from tapsim.attacks import (
     run_attack,
 )
 from tapsim.card import Cvc3MagstripeClone
-from tapsim.channel import Adversary, Message, NfcChannel
+from tapsim.channel import Adversary, ChannelError, Message, NfcChannel
 from tapsim.elements import AID_MASTERCARD, Amount, DataElementMap, Tag
 from tapsim.runner import AMOUNT_LOW, build_env
 from test_acceptance import simulate_partial_clone, simulate_pin_search
@@ -113,14 +114,25 @@ def test_report_md_covers_the_catalogue():
 
 def test_capabilities_match_what_the_staging_needs():
     # remote submission requires rails access, eavesdropping the face
-    # requires physical sight; everything else is pure MITM
+    # requires physical sight; everything else is pure MITM (a replay goes
+    # through the rogue terminal's own purchase, not the rails)
     assert CATALOG["foreign_currency_replay"].capabilities == ("A1", "A5")
-    assert CATALOG["replay_nonce_reuse"].capabilities == ("A1", "A5")
+    assert CATALOG["replay_nonce_reuse"].capabilities == ("A1",)
     assert CATALOG["eavesdrop_card_data"].capabilities == ("A1", "A8")
     for attack_id, spec in CATALOG.items():
-        if attack_id not in ("foreign_currency_replay", "replay_nonce_reuse",
-                             "eavesdrop_card_data"):
+        if attack_id not in ("foreign_currency_replay", "eavesdrop_card_data"):
             assert spec.capabilities == ("A1",), attack_id
+
+
+@pytest.mark.parametrize("attack_id,capability", [
+    (a, cap) for a, spec in CATALOG.items() for cap in spec.capabilities])
+def test_every_declared_capability_is_needed(attack_id, capability, monkeypatch):
+    # an adversary without any one of them is stopped by a declared ChannelError
+    spec = CATALOG[attack_id]
+    fewer = tuple(c for c in spec.capabilities if c != capability)
+    monkeypatch.setitem(CATALOG, attack_id, dataclasses.replace(spec, capabilities=fewer))
+    with pytest.raises(ChannelError):
+        run_attack(attack_id, seed=0)
 
 
 # --- the statistics helpers --------------------------------------------------------

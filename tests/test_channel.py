@@ -25,7 +25,6 @@ from tapsim.channel import (
     Recorder,
     Replayer,
     TransactionTrace,
-    make_relay,
     visual_read,
 )
 from tapsim.elements import (CID, TTQ, Amount, CVMMethod, DataElementMap, Tag, render_value,
@@ -162,7 +161,8 @@ def test_observer_sees_wire_and_learns():
 def test_relay_shares_one_session():
     trace = TransactionTrace()
     adv = Adversary(("A1",), trace=trace)
-    bridge, session = make_relay(trace, EchoCard(), adv)
+    bridge = NfcChannel(trace, EchoCard(), adversary=adv, relay_active=True)
+    session = bridge.session
     near = NfcChannel(trace, bridge, session=session, relay_active=True)
     near.exchange(gpo())
     sessions = {ev.session for ev in msgs(trace, channel="nfc")}

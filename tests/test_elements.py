@@ -237,6 +237,11 @@ MALFORMED = {
     "aip_enum_bit": lambda: AIP(dda_supported=CID.TC),
     "aip_text_bit": lambda: AIP(dda_supported="yes"),
     "tvr_in_action_codes_int_bit": lambda: ActionCodes(denial=TVR(2)),
+    # an action code mask is written as a TVR's byte, and the IAD's CDCVM field as one byte
+    "action_codes_int_mask": lambda: ActionCodes(denial=1),
+    "action_codes_aip_mask": lambda: ActionCodes(online=AIP()),
+    "iad_cdcvm_300": lambda: IAD(300),
+    "iad_cdcvm_negative": lambda: IAD(-1),
     # a number the wire writes as an int: 0.5 would encode as 0, and -0.0 equals 0.0
     "amount_float": lambda: Amount(0.5, "EUR"),
     "iad_float_cdcvm": lambda: IAD(-0.0),

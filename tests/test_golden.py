@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tapsim.attacks import CATALOG, render_report_md, run_attack
+from tapsim.attacks import CATALOG, KNOWN_FLAWS, render_report_md, run_attack
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import run_genuine_matrix
 
@@ -20,6 +20,12 @@ CATALOGUE = "ad743bb0ea69b356ecaa290cf0af0963a110ce4709db09e4bd3612d90ed762ca"
 GENUINE = "bba3670be28083aee896d0f841604e32329c5fe2f4f3d7363fb643cda89da0d5"
 # sha256 over the markdown report and then the JSON report at seed 42
 REPORT = "43cc069b2c61885debf3bd38be270be7c6af98fb3d567185b0597daea3a883fd"
+# sha256 over the traces at seed 42 of each attack with one required flaw fixed, in
+# catalogue and then required-flaw order: the declined paths of the fix duality
+FIXES = "8ff6f5a307309e2a84460020a0407cb078f49ebf111376b9beb766ebdb96baf6"
+# sha256 over the traces at seed 42 of each attack with every known flaw on, then off:
+# a flaw applies to every card and terminal of the world
+ALL_FLAWS = "2a89f7843bd25da2fab563c0013c32c17fca3c101598653536e594def0bc1db0"
 
 
 def _sha256(text: str) -> str:
@@ -46,6 +52,20 @@ def test_reports(catalogue_results):
     text = (render_report_md(catalogue_results)
             + json.dumps([r.render() for r in catalogue_results], indent=2))
     assert _sha256(text) == REPORT
+
+
+def test_fix_traces():
+    traces = [run_attack(attack_id, seed=42, flaw_overrides={flaw: not broken}).trace.to_jsonl()
+              for attack_id, spec in CATALOG.items()
+              for flaw, broken in spec.required_flaws.items()]
+    assert _sha256("".join(traces)) == FIXES
+
+
+def test_all_flaws_traces():
+    traces = [run_attack(attack_id, seed=42,
+                         flaw_overrides=dict.fromkeys(KNOWN_FLAWS, on)).trace.to_jsonl()
+              for attack_id in CATALOG for on in (True, False)]
+    assert _sha256("".join(traces)) == ALL_FLAWS
 
 
 def test_benchmark_pins_the_same_digests():

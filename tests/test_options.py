@@ -21,7 +21,7 @@ def _worlds():
     for spec in CATALOG.values():
         for flaws in (spec.required_flaws, dict.fromkeys(KNOWN_FLAWS, True),
                       dict.fromkeys(KNOWN_FLAWS, False)):
-            policy, card_over, term_over = _world_for(spec, dict(flaws))
+            policy, card_over, term_over = _world_for(dict(flaws))
             yield build_env(policy=policy, card_overrides=card_over,
                             terminal_overrides=term_over)
 

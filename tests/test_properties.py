@@ -3,7 +3,7 @@
 import pytest
 
 from tapsim.channel import (Adversary, DataElementMap, Message, NfcChannel,
-                            PaymentRails, Tag, TransactionTrace, make_relay)
+                            PaymentRails, Tag, TransactionTrace)
 from tapsim.elements import CVM_LIMIT, Amount
 from tapsim.properties import (CORE_SECRETS, PropertyReport, compare_expected,
                                evaluate)
@@ -172,7 +172,7 @@ def test_p32_relay_breaks_proximity():
     env = build_env(seed=11)
     card = env.cards["visa_plastic_fdda"]
     adv = Adversary(trace=env.trace)
-    bridge, session = make_relay(env.trace, card, adv)
+    bridge = NfcChannel(env.trace, card, adversary=adv, relay_active=True)
     terminal = env.terminals["standard_pos"]
     result = terminal.run_purchase(bridge, Amount(AMOUNT_LOW, "EUR"),
                                    performed_by="cardholder",

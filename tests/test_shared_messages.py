@@ -201,7 +201,7 @@ def test_emission_does_not_depend_on_sharing(catalogue):
         env.trace for policy in (PERMISSIVE_2019, HARDENED)
         for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
     # the replayer logs the card's recorded replies a second time, in its own session
-    replayed = next(r.trace for r in catalogue if r.attack_id == "replay_nonce_reuse")
+    replayed = next(r.trace for r in catalogue if r.spec.attack_id == "replay_nonce_reuse")
     sessions: dict[int, set] = {}
     for ev in replayed.events:
         if ev.kind == "msg" and type(ev.sent.payload) is DataElementMap:
