@@ -7,7 +7,7 @@ outcome against the violations this scenario is documented to cause. Flipping
 any single required flaw to its fixed setting must kill the attack — that
 duality is what the catalogue exists to demonstrate.
 
-Stagings only use the public machinery: adversary hooks on the NFC hop (A1),
+Stagings only use the public machinery: adversary edits and hooks on the NFC hop (A1),
 direct submissions to the payment rails (A5), looking at the card (A8), plus
 the clone/replay/translator devices defined here and in ``card``/``channel``.
 A staging that is a single purchase is a ``Tap`` record rather than code.
@@ -25,10 +25,9 @@ from .channel import (
     READ_RECORD,
     SELECT,
     Adversary,
-    Hook,
+    Edit,
     Message,
     NfcChannel,
-    Recorder,
     Replayer,
     shared,
     visual_read,
@@ -50,7 +49,6 @@ from .elements import (
     DataElementMap,
     DOL,
     Tag,
-    TagInfo,
     TTQ,
     build_dol_data,
 )
@@ -77,12 +75,16 @@ FIXTURE_FLAWS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 KNOWN_FLAWS = frozenset(ISSUER_CHECKS).union(FIXTURE_FLAWS)
 
 
-def _as_bool(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    if value in ("on", "off"):
-        return value == "on"
-    raise ValueError(f"flaw settings are on/off, got {value!r}")
+def flaw_settings(overrides: dict[str, Any]) -> dict[str, bool]:
+    """Each flaw's setting as a bool, from True/"on" (flaw in) or False/"off" (fixed)."""
+    out = {}
+    for name, value in overrides.items():
+        if name not in KNOWN_FLAWS:
+            raise ValueError(f"unknown flaw {name!r}")
+        if not isinstance(value, bool) and value not in ("on", "off"):
+            raise ValueError(f"flaw {name!r} is on or off, got {value!r}")
+        out[name] = value in (True, "on")
+    return out
 
 
 def _world_for(flaws: dict[str, bool]):
@@ -175,46 +177,6 @@ def _genuine_probe(env: Env, card_name: str, terminal_name: str,
     return ok
 
 
-def _flags(tag: TagInfo, message: str | None = None, **bits: bool) -> Hook:
-    """Hook: set flag bits of ``tag`` wherever it travels, or only in
-    ``message``. A CTQ edit thus covers both the processing options and
-    record 2, so the terminal's consistency check passes."""
-    def hook(msg: Message, adv: Adversary) -> Message:
-        if message in (None, msg.name) and tag in msg.payload:
-            return msg.with_payload(**{tag.name: msg.payload[tag].replace(**bits)})
-        return msg
-    return hook
-
-
-def _swap(message: str, tag: TagInfo, old: Any, new: Any) -> Hook:
-    """Hook: replace ``old`` with ``new`` as the value of ``tag`` in ``message``."""
-    def hook(msg: Message, adv: Adversary) -> Message:
-        if msg.name == message and msg.payload.get(tag) == old:
-            return msg.with_payload(**{tag.name: new})
-        return msg
-    return hook
-
-
-def _gut_record2(msg: Message, adv: Adversary) -> Message:
-    """Hook: break offline authentication and leave a signature as the only CVM."""
-    if msg.name == "READ_RECORD" and msg.payload.get(Tag.RECORD_NUMBER) == 2:
-        return msg.with_payload(
-            CVM_LIST=CVMList((CVMEntry(CVMMethod.PaperSignature,
-                                       CVMCondition.Always),)),
-            IAC=ActionCodes(),      # the card's denials, silenced
-            CA_PK_INDEX=9,          # nobody can check any of this now
-        )
-    return msg
-
-
-def _corrupt_ac(msg: Message, adv: Adversary) -> Message:
-    """Hook: flip the first byte of the card's cryptogram."""
-    if msg.name == "GENERATE_AC" and Tag.AC in msg.payload:
-        ac = msg.payload[Tag.AC]
-        return msg.with_payload(AC=bytes([ac[0] ^ 0xFF]) + ac[1:])
-    return msg
-
-
 # The commands an enumeration sends carry no per-transaction data: each is built by the
 # first run that sends it and kept for the process, keyed by its payload's (tag, value)
 # pairs. A hit runs no Python code. The code's own ranges bound the tables: a VERIFY per
@@ -270,9 +232,9 @@ def pin_exhaust(channel: NfcChannel, *, wrong_pins: Iterable[str]) -> int:
 # --- cloning machinery ---------------------------------------------------------------
 
 def harvest_cvc3_table(channel: NfcChannel, aid: bytes,
-                       uns: Iterable[int]) -> tuple[DataElementMap, int, dict]:
+                       uns: Iterable[int]) -> tuple[DataElementMap, dict]:
     """Pre-play harvest: query the card's dynamic code for every UN given.
-    Returns (record 1, UN digit count, {un: (atc, code)})."""
+    Returns (record 1, {un: (atc, code)})."""
     sel = channel.exchange(SELECT[aid])
     if sel.payload.get(Tag.AID) is None:
         raise ValueError("card does not carry that application")
@@ -283,7 +245,7 @@ def harvest_cvc3_table(channel: NfcChannel, aid: bytes,
         if Tag.CVC3 not in resp.payload:
             raise ValueError("card does not answer dynamic-code queries")
         table[un] = (resp.payload[Tag.ATC], resp.payload[Tag.CVC3])
-    return r1, N_UN_DIGITS, table
+    return r1, table
 
 
 # --- the translator device ------------------------------------------------------------
@@ -399,18 +361,24 @@ def _stage_replay_nonce_reuse(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["visa_plastic_no_fdda"]
     terminal = env.terminals["rogue_fixed_un_pos"]
 
-    # the victim pays once; the skimmer transcribes the dialogue
-    recorder = Recorder(card)
-    first = terminal.run_purchase(NfcChannel(env.trace, recorder),
+    # the victim pays once; the skimmer on the hop hears each command and reply
+    heard: list[Message] = []
+
+    def hear(msg: Message, a: Adversary) -> Message:
+        heard.append(msg)
+        return msg
+
+    adv.on_to_card(hear)
+    adv.on_from_card(hear)
+    first = terminal.run_purchase(NfcChannel(env.trace, card, adversary=adv),
                                   _eur(AMOUNT_LOW), pin=card.profile.pin,
                                   performed_by="cardholder")
     if not _approved(first):
         return False, f"victim purchase failed: {_said(first)}"
 
-    # same terminal, same nonce, no card anywhere near
-    replayer = Replayer(recorder.transcript)
-    replay_channel = NfcChannel(env.trace, replayer, adversary=adv)
-    result = terminal.run_purchase(replay_channel, _eur(AMOUNT_LOW),
+    # same terminal, same nonce, no card anywhere near: the replayer answers for it
+    replayer = Replayer(list(zip(heard[::2], heard[1::2])))
+    result = terminal.run_purchase(NfcChannel(env.trace, replayer), _eur(AMOUNT_LOW),
                                    performed_by="criminal")
     return _approved(result), f"replayed transcript; {_said(result)}"
 
@@ -459,8 +427,8 @@ def _stage_magic_byte(env: Env, adv: Adversary) -> tuple[bool, str]:
                         relay_active=True)
     # whisper the gate's greeting so the phone opens its express path
     bridge.exchange(GREETING)
-    adv.on_to_card(_flags(Tag.TTQ, oda_for_online_supported=True))
-    adv.on_from_card(_flags(Tag.CTQ, cdcvm_performed=True))
+    adv.on_to_card(Edit(Tag.TTQ, {"oda_for_online_supported": True}))
+    adv.on_from_card(Edit(Tag.CTQ, {"cdcvm_performed": True}))
     result = env.terminals["standard_pos"].run_purchase(
         bridge, _eur(AMOUNT_HIGH), performed_by="criminal")
     return _approved(result), f"locked phone paid at a shop; {_said(result)}"
@@ -488,8 +456,7 @@ def _stage_eavesdrop_card_data(env: Env, adv: Adversary) -> tuple[bool, str]:
 def _stage_magstripe_mode_clone(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["mastercard_cda"]
     harvest_channel = NfcChannel(env.trace, card, adversary=adv)
-    r1, n_digits, table = harvest_cvc3_table(harvest_channel, AID_MASTERCARD,
-                                             range(10 ** N_UN_DIGITS))
+    r1, table = harvest_cvc3_table(harvest_channel, AID_MASTERCARD, range(10 ** N_UN_DIGITS))
     adv.learn("TRACK2", r1[Tag.TRACK2], session=harvest_channel.session)
     adv.learn("CVC3_TABLE", f"{len(table)} codes", session=harvest_channel.session)
 
@@ -499,7 +466,7 @@ def _stage_magstripe_mode_clone(env: Env, adv: Adversary) -> tuple[bool, str]:
     if not _approved(mid):
         return False, "owner purchase between harvest and spend failed"
 
-    clone = Cvc3MagstripeClone(AID_MASTERCARD, r1, n_digits, table)
+    clone = Cvc3MagstripeClone(AID_MASTERCARD, r1, table)
     clone_channel = NfcChannel(env.trace, clone, adversary=adv)
     result = env.terminals["standard_pos"].run_purchase(
         clone_channel, _eur(AMOUNT_LOW), performed_by="criminal")
@@ -510,25 +477,23 @@ def _stage_magstripe_mode_clone(env: Env, adv: Adversary) -> tuple[bool, str]:
 class Tap:
     """A staging that is one purchase over an adversary-owned NFC hop, as
     data: which card meets which terminal for how much, who taps (only the
-    cardholder knows the PIN), how the adversary edits each direction, and
+    cardholder knows the PIN), the adversary's edits in each direction, and
     what the attack landing looks like."""
 
     card: str
     terminal: str
     amount: int
     performed_by: str
-    to_card: tuple[Hook, ...] = ()
-    from_card: tuple[Hook, ...] = ()
+    to_card: tuple[Edit, ...] = ()
+    from_card: tuple[Edit, ...] = ()
     outcome: str = "approve"                      # required outcome prefix
     view: dict[str, Any] = field(default_factory=dict)  # required view fields
     clearing: str | None = None                   # required clearing decision
     note: str = ""                                # leads the result's detail
 
     def __call__(self, env: Env, adv: Adversary) -> tuple[bool, str]:
-        for hook in self.to_card:
-            adv.on_to_card(hook)
-        for hook in self.from_card:
-            adv.on_from_card(hook)
+        adv.to_card_hooks.extend(self.to_card)
+        adv.from_card_hooks.extend(self.from_card)
         result = run_genuine(env, self.card, self.terminal, self.amount,
                              unlocked=False, adversary=adv,
                              performed_by=self.performed_by)
@@ -579,17 +544,18 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                {"P1": ("TTQ", "CTQ"), "P3.1": (), "P3.2": ()},
                True,
                Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
-                   to_card=(_flags(Tag.TTQ, cvm_required=False),),
-                   from_card=(_flags(Tag.CTQ, cdcvm_performed=True),))),
+                   to_card=(Edit(Tag.TTQ, {"cvm_required": False}),),
+                   # wherever the CTQ travels, so the terminal's consistency check passes
+                   from_card=(Edit(Tag.CTQ, {"cdcvm_performed": True}),))),
     AttackSpec("ctq_bypass",
                "rewrite only the card's CVM answer on its way to the terminal",
                {"fdda": False, "check_plastic_cdcvm": False},
                {"P1": ("CTQ",), "P3.1": (), "P3.2": ()},
                True,
                Tap("visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, "criminal",
-                   from_card=(_flags(Tag.CTQ, cdcvm_performed=True,
-                                     online_pin_required=False,
-                                     signature_required=False),))),
+                   from_card=(Edit(Tag.CTQ, {"cdcvm_performed": True,
+                                             "online_pin_required": False,
+                                             "signature_required": False}),))),
     AttackSpec("card_brand_mixup",
                "spend a kernel-2 card through a fabricated kernel-3 application",
                {"fdda": False, "check_aid_pan_match": False,
@@ -603,7 +569,13 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                 "P3.1": (), "P3.2": ()},
                True,
                Tap("mastercard_cda", "standard_pos", AMOUNT_HIGH, "criminal",
-                   from_card=(_gut_record2,),
+                   # break offline authentication, leave a signature as the only CVM
+                   from_card=tuple(Edit(tag, value, "READ_RECORD", (Tag.RECORD_NUMBER, 2))
+                                   for tag, value in (
+                       (Tag.CVM_LIST, CVMList((CVMEntry(CVMMethod.PaperSignature,
+                                                        CVMCondition.Always),))),
+                       (Tag.IAC, ActionCodes()),  # the card's denials, silenced
+                       (Tag.CA_PK_INDEX, 9))),    # nobody can check any of this now
                    note="criminal scribbled a signature")),
     AttackSpec("googlepay_ttq",
                "high-value purchase on a locked phone that trusts the reader's TTQ",
@@ -611,7 +583,7 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                {"P1": ("TTQ",), "P3.1": (), "P3.2": ()},
                True,
                Tap("google_like_phone", "standard_pos", AMOUNT_HIGH, "criminal",
-                   to_card=(_flags(Tag.TTQ, cvm_required=False),),
+                   to_card=(Edit(Tag.TTQ, {"cvm_required": False}),),
                    note="locked phone paid high value")),
     AttackSpec("magic_byte",
                "gate greeting plus TTQ/CTQ rewrites turn express transit into a shop spree",
@@ -624,7 +596,10 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                {"P1": ("AC",), "P2": (), "P3.2": ()},
                False,
                Tap("mastercard_cda", "offline_capable_pos", AMOUNT_LOW, "cardholder",
-                   from_card=(_corrupt_ac,), outcome="approve_offline",
+                   # flip the first byte of the card's cryptogram
+                   from_card=(Edit(Tag.AC, lambda ac: bytes([ac[0] ^ 0xFF]) + ac[1:],
+                                   "GENERATE_AC"),),
+                   outcome="approve_offline",
                    clearing="decline")),
     AttackSpec("maestro_downgrade",
                "answer a credit-brand selection with a debit card",
@@ -632,8 +607,8 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                {"P1": ("AID",), "P3.2": ()},
                False,
                Tap("maestro_debit", "standard_pos", AMOUNT_LOW, "cardholder",
-                   to_card=(_swap("SELECT", Tag.AID, AID_MASTERCARD, AID_MAESTRO),),
-                   from_card=(_swap("SELECT", Tag.AID, AID_MAESTRO, AID_MASTERCARD),),
+                   to_card=(Edit(Tag.AID, AID_MAESTRO, "SELECT", (Tag.AID, AID_MASTERCARD)),),
+                   from_card=(Edit(Tag.AID, AID_MASTERCARD, "SELECT", (Tag.AID, AID_MAESTRO)),),
                    view={"aid": AID_MASTERCARD},
                    note="debit card spent under the credit brand")),
     AttackSpec("eavesdrop_card_data",
@@ -655,8 +630,8 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                {"P1": ("AIP",), "P3.2": ()},
                False,
                Tap("mastercard_cda", "standard_pos", AMOUNT_LOW, "cardholder",
-                   from_card=(_flags(Tag.AIP, "GET_PROCESSING_OPTIONS",
-                                     emv_mode_supported=False),),
+                   from_card=(Edit(Tag.AIP, {"emv_mode_supported": False},
+                                   "GET_PROCESSING_OPTIONS"),),
                    view={"mode": "ms"},
                    note="chip card pushed into mag-stripe mode")),
 ]}
@@ -667,11 +642,7 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
 def run_attack(attack_id: str, seed: int = 0,
                flaw_overrides: dict[str, Any] | None = None) -> AttackResult:
     spec = CATALOG[attack_id]
-    flaws = dict(spec.required_flaws)
-    for name, value in (flaw_overrides or {}).items():
-        if name not in KNOWN_FLAWS:
-            raise ValueError(f"unknown flaw {name!r}")
-        flaws[name] = _as_bool(value)
+    flaws = {**spec.required_flaws, **flaw_settings(flaw_overrides or {})}
 
     policy, card_over, term_over = _world_for(flaws)
     env = build_env(seed=seed, policy=policy, card_overrides=card_over,

@@ -490,11 +490,10 @@ class Cvc3MagstripeClone:
     plus copied static records. Answers the terminal like the real card as
     long as the terminal happens to pick a UN that is in the table."""
 
-    def __init__(self, aid: bytes, record1: DataElementMap, n_un_digits: int,
+    def __init__(self, aid: bytes, record1: DataElementMap,
                  table: dict[int, tuple[int, bytes]]):
         self.aid = aid
         self.record1 = record1
-        self.n_un_digits = n_un_digits
         self.table = table
 
     def exchange(self, msg: Message) -> Message:
@@ -506,7 +505,7 @@ class Cvc3MagstripeClone:
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
                 Tag.AIP: AIP(emv_mode_supported=False),
                 Tag.AFL: AFL((1,)),
-                Tag.N_UN_DIGITS: self.n_un_digits,
+                Tag.N_UN_DIGITS: N_UN_DIGITS,
             }))
         if msg.name == "READ_RECORD":
             if msg.payload.get(Tag.RECORD_NUMBER) == 1:

@@ -267,11 +267,37 @@ class TransactionTrace:
 Hook = Callable[[Message, "Adversary"], Message]
 
 
+@dataclass(frozen=True, slots=True)
+class Edit:
+    """A hook as data: in each message named ``message`` (any message when None) whose
+    ``where`` guard (tag, value) holds, rewrite ``tag``. A dict op sets those flag bits and a
+    callable maps the old value, both only where the tag is carried; any other op puts the
+    value."""
+
+    tag: TagInfo
+    op: Any
+    message: str | None = None
+    where: tuple[TagInfo, Any] | None = None
+
+    def __call__(self, msg: Message, adversary: "Adversary") -> Message:
+        where = self.where
+        if self.message not in (None, msg.name) or (
+                where is not None and msg.payload.get(where[0]) != where[1]):
+            return msg
+        op = self.op
+        if type(op) is dict or callable(op):
+            if self.tag not in msg.payload:
+                return msg
+            old = msg.payload[self.tag]
+            op = old.replace(**op) if type(op) is dict else op(old)
+        return msg.with_payload(**{self.tag.name: op})
+
+
 class Adversary:
     """Capability-gated hook container for man-in-the-middle behavior."""
 
-    def __init__(self, capabilities: frozenset[str] | set[str] | tuple[str, ...] = ("A1",),
-                 trace: TransactionTrace | None = None):
+    def __init__(self, capabilities: frozenset[str] | set[str] | tuple[str, ...] = ("A1",), *,
+                 trace: TransactionTrace):
         caps = frozenset(capabilities)
         unknown = caps - CAPABILITIES
         if unknown:
@@ -303,8 +329,7 @@ class Adversary:
         if item in self.knowledge:
             return
         self.knowledge.add(item)
-        if self.trace is not None:
-            self.trace.mark("knowledge", session, {"category": item[0], "value": item[1]})
+        self.trace.mark("knowledge", session, {"category": item[0], "value": item[1]})
 
     def knows(self, category: str) -> set[str]:
         return {v for c, v in self.knowledge if c == category}
@@ -356,24 +381,6 @@ class NfcChannel:
                                                  "from_card", self.relay_active, reply, returned,
                                                  {})))
         return returned
-
-
-class Recorder:
-    """Pass-through card wrapper that transcribes the dialogue for later replay."""
-
-    def __init__(self, card: CardFace):
-        self.card = card
-        self.transcript: list[tuple[Message, Message]] = []
-
-    def bind(self, trace: "TransactionTrace", session: int) -> None:
-        bind = getattr(self.card, "bind", None)
-        if callable(bind):
-            bind(trace, session)
-
-    def exchange(self, msg: Message) -> Message:
-        reply = self.card.exchange(msg)
-        self.transcript.append((msg, reply))
-        return reply
 
 
 class Replayer:

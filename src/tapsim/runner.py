@@ -387,18 +387,6 @@ def _fail_usage(msg: str) -> None:
     raise SystemExit(2)
 
 
-def _parse_flaws(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            _fail_usage(f"--flaw wants name=on|off, got {pair!r}")
-        name, _, value = pair.partition("=")
-        if value not in ("on", "off"):
-            _fail_usage(f"--flaw value must be on or off, got {value!r}")
-        out[name] = value
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     import argparse  # only the command line needs it: an import of tapsim does not pay for it
     parser = argparse.ArgumentParser(
@@ -452,10 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         _fail_usage(f"unknown attack ids: {', '.join(unknown)}")
 
-    flaws = _parse_flaws(args.flaw)
-    bad_flaws = sorted(set(flaws) - attacks.KNOWN_FLAWS)
-    if bad_flaws:
-        _fail_usage(f"unknown flaws: {', '.join(bad_flaws)}")
+    try:  # NAME=on|off; a bare NAME is NAME= and fails as any other value does
+        flaws = attacks.flaw_settings(dict(pair.partition("=")[::2] for pair in args.flaw))
+    except ValueError as err:
+        _fail_usage(f"--flaw: {err}")
     results = []
     for attack_id in ids:
         result = attacks.run_attack(attack_id, seed=args.seed, flaw_overrides=flaws)

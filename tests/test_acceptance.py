@@ -150,8 +150,7 @@ def test_criterion_4_nonce_space_and_preplay():
 
     # a full sweep covers the space exactly
     harvest = NfcChannel(env.trace, env.cards["mastercard_cda"])
-    _r1, _n, table = harvest_cvc3_table(harvest, AID_MASTERCARD,
-                                        range(10 ** digits))
+    _r1, table = harvest_cvc3_table(harvest, AID_MASTERCARD, range(10 ** digits))
     sweep_elapsed = time.perf_counter() - started
     table_ok = set(table) == set(range(1000)) and sweep_elapsed < 10.0
 

@@ -9,12 +9,13 @@ from tapsim import attacks
 from tapsim.attacks import (
     CATALOG,
     KNOWN_FLAWS,
+    Tap,
     pin_guess_campaign,
     render_report_md,
     run_attack,
 )
 from tapsim.card import Cvc3MagstripeClone
-from tapsim.channel import Adversary, ChannelError, Message, NfcChannel
+from tapsim.channel import Adversary, ChannelError, Edit, Message, NfcChannel
 from tapsim.elements import AID_MASTERCARD, Amount, DataElementMap, Tag
 from tapsim.runner import AMOUNT_LOW, build_env
 from test_acceptance import simulate_partial_clone, simulate_pin_search
@@ -53,6 +54,32 @@ def test_single_fix_kills_the_attack(attack_id, flaw):
                         flaw_overrides={flaw: not broken})
     assert not result.success, (
         f"{attack_id} still works with {flaw} fixed: {result.detail}")
+
+
+def test_catalogue_edits_are_data_and_each_one_fires(monkeypatch):
+    """Every hook of every Tap is an Edit, and every Edit a seed-42 run calls changes some
+    message in it: an Edit whose guard never matches would pass unseen whenever the attack
+    lands anyway."""
+    apply = Edit.__call__
+    called, changed = set(), set()  # ids of the edits that ran, and of those that changed
+
+    def spy(edit, msg, adversary):
+        out = apply(edit, msg, adversary)
+        called.add(id(edit))
+        if out != msg:
+            changed.add(id(edit))
+        return out
+
+    monkeypatch.setattr(Edit, "__call__", spy)
+    for attack_id, spec in CATALOG.items():
+        called.clear()
+        changed.clear()
+        run_attack(attack_id, seed=42)
+        if isinstance(spec.stage, Tap):
+            edits = spec.stage.to_card + spec.stage.from_card
+            assert edits and all(type(edit) is Edit for edit in edits), attack_id
+            assert {id(edit) for edit in edits} <= called, attack_id
+        assert changed == called, attack_id
 
 
 INHERENT = ("magstripe_cloning", "maestro_downgrade", "eavesdrop_card_data",
@@ -227,13 +254,12 @@ def test_cvc3_clone_with_a_miss_table_is_declined():
     env = build_env(seed=2)
     card = env.cards["mastercard_cda"]
     channel = NfcChannel(env.trace, card)
-    r1, n_digits, table = attacks.harvest_cvc3_table(
-        channel, AID_MASTERCARD, range(4))
-    assert n_digits == 3 and len(table) == 4
+    r1, table = attacks.harvest_cvc3_table(channel, AID_MASTERCARD, range(4))
+    assert len(table) == 4
 
     # a table with codes filed under the wrong nonces never matches
     shuffled = {un + 500: entry for un, entry in table.items()}
-    clone = Cvc3MagstripeClone(AID_MASTERCARD, r1, n_digits, shuffled)
+    clone = Cvc3MagstripeClone(AID_MASTERCARD, r1, shuffled)
     result = env.terminals["standard_pos"].run_purchase(
         NfcChannel(env.trace, clone), Amount(AMOUNT_LOW, "EUR"))
     assert result["outcome"] == "decline"

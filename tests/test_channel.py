@@ -22,7 +22,6 @@ from tapsim.channel import (
     Message,
     NfcChannel,
     PaymentRails,
-    Recorder,
     Replayer,
     TransactionTrace,
     visual_read,
@@ -130,7 +129,7 @@ def test_capability_gate_on_nfc():
     with pytest.raises(ChannelError):
         NfcChannel(trace, EchoCard(), adversary=adv)
     with pytest.raises(ChannelError):
-        Adversary(("A2",))
+        Adversary(("A2",), trace=trace)
 
 
 def test_observer_sees_wire_and_learns():
@@ -171,19 +170,15 @@ def test_relay_shares_one_session():
     assert len(msgs(trace, channel="nfc")) == 4  # near + far legs
 
 
-def test_recorder_and_replayer():
-    rec = Recorder(EchoCard())
-    trace = TransactionTrace()
-    chan = NfcChannel(trace, rec)
-    chan.exchange(gpo())
-    chan.exchange(Message("READ_RECORD", DataElementMap({Tag.RECORD_NUMBER: 1})))
-
-    ghost = Replayer(rec.transcript)
+def test_replayer_answers_from_a_transcript():
+    card = EchoCard()
+    read = Message("READ_RECORD", DataElementMap({Tag.RECORD_NUMBER: 1}))
+    ghost = Replayer([(q, card.exchange(q)) for q in (gpo(), read)])
     trace2 = TransactionTrace()
     chan2 = NfcChannel(trace2, ghost)
     r = chan2.exchange(gpo(amount=1))  # different question, same recorded answer
     assert r.payload[Tag.ATC] == 7
-    chan2.exchange(Message("READ_RECORD", DataElementMap({Tag.RECORD_NUMBER: 1})))
+    chan2.exchange(read)
     with pytest.raises(ChannelError):
         chan2.exchange(gpo())  # transcript exhausted
     assert not any(ev.relay_active for ev in msgs(trace2, session=chan2.session))

@@ -39,10 +39,13 @@ def test_run_rejects_unknown_attack():
     _usage_error(["run", "nonsense_attack"])
 
 
-def test_flaw_parsing_is_strict():
-    _usage_error(["run", "merchant_bag", "--flaw", "cda"])
-    _usage_error(["run", "merchant_bag", "--flaw", "cda=sometimes"])
-    _usage_error(["run", "merchant_bag", "--flaw", "gremlins=on"])
+def test_flaw_parsing_is_strict(capsys):
+    for flaw, offender in (("cda", "cda"), ("cda=sometimes", "sometimes"),
+                           ("gremlins=on", "gremlins")):
+        _usage_error(["run", "merchant_bag", "--flaw", flaw])
+        out, err = capsys.readouterr()
+        assert offender in err, err
+        assert out == ""  # refused before any attack ran
 
 
 def test_run_all_writes_traces_and_report(tmp_path, capsys):

@@ -90,14 +90,14 @@ def emission_calls_per_event(*traces) -> float:
 
 def test_harvest_generate_ac_exchange_budget():
     calls, table = harvest(build_env(seed=0))
-    assert len(table[2]) == 1000
+    assert len(table[1]) == 1000
     assert calls / 1000 <= HARVEST_CEILING
 
 
 def test_harvest_exchange_budget_with_every_query_built():
     harvest(build_env(seed=0))
     calls, table = harvest(build_env(seed=0))
-    assert len(table[2]) == 1000
+    assert len(table[1]) == 1000
     assert calls / 1000 <= HARVEST_WARM_CEILING
 
 
