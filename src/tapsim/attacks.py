@@ -16,7 +16,6 @@ A staging that is a single purchase is a ``Tap`` record rather than code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from typing import Any, Callable, Iterable
 
 from .card import GREETING, N_UN_DIGITS, NO_DOL, Cvc3MagstripeClone, select_reply
@@ -167,22 +166,13 @@ def _said(result: dict[str, Any]) -> str:
     return f"terminal said {result['outcome']} ({result['reason']})"
 
 
-def _genuine_probe(env: Env, card_name: str, terminal_name: str,
-                   amount: int = AMOUNT_LOW) -> bool:
-    """Post-attack check that the genuine cardholder can still pay."""
-    result = run_genuine(env, card_name, terminal_name, amount)
+def _genuine_probe(env: Env, card_name: str, terminal_name: str) -> bool:
+    """Post-attack check that the genuine cardholder can still pay a small amount."""
+    result = run_genuine(env, card_name, terminal_name, AMOUNT_LOW)
     ok = _approved(result)
     env.trace.mark("genuine_probe", result["session"], {
         "ok": ok, "what": f"{card_name}@{terminal_name}", "reason": result["reason"]})
     return ok
-
-
-# The commands an enumeration sends carry no per-transaction data: each is built by the
-# first run that sends it and kept for the process, keyed by its payload's (tag, value)
-# pairs. A hit runs no Python code. The code's own ranges bound the tables: a VERIFY per
-# four-digit guess, a GENERATE AC per mag-stripe UN.
-_GUESS = lru_cache(maxsize=10_000)(partial(shared, "VERIFY"))
-_UN_QUERY = lru_cache(maxsize=10 ** N_UN_DIGITS)(partial(shared, "GENERATE_AC"))
 
 
 # --- PIN-probing machinery ------------------------------------------------------------
@@ -203,7 +193,7 @@ def pin_guess_campaign(channel: NfcChannel, adversary: Adversary, *,
         if remaining <= stop_at_remaining:
             owner_reset()
             remaining = try_limit
-        resp = channel.exchange(_GUESS(((Tag.PIN_GUESS, guess),)))
+        resp = channel.exchange(shared("VERIFY", Tag.PIN_GUESS, guess))
         remaining = resp.payload[Tag.PIN_TRIES_REMAINING]
         decision = resp.payload[Tag.DECISION]
         if decision == "ok":
@@ -222,7 +212,7 @@ def pin_exhaust(channel: NfcChannel, *, wrong_pins: Iterable[str]) -> int:
         return 0
     count = 0
     for guess in wrong_pins:
-        resp = channel.exchange(_GUESS(((Tag.PIN_GUESS, guess),)))
+        resp = channel.exchange(shared("VERIFY", Tag.PIN_GUESS, guess))
         count += 1
         if resp.payload[Tag.DECISION] == "blocked":
             return count
@@ -241,7 +231,7 @@ def harvest_cvc3_table(channel: NfcChannel, aid: bytes,
     r1 = channel.exchange(READ_RECORD[1]).payload.copy()
     table: dict[int, tuple[int, bytes]] = {}
     for un in uns:
-        resp = channel.exchange(_UN_QUERY(((Tag.UN, un),)))
+        resp = channel.exchange(shared("GENERATE_AC", Tag.UN, un))
         if Tag.CVC3 not in resp.payload:
             raise ValueError("card does not answer dynamic-code queries")
         table[un] = (resp.payload[Tag.ATC], resp.payload[Tag.CVC3])
@@ -387,7 +377,7 @@ def _stage_pin_guessing(env: Env, adv: Adversary) -> tuple[bool, str]:
     card = env.cards["visa_plastic_no_fdda"]
     guess_channel = NfcChannel(env.trace, card, adversary=adv)
     owner_channel = NfcChannel(env.trace, card)
-    refill = _GUESS(((Tag.PIN_GUESS, card.profile.pin),))
+    refill = shared("VERIFY", Tag.PIN_GUESS, card.profile.pin)
 
     def owner_reset() -> None:
         # the owner uses the card normally; a correct PIN refills the counter

@@ -53,7 +53,7 @@ from .elements import (
 # What a transit gate blurts out before the protocol starts. A phone that has
 # seen these bytes may open its express-transit path for the following tap.
 TRANSIT_MAGIC = bytes.fromhex("47415445")
-GREETING = shared("MAGIC_BYTES", {Tag.MAGIC: TRANSIT_MAGIC})  # the gate's greeting, built once
+GREETING = shared("MAGIC_BYTES", Tag.MAGIC, TRANSIT_MAGIC)  # the gate's greeting, built once
 
 PIN_TRY_LIMIT = 3       # wrong offline PINs before the card blocks
 N_UN_DIGITS = 3         # digits of the terminal nonce in mag-stripe mode
@@ -65,18 +65,17 @@ KERNEL2_CDOL1 = DOL((Tag.AMOUNT, Tag.UN, Tag.CVM_RESULTS))
 NO_DOL = DOL(())
 
 # Every VERIFY reply, by (decision, tries left): the counter stays within 0..PIN_TRY_LIMIT
-_VERIFY_REPLIES = {(decision, tries): shared("VERIFY", {
-    Tag.DECISION: decision, Tag.PIN_TRIES_REMAINING: tries})
+_VERIFY_REPLIES = {(decision, tries): shared(
+    "VERIFY", Tag.DECISION, decision, Tag.PIN_TRIES_REMAINING, tries)
     for decision in ("query", "ok", "fail", "blocked") for tries in range(PIN_TRY_LIMIT + 1)}
-_VERIFY_NOT_SUPPORTED = shared("VERIFY", {Tag.DECISION: "not_supported"})
+_VERIFY_NOT_SUPPORTED = shared("VERIFY", Tag.DECISION, "not_supported")
 
 
 def select_reply(aid: bytes, kernel: int) -> Message:
     """An application's answer to its SELECT: the PDOL follows the kernel, since
     kernel 3 takes the transaction data at GET PROCESSING OPTIONS."""
-    return Message("SELECT", DataElementMap({
-        Tag.AID: aid, Tag.KERNEL_ID: kernel, Tag.PDOL: KERNEL3_PDOL if kernel == 3 else NO_DOL,
-    }))
+    return shared("SELECT", Tag.AID, aid, Tag.KERNEL_ID, kernel,
+                  Tag.PDOL, KERNEL3_PDOL if kernel == 3 else NO_DOL)
 
 
 @dataclass
@@ -290,19 +289,11 @@ class Card:
 
     def _on_gpo(self, msg: Message) -> Message:
         p = self.profile
-        if not p.emv_mode:
-            # mag-stripe mode: static profile now, dynamic code at GENERATE AC
-            return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                Tag.AIP: p.aip,
-                Tag.AFL: self._afl(),
-                Tag.N_UN_DIGITS: N_UN_DIGITS,
-            }))
-        if p.kernel == 2:
-            return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                Tag.AIP: p.aip,
-                Tag.AFL: self._afl(),
-            }))
-        return self._kernel3_transact(msg)
+        if p.emv_mode and p.kernel != 2:
+            return self._kernel3_transact(msg)
+        # the static profile; mag-stripe mode gives its dynamic code at GENERATE AC
+        return shared("GET_PROCESSING_OPTIONS", Tag.AIP, p.aip, Tag.AFL, self._afl(),
+                      *(() if p.emv_mode else (Tag.N_UN_DIGITS, N_UN_DIGITS)))
 
     def _kernel3_transact(self, msg: Message) -> Message:
         """Kernel-3 cards do the whole cryptographic transaction at GPO."""
@@ -502,11 +493,8 @@ class Cvc3MagstripeClone:
                 return EMPTY["SELECT"]
             return select_reply(self.aid, 2)
         if msg.name == "GET_PROCESSING_OPTIONS":
-            return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                Tag.AIP: AIP(emv_mode_supported=False),
-                Tag.AFL: AFL((1,)),
-                Tag.N_UN_DIGITS: N_UN_DIGITS,
-            }))
+            return shared("GET_PROCESSING_OPTIONS", Tag.AIP, AIP(emv_mode_supported=False),
+                          Tag.AFL, AFL((1,)), Tag.N_UN_DIGITS, N_UN_DIGITS)
         if msg.name == "READ_RECORD":
             if msg.payload.get(Tag.RECORD_NUMBER) == 1:
                 return Message("READ_RECORD", self.record1.copy())

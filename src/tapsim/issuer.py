@@ -55,17 +55,6 @@ PERMISSIVE_2019 = IssuerPolicy(name="permissive_2019")
 HARDENED = IssuerPolicy(name="hardened", **dict.fromkeys(ISSUER_CHECKS, True))
 
 
-# (message name, decision, reason) -> the response, built on first use: the keys are
-# bounded by the decision and reason literals below and the tags ``_malformed`` is given
-_RESPONSES: dict[tuple[str, str, str], Message] = {}
-
-
-def _respond(key: tuple[str, str, str]) -> Message:
-    name, decision, reason = key
-    response = _RESPONSES[key] = shared(name, {Tag.DECISION: decision, Tag.REASON: reason})
-    return response
-
-
 class Issuer:
     """Authorizes and clears transactions against the profiles it personalized."""
 
@@ -80,12 +69,12 @@ class Issuer:
     # --- message entry points ------------------------------------------------
 
     def handle_auth(self, request: Message) -> Message:
-        key = ("AUTH_RESPONSE", *self._evaluate(request.payload, clearing=False))
-        return _RESPONSES.get(key) or _respond(key)
+        decision, reason = self._evaluate(request.payload, clearing=False)
+        return shared("AUTH_RESPONSE", Tag.DECISION, decision, Tag.REASON, reason)
 
     def handle_clearing(self, request: Message) -> Message:
-        key = ("CLEARING_RESPONSE", *self._evaluate(request.payload, clearing=True))
-        return _RESPONSES.get(key) or _respond(key)
+        decision, reason = self._evaluate(request.payload, clearing=True)
+        return shared("CLEARING_RESPONSE", Tag.DECISION, decision, Tag.REASON, reason)
 
     # --- evaluation pipeline ----------------------------------------------------
 

@@ -55,7 +55,6 @@ class PropertyReport:
     """Which properties a run violated, with per-property labels."""
 
     violations: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    not_evaluated: tuple[str, ...] = ("P4",)
 
     @property
     def p3(self) -> bool:
@@ -74,7 +73,7 @@ class PropertyReport:
         return {
             "violations": {p: list(l) for p, l in sorted(self.violations.items())},
             "p3": self.p3,
-            "not_evaluated": list(self.not_evaluated),
+            "not_evaluated": ["P4"],  # privacy is out of scope
         }
 
 

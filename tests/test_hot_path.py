@@ -278,3 +278,45 @@ def test_every_constant_command_comes_from_the_tables():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(Path(PACKAGE).glob("*.py"))}
     assert constant_messages(sources) == []
+
+
+# --- process-wide memos live in channel and crypto ----------------------------------------
+
+MEMO_MODULES = frozenset({"channel.py", "crypto.py"})
+
+
+def lru_caches(sources: dict[str, str]) -> list[str]:
+    """``file:line`` of each ``lru_cache`` named in ``sources`` outside ``channel.py`` (whose
+    ``shared`` holds every message that carries no per-transaction data) and ``crypto.py``
+    (the key and signature memos): an import of it, a use or a decoration."""
+    found = []
+    for name, source in sources.items():
+        if name in MEMO_MODULES:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom) and any(a.name == "lru_cache" for a in node.names)
+                    or getattr(node, "id", getattr(node, "attr", None)) == "lru_cache"):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_scan_flags_lru_cache_outside_channel_and_crypto():
+    sources = {
+        "attacks.py": 'from functools import lru_cache as memo, partial\n'
+                      'import functools\n'
+                      '@functools.lru_cache(maxsize=8)\ndef load(raw):\n    return raw\n'
+                      'GUESS = memo(maxsize=10)(partial(shared, "VERIFY"))\n'
+                      '# lru_cache in a comment is no use\n'
+                      'def guess(pin):\n    return shared("VERIFY", Tag.PIN_GUESS, pin)\n',
+        "issuer.py": 'import functools\nrespond = functools.lru_cache()(respond)\n',
+        "channel.py": 'from functools import lru_cache\n@lru_cache(maxsize=2)\ndef shared(n):\n'
+                      '    return n\n',
+        "crypto.py": '_MEMO = lru_cache(maxsize=8)\n',
+    }
+    assert lru_caches(sources) == ["attacks.py:1", "attacks.py:3", "issuer.py:2"]
+
+
+def test_only_channel_and_crypto_keep_an_lru_cache():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(PACKAGE).glob("*.py"))}
+    assert lru_caches(sources) == []

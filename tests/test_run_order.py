@@ -1,9 +1,10 @@
 """Run order leaves no trace behind.
 
 A process keeps several things for its lifetime: the line shapes of
-emission, the Ed25519 and HMAC memos, the commands the enumerations build
-on first use, the text each shared message keeps once emitted, and the
-interned element values with their texts. None of it may show in the
+emission, the Ed25519 and HMAC memos, the shared messages built on first
+use (the enumerations' commands, the issuer's responses, the card's constant
+replies), the text each shared message keeps once emitted, and the interned
+element values with their texts. None of it may show in the
 output. A child that has filled all of them with other seeds emits the
 seed-42 catalogue, in a shuffled order, and the seed-0 genuine matrices
 exactly as a child that starts cold.
@@ -29,9 +30,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # 9 first, then the seed-42 catalogue in a shuffled order
 CHILD = """\
 import hashlib, json, random, sys
-from tapsim import attacks, elements
+from tapsim import elements
 from tapsim.attacks import CATALOG, run_attack
-from tapsim.channel import EMPTY
+from tapsim.channel import EMPTY, shared
+from tapsim.elements import Tag
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import run_genuine_matrix
 def genuine(seed):
@@ -43,8 +45,10 @@ if sys.argv[1] == "warm":
         for attack_id in CATALOG:
             run_attack(attack_id, seed=seed).trace.to_jsonl()
         genuine(seed)
-    assert attacks._UN_QUERY.cache_info().currsize == 1000
-    assert attacks._GUESS.cache_info().currsize > 0
+    misses = shared.cache_info().misses  # every UN query and the first PIN guess built
+    assert all(shared("GENERATE_AC", Tag.UN, un) for un in range(1000))
+    assert shared("VERIFY", Tag.PIN_GUESS, "0000")
+    assert shared.cache_info().misses == misses
     assert EMPTY["VERIFY"].payload.message_json is not None
     kept = [v for v in elements._INTERNED.values() if elements.TEXTS[id(v)] is not None]
     assert kept and all(elements.TEXTS[id(v)] == elements.to_json(v) for v in kept)

@@ -1,10 +1,11 @@
 """Messages built once per process and sent in many runs.
 
 A message that carries no per-transaction data (an empty reply, a VERIFY
-reply, a SELECT by AID, a READ RECORD, an issuer response, a PIN guess, a
-mag-stripe UN query) is one shared object. Its payload refuses every write
-and admits no value that can change, so no run can change what the next one
-sends. A trace renders each message object once per ``to_jsonl`` call,
+reply, a SELECT by AID and its reply, a kernel-2 or mag-stripe GPO reply, a
+READ RECORD, an issuer response, a PIN guess, a mag-stripe UN query) is one
+shared object, and ``channel.shared``'s one cache holds them all. Its payload
+refuses every write and admits no value that can change, so no run can change
+what the next one sends. A trace renders each message object once per ``to_jsonl`` call,
 however often it holds it, and a shared message keeps its text for the
 process. Neither may show in the output: a trace whose every message is a
 fresh, unshared object emits the same text.
@@ -16,11 +17,11 @@ import pytest
 
 from tapsim import attacks, card, channel, elements, issuer, runner, terminal
 from tapsim.attacks import CATALOG, run_attack
-from tapsim.channel import EMPTY, MESSAGES, Message, TransactionTrace, shared
-from tapsim.elements import (AFL, DOL, IAD, CodecError, CVMList, DataElementMap,
+from tapsim.channel import EMPTY, MESSAGES, SELECT, Message, TransactionTrace, shared
+from tapsim.elements import (AFL, DOL, IAD, TTQ, Amount, CodecError, CVMList, DataElementMap,
                              SharedElementMap, Tag)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
-from tapsim.runner import run_genuine_matrix
+from tapsim.runner import build_env, run_genuine_matrix
 
 MODULES = (attacks, card, channel, elements, issuer, runner, terminal)
 
@@ -124,14 +125,21 @@ CHANGEABLE = {
 }
 
 
-@pytest.mark.parametrize("case", CHANGEABLE.values(), ids=CHANGEABLE)
-def test_a_shared_message_admits_no_value_that_can_change(case):
+@pytest.mark.parametrize("kind", CHANGEABLE)
+def test_a_shared_message_admits_no_value_that_can_change(kind):
     # a shared message would send (and emit) stale bytes once the value changed after the
-    # first run
-    name, tag, changeable, fixed = case
-    assert shared(name, {tag: fixed}).payload[tag] is fixed
-    with pytest.raises(CodecError):
-        shared(name, {tag: changeable()})
+    # first run. The cache cannot key an unhashable value; a composite value refuses where
+    # it is built.
+    name, tag, changeable, fixed = CHANGEABLE[kind]
+    assert shared(name, tag, fixed).payload[tag] is fixed
+    with pytest.raises(TypeError if kind == "bytearray" else CodecError):
+        shared(name, tag, changeable())
+
+
+def test_the_cache_keys_each_value_by_its_exact_type():
+    assert shared("VERIFY", Tag.PIN_TRIES_REMAINING, 1).payload[Tag.PIN_TRIES_REMAINING] == 1
+    with pytest.raises(CodecError):  # True == 1, and a bool is no uint
+        shared("VERIFY", Tag.PIN_TRIES_REMAINING, True)
 
 
 @pytest.mark.parametrize("case", CHANGEABLE.values(), ids=CHANGEABLE)
@@ -147,11 +155,11 @@ def test_an_unshared_map_admits_no_value_that_can_change(case):
 
 
 def test_shared_checks_what_message_checks():
-    assert shared("SELECT", {Tag.AID: b"\xa0\x00"}) == Message(
+    assert shared("SELECT", Tag.AID, b"\xa0\x00") == Message(
         "SELECT", DataElementMap({Tag.AID: b"\xa0\x00"}))
-    for name, items in (("NO_SUCH", {}), ("VERIFY", {Tag.AID: b""})):
+    for name, items in (("NO_SUCH", ()), ("VERIFY", (Tag.AID, b""))):
         with pytest.raises(channel.ChannelError):
-            shared(name, items)
+            shared(name, *items)
 
 
 def test_every_shared_message_the_catalogue_logs_stays_read_only(catalogue):
@@ -170,12 +178,43 @@ def test_shared_messages_are_unchanged_by_the_catalogue(catalogue):
     assert all(result.success and not result.diffs for result in catalogue)
     for msg, wire in AT_IMPORT.values():
         assert msg.payload.encode() == wire
-    # the issuer builds each response on first use, from its (name, decision, reason)
-    assert issuer._RESPONSES
-    for (name, decision, reason), response in issuer._RESPONSES.items():
-        assert type(response.payload) is SharedElementMap and response.name == name
+    # every issuer response is the shared message for its (name, decision, reason)
+    responses = [ev.sent for result in catalogue for ev in result.trace.events
+                 if ev.direction == "from_issuer"]
+    assert {response.name for response in responses} == {"AUTH_RESPONSE", "CLEARING_RESPONSE"}
+    for response in responses:
+        decision, reason = response.payload[Tag.DECISION], response.payload[Tag.REASON]
+        assert response is shared(response.name, Tag.DECISION, decision, Tag.REASON, reason)
         assert response.payload.encode() == DataElementMap(
             {Tag.DECISION: decision, Tag.REASON: reason}).encode()
+
+
+@pytest.mark.parametrize("attack_id", ["pin_guessing", "magstripe_mode_clone"])
+def test_a_second_enumeration_builds_no_message(attack_id):
+    run_attack(attack_id, seed=0)
+    misses = shared.cache_info().misses
+    run_attack(attack_id, seed=0)
+    assert shared.cache_info().misses == misses
+
+
+def test_constant_card_replies_are_shared_across_worlds():
+    kernel3_gpo = Message("GET_PROCESSING_OPTIONS", DataElementMap(
+        {Tag.TTQ: TTQ(), Tag.AMOUNT: Amount(100, "EUR"), Tag.UN: 7}))
+
+    def replies(seed: int, card_name: str, gpo: Message) -> tuple[Message, Message]:
+        card = build_env(seed=seed).cards[card_name]
+        return card.exchange(SELECT[card.profile.aid]), card.exchange(gpo)
+
+    for card_name in ("mastercard_cda", "magstripe_only"):
+        first = replies(0, card_name, EMPTY["GET_PROCESSING_OPTIONS"])
+        again = replies(1, card_name, EMPTY["GET_PROCESSING_OPTIONS"])
+        assert Tag.KERNEL_ID in first[0].payload and Tag.AIP in first[1].payload
+        assert first[0] is again[0] and first[1] is again[1]
+    # a kernel-3 card transacts at GPO: its reply carries the ATC and the cryptogram
+    first = replies(0, "visa_plastic_no_fdda", kernel3_gpo)
+    again = replies(1, "visa_plastic_no_fdda", kernel3_gpo)
+    assert first[0] is again[0] and Tag.AC in first[1].payload
+    assert type(again[1].payload) is DataElementMap and first[1] is not again[1]
 
 
 def _fresh(msg: Message) -> Message:
