@@ -114,7 +114,8 @@ class Issuer:
         if pol.check_atc_order and atc <= self.last_atcs[record.pan]:
             return "decline", "atc_replay"
 
-        # 3. a terminal never reuses its nonce
+        # 3. a terminal never reuses its nonce. UNs are remembered per terminal, across
+        # cards, so under check_un_reuse a fixed-UN terminal approves once per world.
         if pol.check_un_reuse and un is not None and (terminal_id, un) in self.seen_uns:
             return "decline", "un_reuse"
 

@@ -2,10 +2,13 @@
 
 One ``Terminal`` instance drives complete purchases against whatever sits on
 the other side of an ``NfcChannel`` (card, phone, clone, relay leg or
-replayer). Every purchase ends in exactly one ``decision`` marker carrying
-the *terminal's view* of the transaction, which the property checker later
-holds against the card's own ``card_tx`` marker. It is logged in one place: a
-step that refuses raises ``_Declined``, and ``run_purchase`` logs the decline.
+replayer). A purchase runs tuples of steps over one ``_Purchase`` record:
+``_OPENING``, then the flow GPO picks (``_KERNEL3``, ``_KERNEL2`` or
+``_MAGSTRIPE``, which share the steps that read records and carry out the
+CVM), then ``_settle``. Every purchase ends in exactly one ``decision`` marker
+carrying the *terminal's view* of the transaction, which the property checker
+later holds against the card's own ``card_tx`` marker. It is logged in one
+place: a step that refuses raises ``_Declined``, and ``run_purchase`` logs it.
 
 Two details deliberately mirror 2019-era deployments and are central to the
 attack catalogue:
@@ -23,18 +26,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .channel import (MESSAGES, READ_RECORD, SELECT, Message, NfcChannel, PaymentRails,
                       TransactionTrace)
 from .crypto import BadSignature, CAStore, Certificate, LookupFailure, encrypt_pin, verify_sdad, verify_static_records
 from .elements import (
-    AIP,
     CVM_LIMIT,
     ActionCodes,
     Amount,
     CID,
-    CTQ,
     CVMCondition,
     CVMList,
     CVMMethod,
@@ -57,6 +58,7 @@ CEILING = 100000     # terminals refuse larger amounts outright
 
 # tags hash by identity, so a fixed order keeps requests alike across processes
 _AUTH_TAGS = sorted(MESSAGES["AUTH_REQUEST"], key=lambda tag: tag.code)
+_NO_RECORD = DataElementMap()  # how a record the card did not send reads; never written
 
 
 class _Declined(Exception):
@@ -91,6 +93,28 @@ class TerminalConfig:
         )
 
 
+@dataclass
+class _Purchase:
+    """One purchase in progress: its inputs, the ``view`` its decision logs,
+    and what earlier steps found, which the decision does not log."""
+    channel: NfcChannel
+    amount: Amount
+    pin: str | None
+    performed_by: str
+    view: dict[str, Any]
+    pdol: DOL = NO_DOL
+    gpo: DataElementMap | None = None  # the GPO reply's payload
+    flow: tuple[Callable[[Terminal, _Purchase], None], ...] = ()  # the steps GPO picked
+    records: dict[int, DataElementMap] = field(default_factory=dict)
+    iac: ActionCodes = ActionCodes()  # kernel 2's, defaulted when its record lacks one
+    card_public: bytes | None = None  # the card's key, once its certificate chain verified
+    cvm: tuple[CVMMethod, CVMCondition] | None = None  # None: no CVM at all
+    offline: bool = False
+
+    def record(self, number: int) -> DataElementMap:
+        return self.records.get(number, _NO_RECORD)
+
+
 class Terminal:
     """Drives purchases and remembers offline approvals for end-of-day clearing."""
 
@@ -110,46 +134,16 @@ class Terminal:
                      performed_by: str = "cardholder") -> dict[str, Any]:
         """One purchase, ending in exactly one logged decision: every step
         that refuses raises ``_Declined``, and only this handler logs it."""
-        view: dict[str, Any] = {"amount": amount, "mode": "emv"}
+        tx = _Purchase(channel, amount, pin, performed_by, {"amount": amount, "mode": "emv"})
         try:
-            outcome, reason = self._purchase(channel, amount, view, pin=pin,
-                                             performed_by=performed_by)
+            for step in self._OPENING:
+                step(self, tx)
+            for step in tx.flow:
+                step(self, tx)
+            outcome, reason = self._settle(tx)
         except _Declined as declined:
             outcome, reason = "decline", declined.args[0]
-        return self._decide(channel.trace, channel.session, view, outcome, reason)
-
-    def _purchase(self, channel: NfcChannel, amount: Amount,
-                  view: dict[str, Any], *, pin: str | None,
-                  performed_by: str) -> tuple[str, str]:
-        cfg = self.config
-        if amount.value > CEILING:
-            raise _Declined("over_ceiling")
-
-        if cfg.transit:
-            channel.exchange(GREETING)
-
-        aid, kernel, pdol = self._select(channel)
-        view.update(aid=aid, kernel=kernel)
-
-        ttq = cfg.ttq(amount)
-        un = cfg.fixed_un if cfg.fixed_un is not None else self.rng.randrange(1 << 32)
-        view.update(ttq=ttq, un=un)
-
-        env = DataElementMap({
-            Tag.TTQ: ttq, Tag.AMOUNT: amount, Tag.UN: un,
-            Tag.MCC: cfg.mcc, Tag.MERCHANT_ID: cfg.merchant_id,
-            Tag.TERMINAL_ID: cfg.terminal_id,
-        })
-        gpo = channel.exchange(Message("GET_PROCESSING_OPTIONS",
-                                       build_dol_data(pdol, env)))
-        aip: AIP | None = gpo.payload.get(Tag.AIP)
-        if aip is None:
-            raise _Declined("gpo_failed")
-        view["aip"] = aip
-
-        flow = (self._magstripe_flow if not aip.emv_mode_supported
-                else self._kernel3_flow if kernel == 3 else self._kernel2_flow)
-        return flow(channel, amount, gpo, view, pin=pin, performed_by=performed_by)
+        return self._decide(channel.trace, channel.session, tx.view, outcome, reason)
 
     def run_transit_tap(self, channel: NfcChannel) -> dict[str, Any]:
         return self.run_purchase(channel, Amount(0, "EUR"))
@@ -164,204 +158,166 @@ class Terminal:
         return self._decide(self.rails.trace, trace_session, view,
                             *self._authorize(request, trace_session))
 
-    # --- shared pieces ------------------------------------------------------
+    # --- the opening, and the steps the flows share -----------------------------
 
-    def _select(self, channel: NfcChannel) -> tuple[bytes, int, DOL]:
+    def _open(self, tx: _Purchase) -> None:
+        if tx.amount.value > CEILING:
+            raise _Declined("over_ceiling")
+        if self.config.transit:
+            tx.channel.exchange(GREETING)
+
+    def _select(self, tx: _Purchase) -> None:
         for command in SELECT.values():
-            resp = channel.exchange(command)
-            got = resp.payload.get(Tag.AID)
-            if got is not None:
-                return got, resp.payload.get(Tag.KERNEL_ID, 2), resp.payload.get(Tag.PDOL, NO_DOL)
+            reply = tx.channel.exchange(command).payload
+            aid = reply.get(Tag.AID)
+            if aid is not None:
+                tx.view.update(aid=aid, kernel=reply.get(Tag.KERNEL_ID, 2))
+                tx.pdol = reply.get(Tag.PDOL, NO_DOL)
+                return
         raise _Declined("no_application")
 
-    def _read_records(self, channel: NfcChannel, afl) -> dict[int, DataElementMap]:
-        records = {}
-        for number in afl.records:
-            records[number] = channel.exchange(READ_RECORD[number]).payload
-        return records
+    def _gpo(self, tx: _Purchase) -> None:
+        """Send GET PROCESSING OPTIONS; the card's AIP and kernel pick the flow."""
+        cfg, view = self.config, tx.view
+        ttq = cfg.ttq(tx.amount)
+        un = cfg.fixed_un if cfg.fixed_un is not None else self.rng.randrange(1 << 32)
+        view.update(ttq=ttq, un=un)
+        env = DataElementMap({
+            Tag.TTQ: ttq, Tag.AMOUNT: tx.amount, Tag.UN: un,
+            Tag.MCC: cfg.mcc, Tag.MERCHANT_ID: cfg.merchant_id,
+            Tag.TERMINAL_ID: cfg.terminal_id,
+        })
+        tx.gpo = tx.channel.exchange(Message("GET_PROCESSING_OPTIONS",
+                                             build_dol_data(tx.pdol, env))).payload
+        aip = tx.gpo.get(Tag.AIP)
+        if aip is None:
+            raise _Declined("gpo_failed")
+        view["aip"] = aip
+        tx.flow = (self._MAGSTRIPE if not aip.emv_mode_supported
+                   else self._KERNEL3 if view["kernel"] == 3 else self._KERNEL2)
 
-    def _verify_chain(self, records: dict[int, DataElementMap],
-                      pan: str) -> tuple[Certificate | None, bytes | None]:
-        """Walk CA -> issuer -> card over records 2 and 3. Returns the issuer
-        certificate and the card's public key, both None when the card
-        offers no chain; raises LookupFailure or BadSignature when it breaks."""
-        index = records.get(2, DataElementMap()).get(Tag.CA_PK_INDEX)
-        if index is None or 3 not in records:
-            return None, None
-        issuer_cert = Certificate.from_bytes(records[3][Tag.ISSUER_CERT])
-        card_cert = Certificate.from_bytes(records[3][Tag.CARD_CERT])
-        return issuer_cert, self.ca_store.verify_chain(index, issuer_cert,
-                                                       card_cert, pan)
+    _OPENING = (_open, _select, _gpo)
 
-    def _collect_cvm(self, channel: NfcChannel,
-                     cvm: tuple[CVMMethod, CVMCondition] | None, *,
-                     pin: str | None, performed_by: str,
-                     view: dict[str, Any]) -> CVMResults:
-        """Carry out the chosen CVM at the terminal; ``None`` is no CVM at all."""
-        if cvm is None:
-            return CVMResults()
-        method, condition = cvm
+    def _read_records(self, tx: _Purchase) -> None:
+        tx.records = {number: tx.channel.exchange(READ_RECORD[number]).payload
+                      for number in tx.gpo[Tag.AFL].records}
+
+    def _verify_chain(self, tx: _Purchase) -> Certificate | None:
+        """Walk CA -> issuer -> card over records 2 and 3, keeping the card's
+        public key. Returns the issuer certificate, None when the card offers
+        no chain; raises LookupFailure or BadSignature when it breaks."""
+        index = tx.record(2).get(Tag.CA_PK_INDEX)
+        if index is None or 3 not in tx.records:
+            return None
+        issuer_cert = Certificate.from_bytes(tx.records[3][Tag.ISSUER_CERT])
+        card_cert = Certificate.from_bytes(tx.records[3][Tag.CARD_CERT])
+        tx.card_public = self.ca_store.verify_chain(index, issuer_cert, card_cert,
+                                                    tx.record(1).get(Tag.PAN, ""))
+        return issuer_cert
+
+    def _collect_cvm(self, tx: _Purchase) -> None:
+        """Carry out the CVM the flow chose at the terminal."""
+        method, condition = tx.cvm or (None, None)
         if method == CVMMethod.OnlinePIN:
-            if pin is None:
+            if tx.pin is None:
                 raise _Declined("pin_unavailable")
-            view["enc_pin"] = encrypt_pin(self.pin_key, pin,
-                                          self.rng.randbytes(12))
+            tx.view["enc_pin"] = encrypt_pin(self.pin_key, tx.pin, self.rng.randbytes(12))
         elif method == CVMMethod.PaperSignature:
-            if performed_by != "cardholder" and not self.config.lenient_cashier:
+            if tx.performed_by != "cardholder" and not self.config.lenient_cashier:
                 raise _Declined("signature_rejected")
         if method in (CVMMethod.OnlinePIN, CVMMethod.PaperSignature):
-            channel.trace.mark("cvm", channel.session, {
-                "method": method.name, "genuine": performed_by == "cardholder",
-                "by": performed_by})
-        return CVMResults(method, condition, CVMResult.Performed)
+            tx.channel.trace.mark("cvm", tx.channel.session, {
+                "method": method.name, "genuine": tx.performed_by == "cardholder",
+                "by": tx.performed_by})
+        tx.view["cvm_results"] = (CVMResults() if method is None
+                                  else CVMResults(method, condition, CVMResult.Performed))
 
     # --- kernel 3 ------------------------------------------------------------
 
-    def _kernel3_flow(self, channel: NfcChannel, amount: Amount, gpo: Message,
-                      view: dict[str, Any], *, pin: str | None,
-                      performed_by: str) -> tuple[str, str]:
-        ttq: TTQ = view["ttq"]
-        p = gpo.payload
+    def _k3_cryptogram(self, tx: _Purchase) -> None:
+        p, cfg = tx.gpo, self.config
         cid = p.get(Tag.CID)
         if cid == CID.AAC or cid is None or Tag.AC not in p:
             raise _Declined("card_declined")
-        ctq: CTQ = p[Tag.CTQ]
-        view.update(ctq=ctq, atc=p[Tag.ATC], ac=p[Tag.AC], iad=p[Tag.IAD],
-                    cid=cid, un_card=p.get(Tag.UN_CARD))
+        tx.view.update(ctq=p[Tag.CTQ], atc=p[Tag.ATC], ac=p[Tag.AC], iad=p[Tag.IAD],
+                       cid=cid, un_card=p.get(Tag.UN_CARD))
+        tx.offline = (cid == CID.TC and tx.amount.value <= FLOOR_LIMIT
+                      and (cfg.offline_capable or cfg.transit))
 
-        records = self._read_records(channel, p[Tag.AFL])
-        r1 = records.get(1, DataElementMap())
-        r2 = records.get(2, DataElementMap())
-        view.update(pan=r1.get(Tag.PAN), expiry=r1.get(Tag.EXPIRY),
-                    ca_pk_index=r2.get(Tag.CA_PK_INDEX),
-                    cvm_list=r2.get(Tag.CVM_LIST),
-                    iac_denial=(r2.get(Tag.IAC).denial
-                                if Tag.IAC in r2 else None))
-
+    def _k3_records(self, tx: _Purchase) -> None:
+        r1, r2 = tx.record(1), tx.record(2)
+        tx.view.update(pan=r1.get(Tag.PAN), expiry=r1.get(Tag.EXPIRY),
+                       ca_pk_index=r2.get(Tag.CA_PK_INDEX),
+                       cvm_list=r2.get(Tag.CVM_LIST),
+                       iac_denial=(r2.get(Tag.IAC).denial
+                                   if Tag.IAC in r2 else None))
         # the card's CVM statement must be consistent between GPO and records
-        if Tag.CTQ in r2 and r2[Tag.CTQ] != ctq:
+        if Tag.CTQ in r2 and r2[Tag.CTQ] != tx.view["ctq"]:
             raise _Declined("ctq_mismatch")
 
+    def _k3_oda(self, tx: _Purchase) -> None:
         try:
-            _, card_public = self._verify_chain(records, r1.get(Tag.PAN, ""))
+            self._verify_chain(tx)
         except (LookupFailure, BadSignature):
             raise _Declined("oda_chain_failed")
-
-        sdad = p.get(Tag.SDAD)
+        sdad = tx.gpo.get(Tag.SDAD)
         if sdad is not None:
-            if card_public is None:
+            if tx.card_public is None:
                 raise _Declined("oda_chain_failed")
-            if not verify_sdad(card_public, "fdda", p.copy().put(Tag.UN, view["un"]), sdad):
+            if not verify_sdad(tx.card_public, "fdda",
+                               tx.gpo.copy().put(Tag.UN, tx.view["un"]), sdad):
                 raise _Declined("fdda_failed")
         elif self.config.require_oda_kernel3:
             raise _Declined("fdda_missing")
 
-        # CVM cascade
+    def _k3_choose_cvm(self, tx: _Purchase) -> None:
+        # the cascade: what the card did or demands, then what the terminal requires
+        ctq = tx.view["ctq"]
         if ctq.cdcvm_performed:
-            cvm = CVMMethod.CDCVM, CVMCondition.Always
+            tx.cvm = CVMMethod.CDCVM, CVMCondition.Always
         elif ctq.online_pin_required:
-            cvm = CVMMethod.OnlinePIN, CVMCondition.IfAboveCvmLimit
+            tx.cvm = CVMMethod.OnlinePIN, CVMCondition.IfAboveCvmLimit
         elif ctq.signature_required:
-            cvm = CVMMethod.PaperSignature, CVMCondition.IfBelowCvmLimit
-        elif ttq.cvm_required:
+            tx.cvm = CVMMethod.PaperSignature, CVMCondition.IfBelowCvmLimit
+        elif tx.view["ttq"].cvm_required:
             raise _Declined("no_cvm_agreed")
-        else:
-            cvm = None
-        view["cvm_results"] = self._collect_cvm(channel, cvm, pin=pin,
-                                                performed_by=performed_by, view=view)
 
-        return self._settle(channel, view, 3, offline=(
-            cid == CID.TC and amount.value <= FLOOR_LIMIT
-            and (self.config.offline_capable or self.config.transit)))
+    _KERNEL3 = (_k3_cryptogram, _read_records, _k3_records, _k3_oda, _k3_choose_cvm,
+                _collect_cvm)
 
     # --- kernel 2 -------------------------------------------------------------
 
-    def _kernel2_flow(self, channel: NfcChannel, amount: Amount, gpo: Message,
-                      view: dict[str, Any], *, pin: str | None,
-                      performed_by: str) -> tuple[str, str]:
-        cfg = self.config
-        un: int = view["un"]
-        aip: AIP = gpo.payload[Tag.AIP]
-        records = self._read_records(channel, gpo.payload[Tag.AFL])
-        r1 = records.get(1, DataElementMap())
-        r2 = records.get(2, DataElementMap())
-        pan = r1.get(Tag.PAN, "")
-        cvm_list: CVMList = r2.get(Tag.CVM_LIST, CVMList())
-        iac: ActionCodes = r2.get(Tag.IAC, ActionCodes())
-        view.update(pan=pan, expiry=r1.get(Tag.EXPIRY),
-                    cvm_list=cvm_list, iac_denial=iac.denial,
-                    ca_pk_index=r2.get(Tag.CA_PK_INDEX))
+    def _k2_records(self, tx: _Purchase) -> None:
+        r1, r2 = tx.record(1), tx.record(2)
+        tx.iac = r2.get(Tag.IAC, ActionCodes())
+        tx.view.update(pan=r1.get(Tag.PAN, ""), expiry=r1.get(Tag.EXPIRY),
+                       cvm_list=r2.get(Tag.CVM_LIST, CVMList()), iac_denial=tx.iac.denial,
+                       ca_pk_index=r2.get(Tag.CA_PK_INDEX))
 
-        tvr = TVR()
+    def _k2_oda(self, tx: _Purchase) -> None:
+        view, tvr = tx.view, TVR()
         try:
-            issuer_cert, card_public = self._verify_chain(records, pan)
+            issuer_cert = self._verify_chain(tx)
         except (LookupFailure, BadSignature):
             # ODA could not be completed; record it and let the action
             # codes decide, as fielded terminals do
-            issuer_cert = card_public = None
-            tvr = tvr.replace(cda_failed=True)
+            issuer_cert, tvr = None, tvr.replace(cda_failed=True)
         if issuer_cert is not None:
             # exactly the values acted on: over both records merged, an edited
             # record-1 EXPIRY would pass beside a genuine copy in record 2
             static = DataElementMap({
-                Tag.PAN: pan, Tag.EXPIRY: r1.get(Tag.EXPIRY, ""),
-                Tag.AIP: aip, Tag.CVM_LIST: cvm_list, Tag.IAC: iac,
-                Tag.CA_PK_INDEX: r2[Tag.CA_PK_INDEX],
+                Tag.PAN: view["pan"], Tag.EXPIRY: tx.record(1).get(Tag.EXPIRY, ""),
+                Tag.AIP: view["aip"], Tag.CVM_LIST: view["cvm_list"], Tag.IAC: tx.iac,
+                Tag.CA_PK_INDEX: view["ca_pk_index"],
             })
             if not verify_static_records(issuer_cert.public_key, static,
-                                         records[3].get(Tag.STATIC_SIGNATURE, b"")):
+                                         tx.records[3].get(Tag.STATIC_SIGNATURE, b"")):
                 tvr = tvr.replace(cda_failed=True)
         view["tvr"] = tvr
 
-        cvm_results = self._collect_cvm(channel,
-                                        self._choose_cvm_kernel2(cvm_list, amount, aip),
-                                        pin=pin, performed_by=performed_by, view=view)
-        view["cvm_results"] = cvm_results
-
-        want_offline = cfg.offline_capable and amount.value <= FLOOR_LIMIT
-        requested_cid = CID.TC if want_offline else CID.ARQC
-        want_cda = cfg.request_cda and aip.cda_supported
-
-        cdol_env = DataElementMap({
-            Tag.AMOUNT: amount, Tag.UN: un, Tag.CVM_RESULTS: cvm_results,
-        })
-        payload = build_dol_data(r2.get(Tag.CDOL1, NO_DOL), cdol_env)
-        payload.put(Tag.CID, requested_cid)
-        payload.put(Tag.CDA_REQUESTED, 1 if want_cda else 0)
-        resp = channel.exchange(Message("GENERATE_AC", payload))
-        rp = resp.payload
-        if rp.get(Tag.CID) == CID.AAC:
-            raise _Declined("card_declined")
-        if Tag.AC not in rp:
-            raise _Declined("no_cryptogram")
-        cid: CID = rp[Tag.CID]
-        view.update(atc=rp[Tag.ATC], ac=rp[Tag.AC], iad=rp[Tag.IAD], cid=cid,
-                    un_card=rp.get(Tag.UN_CARD))
-
-        if want_cda:
-            sdad = rp.get(Tag.SDAD)
-            if sdad is None:
-                raise _Declined("cda_missing")
-            if card_public is None:
-                # asked for CDA but cannot check it: same bucket as broken ODA
-                tvr = tvr.replace(cda_failed=True)
-                view["tvr"] = tvr
-            else:
-                if not verify_sdad(card_public, "cda", rp.copy().put(Tag.UN, un), sdad):
-                    # a checkable-but-wrong dynamic signature is never survivable
-                    raise _Declined("cda_invalid")
-
-        # action analysis: card (IAC) and terminal (TAC) both get a say
-        denial_mask = iac.denial.wire[0] | cfg.tac.denial.wire[0]
-        if tvr.wire[0] & denial_mask:
-            raise _Declined("action_code_denial")
-
-        return self._settle(channel, view, 2, offline=cid == CID.TC and want_offline)
-
-    def _choose_cvm_kernel2(self, cvm_list: CVMList, amount: Amount,
-                            aip: AIP) -> tuple[CVMMethod, CVMCondition]:
-        above = amount.value > CVM_LIMIT
-        for entry in cvm_list.entries:
+    def _k2_choose_cvm(self, tx: _Purchase) -> None:
+        above = tx.amount.value > CVM_LIMIT
+        for entry in tx.view["cvm_list"].entries:
             if entry.condition == CVMCondition.IfAboveCvmLimit and not above:
                 continue
             if entry.condition == CVMCondition.IfBelowCvmLimit and above:
@@ -370,48 +326,83 @@ class Terminal:
                 CVMMethod.OnlinePIN: True,
                 CVMMethod.PaperSignature: True,
                 CVMMethod.NoCVM: not above,
-                CVMMethod.CDCVM: aip.on_device_cvm_supported,
+                CVMMethod.CDCVM: tx.view["aip"].on_device_cvm_supported,
                 CVMMethod.EncryptedOfflinePIN: False,  # not on this interface
             }[entry.method]
             if feasible:
-                return entry.method, entry.condition
-        if not above:
-            return CVMMethod.NoCVM, CVMCondition.IfBelowCvmLimit
-        raise _Declined("no_cvm_agreed")
+                tx.cvm = entry.method, entry.condition
+                return
+        if above:
+            raise _Declined("no_cvm_agreed")
+        tx.cvm = CVMMethod.NoCVM, CVMCondition.IfBelowCvmLimit
+
+    def _k2_generate_ac(self, tx: _Purchase) -> None:
+        """Ask the card for its cryptogram, and check the CDA signature on it."""
+        cfg, view = self.config, tx.view
+        want_offline = cfg.offline_capable and tx.amount.value <= FLOOR_LIMIT
+        want_cda = cfg.request_cda and view["aip"].cda_supported
+        cdol_env = DataElementMap({
+            Tag.AMOUNT: tx.amount, Tag.UN: view["un"], Tag.CVM_RESULTS: view["cvm_results"],
+        })
+        payload = build_dol_data(tx.record(2).get(Tag.CDOL1, NO_DOL), cdol_env)
+        payload.put(Tag.CID, CID.TC if want_offline else CID.ARQC)
+        payload.put(Tag.CDA_REQUESTED, 1 if want_cda else 0)
+        rp = tx.channel.exchange(Message("GENERATE_AC", payload)).payload
+        if rp.get(Tag.CID) == CID.AAC:
+            raise _Declined("card_declined")
+        if Tag.AC not in rp:
+            raise _Declined("no_cryptogram")
+        cid: CID = rp[Tag.CID]
+        view.update(atc=rp[Tag.ATC], ac=rp[Tag.AC], iad=rp[Tag.IAD], cid=cid,
+                    un_card=rp.get(Tag.UN_CARD))
+        tx.offline = cid == CID.TC and want_offline
+        if want_cda:
+            sdad = rp.get(Tag.SDAD)
+            if sdad is None:
+                raise _Declined("cda_missing")
+            if tx.card_public is None:
+                # asked for CDA but cannot check it: same bucket as broken ODA
+                view["tvr"] = view["tvr"].replace(cda_failed=True)
+            elif not verify_sdad(tx.card_public, "cda", rp.copy().put(Tag.UN, view["un"]), sdad):
+                # a checkable-but-wrong dynamic signature is never survivable
+                raise _Declined("cda_invalid")
+
+    def _k2_action_analysis(self, tx: _Purchase) -> None:
+        # card (IAC) and terminal (TAC) both get a say
+        denial_mask = tx.iac.denial.wire[0] | self.config.tac.denial.wire[0]
+        if tx.view["tvr"].wire[0] & denial_mask:
+            raise _Declined("action_code_denial")
+
+    _KERNEL2 = (_read_records, _k2_records, _k2_oda, _k2_choose_cvm, _collect_cvm,
+                _k2_generate_ac, _k2_action_analysis)
 
     # --- mag-stripe mode ----------------------------------------------------------
 
-    def _magstripe_flow(self, channel: NfcChannel, amount: Amount, gpo: Message,
-                        view: dict[str, Any], *, pin: str | None,
-                        performed_by: str) -> tuple[str, str]:
-        cfg = self.config
-        view["mode"] = "ms"
-        n_digits = gpo.payload.get(Tag.N_UN_DIGITS, N_UN_DIGITS)
-        space = 10 ** n_digits
-        un = (cfg.fixed_un % space if cfg.fixed_un is not None
-              else self.rng.randrange(space))
-        view["un"] = un
+    def _ms_un(self, tx: _Purchase) -> None:
+        fixed_un = self.config.fixed_un
+        space = 10 ** tx.gpo.get(Tag.N_UN_DIGITS, N_UN_DIGITS)
+        tx.view.update(mode="ms", un=fixed_un % space if fixed_un is not None
+                       else self.rng.randrange(space))
 
-        records = self._read_records(channel, gpo.payload[Tag.AFL])
-        r1 = records.get(1, DataElementMap())
+    def _ms_track(self, tx: _Purchase) -> None:
+        r1 = tx.record(1)
         track2: Track2EquivalentData | None = r1.get(Tag.TRACK2)
         if track2 is None:
             raise _Declined("no_track_data")
-        view.update(pan=r1.get(Tag.PAN, track2.pan), expiry=track2.expiry,
-                    track2=track2)
+        tx.view.update(pan=r1.get(Tag.PAN, track2.pan), expiry=track2.expiry,
+                       track2=track2)
+        if tx.amount.value > CVM_LIMIT:
+            tx.cvm = CVMMethod.PaperSignature, CVMCondition.IfAboveCvmLimit
 
-        cvm = ((CVMMethod.PaperSignature, CVMCondition.IfAboveCvmLimit)
-               if amount.value > CVM_LIMIT else None)
-        view["cvm_results"] = self._collect_cvm(channel, cvm, pin=pin,
-                                                performed_by=performed_by, view=view)
-
-        resp = channel.exchange(Message("GENERATE_AC",
-                                        DataElementMap({Tag.UN: un})))
+    def _ms_dynamic_code(self, tx: _Purchase) -> None:
+        resp = tx.channel.exchange(Message("GENERATE_AC",
+                                           DataElementMap({Tag.UN: tx.view["un"]})))
         if Tag.CVC3 not in resp.payload:
             raise _Declined("no_dynamic_code")
-        view.update(cvc3=resp.payload[Tag.CVC3], atc=resp.payload[Tag.ATC],
-                    n_un_digits=n_digits)
-        return self._settle(channel, view, 2, offline=False)
+        tx.view.update(cvc3=resp.payload[Tag.CVC3], atc=resp.payload[Tag.ATC],
+                       n_un_digits=tx.gpo.get(Tag.N_UN_DIGITS, N_UN_DIGITS))
+
+    _MAGSTRIPE = (_ms_un, _read_records, _ms_track, _collect_cvm, _ms_dynamic_code)
 
     # --- authorization / clearing ---------------------------------------------------
 
@@ -427,21 +418,16 @@ class Terminal:
         return DataElementMap({tag: value for tag in _AUTH_TAGS
                                if (value := fields.get(FIELD_NAMES[tag])) is not None})
 
-    def _clearing_payload(self, view: dict[str, Any], kernel: int) -> Message:
-        keep = MESSAGES["CLEARING_SUBMIT"]
-        return Message("CLEARING_SUBMIT", DataElementMap({
-            **{tag: value for tag, value in self._auth_payload(view, kernel).items()
-               if tag in keep}, Tag.DECISION: "offline_approved"}))
-
-    def _settle(self, channel: NfcChannel, view: dict[str, Any], kernel: int, *,
-                offline: bool) -> tuple[str, str]:
+    def _settle(self, tx: _Purchase) -> tuple[str, str]:
         """Keep an offline approval for end-of-day clearing, or authorize online."""
-        if offline:
-            self.offline_batch.append((self._clearing_payload(view, kernel),
-                                       channel.session))
+        request = self._auth_payload(tx.view, 3 if tx.flow is self._KERNEL3 else 2)
+        if tx.offline:
+            keep = MESSAGES["CLEARING_SUBMIT"]
+            submit = DataElementMap({tag: value for tag, value in request.items() if tag in keep})
+            self.offline_batch.append((Message("CLEARING_SUBMIT", submit.put(
+                Tag.DECISION, "offline_approved")), tx.channel.session))
             return "approve_offline", "offline_floor"
-        request = Message("AUTH_REQUEST", self._auth_payload(view, kernel))
-        return self._authorize(request, channel.session)
+        return self._authorize(Message("AUTH_REQUEST", request), tx.channel.session)
 
     def _authorize(self, request: Message, session: int) -> tuple[str, str]:
         response = self.rails.authorize(request, session=session)

@@ -1,16 +1,17 @@
-"""Per-message budgets of the card dialogue loop and of trace emission,
-counted instead of timed.
+"""Per-message budgets of the card dialogue loop and of trace emission, and
+a per-purchase budget of the terminal's steps, counted instead of timed.
 
 The unit is one Python-level call, as ``sys.setprofile`` reports it: for an
 exchange, into code that lives in the tapsim package or that ``dataclasses``
 generated (the ``__init__`` of the flag maps and other value types, whose file
 is ``<string>``, which runs only when a value is built for the first time: a
 construction met before costs the intern table's one call); for emission, into
-any Python code (``json``'s encoder frames count there). The count does not
-depend on the machine's speed or load, so work put back on the per-exchange
-path (building the message, both log lines, the card's answer and reading
-the reply) or on the per-event path of ``TransactionTrace.to_jsonl`` fails
-here and not only in the benchmark. The ceilings are the counts measured
+any Python code (``json``'s encoder frames count there); for a purchase, into
+``terminal.py`` alone. The count does not depend on the machine's speed or
+load, so work put back on the per-exchange path (building the message, both
+log lines, the card's answer and reading the reply), on the per-event path
+of ``TransactionTrace.to_jsonl`` or into a purchase's steps fails here and
+not only in the benchmark. The ceilings are the counts measured
 when they were set. Emission compiles each line shape once per process, so
 its ceilings were measured with every test run alone, the shape cache cold;
 after other tests have filled it the counts are lower. The commands an
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 import tapsim
+import tapsim.terminal
 from tapsim import crypto
 from tapsim.attacks import harvest_cvc3_table, run_attack
 from tapsim.channel import Adversary, Message, NfcChannel
@@ -50,6 +52,7 @@ HARVEST_WARM_EMIT_CEILING = 0.34
 VERIFY_WARM_EMIT_CEILING = 0.01
 PIN_TRACE_MESSAGES = 1251  # message objects in the PIN-guessing trace, of 3,716 message events
 GENUINE_EMIT_CEILING = 1.06  # per event of the genuine matrix's traces, both policies
+PURCHASE_CEILING = 23.49  # into terminal.py per genuine pairing, both policies, from 15.07
 
 
 def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>")) -> int:
@@ -155,6 +158,18 @@ def test_genuine_matrix_emission_budget():
     traces = [env.trace for policy in (PERMISSIVE_2019, HARDENED)
               for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
     assert emission_calls_per_event(*traces) <= GENUINE_EMIT_CEILING
+
+
+def test_purchase_step_budget():
+    # the steps of a purchase, the world set-up and settlement that reach terminal.py;
+    # no memo lives there, so the count is the same cold or warm
+    results = []
+    calls = python_calls(lambda: results.extend(
+        result for policy in (PERMISSIVE_2019, HARDENED)
+        for _pairing, _env, result in run_genuine_matrix(policy, seed=0)),
+        under=tapsim.terminal.__file__)
+    assert len(results) == 58
+    assert calls / len(results) <= PURCHASE_CEILING
 
 
 def test_signatures_made_in_process_verify_without_ed25519(monkeypatch):

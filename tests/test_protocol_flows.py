@@ -18,6 +18,7 @@ from tapsim.elements import (
     CVMMethod,
     DataElementMap,
     Tag,
+    render_value,
 )
 from tapsim.issuer import HARDENED, ISSUER_CHECKS, PERMISSIVE_2019
 from tapsim.runner import (
@@ -391,6 +392,18 @@ def test_hardened_issuer_catches_resubmitted_authorization():
     assert again.payload[Tag.REASON] == "atc_replay"
 
 
+@pytest.mark.parametrize("policy, second", [
+    (PERMISSIVE_2019, "issuer_approved"), (HARDENED, "issuer_declined:un_reuse"),
+], ids=["permissive", "hardened"])
+def test_un_reuse_is_remembered_per_terminal_across_cards(policy, second):
+    # the issuer remembers UNs per terminal across cards, so the second card's
+    # tap repeats the first card's UN at the same terminal
+    env = build_env(seed=0, policy=policy)
+    reasons = [run_genuine(env, card, "rogue_fixed_un_pos", AMOUNT_LOW)["reason"]
+               for card in ("visa_plastic_no_fdda", "mastercard_cda")]
+    assert reasons == ["issuer_approved", second]
+
+
 def test_issuer_atc_order_admits_only_higher_counters():
     env = build_env(policy=PERMISSIVE_2019.with_fixes(check_atc_order=True))
     profile = env.cards["magstripe_only"].profile
@@ -551,6 +564,19 @@ def test_every_decline_the_terminal_raises_has_a_case():
     assert raised == {reason for reason in DECLINES if ":" not in reason}
 
 
+def test_every_decline_site_is_a_step():
+    # a decline's stage is the step that raised it: each function that raises is a
+    # member of the opening or of a flow, and every member is a terminal function
+    terminal = tapsim.terminal.Terminal
+    steps = {*terminal._OPENING, *terminal._KERNEL2, *terminal._KERNEL3, *terminal._MAGSTRIPE}
+    tree = ast.parse(Path(tapsim.terminal.__file__).read_text(encoding="utf-8"))
+    raising = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_Declined"
+                       for call in ast.walk(node))}
+    assert raising and raising <= {step.__name__ for step in steps}
+    assert {step.__code__.co_filename for step in steps} == {tapsim.terminal.__file__}
+
+
 @pytest.mark.parametrize("reason", DECLINES)
 def test_each_decline_reason_logs_one_decision(reason):
     card_name, amount, who, hooks, terminal_overrides, pin = DECLINES[reason]
@@ -569,3 +595,51 @@ def test_each_decline_reason_logs_one_decision(reason):
     assert len(decisions) == 1
     assert decisions[0].data["reason"] == reason
     assert decisions[0].session == result["session"]
+
+
+# --- each flow's defaults for a tag missing from the records -------------------------------
+
+_ITS_PAN, _ITS_LIST, _ITS_TRACK2_PAN = "its PAN", "its CVM list", "its Track 2 PAN"
+_NO_DENIAL = {"cda_failed": False}
+
+# (card, tags dropped from every READ RECORD reply) -> (outcome, reason,
+# the decision's rendered pan, cvm_list and iac_denial)
+RECORD_DEFAULTS = {
+    ("visa_plastic_no_fdda", ("PAN",)): (
+        "decline", "issuer_declined:unknown_card", None, [], _NO_DENIAL),
+    ("visa_plastic_no_fdda", ("CVM_LIST", "IAC")): (
+        "approve_online", "issuer_approved", _ITS_PAN, None, None),
+    ("visa_plastic_fdda", ("PAN",)): (
+        "decline", "oda_chain_failed", None, [], _NO_DENIAL),
+    ("mastercard_cda", ("PAN",)): (
+        "decline", "action_code_denial", "", _ITS_LIST, {"cda_failed": True}),
+    ("mastercard_cda", ("CVM_LIST", "IAC")): (
+        "approve_online", "issuer_approved", _ITS_PAN, [], _NO_DENIAL),
+    ("maestro_debit", ("CVM_LIST", "IAC")): (
+        "approve_online", "issuer_approved", _ITS_PAN, [], _NO_DENIAL),
+    ("magstripe_only", ("PAN",)): (
+        "approve_online", "issuer_approved", _ITS_TRACK2_PAN, None, None),
+}
+
+
+@pytest.mark.parametrize("card, dropped", RECORD_DEFAULTS,
+                         ids=[f"{card}-{'-'.join(dropped)}" for card, dropped in RECORD_DEFAULTS])
+def test_each_flow_keeps_its_defaults_for_a_missing_record_tag(card, dropped):
+    # kernel 3 logs a missing tag as null, kernel 2 as its empty value (an IAC
+    # that denies nothing), and mag-stripe mode takes the PAN from Track 2
+    outcome, reason, pan, cvm_list, iac_denial = RECORD_DEFAULTS[card, dropped]
+    env = build_env(seed=3)
+    profile = env.cards[card].profile
+    ours = {_ITS_PAN: profile.pan, _ITS_LIST: render_value(profile.cvm_list),
+            _ITS_TRACK2_PAN: profile.track2.pan}
+    tags = {Tag.by_name(name) for name in dropped}
+    adv = Adversary(trace=env.trace)
+    adv.on_from_card(lambda msg, a: Message(msg.name, DataElementMap(
+        {t: v for t, v in msg.payload.items() if t not in tags}))
+        if msg.name == "READ_RECORD" else msg)
+    result = run_genuine(env, card, "standard_pos", AMOUNT_LOW, adversary=adv)
+    assert (result["outcome"], result["reason"]) == (outcome, reason)
+    data = markers(env.trace, "decision")[0].data
+    assert [render_value(data.get(key)) for key in ("pan", "cvm_list", "iac_denial")] == [
+        ours.get(want, want) if type(want) is str else want
+        for want in (pan, cvm_list, iac_denial)]
