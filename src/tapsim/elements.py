@@ -1,9 +1,10 @@
 """Typed data elements and the canonical wire codec.
 
 Every value that crosses a channel lives in a DataElementMap: a mapping from
-registered tags to typed values. The tag registry (names, codes, wire kinds,
-flag bit positions) is loaded from fixtures/codec.json so traces stay
-self-describing; this module refuses unknown tags and unknown flag bits.
+registered tags to typed values. fixtures/codec.json is the one source of the
+wire vocabulary: the tag registry (names, codes, wire kinds) is loaded from it,
+and the enums and flag maps are built from its member names and bits, so traces
+stay self-describing; this module refuses unknown tags and unknown flag bits.
 
 The canonical encoding is deterministic and injective: entries are sorted by
 tag code, every value is length-prefixed, and an empty map encodes to the
@@ -22,7 +23,7 @@ import enum
 import json
 import re
 import types
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import compress
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
@@ -105,40 +106,17 @@ FIELD_NAMES: dict[TagInfo, str] = {tag: tag.name.lower() for tag in TAGS_BY_NAME
 
 
 # ---------------------------------------------------------------------------
-# enums
+# enums: codec.json's names, each member's value its index in the list
 # ---------------------------------------------------------------------------
 
-class CID(enum.IntEnum):
-    """Cryptogram type returned by the card."""
-
-    AAC = 0   # refuse
-    ARQC = 1  # ask the issuer
-    TC = 2    # approve offline
-
-
-class CVMMethod(enum.IntEnum):
-    NoCVM = 0
-    OnlinePIN = 1
-    EncryptedOfflinePIN = 2
-    PaperSignature = 3
-    CDCVM = 4
-
-
-class CVMCondition(enum.IntEnum):
-    Always = 0
-    IfAboveCvmLimit = 1
-    IfBelowCvmLimit = 2
-
-
-class CVMResult(enum.IntEnum):
-    NotPerformed = 0
-    Performed = 1
-    Failed = 2
-
-
-class DeviceType(enum.IntEnum):
-    plastic = 0
-    phone = 1
+# CID is the cryptogram type the card returns: AAC refuses, ARQC asks the issuer and TC
+# approves offline. A CVM list entry pairs a CVMMethod with a CVMCondition, CVM results add a
+# CVMResult, and an IAD names the DeviceType it comes from.
+_ENUMS = CID, CVMMethod, CVMCondition, CVMResult, DeviceType = tuple(
+    enum.IntEnum(name, _CODEC["enums"][key], start=0, module=__name__)
+    for name, key in (("CID", "cid"), ("CVMMethod", "cvm_method"),
+                      ("CVMCondition", "cvm_condition"), ("CVMResult", "cvm_result"),
+                      ("DeviceType", "device_type")))
 
 
 # The intern table: (class, positional arguments, keyword items, each argument's exact type) ->
@@ -169,18 +147,14 @@ class _Interned(type):
 
 
 # ---------------------------------------------------------------------------
-# flag maps (bit positions pinned in codec.json)
+# flag maps: codec.json's bits, in wire order
 # ---------------------------------------------------------------------------
 
-def _bit_positions(flag_set: str) -> dict[str, int]:
-    names = _CODEC["flag_fields"][flag_set]
-    return {name: i for i, name in enumerate(names)}
-
-
 class _Flags(metaclass=_Interned):
-    """Base for one-byte flag maps; subclasses declare bool fields, each bit exactly a bool."""
+    """Base for one-byte flag maps, built by ``_flag_map``: a bool field per bit, each
+    exactly a bool."""
 
-    _positions: dict[str, int] = {}
+    _positions: dict[str, int]  # each bit's name -> its position, in codec.json's order
     wire: bytes  # the flag byte: bit ``_positions[name]`` set for each true field
 
     def __post_init__(self) -> None:
@@ -193,58 +167,23 @@ class _Flags(metaclass=_Interned):
     replace = dataclasses.replace
 
 
-@dataclass(frozen=True)
-class AIP(_Flags):
-    """Application Interchange Profile: what the card claims to support."""
-
-    sda_supported: bool = False
-    dda_supported: bool = False
-    cda_supported: bool = False
-    cardholder_verification_supported: bool = False
-    on_device_cvm_supported: bool = False
-    emv_mode_supported: bool = True
-
-    _positions = _bit_positions("aip")
+def _flag_map(name: str, key: str, doc: str) -> type:
+    """The frozen flag map ``name`` over codec.json's ``key`` bits. A card and a terminal
+    claim EMV mode unless told not to, so ``emv_mode_supported`` defaults to True and every
+    other bit to False. ``__module__`` is set so pickle and copy find the class."""
+    bits = _CODEC["flag_fields"][key]
+    return dataclasses.make_dataclass(
+        name, [(bit, bool, bit == "emv_mode_supported") for bit in bits], bases=(_Flags,),
+        frozen=True, namespace={"__doc__": doc, "__module__": __name__,
+                                "_positions": {bit: i for i, bit in enumerate(bits)}})
 
 
-@dataclass(frozen=True)
-class TTQ(_Flags):
-    """Terminal Transaction Qualifiers: terminal capabilities/requirements."""
-
-    online_pin_supported: bool = False
-    signature_supported: bool = False
-    cvm_required: bool = False
-    oda_for_online_supported: bool = False
-    emv_mode_supported: bool = True
-
-    _positions = _bit_positions("ttq")
-
-
-@dataclass(frozen=True)
-class CTQ(_Flags):
-    """Card Transaction Qualifiers: the card's CVM demands/claims."""
-
-    online_pin_required: bool = False
-    signature_required: bool = False
-    cdcvm_performed: bool = False
-
-    _positions = _bit_positions("ctq")
-
-
-@dataclass(frozen=True)
-class TVR(_Flags):
-    """Terminal Verification Results. Only the auth-failure bit is modeled;
-    the remaining bits are reserved and always zero."""
-
-    cda_failed: bool = False
-
-    _positions = _bit_positions("tvr")
-
-
-for _cls in (AIP, TTQ, CTQ, TVR):
-    if {f.name for f in fields(_cls)} != set(_cls._positions):
-        raise CodecError(f"{_cls.__name__} fields disagree with codec.json")
-del _cls
+_FLAG_MAPS = AIP, TTQ, CTQ, TVR = (
+    _flag_map("AIP", "aip", "Application Interchange Profile: what the card claims to support."),
+    _flag_map("TTQ", "ttq", "Terminal Transaction Qualifiers: terminal capabilities/requirements."),
+    _flag_map("CTQ", "ctq", "Card Transaction Qualifiers: the card's CVM demands/claims."),
+    _flag_map("TVR", "tvr", "Terminal Verification Results. Only the auth-failure bit is "
+              "modeled; the remaining bits are reserved and always zero."))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +203,7 @@ class Amount(metaclass=_Interned):
     currency: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or not 0 <= self.value <= 10**12:
+        if type(self.value) is not int or not 0 <= self.value <= 10**12:
             raise CodecError(f"amount out of range: {self.value}")
         if not _CURRENCY(self.currency):
             raise CodecError(f"bad currency code: {self.currency!r}")
@@ -299,6 +238,7 @@ class AFL:
 
     def __post_init__(self) -> None:  # a tuple; the count and each record number are one byte
         if (type(self.records) is not tuple or len(self.records) > 0xFF
+                or not set(map(type, self.records)) <= {int}
                 or not all(map(range(0x100).__contains__, self.records))):
             raise CodecError(f"bad record numbers: {self.records}")
 
@@ -529,9 +469,8 @@ def _fields(names: Iterable[str]) -> Callable[[Any], dict[str, Any]]:
 # member as its name). An enum's ``.name`` is a Python-level property; ``_name_`` is not.
 RENDER: dict[type, Callable[[Any], Any]] = {
     bytes: bytes.hex,
-    **{cls: {m: m._name_ for m in cls}.__getitem__
-       for cls in (CID, CVMMethod, CVMCondition, CVMResult, DeviceType)},
-    **{cls: _fields(cls._positions) for cls in (AIP, TTQ, CTQ, TVR)},
+    **{cls: {m: m._name_ for m in cls}.__getitem__ for cls in _ENUMS},
+    **{cls: _fields(cls._positions) for cls in _FLAG_MAPS},
     Amount: _fields(("value", "currency")),
     Track2EquivalentData: _fields(("pan", "expiry", "service_code", "discretionary")),
     IAD: lambda v: {"cdcvm_performed": v.cdcvm_performed, "device_type": v.device_type,

@@ -26,8 +26,8 @@ from tapsim.channel import (
     TransactionTrace,
     visual_read,
 )
-from tapsim.elements import (CID, TTQ, Amount, CVMMethod, DataElementMap, Tag, render_value,
-                            to_json)
+from tapsim.elements import (CID, IAD, TTQ, Amount, CVMMethod, DataElementMap, Tag,
+                            render_value, to_json)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import run_genuine_matrix
 
@@ -314,9 +314,8 @@ def test_jsonl_lines_match_reference_dumps():
 
 
 # 1, True, 1.0 and CID.ARQC compare and hash alike, as do 0, False, 0.0 and
-# CVMMethod.NoCVM, and the two Amounts; each renders differently
-_ALIKE = [True, 1, 1.0, CID.ARQC, False, 0, 0.0, CVMMethod.NoCVM, None,
-          Amount(1, "EUR"), Amount(True, "EUR")]
+# CVMMethod.NoCVM, and the two IADs; each renders differently
+_ALIKE = [True, 1, 1.0, CID.ARQC, False, 0, 0.0, CVMMethod.NoCVM, None, IAD(1), IAD(True)]
 _LEAVES = st.one_of(
     st.sampled_from(_ALIKE),
     st.text(),
@@ -508,12 +507,14 @@ def test_interned_values_keep_their_texts_within_the_bound():
     # an interned value's text is kept for the process while the table holds the value: past
     # the bound the oldest value is dropped with its text, and a trace that still holds it
     # writes it again
-    one, true, held = Amount(1, "EUR"), Amount(True, "EUR"), Amount(0, "XTS")
+    one, true, held = IAD(1), IAD(True), Amount(0, "XTS")
     trace = TransactionTrace()
     trace.mark("note", None, {"one": one, "true": true, "held": held})
     _matches_reference(trace)
-    assert elements.TEXTS[id(one)] == '{"currency": "EUR", "value": 1}'
-    assert elements.TEXTS[id(true)] == '{"currency": "EUR", "value": true}'
+    assert elements.TEXTS[id(one)] == (
+        '{"cdcvm_performed": 1, "device_type": "plastic", "filler": ""}')
+    assert elements.TEXTS[id(true)] == (
+        '{"cdcvm_performed": true, "device_type": "plastic", "filler": ""}')
     assert elements.TEXTS[id(held)] == '{"currency": "XTS", "value": 0}'
     for value in range(1, elements._INTERN_SIZE + 100):
         trace.mark("note", None, {"amount": Amount(value, "XTS"), "again": held})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import enum
@@ -8,6 +9,7 @@ import json
 import pickle
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -181,6 +183,54 @@ def test_flag_replace():
     assert t2.wire == bytes([_bit_loop(t2)]) != t.wire
 
 
+# --- the enums and flag maps are built from codec.json --------------------------
+
+with resources.files("tapsim.fixtures").joinpath("codec.json").open("rb") as _fh:
+    CODEC_JSON = json.load(_fh)
+ENUM_KEYS = {CID: "cid", CVMMethod: "cvm_method", CVMCondition: "cvm_condition",
+             CVMResult: "cvm_result", DeviceType: "device_type"}
+FLAG_KEYS = {AIP: "aip", TTQ: "ttq", CTQ: "ctq", TVR: "tvr"}
+
+
+def test_codec_json_is_read_in_full():
+    # a section elements.py never reads is a second copy of the vocabulary that nothing checks
+    tree = ast.parse(Path(elements.__file__).read_text(encoding="utf-8"))
+    read = {node.slice.value for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "_CODEC"
+            and isinstance(node.slice, ast.Constant)}
+    assert read == CODEC_JSON.keys() - {"comment"}
+
+
+@pytest.mark.parametrize("cls", ENUM_KEYS, ids=lambda cls: cls.__name__)
+def test_enum_members_are_codec_json_names_numbered_from_zero(cls):
+    assert [(m._name_, m.value) for m in cls] == [
+        (name, i) for i, name in enumerate(CODEC_JSON["enums"][ENUM_KEYS[cls]])]
+
+
+@pytest.mark.parametrize("cls", FLAG_KEYS, ids=lambda cls: cls.__name__)
+def test_flag_map_fields_are_codec_json_bits_in_order(cls):
+    bits = CODEC_JSON["flag_fields"][FLAG_KEYS[cls]]
+    assert [f.name for f in dataclasses.fields(cls)] == list(cls._positions) == bits
+    assert list(cls._positions.values()) == list(range(len(bits)))
+
+
+def test_only_emv_mode_is_set_by_default():
+    # every production construction names emv_mode_supported, so no digest pins the defaults
+    set_bits = {cls: [f.name for f in dataclasses.fields(cls) if getattr(cls(), f.name)]
+                for cls in FLAG_KEYS}
+    assert set_bits == {AIP: ["emv_mode_supported"], TTQ: ["emv_mode_supported"],
+                        CTQ: [], TVR: []}
+
+
+@pytest.mark.parametrize("cls", [*ENUM_KEYS, *FLAG_KEYS], ids=lambda cls: cls.__name__)
+def test_built_classes_live_in_elements_and_survive_pickle_and_deepcopy(cls):
+    assert cls.__module__ == "tapsim.elements" and getattr(elements, cls.__qualname__) is cls
+    value = cls(1) if cls in ENUM_KEYS else cls()
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(clone) is cls and clone == value and repr(clone) == repr(value)
+        assert to_json(clone) == to_json(value)
+
+
 # --- value validation -------------------------------------------------------
 
 def test_amount_validation():
@@ -244,6 +294,12 @@ MALFORMED = {
     "iad_cdcvm_negative": lambda: IAD(-1),
     # a number the wire writes as an int: 0.5 would encode as 0, and -0.0 equals 0.0
     "amount_float": lambda: Amount(0.5, "EUR"),
+    # and an exact int: True would be sent as 1 yet logged as true
+    "amount_true": lambda: Amount(True, "EUR"),
+    "amount_false": lambda: Amount(False, "EUR"),
+    "amount_enum": lambda: Amount(CID.ARQC, "EUR"),
+    "afl_true_record": lambda: AFL((True,)),
+    "afl_false_record": lambda: AFL((1, False)),
     "iad_float_cdcvm": lambda: IAD(-0.0),
 }
 
@@ -601,11 +657,10 @@ WRITER_VALUES = {
     **{cls: st.sampled_from(cls) for cls in (CID, CVMMethod, CVMCondition, CVMResult, DeviceType)},
     **{cls: st.builds(cls, **{name: st.booleans() for name in cls._positions})
        for cls in (AIP, TTQ, CTQ, TVR)},
-    Amount: st.builds(Amount, st.integers(0, 10**12) | st.booleans(),
-                      st.sampled_from(["EUR", "USD"])),
+    Amount: st.builds(Amount, st.integers(0, 10**12), st.sampled_from(["EUR", "USD"])),
     IAD: st.builds(IAD, _CDCVM_FIELD, st.sampled_from(sorted(DeviceType.__members__)),
                    st.binary(max_size=4)),
-    AFL: st.builds(AFL, st.lists(st.integers(0, 255) | st.booleans(), max_size=4).map(tuple)),
+    AFL: st.builds(AFL, st.lists(st.integers(0, 255), max_size=4).map(tuple)),
     DOL: st.builds(DOL, st.lists(st.sampled_from(sorted(TAGS_BY_CODE.values(), key=repr)),
                                  max_size=4).map(tuple)),
     CVMList: st.builds(CVMList, st.lists(st.builds(CVMEntry, st.sampled_from(CVMMethod),
@@ -638,7 +693,6 @@ def test_every_enum_and_flag_map_has_a_render_entry():
 @settings(max_examples=500, deadline=None)
 @given(ELEMENT_VALUES)
 @example(IAD(cdcvm_performed=0, filler=b"\x01\xab"))
-@example(AFL((True, 7)))
 @example(CID.ARQC)
 def test_writers_agree_with_json_dumps_of_render_value(value):
     assert to_json(value) == json.dumps(render_value(value), sort_keys=True)
@@ -652,8 +706,8 @@ INTERNED_TYPES = (AIP, TTQ, CTQ, TVR, Amount, IAD, CVMEntry, CVMResults, ActionC
 # (1, True and CID.ARQC; 0, False and CVMMethod.NoCVM) must not share an instance
 _NUMBERS = st.sampled_from([0, 1, 2, True, False, CID.ARQC, CVMMethod.NoCVM])
 _CONSTRUCTIONS = st.one_of(
-    st.tuples(st.just(Amount), st.tuples(_NUMBERS, st.sampled_from(["EUR", "USD"])),
-              st.just({})),
+    st.tuples(st.just(Amount), st.tuples(st.sampled_from([0, 1, 2]),
+                                         st.sampled_from(["EUR", "USD"])), st.just({})),
     st.tuples(st.just(IAD), st.tuples(_NUMBERS), st.fixed_dictionaries(
         {}, optional={"device_type": st.sampled_from(["plastic", "phone"]),
                       "filler": st.binary(max_size=2)})),
@@ -681,9 +735,9 @@ def test_two_worlds_share_their_values():
 
 
 @pytest.mark.parametrize("build_a, build_b", [
-    (lambda: Amount(1, "EUR"), lambda: Amount(True, "EUR")),
+    (lambda: IAD(1), lambda: IAD(True)),
     (lambda: IAD(0), lambda: IAD(False)),
-], ids=["amount_1_true", "iad_0_false"])
+], ids=["iad_1_true", "iad_0_false"])
 def test_equal_arguments_of_other_types_are_two_values_with_two_texts(build_a, build_b):
     a, b = build_a(), build_b()
     assert a == b and hash(a) == hash(b)
