@@ -123,7 +123,6 @@ class AttackSpec:
     intent_defeated: bool
     stage: Staging
     capabilities: tuple[str, ...] = ("A1",)
-    secret_scope: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -259,7 +258,7 @@ class TranslatorCard:
             real = self.far.exchange(SELECT[self.real_aid])
             if real.payload.get(Tag.AID) is None:
                 return EMPTY["SELECT"]
-            return select_reply(self.face_aid, 3)
+            return select_reply(self.face_aid)
         if msg.name == "GET_PROCESSING_OPTIONS":
             return self._transact(msg)
         if msg.name == "READ_RECORD":
@@ -503,8 +502,7 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                "skim a static-stripe card over NFC, spend it as a swipe",
                {},
                {"P5": ("TRACK1", "TRACK2")},
-               False, _stage_magstripe_cloning,
-               secret_scope=frozenset(("TRACK1", "TRACK2"))),
+               False, _stage_magstripe_cloning),
     AttackSpec("foreign_currency_replay",
                "harvest a no-CVM-abroad cryptogram, submit it as a rogue merchant",
                {"foreign_no_cvm": True, "foreign_cvm_limit_enforced": False},
@@ -606,14 +604,12 @@ CATALOG: dict[str, AttackSpec] = {s.attack_id: s for s in [
                {},
                {"P5": ("PAN", "EXPIRY", "CSC")},
                False, _stage_eavesdrop_card_data,
-               capabilities=("A1", "A8"),
-               secret_scope=frozenset(("PAN", "EXPIRY", "CSC"))),
+               capabilities=("A1", "A8")),
     AttackSpec("magstripe_mode_clone",
                "pre-play the whole 3-digit nonce space into a dynamic-code clone",
                {"check_atc_order": False},
                {"P5": ("TRACK2", "CVC3_TABLE"), "P3.2": ()},
-               True, _stage_magstripe_mode_clone,
-               secret_scope=frozenset(("TRACK2", "CVC3_TABLE"))),
+               True, _stage_magstripe_mode_clone),
     AttackSpec("emv_to_magstripe",
                "hide the chip: force a capable card down the mag-stripe path",
                {},
@@ -642,7 +638,8 @@ def run_attack(attack_id: str, seed: int = 0,
                                     for k, v in sorted(flaws.items())}})
     adversary = Adversary(capabilities=spec.capabilities, trace=env.trace)
     success, detail = spec.stage(env, adversary)
-    report = evaluate(env.trace, secret_scope=spec.secret_scope)
+    # the secrets in scope are the ones the scenario is documented to leak
+    report = evaluate(env.trace, secret_scope=spec.expected.get("P5", ()))
     diffs = compare_expected(report, spec.expected)
     return AttackResult(spec=spec, success=success, detail=detail, flaws=flaws,
                         report=report, diffs=diffs, trace=env.trace)

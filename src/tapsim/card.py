@@ -1,9 +1,10 @@
 """Cards, phones and clones: everything that answers on the contactless hop.
 
-A ``Card`` wraps a ``CardProfile`` (personalization: keys, AIDs, CVM rules,
-weak spots) plus per-card state (ATC, PIN try counter). Phones are cards with
-a wallet behavior attached; the wallet decides whether a locked device will
-transact and what it claims about on-device cardholder verification.
+A ``Card`` wraps a ``CardProfile`` (personalization: keys, CVM rules, weak
+spots) plus per-card state (ATC, PIN try counter); the PAN's brand fixes its
+application and kernel. A phone is a card with a ``Wallet`` of one of three
+kinds, which decides whether a locked device will transact and what it claims
+about on-device cardholder verification.
 
 Clone classes at the bottom imitate cards from harvested data and are what
 the cloning attacks actually present to terminals. They never produce
@@ -48,6 +49,7 @@ from .elements import (
     TagInfo,
     TTQ,
     Track2EquivalentData,
+    brand_of,
 )
 
 # What a transit gate blurts out before the protocol starts. A phone that has
@@ -71,86 +73,50 @@ _VERIFY_REPLIES = {(decision, tries): shared(
 _VERIFY_NOT_SUPPORTED = shared("VERIFY", Tag.DECISION, "not_supported")
 
 
-def select_reply(aid: bytes, kernel: int) -> Message:
-    """An application's answer to its SELECT: the PDOL follows the kernel, since
-    kernel 3 takes the transaction data at GET PROCESSING OPTIONS."""
+# the kernel each application runs: 3 for Visa, 2 for the Mastercard family
+_KERNELS = {aid: 3 if brand == "visa" else 2 for aid, brand in AID_BRANDS.items()}
+_BRAND_AIDS = {brand: aid for aid, brand in AID_BRANDS.items()}
+
+
+def select_reply(aid: bytes) -> Message:
+    """An application's answer to its SELECT: kernel 3 asks for transaction data in its PDOL."""
+    kernel = _KERNELS[aid]
     return shared("SELECT", Tag.AID, aid, Tag.KERNEL_ID, kernel,
                   Tag.PDOL, KERNEL3_PDOL if kernel == 3 else NO_DOL)
 
 
 @dataclass
-class WalletDecision:
-    accept: bool
-    ctq_cdcvm: bool = False   # claimed toward the terminal (CTQ)
-    iad_cdcvm: bool = False   # claimed toward the issuer (IAD)
-    genuine_cvm: bool = False  # the cardholder really verified themselves
-
-
 class Wallet:
-    """Base behavior for phone wallets. ``unlocked`` means the cardholder
-    authenticated to the device for this tap."""
+    """A phone's wallet: ``kind`` says what a locked device lets through, ``unlocked`` that
+    the cardholder authenticated to it for this tap, ``magic_seen`` that a gate greeted it."""
 
-    def __init__(self, cdcvm_always: bool = False):
-        self.cdcvm_always = cdcvm_always
-        self.unlocked = False
-        self.magic_seen = False
+    kind: str  # "google_like", "apple_like" or "samsung_like"
+    cdcvm_always: bool = False
+    unlocked: bool = field(default=False, init=False)
+    magic_seen: bool = field(default=False, init=False)
 
-    def on_magic(self, magic: bytes) -> None:
-        pass
+    def __post_init__(self) -> None:
+        if self.kind not in ("google_like", "apple_like", "samsung_like"):
+            raise ValueError(f"unknown wallet kind {self.kind!r}")
 
-    def decide(self, amount: Amount, ttq: TTQ) -> WalletDecision:
+    def decide(self, amount: Amount, ttq: TTQ) -> tuple[bool, bool, bool, bool]:
+        """(pays, CDCVM claimed in the CTQ, in the IAD, the holder really verified)."""
         if self.unlocked:
-            return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=True, genuine_cvm=True)
-        return self._locked(amount, ttq)
-
-    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
-        """What a locked device does with this tap."""
-        raise NotImplementedError
-
-
-class GoogleLikeWallet(Wallet):
-    """Transacts while locked for small amounts, or whenever the terminal's
-    TTQ says no CVM is required. With ``cdcvm_always`` it claims on-device
-    verification even for those locked taps."""
-
-    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
-        if amount.value <= WALLET_TX_LIMIT or not ttq.cvm_required:
-            claim = self.cdcvm_always
-            return WalletDecision(True, ctq_cdcvm=claim, iad_cdcvm=claim)
-        return WalletDecision(False)
-
-
-class AppleLikeWallet(Wallet):
-    """Locked device transacts only on the express-transit path: the gate's
-    magic bytes followed by a TTQ that looks like a transit reader (ODA for
-    online authorizations). Express taps honestly state that no cardholder
-    verification took place. The magic priming is consumed per decision."""
-
-    def on_magic(self, magic: bytes) -> None:
-        if magic == TRANSIT_MAGIC:
-            self.magic_seen = True
-
-    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
-        primed, self.magic_seen = self.magic_seen, False
-        if primed and ttq.oda_for_online_supported and ttq.emv_mode_supported:
-            return WalletDecision(True, ctq_cdcvm=False, iad_cdcvm=False)
-        return WalletDecision(False)
-
-
-class SamsungLikeWallet(Wallet):
-    """Locked device only ever answers zero-amount taps (gate entry)."""
-
-    def _locked(self, amount: Amount, ttq: TTQ) -> WalletDecision:
-        if amount.value == 0:
-            return WalletDecision(True, ctq_cdcvm=True, iad_cdcvm=False)
-        return WalletDecision(False)
-
-
-WALLET_KINDS = {
-    "google_like": GoogleLikeWallet,
-    "apple_like": AppleLikeWallet,
-    "samsung_like": SamsungLikeWallet,
-}
+            return True, True, True, True
+        if self.kind == "google_like":
+            # small amounts, or whenever the TTQ says no CVM is required; with
+            # ``cdcvm_always`` it claims on-device verification even then
+            pays = amount.value <= WALLET_TX_LIMIT or not ttq.cvm_required
+            claims = self.cdcvm_always, self.cdcvm_always
+        elif self.kind == "apple_like":
+            # express transit only: the greeting primes one decision, and a TTQ that
+            # looks like a transit reader (ODA for online) must follow; it claims nothing
+            primed, self.magic_seen = self.magic_seen, False
+            pays = primed and ttq.oda_for_online_supported and ttq.emv_mode_supported
+            claims = False, False
+        else:  # samsung_like: only ever answers zero-amount taps (gate entry)
+            pays, claims = amount.value == 0, (True, False)
+        return (True, *claims, False) if pays else (False, False, False, False)
 
 
 @dataclass
@@ -187,11 +153,8 @@ class CardProfile:
     expiry: str
     cardholder_name: str
     csc: str
-    aid: bytes
-    kernel: int
     ac_coverage: frozenset[TagInfo]  # what the AC binds; the issuer verifies against it
     home_currency: str = "EUR"
-    device_type: str = "plastic"
 
     master_key: bytes = b""
     cvc3_key: bytes = b""
@@ -214,10 +177,16 @@ class CardProfile:
     service_code: str = "201"
     wallet: Wallet | None = None
 
-    # personalized once from the fields above, so a trace renders one object
+    # worked out once from the fields above: the PAN's brand, the wallet, one AIP object
+    aid: bytes = field(init=False)
+    kernel: int = field(init=False)
+    device_type: str = field(init=False)
     aip: AIP = field(init=False)
 
     def __post_init__(self) -> None:
+        self.aid = _BRAND_AIDS[brand_of(self.pan)]
+        self.kernel = _KERNELS[self.aid]
+        self.device_type = "plastic" if self.wallet is None else "phone"
         self.aip = AIP(
             dda_supported=self.fdda,
             cda_supported=self.cda,
@@ -275,11 +244,11 @@ class Card:
         aid = msg.payload.get(Tag.AID)
         if aid != self.profile.aid:
             return EMPTY["SELECT"]  # not on this card
-        return select_reply(aid, self.profile.kernel)
+        return select_reply(aid)
 
     def _on_magic(self, msg: Message) -> Message:
-        if self.profile.wallet is not None:
-            self.profile.wallet.on_magic(msg.payload.get(Tag.MAGIC, b""))
+        if self.profile.wallet is not None and msg.payload.get(Tag.MAGIC) == TRANSIT_MAGIC:
+            self.profile.wallet.magic_seen = True
         return EMPTY["MAGIC_BYTES"]
 
     def _afl(self) -> AFL:
@@ -305,28 +274,23 @@ class Card:
         # an exhausted PIN counter or ATC takes the whole card out of service;
         # a wallet may refuse the tap
         blocked = p.offline_pin_enabled and self.blocked or self.atc >= ATC_MAX
-        decision = (p.wallet.decide(amount, ttq)
-                    if p.wallet is not None and not blocked else None)
-        if blocked or (decision is not None and not decision.accept):
-            self.atc = min(self.atc + 1, ATC_MAX)
-            return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                Tag.AIP: p.aip, Tag.AFL: self._afl(),
-                Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: CTQ(),
-            }))
-
-        genuine_cvm = False
-        if decision is not None:
-            ctq = CTQ(cdcvm_performed=decision.ctq_cdcvm)
-            iad_cdcvm = decision.iad_cdcvm
-            genuine_cvm = decision.genuine_cvm
+        if p.wallet is not None and not blocked:
+            pays, ctq_cdcvm, iad_cdcvm, genuine_cvm = p.wallet.decide(amount, ttq)
+            ctq = CTQ(cdcvm_performed=ctq_cdcvm)
         else:
+            pays, iad_cdcvm, genuine_cvm = not blocked, False, False
             waived = p.foreign_no_cvm and amount.currency != p.home_currency
             need_cvm = ttq.cvm_required and not waived
             ctq = CTQ(
                 online_pin_required=need_cvm and amount.value > CVM_LIMIT,
                 signature_required=need_cvm and amount.value <= CVM_LIMIT,
             )
-            iad_cdcvm = False
+        if not pays:
+            self.atc = min(self.atc + 1, ATC_MAX)
+            return Message("GET_PROCESSING_OPTIONS", DataElementMap({
+                Tag.AIP: p.aip, Tag.AFL: self._afl(),
+                Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: CTQ(),
+            }))
 
         self.atc += 1
         self._current_ctq = ctq
@@ -491,7 +455,7 @@ class Cvc3MagstripeClone:
         if msg.name == "SELECT":
             if msg.payload.get(Tag.AID) != self.aid:
                 return EMPTY["SELECT"]
-            return select_reply(self.aid, 2)
+            return select_reply(self.aid)
         if msg.name == "GET_PROCESSING_OPTIONS":
             return shared("GET_PROCESSING_OPTIONS", Tag.AIP, AIP(emv_mode_supported=False),
                           Tag.AFL, AFL((1,)), Tag.N_UN_DIGITS, N_UN_DIGITS)

@@ -78,9 +78,9 @@ MESSAGES: dict[str, frozenset[TagInfo]] = {
     "MAGIC_BYTES": frozenset({_T.MAGIC}),
 }
 
+# the kinds the sandbox marks: ``to_jsonl`` writes a trace's meta line itself
 MARKER_KINDS = frozenset({
-    "meta", "card_tx", "decision", "auth", "clearing", "cvm", "knowledge",
-    "genuine_probe", "note",
+    "card_tx", "decision", "auth", "clearing", "cvm", "knowledge", "genuine_probe",
 })
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import Any, Callable, Iterator
 
-from .card import Card, CardProfile, OdaMaterial, WALLET_KINDS
+from .card import Card, CardProfile, OdaMaterial, Wallet
 from .channel import Adversary, NfcChannel, PaymentRails, TransactionTrace
 from .crypto import (
     AC_COVERAGE_KERNEL2,
@@ -37,7 +37,6 @@ from .crypto import (
     public_bytes,
 )
 from .elements import (
-    AID_BRANDS,
     ActionCodes,
     Amount,
     CVMCondition,
@@ -57,55 +56,51 @@ AMOUNT_LOW = 1500     # below the CVM and floor limits
 
 CA_INDEX = 1
 
-_AIDS = {brand: aid for aid, brand in AID_BRANDS.items()}
-
 # One entry per personalized card/phone. Dicts, not classes: scenario code
 # copies and patches these freely.
 CARD_FIXTURES: dict[str, dict[str, Any]] = {
     "visa_plastic_no_fdda": dict(
         pan="4111111111111111", expiry="2812", cardholder_name="ALICE HOLDER",
-        csc="123", kernel=3, fdda=False, oda=False,
+        csc="123", fdda=False, oda=False,
     ),
     "visa_plastic_fdda": dict(
         pan="4012888888881881", expiry="2901", cardholder_name="BEA HOLDER",
-        csc="456", kernel=3, fdda=True, oda=True,
+        csc="456", fdda=True, oda=True,
     ),
     "visa_credit_foreign_nocvm": dict(
         pan="4556000000001008", expiry="2711", cardholder_name="CHUCK ABROAD",
-        csc="789", kernel=3, fdda=False, oda=False,
+        csc="789", fdda=False, oda=False,
         home_currency="USD", foreign_no_cvm=True,
     ),
     "mastercard_cda": dict(
         pan="5555555555554444", expiry="2806", cardholder_name="DANA HOLDER",
-        csc="321", kernel=2, cda=True, oda=True,
+        csc="321", cda=True, oda=True,
         magstripe_capable=True, iac_denial_cda_failed=True,
         cvm_list=[("OnlinePIN", "IfAboveCvmLimit"), ("NoCVM", "IfBelowCvmLimit")],
         pin="4315",
     ),
     "maestro_debit": dict(
         pan="6761000000000006", expiry="2710", cardholder_name="EDDY HOLDER",
-        csc="654", kernel=2, oda=False,
+        csc="654", oda=False,
         cvm_list=[("OnlinePIN", "IfAboveCvmLimit"), ("NoCVM", "IfBelowCvmLimit")],
         pin="8022",
     ),
     "google_like_phone": dict(
         pan="4938000000003003", expiry="3005", cardholder_name="FAY PHONE",
-        csc="987", kernel=3, fdda=True, oda=True,
-        device_type="phone", wallet="google_like", wallet_cdcvm_always=True,
+        csc="987", fdda=True, oda=True,
+        wallet="google_like", wallet_cdcvm_always=True,
     ),
     "apple_like_phone": dict(
         pan="4321000000004006", expiry="3007", cardholder_name="GIL PHONE",
-        csc="135", kernel=3, fdda=False, oda=False,
-        device_type="phone", wallet="apple_like",
+        csc="135", fdda=False, oda=False, wallet="apple_like",
     ),
     "samsung_like_phone": dict(
         pan="4100000000005000", expiry="3009", cardholder_name="HUE PHONE",
-        csc="246", kernel=3, fdda=True, oda=True,
-        device_type="phone", wallet="samsung_like",
+        csc="246", fdda=True, oda=True, wallet="samsung_like",
     ),
     "magstripe_only": dict(
         pan="5200000000000114", expiry="2512", cardholder_name="IVY LEGACY",
-        csc="111", kernel=2, emv_mode=False, oda=False,
+        csc="111", emv_mode=False, oda=False,
         magstripe_capable=True, service_code="101",
     ),
 }
@@ -115,7 +110,7 @@ TERMINAL_FIXTURES: dict[str, dict[str, Any]] = {
     "offline_capable_pos": dict(terminal_id="T-OFF-1", merchant_id="M-SHOP-2",
                                 offline_capable=True),
     "transit_gate": dict(terminal_id="T-GATE-1", merchant_id="M-TRANSIT-1",
-                         mcc="4111", transit=True, offline_capable=True),
+                         mcc="4111", offline_capable=True),
     "rogue_fixed_un_pos": dict(terminal_id="T-FIX-1", merchant_id="M-SHOP-3",
                                fixed_un=322420958),
     "strict_tac_pos": dict(terminal_id="T-TAC-1", merchant_id="M-SHOP-4",
@@ -194,19 +189,17 @@ def _build_card(name: str, fx: dict[str, Any], seeds: tuple[bytes, bytes, bytes]
     """Personalize one card; every key not translated here is a CardProfile field."""
     fx = dict(fx)
     master_key, cvc3_key, signing_seed = seeds
-    aid = _AIDS[brand_of(fx["pan"])]
     cvm_list = _cvm_list(fx.pop("cvm_list", []))
     iac = ActionCodes(denial=TVR(cda_failed=fx.pop("iac_denial_cda_failed", False)))
     wallet_kind = fx.pop("wallet", None)
     cdcvm_always = fx.pop("wallet_cdcvm_always", False)
     oda = fx.pop("oda", False)
     profile = CardProfile(
-        name=name, aid=aid, master_key=master_key, cvc3_key=cvc3_key,
+        name=name, master_key=master_key, cvc3_key=cvc3_key,
         cvm_list=cvm_list, iac=iac,
-        wallet=(WALLET_KINDS[wallet_kind](cdcvm_always=cdcvm_always)
-                if wallet_kind else None),
-        ac_coverage=(ac_coverage_kernel3(policy.check_ttq_in_ac) if fx["kernel"] == 3
-                     else AC_COVERAGE_KERNEL2),
+        wallet=Wallet(wallet_kind, cdcvm_always) if wallet_kind else None,
+        ac_coverage=(ac_coverage_kernel3(policy.check_ttq_in_ac)
+                     if brand_of(fx["pan"]) == "visa" else AC_COVERAGE_KERNEL2),
         **fx,
     )
 
@@ -242,7 +235,8 @@ def _known_keys(fixtures: dict[str, dict[str, Any]], cls: type,
 
 
 _CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile, {
-    "name", "aid", "master_key", "cvc3_key", "iac", "aip", "ac_coverage"})
+    "name", "aid", "kernel", "device_type", "master_key", "cvc3_key", "iac", "aip",
+    "ac_coverage"})
 _TERMINAL_KEYS = _known_keys(TERMINAL_FIXTURES, TerminalConfig, {"name", "tac"})
 
 
@@ -323,7 +317,7 @@ def run_genuine(env: Env, card_name: str, terminal_name: str,
         result = terminal.run_swipe(card.profile.track2, amount, session)
     else:
         channel = NfcChannel(env.trace, card, adversary=adversary)
-        if terminal.config.transit:
+        if terminal.transit:
             result = terminal.run_transit_tap(channel)
         else:
             result = terminal.run_purchase(

@@ -49,6 +49,7 @@ from .elements import (
     TVR,
     Track2EquivalentData,
     build_dol_data,
+    is_transit_mcc,
 )
 
 from .card import GREETING, N_UN_DIGITS, NO_DOL
@@ -78,19 +79,7 @@ class TerminalConfig:
     require_oda_kernel3: bool = False
     lenient_cashier: bool = False
     fixed_un: int | None = None  # a broken terminal that never varies its nonce
-    transit: bool = False
     interface: str = "nfc"       # or "swipe"
-
-    def ttq(self, amount: Amount) -> TTQ:
-        # plain shops authorize online and skip offline data authentication;
-        # transit readers (and hardened terminals) ask for it
-        return TTQ(
-            online_pin_supported=True,
-            signature_supported=True,
-            cvm_required=amount.value > CVM_LIMIT,
-            oda_for_online_supported=self.transit or self.require_oda_kernel3,
-            emv_mode_supported=True,
-        )
 
 
 @dataclass
@@ -121,6 +110,7 @@ class Terminal:
     def __init__(self, config: TerminalConfig, rng: random.Random,
                  rails: PaymentRails, ca_store: CAStore, pin_key: bytes):
         self.config = config
+        self.transit = is_transit_mcc(config.mcc)  # a transit gate is a reader with a transit MCC
         self.rng = rng
         self.rails = rails
         self.ca_store = ca_store
@@ -163,7 +153,7 @@ class Terminal:
     def _open(self, tx: _Purchase) -> None:
         if tx.amount.value > CEILING:
             raise _Declined("over_ceiling")
-        if self.config.transit:
+        if self.transit:
             tx.channel.exchange(GREETING)
 
     def _select(self, tx: _Purchase) -> None:
@@ -179,7 +169,12 @@ class Terminal:
     def _gpo(self, tx: _Purchase) -> None:
         """Send GET PROCESSING OPTIONS; the card's AIP and kernel pick the flow."""
         cfg, view = self.config, tx.view
-        ttq = cfg.ttq(tx.amount)
+        # plain shops authorize online and skip offline data authentication;
+        # transit readers (and hardened terminals) ask for it
+        ttq = TTQ(online_pin_supported=True, signature_supported=True,
+                  cvm_required=tx.amount.value > CVM_LIMIT,
+                  oda_for_online_supported=self.transit or cfg.require_oda_kernel3,
+                  emv_mode_supported=True)
         un = cfg.fixed_un if cfg.fixed_un is not None else self.rng.randrange(1 << 32)
         view.update(ttq=ttq, un=un)
         env = DataElementMap({
@@ -242,7 +237,7 @@ class Terminal:
         tx.view.update(ctq=p[Tag.CTQ], atc=p[Tag.ATC], ac=p[Tag.AC], iad=p[Tag.IAD],
                        cid=cid, un_card=p.get(Tag.UN_CARD))
         tx.offline = (cid == CID.TC and tx.amount.value <= FLOOR_LIMIT
-                      and (cfg.offline_capable or cfg.transit))
+                      and (cfg.offline_capable or self.transit))
 
     def _k3_records(self, tx: _Purchase) -> None:
         r1, r2 = tx.record(1), tx.record(2)

@@ -262,10 +262,19 @@ def test_jsonl_deterministic():
         t = TransactionTrace(meta={"seed": 3})
         c = NfcChannel(t, EchoCard())
         c.exchange(gpo())
-        t.mark("note", None, dict(text="x", stuff={"b": 2, "a": 1}))
+        t.mark("knowledge", None, dict(text="x", stuff={"b": 2, "a": 1}))
         return t.to_jsonl()
 
     assert build() == build()
+
+
+@pytest.mark.parametrize("kind", ["note", "meta"])
+def test_only_the_kinds_the_sandbox_logs_can_be_marked(kind):
+    # a marked "meta" would read back as a second header line
+    trace = TransactionTrace(meta={"seed": 3})
+    with pytest.raises(ChannelError):
+        trace.mark(kind, None, {})
+    assert trace.events == [] and trace.to_jsonl().count('"kind": "meta"') == 1
 
 
 def _reference_lines(trace):
@@ -409,7 +418,7 @@ def test_marker_shape_is_not_a_message_shape():
     empty = Message("GENERATE_AC")
     for _ in range(2):
         trace.log_msg("nfc", 1, "to_card", empty, empty)
-        trace.mark("note", 1, dict(GENERATE_AC=1))
+        trace.mark("knowledge", 1, dict(GENERATE_AC=1))
     lines = _matches_reference(trace)
     assert '"sent": {"name": "GENERATE_AC", "payload": {}}' in lines[3]
     assert '"data": {"GENERATE_AC": 1}' in lines[4]
@@ -422,8 +431,8 @@ def test_insertion_order_of_keys_does_not_reach_the_line():
     for _ in range(2):
         trace.log_msg("nfc", 1, "to_card", forward, backward)
         trace.log_msg("nfc", 1, "to_card", backward, forward)
-        trace.mark("note", None, dict(b=1, a=2))
-        trace.mark("note", None, dict(a=2, b=1))
+        trace.mark("knowledge", None, dict(b=1, a=2))
+        trace.mark("knowledge", None, dict(a=2, b=1))
     lines = _matches_reference(trace)
     # with the idx taken out, every msg line is one text and every marker line another
     assert len({line.replace(f'"idx": {i}, ', "") for i, line in enumerate(lines[1:])}) == 2
@@ -432,7 +441,7 @@ def test_insertion_order_of_keys_does_not_reach_the_line():
 def test_percent_signs_in_keys_are_literal():
     trace = TransactionTrace()
     for value in (1, "%s", "%"):
-        trace.mark("note", None, {"%": value, "%s": value, "a%%b": value})
+        trace.mark("knowledge", None, {"%": value, "%s": value, "a%%b": value})
     lines = _matches_reference(trace)
     assert lines[3].startswith('{"data": {"%": "%", "%s": "%", "a%%b": "%"}')
 
@@ -441,7 +450,7 @@ def test_one_shape_writes_each_value_by_its_type():
     # 1, True, CID.ARQC and 1.0 compare and hash alike; the shape keeps no writer per key
     trace = TransactionTrace()
     for value in (1, True, CID.ARQC, 1.0, 1, CID.ARQC):
-        trace.mark("note", None, dict(value=value))
+        trace.mark("knowledge", None, dict(value=value))
     lines = _matches_reference(trace)
     assert [line.split(", ")[0] for line in lines[1:]] == [
         '{"data": {"value": 1}', '{"data": {"value": true}', '{"data": {"value": "ARQC"}',
@@ -460,8 +469,8 @@ def test_each_value_is_written_by_identity_not_by_equality():
         trace.log_msg("nfc", 1, "to_card", gac, gac.with_payload(CID=CID.TC))
         trace.log_msg("nfc", 1, "to_card", Message("SELECT", DataElementMap({Tag.AID: aid})),
                       Message("SELECT", DataElementMap({Tag.AID: second})))
-        trace.mark("note", 1, {"a": 1, "b": True, "c": CID.ARQC, "d": un, "e": aid, "f": True})
-        trace.mark("note", 1, {"a": True, "b": CID.ARQC, "c": 1, "d": aid, "e": un, "f": 1})
+        trace.mark("knowledge", 1, {"a": 1, "b": True, "c": CID.ARQC, "d": un, "e": aid, "f": True})
+        trace.mark("knowledge", 1, {"a": True, "b": CID.ARQC, "c": 1, "d": aid, "e": un, "f": 1})
     lines = _matches_reference(trace)
     assert '"payload": {"ATC": 1, "CID": "ARQC", "UN": 70000}' in lines[1]
     assert lines[3].startswith('{"data": {"a": 1, "b": true, "c": "ARQC", "d": 70000, "e": '
@@ -497,7 +506,7 @@ def test_shape_caches_stay_within_their_bound():
         gpo_msg = Message("GET_PROCESSING_OPTIONS",
                           DataElementMap({tag: SAMPLE_VALUES[tag.name] for tag in chosen}))
         trace.log_msg("nfc", 1, "to_card", gpo_msg, gpo_msg)
-        trace.mark("note", None, {tag.name: i for tag in chosen})
+        trace.mark("knowledge", None, {tag.name: i for tag in chosen})
     for _ in range(2):
         _matches_reference(trace)
         assert len(channel._MESSAGE_SHAPES) == len(channel._MARKER_SHAPES) == channel._SHAPES_SIZE
@@ -509,7 +518,7 @@ def test_interned_values_keep_their_texts_within_the_bound():
     # writes it again
     one, true, held = IAD(1), IAD(True), Amount(0, "XTS")
     trace = TransactionTrace()
-    trace.mark("note", None, {"one": one, "true": true, "held": held})
+    trace.mark("knowledge", None, {"one": one, "true": true, "held": held})
     _matches_reference(trace)
     assert elements.TEXTS[id(one)] == (
         '{"cdcvm_performed": 1, "device_type": "plastic", "filler": ""}')
@@ -517,7 +526,7 @@ def test_interned_values_keep_their_texts_within_the_bound():
         '{"cdcvm_performed": true, "device_type": "plastic", "filler": ""}')
     assert elements.TEXTS[id(held)] == '{"currency": "XTS", "value": 0}'
     for value in range(1, elements._INTERN_SIZE + 100):
-        trace.mark("note", None, {"amount": Amount(value, "XTS"), "again": held})
+        trace.mark("knowledge", None, {"amount": Amount(value, "XTS"), "again": held})
     assert len(elements._INTERNED) == len(elements.TEXTS) == elements._INTERN_SIZE
     assert set(elements.TEXTS) == {id(value) for value in elements._INTERNED.values()}
     assert id(held) not in elements.TEXTS and Amount(0, "XTS") is not held

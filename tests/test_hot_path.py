@@ -52,7 +52,9 @@ HARVEST_WARM_EMIT_CEILING = 0.34
 VERIFY_WARM_EMIT_CEILING = 0.01
 PIN_TRACE_MESSAGES = 1251  # message objects in the PIN-guessing trace, of 3,716 message events
 GENUINE_EMIT_CEILING = 1.06  # per event of the genuine matrix's traces, both policies
-PURCHASE_CEILING = 23.49  # into terminal.py per genuine pairing, both policies, from 15.07
+# into terminal.py per genuine pairing, both policies, from 15.07; GPO builds its TTQ
+# inline, so a helper call for it cannot come back unseen
+PURCHASE_CEILING = 22.52
 
 
 def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>")) -> int:

@@ -10,8 +10,9 @@ import dataclasses
 import pytest
 
 from tapsim.attacks import CATALOG, KNOWN_FLAWS, _world_for
-from tapsim.card import CardProfile
-from tapsim.runner import build_env
+from tapsim.card import CardProfile, Wallet
+from tapsim.elements import AID_BRANDS, brand_of, is_transit_mcc
+from tapsim.runner import CARD_FIXTURES, TERMINAL_FIXTURES, build_env
 from tapsim.terminal import TerminalConfig
 
 
@@ -48,7 +49,36 @@ def test_no_option_holds_only_one_value():
     {"card_overrides": {"visa_plastic_no_fdda": {"offline_pin_enabeld": True}}},
     {"terminal_overrides": {"standard_pos": {"lenient_cashire": True}}},
     {"card_overrides": {"visa_plastic_no_fdda": {"brand": "visa"}}},  # the PAN names the brand
+    # worked out, not set: the kernel from the brand, a phone from its wallet, transit from the MCC
+    {"card_overrides": {"mastercard_cda": {"kernel": 2}}},
+    {"card_overrides": {"google_like_phone": {"device_type": "phone"}}},
+    {"terminal_overrides": {"transit_gate": {"transit": True}}},
 ])
 def test_mistyped_override_is_rejected(overrides):
     with pytest.raises(TypeError):
         build_env(**overrides)
+
+
+@pytest.mark.parametrize("name", CARD_FIXTURES)
+def test_a_card_works_out_its_application_kernel_and_device(name):
+    profile = build_env().cards[name].profile
+    brand = brand_of(profile.pan)
+    assert AID_BRANDS[profile.aid] == brand
+    assert (profile.kernel == 3) == (brand == "visa") and profile.kernel in (2, 3)
+    assert (profile.device_type == "phone") == (profile.wallet is not None)
+    assert profile.device_type in ("phone", "plastic")
+
+
+@pytest.mark.parametrize("name", TERMINAL_FIXTURES)
+def test_a_transit_gate_is_a_reader_with_a_transit_mcc(name):
+    terminal = build_env().terminals[name]
+    assert terminal.transit == is_transit_mcc(terminal.config.mcc)
+    assert terminal.transit == (name == "transit_gate")
+
+
+def test_an_unknown_wallet_kind_is_refused_when_the_card_is_built():
+    env = build_env(card_overrides={"google_like_phone": {"wallet": "huawei_like"}})
+    with pytest.raises(ValueError):
+        env.cards["google_like_phone"]
+    with pytest.raises(ValueError):
+        Wallet("huawei_like")

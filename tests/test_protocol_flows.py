@@ -7,7 +7,7 @@ import pytest
 
 import tapsim.terminal
 from tapsim.attacks import harvest_cvc3_table
-from tapsim.card import ATC_MAX, TRANSIT_MAGIC
+from tapsim.card import ATC_MAX, TRANSIT_MAGIC, WALLET_TX_LIMIT, Wallet
 from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.crypto import compute_cvc3
 from tapsim.elements import (
@@ -18,6 +18,7 @@ from tapsim.elements import (
     CVMMethod,
     DataElementMap,
     Tag,
+    TTQ,
     render_value,
 )
 from tapsim.issuer import HARDENED, ISSUER_CHECKS, PERMISSIVE_2019
@@ -295,6 +296,71 @@ def test_magic_bytes_are_consumed_per_tap(env):
     shop = env.terminals["standard_pos"].run_purchase(
         NfcChannel(env.trace, card), Amount(AMOUNT_LOW, "EUR"))
     assert shop["reason"] == "card_declined"
+
+
+# what a wallet decides: (pays, CDCVM claimed in the CTQ, in the IAD, holder verified)
+REFUSED = (False, False, False, False)
+PAYS = (True, False, False, False)          # and claims no verification
+CLAIMS = (True, True, True, False)          # claims CDCVM it never did, both ways
+CTQ_ONLY = (True, True, False, False)       # claims CDCVM to the terminal alone
+LIMIT = WALLET_TX_LIMIT
+
+# a locked phone's decisions, by amount, the TTQ's cvm_required and
+# oda_for_online_supported, and whether a gate's greeting primed it:
+# google_like, google_like with cdcvm_always, apple_like, samsung_like
+LOCKED_DECISIONS = [
+    (0, False, False, False, PAYS, CLAIMS, REFUSED, CTQ_ONLY),
+    (0, False, False, True, PAYS, CLAIMS, REFUSED, CTQ_ONLY),
+    (0, False, True, False, PAYS, CLAIMS, REFUSED, CTQ_ONLY),
+    (0, False, True, True, PAYS, CLAIMS, PAYS, CTQ_ONLY),
+    (0, True, False, False, PAYS, CLAIMS, REFUSED, CTQ_ONLY),
+    (0, True, False, True, PAYS, CLAIMS, REFUSED, CTQ_ONLY),
+    (0, True, True, False, PAYS, CLAIMS, REFUSED, CTQ_ONLY),
+    (0, True, True, True, PAYS, CLAIMS, PAYS, CTQ_ONLY),
+    (LIMIT, False, False, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT, False, False, True, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT, False, True, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT, False, True, True, PAYS, CLAIMS, PAYS, REFUSED),
+    (LIMIT, True, False, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT, True, False, True, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT, True, True, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT, True, True, True, PAYS, CLAIMS, PAYS, REFUSED),
+    (LIMIT + 1, False, False, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT + 1, False, False, True, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT + 1, False, True, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (LIMIT + 1, False, True, True, PAYS, CLAIMS, PAYS, REFUSED),
+    (LIMIT + 1, True, False, False, REFUSED, REFUSED, REFUSED, REFUSED),
+    (LIMIT + 1, True, False, True, REFUSED, REFUSED, REFUSED, REFUSED),
+    (LIMIT + 1, True, True, False, REFUSED, REFUSED, REFUSED, REFUSED),
+    (LIMIT + 1, True, True, True, REFUSED, REFUSED, PAYS, REFUSED),
+    (AMOUNT_HIGH, False, False, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (AMOUNT_HIGH, False, False, True, PAYS, CLAIMS, REFUSED, REFUSED),
+    (AMOUNT_HIGH, False, True, False, PAYS, CLAIMS, REFUSED, REFUSED),
+    (AMOUNT_HIGH, False, True, True, PAYS, CLAIMS, PAYS, REFUSED),
+    (AMOUNT_HIGH, True, False, False, REFUSED, REFUSED, REFUSED, REFUSED),
+    (AMOUNT_HIGH, True, False, True, REFUSED, REFUSED, REFUSED, REFUSED),
+    (AMOUNT_HIGH, True, True, False, REFUSED, REFUSED, REFUSED, REFUSED),
+    (AMOUNT_HIGH, True, True, True, REFUSED, REFUSED, PAYS, REFUSED),
+]
+
+
+@pytest.mark.parametrize("amount, cvm_required, oda, primed, google, google_always, apple, "
+                         "samsung", LOCKED_DECISIONS)
+def test_wallet_decisions(amount, cvm_required, oda, primed, google, google_always, apple,
+                          samsung):
+    ttq = TTQ(online_pin_supported=True, signature_supported=True, cvm_required=cvm_required,
+              oda_for_online_supported=oda, emv_mode_supported=True)
+    # only Google's wallet reads cdcvm_always
+    for kind, always, want in [("google_like", False, google), ("google_like", True, google_always),
+                               ("apple_like", False, apple), ("apple_like", True, apple),
+                               ("samsung_like", False, samsung), ("samsung_like", True, samsung)]:
+        for unlocked in (False, True):
+            wallet = Wallet(kind, always)
+            wallet.unlocked, wallet.magic_seen = unlocked, primed
+            got = wallet.decide(Amount(amount, "EUR"), ttq)
+            assert got == ((True, True, True, True) if unlocked else want), (kind, always, unlocked)
+            # a locked apple_like decision consumes the greeting; nothing else touches it
+            assert wallet.magic_seen == (primed and (unlocked or kind != "apple_like"))
 
 
 # --- VERIFY and the try counter ---------------------------------------------------------
