@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .channel import EMPTY, Message, TransactionTrace, shared
+from .channel import EMPTY, Message, TraceEvent, TransactionTrace, shared
 from .crypto import (
     Certificate,
     compute_ac,
@@ -225,10 +225,14 @@ class Card:
         self._session: int | None = None
         self._current_ctq = CTQ()
 
-    # channels call this when the card is placed on a hop
+    # channels call this when the card is placed on a hop; it reads the tap's card-constant facts
     def bind(self, trace: TransactionTrace, session: int) -> None:
+        p = self.profile
         self._trace = trace
         self._session = session
+        self._facts = {"pan": p.pan, "aid": p.aid, "aip": p.aip, "cvm_list": p.cvm_list,
+                       "iac_denial": p.iac.denial, "ca_pk_index": p.ca_pk_index,
+                       "brand": AID_BRANDS[p.aid], "device_type": p.device_type}
 
     @property
     def blocked(self) -> bool:
@@ -318,39 +322,28 @@ class Card:
                       cid=payload[Tag.CID])
         return Message("GET_PROCESSING_OPTIONS", payload)
 
-    def _record(self, number: int) -> DataElementMap | None:
-        """A fresh map of record ``number``; None when the card has no such record."""
+    def _on_read_record(self, msg: Message) -> Message:
+        """Records 1 and 2 are shared replies; record 3, with the world's certificates, is not."""
         p = self.profile
+        number = msg.payload.get(Tag.RECORD_NUMBER, 0)
         if number == 1:
-            r1 = DataElementMap({
-                Tag.PAN: p.pan, Tag.EXPIRY: p.expiry,
-                Tag.CARDHOLDER_NAME: p.cardholder_name,
-                Tag.TRACK2: p.track2, Tag.SERVICE_CODE: p.service_code,
-            })
-            return r1 if p.emv_mode else r1.put(Tag.TRACK1, p.track1)
+            return shared("READ_RECORD", Tag.PAN, p.pan, Tag.EXPIRY, p.expiry,
+                          Tag.CARDHOLDER_NAME, p.cardholder_name, Tag.TRACK2, p.track2,
+                          Tag.SERVICE_CODE, p.service_code,
+                          *(() if p.emv_mode else (Tag.TRACK1, p.track1)), Tag.RECORD_NUMBER, 1)
         if number == 2 and p.emv_mode:
-            r2 = DataElementMap({Tag.CVM_LIST: p.cvm_list, Tag.IAC: p.iac})
-            if p.kernel == 2:
-                r2.put(Tag.CDOL1, KERNEL2_CDOL1)
-            else:
-                r2.put(Tag.CTQ, self._current_ctq)
-            if p.ca_pk_index is not None:
-                r2.put(Tag.CA_PK_INDEX, p.ca_pk_index)
-            return r2
+            return shared("READ_RECORD", Tag.CVM_LIST, p.cvm_list, Tag.IAC, p.iac,
+                          *((Tag.CDOL1, KERNEL2_CDOL1) if p.kernel == 2
+                            else (Tag.CTQ, self._current_ctq)),
+                          *(() if p.ca_pk_index is None else (Tag.CA_PK_INDEX, p.ca_pk_index)),
+                          Tag.RECORD_NUMBER, 2)
         if number == 3 and p.emv_mode and p.ca_pk_index is not None:
-            return DataElementMap({
+            return Message("READ_RECORD", DataElementMap({
                 Tag.ISSUER_CERT: p.oda.pki.issuer_cert.to_bytes(),
                 Tag.CARD_CERT: p.oda.card_cert.to_bytes(),
-                Tag.STATIC_SIGNATURE: p.oda.static_signature,
-            })
-        return None
-
-    def _on_read_record(self, msg: Message) -> Message:
-        number = msg.payload.get(Tag.RECORD_NUMBER, 0)
-        record = self._record(number)
-        if record is None:
-            return EMPTY["READ_RECORD"]
-        return Message("READ_RECORD", record.put(Tag.RECORD_NUMBER, number))
+                Tag.STATIC_SIGNATURE: p.oda.static_signature, Tag.RECORD_NUMBER: 3,
+            }))
+        return EMPTY["READ_RECORD"]
 
     def _on_generate_ac(self, msg: Message) -> Message:
         p = self.profile
@@ -427,13 +420,13 @@ class Card:
     # --- bookkeeping -------------------------------------------------------
 
     def _mark_tx(self, **data: Any) -> None:
+        # logs the marker as ``TransactionTrace.mark`` does, with no call for it
         if self._trace is None:
             return
-        p = self.profile
-        self._trace.mark("card_tx", self._session, {
-            "pan": p.pan, "aid": p.aid, "atc": self.atc, "aip": p.aip, "cvm_list": p.cvm_list,
-            "iac_denial": p.iac.denial, "ca_pk_index": p.ca_pk_index, "brand": AID_BRANDS[p.aid],
-            "device_type": p.device_type, **data})
+        events = self._trace.events
+        events.append(tuple.__new__(TraceEvent, (
+            len(events), "card_tx", self._session, None, None, False, None, None,
+            {**self._facts, "atc": self.atc, **data})))
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,8 @@ class Message:
 # Messages that carry no per-transaction data, the latest _SHARED_SIZE asked for. Its domain:
 # 287 eager messages (below and in card), a VERIFY per four-digit PIN guess (10,000), a
 # GENERATE AC per mag-stripe UN (10 ** card.N_UN_DIGITS = 1,000) and a few dozen issuer
-# responses, SELECT replies and GPO replies; the three benchmark workloads at seeds 0-2 meet 2,542.
+# responses, SELECT and GPO replies and cards' records 1 and 2; the three benchmark workloads
+# at seeds 0-2 meet 2,559.
 _SHARED_SIZE = 1 << 14
 
 

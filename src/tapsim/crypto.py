@@ -10,8 +10,9 @@ The point is not cryptographic strength but *binding*: what each signature
 or MAC does and does not cover is exactly what the attack catalogue probes.
 The coverage sets below are the only list of it: callers pass what they hold
 (the card what it signs, the terminal what it received, the issuer the whole
-request) and each operation projects its coverage, so widening a set is an
-edit here alone. The issuer checks an AC against the card's personalized set.
+request) and each operation encodes its coverage straight from that map, so
+widening a set is an edit here alone. The issuer checks an AC against the
+card's personalized set.
 
 Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
 key, signature and message bytes), the last 256 of each. Ed25519 is deterministic,
@@ -77,17 +78,6 @@ STATIC_SIGNED_TAGS = frozenset(
 )
 
 
-def _project(elements: DataElementMap, coverage: frozenset[TagInfo]) -> DataElementMap:
-    """The covered entries of ``elements`` in a new map; ``elements`` validated them."""
-    out = dict.__new__(DataElementMap)
-    try:
-        dict.update(out, zip(coverage, map(elements.__getitem__, coverage)))
-    except CodecError:
-        missing = next(tag for tag in coverage if tag not in elements)
-        raise CryptoError(f"coverage element {missing.name} missing") from None
-    return out
-
-
 # --- session keys and cryptograms ---------------------------------------------
 
 # per operation; a sweep pass has at most 21 distinct Ed25519 inputs and 7 distinct MAC keys
@@ -125,7 +115,10 @@ def kdf(master_key: bytes, atc: int) -> bytes:
 def compute_ac(session_key: bytes, elements: DataElementMap,
                coverage: frozenset[TagInfo]) -> bytes:
     """MAC over the canonical encoding of exactly the covered elements."""
-    msg = _project(elements, coverage).encode()
+    try:
+        msg = elements.encode(coverage)
+    except CodecError as missing:
+        raise CryptoError(f"coverage {missing}") from None
     return hmac.digest(session_key, b"ac" + msg, "sha256")
 
 
@@ -185,7 +178,10 @@ def _sign(private_key: Ed25519PrivateKey, method: str,
           elements: DataElementMap, coverage: frozenset[TagInfo]) -> bytes:
     """Method header byte + signature over the header and the covered elements."""
     header = METHOD_HEADERS[method]
-    msg = bytes([header]) + _project(elements, coverage).encode()
+    try:
+        msg = bytes([header]) + elements.encode(coverage)
+    except CodecError as missing:
+        raise CryptoError(f"coverage {missing}") from None
     return bytes([header]) + _signature(private_key, msg)
 
 
@@ -196,8 +192,8 @@ def _verify(public: bytes, method: str, elements: DataElementMap,
     if len(signature) != 65 or signature[0] != header:
         return False
     try:
-        msg = bytes([header]) + _project(elements, coverage).encode()
-    except CryptoError:
+        msg = bytes([header]) + elements.encode(coverage)
+    except CodecError:
         return False
     return _holds(bytes(public), bytes(signature[1:]), msg)
 

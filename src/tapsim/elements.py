@@ -8,12 +8,13 @@ stay self-describing; this module refuses unknown tags and unknown flag bits.
 
 The canonical encoding is deterministic and injective: entries are sorted by
 tag code, every value is length-prefixed, and an empty map encodes to the
-fixed two-byte zero header. MAC and signature inputs are always built from
-``DataElementMap.encode()``.
+fixed two-byte zero header. MAC and signature inputs are always built by
+``DataElementMap.encode(coverage)``, in a code order kept per coverage set.
 
 The immutable value types are interned: a construction whose exact arguments the
-process met before returns the instance built then, with no validation, and emission
-writes each interned value's JSON once per process (``TEXTS``).
+process met before returns the instance built then, with no validation. Emission
+writes each interned value's JSON once per process (``TEXTS``), and encoding its
+wire bytes; any other value is encoded, and so admitted, each time.
 """
 
 from __future__ import annotations
@@ -123,9 +124,10 @@ _ENUMS = CID, CVMMethod, CVMCondition, CVMResult, DeviceType = tuple(
 # the instance, the latest _INTERN_SIZE built. Equal arguments may render apart (1 and True).
 _INTERN_SIZE = 1024  # the catalogue, genuine matrix and sweep at seeds 0-2 meet 61 keys
 _INTERNED: dict[tuple, Any] = {}
-# id of an interned instance -> its JSON text once emitted, None before; an id is valid only
-# while _INTERNED holds the instance, so an eviction drops its text
+# id of an interned instance -> its JSON text once emitted, None before, and -> its wire bytes
+# once encoded; an id is valid only while _INTERNED holds the instance, so an eviction drops both
 TEXTS: dict[int, str | None] = {}
+_WIRE: dict[int, bytes] = {}
 
 
 class _Interned(type):
@@ -140,7 +142,8 @@ class _Interned(type):
         if value is None:  # a construction that raises keeps nothing
             value = type.__call__(cls, *args, **kwargs)
             if len(_INTERNED) >= _INTERN_SIZE:
-                del TEXTS[id(_INTERNED.pop(next(iter(_INTERNED))))]
+                del TEXTS[evicted := id(_INTERNED.pop(next(iter(_INTERNED))))]
+                _WIRE.pop(evicted, None)
             TEXTS[id(value)] = None
             _INTERNED[key] = value
         return value
@@ -439,6 +442,11 @@ if _unknown_kinds:
 
 _CODEC_OF = {tag: KINDS[tag.kind] for tag in TAGS_BY_NAME.values()}  # registered tags only
 _UNREGISTERED = ((), None, None)  # admits no value
+# A coverage set -> its tags ascending by code, each beside its code's wire bytes; the latest
+# _ORDERS_SIZE asked for. Its domain: crypto's AC sets for kernel 2, kernel 3 and kernel 3 with
+# the TTQ, its two SDAD sets and its static-record set, and any coverage a card is given.
+_ORDERS_SIZE = 64
+_ORDERS: dict[frozenset[TagInfo], tuple[tuple[TagInfo, bytes], ...]] = {}
 
 
 def encode_value(tag: TagInfo, value: Any) -> bytes:
@@ -525,8 +533,8 @@ class DataElementMap(dict):
 
     A ``dict``, so reads (``[]``, ``get``, ``in``, iteration) run in C; a missing tag raises
     ``CodecError``. The validating constructor and ``put`` are its only writers: every other
-    dict mutator raises. ``copy`` and crypto's coverage projections copy entries a map has
-    validated already; copies by the ``copy`` module and unpickling validate again."""
+    dict mutator raises. ``copy`` copies entries the map validated already; copies by the
+    ``copy`` module and unpickling validate again."""
 
     __slots__ = ()
     message_json: str | None = None  # kept by a shared map only
@@ -567,15 +575,25 @@ class DataElementMap(dict):
         dict.update(clone, self)  # entries validated here already
         return clone
 
-    def encode(self) -> bytes:
-        """Canonical encoding: u16 count, entries ascending by tag code,
-        each as (u16 code, u32 length, value bytes)."""
-        out = [len(self).to_bytes(2, "big")]
-        for tag in sorted(self, key=attrgetter("code")):
-            raw = encode_value(tag, self[tag])
-            out.append(tag.code.to_bytes(2, "big"))
-            out.append(len(raw).to_bytes(4, "big"))
-            out.append(raw)
+    def encode(self, tags: frozenset[TagInfo] | None = None) -> bytes:
+        """Canonical encoding of the entries of ``tags``, which the map must hold, or of every
+        entry: u16 count, entries ascending by tag code, each as (u16 code, u32 length, value
+        bytes). A value the process encoded before while interned is not encoded again."""
+        if (order := _ORDERS.get(tags)) is None:
+            order = tuple((tag, tag.code.to_bytes(2, "big")) for tag in sorted(
+                self if tags is None else tags, key=attrgetter("code")))
+            if tags is not None:
+                if len(_ORDERS) >= _ORDERS_SIZE:
+                    del _ORDERS[next(iter(_ORDERS))]
+                _ORDERS[tags] = order
+        out = [len(order).to_bytes(2, "big")]
+        for tag, code in order:
+            raw = _WIRE.get(id(value := self[tag]))
+            if raw is None:
+                raw = encode_value(tag, value)
+                if id(value) in TEXTS:  # interned: kept while the intern table holds it
+                    _WIRE[id(value)] = raw
+            out += code, len(raw).to_bytes(4, "big"), raw
         return b"".join(out)
 
     def render(self) -> dict[str, Any]:

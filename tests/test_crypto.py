@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
+import runpy
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,7 +14,7 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapsim import crypto
+from tapsim import crypto, elements
 from tapsim.crypto import (
     AC_COVERAGE_KERNEL2,
     BadSignature,
@@ -57,6 +59,7 @@ from tapsim.elements import (
 from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine
 
 RNG = random.Random(7)
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def k2_elements() -> DataElementMap:
@@ -177,20 +180,66 @@ def test_kernel3_coverage_toggle():
     assert not verify_ac(key, tampered, ac_coverage_kernel3(True), ac_yes)
 
 
-def test_projection_equals_a_put_built_map():
-    checked = 0
-    for elements in (k2_elements(), k3_elements(), sdad_elements("cda"), sdad_elements("fdda")):
-        for coverage in (AC_COVERAGE_KERNEL2, ac_coverage_kernel3(True), *SDAD_COVERAGE.values()):
-            if not coverage <= elements.tags():
-                continue
-            built = DataElementMap()
-            for tag in coverage:
-                built.put(tag, elements[tag])
-            projected = crypto._project(elements, coverage)
-            assert type(projected) is DataElementMap and projected == built
-            assert projected.encode() == built.encode()
-            checked += 1
-    assert checked >= 4
+# every coverage set the package declares: the domain of the encoder's coverage-order cache
+DECLARED_COVERAGE = (AC_COVERAGE_KERNEL2, ac_coverage_kernel3(False), ac_coverage_kernel3(True),
+                     *SDAD_COVERAGE.values(), STATIC_SIGNED_TAGS)
+
+
+def covering_maps() -> list[DataElementMap]:
+    return [k2_elements(), k3_elements(), sdad_elements("cda"), sdad_elements("fdda"),
+            static_records()]
+
+
+def test_encoding_each_declared_coverage_equals_a_put_built_map():
+    # a MAC or signature encodes its coverage straight from the map it is given: the bytes
+    # of the covered entries alone, as a map that holds just them encodes them
+    assert len(set(DECLARED_COVERAGE)) == 6
+    key = kdf(b"k" * 32, 3)
+    for coverage in DECLARED_COVERAGE:
+        el = next(m for m in covering_maps() if coverage <= m.tags())
+        widened = el.copy().put(Tag.MERCHANT_ID, "M-1")
+        built = DataElementMap()
+        for tag in coverage:
+            built.put(tag, el[tag])
+        for _ in range(2):  # the coverage's order and the interned values' bytes kept after one
+            assert widened.encode(coverage) == el.encode(coverage) == built.encode()
+        assert compute_ac(key, widened, coverage) == hmac.digest(
+            key, b"ac" + built.encode(), "sha256")
+
+
+def test_the_coverage_orders_kept_are_the_declared_coverage_sets(monkeypatch):
+    # the encoder keeps one code order per coverage set it meets: every run of the three
+    # benchmark workloads meets the six declared sets and no other
+    monkeypatch.setattr(elements, "_ORDERS", {})
+    workloads = runpy.run_path(str(WORKLOADS_PY))["WORKLOADS"]
+    for name in ("catalogue", "genuine", "sweep"):
+        assert all(scenario().ok for scenario in workloads[name](0))
+    assert set(elements._ORDERS) == set(DECLARED_COVERAGE)
+    assert len(elements._ORDERS) < elements._ORDERS_SIZE
+
+
+@pytest.mark.parametrize("tag", sorted(AC_COVERAGE_KERNEL2 | SDAD_COVERAGE["cda"]
+                                       | SDAD_COVERAGE["fdda"], key=lambda tag: tag.name),
+                         ids=lambda tag: tag.name)
+def test_a_missing_covered_tag_fails_every_operation(tag):
+    key = kdf(b"k" * 32, 3)
+    priv = generate_signing_key(b"s" * 32)
+    if tag in AC_COVERAGE_KERNEL2:
+        el = k2_elements()
+        ac = compute_ac(key, el, AC_COVERAGE_KERNEL2)
+        partial = DataElementMap({t: v for t, v in el.items() if t is not tag})
+        with pytest.raises(CryptoError, match=f"coverage missing element {tag.name}$"):
+            compute_ac(key, partial, AC_COVERAGE_KERNEL2)
+        assert not verify_ac(key, partial, AC_COVERAGE_KERNEL2, ac)
+    for method, coverage in SDAD_COVERAGE.items():
+        if tag not in coverage:
+            continue
+        el = sdad_elements(method)
+        sdad = sign_sdad(priv, method, el)
+        partial = DataElementMap({t: v for t, v in el.items() if t is not tag})
+        with pytest.raises(CryptoError, match=f"coverage missing element {tag.name}$"):
+            sign_sdad(priv, method, partial)
+        assert not verify_sdad(public_bytes(priv), method, partial, sdad)
 
 
 def test_ac_missing_coverage_element():

@@ -581,6 +581,23 @@ def _random_map(rng: random.Random) -> DataElementMap:
     return m
 
 
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_encoding_a_tag_subset_equals_encoding_a_map_of_it(seed, data):
+    # encode(tags) writes the held entries of tags alone, in code order; a tag the map
+    # lacks raises as a read of it does
+    m = _random_map(random.Random(seed))
+    tags = frozenset(data.draw(st.lists(st.sampled_from(sorted(m, key=repr)), unique=True))
+                     if m else ())
+    for _ in range(2):  # the second time from the kept order and bytes
+        assert m.encode(tags) == DataElementMap({t: m[t] for t in tags}).encode()
+    assert m.encode(frozenset(m)) == m.encode()
+    absent = data.draw(st.sampled_from(sorted(TAGS_BY_NAME.values(), key=repr)))
+    if absent not in m:
+        with pytest.raises(CodecError, match=f"missing element {absent.name}$"):
+            m.encode(tags | {absent})
+
+
 def test_encoding_injective_randomized():
     rng = random.Random(20260816)
     seen: dict[bytes, dict] = {}
@@ -763,6 +780,37 @@ def test_copies_and_unpickles_are_equal_and_not_interned():
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert clone == value and clone is not value
         assert id(clone) not in elements.TEXTS and to_json(clone) == to_json(value)
+
+
+def test_interned_values_keep_their_wire_bytes_within_the_bound():
+    # an interned value's bytes are kept while the table holds it, beside its text: past the
+    # bound the oldest value is dropped with its bytes, and a map that still holds it encodes
+    # it again; a plain value is encoded, and so admitted, every time
+    one, true, held = IAD(1), IAD(True), Amount(0, "XWB")  # a currency no other test uses
+    plain = DataElementMap({Tag.UN: 7, Tag.MERCHANT_ID: "M-1", Tag.AC: b"\x01"})
+    m = DataElementMap({Tag.IAD: one, Tag.AMOUNT: held})
+    encoded = m.encode()
+    assert elements._WIRE[id(one)] == encode_value(Tag.IAD, one)
+    assert elements._WIRE[id(held)] == encode_value(Tag.AMOUNT, held)
+    assert plain.encode() == plain.encode()
+    assert not {id(value) for value in plain.values()} & elements._WIRE.keys()
+    # equal values encode alike, each kept under its own id, and a copy is not kept
+    assert DataElementMap({Tag.IAD: true}).encode() == DataElementMap({Tag.IAD: one}).encode()
+    assert elements._WIRE[id(true)] == elements._WIRE[id(one)] and id(true) != id(one)
+    for clone in (copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
+        assert clone is not one
+        assert DataElementMap({Tag.IAD: clone, Tag.AMOUNT: held}).encode() == encoded
+        assert id(clone) not in elements._WIRE
+    for value in range(1, elements._INTERN_SIZE + 100):
+        DataElementMap({Tag.AMOUNT: Amount(value, "XWB"), Tag.IAD: one}).encode()
+    assert len(elements._WIRE) <= len(elements._INTERNED) == elements._INTERN_SIZE
+    assert elements._WIRE.keys() <= {id(value) for value in elements._INTERNED.values()}
+    assert id(held) not in elements._WIRE and id(held) not in elements.TEXTS
+    for _ in range(2):  # evicted, so encoded each time and not kept again
+        assert m.encode() == encoded
+        assert id(held) not in elements._WIRE
+    assert all(elements._WIRE[id(value)] == encode_value(Tag.AMOUNT, value)
+               for value in elements._INTERNED.values())  # each of the flood's, encoded
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,11 +17,13 @@ import pytest
 
 from tapsim import attacks, card, channel, elements, issuer, runner, terminal
 from tapsim.attacks import CATALOG, run_attack
-from tapsim.channel import EMPTY, MESSAGES, SELECT, Message, TransactionTrace, shared
-from tapsim.elements import (AFL, DOL, IAD, TTQ, Amount, CodecError, CVMList, DataElementMap,
-                             SharedElementMap, Tag)
+from tapsim.channel import (EMPTY, MESSAGES, READ_RECORD, SELECT, Message, TransactionTrace,
+                            shared)
+from tapsim.elements import (AFL, CTQ, DOL, IAD, TTQ, Amount, CodecError, CVMCondition, CVMEntry,
+                             CVMList, CVMMethod, DataElementMap, SharedElementMap, Tag)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
-from tapsim.runner import build_env, run_genuine_matrix
+from tapsim.runner import (AMOUNT_HIGH, AMOUNT_LOW, build_env, run_genuine,
+                           run_genuine_matrix)
 
 MODULES = (attacks, card, channel, elements, issuer, runner, terminal)
 
@@ -215,6 +217,56 @@ def test_constant_card_replies_are_shared_across_worlds():
     again = replies(1, "visa_plastic_no_fdda", kernel3_gpo)
     assert first[0] is again[0] and Tag.AC in first[1].payload
     assert type(again[1].payload) is DataElementMap and first[1] is not again[1]
+
+
+def test_records_1_and_2_are_shared_across_worlds_and_record_3_is_not():
+    # records 1 and 2 are the card's fixed profile; record 3 carries the world's certificates
+    def records(seed: int, card_name: str) -> list[Message]:
+        card = build_env(seed=seed).cards[card_name]
+        return [card.exchange(READ_RECORD[number]) for number in (1, 2, 3)]
+
+    for card_name in ("mastercard_cda", "visa_plastic_fdda", "magstripe_only"):
+        first, again = records(0, card_name), records(1, card_name)
+        assert first[0] is again[0] and type(first[0].payload) is SharedElementMap
+        assert first[0].payload[Tag.RECORD_NUMBER] == 1 and Tag.PAN in first[0].payload
+        if card_name == "magstripe_only":  # one record, with the track-1 image
+            assert Tag.TRACK1 in first[0].payload and first[1] is first[2] is EMPTY["READ_RECORD"]
+            continue
+        assert first[1] is again[1] and first[1].payload[Tag.RECORD_NUMBER] == 2
+        assert first[2] is not again[2] and type(first[2].payload) is DataElementMap
+        assert first[2].payload[Tag.CARD_CERT] != again[2].payload[Tag.CARD_CERT]
+
+
+def test_a_kernel3_record_2_carries_the_ctq_of_the_latest_gpo():
+    card = build_env(seed=0).cards["visa_plastic_no_fdda"]
+    assert card.exchange(READ_RECORD[2]).payload[Tag.CTQ] == CTQ()
+    seen = set()
+    for amount, cvm_required in ((AMOUNT_HIGH, True), (AMOUNT_LOW, True), (AMOUNT_LOW, False),
+                                 (AMOUNT_HIGH, True)):
+        gpo = card.exchange(Message("GET_PROCESSING_OPTIONS", DataElementMap({
+            Tag.TTQ: TTQ(cvm_required=cvm_required), Tag.AMOUNT: Amount(amount, "EUR"),
+            Tag.UN: 7})))
+        assert card.exchange(READ_RECORD[2]).payload[Tag.CTQ] == gpo.payload[Tag.CTQ]
+        seen.add(gpo.payload[Tag.CTQ])
+    assert len(seen) == 3
+
+
+def test_a_profile_edit_shows_in_the_next_taps_marker_and_record_2():
+    # the card-constant facts of a card_tx marker are read when the card is placed on a hop
+    env = build_env(seed=0)
+    card = env.cards["maestro_debit"]  # kernel 2 with no ODA: no signature covers the list
+    fixture_list = card.profile.cvm_list
+    edited = CVMList((CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),))
+    for cvm_list in (fixture_list, edited, fixture_list):
+        card.profile.cvm_list = cvm_list
+        session = run_genuine(env, "maestro_debit", "standard_pos", AMOUNT_LOW)["session"]
+        events = [ev for ev in env.trace.events if ev.session == session]
+        [marker] = [ev for ev in events if ev.kind == "card_tx"]
+        [record2] = [ev.sent for ev in events if ev.direction == "from_card"
+                     and ev.sent.payload.get(Tag.RECORD_NUMBER) == 2]
+        # the record is the shared reply of an equal list, maybe one an earlier world built
+        assert marker.data["cvm_list"] is cvm_list == record2.payload[Tag.CVM_LIST]
+    assert edited != fixture_list
 
 
 def _fresh(msg: Message) -> Message:
