@@ -77,47 +77,11 @@ class PropertyReport:
         }
 
 
-@dataclass
-class _Acceptance:
-    kind: str            # decision | auth | clearing
-    session: int | None
-    mode: str            # emv | ms | swipe
-    submitted_by: str
-    view: dict[str, Any]
-
-
-def _acceptances(markers: Mapping[str, list[TraceEvent]]) -> list[_Acceptance]:
-    out = []
-    for ev in markers["decision"]:
-        if str(ev.data.get("outcome", "")).startswith("approve"):
-            out.append(_Acceptance(kind="decision", session=ev.session,
-                                   mode=ev.data.get("mode", "emv"),
-                                   submitted_by="terminal",
-                                   view=dict(ev.data)))
-    for kind in ("auth", "clearing"):
-        for ev in markers[kind]:
-            if ev.data.get("decision") != "approve":
-                continue
-            # a request's elements by field name, as the terminal wrote them
-            view = {FIELD_NAMES[tag]: v for tag, v in ev.data["request"].payload.items()}
-            if view.get("cvc3") is not None:
-                mode = "ms"
-            elif view.get("track2") is not None and view.get("ac") is None:
-                mode = "swipe"
-            else:
-                mode = "emv"
-            out.append(_Acceptance(kind=kind, session=ev.session, mode=mode,
-                                   submitted_by=ev.data.get("submitted_by",
-                                                            "terminal"),
-                                   view=view))
-    return out
-
-
-def _mismatches(view: dict[str, Any], card_view: dict[str, Any]) -> list[str]:
+def _mismatches(view: Mapping[str, Any], card_view: Mapping[str, Any]) -> list[str]:
     labels = []
     for f in AGREEMENT_FIELDS:
         tv, cv = view.get(f), card_view.get(f)
-        if tv is None:
+        if tv is cv or tv is None:  # one object is one value: interning makes it common
             continue
         if cv is None:
             # a kernel-2 card never issued any kernel-3 CVM qualifier; if the
@@ -130,9 +94,10 @@ def _mismatches(view: dict[str, Any], card_view: dict[str, Any]) -> list[str]:
     return labels
 
 
-def _scan(trace: TransactionTrace) -> tuple[dict[str, list[TraceEvent]], set[int], set[Any]]:
-    """One pass over the trace: markers by kind, the sessions that carried
-    an NFC message, and the sessions that carried a relayed message."""
+def evaluate(trace: TransactionTrace,
+             secret_scope: Iterable[str] = ()) -> PropertyReport:
+    # one pass: markers by kind, the sessions that carried an NFC message and
+    # the sessions that carried a relayed one
     markers: dict[str, list[TraceEvent]] = defaultdict(list)
     nfc_sessions, relayed = set(), set()
     for ev in trace.events:
@@ -144,86 +109,77 @@ def _scan(trace: TransactionTrace) -> tuple[dict[str, list[TraceEvent]], set[int
             relayed.add(session)
         if channel == "nfc" and session is not None:
             nfc_sessions.add(session)
-    return markers, nfc_sessions, relayed
-
-
-def evaluate(trace: TransactionTrace,
-             secret_scope: Iterable[str] = ()) -> PropertyReport:
-    markers, nfc_sessions, relayed = _scan(trace)
-    acceptances = _acceptances(markers)
-    by_pan_atc: dict[tuple[Any, Any], list[Any]] = {}
+    by_pan_atc: dict[tuple[Any, Any], list[TraceEvent]] = {}
     for m in markers["card_tx"]:
         by_pan_atc.setdefault((m.data.get("pan"), m.data.get("atc")), []).append(m)
     genuine_cvm = {ev.session for ev in markers["cvm"] if ev.data.get("genuine")}
 
     p1: set[str] = set()
-    p2 = False
-    p31 = False
-    p32 = False
+    p2 = p31 = p32 = False
+    offline: set[tuple[Any, Any]] = set()  # (pan, atc) of each offline approval
 
-    for acc in acceptances:
-        view = acc.view
-        amount = view.get("amount")
+    # an acceptance is an approving marker: a terminal's decision, then the
+    # issuer's authorization, then clearing's settlement
+    for kind in ("decision", "auth", "clearing"):
+        for ev in markers[kind]:
+            data = ev.data
+            if kind == "decision":
+                if not str(data.get("outcome", "")).startswith("approve"):
+                    continue
+                view, submitted_by, emv = data, "terminal", data.get("mode", "emv") == "emv"
+                if data.get("outcome") == "approve_offline":
+                    offline.add((data.get("pan"), data.get("atc")))
+            elif data.get("decision") == "approve":
+                # a request's elements by field name, as the terminal wrote them;
+                # neither a mag-stripe (CVC3) nor a plain swipe (track 2, no AC) is EMV
+                view = {FIELD_NAMES[tag]: v for tag, v in data["request"].payload.items()}
+                submitted_by = data.get("submitted_by", "terminal")
+                emv = view.get("cvc3") is None and (view.get("track2") is None
+                                                    or view.get("ac") is not None)
+            else:
+                # P2 — an offline approval that bounced at clearing
+                if kind == "clearing" and data.get("decision") == "decline":
+                    payload = data["request"].payload
+                    p2 = p2 or (payload.get(Tag.PAN), payload.get(Tag.ATC)) in offline
+                continue
+            session = ev.session
 
-        # P1 — only terminal-submitted acceptances claim card agreement
-        same: list[Any] = []   # card_tx markers of this (pan, atc) in-session
-        if acc.submitted_by == "terminal":
-            key = (view.get("pan"), view.get("atc"))
-            matches = by_pan_atc.get(key, []) if None not in key else []
-            same = [m for m in matches if m.session == acc.session]
-            if same:
-                p1 |= set(_mismatches(view, same[0].data))
-            elif matches and acc.mode == "emv":
-                # the card committed to this ATC in a different session: a
-                # stored transcript was played back as if live
-                p1.add("replay")
+            # P1 — only terminal-submitted acceptances claim card agreement
+            same: list[TraceEvent] = []   # card_tx markers of this (pan, atc) in-session
+            if submitted_by == "terminal":
+                key = (view.get("pan"), view.get("atc"))
+                matches = by_pan_atc.get(key, []) if None not in key else []
+                same = [m for m in matches if m.session == session]
+                if same:
+                    mismatched = _mismatches(view, same[0].data)
+                    p1.update(mismatched)
+                elif matches and emv:
+                    # the card committed to this ATC in a different session: a
+                    # stored transcript was played back as if live
+                    p1.add("replay")
 
-        # P3.1 — high value needs a genuinely performed CVM in-session
-        if amount is not None and amount.value > CVM_LIMIT \
-                and acc.session not in genuine_cvm:
-            p31 = True
+            # P3.1 — high value needs a genuinely performed CVM in-session
+            amount = view.get("amount")
+            if amount is not None and amount.value > CVM_LIMIT and session not in genuine_cvm:
+                p31 = True
 
-        # P3.2 — only meaningful where a contactless session exists
-        # (``same`` is empty for an adversary's submission)
-        if acc.session in nfc_sessions:
-            ok = (acc.session not in relayed
-                  and any(not _mismatches(view, m.data) for m in same))
-            if not ok:
-                p32 = True
-
-    # P2 — offline approval that bounced at clearing
-    offline = {(a.view.get("pan"), a.view.get("atc"))
-               for a in acceptances
-               if a.kind == "decision" and a.view.get("outcome") == "approve_offline"}
-    for ev in markers["clearing"]:
-        if ev.data.get("decision") != "decline":
-            continue
-        payload = ev.data["request"].payload
-        if (payload.get(Tag.PAN), payload.get(Tag.ATC)) in offline:
-            p2 = True
+            # P3.2 — only meaningful where a contactless session exists: an unrelayed
+            # commitment that agrees on every field, P1's labels judging the first
+            # (``same`` is empty for an adversary's submission)
+            if session in nfc_sessions and not p32:
+                p32 = (session in relayed or not same
+                       or bool(mismatched) and all(_mismatches(view, m.data) for m in same[1:]))
 
     # P5 — learned categories against the secrets in scope
     scope = CORE_SECRETS | set(secret_scope)
-    learned = {ev.data.get("category") for ev in markers["knowledge"]}
-    leaked = sorted(learned & scope)
+    leaked = tuple(sorted({ev.data.get("category") for ev in markers["knowledge"]} & scope))
 
     # P6 — genuine probes that no longer work
     p6 = any(not ev.data.get("ok") for ev in markers["genuine_probe"])
 
-    violations: dict[str, tuple[str, ...]] = {}
-    if p1:
-        violations["P1"] = tuple(sorted(p1))
-    if p2:
-        violations["P2"] = ()
-    if p31:
-        violations["P3.1"] = ()
-    if p32:
-        violations["P3.2"] = ()
-    if leaked:
-        violations["P5"] = tuple(leaked)
-    if p6:
-        violations["P6"] = ()
-    return PropertyReport(violations=violations)
+    found = {"P1": (p1, tuple(sorted(p1))), "P2": (p2, ()), "P3.1": (p31, ()),
+             "P3.2": (p32, ()), "P5": (leaked, leaked), "P6": (p6, ())}
+    return PropertyReport({prop: labels for prop, (broken, labels) in found.items() if broken})
 
 
 def compare_expected(report: PropertyReport,

@@ -26,6 +26,9 @@ FIXES = "8ff6f5a307309e2a84460020a0407cb078f49ebf111376b9beb766ebdb96baf6"
 # sha256 over the traces at seed 42 of each attack with every known flaw on, then off:
 # a flaw applies to every card and terminal of the world
 ALL_FLAWS = "2a89f7843bd25da2fab563c0013c32c17fca3c101598653536e594def0bc1db0"
+# sha256 over the JSON reports at seed 42 of each attack with each known flaw on, then off,
+# one flaw at a time: the checker's verdicts on the single-flaw flips
+FLIPS = "6ae9e54cb45dd4495814cf8d92b2ce286daf3c483a572a387fd040d7e7fcd3e2"
 
 
 def _sha256(text: str) -> str:
@@ -66,6 +69,13 @@ def test_all_flaws_traces():
                          flaw_overrides=dict.fromkeys(KNOWN_FLAWS, on)).trace.to_jsonl()
               for attack_id in CATALOG for on in (True, False)]
     assert _sha256("".join(traces)) == ALL_FLAWS
+
+
+def test_single_flaw_flip_reports():
+    reports = [run_attack(attack_id, seed=42, flaw_overrides={flaw: on}).render()
+               for attack_id in CATALOG for flaw in sorted(KNOWN_FLAWS) for on in (True, False)]
+    assert len(reports) == 448
+    assert _sha256(json.dumps(reports, indent=2)) == FLIPS
 
 
 def test_benchmark_pins_the_same_digests():

@@ -1,5 +1,6 @@
 """Per-message budgets of the card dialogue loop and of trace emission, and
-a per-purchase budget of the terminal's steps, counted instead of timed.
+per-purchase and per-trace budgets of the terminal's steps and of the property
+checker, counted instead of timed.
 
 The unit is one Python-level call, as ``sys.setprofile`` reports it: for an
 exchange, into code that lives in the tapsim package or that ``dataclasses``
@@ -7,10 +8,11 @@ generated (the ``__init__`` of the flag maps and other value types, whose file
 is ``<string>``, which runs only when a value is built for the first time: a
 construction met before costs the intern table's one call); for emission, into
 any Python code (``json``'s encoder frames count there); for a purchase, into
-``terminal.py`` alone. The count does not depend on the machine's speed or
-load, so work put back on the per-exchange path (building the message, both
-log lines, the card's answer and reading the reply), on the per-event path
-of ``TransactionTrace.to_jsonl`` or into a purchase's steps fails here and
+``terminal.py`` alone; for judging a trace, into the tapsim package alone. The
+count does not depend on the machine's speed or load, so work put back on the
+per-exchange path (building the message, both log lines, the card's answer and
+reading the reply), on the per-event path of ``TransactionTrace.to_jsonl``,
+into a purchase's steps or into the checker's walk of a trace fails here and
 not only in the benchmark. The ceilings are the counts measured
 when they were set. Emission compiles each line shape once per process, so
 its ceilings were measured with every test run alone, the shape cache cold;
@@ -38,6 +40,7 @@ from tapsim.channel import Adversary, Message, NfcChannel
 from tapsim.elements import (AID_MASTERCARD, AIP, IAD, Amount, CVMCondition, CVMMethod, CVMResult,
                              CVMResults, DataElementMap, Tag)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.properties import evaluate
 from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine_matrix
 
 # seeds no other test builds a world at, so no memo holds their keys or signatures
@@ -65,6 +68,12 @@ PURCHASE_CEILING = 22.52
 # into any Python code per kernel-2 compute_ac, its coverage met before, from 15 when each MAC
 # projected the map, sorted its coverage and encoded every value again
 COMPUTE_AC_CEILING = 5
+# into tapsim per event of the genuine matrix's traces, both policies, judged by the property
+# checker, from 1.11 when it walked each trace in four passes and matched an acceptance twice
+EVALUATE_CEILING = 0.63
+# into tapsim per judgement of the mag-stripe clone's trace (3,039 events, 1,001 of them card
+# commitments), from 23
+CLONE_EVALUATE_CEILING = 13
 
 
 def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>")) -> int:
@@ -170,6 +179,26 @@ def test_genuine_matrix_emission_budget():
     traces = [env.trace for policy in (PERMISSIVE_2019, HARDENED)
               for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
     assert emission_calls_per_event(*traces) <= GENUINE_EMIT_CEILING
+
+
+def judging_calls(*traces) -> int:
+    """Python calls into tapsim that judging ``traces`` makes. Generated code is left out: a
+    field whose two values are equal but not one object costs a dataclass ``__eq__``, and
+    which values are one object depends on what the process built before."""
+    return python_calls(lambda: [evaluate(trace) for trace in traces], under=PACKAGE)
+
+
+def test_evaluate_budget_over_the_genuine_matrix():
+    # one pass over each trace and one _mismatches per acceptance and same-session commitment
+    traces = [env.trace for policy in (PERMISSIVE_2019, HARDENED)
+              for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
+    assert judging_calls(*traces) / sum(len(trace.events) for trace in traces) <= EVALUATE_CEILING
+
+
+def test_evaluate_budget_over_the_harvest_attack_trace():
+    trace = run_attack("magstripe_mode_clone", seed=0).trace
+    assert len(trace.events) == 3039
+    assert judging_calls(trace) <= CLONE_EVALUATE_CEILING
 
 
 def test_purchase_step_budget():

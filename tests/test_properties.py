@@ -2,6 +2,7 @@
 
 import pytest
 
+from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import (Adversary, DataElementMap, Message, NfcChannel,
                             PaymentRails, Tag, TransactionTrace)
 from tapsim.elements import CVM_LIMIT, Amount
@@ -55,6 +56,19 @@ def test_genuine_matrix_no_violations(policy):
         if report.violations:
             bad.append((pairing, report.summary()))
     assert bad == []
+
+
+def test_evaluate_only_reads_the_trace():
+    # decision data and rails requests are judged in place: a clause that wrote to
+    # them would change the trace it judged
+    traces = [(run_attack(attack_id, seed=42).trace, spec.expected.get("P5", ()))
+              for attack_id, spec in CATALOG.items()]
+    traces += [(env.trace, ()) for policy in (PERMISSIVE_2019, HARDENED)
+               for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
+    for trace, scope in traces:
+        before = trace.to_jsonl()
+        evaluate(trace, secret_scope=scope)
+        assert trace.to_jsonl() == before
 
 
 def test_genuine_matrix_covers_enough_pairings():
