@@ -42,6 +42,7 @@ from .elements import (
     CTQ,
     CVMList,
     CVMResults,
+    CodecError,
     DataElementMap,
     DOL,
     IAD,
@@ -187,7 +188,8 @@ class CardProfile:
         self.aid = _BRAND_AIDS[brand_of(self.pan)]
         self.kernel = _KERNELS[self.aid]
         self.device_type = "plastic" if self.wallet is None else "phone"
-        self.aip = AIP(
+        # built as an edit builds one, so an equal AIP from either is one object
+        self.aip = AIP().replace(
             dda_supported=self.fdda,
             cda_supported=self.cda,
             cardholder_verification_supported=bool(self.cvm_list.entries)
@@ -240,7 +242,12 @@ class Card:
 
     def exchange(self, msg: Message) -> Message:
         handler = self._HANDLERS.get(msg.name)  # the table follows the handlers
-        return EMPTY[msg.name] if handler is None else handler(self, msg)
+        if handler is None:
+            return EMPTY[msg.name]
+        try:
+            return handler(self, msg)
+        except CodecError:  # a command lacking an element it needs is refused, state untouched
+            return EMPTY[msg.name]
 
     # --- handlers -------------------------------------------------------
 
@@ -450,7 +457,8 @@ class Cvc3MagstripeClone:
                 return EMPTY["SELECT"]
             return select_reply(self.aid)
         if msg.name == "GET_PROCESSING_OPTIONS":
-            return shared("GET_PROCESSING_OPTIONS", Tag.AIP, AIP(emv_mode_supported=False),
+            return shared("GET_PROCESSING_OPTIONS",
+                          Tag.AIP, AIP().replace(emv_mode_supported=False),
                           Tag.AFL, AFL((1,)), Tag.N_UN_DIGITS, N_UN_DIGITS)
         if msg.name == "READ_RECORD":
             if msg.payload.get(Tag.RECORD_NUMBER) == 1:

@@ -33,7 +33,12 @@ from typing import Any, Callable, Iterable
 
 
 class CodecError(ValueError):
-    """Malformed value, unknown tag or non-canonical wire data."""
+    """Malformed value, unknown tag or non-canonical wire data. ``tag`` is the element a map
+    lacked or refused, or a DOL asked for; None for any other error."""
+
+    def __init__(self, message: str, tag: TagInfo | None = None) -> None:
+        super().__init__(message)
+        self.tag = tag
 
 
 class MissingDolEntry(CodecError):
@@ -122,7 +127,7 @@ _ENUMS = CID, CVMMethod, CVMCondition, CVMResult, DeviceType = tuple(
 
 # The intern table: (class, positional arguments, keyword items, each argument's exact type) ->
 # the instance, the latest _INTERN_SIZE built. Equal arguments may render apart (1 and True).
-_INTERN_SIZE = 1024  # the catalogue, genuine matrix and sweep at seeds 0-2 meet 61 keys
+_INTERN_SIZE = 1024  # the catalogue, genuine matrix and sweep at seeds 0-2 meet 62 keys
 _INTERNED: dict[tuple, Any] = {}
 # id of an interned instance -> its JSON text once emitted, None before, and -> its wire bytes
 # once encoded; an id is valid only while _INTERNED holds the instance, so an eviction drops both
@@ -167,7 +172,11 @@ class _Flags(metaclass=_Interned):
         object.__setattr__(self, "wire", bytes([sum(compress(
             map((1).__lshift__, self._positions.values()), bits))]))
 
-    replace = dataclasses.replace
+    def replace(self, **changes: Any) -> Any:
+        """A copy with ``changes``, built with every bit named in field order: two equal flag
+        maps built by ``replace`` are one interned object."""
+        bits = dict(zip(self._positions, map(self.__getattribute__, self._positions)))
+        return type(self)(**(bits | changes))
 
 
 def _flag_map(name: str, key: str, doc: str) -> type:
@@ -269,14 +278,15 @@ class CVMEntry(metaclass=_Interned):
 
 
 @dataclass(frozen=True)
-class CVMList:
+class CVMList(metaclass=_Interned):
     """Card CVM preferences, in priority order. An empty list is meaningful
     (no method available) and encodes distinctly from an absent one."""
 
     entries: tuple[CVMEntry, ...] = ()
 
-    def __post_init__(self) -> None:
-        if type(self.entries) is not tuple or len(self.entries) > 0xFF:  # the count is a byte
+    def __post_init__(self) -> None:  # a tuple of exactly CVMEntry, so an equal key hides no type
+        if (type(self.entries) is not tuple or len(self.entries) > 0xFF  # the count is a byte
+                or not set(map(type, self.entries)) <= {CVMEntry}):
             raise CodecError(f"a CVM list is a tuple of at most 255 entries, not {self.entries!r}")
 
 
@@ -453,7 +463,7 @@ def encode_value(tag: TagInfo, value: Any) -> bytes:
     """Canonical byte encoding for a single element value; refuses what a map refuses."""
     types, admits, encode = _CODEC_OF.get(tag, _UNREGISTERED)
     if type(value) not in types or admits is not None and not admits(value):
-        raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}")
+        raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}", tag)
     return encode(value)
 
 
@@ -545,18 +555,19 @@ class DataElementMap(dict):
             for tag, value in self.items():  # put's admission, with no call to put per item
                 types, admits, _encode = _CODEC_OF.get(tag, _UNREGISTERED)
                 if type(value) not in types or admits is not None and not admits(value):
-                    raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}")
+                    raise CodecError(
+                        f"{tag!r} is no registered tag or does not admit {value!r}", tag)
 
     def put(self, tag: TagInfo, value: Any) -> "DataElementMap":
         # by exact type, a uint's range and a text's UTF-8: a composite value checked itself
         types, admits, _encode = _CODEC_OF.get(tag, _UNREGISTERED)
         if type(value) not in types or admits is not None and not admits(value):
-            raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}")
+            raise CodecError(f"{tag!r} is no registered tag or does not admit {value!r}", tag)
         dict.__setitem__(self, tag, value)
         return self
 
     def __missing__(self, tag: TagInfo) -> Any:
-        raise CodecError(f"missing element {tag.name}")
+        raise CodecError(f"missing element {tag.name}", tag)
 
     __setitem__ = __delitem__ = __ior__ = update = setdefault = pop = popitem = clear = _read_only
 
@@ -618,6 +629,6 @@ def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:
     out = DataElementMap()
     for tag in dol.tags:
         if tag not in env:
-            raise MissingDolEntry(f"environment lacks {tag.name} requested by DOL")
+            raise MissingDolEntry(f"environment lacks {tag.name} requested by DOL", tag)
         out.put(tag, env[tag])
     return out

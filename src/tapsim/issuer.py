@@ -59,7 +59,7 @@ class Issuer:
     """Authorizes and clears transactions against the profiles it personalized."""
 
     def __init__(self, policy: IssuerPolicy, cards: Mapping[str, CardProfile],
-                 pin_keys: dict[str, bytes]):
+                 pin_keys: Mapping[str, bytes]):
         self.policy = policy
         self.cards = cards  # PAN -> the profile personalized under it
         self.last_atcs: defaultdict[str, int] = defaultdict(int)

@@ -41,6 +41,7 @@ from .elements import (
     CVMMethod,
     CVMResult,
     CVMResults,
+    CodecError,
     DataElementMap,
     DOL,
     FIELD_NAMES,
@@ -66,7 +67,7 @@ class _Declined(Exception):
     """A purchase step refused; ``args[0]`` is the decline reason."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TerminalConfig:
     name: str
     terminal_id: str
@@ -123,7 +124,8 @@ class Terminal:
                      pin: str | None = None,
                      performed_by: str = "cardholder") -> dict[str, Any]:
         """One purchase, ending in exactly one logged decision: every step
-        that refuses raises ``_Declined``, and only this handler logs it."""
+        that refuses raises ``_Declined``, a reply lacking an element a step
+        reads declines ``malformed_<tag>``, and only this handler logs it."""
         tx = _Purchase(channel, amount, pin, performed_by, {"amount": amount, "mode": "emv"})
         try:
             for step in self._OPENING:
@@ -133,6 +135,8 @@ class Terminal:
             outcome, reason = self._settle(tx)
         except _Declined as declined:
             outcome, reason = "decline", declined.args[0]
+        except CodecError as malformed:  # the card's data lacks an element a step reads
+            outcome, reason = "decline", f"malformed_{FIELD_NAMES.get(malformed.tag, 'data')}"
         return self._decide(channel.trace, channel.session, tx.view, outcome, reason)
 
     def run_transit_tap(self, channel: NfcChannel) -> dict[str, Any]:

@@ -278,6 +278,7 @@ MALFORMED = {
         {Tag.CVM_RESULTS: CVMResults(300)}).encode(),
     "cvm_results_plain_ints": lambda: CVMResults(1, 0, 1),
     "cvm_entry_negative": lambda: CVMList((CVMEntry(-1, 0),)),
+    "cvm_list_of_pairs": lambda: CVMList(((CVMMethod.NoCVM, CVMCondition.Always),)),
     "cvm_entry_plain_ints": lambda: CVMEntry(0, 0),
     "dol_unregistered_name": lambda: DOL(("x",)),
     "dol_unhashable_item": lambda: DOL(([],)),
@@ -717,7 +718,7 @@ def test_writers_agree_with_json_dumps_of_render_value(value):
 
 # --- interning: each distinct value is built once per process ---------------------
 
-INTERNED_TYPES = (AIP, TTQ, CTQ, TVR, Amount, IAD, CVMEntry, CVMResults, ActionCodes,
+INTERNED_TYPES = (AIP, TTQ, CTQ, TVR, Amount, IAD, CVMEntry, CVMList, CVMResults, ActionCodes,
                   Track2EquivalentData)
 # arguments of each interned type, exact types mixed: equal arguments of different types
 # (1, True and CID.ARQC; 0, False and CVMMethod.NoCVM) must not share an instance
@@ -737,7 +738,8 @@ _CONSTRUCTIONS = st.one_of(
 
 
 def test_the_interned_types_are_the_immutable_value_types():
-    # AFL, DOL and CVMList hold tuples, whose items' types an equal key would hide
+    # AFL and DOL hold tuples, whose items' types an equal key would hide; a CVMList's items
+    # are exactly CVMEntry
     assert {cls for cls in vars(elements).values()
             if isinstance(cls, elements._Interned) and cls is not elements._Flags} == set(
         INTERNED_TYPES)

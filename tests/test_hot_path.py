@@ -1,6 +1,6 @@
 """Per-message budgets of the card dialogue loop and of trace emission, and
 per-purchase and per-trace budgets of the terminal's steps and of the property
-checker, counted instead of timed.
+checker, and a per-world budget of building one, counted instead of timed.
 
 The unit is one Python-level call, as ``sys.setprofile`` reports it: for an
 exchange, into code that lives in the tapsim package or that ``dataclasses``
@@ -8,15 +8,16 @@ generated (the ``__init__`` of the flag maps and other value types, whose file
 is ``<string>``, which runs only when a value is built for the first time: a
 construction met before costs the intern table's one call); for emission, into
 any Python code (``json``'s encoder frames count there); for a purchase, into
-``terminal.py`` alone; for judging a trace, into the tapsim package alone. The
-count does not depend on the machine's speed or load, so work put back on the
-per-exchange path (building the message, both log lines, the card's answer and
-reading the reply), on the per-event path of ``TransactionTrace.to_jsonl``,
-into a purchase's steps or into the checker's walk of a trace fails here and
-not only in the benchmark. The ceilings are the counts measured
-when they were set. Emission compiles each line shape once per process, so
-its ceilings were measured with every test run alone, the shape cache cold;
-after other tests have filled it the counts are lower. The commands an
+``terminal.py`` alone; for judging a trace or building a world, into the tapsim
+package alone. The count does not depend on the machine's speed or load, so work
+put back on the per-exchange path (building the message, both log lines, the
+card's answer and reading the reply), on the per-event path of
+``TransactionTrace.to_jsonl``, into a purchase's steps, into the checker's walk
+of a trace or into a world's set-up fails here and not only in the benchmark.
+The ceilings are the counts measured when they were set. Emission compiles each
+line shape once per process, so its ceilings were measured with every test run
+alone, the shape cache cold; after other tests have filled it the counts are
+lower. The commands an
 enumeration sends (a PIN guess, a mag-stripe UN query) are built on first use
 and kept for the process, and a shared message and an interned element value
 keep their text once emitted: the cold ceilings hold with those tables empty,
@@ -74,6 +75,9 @@ EVALUATE_CEILING = 0.63
 # into tapsim per judgement of the mag-stripe clone's trace (3,039 events, 1,001 of them card
 # commitments), from 23
 CLONE_EVALUATE_CEILING = 13
+# into tapsim per world at a seed met before only by its templates: build_env, then the first
+# lookup of a card and of a terminal, from 40 when each world personalized its devices anew
+WORLD_CEILING = 23
 
 
 def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>")) -> int:
@@ -199,6 +203,36 @@ def test_evaluate_budget_over_the_harvest_attack_trace():
     trace = run_attack("magstripe_mode_clone", seed=0).trace
     assert len(trace.events) == 3039
     assert judging_calls(trace) <= CLONE_EVALUATE_CEILING
+
+
+def test_evaluate_compares_no_agreeing_field_value_by_value():
+    # equal values are one object (a CVMList is interned, and every AIP is built through
+    # one keyword order), so every agreeing field takes the checker's identity skip
+    traces = [env.trace for policy in (PERMISSIVE_2019, HARDENED)
+              for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
+    compared = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "__eq__" and code.co_filename == "<string>":
+            compared.append(type(frame.f_locals["self"]).__name__)
+
+    sys.setprofile(profile)
+    try:
+        for trace in traces:
+            evaluate(trace)
+    finally:
+        sys.setprofile(None)
+    assert compared == []
+
+
+def test_world_budget_with_its_templates_made():
+    def world(seed):
+        env = build_env(seed=seed)
+        env.cards["mastercard_cda"], env.terminals["standard_pos"]
+
+    world(FRESH_SEED + 200)
+    assert python_calls(partial(world, FRESH_SEED + 201), under=PACKAGE) <= WORLD_CEILING
 
 
 def test_purchase_step_budget():

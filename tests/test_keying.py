@@ -3,11 +3,13 @@ keys are made on first lookup, and a card derives its Ed25519 key,
 certificate and static signature the first time it needs them. The bytes
 are those an eager personalization would have produced."""
 
+import dataclasses
 import gc
 import random
 
 import pytest
 
+from tapsim import attacks
 from tapsim import card as card_module
 from tapsim import runner
 from tapsim.attacks import CATALOG, render_report_md, run_attack
@@ -18,7 +20,8 @@ from tapsim.crypto import (
     public_bytes,
     sign_static_records,
 )
-from tapsim.elements import CTQ, CVMList, DataElementMap, Tag
+from tapsim.elements import (CTQ, CVMCondition, CVMEntry, CVMList, CVMMethod, DataElementMap,
+                             Tag)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import (
     AMOUNT_HIGH,
@@ -237,3 +240,70 @@ def test_worlds_are_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- what a fixture decides is made once per process ---------------------------------
+
+@pytest.mark.parametrize("other_seed", [0, 1])
+def test_worlds_from_one_template_keep_their_edits(other_seed):
+    first, second = build_env(0), build_env(other_seed)
+    name = "google_like_phone"  # a wallet and ODA material
+    mine, theirs = first.cards[name].profile, second.cards[name].profile
+    assert mine is not theirs and mine.aip is theirs.aip  # one template's values
+    fixture_list = theirs.cvm_list
+    mine.cvm_list = CVMList((CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),))
+    mine.wallet.unlocked = True
+    mine.oda = None
+    assert theirs.cvm_list is fixture_list
+    assert theirs.wallet.unlocked is False and theirs.oda is not None
+    again = build_env(0).cards[name].profile
+    assert (again.cvm_list, again.wallet.unlocked, again.oda is None) == (
+        theirs.cvm_list, False, False)
+    config = first.terminals["standard_pos"].config
+    assert config is second.terminals["standard_pos"].config
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.offline_capable = True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_one_draw_is_the_seeds_one_draw_each_would_give(seed):
+    rng, each = random.Random(seed), random.Random(seed)
+    seeds = rng.randbytes(runner._SEED_BYTES)
+    count = 2 + 3 * len(CARD_FIXTURES) + len(TERMINAL_FIXTURES)
+    assert seeds == b"".join(each.randbytes(32) for _ in range(count))
+    assert rng.getstate() == each.getstate()
+    env = build_env(seed)
+    card = env.cards["mastercard_cda"]
+    assert card.rng.getstate() == each.getstate()  # the world's RNG after its draw
+    at = runner._SEED_AT["mastercard_cda"]
+    assert (card.profile.master_key, card.profile.cvc3_key, card.profile.oda.signing_seed) == (
+        seeds[at:at + 32], seeds[at + 32:at + 64], seeds[at + 64:at + 96])
+    assert env.terminals["swipe_pos"].pin_key == seeds[-32:]
+    assert env.issuer.pin_keys["T-SWIPE-1"] == seeds[-32:]
+
+
+@pytest.mark.parametrize("table, size, fill", [
+    ("runner._TEMPLATES", "runner._TEMPLATES_SIZE", lambda i: build_env(
+        card_overrides={"magstripe_only": {"cardholder_name": f"HOLDER {i}"}}
+    ).cards["magstripe_only"]),
+    ("attacks._WORLDS", "attacks._WORLDS_SIZE", lambda i: attacks._world_for(
+        {f: bool(i >> bit & 1) for bit, f in enumerate(sorted(attacks.KNOWN_FLAWS))})),
+])
+def test_each_table_keeps_its_latest_entries_within_its_bound(table, size, fill, monkeypatch):
+    module, name = table.split(".")
+    owner = {"runner": runner, "attacks": attacks}[module]
+    monkeypatch.setattr(owner, name, {})
+    bound = getattr(owner, size.split(".")[1])
+    for i in range(bound + 5):
+        fill(i)
+        assert len(getattr(owner, name)) == min(i + 1, bound)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"card_overrides": {"visa_plastc_no_fdda": {"fdda": True}}},
+    {"terminal_overrides": {"standard_p0s": {"offline_capable": True}}},
+])
+def test_an_override_of_a_device_no_fixture_has_is_rejected(overrides):
+    (device,) = next(iter(overrides.values()))
+    with pytest.raises(TypeError, match=device):
+        build_env(**overrides)
