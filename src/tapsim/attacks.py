@@ -75,7 +75,9 @@ KNOWN_FLAWS = frozenset(ISSUER_CHECKS).union(FIXTURE_FLAWS)
 
 
 def flaw_settings(overrides: dict[str, Any]) -> dict[str, bool]:
-    """Each flaw's setting as a bool, from True/"on" (flaw in) or False/"off" (fixed)."""
+    """Each toggle's setting as a bool, from True/"on" or False/"off". Which side is the
+    flaw depends on the toggle: on is the fix for ``fdda``, ``cda``,
+    ``tac_denial_cda_failed`` and every issuer check."""
     out = {}
     for name, value in overrides.items():
         if name not in KNOWN_FLAWS:
@@ -303,14 +305,11 @@ class TranslatorCard:
         payload.put(Tag.CID, CID.ARQC).put(Tag.CDA_REQUESTED, 0)
         rp = self.far.exchange(Message("GENERATE_AC", payload)).payload
 
-        out = DataElementMap({
+        return Message("GET_PROCESSING_OPTIONS", DataElementMap({
             Tag.AIP: aip, Tag.AFL: afl, Tag.ATC: rp[Tag.ATC],
             Tag.CID: rp[Tag.CID], Tag.AC: rp[Tag.AC], Tag.IAD: rp[Tag.IAD],
             Tag.CTQ: self.claimed_ctq,
-        })
-        if Tag.UN_CARD in rp:
-            out.put(Tag.UN_CARD, rp[Tag.UN_CARD])
-        return Message("GET_PROCESSING_OPTIONS", out)
+        }))
 
 
 # --- stagings --------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .elements import (
     AFL,
     AID_BRANDS,
     AIP,
+    BRANDS,
     CVM_LIMIT,
     ActionCodes,
     Amount,
@@ -74,14 +75,9 @@ _VERIFY_REPLIES = {(decision, tries): shared(
 _VERIFY_NOT_SUPPORTED = shared("VERIFY", Tag.DECISION, "not_supported")
 
 
-# the kernel each application runs: 3 for Visa, 2 for the Mastercard family
-_KERNELS = {aid: 3 if brand == "visa" else 2 for aid, brand in AID_BRANDS.items()}
-_BRAND_AIDS = {brand: aid for aid, brand in AID_BRANDS.items()}
-
-
 def select_reply(aid: bytes) -> Message:
     """An application's answer to its SELECT: kernel 3 asks for transaction data in its PDOL."""
-    kernel = _KERNELS[aid]
+    kernel = BRANDS[AID_BRANDS[aid]].kernel
     return shared("SELECT", Tag.AID, aid, Tag.KERNEL_ID, kernel,
                   Tag.PDOL, KERNEL3_PDOL if kernel == 3 else NO_DOL)
 
@@ -185,8 +181,8 @@ class CardProfile:
     aip: AIP = field(init=False)
 
     def __post_init__(self) -> None:
-        self.aid = _BRAND_AIDS[brand_of(self.pan)]
-        self.kernel = _KERNELS[self.aid]
+        brand = BRANDS[brand_of(self.pan)]
+        self.aid, self.kernel = brand.aid, brand.kernel
         self.device_type = "plastic" if self.wallet is None else "phone"
         # built as an edit builds one, so an equal AIP from either is one object
         self.aip = AIP().replace(

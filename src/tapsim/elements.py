@@ -362,22 +362,11 @@ def validate_pan(pan: str) -> str:
 
 
 def brand_of(pan: str) -> str:
-    """Scheme brand from the leading digit: 4=visa, 5=mastercard, 6=maestro."""
-    lead = pan[:1]
-    if lead == "4":
-        return "visa"
-    if lead == "5":
-        return "mastercard"
-    if lead == "6":
-        return "maestro"
-    raise CodecError(f"no brand for PAN prefix {lead!r}")
-
-
-BRAND_FAMILIES = {
-    "visa": "visa",
-    "mastercard": "mastercard",
-    "maestro": "mastercard",  # same network family as mastercard
-}
+    """The brand whose ``BRANDS`` entry has the PAN's leading digit."""
+    for name, brand in BRANDS.items():
+        if pan[:1] == brand.lead:
+            return name
+    raise CodecError(f"no brand for PAN prefix {pan[:1]!r}")
 
 
 def is_transit_mcc(mcc: str) -> bool:
@@ -388,16 +377,25 @@ def is_transit_mcc(mcc: str) -> bool:
 CVM_LIMIT = 5000
 
 
-# Application identifiers (public protocol constants).
-AID_VISA = bytes.fromhex("A0000000031010")
-AID_MASTERCARD = bytes.fromhex("A0000000041010")
-AID_MAESTRO = bytes.fromhex("A0000000043060")
+@dataclass(frozen=True)
+class Brand:
+    """A card scheme: its PANs' leading digit, its application identifier (a public
+    protocol constant), the kernel that runs it and the network that authorizes it."""
 
-AID_BRANDS = {
-    AID_VISA: "visa",
-    AID_MASTERCARD: "mastercard",
-    AID_MAESTRO: "maestro",
+    lead: str
+    aid: bytes
+    kernel: int
+    family: str
+
+
+# Every brand fact, declared once, in the order a terminal SELECTs the applications.
+BRANDS = {
+    "visa": Brand("4", bytes.fromhex("A0000000031010"), 3, "visa"),
+    "mastercard": Brand("5", bytes.fromhex("A0000000041010"), 2, "mastercard"),
+    "maestro": Brand("6", bytes.fromhex("A0000000043060"), 2, "mastercard"),
 }
+AID_VISA, AID_MASTERCARD, AID_MAESTRO = (brand.aid for brand in BRANDS.values())
+AID_BRANDS = {brand.aid: name for name, brand in BRANDS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .channel import Message, shared
 from .crypto import compute_cvc3, decrypt_pin, kdf, verify_ac
 from .elements import (
     AID_BRANDS,
-    BRAND_FAMILIES,
+    BRANDS,
     CVM_LIMIT,
     Amount,
     CVMMethod,
@@ -63,6 +63,7 @@ class Issuer:
         self.policy = policy
         self.cards = cards  # PAN -> the profile personalized under it
         self.last_atcs: defaultdict[str, int] = defaultdict(int)
+        self.accepted_atcs: set[tuple[str, int]] = set()  # (PAN, ATC) of each approval
         self.pin_keys = pin_keys  # terminal id -> online-PIN key
         self.seen_uns: set[tuple[str, int]] = set()
 
@@ -110,8 +111,10 @@ class Issuer:
         elif not verify_ac(kdf(record.master_key, atc), p, record.ac_coverage, p[Tag.AC]):
             return "decline", "bad_ac"
 
-        # 2. counters move strictly forward
-        if pol.check_atc_order and atc <= self.last_atcs[record.pan]:
+        # 2. counters move strictly forward at authorization; clearing, where an offline
+        # approval may arrive after a later online one, refuses only a counter already used
+        if pol.check_atc_order and ((record.pan, atc) in self.accepted_atcs if clearing
+                                    else atc <= self.last_atcs[record.pan]):
             return "decline", "atc_replay"
 
         # 3. a terminal never reuses its nonce. UNs are remembered per terminal, across
@@ -126,8 +129,8 @@ class Issuer:
             # 4. the application must belong to the card's brand family
             if pol.check_aid_pan_match and Tag.AID in p:
                 aid_brand = AID_BRANDS.get(p[Tag.AID])
-                if aid_brand is None or (BRAND_FAMILIES[aid_brand]
-                                         != BRAND_FAMILIES[brand_of(record.pan)]):
+                if aid_brand is None or (BRANDS[aid_brand].family
+                                         != BRANDS[brand_of(record.pan)].family):
                     return "decline", "aid_pan_mismatch"
 
             ctq = p.get(Tag.CTQ)
@@ -165,6 +168,7 @@ class Issuer:
             return "decline", "cvm_limit"
 
         self.last_atcs[record.pan] = max(self.last_atcs[record.pan], atc)
+        self.accepted_atcs.add((record.pan, atc))
         if un is not None:
             self.seen_uns.add((terminal_id, un))
         return "approve", "magstripe_ok" if ms else "cleared" if clearing else "authorized"

@@ -46,6 +46,7 @@ from .crypto import (
 from .elements import (
     ActionCodes,
     Amount,
+    BRANDS,
     CVMCondition,
     CVMEntry,
     CVMList,
@@ -140,7 +141,6 @@ class Env:
     trace: TransactionTrace
     issuer: Issuer
     rails: PaymentRails
-    ca_store: CAStore
     cards: Mapping[str, Card]
     terminals: Mapping[str, Terminal]
 
@@ -242,7 +242,7 @@ def _card_template(name: str, fx: dict[str, Any],
         name=name, cvm_list=cvm_list, iac=iac,
         wallet=Wallet(wallet_kind, cdcvm_always) if wallet_kind else None,
         ac_coverage=(ac_coverage_kernel3(check_ttq_in_ac)
-                     if brand_of(fx["pan"]) == "visa" else AC_COVERAGE_KERNEL2),
+                     if BRANDS[brand_of(fx["pan"])].kernel == 3 else AC_COVERAGE_KERNEL2),
         **fx,
     )
     if not oda:
@@ -285,48 +285,43 @@ def _build_terminal(overrides: dict[str, dict[str, Any]], seeds: bytes, rng: ran
                     rng, rails, ca_store, seeds[at:at + 32])
 
 
-def _profile_of(cards: Mapping[str, Card], names: dict[str, str], pan: str) -> CardProfile:
-    return cards[names[pan]].profile
+def _profile_of(cards: Mapping[str, Card], pan: str) -> CardProfile:
+    return cards[_PANS[pan]].profile
 
 
-def _pin_key(seeds: bytes, names: dict[str, str], terminal_id: str) -> bytes:
-    at = _SEED_AT[names[terminal_id]]
+def _pin_key(seeds: bytes, terminal_id: str) -> bytes:
+    at = _SEED_AT[_TERMINAL_IDS[terminal_id]]
     return seeds[at:at + 32]
 
 
 def _known_keys(fixtures: dict[str, dict[str, Any]], cls: type,
                 owned: set[str]) -> frozenset[str]:
     """The keys an override may set: each key some fixture uses (which covers
-    every key the builder translates) and each field of ``cls`` the builder
-    does not set itself."""
+    every key the builder translates) and each field of ``cls``, less those the
+    builder sets itself and those naming the device."""
     return frozenset(k for fx in fixtures.values() for k in fx).union(
-        f.name for f in fields(cls) if f.name not in owned)
+        f.name for f in fields(cls)).difference(owned)
 
 
 _CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile, {
-    "name", "aid", "kernel", "device_type", "master_key", "cvc3_key", "iac", "aip",
+    "name", "pan", "aid", "kernel", "device_type", "master_key", "cvc3_key", "iac", "aip",
     "ac_coverage"})
-_TERMINAL_KEYS = _known_keys(TERMINAL_FIXTURES, TerminalConfig, {"name", "tac"})
+_TERMINAL_KEYS = _known_keys(TERMINAL_FIXTURES, TerminalConfig, {"name", "terminal_id", "tac"})
 _PANS = {fx["pan"]: name for name, fx in CARD_FIXTURES.items()}
 _TERMINAL_IDS = {fx["terminal_id"]: name for name, fx in TERMINAL_FIXTURES.items()}
 
 
-def _names(fixtures: dict[str, dict[str, Any]], overrides: dict[str, dict[str, Any]],
-           known: frozenset[str], field: str, unpatched: dict[str, str]) -> dict[str, str]:
-    """Each device's ``field`` (its PAN or terminal id) -> its name, an override's value
-    winning; ``unpatched`` when no override sets it. An override naming a device or a key
-    no fixture has is rejected here, not when a device is first built."""
+def _check_overrides(fixtures: dict[str, dict[str, Any]], overrides: dict[str, dict[str, Any]],
+                     known: frozenset[str]) -> None:
+    """Reject here, not when a device is first built, an override naming a device no fixture
+    is or a key no override may set."""
     if not overrides:
-        return unpatched
+        return
     if not overrides.keys() <= fixtures.keys():
         raise TypeError(f"unknown fixtures {sorted(overrides.keys() - fixtures.keys())}")
     keys = set().union(*filter(None, overrides.values()))
     if not known.issuperset(keys):
         raise TypeError(f"unknown fixture keys {sorted(keys - known)}")
-    if field not in keys:
-        return unpatched
-    return {over.get(field, fx[field]) if (over := overrides.get(name)) else fx[field]: name
-            for name, fx in fixtures.items()}
 
 
 def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
@@ -335,12 +330,12 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
               meta: dict[str, Any] | None = None) -> Env:
     """Assemble a world. Every key seed is drawn here; each card, terminal
     and the PKI is built on first lookup. Overrides patch fixture dicts by
-    name: one naming a device or a key no fixture has raises TypeError here."""
+    name: one naming a device no fixture is, or a key it may not set (a device's PAN
+    or terminal id is its fixture's), raises TypeError here."""
     card_overrides = card_overrides or {}
     terminal_overrides = terminal_overrides or {}
-    pans = _names(CARD_FIXTURES, card_overrides, _CARD_KEYS, "pan", _PANS)
-    terminal_ids = _names(TERMINAL_FIXTURES, terminal_overrides, _TERMINAL_KEYS,
-                          "terminal_id", _TERMINAL_IDS)
+    _check_overrides(CARD_FIXTURES, card_overrides, _CARD_KEYS)
+    _check_overrides(TERMINAL_FIXTURES, terminal_overrides, _TERMINAL_KEYS)
     rng = random.Random(seed)
     trace = TransactionTrace(meta={"seed": seed, "policy": policy.name,
                                    **(meta or {})})
@@ -348,14 +343,12 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
     seeds = rng.randbytes(_SEED_BYTES)
     pki = Pki(seeds)
     cards = _OnDemand(CARD_FIXTURES, partial(_build_card, card_overrides, seeds, policy, pki, rng))
-    issuer = Issuer(policy, cards=_OnDemand(pans, partial(_profile_of, cards, pans)),
-                    pin_keys=_OnDemand(terminal_ids, partial(_pin_key, seeds, terminal_ids)))
+    issuer = Issuer(policy, cards=_OnDemand(_PANS, partial(_profile_of, cards)),
+                    pin_keys=_OnDemand(_TERMINAL_IDS, partial(_pin_key, seeds)))
     rails = PaymentRails(trace, issuer)
-    ca_store = CAStore(pki)
     terminals = _OnDemand(TERMINAL_FIXTURES, partial(_build_terminal, terminal_overrides,
-                                                     seeds, rng, rails, ca_store))
-    return Env(trace=trace, issuer=issuer, rails=rails, ca_store=ca_store,
-               cards=cards, terminals=terminals)
+                                                     seeds, rng, rails, CAStore(pki)))
+    return Env(trace=trace, issuer=issuer, rails=rails, cards=cards, terminals=terminals)
 
 
 # --- genuine runs ---------------------------------------------------------------

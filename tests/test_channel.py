@@ -215,10 +215,11 @@ def test_rails_adversary_submission_needs_a5():
     trace = TransactionTrace()
     rails = PaymentRails(trace, StubIssuer())
     s = trace.new_session()
-    a1_only = Adversary(("A1",), trace=trace)
-    with pytest.raises(ChannelError):
-        rails.authorize(Message("AUTH_REQUEST"), session=s,
-                        submitted_by="adversary", adversary=a1_only)
+    for adversary in (None, Adversary(("A1",), trace=trace)):  # no adversary, or one without A5
+        with pytest.raises(ChannelError):
+            rails.authorize(Message("AUTH_REQUEST"), session=s,
+                            submitted_by="adversary", adversary=adversary)
+    assert not trace.events
     a5 = Adversary(("A1", "A5"), trace=trace)
     rails.authorize(Message("AUTH_REQUEST"), session=s,
                     submitted_by="adversary", adversary=a5)

@@ -4,6 +4,7 @@ import hashlib
 import hmac
 import random
 import runpy
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -525,6 +526,43 @@ def test_a_signature_made_here_holds_by_its_record(monkeypatch):
         assert crypto._holds.__wrapped__(public, signature, edited) is False
     assert _cryptography_verifies(public, signature, msg)
     assert not _cryptography_verifies(public, signature, edited)
+
+
+def test_a_signature_made_elsewhere_holds_by_ed25519_itself():
+    # keys and signatures made with cryptography alone: no record of this process knows
+    # them, so each verdict comes from a real verify, and a one-bit flip fails it
+    ca, issuer, card = (Ed25519PrivateKey.from_private_bytes(hashlib.sha256(name).digest())
+                        for name in (b"foreign ca", b"foreign issuer", b"foreign card"))
+    raw = {key: key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+           for key in (ca, issuer, card)}
+
+    def signed(key, method, elements, coverage):
+        msg = bytes([METHOD_HEADERS[method]]) + elements.encode(coverage)
+        return bytes([METHOD_HEADERS[method]]) + key.sign(msg)
+
+    def certificate(parent, subject, key):
+        return Certificate(subject, raw[key], parent.sign(
+            Certificate(subject, raw[key], b"").payload()))
+
+    def flipped(signature):
+        return signature[:-1] + bytes([signature[-1] ^ 1])
+
+    el, rec, pan = sdad_elements("cda"), static_records(), "4111111111111111"
+    sdad = signed(card, "cda", el, SDAD_COVERAGE["cda"])
+    static = signed(issuer, "sda", rec, STATIC_SIGNED_TAGS)
+    issuer_cert, card_cert = certificate(ca, "bank-a", issuer), certificate(issuer, pan, card)
+    assert not {(raw[card], sdad[1:]), (raw[issuer], static[1:]), (raw[ca], issuer_cert.signature),
+                (raw[issuer], card_cert.signature)} & crypto._SIGNED.keys()
+    assert verify_sdad(raw[card], "cda", el, sdad)
+    assert not verify_sdad(raw[card], "cda", el, flipped(sdad))
+    assert verify_static_records(raw[issuer], rec, static)
+    assert not verify_static_records(raw[issuer], rec, flipped(static))
+    store = CAStore({1: raw[ca]})
+    assert store.verify_chain(1, issuer_cert, card_cert, pan) == raw[card]
+    for broken in ((replace(issuer_cert, signature=flipped(issuer_cert.signature)), card_cert),
+                   (issuer_cert, replace(card_cert, signature=flipped(card_cert.signature)))):
+        with pytest.raises(BadSignature):
+            store.verify_chain(1, *broken, pan)
 
 
 @settings(max_examples=80, deadline=None)

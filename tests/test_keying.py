@@ -129,7 +129,7 @@ def test_oda_material_is_derived_once_per_card(crypto_counts):
 
 def test_the_pki_is_derived_once_per_world(crypto_counts):
     env = build_env(0)
-    env.ca_store.lookup(CA_INDEX)
+    env.terminals["standard_pos"].ca_store.lookup(CA_INDEX)
     assert crypto_counts == {"keys": 1, "certs": 0, "static": 0, "sdad": 0}
     # the card brings its own key and the issuer's; the CA key is reused
     _read_record(env.cards["mastercard_cda"], 3)
@@ -184,6 +184,16 @@ def test_terminals_iterate_in_fixture_order():
     assert [t.config.name for t in env.terminals.values()] == list(TERMINAL_FIXTURES)
 
 
+def test_asking_whether_a_world_has_a_device_builds_nothing(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("built on a membership test")
+    monkeypatch.setattr(runner, "_build_card", unexpected)
+    monkeypatch.setattr(runner, "_build_terminal", unexpected)
+    env = build_env(0)
+    assert "mastercard_cda" in env.cards and "amex_gold" not in env.cards
+    assert "swipe_pos" in env.terminals and "atm" not in env.terminals
+
+
 @pytest.mark.parametrize("name", CARD_FIXTURES)
 def test_a_card_and_the_issuer_share_one_profile(name):
     pan = CARD_FIXTURES[name]["pan"]
@@ -226,7 +236,7 @@ def test_worlds_are_freed_by_reference_counting():
         env = build_env(0)
         for name in env.cards:
             _read_record(env.cards[name], 3)
-        env.ca_store.lookup(CA_INDEX)
+        env.terminals["standard_pos"].ca_store.lookup(CA_INDEX)
         list(env.terminals.values())
         del env
         for policy in (PERMISSIVE_2019, HARDENED):
@@ -263,6 +273,15 @@ def test_worlds_from_one_template_keep_their_edits(other_seed):
     assert config is second.terminals["standard_pos"].config
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.offline_capable = True
+
+
+def test_an_unhashable_override_builds_its_card_and_keeps_no_template(monkeypatch):
+    monkeypatch.setattr(runner, "_TEMPLATES", {})
+    no_cvm = CVMList((CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),))
+    for entries, kept in (([["NoCVM", "Always"]], 0), ([("NoCVM", "Always")], 1)):
+        env = build_env(card_overrides={"maestro_debit": {"cvm_list": entries}})
+        assert env.cards["maestro_debit"].profile.cvm_list == no_cvm
+        assert len(runner._TEMPLATES) == kept  # a list of lists cannot key a template
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -14,7 +15,7 @@ from tapsim.channel import Message, NfcChannel
 from tapsim.elements import Amount, DataElementMap, Tag
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.properties import evaluate
-from tapsim.runner import GENUINE_MATRIX, build_env, run_genuine
+from tapsim.runner import AMOUNT_LOW, GENUINE_MATRIX, build_env, run_genuine
 
 PLASTICS = ("visa_plastic_no_fdda", "visa_plastic_fdda", "mastercard_cda", "maestro_debit")
 FIXED_UN_TERMINAL = "rogue_fixed_un_pos"
@@ -32,20 +33,28 @@ def expected(pairing, policy, fixed_un_approved: bool) -> tuple[str, str | None]
     return pairing[4], None
 
 
-def expected_clearing(batch, policy, last_atcs) -> list[tuple[str, int]]:
-    """The (decision, session) of each offline approval in ``batch``, cleared in order. The
-    hardened issuer's counters only move forward (check 2), so it declines as a replay an
-    approval whose ATC a later online tap of the same card has already passed: a genuine
-    offline approval that bounces, a P2 violation the fix itself causes."""
-    last = dict(last_atcs)
-    out = []
-    for submit, session in batch:
-        pan, atc = submit.payload[Tag.PAN], submit.payload[Tag.ATC]
-        overtaken = policy is HARDENED and atc <= last.get(pan, 0)
-        if not overtaken:
-            last[pan] = max(last.get(pan, 0), atc)
-        out.append(("decline" if overtaken else "approve", session))
-    return out
+def expected_clearing(batch) -> list[str]:
+    """The decision of each offline approval in ``batch``, cleared in order: each one clears
+    under either policy. The hardened issuer keeps its counters strictly forward only at
+    authorization (check 2); at clearing it refuses only a (PAN, ATC) it has already
+    accepted, so an approval that a later online tap of the same card overtook still clears."""
+    return ["approve"] * len(batch)
+
+
+@pytest.mark.parametrize("policy", [PERMISSIVE_2019, HARDENED])
+def test_an_overtaken_offline_approval_clears_once(policy):
+    env = build_env(policy=policy)
+    card, terminal = env.cards["mastercard_cda"], env.terminals["offline_capable_pos"]
+    offline = terminal.run_purchase(NfcChannel(env.trace, card), Amount(AMOUNT_LOW, "EUR"))
+    assert offline["outcome"] == "approve_offline", offline
+    batch = list(terminal.offline_batch)
+    online = run_genuine(env, "mastercard_cda", "standard_pos", AMOUNT_LOW)  # a later ATC
+    assert online["outcome"] == "approve_online", online
+    assert terminal.submit_clearing() == ["approve"]
+    assert evaluate(env.trace).violations == {}
+    # the same approval submitted again is a replay, which the hardened issuer refuses
+    terminal.offline_batch = batch
+    assert terminal.submit_clearing() == ["decline" if policy is HARDENED else "approve"]
 
 
 class OneWorld(RuleBasedStateMachine):
@@ -55,20 +64,13 @@ class OneWorld(RuleBasedStateMachine):
         self.env = build_env(seed=seed, policy=policy)
         self.atcs: dict[str, int] = {}
         self.fixed_un_approved = False
-        self.bounced: set[int] = set()  # sessions whose offline approval clearing declined
-
-    def _clearing(self, terminal: str) -> list[str]:
-        """The decisions clearing ``terminal``'s batch must give; notes those that bounce."""
-        cleared = expected_clearing(self.env.terminals[terminal].offline_batch, self.policy,
-                                    self.env.issuer.last_atcs)
-        self.bounced |= {session for decision, session in cleared if decision == "decline"}
-        return [decision for decision, _session in cleared]
 
     @rule(pairing=st.sampled_from(GENUINE_MATRIX))
     def tap(self, pairing):
         card, terminal, amount, unlocked, _expect = pairing
         prefix, reason = expected(pairing, self.policy, self.fixed_un_approved)
-        pending = self._clearing(terminal)  # cleared before this tap's own approval
+        # cleared before this tap's own approval
+        pending = expected_clearing(self.env.terminals[terminal].offline_batch)
         result = run_genuine(self.env, card, terminal, amount, unlocked=unlocked)
         assert result["outcome"].startswith(prefix), (pairing, result)
         assert reason is None or result["reason"] == reason, (pairing, result)
@@ -96,7 +98,7 @@ class OneWorld(RuleBasedStateMachine):
 
     @rule(terminal=st.sampled_from(OFFLINE_TERMINALS))
     def end_of_day(self, terminal):
-        expected_decisions = self._clearing(terminal)
+        expected_decisions = expected_clearing(self.env.terminals[terminal].offline_batch)
         assert self.env.terminals[terminal].submit_clearing() == expected_decisions
 
     @rule(card=st.sampled_from(PLASTICS), right=st.booleans())
@@ -109,11 +111,11 @@ class OneWorld(RuleBasedStateMachine):
 
     @invariant()
     def trace_is_clean(self):
-        # nothing is violated but P2, exactly where an offline approval bounced as stated
+        # nothing is violated, and no clearing bounces a genuine approval
         declined = {ev.session: ev.data["reason"] for ev in self.env.trace.events
                     if ev.kind == "clearing" and ev.data["decision"] == "decline"}
-        assert declined == dict.fromkeys(self.bounced, "atc_replay")
-        assert evaluate(self.env.trace).violations == ({"P2": ()} if self.bounced else {})
+        assert declined == {}
+        assert evaluate(self.env.trace).violations == {}
 
     @invariant()
     def one_decision_per_session(self):

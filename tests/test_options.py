@@ -53,6 +53,9 @@ def test_no_option_holds_only_one_value():
     {"card_overrides": {"mastercard_cda": {"kernel": 2}}},
     {"card_overrides": {"google_like_phone": {"device_type": "phone"}}},
     {"terminal_overrides": {"transit_gate": {"transit": True}}},
+    # a device's identity is its fixture's: the issuer finds it by its PAN or terminal id
+    {"card_overrides": {"maestro_debit": {"pan": "6011000000000004"}}},
+    {"terminal_overrides": {"standard_pos": {"terminal_id": "T-STD-2"}}},
 ])
 def test_mistyped_override_is_rejected(overrides):
     with pytest.raises(TypeError):

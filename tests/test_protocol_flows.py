@@ -8,20 +8,24 @@ import pytest
 import tapsim.terminal
 from tapsim.attacks import harvest_cvc3_table
 from tapsim.card import ATC_MAX, TRANSIT_MAGIC, WALLET_TX_LIMIT, Wallet
-from tapsim.channel import Adversary, Message, NfcChannel
+from tapsim.channel import Adversary, Edit, Message, NfcChannel
 from tapsim.crypto import compute_cvc3
 from tapsim.elements import (
     AID_MASTERCARD,
     AID_VISA,
     Amount,
     CID,
+    CVMCondition,
     CVMMethod,
+    CVMResult,
+    CVMResults,
     DataElementMap,
     Tag,
     TTQ,
     render_value,
 )
 from tapsim.issuer import HARDENED, ISSUER_CHECKS, PERMISSIVE_2019
+from tapsim.properties import evaluate
 from tapsim.runner import (
     AMOUNT_HIGH,
     AMOUNT_LOW,
@@ -402,10 +406,37 @@ def test_blocked_card_refuses_transactions():
                                         DataElementMap({Tag.PIN_GUESS: guess})))
     assert resp.payload[Tag.DECISION] == "blocked"
     assert card.blocked
+    for guess in ("0003", card.profile.pin):  # the right PIN no longer unblocks it
+        resp = channel.exchange(Message("VERIFY",
+                                        DataElementMap({Tag.PIN_GUESS: guess})))
+        assert (resp.payload[Tag.DECISION], resp.payload[Tag.PIN_TRIES_REMAINING]) == (
+            "blocked", 0)
+    assert card.blocked
 
     result = run_genuine(env, "visa_plastic_no_fdda", "standard_pos",
                          AMOUNT_LOW)
     assert (result["outcome"], result["reason"]) == ("decline", "card_declined")
+
+
+@pytest.mark.parametrize("who, outcome, reason", [
+    ("cardholder", "approve_online", "issuer_approved"),
+    ("criminal", "decline", "signature_rejected"),
+])
+def test_kernel3_card_asked_for_a_cvm_below_the_limit_wants_a_signature(who, outcome, reason):
+    # the TTQ edited on its way to the card demands a CVM; the card answers for a low
+    # amount with a signature, which only the cardholder can give
+    env = build_env(seed=7)
+    adv = Adversary(trace=env.trace)
+    adv.on_to_card(Edit(Tag.TTQ, {"cvm_required": True}))
+    card = env.cards["visa_plastic_no_fdda"]
+    result = env.terminals["standard_pos"].run_purchase(
+        NfcChannel(env.trace, card, adversary=adv), Amount(AMOUNT_LOW, "EUR"),
+        pin=card.profile.pin if who == "cardholder" else None, performed_by=who)
+    assert (result["outcome"], result["reason"]) == (outcome, reason)
+    if who == "cardholder":
+        assert result["view"]["cvm_results"] == CVMResults(
+            CVMMethod.PaperSignature, CVMCondition.IfBelowCvmLimit, CVMResult.Performed)
+        assert evaluate(env.trace).violations == {"P1": ("TTQ",), "P3.2": ()}
 
 
 @pytest.mark.parametrize("card, reason", [
