@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 from .channel import EMPTY, Message, TraceEvent, TransactionTrace, shared
 from .crypto import (
@@ -116,6 +115,22 @@ class Wallet:
         return (True, *claims, False) if pays else (False, False, False, False)
 
 
+class lazy:
+    """``functools.cached_property`` without the lock Python 3.11 takes on each first read:
+    the first read stores ``fn(instance)`` in the instance's ``__dict__``, where every later
+    read finds it before this (non-data) descriptor. Two threads' first reads may both call
+    ``fn``; every ``fn`` here is deterministic, so either value is the one kept."""
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.fn.__name__] = self.fn(instance)
+        return value
+
+
 @dataclass
 class OdaMaterial:
     """One card's ODA personalization: seed and signed records are fixed at
@@ -127,16 +142,16 @@ class OdaMaterial:
     pan: str
     static_records: DataElementMap
 
-    @cached_property
+    @lazy
     def signing_key(self) -> Any:
         return generate_signing_key(self.signing_seed)
 
-    @cached_property
+    @lazy
     def card_cert(self) -> Certificate:
         return issue_certificate(self.pki.issuer_key, self.pan,
                                  public_bytes(self.signing_key))
 
-    @cached_property
+    @lazy
     def static_signature(self) -> bytes:
         return sign_static_records(self.pki.issuer_key, self.static_records)
 

@@ -273,7 +273,9 @@ class TransactionTrace:
 
 # --- adversary ------------------------------------------------------------------
 
-# A hook that returns the message it was given only observes the hop.
+# A hook that returns the message it was given only observes the hop. An edit must return a new
+# message (as Edit and Message.with_payload do): the hop logs the message it handed the hook as
+# sent, so a hook that writes into that one rewrites the logged sent as well.
 Hook = Callable[[Message, "Adversary"], Message]
 
 
@@ -396,7 +398,9 @@ class NfcChannel:
 class Replayer:
     """Answers from a recorded transcript; no card is present. Requests are
     matched by message name in recorded order, so a replay against a terminal
-    that asks the same questions reproduces the old answers verbatim."""
+    that asks the same questions reproduces the old answers verbatim. A command
+    the transcript has no reply for gets the empty reply, as a card's unknown
+    command does."""
 
     def __init__(self, transcript: list[tuple[Message, Message]]):
         self.remaining = list(transcript)
@@ -406,7 +410,7 @@ class Replayer:
             if req.name == msg.name:
                 del self.remaining[i]
                 return resp
-        raise ChannelError(f"transcript has no reply for {msg.name}")
+        return EMPTY[msg.name]
 
 
 class PaymentRails:

@@ -15,8 +15,11 @@ widening a set is an edit here alone. The issuer checks an AC against the
 card's personalized set.
 
 Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
-key, signature and message bytes), the last 256 of each. Ed25519 is deterministic,
-so a hit returns what a fresh call would; a failed check is kept, an error never.
+key, signature and message bytes), the last 256 of each, and so is each certificate,
+issued under its (parent key, subject, public key) and parsed from its exact bytes; a
+certificate builds its payload bytes once, when it is made. Ed25519 is deterministic
+and a certificate cannot change, so a hit returns what a fresh call would; a failed
+check is kept, an error (a malformed certificate's too) never.
 A signing records its message by (key, signature), so a check under one of the last 256 made
 needs no verify: a changed message costs two SHA-512s, a changed key or signature a verify.
 The session-key and CVC3 MACs start from SHA-256 states memoized the same way on
@@ -28,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -80,7 +83,8 @@ STATIC_SIGNED_TAGS = frozenset(
 
 # --- session keys and cryptograms ---------------------------------------------
 
-# per operation; a sweep pass has at most 21 distinct Ed25519 inputs and 7 distinct MAC keys
+# per operation: a sweep pass meets at most 21 distinct inputs of one (the signature checks;
+# 5 certificates issued and 5 parsed) and 7 MAC keys, a genuine pass at most 52 and 28
 _MEMO_SIZE = 256
 _MEMO = lru_cache(maxsize=_MEMO_SIZE)
 # (signer's public key, signature) -> message, for the last _MEMO_SIZE signatures made
@@ -225,33 +229,43 @@ def verify_static_records(issuer_public: bytes, records: DataElementMap,
 
 @dataclass(frozen=True)
 class Certificate:
-    """Minimal certificate: subject name, raw public key, parent signature."""
+    """Minimal certificate: subject name, raw public key, parent signature. Its payload (what
+    the parent signs) and its wire bytes are built once, when it is made."""
 
     subject: str
     public_key: bytes
     signature: bytes
+    _payload: bytes = field(init=False, repr=False, compare=False)
+    _raw: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        subj = self.subject.encode("utf-8")
+        payload = (b"cert" + len(subj).to_bytes(2, "big") + subj
+                   + len(self.public_key).to_bytes(2, "big") + self.public_key)
+        object.__setattr__(self, "_payload", payload)
+        object.__setattr__(self, "_raw", payload + self.signature)
 
     def payload(self) -> bytes:
-        subj = self.subject.encode("utf-8")
-        return (b"cert" + len(subj).to_bytes(2, "big") + subj
-                + len(self.public_key).to_bytes(2, "big") + self.public_key)
+        return self._payload
 
     def to_bytes(self) -> bytes:
-        return self.payload() + self.signature
+        return self._raw
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Certificate":
+    @staticmethod
+    @_MEMO
+    def from_bytes(raw: bytes) -> "Certificate":
         """Parse ``to_bytes()``; malformed input is a certificate that does not verify."""
         off = 6 + int.from_bytes(raw[4:6], "big")
         end = off + 2 + int.from_bytes(raw[off:off + 2], "big")  # end of the public key
         if raw[:4] != b"cert" or len(raw) < end:
             raise BadSignature("malformed certificate")
         try:
-            return cls(raw[6:off].decode("utf-8"), raw[off + 2:end], raw[end:])
+            return Certificate(raw[6:off].decode("utf-8"), raw[off + 2:end], raw[end:])
         except UnicodeDecodeError:
             raise BadSignature("certificate subject is not UTF-8") from None
 
 
+@_MEMO
 def issue_certificate(parent_private: Ed25519PrivateKey, subject: str,
                       subject_public: bytes) -> Certificate:
     cert = Certificate(subject, subject_public, b"")

@@ -615,11 +615,20 @@ class SharedElementMap(DataElementMap):
     raises like every other mutator, and like every map it admits no value that can
     change, so nothing a run does leaks into the next. ``message_json`` is the JSON text
     of the one message that carries the map, kept once that message is emitted; the
-    builder, ``channel.shared``, sets it to None. ``copy()`` is a writable
-    ``DataElementMap``."""
+    builder, ``channel.shared``, sets it to None. Its encoding of each tag set is kept once
+    made. ``copy()`` is a writable ``DataElementMap``."""
 
-    __slots__ = ("message_json",)
+    __slots__ = ("message_json", "_wire")
     put = _shared
+
+    def encode(self, tags: frozenset[TagInfo] | None = None) -> bytes:
+        try:
+            wire = self._wire
+        except AttributeError:  # set on the first encode, so building a shared map pays nothing
+            wire = self._wire = {}
+        if (raw := wire.get(tags)) is None:
+            raw = wire[tags] = DataElementMap.encode(self, tags)
+        return raw
 
 
 def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:

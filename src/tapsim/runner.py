@@ -28,10 +28,10 @@ import random
 import sys
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, Callable, Iterator
 
-from .card import Card, CardProfile, OdaMaterial, Wallet
+from .card import Card, CardProfile, OdaMaterial, Wallet, lazy
 from .channel import Adversary, NfcChannel, PaymentRails, TransactionTrace
 from .crypto import (
     AC_COVERAGE_KERNEL2,
@@ -51,8 +51,8 @@ from .elements import (
     CVMEntry,
     CVMList,
     CVMMethod,
-    DataElementMap,
     FIELD_NAMES,
+    SharedElementMap,
     TVR,
     brand_of,
 )
@@ -182,15 +182,15 @@ class Pki:
 
     seeds: bytes  # the world's key seeds: the CA's, then the issuer's
 
-    @cached_property
+    @lazy
     def ca_key(self) -> Any:
         return generate_signing_key(self.seeds[:32])
 
-    @cached_property
+    @lazy
     def issuer_key(self) -> Any:
         return generate_signing_key(self.seeds[32:64])
 
-    @cached_property
+    @lazy
     def issuer_cert(self) -> Certificate:
         return issue_certificate(self.ca_key, "issuer-1", public_bytes(self.issuer_key))
 
@@ -228,7 +228,7 @@ def _template(make: Callable[..., Any], name: str, fx: dict[str, Any],
 
 
 def _card_template(name: str, fx: dict[str, Any],
-                   check_ttq_in_ac: bool) -> tuple[CardProfile, DataElementMap | None]:
+                   check_ttq_in_ac: bool) -> tuple[CardProfile, SharedElementMap | None]:
     """A card fixture's keyless profile, and the records its issuer signs (None without
     ``oda``); every key not translated here is a CardProfile field."""
     fx = dict(fx)
@@ -249,8 +249,8 @@ def _card_template(name: str, fx: dict[str, Any],
         return profile, None
     profile.ca_pk_index = CA_INDEX
     # fixed now: a later profile edit meets a signature over these values
-    return profile, DataElementMap({tag: getattr(profile, FIELD_NAMES[tag])
-                                    for tag in STATIC_SIGNED_TAGS})
+    return profile, SharedElementMap({tag: getattr(profile, FIELD_NAMES[tag])
+                                      for tag in STATIC_SIGNED_TAGS})
 
 
 def _build_card(overrides: dict[str, dict[str, Any]], seeds: bytes, policy: IssuerPolicy,

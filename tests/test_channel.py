@@ -15,10 +15,13 @@ from test_golden import CATALOGUE, GENUINE
 from tapsim import channel, elements
 from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import (
+    EMPTY,
     MARKER_KINDS,
     MESSAGES,
+    SELECT,
     Adversary,
     ChannelError,
+    Edit,
     Message,
     NfcChannel,
     PaymentRails,
@@ -26,10 +29,10 @@ from tapsim.channel import (
     TransactionTrace,
     visual_read,
 )
-from tapsim.elements import (CID, IAD, TTQ, Amount, CVMMethod, DataElementMap, Tag,
+from tapsim.elements import (AID_VISA, CID, IAD, TTQ, Amount, CVMMethod, DataElementMap, Tag,
                             render_value, to_json)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
-from tapsim.runner import run_genuine_matrix
+from tapsim.runner import build_env, run_genuine_matrix
 
 
 class EchoCard:
@@ -179,9 +182,21 @@ def test_replayer_answers_from_a_transcript():
     r = chan2.exchange(gpo(amount=1))  # different question, same recorded answer
     assert r.payload[Tag.ATC] == 7
     chan2.exchange(read)
-    with pytest.raises(ChannelError):
-        chan2.exchange(gpo())  # transcript exhausted
+    assert chan2.exchange(gpo()) is EMPTY["GET_PROCESSING_OPTIONS"]  # transcript exhausted
     assert not any(ev.relay_active for ev in msgs(trace2, session=chan2.session))
+
+
+def test_a_purchase_from_a_short_transcript_declines_once():
+    # a replayer with no GPO answer gives the empty reply, as a card does, so the purchase
+    # ends in its one decision instead of raising out of the terminal
+    env = build_env(seed=0)
+    select = SELECT[AID_VISA]
+    ghost = Replayer([(select, env.cards["visa_plastic_no_fdda"].exchange(select))])
+    trace = env.trace
+    result = env.terminals["standard_pos"].run_purchase(NfcChannel(trace, ghost),
+                                                        Amount(1500, "EUR"))
+    assert (result["outcome"], result["reason"]) == ("decline", "gpo_failed")
+    assert [ev.data["reason"] for ev in markers(trace, "decision")] == ["gpo_failed"]
 
 
 # --- rails ----------------------------------------------------------------------
@@ -535,6 +550,27 @@ def test_interned_values_keep_their_texts_within_the_bound():
         _matches_reference(trace)
     for value in elements._INTERNED.values():
         assert elements.TEXTS[id(value)] in (None, to_json(value))
+
+
+@pytest.mark.parametrize("edit", [
+    Edit(Tag.TTQ, {"cvm_required": True}),
+    Edit(Tag.UN, lambda un: un + 1, message="GET_PROCESSING_OPTIONS"),
+    Edit(Tag.AMOUNT, Amount(100, "EUR"), where=(Tag.UN, 5)),
+], ids=["flags", "callable", "value"])
+def test_an_edit_leaves_the_message_it_is_handed_unchanged(edit):
+    # the hop logs the handed message as sent: an edit that wrote into it would make the
+    # logged sent and received agree on the forged value
+    sent = gpo().with_payload(TTQ=TTQ(cvm_required=False))
+    before = dict(sent.payload)
+    edited = edit(sent, None)
+    assert edited is not sent and dict(sent.payload) == before != dict(edited.payload)
+
+    trace = TransactionTrace()
+    adv = Adversary(("A1",), trace=trace)
+    adv.on_to_card(edit)
+    NfcChannel(trace, EchoCard(), adversary=adv).exchange(sent)
+    ev = trace.events[0]
+    assert ev.sent is sent and dict(sent.payload) == before and tampered(ev)
 
 
 @pytest.mark.parametrize("hook, expected", [

@@ -365,8 +365,9 @@ def test_certificate_roundtrip_bytes():
     b"cert\x00\x01a\x00\x20" + bytes(31),                    # public key cut short
 ])
 def test_malformed_certificate_does_not_verify(raw):
-    with pytest.raises(BadSignature):
-        Certificate.from_bytes(raw)
+    for _ in range(2):  # the parse memo keeps no error: a second parse raises too
+        with pytest.raises(BadSignature):
+            Certificate.from_bytes(raw)
 
 
 def test_a_malformed_public_key_fails_closed():
@@ -409,7 +410,8 @@ def test_chain_verifies_and_rejects():
 
 # --- the Ed25519 memo -----------------------------------------------------------------
 
-MEMOS = (generate_signing_key, public_bytes, crypto._signature, crypto._holds)
+MEMOS = (generate_signing_key, public_bytes, crypto._signature, crypto._holds, issue_certificate,
+         Certificate.from_bytes)
 
 
 def _hits() -> int:
@@ -432,7 +434,7 @@ def test_memo_hits_return_what_cryptography_returns():
     first = outputs(generate_signing_key(seed))
     hits = _hits()
     again = outputs(generate_signing_key(seed))
-    assert _hits() == hits + 4  # the key, its public bytes and both signatures
+    assert _hits() == hits + 4  # the key, its public bytes, the SDAD's signature, the certificate
     fresh = Ed25519PrivateKey.from_private_bytes(seed)
     assert first == again == (
         fresh.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
@@ -486,6 +488,8 @@ def test_errors_are_never_cached():
             crypto._holds("x" * 32, bytes(64), b"msg")
         with pytest.raises(AttributeError):  # a signing key that is no key
             crypto._signature(None, b"msg")
+        with pytest.raises(BadSignature):
+            Certificate.from_bytes(b"cert\x00\x05ab")
     assert _hits() == hits and crypto._SIGNED == record
 
 

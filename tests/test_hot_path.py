@@ -29,6 +29,7 @@ from __future__ import annotations
 import ast
 import hmac
 import os
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -78,6 +79,11 @@ CLONE_EVALUATE_CEILING = 13
 # into tapsim per world at a seed met before only by its templates: build_env, then the first
 # lookup of a card and of a terminal, from 40 when each world personalized its devices anew
 WORLD_CEILING = 23
+# into any Python code per mastercard_cda purchase at standard_pos, card and terminal looked up,
+# in a second world at a seed met before, from 219 when each certificate was issued and parsed
+# anew, each first read of an ODA member went through functools.cached_property and the static
+# records were encoded again for each world
+WARM_ODA_PURCHASE_CEILING = 202
 
 
 def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>")) -> int:
@@ -233,6 +239,41 @@ def test_world_budget_with_its_templates_made():
 
     world(FRESH_SEED + 200)
     assert python_calls(partial(world, FRESH_SEED + 201), under=PACKAGE) <= WORLD_CEILING
+
+
+def oda_purchase(env) -> str:
+    """A mastercard_cda purchase at standard_pos in ``env``, the card and terminal looked up."""
+    card, terminal = env.cards["mastercard_cda"], env.terminals["standard_pos"]
+    return terminal.run_purchase(NfcChannel(env.trace, card), Amount(AMOUNT_HIGH, "EUR"),
+                                 pin=card.profile.pin)["outcome"]
+
+
+# counted in a fresh interpreter: in this one, a value an earlier test interned may have left
+# the intern table while a shared record still holds it, and be encoded again at each use
+WARM_ODA_PURCHASE_CODE = """\
+import sys
+from functools import partial
+sys.path[:0] = sys.argv[1:]
+from test_hot_path import FRESH_SEED, oda_purchase, python_calls
+from tapsim.runner import build_env
+oda_purchase(build_env(seed=FRESH_SEED))
+print(python_calls(partial(oda_purchase, build_env(seed=FRESH_SEED)), under=""))
+"""
+
+
+def test_a_purchase_at_a_seed_met_before_builds_no_certificate(monkeypatch):
+    # every Ed25519 result of the world's ODA chain is a memo hit, and so is each certificate:
+    # issuing one and parsing its bytes are lookups, not constructions
+    assert oda_purchase(build_env(seed=FRESH_SEED + 300)) == "approve_online"
+    made = []
+    real = crypto.Certificate.__init__
+    monkeypatch.setattr(crypto.Certificate, "__init__",
+                        lambda self, *args: made.append(args) or real(self, *args))
+    assert oda_purchase(build_env(seed=FRESH_SEED + 300)) == "approve_online" and made == []
+    calls = subprocess.run([sys.executable, "-c", WARM_ODA_PURCHASE_CODE,
+                            os.path.dirname(__file__), os.path.dirname(PACKAGE)],
+                           capture_output=True, text=True, check=True, timeout=60).stdout
+    assert int(calls) <= WARM_ODA_PURCHASE_CEILING
 
 
 def test_purchase_step_budget():
@@ -425,3 +466,37 @@ def test_only_channel_and_crypto_keep_an_lru_cache():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(Path(PACKAGE).glob("*.py"))}
     assert lru_caches(sources) == []
+
+
+# --- no functools.cached_property in the package ---------------------------------------------
+
+def cached_properties(sources: dict[str, str]) -> list[str]:
+    """``file:line`` of each ``cached_property`` named in ``sources``: an import of it, a use or
+    a decoration. Python 3.11's takes a lock on each first read; ``card.lazy`` takes none."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom)
+                    and any(a.name == "cached_property" for a in node.names)
+                    or getattr(node, "id", getattr(node, "attr", None)) == "cached_property"):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_scan_flags_cached_property():
+    sources = {
+        "card.py": 'from functools import cached_property as once, partial\n'
+                   'import functools\n'
+                   'class Oda:\n    @functools.cached_property\n    def key(self):\n'
+                   '        return 1\n'
+                   '    # cached_property in a comment is no use\n'
+                   '    @lazy\n    def cert(self):\n        return "cached_property"\n',
+        "runner.py": 'import functools\nseeds = functools.cached_property(len)\n',
+    }
+    assert cached_properties(sources) == ["card.py:1", "card.py:4", "runner.py:2"]
+
+
+def test_no_cached_property_in_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(PACKAGE).glob("*.py"))}
+    assert cached_properties(sources) == []

@@ -226,6 +226,41 @@ def test_malformed_certificate_declines_once(env, tag, junk, card, reason):
     assert len(markers(env.trace, "decision")) == 1
 
 
+# a seed per case that no other test builds a world at, so a case's first world is cold
+FORGED_SEED = 9_100_000
+# (card, terminal, amount, the record-3 element whose last byte is flipped, the decline)
+FORGED_RECORD_3 = [
+    *[("mastercard_cda", terminal, amount, tag, "action_code_denial")
+      for terminal, amount in (("standard_pos", AMOUNT_LOW), ("strict_tac_pos", AMOUNT_HIGH))
+      for tag in (Tag.ISSUER_CERT, Tag.CARD_CERT, Tag.STATIC_SIGNATURE)],
+    # kernel 3 never checks its static signature (ROADMAP item 12), so only the chain is asked
+    *[("visa_plastic_fdda", "transit_gate", 0, tag, "oda_chain_failed")
+      for tag in (Tag.ISSUER_CERT, Tag.CARD_CERT)],
+]
+
+
+@pytest.mark.parametrize("case", range(len(FORGED_RECORD_3)),
+                         ids=[f"{c[0]}@{c[1]}:{c[3].name}" for c in FORGED_RECORD_3])
+def test_a_forged_record_3_ends_as_it_does_cold_with_every_memo_warm(case):
+    # the certificates, their parses, the keys and the signatures of a world at a seed met
+    # before are memo hits; a flipped byte must still meet a check that fails
+    card, terminal, amount, tag, reason = FORGED_RECORD_3[case]
+
+    def tap(forged):
+        env = build_env(seed=FORGED_SEED + case)
+        adversary = Adversary(trace=env.trace)
+        if forged:
+            adversary.on_from_card(Edit(tag, lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+                                        message="READ_RECORD"))
+        result = run_genuine(env, card, terminal, amount, adversary=adversary)
+        assert len(markers(env.trace, "decision")) == 1
+        return result["outcome"], result["reason"]
+
+    cold = tap(forged=True)
+    assert tap(forged=False)[0].startswith("approve")  # every memo of the genuine chain
+    assert cold == tap(forged=True) == ("decline", reason)
+
+
 # --- mag-stripe mode and swipe ----------------------------------------------------------
 
 def test_magstripe_mode_purchase(env):
