@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .card import GREETING, N_UN_DIGITS, NO_DOL, Cvc3MagstripeClone, select_reply
+from .card import GREETING, N_UN_DIGITS, NO_DOL, SELECT_REPLIES, Cvc3MagstripeClone
 from .channel import (
     EMPTY,
     READ_RECORD,
@@ -276,7 +276,7 @@ class TranslatorCard:
             real = self.far.exchange(SELECT[self.real_aid])
             if real.payload.get(Tag.AID) is None:
                 return EMPTY["SELECT"]
-            return select_reply(self.face_aid)
+            return SELECT_REPLIES[self.face_aid]
         if msg.name == "GET_PROCESSING_OPTIONS":
             return self._transact(msg)
         if msg.name == "READ_RECORD":

@@ -74,11 +74,25 @@ _VERIFY_REPLIES = {(decision, tries): shared(
 _VERIFY_NOT_SUPPORTED = shared("VERIFY", Tag.DECISION, "not_supported")
 
 
-def select_reply(aid: bytes) -> Message:
-    """An application's answer to its SELECT: kernel 3 asks for transaction data in its PDOL."""
-    kernel = BRANDS[AID_BRANDS[aid]].kernel
-    return shared("SELECT", Tag.AID, aid, Tag.KERNEL_ID, kernel,
-                  Tag.PDOL, KERNEL3_PDOL if kernel == 3 else NO_DOL)
+# Each application's answer to its SELECT: kernel 3 asks for transaction data in its PDOL.
+SELECT_REPLIES = {brand.aid: shared("SELECT", Tag.AID, brand.aid, Tag.KERNEL_ID, brand.kernel,
+                                    Tag.PDOL, KERNEL3_PDOL if brand.kernel == 3 else NO_DOL)
+                  for brand in BRANDS.values()}
+_AFL_MS, _AFL_EMV, _AFL_ODA = AFL((1,)), AFL((1, 2)), AFL((1, 2, 3))  # each built once
+
+# A card's records 1 and 2 and static GPO reply, the latest _KEPT_SIZE made: (reply, ids of the
+# values made into it) -> (the reply, those values, so no id in a live key names another object)
+_KEPT_SIZE = 256
+_KEPT: dict[tuple, tuple[Message, tuple]] = {}
+
+
+def _kept(reply: str, values: tuple, make: Callable[[], Message]) -> Message:
+    """``make()``, which reads no value but ``values``, made once for those very objects."""
+    if (kept := _KEPT.get(key := (reply, *map(id, values)))) is None:
+        if len(_KEPT) >= _KEPT_SIZE:
+            del _KEPT[next(iter(_KEPT))]
+        kept = _KEPT[key] = make(), values
+    return kept[0]
 
 
 @dataclass
@@ -263,10 +277,8 @@ class Card:
     # --- handlers -------------------------------------------------------
 
     def _on_select(self, msg: Message) -> Message:
-        aid = msg.payload.get(Tag.AID)
-        if aid != self.profile.aid:
-            return EMPTY["SELECT"]  # not on this card
-        return select_reply(aid)
+        aid = msg.payload.get(Tag.AID)  # an AID not on this card gets the empty reply
+        return SELECT_REPLIES[aid] if aid == self.profile.aid else EMPTY["SELECT"]
 
     def _on_magic(self, msg: Message) -> Message:
         if self.profile.wallet is not None and msg.payload.get(Tag.MAGIC) == TRANSIT_MAGIC:
@@ -275,16 +287,17 @@ class Card:
 
     def _afl(self) -> AFL:
         if not self.profile.emv_mode:
-            return AFL((1,))
-        return AFL((1, 2, 3) if self.profile.ca_pk_index is not None else (1, 2))
+            return _AFL_MS
+        return _AFL_ODA if self.profile.ca_pk_index is not None else _AFL_EMV
 
     def _on_gpo(self, msg: Message) -> Message:
         p = self.profile
         if p.emv_mode and p.kernel != 2:
             return self._kernel3_transact(msg)
         # the static profile; mag-stripe mode gives its dynamic code at GENERATE AC
-        return shared("GET_PROCESSING_OPTIONS", Tag.AIP, p.aip, Tag.AFL, self._afl(),
-                      *(() if p.emv_mode else (Tag.N_UN_DIGITS, N_UN_DIGITS)))
+        return _kept("gpo", (p.aip, p.emv_mode, p.ca_pk_index), lambda: shared(
+            "GET_PROCESSING_OPTIONS", Tag.AIP, p.aip, Tag.AFL, self._afl(),
+            *(() if p.emv_mode else (Tag.N_UN_DIGITS, N_UN_DIGITS))))
 
     def _kernel3_transact(self, msg: Message) -> Message:
         """Kernel-3 cards do the whole cryptographic transaction at GPO."""
@@ -345,16 +358,18 @@ class Card:
         p = self.profile
         number = msg.payload.get(Tag.RECORD_NUMBER, 0)
         if number == 1:
-            return shared("READ_RECORD", Tag.PAN, p.pan, Tag.EXPIRY, p.expiry,
-                          Tag.CARDHOLDER_NAME, p.cardholder_name, Tag.TRACK2, p.track2,
-                          Tag.SERVICE_CODE, p.service_code,
-                          *(() if p.emv_mode else (Tag.TRACK1, p.track1)), Tag.RECORD_NUMBER, 1)
+            return _kept("record 1", (p.pan, p.expiry, p.cardholder_name, p.service_code, p.csc,
+                                      p.emv_mode), lambda: shared(
+                "READ_RECORD", Tag.PAN, p.pan, Tag.EXPIRY, p.expiry, Tag.CARDHOLDER_NAME,
+                p.cardholder_name, Tag.TRACK2, p.track2, Tag.SERVICE_CODE, p.service_code,
+                *(() if p.emv_mode else (Tag.TRACK1, p.track1)), Tag.RECORD_NUMBER, 1))
         if number == 2 and p.emv_mode:
-            return shared("READ_RECORD", Tag.CVM_LIST, p.cvm_list, Tag.IAC, p.iac,
-                          *((Tag.CDOL1, KERNEL2_CDOL1) if p.kernel == 2
-                            else (Tag.CTQ, self._current_ctq)),
-                          *(() if p.ca_pk_index is None else (Tag.CA_PK_INDEX, p.ca_pk_index)),
-                          Tag.RECORD_NUMBER, 2)
+            return _kept("record 2", (p.cvm_list, p.iac, p.kernel, self._current_ctq,
+                                      p.ca_pk_index), lambda: shared(
+                "READ_RECORD", Tag.CVM_LIST, p.cvm_list, Tag.IAC, p.iac,
+                *((Tag.CDOL1, KERNEL2_CDOL1) if p.kernel == 2 else (Tag.CTQ, self._current_ctq)),
+                *(() if p.ca_pk_index is None else (Tag.CA_PK_INDEX, p.ca_pk_index)),
+                Tag.RECORD_NUMBER, 2))
         if number == 3 and p.emv_mode and p.ca_pk_index is not None:
             return Message("READ_RECORD", DataElementMap({
                 Tag.ISSUER_CERT: p.oda.pki.issuer_cert.to_bytes(),
@@ -464,13 +479,12 @@ class Cvc3MagstripeClone:
 
     def exchange(self, msg: Message) -> Message:
         if msg.name == "SELECT":
-            if msg.payload.get(Tag.AID) != self.aid:
-                return EMPTY["SELECT"]
-            return select_reply(self.aid)
+            asked = msg.payload.get(Tag.AID)
+            return SELECT_REPLIES[asked] if asked == self.aid else EMPTY["SELECT"]
         if msg.name == "GET_PROCESSING_OPTIONS":
             return shared("GET_PROCESSING_OPTIONS",
                           Tag.AIP, AIP().replace(emv_mode_supported=False),
-                          Tag.AFL, AFL((1,)), Tag.N_UN_DIGITS, N_UN_DIGITS)
+                          Tag.AFL, _AFL_MS, Tag.N_UN_DIGITS, N_UN_DIGITS)
         if msg.name == "READ_RECORD":
             if msg.payload.get(Tag.RECORD_NUMBER) == 1:
                 return Message("READ_RECORD", self.record1.copy())

@@ -202,9 +202,9 @@ class TransactionTrace:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
         with its values; a message or value is rendered and encoded once per call, however often
         the trace holds it, a shared message or interned value once per process; status "ok"."""
-        # id of a message or value the trace holds -> its JSON (an interned value's goes to TEXTS,
-        # for the process). Ids, not values, key it: 1, True and CID.ARQC are equal and each has
-        # its own text. The trace keeps every key alive.
+        # id of a message or value the trace holds -> its JSON (an interned value's also goes to
+        # TEXTS, for the process). Ids, not values, key it: 1, True and CID.ARQC are equal and
+        # each has its own text. The trace keeps every key alive.
         memo: dict[int, str] = {}
 
         def message(msg: Message) -> str:
@@ -214,7 +214,7 @@ class TransactionTrace:
                 f'{{"name": {_quote(msg.name)}, "payload": {{', "}}")
             texts = []
             for value in map(items.__getitem__, order):
-                text = memo.get(id(value)) or TEXTS.get(id(value))
+                text = memo.get(ref := id(value)) or TEXTS.get(ref)
                 if text is None:  # not yet seen in this call, nor kept for the process
                     write = PLAIN_JSON.get(type(value))
                     if write is None:
@@ -223,7 +223,9 @@ class TransactionTrace:
                                 else "".join(json_chunks(text, 0)))
                     else:
                         text = write(value)
-                    (TEXTS if id(value) in TEXTS else memo)[id(value)] = text
+                    if ref in TEXTS:  # interned: kept for the process
+                        TEXTS[ref] = text
+                memo[ref] = text  # a TEXTS hit too: a later one in this call is one lookup
                 texts.append(text)
             text = memo[id(msg)] = template % tuple(texts)
             if type(items) is SharedElementMap:  # none of it can change: keep it
@@ -251,7 +253,7 @@ class TransactionTrace:
                 ('}, ' if key else "") + '"idx": %s, "kind": %s%s}')
             texts = []
             for value in map(data.__getitem__, order):
-                text = memo.get(id(value)) or TEXTS.get(id(value))
+                text = memo.get(ref := id(value)) or TEXTS.get(ref)
                 if text is None:
                     write = PLAIN_JSON.get(type(value))
                     if write is None:
@@ -260,7 +262,9 @@ class TransactionTrace:
                                 else "".join(json_chunks(text, 0)))
                     else:
                         text = write(value)
-                    (TEXTS if id(value) in TEXTS else memo)[id(value)] = text
+                    if ref in TEXTS:  # interned: kept for the process
+                        TEXTS[ref] = text
+                memo[ref] = text
                 texts.append(text)
             lines.append(template % (*texts, idx, _quote(kind), session))
         lines.append("")  # the text ends in a newline, joined in one copy

@@ -632,10 +632,10 @@ class SharedElementMap(DataElementMap):
 
 
 def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:
-    """Project the environment onto a DOL's tags, in DOL order."""
-    out = DataElementMap()
+    """Project the environment onto a DOL's tags, in DOL order; as ``copy``, no re-validation."""
+    out = dict.__new__(DataElementMap)
     for tag in dol.tags:
         if tag not in env:
             raise MissingDolEntry(f"environment lacks {tag.name} requested by DOL", tag)
-        out.put(tag, env[tag])
+        dict.__setitem__(out, tag, env[tag])
     return out

@@ -251,7 +251,7 @@ class Terminal:
                        iac_denial=(r2.get(Tag.IAC).denial
                                    if Tag.IAC in r2 else None))
         # the card's CVM statement must be consistent between GPO and records
-        if Tag.CTQ in r2 and r2[Tag.CTQ] != tx.view["ctq"]:
+        if (ctq := r2.get(Tag.CTQ, tx.view["ctq"])) is not tx.view["ctq"] and ctq != tx.view["ctq"]:
             raise _Declined("ctq_mismatch")
 
     def _k3_oda(self, tx: _Purchase) -> None:

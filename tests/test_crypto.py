@@ -57,7 +57,8 @@ from tapsim.elements import (
     TTQ,
     Tag,
 )
-from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine
+from tapsim.issuer import HARDENED, PERMISSIVE_2019
+from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine, run_genuine_matrix
 
 RNG = random.Random(7)
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -604,6 +605,23 @@ def test_a_world_rebuilt_at_one_seed_pays_no_ed25519_again():
     again = run_genuine(build_env(3), "mastercard_cda", "standard_pos", AMOUNT_HIGH)
     assert _misses() == misses
     assert again == first and again["outcome"] == "approve_online"
+
+
+def test_genuine_passes_at_fresh_seeds_make_no_real_verify(monkeypatch):
+    # as the benchmark's genuine workload runs them: warm-up passes, then one pass per fresh
+    # seed. Every signature a genuine world checks was made in it, so each check that misses
+    # the memo is decided by the signing record, never by Ed25519
+    def genuine_pass(seed: int) -> list[str]:
+        return [result["outcome"] for policy in (PERMISSIVE_2019, HARDENED)
+                for _pairing, _env, result in run_genuine_matrix(policy, seed=seed)]
+
+    for seed in range(9_000_000, 9_000_003):
+        genuine_pass(seed)
+    misses = crypto._holds.cache_info().misses
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", None)  # any real verify would raise
+    for seed in range(9_000_003, 9_000_013):
+        assert len(genuine_pass(seed)) == 58
+    assert crypto._holds.cache_info().misses > misses
 
 
 # --- PIN ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import pytest
+
 import tapsim
 import tapsim.terminal
 from tapsim import crypto
@@ -59,6 +61,9 @@ HARVEST_EMIT_CEILING = 0.68  # per event of the harvest trace
 VERIFY_EMIT_CEILING = 0.36  # per event of the PIN-guessing trace
 # per event of a second such trace, every shared message's text kept from the first
 HARVEST_WARM_EMIT_CEILING = 0.34
+# C calls (id, dict lookups and the like) per event of a second harvest trace's emission, from
+# 28.8 when each occurrence of an interned value was looked up in the call's memo, then in TEXTS
+HARVEST_WARM_EMIT_C_CEILING = 24.1
 VERIFY_WARM_EMIT_CEILING = 0.01
 PIN_TRACE_MESSAGES = 1251  # message objects in the PIN-guessing trace, of 3,716 message events
 # per event of the genuine matrix's traces, both policies, from 1.06 (0.85 measured) before
@@ -77,22 +82,37 @@ EVALUATE_CEILING = 0.63
 # commitments), from 23
 CLONE_EVALUATE_CEILING = 13
 # into tapsim per world at a seed met before only by its templates: build_env, then the first
-# lookup of a card and of a terminal, from 40 when each world personalized its devices anew
-WORLD_CEILING = 23
+# lookup of a card and of a terminal, from 40 when each world personalized its devices anew and
+# 23 when a template's key listed every fixture item and an empty override was checked
+WORLD_CEILING = 19
 # into any Python code per mastercard_cda purchase at standard_pos, card and terminal looked up,
 # in a second world at a seed met before, from 219 when each certificate was issued and parsed
 # anew, each first read of an ODA member went through functools.cached_property and the static
-# records were encoded again for each world
-WARM_ODA_PURCHASE_CEILING = 202
+# records were encoded again for each world, and 202 when its records and its SELECT and GPO
+# replies were found by hashing their values
+WARM_ODA_PURCHASE_CEILING = 179
+# into any Python code per world at the previous world's seed: build_env, then the first lookup of
+# a card and of a terminal, from 30 when each world seeded its RNG and drew its key seeds anew
+WORLD_AGAIN_CEILING = 26
+# dataclass-generated __hash__ and __eq__ per purchase at standard_pos in a world at a seed met
+# before, from 9 (visa_plastic_no_fdda) and 13 (mastercard_cda) when records 1 and 2 and the SELECT
+# and kernel-2 GPO replies were found by hashing the values they carry
+GENERATED_PURCHASE_CEILING = 2
+# into any Python code per googlepay_ttq run with its flaw fixed at a seed met before, from 167
+FIX_RUN_CEILING = 150
 
 
-def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>")) -> int:
-    """Python-level calls ``fn`` makes into code whose file name starts with ``under``."""
+def python_calls(fn, under: str | tuple[str, ...] = (PACKAGE, "<string>"),
+                 names: frozenset[str] | None = None) -> int:
+    """Python-level calls ``fn`` makes into code whose file name starts with ``under`` (and whose
+    name is one of ``names``, when given)."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(under):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(under)
+                and (names is None or code.co_name in names)):
             calls += 1
 
     sys.setprofile(profile)
@@ -168,6 +188,28 @@ def test_second_harvest_trace_emission_budget():
     assert emission_calls_per_event(env.trace) <= HARVEST_WARM_EMIT_CEILING
 
 
+def test_second_harvest_trace_emission_c_call_budget():
+    # a value whose text is kept in TEXTS goes into the call's memo as well, so each later
+    # occurrence in the call costs one id() and one lookup
+    first = build_env(seed=0)
+    harvest(first)
+    first.trace.to_jsonl()
+    env = build_env(seed=0)
+    harvest(env)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        env.trace.to_jsonl()
+    finally:
+        sys.setprofile(None)
+    assert calls / len(env.trace.events) <= HARVEST_WARM_EMIT_C_CEILING
+
+
 def test_second_verify_heavy_trace_emission_budget():
     # every guess, reply and refill of the second campaign is an object the first sent
     run_attack("pin_guessing", seed=0).trace.to_jsonl()
@@ -232,20 +274,62 @@ def test_evaluate_compares_no_agreeing_field_value_by_value():
     assert compared == []
 
 
-def test_world_budget_with_its_templates_made():
-    def world(seed):
-        env = build_env(seed=seed)
-        env.cards["mastercard_cda"], env.terminals["standard_pos"]
+def world(seed: int) -> None:
+    env = build_env(seed=seed)
+    env.cards["mastercard_cda"], env.terminals["standard_pos"]
 
+
+def test_world_budget_with_its_templates_made():
     world(FRESH_SEED + 200)
     assert python_calls(partial(world, FRESH_SEED + 201), under=PACKAGE) <= WORLD_CEILING
 
 
-def oda_purchase(env) -> str:
-    """A mastercard_cda purchase at standard_pos in ``env``, the card and terminal looked up."""
-    card, terminal = env.cards["mastercard_cda"], env.terminals["standard_pos"]
+def test_world_budget_at_the_previous_worlds_seed():
+    # the second world in a row at one seed keeps its RNG's state after the draw, which each
+    # later one restores instead of seeding a Mersenne Twister and drawing 1,120 bytes
+    world(FRESH_SEED + 210)
+    world(FRESH_SEED + 210)
+    assert python_calls(partial(world, FRESH_SEED + 210), under="") <= WORLD_AGAIN_CEILING
+
+
+def standard_purchase(env, name: str = "mastercard_cda") -> str:
+    """A purchase of card ``name`` at standard_pos in ``env``, the card and terminal looked up."""
+    card, terminal = env.cards[name], env.terminals["standard_pos"]
     return terminal.run_purchase(NfcChannel(env.trace, card), Amount(AMOUNT_HIGH, "EUR"),
                                  pin=card.profile.pin)["outcome"]
+
+
+@pytest.mark.parametrize("card", ["visa_plastic_no_fdda", "mastercard_cda"])
+def test_a_purchase_hashes_no_value_to_find_its_replies(card):
+    # records 1 and 2 and a kernel-2 GPO reply are kept under the identities of the profile
+    # values they are made of, and the SELECT replies are a table: finding them hashes nothing
+    assert standard_purchase(build_env(seed=FRESH_SEED + 400), card) == "approve_online"
+    generated = python_calls(lambda: standard_purchase(build_env(seed=FRESH_SEED + 400), card),
+                             under="<string>", names=frozenset({"__hash__", "__eq__"}))
+    assert generated <= GENERATED_PURCHASE_CEILING
+
+
+# counted in a fresh interpreter, as the warm ODA purchase is: the third run, so its world
+# restores the draw the second kept
+FIX_RUN_CODE = """\
+import sys
+from functools import partial
+sys.path[:0] = sys.argv[1:]
+from test_hot_path import FRESH_SEED, python_calls
+from tapsim.attacks import run_attack
+run = partial(run_attack, "googlepay_ttq", seed=FRESH_SEED,
+              flaw_overrides={"wallet_cdcvm_always": False})
+assert not run().success
+run()
+print(python_calls(run, under=""))
+"""
+
+
+def test_a_fix_run_at_a_seed_met_before_budget():
+    calls = subprocess.run([sys.executable, "-c", FIX_RUN_CODE, os.path.dirname(__file__),
+                            os.path.dirname(PACKAGE)],
+                           capture_output=True, text=True, check=True, timeout=60).stdout
+    assert int(calls) <= FIX_RUN_CEILING
 
 
 # counted in a fresh interpreter: in this one, a value an earlier test interned may have left
@@ -254,22 +338,22 @@ WARM_ODA_PURCHASE_CODE = """\
 import sys
 from functools import partial
 sys.path[:0] = sys.argv[1:]
-from test_hot_path import FRESH_SEED, oda_purchase, python_calls
+from test_hot_path import FRESH_SEED, python_calls, standard_purchase
 from tapsim.runner import build_env
-oda_purchase(build_env(seed=FRESH_SEED))
-print(python_calls(partial(oda_purchase, build_env(seed=FRESH_SEED)), under=""))
+standard_purchase(build_env(seed=FRESH_SEED))
+print(python_calls(partial(standard_purchase, build_env(seed=FRESH_SEED)), under=""))
 """
 
 
 def test_a_purchase_at_a_seed_met_before_builds_no_certificate(monkeypatch):
     # every Ed25519 result of the world's ODA chain is a memo hit, and so is each certificate:
     # issuing one and parsing its bytes are lookups, not constructions
-    assert oda_purchase(build_env(seed=FRESH_SEED + 300)) == "approve_online"
+    assert standard_purchase(build_env(seed=FRESH_SEED + 300)) == "approve_online"
     made = []
     real = crypto.Certificate.__init__
     monkeypatch.setattr(crypto.Certificate, "__init__",
                         lambda self, *args: made.append(args) or real(self, *args))
-    assert oda_purchase(build_env(seed=FRESH_SEED + 300)) == "approve_online" and made == []
+    assert standard_purchase(build_env(seed=FRESH_SEED + 300)) == "approve_online" and made == []
     calls = subprocess.run([sys.executable, "-c", WARM_ODA_PURCHASE_CODE,
                             os.path.dirname(__file__), os.path.dirname(PACKAGE)],
                            capture_output=True, text=True, check=True, timeout=60).stdout

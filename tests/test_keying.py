@@ -13,15 +13,15 @@ from tapsim import attacks
 from tapsim import card as card_module
 from tapsim import runner
 from tapsim.attacks import CATALOG, render_report_md, run_attack
-from tapsim.channel import Message
+from tapsim.channel import Message, NfcChannel
 from tapsim.crypto import (
     generate_signing_key,
     issue_certificate,
     public_bytes,
     sign_static_records,
 )
-from tapsim.elements import (CTQ, CVMCondition, CVMEntry, CVMList, CVMMethod, DataElementMap,
-                             Tag)
+from tapsim.elements import (CTQ, Amount, CVMCondition, CVMEntry, CVMList, CVMMethod,
+                             DataElementMap, Tag)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import (
     AMOUNT_HIGH,
@@ -299,6 +299,54 @@ def test_one_draw_is_the_seeds_one_draw_each_would_give(seed):
         seeds[at:at + 32], seeds[at + 32:at + 64], seeds[at + 64:at + 96])
     assert env.terminals["swipe_pos"].pin_key == seeds[-32:]
     assert env.issuer.pin_keys["T-SWIPE-1"] == seeds[-32:]
+
+
+def _purchase_draws(env) -> tuple[int, bytes, int]:
+    """The draws a mastercard_cda purchase at standard_pos makes after the world's: the
+    terminal's UN, its online-PIN nonce and the card's CDA nonce, in that order."""
+    card = env.cards["mastercard_cda"]
+    view = env.terminals["standard_pos"].run_purchase(
+        NfcChannel(env.trace, card), Amount(AMOUNT_HIGH, "EUR"), pin=card.profile.pin)["view"]
+    return view["un"], view["enc_pin"][:12], view["un_card"]
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (-1, 1), (2**70, 0), (True, 1)])
+@pytest.mark.parametrize("order", ["a", "aa", "aaa", "aabaa", "aba", "aaabaaa"])
+def test_a_kept_draw_is_the_draw_a_fresh_rng_makes(a, b, order, monkeypatch):
+    # the second world in a row at an int seed keeps the RNG state after the draw, and each
+    # later one restores it; the bytes and every later draw are a fresh RNG's, -1 is not 1, and
+    # True (which seeds as 1) is not kept
+    monkeypatch.setattr(runner, "_DRAW", [None, b"", None])
+    restored = 0
+    for name in order:
+        seed = {"a": a, "b": b}[name]
+        kept_state = runner._DRAW[2]
+        env = build_env(seed)
+        restored += kept_state is not None and runner._DRAW[2] is kept_state
+        fresh = random.Random(seed)
+        assert env.cards["mastercard_cda"].profile.oda.pki.seeds == fresh.randbytes(1120)
+        assert _purchase_draws(env) == (fresh.randrange(1 << 32), fresh.randbytes(12),
+                                        fresh.randrange(1 << 32))
+        kept_seed, seeds, state = runner._DRAW  # bytes and a tuple of ints: it holds no world
+        assert type(seeds) is bytes and (state is None or type(state) is tuple)
+    assert restored == (order.count("aaa") if type(a) is int else 0)
+    if type(a) is int:
+        assert kept_seed == a and (state is not None) == order.endswith("aa")
+    else:  # True is not kept: the latest int seed is b, once the order has met it
+        assert (kept_seed, type(kept_seed), state) == (
+            (b, int, None) if "b" in order else (None, type(None), None))
+
+
+def test_a_seed_equal_to_the_kept_one_draws_its_own_unless_an_int(monkeypatch):
+    # 2.0**70 == 2**70 but seeds another RNG, and None seeds from the OS: neither is kept,
+    # and neither gets the draw kept for an equal int
+    monkeypatch.setattr(runner, "_DRAW", [None, b"", None])
+    for _ in range(2):
+        build_env(2**70)
+    pki = build_env(2.0**70).cards["mastercard_cda"].profile.oda.pki
+    assert pki.seeds == random.Random(2.0**70).randbytes(1120)
+    keys = {build_env(None).cards["mastercard_cda"].profile.master_key for _ in range(3)}
+    assert len(keys) == 3 and runner._DRAW[0] == 2**70 and runner._DRAW[2] is not None
 
 
 @pytest.mark.parametrize("table, size, fill", [

@@ -131,3 +131,21 @@ class OneWorld(RuleBasedStateMachine):
 
 TestOneWorld = OneWorld.TestCase
 TestOneWorld.settings = settings(max_examples=30, stateful_step_count=30, deadline=None)
+
+
+def test_one_world_declines_a_fixed_un_terminal_after_its_first_approval():
+    # the machine's order-dependent rule in one fixed history, not left to the random draw:
+    # the hardened issuer remembers a terminal's UNs, so its second fixed-UN tap is declined
+    machine = OneWorld()
+    machine.build(seed=0, policy=HARDENED)
+    pairing = next(p for p in GENUINE_MATRIX if p[1] == FIXED_UN_TERMINAL)
+    for approved in (False, True):
+        assert machine.fixed_un_approved is approved
+        machine.tap(pairing=pairing)  # asserts the outcome expected() gives
+    decisions = [ev.data for ev in machine.env.trace.events if ev.kind == "decision"]
+    assert [d["reason"] for d in decisions] == ["issuer_approved", "issuer_declined:un_reuse"]
+    for terminal in OFFLINE_TERMINALS:
+        machine.end_of_day(terminal=terminal)
+    machine.trace_is_clean()
+    machine.one_decision_per_session()
+    machine.issuer_counters_never_fall()
