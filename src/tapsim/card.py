@@ -79,6 +79,7 @@ SELECT_REPLIES = {brand.aid: shared("SELECT", Tag.AID, brand.aid, Tag.KERNEL_ID,
                                     Tag.PDOL, KERNEL3_PDOL if brand.kernel == 3 else NO_DOL)
                   for brand in BRANDS.values()}
 _AFL_MS, _AFL_EMV, _AFL_ODA = AFL((1,)), AFL((1, 2)), AFL((1, 2, 3))  # each built once
+_NO_CTQ = CTQ()  # a card's CTQ before its first kernel-3 tap, and in a refusal
 
 # A card's records 1 and 2 and static GPO reply, the latest _KEPT_SIZE made: (reply, ids of the
 # values made into it) -> (the reply, those values, so no id in a live key names another object)
@@ -129,43 +130,28 @@ class Wallet:
         return (True, *claims, False) if pays else (False, False, False, False)
 
 
-class lazy:
-    """``functools.cached_property`` without the lock Python 3.11 takes on each first read:
-    the first read stores ``fn(instance)`` in the instance's ``__dict__``, where every later
-    read finds it before this (non-data) descriptor. Two threads' first reads may both call
-    ``fn``; every ``fn`` here is deterministic, so either value is the one kept."""
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-
-    def __get__(self, instance: Any, owner: type | None = None) -> Any:
-        if instance is None:
-            return self
-        value = instance.__dict__[self.fn.__name__] = self.fn(instance)
-        return value
-
-
 @dataclass
 class OdaMaterial:
     """One card's ODA personalization: seed and signed records are fixed at
     build time, the (deterministic) Ed25519 work waits for the card's first
-    READ RECORD of record 3 or SDAD."""
+    READ RECORD of record 3 or SDAD. Each member is a lookup in crypto's memo
+    of its result, so it is made once while the memo holds it."""
 
     signing_seed: bytes
     pki: Any  # the world's runner.Pki: the personalizing issuer's key and certificate
     pan: str
     static_records: DataElementMap
 
-    @lazy
+    @property
     def signing_key(self) -> Any:
         return generate_signing_key(self.signing_seed)
 
-    @lazy
+    @property
     def card_cert(self) -> Certificate:
         return issue_certificate(self.pki.issuer_key, self.pan,
                                  public_bytes(self.signing_key))
 
-    @lazy
+    @property
     def static_signature(self) -> bytes:
         return sign_static_records(self.pki.issuer_key, self.static_records)
 
@@ -250,7 +236,7 @@ class Card:
         self.pin_tries_remaining = PIN_TRY_LIMIT
         self._trace: TransactionTrace | None = None
         self._session: int | None = None
-        self._current_ctq = CTQ()
+        self._current_ctq = _NO_CTQ
 
     # channels call this when the card is placed on a hop; it reads the tap's card-constant facts
     def bind(self, trace: TransactionTrace, session: int) -> None:
@@ -324,7 +310,7 @@ class Card:
             self.atc = min(self.atc + 1, ATC_MAX)
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
                 Tag.AIP: p.aip, Tag.AFL: self._afl(),
-                Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: CTQ(),
+                Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: _NO_CTQ,
             }))
 
         self.atc += 1

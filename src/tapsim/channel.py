@@ -21,8 +21,8 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Protocol
 
-from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, TEXTS, DataElementMap, SharedElementMap,
-                       Tag, TagInfo, json_chunks, render_value, to_json)
+from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, DataElementMap, SharedElementMap, Tag,
+                       TagInfo, json_chunks, render_value, to_json)
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
@@ -201,10 +201,10 @@ class TransactionTrace:
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
         with its values; a message or value is rendered and encoded once per call, however often
-        the trace holds it, a shared message or interned value once per process; status "ok"."""
-        # id of a message or value the trace holds -> its JSON (an interned value's also goes to
-        # TEXTS, for the process). Ids, not values, key it: 1, True and CID.ARQC are equal and
-        # each has its own text. The trace keeps every key alive.
+        the trace holds it, a shared message once per process and an interned value never: it
+        carries its text."""
+        # id of a message or value the trace holds -> its JSON. Ids, not values, key it: 1, True
+        # and CID.ARQC are equal and each has its own text. The trace keeps every key alive.
         memo: dict[int, str] = {}
 
         def message(msg: Message) -> str:
@@ -214,18 +214,16 @@ class TransactionTrace:
                 f'{{"name": {_quote(msg.name)}, "payload": {{', "}}")
             texts = []
             for value in map(items.__getitem__, order):
-                text = memo.get(ref := id(value)) or TEXTS.get(ref)
-                if text is None:  # not yet seen in this call, nor kept for the process
+                text = memo.get(ref := id(value))
+                if text is None:  # not yet seen in this call
                     write = PLAIN_JSON.get(type(value))
-                    if write is None:
+                    if write is not None:
+                        text = write(value)
+                    elif (text := getattr(value, "json", None)) is None:  # no text of its own
                         text = RENDER.get(type(value), render_value)(value)
                         text = (_quote(text) if type(text) is str
                                 else "".join(json_chunks(text, 0)))
-                    else:
-                        text = write(value)
-                    if ref in TEXTS:  # interned: kept for the process
-                        TEXTS[ref] = text
-                memo[ref] = text  # a TEXTS hit too: a later one in this call is one lookup
+                    memo[ref] = text
                 texts.append(text)
             text = memo[id(msg)] = template % tuple(texts)
             if type(items) is SharedElementMap:  # none of it can change: keep it
@@ -253,18 +251,16 @@ class TransactionTrace:
                 ('}, ' if key else "") + '"idx": %s, "kind": %s%s}')
             texts = []
             for value in map(data.__getitem__, order):
-                text = memo.get(ref := id(value)) or TEXTS.get(ref)
+                text = memo.get(ref := id(value))
                 if text is None:
                     write = PLAIN_JSON.get(type(value))
-                    if write is None:
+                    if write is not None:
+                        text = write(value)
+                    elif (text := getattr(value, "json", None)) is None:  # no text of its own
                         text = RENDER.get(type(value), render_value)(value)
                         text = (_quote(text) if type(text) is str
                                 else "".join(json_chunks(text, 0)))
-                    else:
-                        text = write(value)
-                    if ref in TEXTS:  # interned: kept for the process
-                        TEXTS[ref] = text
-                memo[ref] = text
+                    memo[ref] = text
                 texts.append(text)
             lines.append(template % (*texts, idx, _quote(kind), session))
         lines.append("")  # the text ends in a newline, joined in one copy

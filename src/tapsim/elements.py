@@ -12,9 +12,11 @@ fixed two-byte zero header. MAC and signature inputs are always built by
 ``DataElementMap.encode(coverage)``, in a code order kept per coverage set.
 
 The immutable value types are interned: a construction whose exact arguments the
-process met before returns the instance built then, with no validation. Emission
-writes each interned value's JSON once per process (``TEXTS``), and encoding its
-wire bytes; any other value is encoded, and so admitted, each time.
+process met before returns the instance built then, with no validation. The table
+gives a value it builds its JSON text (``json``) and, for an element kind, its wire
+bytes (``wire``) as its own attributes, so emission and encoding read them off the
+value, which keeps them after the table evicts it; any other value is encoded, and
+so admitted, each time.
 """
 
 from __future__ import annotations
@@ -129,14 +131,12 @@ _ENUMS = CID, CVMMethod, CVMCondition, CVMResult, DeviceType = tuple(
 # the instance, the latest _INTERN_SIZE built. Equal arguments may render apart (1 and True).
 _INTERN_SIZE = 1024  # the catalogue, genuine matrix and sweep at seeds 0-2 meet 62 keys
 _INTERNED: dict[tuple, Any] = {}
-# id of an interned instance -> its JSON text once emitted, None before, and -> its wire bytes
-# once encoded; an id is valid only while _INTERNED holds the instance, so an eviction drops both
-TEXTS: dict[int, str | None] = {}
-_WIRE: dict[int, bytes] = {}
 
 
 class _Interned(type):
-    """Metaclass of the interned value types; copies and unpickles are equal, not interned."""
+    """Metaclass of the interned value types. A value the table builds carries its JSON text as
+    ``json`` (a type ``RENDER`` renders) and its wire bytes as ``wire`` (an element kind's);
+    copies and unpickles are equal and carry both, but are not interned."""
 
     def __call__(cls, *args: Any, **kwargs: Any) -> Any:
         key = (cls, args, *kwargs.items(), *map(type, args), *map(type, kwargs.values()))
@@ -146,10 +146,12 @@ class _Interned(type):
             return type.__call__(cls, *args, **kwargs)
         if value is None:  # a construction that raises keeps nothing
             value = type.__call__(cls, *args, **kwargs)
+            if (render := RENDER.get(cls)) is not None:
+                object.__setattr__(value, "json", "".join(json_chunks(render(value), 0)))
+            if (encode := _ENCODERS.get(cls)) is not None:
+                object.__setattr__(value, "wire", encode(value))
             if len(_INTERNED) >= _INTERN_SIZE:
-                del TEXTS[evicted := id(_INTERNED.pop(next(iter(_INTERNED))))]
-                _WIRE.pop(evicted, None)
-            TEXTS[id(value)] = None
+                del _INTERNED[next(iter(_INTERNED))]
             _INTERNED[key] = value
         return value
 
@@ -219,9 +221,6 @@ class Amount(metaclass=_Interned):
             raise CodecError(f"amount out of range: {self.value}")
         if not _CURRENCY(self.currency):
             raise CodecError(f"bad currency code: {self.currency!r}")
-
-    def __str__(self) -> str:
-        return f"{self.value / 100:.2f} {self.currency}"
 
 
 @dataclass(frozen=True)
@@ -438,9 +437,8 @@ KINDS: dict[str, tuple[tuple[type, ...], Callable[[Any], Any] | None, Callable[[
     "cvm_results": ((CVMResults,), None, lambda v: bytes([v.method, v.condition, v.result])),
     "action_codes": ((ActionCodes,), None,
                      lambda v: v.denial.wire + v.online.wire + v.default.wire),
-    "track2": ((Track2EquivalentData,), None, lambda v: b"".join(
-        _enc_lp(part.encode())
-        for part in (v.pan, v.expiry, v.service_code, v.discretionary))),
+    "track2": ((Track2EquivalentData,), None, lambda v: b"".join(map(_enc_lp, map(
+        str.encode, (v.pan, v.expiry, v.service_code, v.discretionary))))),
 }
 
 _unknown_kinds = sorted({tag.kind for tag in TAGS_BY_NAME.values()} - KINDS.keys())
@@ -449,6 +447,9 @@ if _unknown_kinds:
 
 
 _CODEC_OF = {tag: KINDS[tag.kind] for tag in TAGS_BY_NAME.values()}  # registered tags only
+# each interned type of an element kind -> its kind's encoder; a flag map makes its wire itself
+_ENCODERS = {types[0]: encode for types, _admits, encode in KINDS.values()
+             if type(types[0]) is _Interned and encode is not _enc_flags}
 _UNREGISTERED = ((), None, None)  # admits no value
 # A coverage set -> its tags ascending by code, each beside its code's wire bytes; the latest
 # _ORDERS_SIZE asked for. Its domain: crypto's AC sets for kernel 2, kernel 3 and kernel 3 with
@@ -587,7 +588,7 @@ class DataElementMap(dict):
     def encode(self, tags: frozenset[TagInfo] | None = None) -> bytes:
         """Canonical encoding of the entries of ``tags``, which the map must hold, or of every
         entry: u16 count, entries ascending by tag code, each as (u16 code, u32 length, value
-        bytes). A value the process encoded before while interned is not encoded again."""
+        bytes). An interned value's bytes are its ``wire``: it is not encoded again."""
         if (order := _ORDERS.get(tags)) is None:
             order = tuple((tag, tag.code.to_bytes(2, "big")) for tag in sorted(
                 self if tags is None else tags, key=attrgetter("code")))
@@ -597,11 +598,8 @@ class DataElementMap(dict):
                 _ORDERS[tags] = order
         out = [len(order).to_bytes(2, "big")]
         for tag, code in order:
-            raw = _WIRE.get(id(value := self[tag]))
-            if raw is None:
+            if (raw := getattr(value := self[tag], "wire", None)) is None:
                 raw = encode_value(tag, value)
-                if id(value) in TEXTS:  # interned: kept while the intern table holds it
-                    _WIRE[id(value)] = raw
             out += code, len(raw).to_bytes(4, "big"), raw
         return b"".join(out)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator
 
-from .card import Card, CardProfile, OdaMaterial, Wallet, lazy
+from .card import Card, CardProfile, OdaMaterial, Wallet
 from .channel import Adversary, NfcChannel, PaymentRails, TransactionTrace
 from .crypto import (
     AC_COVERAGE_KERNEL2,
@@ -181,19 +181,20 @@ class _OnDemand(Mapping):
 class Pki:
     """A world's CA -> issuer chain, and the terminals' one CA root. The seeds are
     drawn in ``build_env``; the (deterministic) Ed25519 keys and the issuer
-    certificate wait for the first ODA card or chain walk that needs them."""
+    certificate wait for the first ODA card or chain walk that needs them, and
+    each is a lookup in crypto's memo of its result."""
 
     seeds: bytes  # the world's key seeds: the CA's, then the issuer's
 
-    @lazy
+    @property
     def ca_key(self) -> Any:
         return generate_signing_key(self.seeds[:32])
 
-    @lazy
+    @property
     def issuer_key(self) -> Any:
         return generate_signing_key(self.seeds[32:64])
 
-    @lazy
+    @property
     def issuer_cert(self) -> Certificate:
         return issue_certificate(self.ca_key, "issuer-1", public_bytes(self.issuer_key))
 

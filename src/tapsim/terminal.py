@@ -45,12 +45,12 @@ from .elements import (
     DataElementMap,
     DOL,
     FIELD_NAMES,
+    TRANSIT_MCCS,
     Tag,
     TTQ,
     TVR,
     Track2EquivalentData,
     build_dol_data,
-    is_transit_mcc,
 )
 
 from .card import GREETING, N_UN_DIGITS, NO_DOL
@@ -111,7 +111,7 @@ class Terminal:
     def __init__(self, config: TerminalConfig, rng: random.Random,
                  rails: PaymentRails, ca_store: CAStore, pin_key: bytes):
         self.config = config
-        self.transit = is_transit_mcc(config.mcc)  # a transit gate is a reader with a transit MCC
+        self.transit = config.mcc in TRANSIT_MCCS  # a transit gate is a reader with a transit MCC
         self.rng = rng
         self.rails = rails
         self.ca_store = ca_store

@@ -529,27 +529,25 @@ def test_shape_caches_stay_within_their_bound():
 
 
 def test_interned_values_keep_their_texts_within_the_bound():
-    # an interned value's text is kept for the process while the table holds the value: past
-    # the bound the oldest value is dropped with its text, and a trace that still holds it
-    # writes it again
+    # an interned value carries its text from the table that built it: past the bound the oldest
+    # value leaves the table and keeps its text, which a trace that still holds it writes
     one, true, held = IAD(1), IAD(True), Amount(0, "XTS")
     trace = TransactionTrace()
     trace.mark("knowledge", None, {"one": one, "true": true, "held": held})
     _matches_reference(trace)
-    assert elements.TEXTS[id(one)] == (
-        '{"cdcvm_performed": 1, "device_type": "plastic", "filler": ""}')
-    assert elements.TEXTS[id(true)] == (
-        '{"cdcvm_performed": true, "device_type": "plastic", "filler": ""}')
-    assert elements.TEXTS[id(held)] == '{"currency": "XTS", "value": 0}'
+    assert one.json == '{"cdcvm_performed": 1, "device_type": "plastic", "filler": ""}'
+    assert true.json == '{"cdcvm_performed": true, "device_type": "plastic", "filler": ""}'
+    assert held.json == '{"currency": "XTS", "value": 0}'
     for value in range(1, elements._INTERN_SIZE + 100):
         trace.mark("knowledge", None, {"amount": Amount(value, "XTS"), "again": held})
-    assert len(elements._INTERNED) == len(elements.TEXTS) == elements._INTERN_SIZE
-    assert set(elements.TEXTS) == {id(value) for value in elements._INTERNED.values()}
-    assert id(held) not in elements.TEXTS and Amount(0, "XTS") is not held
+    assert len(elements._INTERNED) == elements._INTERN_SIZE
+    assert all(kept is not held for kept in elements._INTERNED.values())
+    assert Amount(0, "XTS") is not held and held.json == '{"currency": "XTS", "value": 0}'
     for _ in range(2):
         _matches_reference(trace)
     for value in elements._INTERNED.values():
-        assert elements.TEXTS[id(value)] in (None, to_json(value))
+        assert value.json == to_json(value) if type(value) in elements.RENDER else (
+            not hasattr(value, "json"))
 
 
 @pytest.mark.parametrize("edit", [

@@ -235,7 +235,7 @@ def test_built_classes_live_in_elements_and_survive_pickle_and_deepcopy(cls):
 
 def test_amount_validation():
     a = Amount(12000, "EUR")
-    assert str(a) == "120.00 EUR"
+    assert to_json(a) == '{"currency": "EUR", "value": 12000}'
     with pytest.raises(CodecError):
         Amount(-1, "EUR")
     with pytest.raises(CodecError):
@@ -781,38 +781,38 @@ def test_copies_and_unpickles_are_equal_and_not_interned():
     value = IAD(True, "phone", b"\x01")
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert clone == value and clone is not value
-        assert id(clone) not in elements.TEXTS and to_json(clone) == to_json(value)
+        assert all(kept is not clone for kept in elements._INTERNED.values())
+        assert clone.json == value.json == to_json(clone)
 
 
-def test_interned_values_keep_their_wire_bytes_within_the_bound():
-    # an interned value's bytes are kept while the table holds it, beside its text: past the
-    # bound the oldest value is dropped with its bytes, and a map that still holds it encodes
-    # it again; a plain value is encoded, and so admitted, every time
+def test_interned_values_keep_their_wire_bytes_within_the_bound(monkeypatch):
+    # an interned value carries its bytes, beside its text, from the table that built it: past
+    # the bound the oldest value leaves the table and keeps its bytes, so a map that still holds
+    # it does not encode it again; a plain value is encoded, and so admitted, every time
     one, true, held = IAD(1), IAD(True), Amount(0, "XWB")  # a currency no other test uses
     plain = DataElementMap({Tag.UN: 7, Tag.MERCHANT_ID: "M-1", Tag.AC: b"\x01"})
     m = DataElementMap({Tag.IAD: one, Tag.AMOUNT: held})
     encoded = m.encode()
-    assert elements._WIRE[id(one)] == encode_value(Tag.IAD, one)
-    assert elements._WIRE[id(held)] == encode_value(Tag.AMOUNT, held)
+    assert one.wire == encode_value(Tag.IAD, one) and held.wire == encode_value(Tag.AMOUNT, held)
     assert plain.encode() == plain.encode()
-    assert not {id(value) for value in plain.values()} & elements._WIRE.keys()
-    # equal values encode alike, each kept under its own id, and a copy is not kept
+    assert not any(hasattr(value, "wire") for value in plain.values())
+    # equal values encode alike, each carrying its own bytes, and so does a copy
     assert DataElementMap({Tag.IAD: true}).encode() == DataElementMap({Tag.IAD: one}).encode()
-    assert elements._WIRE[id(true)] == elements._WIRE[id(one)] and id(true) != id(one)
+    assert true.wire == one.wire and true is not one
     for clone in (copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
-        assert clone is not one
+        assert clone is not one and clone.wire == one.wire
         assert DataElementMap({Tag.IAD: clone, Tag.AMOUNT: held}).encode() == encoded
-        assert id(clone) not in elements._WIRE
     for value in range(1, elements._INTERN_SIZE + 100):
         DataElementMap({Tag.AMOUNT: Amount(value, "XWB"), Tag.IAD: one}).encode()
-    assert len(elements._WIRE) <= len(elements._INTERNED) == elements._INTERN_SIZE
-    assert elements._WIRE.keys() <= {id(value) for value in elements._INTERNED.values()}
-    assert id(held) not in elements._WIRE and id(held) not in elements.TEXTS
-    for _ in range(2):  # evicted, so encoded each time and not kept again
+    assert len(elements._INTERNED) == elements._INTERN_SIZE
+    assert all(kept is not held and kept is not one for kept in elements._INTERNED.values())
+    again = []
+    monkeypatch.setattr(elements, "encode_value", lambda tag, value: again.append(value))
+    for _ in range(2):  # evicted, and still not encoded again
         assert m.encode() == encoded
-        assert id(held) not in elements._WIRE
-    assert all(elements._WIRE[id(value)] == encode_value(Tag.AMOUNT, value)
-               for value in elements._INTERNED.values())  # each of the flood's, encoded
+    assert again == []
+    assert all(value.wire == encode_value(Tag.AMOUNT, value)
+               for value in elements._INTERNED.values() if type(value) is Amount)
 
 
 @settings(max_examples=300, deadline=None)

@@ -50,8 +50,8 @@ if sys.argv[1] == "warm":
     assert shared("VERIFY", Tag.PIN_GUESS, "0000")
     assert shared.cache_info().misses == misses
     assert EMPTY["VERIFY"].payload.message_json is not None
-    kept = [v for v in elements._INTERNED.values() if elements.TEXTS[id(v)] is not None]
-    assert kept and all(elements.TEXTS[id(v)] == elements.to_json(v) for v in kept)
+    kept = [v for v in elements._INTERNED.values() if type(v) in elements.RENDER]
+    assert kept and all(v.json == elements.to_json(v) for v in kept)
     random.Random(42).shuffle(order)
 texts = {attack_id: run_attack(attack_id, seed=42).trace.to_jsonl() for attack_id in order}
 digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
