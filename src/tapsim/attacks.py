@@ -50,6 +50,7 @@ from .elements import (
     Tag,
     TTQ,
     build_dol_data,
+    keep,
 )
 from .issuer import ISSUER_CHECKS, PERMISSIVE_2019
 from .properties import PropertyReport, compare_expected, evaluate
@@ -117,12 +118,9 @@ def _world_for(flaws: dict[str, bool]):
         term_over.update(dict.fromkeys(terminal_keys, value))
         if name in ("fdda", "cda") and value:
             card_over["oda"] = True  # signing material to go with fDDA/CDA
-    if len(_WORLDS) >= _WORLDS_SIZE:
-        del _WORLDS[next(iter(_WORLDS))]
-    world = _WORLDS[key] = (PERMISSIVE_2019.with_fixes(**policy_changes),
-                            dict.fromkeys(CARD_FIXTURES, card_over),
-                            dict.fromkeys(TERMINAL_FIXTURES, term_over))
-    return world
+    return keep(_WORLDS, key, (PERMISSIVE_2019.with_fixes(**policy_changes),
+                               dict.fromkeys(CARD_FIXTURES, card_over),
+                               dict.fromkeys(TERMINAL_FIXTURES, term_over)), _WORLDS_SIZE)
 
 
 # --- catalogue types ----------------------------------------------------------------

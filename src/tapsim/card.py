@@ -1,10 +1,11 @@
 """Cards, phones and clones: everything that answers on the contactless hop.
 
-A ``Card`` wraps a ``CardProfile`` (personalization: keys, CVM rules, weak
-spots) plus per-card state (ATC, PIN try counter); the PAN's brand fixes its
-application and kernel. A phone is a card with a ``Wallet`` of one of three
-kinds, which decides whether a locked device will transact and what it claims
-about on-device cardholder verification.
+A ``Card`` holds a ``CardProfile`` (personalization: CVM rules, weak spots and the
+replies they fix, one template shared by every world) plus the world's keys for it
+and per-card state (ATC, PIN try counter); the PAN's brand fixes its application
+and kernel. A phone is a card with a ``Wallet`` of one of three kinds, which
+decides whether a locked device will transact and what it claims about on-device
+cardholder verification.
 
 Clone classes at the bottom imitate cards from harvested data and are what
 the cloning attacks actually present to terminals. They never produce
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Any
 
 from .channel import EMPTY, Message, TraceEvent, TransactionTrace, shared
 from .crypto import (
@@ -81,21 +83,6 @@ SELECT_REPLIES = {brand.aid: shared("SELECT", Tag.AID, brand.aid, Tag.KERNEL_ID,
 _AFL_MS, _AFL_EMV, _AFL_ODA = AFL((1,)), AFL((1, 2)), AFL((1, 2, 3))  # each built once
 _NO_CTQ = CTQ()  # a card's CTQ before its first kernel-3 tap, and in a refusal
 
-# A card's records 1 and 2 and static GPO reply, the latest _KEPT_SIZE made: (reply, ids of the
-# values made into it) -> (the reply, those values, so no id in a live key names another object)
-_KEPT_SIZE = 256
-_KEPT: dict[tuple, tuple[Message, tuple]] = {}
-
-
-def _kept(reply: str, values: tuple, make: Callable[[], Message]) -> Message:
-    """``make()``, which reads no value but ``values``, made once for those very objects."""
-    if (kept := _KEPT.get(key := (reply, *map(id, values)))) is None:
-        if len(_KEPT) >= _KEPT_SIZE:
-            del _KEPT[next(iter(_KEPT))]
-        kept = _KEPT[key] = make(), values
-    return kept[0]
-
-
 @dataclass
 class Wallet:
     """A phone's wallet: ``kind`` says what a locked device lets through, ``unlocked`` that
@@ -156,9 +143,11 @@ class OdaMaterial:
         return sign_static_records(self.pki.issuer_key, self.static_records)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CardProfile:
-    """Personalization data plus the configuration toggles under study."""
+    """Personalization data plus the configuration toggles under study: a template, made
+    once per process and shared by every world's card of it, so it is never written. What
+    it decides is worked out here once, the replies that carry nothing else included."""
 
     name: str
     pan: str
@@ -167,9 +156,6 @@ class CardProfile:
     csc: str
     ac_coverage: frozenset[TagInfo]  # what the AC binds; the issuer verifies against it
     home_currency: str = "EUR"
-
-    master_key: bytes = b""
-    cvc3_key: bytes = b""
 
     cda: bool = False
     fdda: bool = False
@@ -184,40 +170,70 @@ class CardProfile:
 
     iac: ActionCodes = field(default_factory=ActionCodes)
     ca_pk_index: int | None = None
-    oda: OdaMaterial | None = None
 
     service_code: str = "201"
-    wallet: Wallet | None = None
+    wallet: str | None = None  # a phone's wallet kind (each world's card gets a Wallet of it)
+    wallet_cdcvm_always: bool = False
 
-    # worked out once from the fields above: the PAN's brand, the wallet, one AIP object
+    # worked out once from the fields above: the PAN's brand, the wallet, one AIP object, the
+    # AFL, a card_tx marker's card-constant facts, the static GPO reply (kernel 2, mag-stripe
+    # mode) and record 1; and each record 2 made (``records2``, no option: a cache). CPython
+    # reads an instance's attributes fast up to 29 of them.
     aid: bytes = field(init=False)
     kernel: int = field(init=False)
     device_type: str = field(init=False)
     aip: AIP = field(init=False)
+    afl: AFL = field(init=False)
+    facts: dict[str, Any] = field(init=False)
+    gpo: Message | None = field(init=False)
+    record1: Message = field(init=False)
 
     def __post_init__(self) -> None:
+        derive = partial(object.__setattr__, self)  # set once, here, on a frozen instance
         brand = BRANDS[brand_of(self.pan)]
-        self.aid, self.kernel = brand.aid, brand.kernel
-        self.device_type = "plastic" if self.wallet is None else "phone"
+        derive("aid", brand.aid)
+        derive("kernel", brand.kernel)
+        derive("device_type", "plastic" if self.wallet is None else "phone")
         # built as an edit builds one, so an equal AIP from either is one object
-        self.aip = AIP().replace(
+        derive("aip", AIP().replace(
             dda_supported=self.fdda,
             cda_supported=self.cda,
             cardholder_verification_supported=bool(self.cvm_list.entries)
             or self.offline_pin_enabled or self.wallet is not None,
             on_device_cvm_supported=self.device_type == "phone",
             emv_mode_supported=self.emv_mode,
-        )
+        ))
+        derive("afl", _AFL_MS if not self.emv_mode
+               else _AFL_EMV if self.ca_pk_index is None else _AFL_ODA)
+        derive("facts", {"pan": self.pan, "aid": self.aid, "aip": self.aip,
+                         "cvm_list": self.cvm_list, "iac_denial": self.iac.denial,
+                         "ca_pk_index": self.ca_pk_index, "brand": AID_BRANDS[self.aid],
+                         "device_type": self.device_type})
+        derive("gpo", None if self.emv_mode and self.kernel != 2 else shared(
+            "GET_PROCESSING_OPTIONS", Tag.AIP, self.aip, Tag.AFL, self.afl,
+            *(() if self.emv_mode else (Tag.N_UN_DIGITS, N_UN_DIGITS))))
+        derive("record1", shared(
+            "READ_RECORD", Tag.PAN, self.pan, Tag.EXPIRY, self.expiry, Tag.CARDHOLDER_NAME,
+            self.cardholder_name, Tag.TRACK2, self.track2, Tag.SERVICE_CODE, self.service_code,
+            *(() if self.emv_mode else (Tag.TRACK1, "B{}^{}^{}{}".format(  # the track-1 image
+                self.pan, self.cardholder_name.replace(" ", "/"), self.expiry, self.service_code))),
+            Tag.RECORD_NUMBER, 1))
+        derive("records2", {})
+
+    def record2(self, ctq: CTQ) -> Message:
+        """Record 2 with ``ctq``, kept under its wire bytes (kernel 2's carries no CTQ, and
+        is kept under the empty one's): a card makes a few, and finding one hashes no value."""
+        self.records2[ctq.wire] = reply = shared(
+            "READ_RECORD", Tag.CVM_LIST, self.cvm_list, Tag.IAC, self.iac,
+            *((Tag.CDOL1, KERNEL2_CDOL1) if self.kernel == 2 else (Tag.CTQ, ctq)),
+            *(() if self.ca_pk_index is None else (Tag.CA_PK_INDEX, self.ca_pk_index)),
+            Tag.RECORD_NUMBER, 2)
+        return reply
 
     @property
     def track2(self) -> Track2EquivalentData:
         return Track2EquivalentData(self.pan, self.expiry, self.service_code,
                                     self.csc + "00000")
-
-    @property
-    def track1(self) -> str:
-        return (f"B{self.pan}^{self.cardholder_name.replace(' ', '/')}"
-                f"^{self.expiry}{self.service_code}")
 
     def face(self) -> dict[str, str]:
         """What is printed on the physical card."""
@@ -227,25 +243,26 @@ class CardProfile:
 
 class Card:
     """Contactless card/phone state machine: answers SELECT, GPO,
-    READ RECORD, GENERATE AC, VERIFY and the transit magic broadcast."""
+    READ RECORD, GENERATE AC, VERIFY and the transit magic broadcast. It holds its
+    template, the world's keys for it, its own wallet and its counters."""
 
-    def __init__(self, profile: CardProfile, rng: random.Random):
+    def __init__(self, profile: CardProfile, rng: random.Random, master_key: bytes,
+                 cvc3_key: bytes, oda: OdaMaterial | None):
         self.profile = profile
         self.rng = rng
+        self.master_key, self.cvc3_key, self.oda = master_key, cvc3_key, oda
+        self.wallet = (None if profile.wallet is None
+                       else Wallet(profile.wallet, profile.wallet_cdcvm_always))
         self.atc = 0
         self.pin_tries_remaining = PIN_TRY_LIMIT
         self._trace: TransactionTrace | None = None
         self._session: int | None = None
         self._current_ctq = _NO_CTQ
 
-    # channels call this when the card is placed on a hop; it reads the tap's card-constant facts
+    # channels call this when the card is placed on a hop
     def bind(self, trace: TransactionTrace, session: int) -> None:
-        p = self.profile
         self._trace = trace
         self._session = session
-        self._facts = {"pan": p.pan, "aid": p.aid, "aip": p.aip, "cvm_list": p.cvm_list,
-                       "iac_denial": p.iac.denial, "ca_pk_index": p.ca_pk_index,
-                       "brand": AID_BRANDS[p.aid], "device_type": p.device_type}
 
     @property
     def blocked(self) -> bool:
@@ -267,23 +284,15 @@ class Card:
         return SELECT_REPLIES[aid] if aid == self.profile.aid else EMPTY["SELECT"]
 
     def _on_magic(self, msg: Message) -> Message:
-        if self.profile.wallet is not None and msg.payload.get(Tag.MAGIC) == TRANSIT_MAGIC:
-            self.profile.wallet.magic_seen = True
+        if self.wallet is not None and msg.payload.get(Tag.MAGIC) == TRANSIT_MAGIC:
+            self.wallet.magic_seen = True
         return EMPTY["MAGIC_BYTES"]
-
-    def _afl(self) -> AFL:
-        if not self.profile.emv_mode:
-            return _AFL_MS
-        return _AFL_ODA if self.profile.ca_pk_index is not None else _AFL_EMV
 
     def _on_gpo(self, msg: Message) -> Message:
         p = self.profile
         if p.emv_mode and p.kernel != 2:
             return self._kernel3_transact(msg)
-        # the static profile; mag-stripe mode gives its dynamic code at GENERATE AC
-        return _kept("gpo", (p.aip, p.emv_mode, p.ca_pk_index), lambda: shared(
-            "GET_PROCESSING_OPTIONS", Tag.AIP, p.aip, Tag.AFL, self._afl(),
-            *(() if p.emv_mode else (Tag.N_UN_DIGITS, N_UN_DIGITS))))
+        return p.gpo  # the static reply; mag-stripe mode gives its dynamic code at GENERATE AC
 
     def _kernel3_transact(self, msg: Message) -> Message:
         """Kernel-3 cards do the whole cryptographic transaction at GPO."""
@@ -295,8 +304,8 @@ class Card:
         # an exhausted PIN counter or ATC takes the whole card out of service;
         # a wallet may refuse the tap
         blocked = p.offline_pin_enabled and self.blocked or self.atc >= ATC_MAX
-        if p.wallet is not None and not blocked:
-            pays, ctq_cdcvm, iad_cdcvm, genuine_cvm = p.wallet.decide(amount, ttq)
+        if self.wallet is not None and not blocked:
+            pays, ctq_cdcvm, iad_cdcvm, genuine_cvm = self.wallet.decide(amount, ttq)
             ctq = CTQ(cdcvm_performed=ctq_cdcvm)
         else:
             pays, iad_cdcvm, genuine_cvm = not blocked, False, False
@@ -309,7 +318,7 @@ class Card:
         if not pays:
             self.atc = min(self.atc + 1, ATC_MAX)
             return Message("GET_PROCESSING_OPTIONS", DataElementMap({
-                Tag.AIP: p.aip, Tag.AFL: self._afl(),
+                Tag.AIP: p.aip, Tag.AFL: p.afl,
                 Tag.ATC: self.atc, Tag.CID: CID.AAC, Tag.CTQ: _NO_CTQ,
             }))
 
@@ -319,16 +328,16 @@ class Card:
         un_card = self.rng.randrange(1 << 32)
 
         # the card's own values go last, over anything added to the command
-        ac = compute_ac(kdf(p.master_key, self.atc), msg.payload.copy().put(Tag.AIP, p.aip)
+        ac = compute_ac(kdf(self.master_key, self.atc), msg.payload.copy().put(Tag.AIP, p.aip)
                         .put(Tag.ATC, self.atc).put(Tag.IAD, iad), p.ac_coverage)
 
         payload = DataElementMap({
-            Tag.AIP: p.aip, Tag.AFL: self._afl(), Tag.ATC: self.atc,
+            Tag.AIP: p.aip, Tag.AFL: p.afl, Tag.ATC: self.atc,
             Tag.CID: CID.TC if amount.value == 0 else CID.ARQC,
             Tag.AC: ac, Tag.IAD: iad, Tag.CTQ: ctq, Tag.UN_CARD: un_card,
         })
-        if p.fdda and p.oda is not None and ttq.oda_for_online_supported:
-            payload.put(Tag.SDAD, sign_sdad(p.oda.signing_key, "fdda",
+        if p.fdda and self.oda is not None and ttq.oda_for_online_supported:
+            payload.put(Tag.SDAD, sign_sdad(self.oda.signing_key, "fdda",
                                             payload.copy().put(Tag.UN, un)))
 
         if genuine_cvm and self._trace is not None:
@@ -344,23 +353,14 @@ class Card:
         p = self.profile
         number = msg.payload.get(Tag.RECORD_NUMBER, 0)
         if number == 1:
-            return _kept("record 1", (p.pan, p.expiry, p.cardholder_name, p.service_code, p.csc,
-                                      p.emv_mode), lambda: shared(
-                "READ_RECORD", Tag.PAN, p.pan, Tag.EXPIRY, p.expiry, Tag.CARDHOLDER_NAME,
-                p.cardholder_name, Tag.TRACK2, p.track2, Tag.SERVICE_CODE, p.service_code,
-                *(() if p.emv_mode else (Tag.TRACK1, p.track1)), Tag.RECORD_NUMBER, 1))
+            return p.record1
         if number == 2 and p.emv_mode:
-            return _kept("record 2", (p.cvm_list, p.iac, p.kernel, self._current_ctq,
-                                      p.ca_pk_index), lambda: shared(
-                "READ_RECORD", Tag.CVM_LIST, p.cvm_list, Tag.IAC, p.iac,
-                *((Tag.CDOL1, KERNEL2_CDOL1) if p.kernel == 2 else (Tag.CTQ, self._current_ctq)),
-                *(() if p.ca_pk_index is None else (Tag.CA_PK_INDEX, p.ca_pk_index)),
-                Tag.RECORD_NUMBER, 2))
+            return p.records2.get((ctq := self._current_ctq).wire) or p.record2(ctq)
         if number == 3 and p.emv_mode and p.ca_pk_index is not None:
             return Message("READ_RECORD", DataElementMap({
-                Tag.ISSUER_CERT: p.oda.pki.issuer_cert.to_bytes(),
-                Tag.CARD_CERT: p.oda.card_cert.to_bytes(),
-                Tag.STATIC_SIGNATURE: p.oda.static_signature, Tag.RECORD_NUMBER: 3,
+                Tag.ISSUER_CERT: self.oda.pki.issuer_cert.to_bytes(),
+                Tag.CARD_CERT: self.oda.card_cert.to_bytes(),
+                Tag.STATIC_SIGNATURE: self.oda.static_signature, Tag.RECORD_NUMBER: 3,
             }))
         return EMPTY["READ_RECORD"]
 
@@ -385,17 +385,17 @@ class Card:
 
         self.atc += 1
         iad = IAD(cdcvm_performed=False, device_type=p.device_type)
-        ac = compute_ac(kdf(p.master_key, self.atc), msg.payload.copy().put(Tag.AIP, p.aip)
+        ac = compute_ac(kdf(self.master_key, self.atc), msg.payload.copy().put(Tag.AIP, p.aip)
                         .put(Tag.ATC, self.atc).put(Tag.IAD, iad), p.ac_coverage)
 
         payload = DataElementMap({
             Tag.ATC: self.atc, Tag.CID: requested, Tag.AC: ac, Tag.IAD: iad,
         })
         un_card = None
-        if want_cda and p.cda and p.oda is not None:
+        if want_cda and p.cda and self.oda is not None:
             un_card = self.rng.randrange(1 << 32)
             payload.put(Tag.UN_CARD, un_card)
-            payload.put(Tag.SDAD, sign_sdad(p.oda.signing_key, "cda",
+            payload.put(Tag.SDAD, sign_sdad(self.oda.signing_key, "cda",
                                             payload.copy().put(Tag.UN, un)))
 
         self._mark_tx(mode="emv", kernel=2, amount=amount, un=un,
@@ -405,11 +405,11 @@ class Card:
 
     def _dynamic_code(self, msg: Message) -> Message:
         p = self.profile
-        if not p.cvc3_key or not (p.magstripe_capable or not p.emv_mode) or self.atc >= ATC_MAX:
+        if not (p.magstripe_capable or not p.emv_mode) or self.atc >= ATC_MAX:
             return EMPTY["GENERATE_AC"]
         un: int = msg.payload[Tag.UN]
         self.atc += 1
-        code = compute_cvc3(p.cvc3_key, self.atc, un)
+        code = compute_cvc3(self.cvc3_key, self.atc, un)
         self._mark_tx(mode="ms", kernel=p.kernel, un=un, cvc3=code)
         return Message("GENERATE_AC", DataElementMap({
             Tag.ATC: self.atc, Tag.CVC3: code,
@@ -445,7 +445,7 @@ class Card:
         events = self._trace.events
         events.append(tuple.__new__(TraceEvent, (
             len(events), "card_tx", self._session, None, None, False, None, None,
-            {**self._facts, "atc": self.atc, **data})))
+            {**self.profile.facts, "atc": self.atc, **data})))
 
 
 # ---------------------------------------------------------------------------

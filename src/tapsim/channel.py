@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Protocol
 
 from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, DataElementMap, SharedElementMap, Tag,
-                       TagInfo, json_chunks, render_value, to_json)
+                       TagInfo, json_chunks, keep, render_value, to_json)
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
 
@@ -37,9 +37,7 @@ def _shape(cache: dict, key: tuple, names: dict[Any, str], head: str, tail: str)
     """Keep a new shape: members sorted on their names as json.dumps sorts, '%' escaped."""
     order = sorted(names, key=names.__getitem__)
     members = ", ".join([_quote(names[k]).replace("%", "%%") + ": %s" for k in order])
-    if len(cache) >= _SHAPES_SIZE:
-        del cache[next(iter(cache))]
-    return cache.setdefault(key, (tuple(order), head.replace("%", "%%") + members + tail))
+    return keep(cache, key, (tuple(order), head.replace("%", "%%") + members + tail), _SHAPES_SIZE)
 
 
 # Fixed message vocabulary and the tags each message may legally carry

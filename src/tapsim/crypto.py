@@ -38,7 +38,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .elements import CodecError, DataElementMap, Tag, TagInfo
+from .elements import CodecError, DataElementMap, Tag, TagInfo, keep
 
 
 class CryptoError(Exception):
@@ -141,9 +141,7 @@ def verify_ac(session_key: bytes, elements: DataElementMap,
 @_MEMO
 def _signature(private_key: Ed25519PrivateKey, msg: bytes) -> bytes:
     signature = private_key.sign(msg)
-    _SIGNED[public_bytes(private_key), signature] = msg
-    if len(_SIGNED) > _MEMO_SIZE:
-        del _SIGNED[next(iter(_SIGNED))]
+    keep(_SIGNED, (public_bytes(private_key), signature), msg, _MEMO_SIZE)
     return signature
 
 

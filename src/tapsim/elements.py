@@ -127,6 +127,15 @@ _ENUMS = CID, CVMMethod, CVMCondition, CVMResult, DeviceType = tuple(
                       ("DeviceType", "device_type")))
 
 
+def keep(table: dict, key: Any, value: Any, size: int) -> Any:
+    """``table[key] = value``, and ``value``; a table that holds ``size`` entries drops its
+    oldest first. It bounds every process-wide table kept by hand: each holds its latest."""
+    if len(table) >= size:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
+
+
 # The intern table: (class, positional arguments, keyword items, each argument's exact type) ->
 # the instance, the latest _INTERN_SIZE built. Equal arguments may render apart (1 and True).
 _INTERN_SIZE = 1024  # the catalogue, genuine matrix and sweep at seeds 0-2 meet 62 keys
@@ -150,9 +159,7 @@ class _Interned(type):
                 object.__setattr__(value, "json", "".join(json_chunks(render(value), 0)))
             if (encode := _ENCODERS.get(cls)) is not None:
                 object.__setattr__(value, "wire", encode(value))
-            if len(_INTERNED) >= _INTERN_SIZE:
-                del _INTERNED[next(iter(_INTERNED))]
-            _INTERNED[key] = value
+            keep(_INTERNED, key, value, _INTERN_SIZE)
         return value
 
 
@@ -494,7 +501,8 @@ RENDER: dict[type, Callable[[Any], Any]] = {
                     "filler": v.filler.hex()},
     AFL: lambda v: list(v.records),
     DOL: lambda v: [t.name for t in v.tags],
-    CVMList: lambda v: [[e.method._name_, e.condition._name_] for e in v.entries],
+    CVMEntry: lambda v: [v.method._name_, v.condition._name_],
+    CVMList: lambda v: list(map(RENDER[CVMEntry], v.entries)),
     CVMResults: lambda v: [v.method._name_, v.condition._name_, v.result._name_],
     ActionCodes: lambda v: {"denial": v.denial.wire[0], "online": v.online.wire[0],
                             "default": v.default.wire[0]},
@@ -593,9 +601,7 @@ class DataElementMap(dict):
             order = tuple((tag, tag.code.to_bytes(2, "big")) for tag in sorted(
                 self if tags is None else tags, key=attrgetter("code")))
             if tags is not None:
-                if len(_ORDERS) >= _ORDERS_SIZE:
-                    del _ORDERS[next(iter(_ORDERS))]
-                _ORDERS[tags] = order
+                keep(_ORDERS, tags, order, _ORDERS_SIZE)
         out = [len(order).to_bytes(2, "big")]
         for tag, code in order:
             if (raw := getattr(value := self[tag], "wire", None)) is None:

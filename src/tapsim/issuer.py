@@ -15,7 +15,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
-from .card import CardProfile
+from .card import Card
 from .channel import Message, shared
 from .crypto import compute_cvc3, decrypt_pin, kdf, verify_ac
 from .elements import (
@@ -56,12 +56,12 @@ HARDENED = IssuerPolicy(name="hardened", **dict.fromkeys(ISSUER_CHECKS, True))
 
 
 class Issuer:
-    """Authorizes and clears transactions against the profiles it personalized."""
+    """Authorizes and clears transactions against the cards it personalized."""
 
-    def __init__(self, policy: IssuerPolicy, cards: Mapping[str, CardProfile],
+    def __init__(self, policy: IssuerPolicy, cards: Mapping[str, Card],
                  pin_keys: Mapping[str, bytes]):
         self.policy = policy
-        self.cards = cards  # PAN -> the profile personalized under it
+        self.cards = cards  # PAN -> the card personalized under it: its keys and its profile
         self.last_atcs: defaultdict[str, int] = defaultdict(int)
         self.accepted_atcs: set[tuple[str, int]] = set()  # (PAN, ATC) of each approval
         self.pin_keys = pin_keys  # terminal id -> online-PIN key
@@ -82,9 +82,10 @@ class Issuer:
     def _evaluate(self, p: DataElementMap, clearing: bool) -> tuple[str, str]:
         """One check sequence for every request kind: a swipe carries Track 2 and
         no cryptogram, a mag-stripe-mode request a CVC3 and an EMV one an AC."""
-        record = self.cards.get(p.get(Tag.PAN) or "")
-        if record is None:
+        card = self.cards.get(p.get(Tag.PAN) or "")
+        if card is None:
             return "decline", "unknown_card"
+        record = card.profile
         ms = Tag.CVC3 in p
         if not ms and Tag.AC not in p:
             if Tag.TRACK2 not in p:
@@ -106,9 +107,9 @@ class Issuer:
         # 1. the card's proof: its dynamic code, or a cryptogram over the coverage the
         # card was personalized with, not whatever kernel the terminal claims to speak
         if ms:
-            if compute_cvc3(record.cvc3_key, atc, un) != p[Tag.CVC3]:
+            if compute_cvc3(card.cvc3_key, atc, un) != p[Tag.CVC3]:
                 return "decline", "bad_dynamic_code"
-        elif not verify_ac(kdf(record.master_key, atc), p, record.ac_coverage, p[Tag.AC]):
+        elif not verify_ac(kdf(card.master_key, atc), p, record.ac_coverage, p[Tag.AC]):
             return "decline", "bad_ac"
 
         # 2. counters move strictly forward at authorization; clearing, where an offline

@@ -10,11 +10,12 @@ issuer, nine cards/phones and six terminals, all sharing a trace. The same
   a terminal's frozen ``TerminalConfig``.
 - Once per world: the override check, every key seed in one draw from a single
   seeded RNG (``_SEED_AT``, ``_DRAW``), and the read-only mappings naming its devices.
-- On first lookup: each card and terminal (``_OnDemand``), a card as a copy of
-  its template with the world's keys, a fresh ``Wallet`` and its own
+- On first lookup: each card and terminal (``_OnDemand``), a card as its
+  template with the world's keys, a fresh ``Wallet`` and its own
   ``card.OdaMaterial``, whose Ed25519 work also waits for first use; and the CA
   and issuer keys and certificate (``Pki``). A run pays only for the parts of
-  the world it reaches, and an edit to one world's devices stays in it.
+  the world it reaches. A template is frozen: a world changes only through its
+  overrides, which make templates of their own, and its devices' own state.
 
 The genuine matrix at the bottom pairs every card with the terminals it
 would plausibly meet, under both the permissive and hardened issuer
@@ -31,7 +32,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator
 
-from .card import Card, CardProfile, OdaMaterial, Wallet
+from .card import Card, CardProfile, OdaMaterial
 from .channel import Adversary, NfcChannel, PaymentRails, TransactionTrace
 from .crypto import (
     AC_COVERAGE_KERNEL2,
@@ -55,6 +56,7 @@ from .elements import (
     SharedElementMap,
     TVR,
     brand_of,
+    keep,
 )
 from .issuer import PERMISSIVE_2019, Issuer, IssuerPolicy
 from .terminal import Terminal, TerminalConfig
@@ -224,55 +226,40 @@ def _template(make: Callable[..., Any], name: str, fx: dict[str, Any],
     except TypeError:
         return make(name, fx, *args)
     if template is None:  # a make that raises keeps nothing
-        template = make(name, fx, *args)
-        if len(_TEMPLATES) >= _TEMPLATES_SIZE:
-            del _TEMPLATES[next(iter(_TEMPLATES))]
-        _TEMPLATES[key] = template
+        template = keep(_TEMPLATES, key, make(name, fx, *args), _TEMPLATES_SIZE)
     return template
 
 
 def _card_template(name: str, fx: dict[str, Any],
                    check_ttq_in_ac: bool) -> tuple[CardProfile, SharedElementMap | None]:
-    """A card fixture's keyless profile, and the records its issuer signs (None without
-    ``oda``); every key not translated here is a CardProfile field."""
+    """A card fixture's profile, and the records its issuer signs (None without ``oda``);
+    every key not translated here is a CardProfile field."""
     fx = dict(fx)
     cvm_list = CVMList(tuple(CVMEntry(CVMMethod[m], CVMCondition[c])
                              for m, c in fx.pop("cvm_list", ())))
     iac = ActionCodes(denial=TVR(cda_failed=fx.pop("iac_denial_cda_failed", False)))
-    wallet_kind = fx.pop("wallet", None)
-    cdcvm_always = fx.pop("wallet_cdcvm_always", False)
-    oda = fx.pop("oda", False)
+    if oda := fx.pop("oda", False):
+        fx["ca_pk_index"] = CA_INDEX
     profile = CardProfile(
         name=name, cvm_list=cvm_list, iac=iac,
-        wallet=Wallet(wallet_kind, cdcvm_always) if wallet_kind else None,
         ac_coverage=(ac_coverage_kernel3(check_ttq_in_ac)
                      if BRANDS[brand_of(fx["pan"])].kernel == 3 else AC_COVERAGE_KERNEL2),
         **fx,
     )
-    if not oda:
-        return profile, None
-    profile.ca_pk_index = CA_INDEX
-    # fixed now: a later profile edit meets a signature over these values
     return profile, SharedElementMap({tag: getattr(profile, FIELD_NAMES[tag])
-                                      for tag in STATIC_SIGNED_TAGS})
+                                      for tag in STATIC_SIGNED_TAGS}) if oda else None
 
 
 def _build_card(overrides: dict[str, dict[str, Any]], seeds: bytes, policy: IssuerPolicy,
                 pki: Pki, rng: random.Random, name: str) -> Card:
-    """One world's card: a shallow copy of its template with the world's keys, its own
-    wallet and its own ODA material, so an edit to one world's profile stays there."""
-    template, static = _template(_card_template, name, CARD_FIXTURES[name],
-                                 overrides.get(name), policy.check_ttq_in_ac)
-    profile = object.__new__(CardProfile)
-    for attribute, value in vars(template).items():  # one by one: a dict update would make
-        setattr(profile, attribute, value)  # every later read of the profile about 4x slower
+    """One world's card: its template, which every world shares, with the world's keys and
+    ODA material; the card makes its own wallet."""
+    profile, static = _template(_card_template, name, CARD_FIXTURES[name],
+                                overrides.get(name), policy.check_ttq_in_ac)
     at = _SEED_AT[name]
-    profile.master_key, profile.cvc3_key = seeds[at:at + 32], seeds[at + 32:at + 64]
-    if template.wallet is not None:
-        profile.wallet = Wallet(template.wallet.kind, template.wallet.cdcvm_always)
-    if static is not None:
-        profile.oda = OdaMaterial(seeds[at + 64:at + 96], pki, profile.pan, static)
-    return Card(profile, rng)
+    return Card(profile, rng, seeds[at:at + 32], seeds[at + 32:at + 64],
+                None if static is None else OdaMaterial(seeds[at + 64:at + 96], pki,
+                                                        profile.pan, static))
 
 
 def _terminal_template(name: str, fx: dict[str, Any]) -> TerminalConfig:
@@ -289,8 +276,8 @@ def _build_terminal(overrides: dict[str, dict[str, Any]], seeds: bytes, rng: ran
                     rng, rails, ca_store, seeds[at:at + 32])
 
 
-def _profile_of(cards: Mapping[str, Card], pan: str) -> CardProfile:
-    return cards[_PANS[pan]].profile
+def _card_of(cards: Mapping[str, Card], pan: str) -> Card:
+    return cards[_PANS[pan]]
 
 
 def _pin_key(seeds: bytes, terminal_id: str) -> bytes:
@@ -301,15 +288,13 @@ def _pin_key(seeds: bytes, terminal_id: str) -> bytes:
 def _known_keys(fixtures: dict[str, dict[str, Any]], cls: type,
                 owned: set[str]) -> frozenset[str]:
     """The keys an override may set: each key some fixture uses (which covers
-    every key the builder translates) and each field of ``cls``, less those the
-    builder sets itself and those naming the device."""
+    every key the builder translates) and each field ``cls`` is built with, less those
+    the builder sets itself and those naming the device."""
     return frozenset(k for fx in fixtures.values() for k in fx).union(
-        f.name for f in fields(cls)).difference(owned)
+        f.name for f in fields(cls) if f.init).difference(owned)
 
 
-_CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile, {
-    "name", "pan", "aid", "kernel", "device_type", "master_key", "cvc3_key", "iac", "aip",
-    "ac_coverage"})
+_CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile, {"name", "pan", "iac", "ac_coverage"})
 _TERMINAL_KEYS = _known_keys(TERMINAL_FIXTURES, TerminalConfig, {"name", "terminal_id", "tac"})
 _PANS = {fx["pan"]: name for name, fx in CARD_FIXTURES.items()}
 _TERMINAL_IDS = {fx["terminal_id"]: name for name, fx in TERMINAL_FIXTURES.items()}
@@ -351,7 +336,7 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
                                    **(meta or {})})
     pki = Pki(seeds)
     cards = _OnDemand(CARD_FIXTURES, partial(_build_card, card_overrides, seeds, policy, pki, rng))
-    issuer = Issuer(policy, cards=_OnDemand(_PANS, partial(_profile_of, cards)),
+    issuer = Issuer(policy, cards=_OnDemand(_PANS, partial(_card_of, cards)),
                     pin_keys=_OnDemand(_TERMINAL_IDS, partial(_pin_key, seeds)))
     rails = PaymentRails(trace, issuer)
     terminals = _OnDemand(TERMINAL_FIXTURES, partial(_build_terminal, terminal_overrides,
@@ -370,9 +355,9 @@ def run_genuine(env: Env, card_name: str, terminal_name: str,
     no adversary anywhere; a staging passes its own adversary and tapper."""
     card = env.cards[card_name]
     terminal = env.terminals[terminal_name]
-    if card.profile.wallet is not None:
-        card.profile.wallet.unlocked = unlocked
-        card.profile.wallet.magic_seen = False
+    if card.wallet is not None:
+        card.wallet.unlocked = unlocked
+        card.wallet.magic_seen = False
     amount = Amount(amount_minor, "EUR")
 
     if terminal.config.interface == "swipe":

@@ -668,6 +668,7 @@ def test_render_is_json_friendly():
 # passes on and json writes as a number; a flag map's bits are bools only
 _CDCVM_FIELD = st.booleans() | st.integers(0, 2) | st.sampled_from(CID)
 _TVRS = st.builds(TVR, st.booleans())
+_CVM_ENTRIES = st.builds(CVMEntry, st.sampled_from(CVMMethod), st.sampled_from(CVMCondition))
 # every type with a writer -> values of it, edge cases included
 WRITER_VALUES = {
     str: st.text(), int: st.integers(), bool: st.booleans(), type(None): st.none(),
@@ -681,9 +682,8 @@ WRITER_VALUES = {
     AFL: st.builds(AFL, st.lists(st.integers(0, 255), max_size=4).map(tuple)),
     DOL: st.builds(DOL, st.lists(st.sampled_from(sorted(TAGS_BY_CODE.values(), key=repr)),
                                  max_size=4).map(tuple)),
-    CVMList: st.builds(CVMList, st.lists(st.builds(CVMEntry, st.sampled_from(CVMMethod),
-                                                   st.sampled_from(CVMCondition)),
-                                         max_size=3).map(tuple)),
+    CVMEntry: _CVM_ENTRIES,
+    CVMList: st.builds(CVMList, st.lists(_CVM_ENTRIES, max_size=3).map(tuple)),
     CVMResults: st.builds(CVMResults, st.sampled_from(CVMMethod), st.sampled_from(CVMCondition),
                           st.sampled_from(CVMResult)),
     ActionCodes: st.builds(ActionCodes, _TVRS, _TVRS, _TVRS),
@@ -696,6 +696,13 @@ ELEMENT_VALUES = st.one_of(*WRITER_VALUES.values())
 
 def test_every_writer_has_values():
     assert set(WRITER_VALUES) == set(RENDER) | set(PLAIN_JSON)
+
+
+def test_a_cvm_lists_text_is_the_list_of_its_entries_texts():
+    entries = (CVMEntry(CVMMethod.OnlinePIN, CVMCondition.IfAboveCvmLimit),
+               CVMEntry(CVMMethod.NoCVM, CVMCondition.Always))
+    assert to_json(entries[1]) == entries[1].json == '["NoCVM", "Always"]'
+    assert CVMList(entries).json == f"[{entries[0].json}, {entries[1].json}]"
 
 
 def test_every_enum_and_flag_map_has_a_render_entry():

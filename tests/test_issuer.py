@@ -31,33 +31,33 @@ RUNS = {
 APPROVALS = ("swipe_ok", "magstripe_ok", "authorized", "cleared")
 
 
-def _same(p, profile):
+def _same(p, card):
     return p
 
 
 def _put(tag, value):
-    return lambda p, profile: p.copy().put(tag, value)
+    return lambda p, card: p.copy().put(tag, value)
 
 
 def _drop(tag):
-    return lambda p, profile: DataElementMap({t: v for t, v in p.items() if t != tag})
+    return lambda p, card: DataElementMap({t: v for t, v in p.items() if t != tag})
 
 
 def _flip(tag):
     """Flip the first byte of a bytes element."""
-    return lambda p, profile: p.copy().put(tag, bytes([p[tag][0] ^ 0xFF]) + p[tag][1:])
+    return lambda p, card: p.copy().put(tag, bytes([p[tag][0] ^ 0xFF]) + p[tag][1:])
 
 
-def _other_track2(p, profile):
+def _other_track2(p, card):
     return p.copy().put(Tag.TRACK2, dataclasses.replace(p[Tag.TRACK2], discretionary="99900000"))
 
 
-def _phone_without_cdcvm(p, profile):
+def _phone_without_cdcvm(p, card):
     """The phone's own cryptogram over an IAD saying nobody verified the holder:
     no genuine tap above the CVM limit makes one, so the edit is signed here."""
     p = p.copy().put(Tag.IAD, IAD(False, "phone"))
-    return p.put(Tag.AC, compute_ac(kdf(profile.master_key, p[Tag.ATC]), p,
-                                    profile.ac_coverage))
+    return p.put(Tag.AC, compute_ac(kdf(card.master_key, p[Tag.ATC]), p,
+                                    card.profile.ac_coverage))
 
 
 # reason -> its cases: (run, the one issuer check switched on, the edit)
@@ -106,7 +106,7 @@ def test_issuer_reason_has_a_witness(reason, run, check, edit):
     request = captured[0]
     handle = (env.issuer.handle_clearing if request.name == "CLEARING_SUBMIT"
               else env.issuer.handle_auth)
-    response = handle(Message(request.name, edit(request.payload, env.cards[card].profile)))
+    response = handle(Message(request.name, edit(request.payload, env.cards[card])))
     assert (response.payload[Tag.DECISION], response.payload[Tag.REASON]) == (
         "approve" if reason in APPROVALS else "decline", reason)
 

@@ -5,15 +5,15 @@ are those an eager personalization would have produced."""
 
 import dataclasses
 import gc
+import itertools
 import random
 
 import pytest
 
-from tapsim import attacks
+from tapsim import attacks, channel, crypto, elements, runner
 from tapsim import card as card_module
-from tapsim import crypto, runner
 from tapsim.attacks import CATALOG, render_report_md, run_attack
-from tapsim.channel import Message, NfcChannel
+from tapsim.channel import Message, NfcChannel, TransactionTrace
 from tapsim.crypto import (
     generate_signing_key,
     issue_certificate,
@@ -158,8 +158,11 @@ def test_the_pki_is_derived_once_per_world(ed25519_work):
 
 
 def test_profile_edit_after_build_meets_the_personalized_signature():
+    # a template is never written: a card given another after build keeps the ODA material
+    # personalized with the first, whose static signature its new CVM list no longer meets
     env = build_env(0)
-    env.cards["mastercard_cda"].profile.cvm_list = CVMList()
+    card = env.cards["mastercard_cda"]
+    card.profile = dataclasses.replace(card.profile, cvm_list=CVMList())
     result = run_genuine(env, "mastercard_cda", "standard_pos", AMOUNT_LOW)
     assert (result["outcome"], result["reason"]) == ("decline", "action_code_denial")
 
@@ -178,7 +181,7 @@ def test_records_follow_the_afl():
     # a record the AFL does not list gets an empty reply
     env = build_env(0)
     for name, card in env.cards.items():
-        afl = card._afl().records
+        afl = card.profile.afl.records
         for number in (0, 1, 2, 3, 4, 255):
             reply = _read_record(card, number)
             assert (len(reply.tags()) > 0) == (number in afl), (name, number)
@@ -216,12 +219,13 @@ def test_asking_whether_a_world_has_a_device_builds_nothing(monkeypatch):
 
 @pytest.mark.parametrize("name", CARD_FIXTURES)
 def test_a_card_and_the_issuer_share_one_profile(name):
+    # the issuer finds the world's card by its PAN: its keys and its profile
     pan = CARD_FIXTURES[name]["pan"]
     card_first = build_env(0)
-    assert card_first.cards[name].profile is card_first.issuer.cards[pan]
+    assert card_first.cards[name] is card_first.issuer.cards[pan]
     issuer_first = build_env(0)
-    profile = issuer_first.issuer.cards[pan]
-    assert issuer_first.cards[name].profile is profile
+    card = issuer_first.issuer.cards[pan]
+    assert issuer_first.cards[name] is card and card.profile.pan == pan
 
 
 @pytest.mark.parametrize("overrides", [
@@ -276,23 +280,32 @@ def test_worlds_are_freed_by_reference_counting():
 
 @pytest.mark.parametrize("other_seed", [0, 1])
 def test_worlds_from_one_template_keep_their_edits(other_seed):
+    # a world's cards share their template, which no one writes; a wallet, the keys and the
+    # ODA material are the world's own
     first, second = build_env(0), build_env(other_seed)
     name = "google_like_phone"  # a wallet and ODA material
-    mine, theirs = first.cards[name].profile, second.cards[name].profile
-    assert mine is not theirs and mine.aip is theirs.aip  # one template's values
-    fixture_list = theirs.cvm_list
-    mine.cvm_list = CVMList((CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),))
+    mine, theirs = first.cards[name], second.cards[name]
+    assert mine is not theirs and mine.profile is theirs.profile
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mine.profile.cvm_list = CVMList((CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),))
     mine.wallet.unlocked = True
     mine.oda = None
-    assert theirs.cvm_list is fixture_list
     assert theirs.wallet.unlocked is False and theirs.oda is not None
-    again = build_env(0).cards[name].profile
-    assert (again.cvm_list, again.wallet.unlocked, again.oda is None) == (
-        theirs.cvm_list, False, False)
+    again = build_env(0).cards[name]
+    assert (again.profile, again.wallet.unlocked, again.oda is None) == (
+        theirs.profile, False, False)
     config = first.terminals["standard_pos"].config
     assert config is second.terminals["standard_pos"].config
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.offline_capable = True
+
+
+def test_no_field_of_a_worlds_profile_can_be_written():
+    env = build_env(0)
+    for card in env.cards.values():
+        for f in dataclasses.fields(card.profile):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(card.profile, f.name, getattr(card.profile, f.name))
 
 
 def test_an_unhashable_override_builds_its_card_and_keeps_no_template(monkeypatch):
@@ -315,7 +328,7 @@ def test_one_draw_is_the_seeds_one_draw_each_would_give(seed):
     card = env.cards["mastercard_cda"]
     assert card.rng.getstate() == each.getstate()  # the world's RNG after its draw
     at = runner._SEED_AT["mastercard_cda"]
-    assert (card.profile.master_key, card.profile.cvc3_key, card.profile.oda.signing_seed) == (
+    assert (card.master_key, card.cvc3_key, card.oda.signing_seed) == (
         seeds[at:at + 32], seeds[at + 32:at + 64], seeds[at + 64:at + 96])
     assert env.terminals["swipe_pos"].pin_key == seeds[-32:]
     assert env.issuer.pin_keys["T-SWIPE-1"] == seeds[-32:]
@@ -344,7 +357,7 @@ def test_a_kept_draw_is_the_draw_a_fresh_rng_makes(a, b, order, monkeypatch):
         env = build_env(seed)
         restored += kept_state is not None and runner._DRAW[2] is kept_state
         fresh = random.Random(seed)
-        assert env.cards["mastercard_cda"].profile.oda.pki.seeds == fresh.randbytes(1120)
+        assert env.cards["mastercard_cda"].oda.pki.seeds == fresh.randbytes(1120)
         assert _purchase_draws(env) == (fresh.randrange(1 << 32), fresh.randbytes(12),
                                         fresh.randrange(1 << 32))
         kept_seed, seeds, state = runner._DRAW  # bytes and a tuple of ints: it holds no world
@@ -363,10 +376,27 @@ def test_a_seed_equal_to_the_kept_one_draws_its_own_unless_an_int(monkeypatch):
     monkeypatch.setattr(runner, "_DRAW", [None, b"", None])
     for _ in range(2):
         build_env(2**70)
-    pki = build_env(2.0**70).cards["mastercard_cda"].profile.oda.pki
+    pki = build_env(2.0**70).cards["mastercard_cda"].oda.pki
     assert pki.seeds == random.Random(2.0**70).randbytes(1120)
-    keys = {build_env(None).cards["mastercard_cda"].profile.master_key for _ in range(3)}
+    keys = {build_env(None).cards["mastercard_cda"].master_key for _ in range(3)}
     assert len(keys) == 3 and runner._DRAW[0] == 2**70 and runner._DRAW[2] is not None
+
+
+# plain values of seven tags, and the distinct orders of up to four of them
+_PLAIN = {Tag.UN: 1, Tag.ATC: 1, Tag.UN_CARD: 1, Tag.CDA_REQUESTED: 1, Tag.AC: b"1",
+          Tag.SDAD: b"1", Tag.CVC3: b"1"}
+_ORDERED = [order for k in range(1, 5) for order in itertools.permutations(_PLAIN, k)]
+_SUBSETS = [frozenset(c) for k in range(1, 8) for c in itertools.combinations(_PLAIN, k)]
+
+
+def _emit(msg: Message | None = None, data: dict | None = None) -> str:
+    """The JSONL of a trace of one event: ``msg`` sent and echoed, or a marker of ``data``."""
+    trace = TransactionTrace()
+    if msg is None:
+        trace.mark("knowledge", None, data)
+    else:
+        trace.log_msg("nfc", 1, "to_card", msg, msg)
+    return trace.to_jsonl()
 
 
 @pytest.mark.parametrize("table, size, fill", [
@@ -375,15 +405,29 @@ def test_a_seed_equal_to_the_kept_one_draws_its_own_unless_an_int(monkeypatch):
     ).cards["magstripe_only"]),
     ("attacks._WORLDS", "attacks._WORLDS_SIZE", lambda i: attacks._world_for(
         {f: bool(i >> bit & 1) for bit, f in enumerate(sorted(attacks.KNOWN_FLAWS))})),
+    ("elements._INTERNED", "elements._INTERN_SIZE", lambda i: Amount(i, "XWB")),
+    ("elements._ORDERS", "elements._ORDERS_SIZE",
+     lambda i: DataElementMap(_PLAIN).encode(_SUBSETS[i])),
+    ("channel._MESSAGE_SHAPES", "channel._SHAPES_SIZE", lambda i: _emit(Message(
+        "GENERATE_AC", DataElementMap({tag: _PLAIN[tag] for tag in _ORDERED[i]})))),
+    ("channel._MARKER_SHAPES", "channel._SHAPES_SIZE", lambda i: _emit(data={f"k{i}": i})),
+    ("crypto._SIGNED", "crypto._MEMO_SIZE", lambda i: crypto._signature(
+        generate_signing_key(bytes(32)), b"FIFO %d" % i)),
 ])
 def test_each_table_keeps_its_latest_entries_within_its_bound(table, size, fill, monkeypatch):
+    # each fill adds one entry; a full table drops its oldest first
     module, name = table.split(".")
-    owner = {"runner": runner, "attacks": attacks}[module]
+    owner = {"runner": runner, "attacks": attacks, "elements": elements, "channel": channel,
+             "crypto": crypto}[module]
     monkeypatch.setattr(owner, name, {})
     bound = getattr(owner, size.split(".")[1])
+    added = []
     for i in range(bound + 5):
         fill(i)
-        assert len(getattr(owner, name)) == min(i + 1, bound)
+        entries = getattr(owner, name)
+        added.append(next(reversed(entries)))
+        assert len(entries) == min(i + 1, bound)
+    assert len(set(added)) == len(added) and list(getattr(owner, name)) == added[-bound:]
 
 
 @pytest.mark.parametrize("overrides", [

@@ -8,7 +8,7 @@ import pytest
 
 from tapsim import attacks
 from tapsim.card import Card
-from tapsim.channel import Adversary, Message
+from tapsim.channel import EMPTY, Adversary, Message
 from tapsim.elements import Amount, CodecError, DataElementMap, Tag
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import (
@@ -29,10 +29,10 @@ def _decisions(trace):
     return [ev for ev in trace.events if ev.kind == "decision"]
 
 
-def _run(pairing, direction=None, hook=None):
-    """One genuine run of ``pairing`` with ``hook`` on the hop in ``direction``."""
+def _run(pairing, direction=None, hook=None, policy=PERMISSIVE_2019):
+    """One genuine run of ``pairing`` under ``policy`` with ``hook`` on the hop in ``direction``."""
     card, terminal, amount, unlocked = pairing
-    env = build_env(seed=0)
+    env = build_env(seed=0, policy=policy)
     adversary = Adversary(trace=env.trace)
     if hook is not None:
         (adversary.on_to_card if direction == "to" else adversary.on_from_card)(hook)
@@ -78,6 +78,18 @@ def test_dropping_any_carried_tag_ends_in_one_decision(pairing):
         decisions = _decisions(env.trace)
         assert len(decisions) == 1, (direction, name, tag_name)
         assert decisions[0].data["reason"] == result["reason"]
+
+
+@pytest.mark.parametrize("policy", [PERMISSIVE_2019, HARDENED], ids=lambda policy: policy.name)
+@pytest.mark.parametrize("name", sorted(Card._HANDLERS))  # every name the NFC hop carries
+@pytest.mark.parametrize("direction", ["to", "from"])
+@pytest.mark.parametrize("pairing", NFC_PAIRINGS, ids=["@".join(map(str, p)) for p in NFC_PAIRINGS])
+def test_an_emptied_message_ends_in_one_decision(pairing, direction, name, policy):
+    # a name the pairing's flow never sends leaves its run genuine
+    env, result = _run(pairing, direction, lambda msg, adversary: EMPTY[name]
+                       if msg.name == name else msg, policy)
+    decisions = _decisions(env.trace)
+    assert len(decisions) == 1 and decisions[0].data["reason"] == result["reason"]
 
 
 def test_a_reply_lacking_a_read_element_declines_naming_it():

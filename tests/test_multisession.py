@@ -84,9 +84,9 @@ class OneWorld(RuleBasedStateMachine):
         # run_genuine's tap, its clearing left to the end of the day
         card_name, terminal_name, amount, unlocked, _expect = pairing
         card, terminal = self.env.cards[card_name], self.env.terminals[terminal_name]
-        if card.profile.wallet is not None:
-            card.profile.wallet.unlocked = unlocked
-            card.profile.wallet.magic_seen = False
+        if card.wallet is not None:
+            card.wallet.unlocked = unlocked
+            card.wallet.magic_seen = False
         channel = NfcChannel(self.env.trace, card)
         result = (terminal.run_transit_tap(channel) if terminal.transit else terminal.run_purchase(
             channel, Amount(amount, "EUR"), pin=card.profile.pin))

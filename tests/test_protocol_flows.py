@@ -325,7 +325,7 @@ def test_unlocked_wallet_pays_high_value_with_cdcvm(env):
 
 def test_magic_bytes_are_consumed_per_tap(env):
     card = env.cards["apple_like_phone"]
-    card.profile.wallet.unlocked = False
+    card.wallet.unlocked = False
     channel = NfcChannel(env.trace, card)
     channel.exchange(Message("MAGIC_BYTES",
                              DataElementMap({Tag.MAGIC: TRANSIT_MAGIC})))
@@ -538,12 +538,12 @@ def test_un_reuse_is_remembered_per_terminal_across_cards(policy, second):
 
 def test_issuer_atc_order_admits_only_higher_counters():
     env = build_env(policy=PERMISSIVE_2019.with_fixes(check_atc_order=True))
-    profile = env.cards["magstripe_only"].profile
+    card = env.cards["magstripe_only"]
 
     def submit(atc, un):
         return env.issuer.handle_auth(Message("AUTH_REQUEST", DataElementMap({
-            Tag.PAN: profile.pan, Tag.AMOUNT: Amount(AMOUNT_LOW, "EUR"),
-            Tag.ATC: atc, Tag.UN: un, Tag.CVC3: compute_cvc3(profile.cvc3_key, atc, un),
+            Tag.PAN: card.profile.pan, Tag.AMOUNT: Amount(AMOUNT_LOW, "EUR"),
+            Tag.ATC: atc, Tag.UN: un, Tag.CVC3: compute_cvc3(card.cvc3_key, atc, un),
         }))).payload[Tag.REASON]
 
     assert submit(5, 1) == "magstripe_ok"
@@ -598,7 +598,7 @@ def test_cross_brand_select_answers_nothing(env):
 
 def test_transit_gate_tap_is_offline_and_clears(env):
     card = env.cards["samsung_like_phone"]
-    card.profile.wallet.unlocked = False
+    card.wallet.unlocked = False
     terminal = env.terminals["transit_gate"]
     result = terminal.run_transit_tap(NfcChannel(env.trace, card))
     assert (result["outcome"], result["reason"]) == ("approve_offline",

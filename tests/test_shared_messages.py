@@ -252,13 +252,15 @@ def test_a_kernel3_record_2_carries_the_ctq_of_the_latest_gpo():
 
 
 def test_a_profile_edit_shows_in_the_next_taps_marker_and_record_2():
-    # the card-constant facts of a card_tx marker are read when the card is placed on a hop
-    env = build_env(seed=0)
-    card = env.cards["maestro_debit"]  # kernel 2 with no ODA: no signature covers the list
-    fixture_list = card.profile.cvm_list
+    # the card-constant facts of a card_tx marker and record 2 are the template's, and an
+    # override makes a template of its own
     edited = CVMList((CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),))
-    for cvm_list in (fixture_list, edited, fixture_list):
-        card.profile.cvm_list = cvm_list
+    lists = []
+    for entries in (None, [("NoCVM", "Always")], None):
+        env = build_env(seed=0, card_overrides=entries and {"maestro_debit": {"cvm_list": entries}})
+        card = env.cards["maestro_debit"]  # kernel 2 with no ODA: no signature covers the list
+        cvm_list = card.profile.cvm_list
+        lists.append(cvm_list)
         session = run_genuine(env, "maestro_debit", "standard_pos", AMOUNT_LOW)["session"]
         events = [ev for ev in env.trace.events if ev.session == session]
         [marker] = [ev for ev in events if ev.kind == "card_tx"]
@@ -266,7 +268,7 @@ def test_a_profile_edit_shows_in_the_next_taps_marker_and_record_2():
                      and ev.sent.payload.get(Tag.RECORD_NUMBER) == 2]
         # the record is the shared reply of an equal list, maybe one an earlier world built
         assert marker.data["cvm_list"] is cvm_list == record2.payload[Tag.CVM_LIST]
-    assert edited != fixture_list
+    assert lists[0] is lists[2] != edited == lists[1]
 
 
 def _fresh(msg: Message) -> Message:
