@@ -243,7 +243,7 @@ def harvest_cvc3_table(channel: NfcChannel, aid: bytes,
     sel = channel.exchange(SELECT[aid])
     if sel.payload.get(Tag.AID) is None:
         raise ValueError("card does not carry that application")
-    r1 = channel.exchange(READ_RECORD[1]).payload.copy()
+    r1 = channel.exchange(READ_RECORD[1]).payload
     table: dict[int, tuple[int, bytes]] = {}
     for un in uns:
         resp = channel.exchange(shared("GENERATE_AC", Tag.UN, un))
@@ -280,8 +280,7 @@ class TranslatorCard:
         if msg.name == "READ_RECORD":
             resp = self.far.exchange(msg)
             if msg.payload.get(Tag.RECORD_NUMBER) == 2:
-                return Message("READ_RECORD",
-                               resp.payload.copy().put(Tag.CTQ, self.claimed_ctq))
+                return resp.with_payload(CTQ=self.claimed_ctq)
             return resp
         return EMPTY[msg.name]
 

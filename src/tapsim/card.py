@@ -473,7 +473,7 @@ class Cvc3MagstripeClone:
                           Tag.AFL, _AFL_MS, Tag.N_UN_DIGITS, N_UN_DIGITS)
         if msg.name == "READ_RECORD":
             if msg.payload.get(Tag.RECORD_NUMBER) == 1:
-                return Message("READ_RECORD", self.record1.copy())
+                return Message("READ_RECORD", self.record1)
             return EMPTY["READ_RECORD"]
         if msg.name == "GENERATE_AC" and Tag.UN in msg.payload:
             un = msg.payload[Tag.UN]

@@ -16,12 +16,12 @@ The adversary is a hook container. Capabilities gate what the hooks may do:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Protocol
 
-from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, DataElementMap, SharedElementMap, Tag,
+from .elements import (AID_BRANDS, PLAIN_JSON, RENDER, DataElementMap, FrozenElementMap, Tag,
                        TagInfo, json_chunks, keep, render_value, to_json)
 
 CAPABILITIES = frozenset({"A1", "A5", "A8"})
@@ -88,21 +88,26 @@ class ChannelError(Exception):
 
 @dataclass(frozen=True, slots=True, init=False)
 class Message:
-    """A named protocol message with a typed payload."""
+    """A named protocol message, a value: the map it is built with becomes its read-only payload,
+    so an edit is a new message. ``json`` is its JSON text once a trace emits it, None before."""
 
     name: str
-    payload: DataElementMap
+    payload: FrozenElementMap
+    json: str | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str, payload: DataElementMap | None = None) -> None:
         allowed = MESSAGES.get(name)
         if allowed is None:
             raise ChannelError(f"unknown message name {name!r}")
-        payload = DataElementMap() if payload is None else payload
+        payload = FrozenElementMap() if payload is None else payload
         if not allowed.issuperset(payload):
             names = ", ".join(sorted(t.name for t in payload.tags() - allowed))
             raise ChannelError(f"{name} payload may not carry: {names}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "payload", payload)
+        if type(payload) is not FrozenElementMap:  # a builder becomes read-only; a dict refuses
+            payload.__class__, payload._wire = FrozenElementMap, None
+        _set_name(self, name)
+        _set_payload(self, payload)
+        _set_json(self, None)
 
     def render(self) -> dict[str, Any]:
         return {"name": self.name, "payload": self.payload.render()}
@@ -115,6 +120,10 @@ class Message:
         return Message(self.name, p)
 
 
+# each field's slot setter, which writes a frozen message at half object.__setattr__'s cost
+_set_name, _set_payload, _set_json = (Message.name.__set__, Message.payload.__set__,
+                                      Message.json.__set__)
+
 # Messages that carry no per-transaction data, the latest _SHARED_SIZE asked for. Its domain:
 # 287 eager messages (below and in card), a VERIFY per four-digit PIN guess (10,000), a
 # GENERATE AC per mag-stripe UN (10 ** card.N_UN_DIGITS = 1,000) and a few dozen issuer
@@ -125,19 +134,19 @@ _SHARED_SIZE = 1 << 14
 
 @lru_cache(maxsize=_SHARED_SIZE, typed=True)
 def shared(name: str, *items: Any) -> Message:
-    """The message named ``name`` whose payload is ``items``, flat ``tag, value, tag, value, ...``:
-    built once per process and sent in many runs. Its payload refuses every write and admits no
-    value that can change, and it keeps its JSON text for the process once emitted. The cache
-    keys each value by its exact type, so ``True`` is not the message built for ``1``; a hit runs
-    no Python code, and a miss makes ``Message``'s check itself instead of calling ``Message``."""
-    payload = SharedElementMap(zip(items[::2], items[1::2], strict=True))
-    payload.message_json = None
+    """``Message(name, DataElementMap(...))`` over ``items``, flat ``tag, value, tag, value, ...``,
+    built once per process and sent in many runs. A message admits no value that can change, so
+    no run can change what the next one sends. The cache keys each value by its exact type, so
+    ``True`` is not the message built for ``1``; a hit runs no Python code, and a miss makes
+    ``Message``'s check itself instead of calling ``Message``."""
+    payload = FrozenElementMap(zip(items[::2], items[1::2], strict=True))
     allowed = MESSAGES.get(name)
     if allowed is None or not allowed.issuperset(payload):
         return Message(name, payload)  # raises the ChannelError that names the fault
     msg = object.__new__(Message)
-    object.__setattr__(msg, "name", name)
-    object.__setattr__(msg, "payload", payload)
+    _set_name(msg, name)
+    _set_payload(msg, payload)
+    _set_json(msg, None)
     return msg
 
 
@@ -198,11 +207,11 @@ class TransactionTrace:
 
     def to_jsonl(self) -> str:
         """One JSON object per line, keys sorted: an event's line is its shape's template filled
-        with its values; a message or value is rendered and encoded once per call, however often
-        the trace holds it, a shared message once per process and an interned value never: it
+        with its values. A message is rendered once and keeps its text, however many traces
+        hold it; a value is rendered and encoded once per call, and an interned value never: it
         carries its text."""
-        # id of a message or value the trace holds -> its JSON. Ids, not values, key it: 1, True
-        # and CID.ARQC are equal and each has its own text. The trace keeps every key alive.
+        # id of a value the trace holds -> its JSON. Ids, not values, key it: 1, True and
+        # CID.ARQC are equal and each has its own text. The trace keeps every key alive.
         memo: dict[int, str] = {}
 
         def message(msg: Message) -> str:
@@ -223,9 +232,8 @@ class TransactionTrace:
                                 else "".join(json_chunks(text, 0)))
                     memo[ref] = text
                 texts.append(text)
-            text = memo[id(msg)] = template % tuple(texts)
-            if type(items) is SharedElementMap:  # none of it can change: keep it
-                items.message_json = text
+            text = template % tuple(texts)
+            _set_json(msg, text)  # none of it can change: keep it
             return text
 
         meta = {"kind": "meta", **self.meta}
@@ -236,9 +244,8 @@ class TransactionTrace:
         for idx, kind, session, channel, direction, relay, sent, received, data in self.events:
             session = "" if session is None else f', "session": {session}'
             if kind == "msg":
-                sent = sent.payload.message_json or memo.get(id(sent)) or message(sent)
-                received = (received.payload.message_json or memo.get(id(received))
-                            or message(received))
+                sent = sent.json or message(sent)
+                received = received.json or message(received)
                 lines.append(f'{{"channel": {_quote(channel)}, "direction": '
                              f'{_quote(direction)}, "idx": {idx}, "kind": "msg", '
                              f'"received": {received}, "relay": {PLAIN_JSON[bool](relay)}, '
@@ -271,9 +278,9 @@ class TransactionTrace:
 
 # --- adversary ------------------------------------------------------------------
 
-# A hook that returns the message it was given only observes the hop. An edit must return a new
-# message (as Edit and Message.with_payload do): the hop logs the message it handed the hook as
-# sent, so a hook that writes into that one rewrites the logged sent as well.
+# A hook that returns the message it was given only observes the hop. An edit returns a new
+# message (as Edit and Message.with_payload do): the payload it was handed refuses every write,
+# so the message the hop logs as sent is the one the sender sent.
 Hook = Callable[[Message, "Adversary"], Message]
 
 

@@ -1,10 +1,10 @@
 """Typed data elements and the canonical wire codec.
 
-Every value that crosses a channel lives in a DataElementMap: a mapping from
-registered tags to typed values. fixtures/codec.json is the one source of the
-wire vocabulary: the tag registry (names, codes, wire kinds) is loaded from it,
-and the enums and flag maps are built from its member names and bits, so traces
-stay self-describing; this module refuses unknown tags and unknown flag bits.
+Every value that crosses a channel lives in a DataElementMap: a mapping from registered tags
+to typed values, written only while it is built, and a message's payload, a FrozenElementMap,
+never. fixtures/codec.json is the one source of the wire vocabulary: the tag registry (names,
+codes, wire kinds) is loaded from it, and the enums and flag maps are built from its member
+names and bits, so traces stay self-describing; this module refuses unknown tags and flag bits.
 
 The canonical encoding is deterministic and injective: entries are sorted by
 tag code, every value is length-prefixed, and an empty map encodes to the
@@ -375,10 +375,6 @@ def brand_of(pan: str) -> str:
     raise CodecError(f"no brand for PAN prefix {pan[:1]!r}")
 
 
-def is_transit_mcc(mcc: str) -> bool:
-    return mcc in TRANSIT_MCCS
-
-
 # Above this amount (minor units) a transaction needs cardholder verification.
 CVM_LIMIT = 5000
 
@@ -538,11 +534,7 @@ def to_json(value: Any) -> str:
 # ---------------------------------------------------------------------------
 
 def _read_only(self: "DataElementMap", *args: Any, **kwargs: Any) -> None:
-    raise TypeError("a DataElementMap is written only through its constructor and put()")
-
-
-def _shared(self: "DataElementMap", *args: Any, **kwargs: Any) -> None:
-    raise TypeError("a shared DataElementMap is never written; put() to its copy()")
+    raise TypeError("a map is written only while it is built: by its constructor and put()")
 
 
 class DataElementMap(dict):
@@ -551,12 +543,13 @@ class DataElementMap(dict):
     A ``dict``, so reads (``[]``, ``get``, ``in``, iteration) run in C; a missing tag raises
     ``CodecError``. The validating constructor and ``put`` are its only writers: every other
     dict mutator raises. ``copy`` copies entries the map validated already; copies by the
-    ``copy`` module and unpickling validate again."""
+    ``copy`` module and unpickling validate again. A map is a builder: the message that carries
+    it makes it a ``FrozenElementMap`` in place, so both have one layout."""
 
-    __slots__ = ()
-    message_json: str | None = None  # kept by a shared map only
+    __slots__ = ("_wire",)  # a frozen map's encodings, by tag set, from its first encode
 
     def __init__(self, items: dict[TagInfo, Any] | Iterable[tuple[TagInfo, Any]] | None = None):
+        self._wire = None
         if items:
             dict.__init__(self, items)
             for tag, value in self.items():  # put's admission, with no call to put per item
@@ -583,7 +576,7 @@ class DataElementMap(dict):
         return f"DataElementMap({inner})"
 
     def __reduce__(self) -> tuple:
-        return DataElementMap, (dict(self),)  # copies and unpickles validate again
+        return type(self), (dict(self),)  # copies and unpickles validate again
 
     def tags(self) -> frozenset[TagInfo]:
         return frozenset(self)
@@ -596,7 +589,13 @@ class DataElementMap(dict):
     def encode(self, tags: frozenset[TagInfo] | None = None) -> bytes:
         """Canonical encoding of the entries of ``tags``, which the map must hold, or of every
         entry: u16 count, entries ascending by tag code, each as (u16 code, u32 length, value
-        bytes). An interned value's bytes are its ``wire``: it is not encoded again."""
+        bytes). An interned value's bytes are its ``wire``: it is not encoded again, and a
+        frozen map keeps each encoding it makes."""
+        if frozen := type(self) is FrozenElementMap:
+            if (wire := self._wire) is None:  # made on the first encode: building pays nothing
+                wire = self._wire = {}
+            elif (raw := wire.get(tags)) is not None:
+                return raw
         if (order := _ORDERS.get(tags)) is None:
             order = tuple((tag, tag.code.to_bytes(2, "big")) for tag in sorted(
                 self if tags is None else tags, key=attrgetter("code")))
@@ -607,32 +606,23 @@ class DataElementMap(dict):
             if (raw := getattr(value := self[tag], "wire", None)) is None:
                 raw = encode_value(tag, value)
             out += code, len(raw).to_bytes(4, "big"), raw
-        return b"".join(out)
+        raw = b"".join(out)
+        if frozen:
+            wire[tags] = raw
+        return raw
 
     def render(self) -> dict[str, Any]:
         """Name-keyed JSON-friendly view (insertion order preserved)."""
         return {tag.name: render_value(value) for tag, value in self.items()}
 
 
-class SharedElementMap(DataElementMap):
-    """The payload of a message built once per process and sent in many runs: ``put``
-    raises like every other mutator, and like every map it admits no value that can
-    change, so nothing a run does leaks into the next. ``message_json`` is the JSON text
-    of the one message that carries the map, kept once that message is emitted; the
-    builder, ``channel.shared``, sets it to None. Its encoding of each tag set is kept once
-    made. ``copy()`` is a writable ``DataElementMap``."""
+class FrozenElementMap(DataElementMap):
+    """A message's payload, which ``Message`` makes of the builder it is given: ``put`` raises
+    like every other mutator, and like every map it admits no value that can change, so nothing
+    a run does leaks into a message another run sends. ``copy()`` is a writable builder."""
 
-    __slots__ = ("message_json", "_wire")
-    put = _shared
-
-    def encode(self, tags: frozenset[TagInfo] | None = None) -> bytes:
-        try:
-            wire = self._wire
-        except AttributeError:  # set on the first encode, so building a shared map pays nothing
-            wire = self._wire = {}
-        if (raw := wire.get(tags)) is None:
-            raw = wire[tags] = DataElementMap.encode(self, tags)
-        return raw
+    __slots__ = ()
+    put = _read_only
 
 
 def build_dol_data(dol: DOL, env: DataElementMap) -> DataElementMap:

@@ -27,9 +27,9 @@ from .elements import (
     CVMResult,
     DataElementMap,
     FIELD_NAMES,
+    TRANSIT_MCCS,
     Tag,
     brand_of,
-    is_transit_mcc,
 )
 
 
@@ -147,7 +147,7 @@ class Issuer:
             iad = p.get(Tag.IAD)
             if pol.check_mcc_for_wallet_no_cdcvm and record.device_type == "phone" \
                     and iad is not None and not iad.cdcvm_performed \
-                    and not is_transit_mcc(p.get(Tag.MCC, "")) \
+                    and p.get(Tag.MCC) not in TRANSIT_MCCS \
                     and amount.value > CVM_LIMIT:
                 return "decline", "wallet_no_cdcvm"
 

@@ -53,7 +53,7 @@ from .elements import (
     CVMList,
     CVMMethod,
     FIELD_NAMES,
-    SharedElementMap,
+    FrozenElementMap,
     TVR,
     brand_of,
     keep,
@@ -231,7 +231,7 @@ def _template(make: Callable[..., Any], name: str, fx: dict[str, Any],
 
 
 def _card_template(name: str, fx: dict[str, Any],
-                   check_ttq_in_ac: bool) -> tuple[CardProfile, SharedElementMap | None]:
+                   check_ttq_in_ac: bool) -> tuple[CardProfile, FrozenElementMap | None]:
     """A card fixture's profile, and the records its issuer signs (None without ``oda``);
     every key not translated here is a CardProfile field."""
     fx = dict(fx)
@@ -246,7 +246,7 @@ def _card_template(name: str, fx: dict[str, Any],
                      if BRANDS[brand_of(fx["pan"])].kernel == 3 else AC_COVERAGE_KERNEL2),
         **fx,
     )
-    return profile, SharedElementMap({tag: getattr(profile, FIELD_NAMES[tag])
+    return profile, FrozenElementMap({tag: getattr(profile, FIELD_NAMES[tag])
                                       for tag in STATIC_SIGNED_TAGS}) if oda else None
 
 

@@ -29,10 +29,10 @@ from tapsim.channel import (
     TransactionTrace,
     visual_read,
 )
-from tapsim.elements import (AID_VISA, CID, IAD, TTQ, Amount, CVMMethod, DataElementMap, Tag,
-                            render_value, to_json)
+from tapsim.elements import (AID_VISA, CID, CTQ, IAD, TTQ, Amount, CVMMethod, DataElementMap,
+                             Tag, render_value, to_json)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
-from tapsim.runner import build_env, run_genuine_matrix
+from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine_matrix
 
 
 class EchoCard:
@@ -88,6 +88,16 @@ def test_message_payload_allowlist():
     with pytest.raises(ChannelError):
         Message("SELECT", DataElementMap({Tag.AMOUNT: Amount(1, "EUR")}))
     Message("SELECT", DataElementMap({Tag.AID: b"\xa0\x00\x00\x00\x03\x10\x10"}))
+
+
+def test_a_message_holds_its_map_read_only():
+    built = DataElementMap({Tag.AID: AID_VISA})
+    msg = Message("SELECT", built)
+    assert msg.payload is built and msg.json is None
+    with pytest.raises(TypeError):
+        built.put(Tag.KERNEL_ID, 3)
+    with pytest.raises(TypeError):  # a plain dict is no map: its values were never admitted
+        Message("SELECT", {Tag.AID: AID_VISA})
 
 
 def test_with_payload_and_without():
@@ -569,6 +579,37 @@ def test_an_edit_leaves_the_message_it_is_handed_unchanged(edit):
     NfcChannel(trace, EchoCard(), adversary=adv).exchange(sent)
     ev = trace.events[0]
     assert ev.sent is sent and dict(sent.payload) == before and tampered(ev)
+
+
+def _forged_ctq_purchase(forge):
+    """A purchase of visa_plastic_no_fdda at standard_pos whose GPO reply ``forge`` rewrites on
+    the hop: the trace's GPO reply event, and the outcome."""
+    env = build_env(seed=0)
+    adv = Adversary(("A1",), trace=env.trace)
+    adv.on_from_card(lambda m, a: forge(m) if m.name == "GET_PROCESSING_OPTIONS" else m)
+    card = env.cards["visa_plastic_no_fdda"]
+    result = env.terminals["standard_pos"].run_purchase(
+        NfcChannel(env.trace, card, adversary=adv), Amount(AMOUNT_HIGH, "EUR"),
+        pin=card.profile.pin)
+    [ev] = msgs(env.trace, name="GET_PROCESSING_OPTIONS")[1::2]
+    return ev, (result["outcome"], result["reason"])
+
+
+def test_a_hook_that_writes_into_the_message_it_is_handed_is_refused():
+    # the payload the hop hands a hook is the one it logs as sent: a write into it would log
+    # the forged CTQ as what the card sent
+    forged = CTQ(cdcvm_performed=True)
+
+    def in_place(msg):
+        msg.payload.put(Tag.CTQ, forged)
+        return msg
+
+    with pytest.raises(TypeError):
+        _forged_ctq_purchase(in_place)
+    # the same forgery as a new message shows as a disagreement between the two views
+    ev, outcome = _forged_ctq_purchase(lambda msg: msg.with_payload(CTQ=forged))
+    assert outcome == ("decline", "ctq_mismatch") and tampered(ev)
+    assert ev.received.payload[Tag.CTQ] is forged is not ev.sent.payload[Tag.CTQ]
 
 
 @pytest.mark.parametrize("hook, expected", [

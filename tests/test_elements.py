@@ -46,13 +46,13 @@ from tapsim.elements import (
     TAGS_BY_NAME,
     Tag,
     TagInfo,
+    TRANSIT_MCCS,
     TTQ,
     TVR,
     Track2EquivalentData,
     brand_of,
     build_dol_data,
     encode_value,
-    is_transit_mcc,
     luhn_valid,
     render_value,
     to_json,
@@ -143,8 +143,8 @@ def test_aid_tables_line_up():
 
 
 def test_transit_mccs():
-    assert is_transit_mcc("4111")
-    assert not is_transit_mcc("5999")
+    assert "4111" in TRANSIT_MCCS
+    assert "5999" not in TRANSIT_MCCS
 
 
 # --- flags ------------------------------------------------------------------

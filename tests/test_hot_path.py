@@ -19,7 +19,7 @@ line shape once per process, so its ceilings were measured with every test run
 alone, the shape cache cold; after other tests have filled it the counts are
 lower. The commands an
 enumeration sends (a PIN guess, a mag-stripe UN query) are built on first use
-and kept for the process, a shared message keeps its text once emitted and an
+and kept for the process, a message keeps its text once emitted and an
 interned element value carries its text from when it is built: the cold ceilings
 hold with those tables empty, and the warm ones pin what a second run costs.
 """
@@ -102,8 +102,9 @@ WARM_ODA_PURCHASE_CEILING = 172
 WORLD_AGAIN_CEILING = 22
 # dataclass-generated __hash__ and __eq__ per purchase at standard_pos in a world at a seed met
 # before, from 9 (visa_plastic_no_fdda) and 13 (mastercard_cda) when records 1 and 2 and the SELECT
-# and kernel-2 GPO replies were found by hashing the values they carry
-GENERATED_PURCHASE_CEILING = 2
+# and kernel-2 GPO replies were found by hashing the values they carry, and 2 when the terminal
+# compared record 2's CTQ with the GPO's by value, not by wire bytes
+GENERATED_PURCHASE_CEILING = 0
 # into any Python code per googlepay_ttq run with its flaw fixed at a seed met before, from 167,
 # and 143 when records 1 and 2 were found by the identities of the profile values they are made of
 FIX_RUN_CEILING = 140

@@ -4,12 +4,17 @@ answered with an empty reply, and a reply the terminal cannot read declines
 scripted scenario reaches either handler, so neither hides a programming
 error."""
 
+from operator import attrgetter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_elements import WRITER_VALUES
 
 from tapsim import attacks
 from tapsim.card import Card
-from tapsim.channel import EMPTY, Adversary, Message
-from tapsim.elements import Amount, CodecError, DataElementMap, Tag
+from tapsim.channel import EMPTY, MESSAGES, Adversary, Message
+from tapsim.elements import KINDS, Amount, CodecError, DataElementMap, Tag
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import (
     AMOUNT_LOW,
@@ -142,3 +147,50 @@ def test_no_scripted_scenario_reaches_either_malformed_handler(monkeypatch):
     assert refused == []
     reasons = [ev.data["reason"] for trace in traces for ev in _decisions(trace)]
     assert reasons and not [r for r in reasons if r.startswith("malformed_")]
+
+
+def _legal_values(tag):
+    """Values ``tag`` admits: a uint kind's range, any other kind's values of its types."""
+    types, admits, _encode = KINDS[tag.kind]
+    if tag.kind.startswith("uint"):
+        return st.integers(0, (1 << 8 * int(tag.kind[4:])) - 1)
+    if types == (tuple,):  # a list of byte strings
+        return st.lists(st.binary(max_size=8), max_size=3).map(tuple)
+    values = st.one_of(*map(WRITER_VALUES.__getitem__, types))
+    # through a lambda: hypothesis would rewrite a regex's fullmatch into a strategy of its own
+    return values if admits is None else values.filter(lambda v: admits(v))
+
+
+@st.composite
+def _edits(draw):
+    """(NFC pairing, direction, message name, op, tag, value): drop ``tag`` from each message of
+    the name, empty it, or substitute ``value``, a legal value of the tag's kind."""
+    name = draw(st.sampled_from(sorted(Card._HANDLERS)))
+    op = draw(st.sampled_from(["drop", "empty", "substitute"]))
+    tag = draw(st.sampled_from(sorted(MESSAGES[name], key=attrgetter("code"))))
+    value = draw(_legal_values(tag)) if op == "substitute" else None
+    return (draw(st.sampled_from(NFC_PAIRINGS)), draw(st.sampled_from(["to", "from"])), name, op,
+            tag, value)
+
+
+def _edit(name, op, tag, value):
+    """Hook: each ``name`` message edited as ``op`` says, into a new message."""
+    def hook(msg, adversary):
+        if msg.name != name:
+            return msg
+        if op == "empty":
+            return EMPTY[name]
+        if op == "drop":
+            return EMPTY[name].with_payload(**{t.name: v for t, v in msg.payload.items()
+                                               if t is not tag})
+        return msg.with_payload(**{tag.name: value})
+    return hook
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_edits())
+def test_any_drop_empty_or_substitution_ends_in_one_decision(case):
+    pairing, direction, *edit = case
+    env, result = _run(pairing, direction, _edit(*edit))
+    decisions = _decisions(env.trace)
+    assert len(decisions) == 1 and decisions[0].data["reason"] == result["reason"]

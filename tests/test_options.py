@@ -11,7 +11,7 @@ import pytest
 
 from tapsim.attacks import CATALOG, KNOWN_FLAWS, _world_for
 from tapsim.card import CardProfile, Wallet
-from tapsim.elements import AID_BRANDS, brand_of, is_transit_mcc
+from tapsim.elements import AID_BRANDS, TRANSIT_MCCS, brand_of
 from tapsim.runner import CARD_FIXTURES, TERMINAL_FIXTURES, build_env
 from tapsim.terminal import TerminalConfig
 
@@ -75,7 +75,7 @@ def test_a_card_works_out_its_application_kernel_and_device(name):
 @pytest.mark.parametrize("name", TERMINAL_FIXTURES)
 def test_a_transit_gate_is_a_reader_with_a_transit_mcc(name):
     terminal = build_env().terminals[name]
-    assert terminal.transit == is_transit_mcc(terminal.config.mcc)
+    assert terminal.transit == (terminal.config.mcc in TRANSIT_MCCS)
     assert terminal.transit == (name == "transit_gate")
 
 

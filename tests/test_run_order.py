@@ -3,7 +3,7 @@
 A process keeps several things for its lifetime: the line shapes of
 emission, the Ed25519 and HMAC memos, the shared messages built on first
 use (the enumerations' commands, the issuer's responses, the card's constant
-replies), the text each shared message keeps once emitted, and the interned
+replies), the text each message keeps once emitted, and the interned
 element values with their texts. None of it may show in the
 output. A child that has filled all of them with other seeds emits the
 seed-42 catalogue, in a shuffled order, and the seed-0 genuine matrices
@@ -49,7 +49,7 @@ if sys.argv[1] == "warm":
     assert all(shared("GENERATE_AC", Tag.UN, un) for un in range(1000))
     assert shared("VERIFY", Tag.PIN_GUESS, "0000")
     assert shared.cache_info().misses == misses
-    assert EMPTY["VERIFY"].payload.message_json is not None
+    assert EMPTY["VERIFY"].json is not None
     kept = [v for v in elements._INTERNED.values() if type(v) in elements.RENDER]
     assert kept and all(v.json == elements.to_json(v) for v in kept)
     random.Random(42).shuffle(order)

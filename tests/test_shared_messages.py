@@ -3,15 +3,18 @@
 A message that carries no per-transaction data (an empty reply, a VERIFY
 reply, a SELECT by AID and its reply, a kernel-2 or mag-stripe GPO reply, a
 READ RECORD, an issuer response, a PIN guess, a mag-stripe UN query) is one
-shared object, and ``channel.shared``'s one cache holds them all. Its payload
-refuses every write and admits no value that can change, so no run can change
-what the next one sends. A trace renders each message object once per ``to_jsonl`` call,
-however often it holds it, and a shared message keeps its text for the
-process. Neither may show in the output: a trace whose every message is a
-fresh, unshared object emits the same text.
+shared object, and ``channel.shared``'s one cache holds them all: the same
+object in every world, where a per-run message is built anew. Every message's
+payload, shared or per-run, refuses every write and admits no value that can
+change, so no run can change what the next one sends. A message keeps its
+text once a trace emits it, under its own name. Neither may show in the
+output: a trace whose every message is a fresh, unshared object emits the
+same text.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -20,7 +23,7 @@ from tapsim.attacks import CATALOG, run_attack
 from tapsim.channel import (EMPTY, MESSAGES, READ_RECORD, SELECT, Message, TransactionTrace,
                             shared)
 from tapsim.elements import (AFL, CTQ, DOL, IAD, TTQ, Amount, CodecError, CVMCondition, CVMEntry,
-                             CVMList, CVMMethod, DataElementMap, SharedElementMap, Tag)
+                             CVMList, CVMMethod, DataElementMap, Tag)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
 from tapsim.runner import (AMOUNT_HIGH, AMOUNT_LOW, build_env, run_genuine,
                            run_genuine_matrix)
@@ -29,12 +32,12 @@ MODULES = (attacks, card, channel, elements, issuer, runner, terminal)
 
 
 def shared_messages() -> list[Message]:
-    """Every shared message the package's modules hold, in their globals or in a dict,
-    tuple or list there."""
+    """Every message the package's modules hold, in their globals or in a dict, tuple or
+    list there: each is built once per process and shared."""
     found: dict[int, Message] = {}
 
     def visit(value, depth: int) -> None:
-        if type(value) is Message and type(value.payload) is SharedElementMap:
+        if type(value) is Message:
             found[id(value)] = value
         elif depth and isinstance(value, (dict, tuple, list)):
             for item in value.values() if isinstance(value, dict) else value:
@@ -46,30 +49,39 @@ def shared_messages() -> list[Message]:
     return list(found.values())
 
 
+def wire(msg: Message) -> bytes:
+    """The encoding of ``msg``'s entries, made afresh: a payload keeps each encoding it makes."""
+    return msg.payload.copy().encode()
+
+
 # taken when the tests are collected, before any test has run a world
-AT_IMPORT = {id(msg): (msg, msg.payload.encode()) for msg in shared_messages()}
+AT_IMPORT = {id(msg): (msg, wire(msg)) for msg in shared_messages()}
 
 
-# id of each shared message the seed-42 catalogue logs -> (the message, its encoding when
-# first logged); the catalogue fixture fills it
+# id of each message the seed-42 catalogue logs -> (the message, its encoding when first
+# logged), and the ids of those the seed-43 catalogue logs too: the shared ones, one object
+# in both worlds. The catalogue fixture fills both.
 LOGGED: dict[int, tuple[Message, bytes]] = {}
+SHARED: set[int] = set()
 
 
 class _NotingEvents(list):
-    """A trace's event list that notes each shared message, and its bytes, as it is logged:
-    the NFC hop appends its events itself, and the rails through ``log_msg``."""
+    """A trace's event list that notes in ``seen`` each message, and its bytes, as it is
+    logged: the NFC hop appends its events itself, and the rails through ``log_msg``."""
+
+    seen = LOGGED
 
     def append(self, ev) -> None:
         for msg in (ev.sent, ev.received):
-            if msg is not None and type(msg.payload) is SharedElementMap and id(msg) not in LOGGED:
-                LOGGED[id(msg)] = msg, msg.payload.encode()
+            if msg is not None and id(msg) not in self.seen:
+                self.seen[id(msg)] = msg, wire(msg)
         list.append(self, ev)
 
 
 @pytest.fixture(scope="module")
 def catalogue():
     # the enumerations build their commands on first use, where the import-time scan
-    # cannot see them: note each shared message, and its bytes, as it is logged
+    # cannot see them: note each message, and its bytes, as it is logged
     init = TransactionTrace.__init__
 
     def noting(self, meta=None):
@@ -78,7 +90,12 @@ def catalogue():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TransactionTrace, "__init__", noting)
-        return [run_attack(attack_id, seed=42) for attack_id in CATALOG]
+        results = [run_attack(attack_id, seed=42) for attack_id in CATALOG]
+        patch.setattr(_NotingEvents, "seen", again := {})
+        for attack_id in CATALOG:
+            run_attack(attack_id, seed=43)
+    SHARED.update(LOGGED.keys() & again.keys())  # each seed-42 message is alive: ids are unique
+    return results
 
 
 def test_the_tables_are_found():
@@ -101,18 +118,18 @@ MUTATORS = {
 
 @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS)
 def test_every_shared_payload_refuses_every_write(mutate):
-    for msg, wire in AT_IMPORT.values():
+    for msg, noted in AT_IMPORT.values():
         with pytest.raises(TypeError):
             mutate(msg.payload)
-        assert msg.payload.encode() == wire
+        assert wire(msg) == noted
 
 
 def test_a_copy_of_a_shared_payload_is_writable():
-    for msg, wire in AT_IMPORT.values():
+    for msg, noted in AT_IMPORT.values():
         clone = msg.payload.copy()
         assert type(clone) is DataElementMap and clone == msg.payload
         clone.put(Tag.ATC, 1)
-        assert Tag.ATC in clone and msg.payload.encode() == wire
+        assert Tag.ATC in clone and wire(msg) == noted
 
 
 # (a message that may carry the tag, the tag, a value that can change once admitted, the
@@ -166,20 +183,32 @@ def test_shared_checks_what_message_checks():
 
 def test_every_shared_message_the_catalogue_logs_stays_read_only(catalogue):
     # the PIN guesses and UN queries are among them, built during the run
-    names = {msg.name for msg, _wire in LOGGED.values()}
+    logged = [LOGGED[ref] for ref in SHARED]
+    names = {msg.name for msg, _wire in logged}
     assert {"VERIFY", "GENERATE_AC", "SELECT", "READ_RECORD"} <= names
-    assert any(Tag.UN in msg.payload for msg, _wire in LOGGED.values())
-    for msg, wire in LOGGED.values():
+    assert any(Tag.UN in msg.payload for msg, _wire in logged)
+    for msg, noted in logged:
         for mutate in MUTATORS.values():
             with pytest.raises(TypeError):
                 mutate(msg.payload)
-        assert msg.payload.encode() == wire
+        assert wire(msg) == noted
+
+
+def test_every_message_the_catalogue_logs_refuses_put(catalogue):
+    # a per-run payload too: the message that carries it made it read-only
+    per_run = LOGGED.keys() - SHARED
+    assert per_run and {LOGGED[ref][0].name for ref in per_run} >= {
+        "GET_PROCESSING_OPTIONS", "READ_RECORD", "GENERATE_AC", "AUTH_REQUEST"}
+    for msg, noted in LOGGED.values():
+        with pytest.raises(TypeError):
+            msg.payload.put(Tag.ATC, 1)
+        assert wire(msg) == noted
 
 
 def test_shared_messages_are_unchanged_by_the_catalogue(catalogue):
     assert all(result.success and not result.diffs for result in catalogue)
-    for msg, wire in AT_IMPORT.values():
-        assert msg.payload.encode() == wire
+    for msg, noted in AT_IMPORT.values():
+        assert wire(msg) == noted
     # every issuer response is the shared message for its (name, decision, reason)
     responses = [ev.sent for result in catalogue for ev in result.trace.events
                  if ev.direction == "from_issuer"]
@@ -215,8 +244,7 @@ def test_constant_card_replies_are_shared_across_worlds():
     # a kernel-3 card transacts at GPO: its reply carries the ATC and the cryptogram
     first = replies(0, "visa_plastic_no_fdda", kernel3_gpo)
     again = replies(1, "visa_plastic_no_fdda", kernel3_gpo)
-    assert first[0] is again[0] and Tag.AC in first[1].payload
-    assert type(again[1].payload) is DataElementMap and first[1] is not again[1]
+    assert first[0] is again[0] and Tag.AC in first[1].payload and first[1] is not again[1]
 
 
 def test_records_1_and_2_are_shared_across_worlds_and_record_3_is_not():
@@ -227,13 +255,13 @@ def test_records_1_and_2_are_shared_across_worlds_and_record_3_is_not():
 
     for card_name in ("mastercard_cda", "visa_plastic_fdda", "magstripe_only"):
         first, again = records(0, card_name), records(1, card_name)
-        assert first[0] is again[0] and type(first[0].payload) is SharedElementMap
+        assert first[0] is again[0]
         assert first[0].payload[Tag.RECORD_NUMBER] == 1 and Tag.PAN in first[0].payload
         if card_name == "magstripe_only":  # one record, with the track-1 image
             assert Tag.TRACK1 in first[0].payload and first[1] is first[2] is EMPTY["READ_RECORD"]
             continue
         assert first[1] is again[1] and first[1].payload[Tag.RECORD_NUMBER] == 2
-        assert first[2] is not again[2] and type(first[2].payload) is DataElementMap
+        assert first[2] is not again[2]
         assert first[2].payload[Tag.CARD_CERT] != again[2].payload[Tag.CARD_CERT]
 
 
@@ -293,18 +321,33 @@ def test_emission_does_not_depend_on_sharing(catalogue):
     traces = [result.trace for result in catalogue] + [
         env.trace for policy in (PERMISSIVE_2019, HARDENED)
         for _pairing, env, _result in run_genuine_matrix(policy, seed=0)]
-    # the replayer logs the card's recorded replies a second time, in its own session
+    # the replayer logs the card's recorded per-run replies a second time, in its own session
     replayed = next(r.trace for r in catalogue if r.spec.attack_id == "replay_nonce_reuse")
     sessions: dict[int, set] = {}
     for ev in replayed.events:
-        if ev.kind == "msg" and type(ev.sent.payload) is DataElementMap:
+        if ev.kind == "msg" and id(ev.sent) not in SHARED:
             sessions.setdefault(id(ev.sent), set()).add(ev.session)
     assert any(len(logged_in) > 1 for logged_in in sessions.values())
-    # a first emission keeps each shared message's text: the comparison meets them warm
+    # a first emission keeps each message's text: the comparison meets them warm
     texts = [trace.to_jsonl() for trace in traces]
-    assert EMPTY["VERIFY"].payload.message_json is not None
+    assert EMPTY["VERIFY"].json is not None
     for trace, text in zip(traces, texts):
         copy = unshared(trace)
         assert all(ev.sent is not ev.received for ev in copy.events if ev.kind == "msg")
         assert copy.to_jsonl() == trace.to_jsonl() == text
 
+
+
+def test_a_message_over_an_emitted_payload_is_written_under_its_own_name():
+    # a message keeps its own text, not its payload: a second message over one payload
+    # is written as itself
+    trace = TransactionTrace()
+    trace.log_msg("nfc", trace.new_session(), "from_card", EMPTY["VERIFY"], EMPTY["VERIFY"])
+    trace.to_jsonl()
+    probe = Message("GENERATE_AC", EMPTY["VERIFY"].payload)
+    assert probe.payload is EMPTY["VERIFY"].payload
+    trace.log_msg("nfc", trace.new_session(), "to_card", probe, probe)
+    line = json.loads(trace.to_jsonl().splitlines()[-1])
+    assert line["sent"] == line["received"] == probe.render() == {
+        "name": "GENERATE_AC", "payload": {}}
+    assert json.loads(EMPTY["VERIFY"].json) == EMPTY["VERIFY"].render()
