@@ -22,7 +22,6 @@ from typing import Any
 
 from .channel import EMPTY, Message, TraceEvent, TransactionTrace, shared
 from .crypto import (
-    Certificate,
     compute_ac,
     compute_cvc3,
     generate_signing_key,
@@ -115,32 +114,6 @@ class Wallet:
         else:  # samsung_like: only ever answers zero-amount taps (gate entry)
             pays, claims = amount.value == 0, (True, False)
         return (True, *claims, False) if pays else (False, False, False, False)
-
-
-@dataclass
-class OdaMaterial:
-    """One card's ODA personalization: seed and signed records are fixed at
-    build time, the (deterministic) Ed25519 work waits for the card's first
-    READ RECORD of record 3 or SDAD. Each member is a lookup in crypto's memo
-    of its result, so it is made once while the memo holds it."""
-
-    signing_seed: bytes
-    pki: Any  # the world's runner.Pki: the personalizing issuer's key and certificate
-    pan: str
-    static_records: DataElementMap
-
-    @property
-    def signing_key(self) -> Any:
-        return generate_signing_key(self.signing_seed)
-
-    @property
-    def card_cert(self) -> Certificate:
-        return issue_certificate(self.pki.issuer_key, self.pan,
-                                 public_bytes(self.signing_key))
-
-    @property
-    def static_signature(self) -> bytes:
-        return sign_static_records(self.pki.issuer_key, self.static_records)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,13 +217,18 @@ class CardProfile:
 class Card:
     """Contactless card/phone state machine: answers SELECT, GPO,
     READ RECORD, GENERATE AC, VERIFY and the transit magic broadcast. It holds its
-    template, the world's keys for it, its own wallet and its counters."""
+    template, the world's keys for it, its own wallet and its counters. An ODA card's
+    Ed25519 key, certificate and static signature wait for the first record 3 or SDAD,
+    each a lookup in crypto's memo of its result: its signing seed, the world's PKI (a
+    ``runner.Pki``) and its template's static records (None without ODA) make them."""
 
     def __init__(self, profile: CardProfile, rng: random.Random, master_key: bytes,
-                 cvc3_key: bytes, oda: OdaMaterial | None):
+                 cvc3_key: bytes, signing_seed: bytes, pki: Any,
+                 static_records: DataElementMap | None):
         self.profile = profile
         self.rng = rng
-        self.master_key, self.cvc3_key, self.oda = master_key, cvc3_key, oda
+        self.master_key, self.cvc3_key, self.signing_seed = master_key, cvc3_key, signing_seed
+        self.pki, self.static_records = pki, static_records
         self.wallet = (None if profile.wallet is None
                        else Wallet(profile.wallet, profile.wallet_cdcvm_always))
         self.atc = 0
@@ -336,8 +314,8 @@ class Card:
             Tag.CID: CID.TC if amount.value == 0 else CID.ARQC,
             Tag.AC: ac, Tag.IAD: iad, Tag.CTQ: ctq, Tag.UN_CARD: un_card,
         })
-        if p.fdda and self.oda is not None and ttq.oda_for_online_supported:
-            payload.put(Tag.SDAD, sign_sdad(self.oda.signing_key, "fdda",
+        if p.fdda and p.ca_pk_index is not None and ttq.oda_for_online_supported:
+            payload.put(Tag.SDAD, sign_sdad(generate_signing_key(self.signing_seed), "fdda",
                                             payload.copy().put(Tag.UN, un)))
 
         if genuine_cvm and self._trace is not None:
@@ -357,10 +335,13 @@ class Card:
         if number == 2 and p.emv_mode:
             return p.records2.get((ctq := self._current_ctq).wire) or p.record2(ctq)
         if number == 3 and p.emv_mode and p.ca_pk_index is not None:
+            issuer_key = self.pki.issuer_key
             return Message("READ_RECORD", DataElementMap({
-                Tag.ISSUER_CERT: self.oda.pki.issuer_cert.to_bytes(),
-                Tag.CARD_CERT: self.oda.card_cert.to_bytes(),
-                Tag.STATIC_SIGNATURE: self.oda.static_signature, Tag.RECORD_NUMBER: 3,
+                Tag.ISSUER_CERT: self.pki.issuer_cert,
+                Tag.CARD_CERT: issue_certificate(
+                    issuer_key, p.pan, public_bytes(generate_signing_key(self.signing_seed))),
+                Tag.STATIC_SIGNATURE: sign_static_records(issuer_key, self.static_records),
+                Tag.RECORD_NUMBER: 3,
             }))
         return EMPTY["READ_RECORD"]
 
@@ -392,10 +373,10 @@ class Card:
             Tag.ATC: self.atc, Tag.CID: requested, Tag.AC: ac, Tag.IAD: iad,
         })
         un_card = None
-        if want_cda and p.cda and self.oda is not None:
+        if want_cda and p.cda and p.ca_pk_index is not None:
             un_card = self.rng.randrange(1 << 32)
             payload.put(Tag.UN_CARD, un_card)
-            payload.put(Tag.SDAD, sign_sdad(self.oda.signing_key, "cda",
+            payload.put(Tag.SDAD, sign_sdad(generate_signing_key(self.signing_seed), "cda",
                                             payload.copy().put(Tag.UN, un)))
 
         self._mark_tx(mode="emv", kernel=2, amount=amount, un=un,

@@ -289,7 +289,8 @@ class Edit:
     """A hook as data: in each message named ``message`` (any message when None) whose
     ``where`` guard (tag, value) holds, rewrite ``tag``. A dict op sets those flag bits and a
     callable maps the old value, both only where the tag is carried; any other op puts the
-    value."""
+    value, only into a message that ``MESSAGES`` lets carry the tag, so an edit naming no
+    message passes every other message on unchanged."""
 
     tag: TagInfo
     op: Any
@@ -307,6 +308,8 @@ class Edit:
                 return msg
             old = msg.payload[self.tag]
             op = old.replace(**op) if type(op) is dict else op(old)
+        elif self.tag not in MESSAGES[msg.name]:
+            return msg
         return msg.with_payload(**{self.tag.name: op})
 
 

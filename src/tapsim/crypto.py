@@ -3,7 +3,8 @@
 Real primitives, modeled constructions: application cryptograms are HMACs
 over the canonical encoding of a declared coverage set, dynamic signatures
 are Ed25519 over a one-byte method header plus a coverage set, and the PKI
-is a two-level chain (CA -> issuer -> card) of Ed25519-signed certificates.
+is a two-level chain (CA -> issuer -> card) of Ed25519-signed certificates. A
+certificate is its wire bytes, and walking the chain returns the keys it proves.
 Online PIN travels under AES-GCM between terminal and issuer.
 
 The point is not cryptographic strength but *binding*: what each signature
@@ -16,10 +17,9 @@ card's personalized set.
 
 Each Ed25519 operation is memoized on its exact inputs (seed, key object, public
 key, signature and message bytes), the last 256 of each, and so is each certificate,
-issued under its (parent key, subject, public key) and parsed from its exact bytes; a
-certificate builds its payload bytes once, when it is made. Ed25519 is deterministic
-and a certificate cannot change, so a hit returns what a fresh call would; a failed
-check is kept, an error (a malformed certificate's too) never.
+issued under its (parent key, subject, public key) and parsed from its exact bytes.
+Ed25519 is deterministic and bytes cannot change, so a hit returns what a fresh call
+would; a failed check is kept, an error (a malformed certificate's too) never.
 A signing records its message by (key, signature), so a check under one of the last 256 made
 needs no verify: a changed message costs two SHA-512s, a changed key or signature a verify.
 The session-key and CVC3 MACs start from SHA-256 states memoized the same way on
@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -225,49 +224,30 @@ def verify_static_records(issuer_public: bytes, records: DataElementMap,
     return _verify(issuer_public, "sda", records, STATIC_SIGNED_TAGS, signature)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Minimal certificate: subject name, raw public key, parent signature. Its payload (what
-    the parent signs) and its wire bytes are built once, when it is made."""
-
-    subject: str
-    public_key: bytes
-    signature: bytes
-    _payload: bytes = field(init=False, repr=False, compare=False)
-    _raw: bytes = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        subj = self.subject.encode("utf-8")
-        payload = (b"cert" + len(subj).to_bytes(2, "big") + subj
-                   + len(self.public_key).to_bytes(2, "big") + self.public_key)
-        object.__setattr__(self, "_payload", payload)
-        object.__setattr__(self, "_raw", payload + self.signature)
-
-    def payload(self) -> bytes:
-        return self._payload
-
-    def to_bytes(self) -> bytes:
-        return self._raw
-
-    @staticmethod
-    @_MEMO
-    def from_bytes(raw: bytes) -> "Certificate":
-        """Parse ``to_bytes()``; malformed input is a certificate that does not verify."""
-        off = 6 + int.from_bytes(raw[4:6], "big")
-        end = off + 2 + int.from_bytes(raw[off:off + 2], "big")  # end of the public key
-        if raw[:4] != b"cert" or len(raw) < end:
-            raise BadSignature("malformed certificate")
-        try:
-            return Certificate(raw[6:off].decode("utf-8"), raw[off + 2:end], raw[end:])
-        except UnicodeDecodeError:
-            raise BadSignature("certificate subject is not UTF-8") from None
+@_MEMO
+def issue_certificate(parent_private: Ed25519PrivateKey, subject: str,
+                      subject_public: bytes) -> bytes:
+    """A certificate's wire bytes: its payload (subject and public key, each length-prefixed),
+    then the parent's signature over the payload."""
+    subj = subject.encode("utf-8")
+    payload = (b"cert" + len(subj).to_bytes(2, "big") + subj
+               + len(subject_public).to_bytes(2, "big") + subject_public)
+    return payload + _signature(parent_private, payload)
 
 
 @_MEMO
-def issue_certificate(parent_private: Ed25519PrivateKey, subject: str,
-                      subject_public: bytes) -> Certificate:
-    cert = Certificate(subject, subject_public, b"")
-    return Certificate(subject, subject_public, _signature(parent_private, cert.payload()))
+def _parse_certificate(raw: bytes) -> tuple[str, bytes, bytes, bytes]:
+    """(subject, public key, signature, signed payload) of a certificate's bytes; malformed
+    input is a certificate that does not verify."""
+    off = 6 + int.from_bytes(raw[4:6], "big")
+    end = off + 2 + int.from_bytes(raw[off:off + 2], "big")  # end of the public key
+    if raw[:4] != b"cert" or len(raw) < end:
+        raise BadSignature("malformed certificate")
+    try:
+        subject = raw[6:off].decode("utf-8")
+    except UnicodeDecodeError:
+        raise BadSignature("certificate subject is not UTF-8") from None
+    return subject, raw[off + 2:end], raw[end:], raw[:end]
 
 
 class CAStore:
@@ -282,21 +262,24 @@ class CAStore:
         except KeyError:
             raise LookupFailure(f"no CA key under index {index}") from None
 
-    def verify_chain(self, index: int, issuer_cert: Certificate,
-                     card_cert: Certificate, pan: str) -> bytes:
-        """Walk CA -> issuer -> card; return the card's public key.
+    def verify_chain(self, index: int, issuer_cert: bytes, card_cert: bytes,
+                     pan: str) -> tuple[bytes, bytes]:
+        """Walk CA -> issuer -> card over the certificates' bytes; return the issuer's and
+        the card's public keys.
 
         Raises LookupFailure for an unknown index and BadSignature for any
-        broken link, including a card certificate naming a different PAN.
+        broken link, including a malformed certificate or a card certificate
+        naming a different PAN.
         """
-        parent_public = self.lookup(index)
-        for cert in (issuer_cert, card_cert):
-            if not _holds(bytes(parent_public), bytes(cert.signature), cert.payload()):
-                raise BadSignature(f"certificate for {cert.subject!r} does not verify")
-            parent_public = cert.public_key
-        if card_cert.subject != pan:
+        keys = [self.lookup(index)]  # each link's key, from the root's on
+        for raw in (issuer_cert, card_cert):
+            subject, public, signature, payload = _parse_certificate(raw)
+            if not _holds(bytes(keys[-1]), signature, payload):
+                raise BadSignature(f"certificate for {subject!r} does not verify")
+            keys.append(public)
+        if subject != pan:
             raise BadSignature("card certificate bound to a different PAN")
-        return card_cert.public_key
+        return keys[1], keys[2]
 
 
 # --- online PIN ------------------------------------------------------------------

@@ -11,8 +11,8 @@ issuer, nine cards/phones and six terminals, all sharing a trace. The same
 - Once per world: the override check, every key seed in one draw from a single
   seeded RNG (``_SEED_AT``, ``_DRAW``), and the read-only mappings naming its devices.
 - On first lookup: each card and terminal (``_OnDemand``), a card as its
-  template with the world's keys, a fresh ``Wallet`` and its own
-  ``card.OdaMaterial``, whose Ed25519 work also waits for first use; and the CA
+  template with the world's keys, a fresh ``Wallet``, its signing seed and the
+  world's ``Pki``, whose Ed25519 work also waits for first use; and the CA
   and issuer keys and certificate (``Pki``). A run pays only for the parts of
   the world it reaches. A template is frozen: a world changes only through its
   overrides, which make templates of their own, and its devices' own state.
@@ -32,13 +32,12 @@ from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator
 
-from .card import Card, CardProfile, OdaMaterial
+from .card import Card, CardProfile
 from .channel import Adversary, NfcChannel, PaymentRails, TransactionTrace
 from .crypto import (
     AC_COVERAGE_KERNEL2,
     STATIC_SIGNED_TAGS,
     CAStore,
-    Certificate,
     ac_coverage_kernel3,
     generate_signing_key,
     issue_certificate,
@@ -197,7 +196,7 @@ class Pki:
         return generate_signing_key(self.seeds[32:64])
 
     @property
-    def issuer_cert(self) -> Certificate:
+    def issuer_cert(self) -> bytes:
         return issue_certificate(self.ca_key, "issuer-1", public_bytes(self.issuer_key))
 
     def __getitem__(self, index: int) -> bytes:  # the CA store's roots: one, under CA_INDEX
@@ -253,13 +252,12 @@ def _card_template(name: str, fx: dict[str, Any],
 def _build_card(overrides: dict[str, dict[str, Any]], seeds: bytes, policy: IssuerPolicy,
                 pki: Pki, rng: random.Random, name: str) -> Card:
     """One world's card: its template, which every world shares, with the world's keys and
-    ODA material; the card makes its own wallet."""
+    PKI; the card makes its own wallet."""
     profile, static = _template(_card_template, name, CARD_FIXTURES[name],
                                 overrides.get(name), policy.check_ttq_in_ac)
     at = _SEED_AT[name]
-    return Card(profile, rng, seeds[at:at + 32], seeds[at + 32:at + 64],
-                None if static is None else OdaMaterial(seeds[at + 64:at + 96], pki,
-                                                        profile.pan, static))
+    return Card(profile, rng, seeds[at:at + 32], seeds[at + 32:at + 64], seeds[at + 64:at + 96],
+                pki, static)
 
 
 def _terminal_template(name: str, fx: dict[str, Any]) -> TerminalConfig:
@@ -280,11 +278,6 @@ def _card_of(cards: Mapping[str, Card], pan: str) -> Card:
     return cards[_PANS[pan]]
 
 
-def _pin_key(seeds: bytes, terminal_id: str) -> bytes:
-    at = _SEED_AT[_TERMINAL_IDS[terminal_id]]
-    return seeds[at:at + 32]
-
-
 def _known_keys(fixtures: dict[str, dict[str, Any]], cls: type,
                 owned: set[str]) -> frozenset[str]:
     """The keys an override may set: each key some fixture uses (which covers
@@ -294,10 +287,12 @@ def _known_keys(fixtures: dict[str, dict[str, Any]], cls: type,
         f.name for f in fields(cls) if f.init).difference(owned)
 
 
-_CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile, {"name", "pan", "iac", "ac_coverage"})
+_CARD_KEYS = _known_keys(CARD_FIXTURES, CardProfile,
+                         {"name", "pan", "iac", "ac_coverage", "ca_pk_index"})
 _TERMINAL_KEYS = _known_keys(TERMINAL_FIXTURES, TerminalConfig, {"name", "terminal_id", "tac"})
 _PANS = {fx["pan"]: name for name, fx in CARD_FIXTURES.items()}
-_TERMINAL_IDS = {fx["terminal_id"]: name for name, fx in TERMINAL_FIXTURES.items()}
+# each terminal id's online-PIN key: where its terminal's seed begins in a world's draw
+_PIN_KEY_AT = {fx["terminal_id"]: _SEED_AT[name] for name, fx in TERMINAL_FIXTURES.items()}
 
 
 def _check_overrides(fixtures: dict[str, dict[str, Any]], overrides: dict[str, dict[str, Any]],
@@ -337,7 +332,7 @@ def build_env(seed: int = 0, policy: IssuerPolicy = PERMISSIVE_2019,
     pki = Pki(seeds)
     cards = _OnDemand(CARD_FIXTURES, partial(_build_card, card_overrides, seeds, policy, pki, rng))
     issuer = Issuer(policy, cards=_OnDemand(_PANS, partial(_card_of, cards)),
-                    pin_keys=_OnDemand(_TERMINAL_IDS, partial(_pin_key, seeds)))
+                    pin_keys={tid: seeds[at:at + 32] for tid, at in _PIN_KEY_AT.items()})
     rails = PaymentRails(trace, issuer)
     terminals = _OnDemand(TERMINAL_FIXTURES, partial(_build_terminal, terminal_overrides,
                                                      seeds, rng, rails, CAStore(pki)))
@@ -505,6 +500,3 @@ def main(argv: list[str] | None = None) -> int:
 
     return 0 if all(r.success and not r.diffs for r in results) else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,7 +30,8 @@ from typing import Any, Callable
 
 from .channel import (MESSAGES, READ_RECORD, SELECT, Message, NfcChannel, PaymentRails,
                       TransactionTrace)
-from .crypto import BadSignature, CAStore, Certificate, LookupFailure, encrypt_pin, verify_sdad, verify_static_records
+from .crypto import (BadSignature, CAStore, LookupFailure, encrypt_pin, verify_sdad,
+                     verify_static_records)
 from .elements import (
     CVM_LIMIT,
     ActionCodes,
@@ -95,14 +96,12 @@ class _Purchase:
     pdol: DOL = NO_DOL
     gpo: DataElementMap | None = None  # the GPO reply's payload
     flow: tuple[Callable[[Terminal, _Purchase], None], ...] = ()  # the steps GPO picked
+    # by number; steps read one the card did not send as _NO_RECORD
     records: dict[int, DataElementMap] = field(default_factory=dict)
     iac: ActionCodes = ActionCodes()  # kernel 2's, defaulted when its record lacks one
     card_public: bytes | None = None  # the card's key, once its certificate chain verified
     cvm: tuple[CVMMethod, CVMCondition] | None = None  # None: no CVM at all
     offline: bool = False
-
-    def record(self, number: int) -> DataElementMap:
-        return self.records.get(number, _NO_RECORD)
 
 
 class Terminal:
@@ -201,18 +200,18 @@ class Terminal:
         tx.records = {number: tx.channel.exchange(READ_RECORD[number]).payload
                       for number in tx.gpo[Tag.AFL].records}
 
-    def _verify_chain(self, tx: _Purchase) -> Certificate | None:
+    def _verify_chain(self, tx: _Purchase) -> bytes | None:
         """Walk CA -> issuer -> card over records 2 and 3, keeping the card's
-        public key. Returns the issuer certificate, None when the card offers
+        public key. Returns the issuer's public key, None when the card offers
         no chain; raises LookupFailure or BadSignature when it breaks."""
-        index = tx.record(2).get(Tag.CA_PK_INDEX)
-        if index is None or 3 not in tx.records:
+        records = tx.records
+        index = records.get(2, _NO_RECORD).get(Tag.CA_PK_INDEX)
+        if index is None or 3 not in records:
             return None
-        issuer_cert = Certificate.from_bytes(tx.records[3][Tag.ISSUER_CERT])
-        card_cert = Certificate.from_bytes(tx.records[3][Tag.CARD_CERT])
-        tx.card_public = self.ca_store.verify_chain(index, issuer_cert, card_cert,
-                                                    tx.record(1).get(Tag.PAN, ""))
-        return issuer_cert
+        issuer_public, tx.card_public = self.ca_store.verify_chain(
+            index, records[3][Tag.ISSUER_CERT], records[3][Tag.CARD_CERT],
+            records.get(1, _NO_RECORD).get(Tag.PAN, ""))
+        return issuer_public
 
     def _collect_cvm(self, tx: _Purchase) -> None:
         """Carry out the CVM the flow chose at the terminal."""
@@ -244,7 +243,7 @@ class Terminal:
                       and (cfg.offline_capable or self.transit))
 
     def _k3_records(self, tx: _Purchase) -> None:
-        r1, r2 = tx.record(1), tx.record(2)
+        r1, r2 = tx.records.get(1, _NO_RECORD), tx.records.get(2, _NO_RECORD)
         tx.view.update(pan=r1.get(Tag.PAN), expiry=r1.get(Tag.EXPIRY),
                        ca_pk_index=r2.get(Tag.CA_PK_INDEX),
                        cvm_list=r2.get(Tag.CVM_LIST),
@@ -287,7 +286,7 @@ class Terminal:
     # --- kernel 2 -------------------------------------------------------------
 
     def _k2_records(self, tx: _Purchase) -> None:
-        r1, r2 = tx.record(1), tx.record(2)
+        r1, r2 = tx.records.get(1, _NO_RECORD), tx.records.get(2, _NO_RECORD)
         tx.iac = r2.get(Tag.IAC, ActionCodes())
         tx.view.update(pan=r1.get(Tag.PAN, ""), expiry=r1.get(Tag.EXPIRY),
                        cvm_list=r2.get(Tag.CVM_LIST, CVMList()), iac_denial=tx.iac.denial,
@@ -296,20 +295,21 @@ class Terminal:
     def _k2_oda(self, tx: _Purchase) -> None:
         view, tvr = tx.view, TVR()
         try:
-            issuer_cert = self._verify_chain(tx)
+            issuer_public = self._verify_chain(tx)
         except (LookupFailure, BadSignature):
             # ODA could not be completed; record it and let the action
             # codes decide, as fielded terminals do
-            issuer_cert, tvr = None, tvr.replace(cda_failed=True)
-        if issuer_cert is not None:
+            issuer_public, tvr = None, tvr.replace(cda_failed=True)
+        if issuer_public is not None:
             # exactly the values acted on: over both records merged, an edited
             # record-1 EXPIRY would pass beside a genuine copy in record 2
             static = DataElementMap({
-                Tag.PAN: view["pan"], Tag.EXPIRY: tx.record(1).get(Tag.EXPIRY, ""),
+                Tag.PAN: view["pan"],
+                Tag.EXPIRY: tx.records.get(1, _NO_RECORD).get(Tag.EXPIRY, ""),
                 Tag.AIP: view["aip"], Tag.CVM_LIST: view["cvm_list"], Tag.IAC: tx.iac,
                 Tag.CA_PK_INDEX: view["ca_pk_index"],
             })
-            if not verify_static_records(issuer_cert.public_key, static,
+            if not verify_static_records(issuer_public, static,
                                          tx.records[3].get(Tag.STATIC_SIGNATURE, b"")):
                 tvr = tvr.replace(cda_failed=True)
         view["tvr"] = tvr
@@ -343,7 +343,7 @@ class Terminal:
         cdol_env = DataElementMap({
             Tag.AMOUNT: tx.amount, Tag.UN: view["un"], Tag.CVM_RESULTS: view["cvm_results"],
         })
-        payload = build_dol_data(tx.record(2).get(Tag.CDOL1, NO_DOL), cdol_env)
+        payload = build_dol_data(tx.records.get(2, _NO_RECORD).get(Tag.CDOL1, NO_DOL), cdol_env)
         payload.put(Tag.CID, CID.TC if want_offline else CID.ARQC)
         payload.put(Tag.CDA_REQUESTED, 1 if want_cda else 0)
         rp = tx.channel.exchange(Message("GENERATE_AC", payload)).payload
@@ -384,7 +384,7 @@ class Terminal:
                        else self.rng.randrange(space))
 
     def _ms_track(self, tx: _Purchase) -> None:
-        r1 = tx.record(1)
+        r1 = tx.records.get(1, _NO_RECORD)
         track2: Track2EquivalentData | None = r1.get(Tag.TRACK2)
         if track2 is None:
             raise _Declined("no_track_data")

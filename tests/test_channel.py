@@ -32,7 +32,7 @@ from tapsim.channel import (
 from tapsim.elements import (AID_VISA, CID, CTQ, IAD, TTQ, Amount, CVMMethod, DataElementMap,
                              Tag, render_value, to_json)
 from tapsim.issuer import HARDENED, PERMISSIVE_2019
-from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine_matrix
+from tapsim.runner import AMOUNT_HIGH, build_env, run_genuine, run_genuine_matrix
 
 
 class EchoCard:
@@ -610,6 +610,30 @@ def test_a_hook_that_writes_into_the_message_it_is_handed_is_refused():
     ev, outcome = _forged_ctq_purchase(lambda msg: msg.with_payload(CTQ=forged))
     assert outcome == ("decline", "ctq_mismatch") and tampered(ev)
     assert ev.received.payload[Tag.CTQ] is forged is not ev.sent.payload[Tag.CTQ]
+
+
+@pytest.mark.parametrize("direction, edit, outcome", [
+    ("from_card", Edit(Tag.CTQ, CTQ(cdcvm_performed=True)), ("approve_online", "issuer_approved")),
+    ("to_card", Edit(Tag.TTQ, TTQ(cvm_required=False)), ("decline", "no_cvm_agreed")),
+], ids=["ctq", "ttq"])
+def test_a_put_naming_no_message_goes_only_where_its_tag_may_be_carried(direction, edit,
+                                                                       outcome):
+    # the SELECT exchange comes first and may carry neither tag: the edit passes it on
+    # untouched, puts its value into each message that may carry the tag, and the run ends
+    # in one decision
+    env = build_env(seed=0)
+    adv = Adversary(("A1",), trace=env.trace)
+    (adv.on_to_card if direction == "to_card" else adv.on_from_card)(edit)
+    result = run_genuine(env, "visa_plastic_no_fdda", "standard_pos", AMOUNT_HIGH, adversary=adv)
+    assert (result["outcome"], result["reason"]) == outcome
+    assert len(markers(env.trace, "decision")) == 1
+    hop = [ev for ev in msgs(env.trace, channel="nfc") if ev.direction == direction]
+    assert {ev.sent.name for ev in hop} >= {"SELECT", "GET_PROCESSING_OPTIONS"}
+    for ev in hop:
+        if edit.tag in MESSAGES[ev.sent.name]:
+            assert ev.received.payload[edit.tag] is edit.op
+        else:
+            assert ev.received is ev.sent
 
 
 @pytest.mark.parametrize("hook, expected", [

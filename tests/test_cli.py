@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,19 @@ def _usage_error(argv):
 
 def test_run_rejects_unknown_attack():
     _usage_error(["run", "nonsense_attack"])
+
+
+def test_run_needs_ids_or_all(capsys):
+    _usage_error(["run"])
+    assert "give attack ids or --all" in capsys.readouterr().err
+
+
+def test_the_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    listed = subprocess.run([sys.executable, "-m", "tapsim", "list"], capture_output=True,
+                            text=True, timeout=60, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert len(listed.stdout.splitlines()) == 16 and "merchant_bag" in listed.stdout
 
 
 def test_flaw_parsing_is_strict(capsys):

@@ -4,7 +4,6 @@ import hashlib
 import hmac
 import random
 import runpy
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +19,6 @@ from tapsim.crypto import (
     AC_COVERAGE_KERNEL2,
     BadSignature,
     CAStore,
-    Certificate,
     CryptoError,
     LookupFailure,
     METHOD_HEADERS,
@@ -352,12 +350,21 @@ def test_static_signature_roundtrip_and_tamper():
         assert not verify_static_records(public_bytes(issuer), tampered, sig), tag.name
 
 
+def _payload(subject: str, public: bytes) -> bytes:
+    """What a certificate's parent signs: "cert", then the subject and the public key, each
+    after its two-byte big-endian length."""
+    subj = subject.encode("utf-8")
+    return b"cert" + len(subj).to_bytes(2, "big") + subj + len(public).to_bytes(2, "big") + public
+
+
 def test_certificate_roundtrip_bytes():
     ca = generate_signing_key(b"c" * 32)
     issuer = generate_signing_key(b"i" * 32)
     cert = issue_certificate(ca, "bank-a", public_bytes(issuer))
-    back = Certificate.from_bytes(cert.to_bytes())
-    assert back == cert
+    payload = _payload("bank-a", public_bytes(issuer))
+    assert cert == payload + ca.sign(payload)  # the payload, then the parent's signature
+    assert crypto._parse_certificate(cert) == ("bank-a", public_bytes(issuer), cert[-64:],
+                                               payload)
 
 
 @pytest.mark.parametrize("raw", [
@@ -366,9 +373,12 @@ def test_certificate_roundtrip_bytes():
     b"cert\x00\x01a\x00\x20" + bytes(31),                    # public key cut short
 ])
 def test_malformed_certificate_does_not_verify(raw):
+    store = CAStore({1: bytes(32)})
     for _ in range(2):  # the parse memo keeps no error: a second parse raises too
         with pytest.raises(BadSignature):
-            Certificate.from_bytes(raw)
+            crypto._parse_certificate(raw)
+        with pytest.raises(BadSignature):
+            store.verify_chain(1, raw, raw, "4111111111111111")
 
 
 def test_a_malformed_public_key_fails_closed():
@@ -393,7 +403,7 @@ def test_chain_verifies_and_rejects():
     card_cert = issue_certificate(issuer, "4111111111111111", public_bytes(card))
 
     got = store.verify_chain(1, issuer_cert, card_cert, "4111111111111111")
-    assert got == public_bytes(card)
+    assert got == (public_bytes(issuer), public_bytes(card))
 
     with pytest.raises(LookupFailure):
         store.verify_chain(2, issuer_cert, card_cert, "4111111111111111")
@@ -412,7 +422,7 @@ def test_chain_verifies_and_rejects():
 # --- the Ed25519 memo -----------------------------------------------------------------
 
 MEMOS = (generate_signing_key, public_bytes, crypto._signature, crypto._holds, issue_certificate,
-         Certificate.from_bytes)
+         crypto._parse_certificate)
 
 
 def _hits() -> int:
@@ -430,7 +440,7 @@ def test_memo_hits_return_what_cryptography_returns():
 
     def outputs(key):
         return (public_bytes(key), sign_sdad(key, "cda", el),
-                issue_certificate(key, "bank-a", bytes(32)).signature)
+                issue_certificate(key, "bank-a", bytes(32)))
 
     first = outputs(generate_signing_key(seed))
     hits = _hits()
@@ -440,7 +450,7 @@ def test_memo_hits_return_what_cryptography_returns():
     assert first == again == (
         fresh.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
         bytes([METHOD_HEADERS["cda"]]) + fresh.sign(msg),
-        fresh.sign(Certificate("bank-a", bytes(32), b"").payload()))
+        _payload("bank-a", bytes(32)) + fresh.sign(_payload("bank-a", bytes(32))))
     for _ in range(2):  # a miss or a hit, then a hit
         assert verify_sdad(first[0], "cda", el, again[1])
     Ed25519PublicKey.from_public_bytes(first[0]).verify(again[1][1:], msg)
@@ -463,8 +473,7 @@ def test_tampering_fails_after_the_genuine_triple_is_cached():
     issuer_cert = issue_certificate(ca, "bank-a", public_bytes(priv))
     card_cert = issue_certificate(priv, "4111111111111111", public_bytes(ca))
     store.verify_chain(1, issuer_cert, card_cert, "4111111111111111")
-    forged = Certificate(issuer_cert.subject, issuer_cert.public_key,
-                         issuer_cert.signature[:-1] + bytes([issuer_cert.signature[-1] ^ 1]))
+    forged = issuer_cert[:-1] + bytes([issuer_cert[-1] ^ 1])  # one bit of its signature
     with pytest.raises(BadSignature):
         store.verify_chain(1, forged, card_cert, "4111111111111111")
 
@@ -490,7 +499,7 @@ def test_errors_are_never_cached():
         with pytest.raises(AttributeError):  # a signing key that is no key
             crypto._signature(None, b"msg")
         with pytest.raises(BadSignature):
-            Certificate.from_bytes(b"cert\x00\x05ab")
+            crypto._parse_certificate(b"cert\x00\x05ab")
     assert _hits() == hits and crypto._SIGNED == record
 
 
@@ -546,8 +555,7 @@ def test_a_signature_made_elsewhere_holds_by_ed25519_itself():
         return bytes([METHOD_HEADERS[method]]) + key.sign(msg)
 
     def certificate(parent, subject, key):
-        return Certificate(subject, raw[key], parent.sign(
-            Certificate(subject, raw[key], b"").payload()))
+        return _payload(subject, raw[key]) + parent.sign(_payload(subject, raw[key]))
 
     def flipped(signature):
         return signature[:-1] + bytes([signature[-1] ^ 1])
@@ -556,16 +564,15 @@ def test_a_signature_made_elsewhere_holds_by_ed25519_itself():
     sdad = signed(card, "cda", el, SDAD_COVERAGE["cda"])
     static = signed(issuer, "sda", rec, STATIC_SIGNED_TAGS)
     issuer_cert, card_cert = certificate(ca, "bank-a", issuer), certificate(issuer, pan, card)
-    assert not {(raw[card], sdad[1:]), (raw[issuer], static[1:]), (raw[ca], issuer_cert.signature),
-                (raw[issuer], card_cert.signature)} & crypto._SIGNED.keys()
+    assert not {(raw[card], sdad[1:]), (raw[issuer], static[1:]), (raw[ca], issuer_cert[-64:]),
+                (raw[issuer], card_cert[-64:])} & crypto._SIGNED.keys()
     assert verify_sdad(raw[card], "cda", el, sdad)
     assert not verify_sdad(raw[card], "cda", el, flipped(sdad))
     assert verify_static_records(raw[issuer], rec, static)
     assert not verify_static_records(raw[issuer], rec, flipped(static))
     store = CAStore({1: raw[ca]})
-    assert store.verify_chain(1, issuer_cert, card_cert, pan) == raw[card]
-    for broken in ((replace(issuer_cert, signature=flipped(issuer_cert.signature)), card_cert),
-                   (issuer_cert, replace(card_cert, signature=flipped(card_cert.signature)))):
+    assert store.verify_chain(1, issuer_cert, card_cert, pan) == (raw[issuer], raw[card])
+    for broken in ((flipped(issuer_cert), card_cert), (issuer_cert, flipped(card_cert))):
         with pytest.raises(BadSignature):
             store.verify_chain(1, *broken, pan)
 

@@ -483,6 +483,12 @@ def test_map_frame_is_canonical():
     assert codes == sorted(TAGS_BY_CODE)
 
 
+def test_a_map_reprs_each_element_by_name_and_rendered_value():
+    m = DataElementMap({Tag.UN: 7, Tag.AID: AID_VISA, Tag.AMOUNT: Amount(1500, "EUR")})
+    assert repr(m) == ("DataElementMap(UN=7, AID='a0000000031010', "
+                       "AMOUNT={'value': 1500, 'currency': 'EUR'})")
+
+
 def test_map_missing_key_raises():
     for m in (DataElementMap(), DataElementMap({Tag.UN: 5})):
         with pytest.raises(CodecError, match="missing element AMOUNT"):

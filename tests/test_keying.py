@@ -63,8 +63,8 @@ def _eager_record3(seed: int, name: str, profile) -> DataElementMap:
         Tag.CA_PK_INDEX: CA_INDEX,
     })
     return DataElementMap({
-        Tag.ISSUER_CERT: issuer_cert.to_bytes(),
-        Tag.CARD_CERT: card_cert.to_bytes(),
+        Tag.ISSUER_CERT: issuer_cert,
+        Tag.CARD_CERT: card_cert,
         Tag.STATIC_SIGNATURE: sign_static_records(issuer_key, static),
         Tag.RECORD_NUMBER: 3,
     })
@@ -281,7 +281,7 @@ def test_worlds_are_freed_by_reference_counting():
 @pytest.mark.parametrize("other_seed", [0, 1])
 def test_worlds_from_one_template_keep_their_edits(other_seed):
     # a world's cards share their template, which no one writes; a wallet, the keys and the
-    # ODA material are the world's own
+    # PKI are the world's own
     first, second = build_env(0), build_env(other_seed)
     name = "google_like_phone"  # a wallet and ODA material
     mine, theirs = first.cards[name], second.cards[name]
@@ -289,10 +289,10 @@ def test_worlds_from_one_template_keep_their_edits(other_seed):
     with pytest.raises(dataclasses.FrozenInstanceError):
         mine.profile.cvm_list = CVMList((CVMEntry(CVMMethod.NoCVM, CVMCondition.Always),))
     mine.wallet.unlocked = True
-    mine.oda = None
-    assert theirs.wallet.unlocked is False and theirs.oda is not None
+    mine.pki = None
+    assert theirs.wallet.unlocked is False and theirs.pki is not None
     again = build_env(0).cards[name]
-    assert (again.profile, again.wallet.unlocked, again.oda is None) == (
+    assert (again.profile, again.wallet.unlocked, again.pki is None) == (
         theirs.profile, False, False)
     config = first.terminals["standard_pos"].config
     assert config is second.terminals["standard_pos"].config
@@ -328,7 +328,7 @@ def test_one_draw_is_the_seeds_one_draw_each_would_give(seed):
     card = env.cards["mastercard_cda"]
     assert card.rng.getstate() == each.getstate()  # the world's RNG after its draw
     at = runner._SEED_AT["mastercard_cda"]
-    assert (card.master_key, card.cvc3_key, card.oda.signing_seed) == (
+    assert (card.master_key, card.cvc3_key, card.signing_seed) == (
         seeds[at:at + 32], seeds[at + 32:at + 64], seeds[at + 64:at + 96])
     assert env.terminals["swipe_pos"].pin_key == seeds[-32:]
     assert env.issuer.pin_keys["T-SWIPE-1"] == seeds[-32:]
@@ -357,7 +357,7 @@ def test_a_kept_draw_is_the_draw_a_fresh_rng_makes(a, b, order, monkeypatch):
         env = build_env(seed)
         restored += kept_state is not None and runner._DRAW[2] is kept_state
         fresh = random.Random(seed)
-        assert env.cards["mastercard_cda"].oda.pki.seeds == fresh.randbytes(1120)
+        assert env.cards["mastercard_cda"].pki.seeds == fresh.randbytes(1120)
         assert _purchase_draws(env) == (fresh.randrange(1 << 32), fresh.randbytes(12),
                                         fresh.randrange(1 << 32))
         kept_seed, seeds, state = runner._DRAW  # bytes and a tuple of ints: it holds no world
@@ -376,7 +376,7 @@ def test_a_seed_equal_to_the_kept_one_draws_its_own_unless_an_int(monkeypatch):
     monkeypatch.setattr(runner, "_DRAW", [None, b"", None])
     for _ in range(2):
         build_env(2**70)
-    pki = build_env(2.0**70).cards["mastercard_cda"].oda.pki
+    pki = build_env(2.0**70).cards["mastercard_cda"].pki
     assert pki.seeds == random.Random(2.0**70).randbytes(1120)
     keys = {build_env(None).cards["mastercard_cda"].master_key for _ in range(3)}
     assert len(keys) == 3 and runner._DRAW[0] == 2**70 and runner._DRAW[2] is not None

@@ -124,6 +124,13 @@ def test_a_command_lacking_a_read_element_gets_an_empty_reply_and_leaves_the_car
     assert card.atc == 0
 
 
+@pytest.mark.parametrize("name", sorted(MESSAGES.keys() - Card._HANDLERS.keys()))
+def test_a_message_the_card_has_no_handler_for_gets_the_empty_reply(name):
+    card = build_env(seed=0).cards["mastercard_cda"]
+    assert card.exchange(Message(name)) is EMPTY[name]
+    assert card.atc == 0
+
+
 def test_no_scripted_scenario_reaches_either_malformed_handler(monkeypatch):
     refused = []
 

@@ -56,6 +56,8 @@ def test_no_option_holds_only_one_value():
     # a device's identity is its fixture's: the issuer finds it by its PAN or terminal id
     {"card_overrides": {"maestro_debit": {"pan": "6011000000000004"}}},
     {"terminal_overrides": {"standard_pos": {"terminal_id": "T-STD-2"}}},
+    # the CA index comes with the keys ``oda`` personalizes: alone, it named a chain no card had
+    {"card_overrides": {"visa_plastic_no_fdda": {"ca_pk_index": 1}}},
 ])
 def test_mistyped_override_is_rejected(overrides):
     with pytest.raises(TypeError):

@@ -14,7 +14,6 @@ from tapsim.elements import (
     AID_MASTERCARD,
     AID_VISA,
     Amount,
-    CID,
     CVMCondition,
     CVMMethod,
     CVMResult,
@@ -144,6 +143,16 @@ def test_kernel2_cvm_list_drives_the_choice(env):
     assert high["outcome"] == "approve_online"
 
 
+def test_kernel2_skips_a_below_limit_rule_above_the_limit():
+    # a list that leads with a below-limit rule: above the limit the terminal passes it by
+    env = build_env(seed=7, card_overrides={"maestro_debit": {"cvm_list": [
+        ("NoCVM", "IfBelowCvmLimit"), ("OnlinePIN", "IfAboveCvmLimit")]}})
+    high = run_genuine(env, "maestro_debit", "standard_pos", AMOUNT_HIGH)
+    assert high["view"]["cvm_results"] == CVMResults(
+        CVMMethod.OnlinePIN, CVMCondition.IfAboveCvmLimit, CVMResult.Performed)
+    assert high["outcome"] == "approve_online"
+
+
 def test_kernel2_offline_floor_and_clearing(env):
     terminal = env.terminals["offline_capable_pos"]
     card = env.cards["mastercard_cda"]
@@ -268,6 +277,20 @@ def test_magstripe_mode_purchase(env):
     assert result["outcome"] == "approve_online"
     assert result["view"]["mode"] == "ms"
     assert 0 <= result["view"]["un"] < 1000
+
+
+def test_magstripe_mode_above_the_cvm_limit_takes_a_signature(env):
+    # the issuer accepts any CVM the terminal performed, and a performed NoCVM is none
+    result = run_genuine(env, "magstripe_only", "standard_pos", AMOUNT_HIGH)
+    assert result["outcome"] == "approve_online"
+    assert result["view"]["cvm_results"].method == CVMMethod.PaperSignature
+    [auth] = markers(env.trace, "auth")
+    assert auth.data["reason"] == "magstripe_ok"
+    no_cvm = auth.data["request"].payload.copy().put(Tag.CVM_RESULTS, CVMResults(
+        CVMMethod.NoCVM, CVMCondition.Always, CVMResult.Performed))
+    response = env.issuer.handle_auth(Message("AUTH_REQUEST", no_cvm))
+    assert (response.payload[Tag.DECISION], response.payload[Tag.REASON]) == (
+        "decline", "cvm_limit")
 
 
 def test_swipe_purchase(env):

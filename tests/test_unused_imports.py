@@ -1,11 +1,12 @@
-"""Every name the package imports is used."""
+"""Every name the package and its tests import is used."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tapsim"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "tapsim"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,4 +31,9 @@ def test_detector_flags_what_is_never_used():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
